@@ -1,14 +1,20 @@
-"""Deterministic interpreter producing a per-cycle trace, with attack hooks.
+"""Deterministic interpreter recording the control events of a run, with attack hooks.
 
-One instruction retires per cycle.  The trace records (pc, instruction,
-outcome) for every cycle, which is the stream the measurement pipeline taps.
+One instruction retires per cycle.  A run records only its control-flow
+events, as (cycle, pc, instruction, taken, next_pc) records, plus the count of
+retired cycles: every other cycle advances the pc by one word, so the
+per-cycle stream (`Trace.events`) is rebuilt from that record on demand, and
+the `observer` hook still sees every cycle as it retires.  Instructions are
+decoded into handler tuples once per `Program` object, at its first run.
 Attack injection mutates writable state only (registers, link register, data
 memory); program text is immutable.
 """
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from collections.abc import Sequence
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional
 
 from .isa import WORD, Kind, Instruction, Program
@@ -83,12 +89,24 @@ class AttackSpec:
         return cls(kind=d["kind"], trigger=d["trigger"], payload=d["payload"])
 
 
+# (cycle, pc, instr, taken, next_pc) of one retired control-flow instruction
+ControlRecord = tuple[int, int, Instruction, Optional[bool], int]
+
+
 @dataclass
 class Trace:
+    """One run: its control events in order and the number of retired cycles."""
     program_id: str
     input: list[int]
-    events: list[TraceEvent]
+    program: Program
+    control: list[ControlRecord]
+    cycles: int
     fault: Optional[str] = None
+
+    @cached_property
+    def events(self) -> "TraceEvents":
+        """Every retired cycle, as a read-only sequence of TraceEvent."""
+        return TraceEvents(self)
 
     def to_jsonl(self) -> str:
         lines = [json.dumps({"program_id": self.program_id, "input": self.input},
@@ -98,18 +116,78 @@ class Trace:
         return "\n".join(lines) + "\n"
 
 
+class TraceEvents(Sequence):
+    """Per-cycle view of a Trace.
+
+    Its length is the trace's cycle count.  The TraceEvent objects are built
+    from the control record at the first item access: between two control
+    events the pc advances one word per cycle (a halt repeats its own pc).
+    """
+
+    def __init__(self, trace: Trace):
+        self._trace = trace
+        self._events: Optional[list[TraceEvent]] = None
+
+    def _built(self) -> list[TraceEvent]:
+        if self._events is None:
+            t = self._trace
+            out: list[TraceEvent] = []
+            pc = t.program.entry_point
+
+            def straight_line(until: int) -> None:
+                nonlocal pc
+                for cycle in range(len(out), until):
+                    ins = t.program.instr_at(pc)
+                    next_pc = pc if ins.kind is Kind.HALT else pc + WORD
+                    out.append(TraceEvent(cycle, pc, ins, None, next_pc))
+                    pc = next_pc
+
+            for rec in t.control:
+                straight_line(rec[0])
+                out.append(TraceEvent(*rec))
+                pc = rec[4]
+            straight_line(t.cycles)
+            self._events = out
+        return self._events
+
+    def __len__(self) -> int:
+        return self._trace.cycles
+
+    def __getitem__(self, i):
+        return self._built()[i]
+
+    def __iter__(self):
+        return iter(self._built())
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (list, tuple, TraceEvents)):
+            return self._built() == list(other)
+        return NotImplemented
+
+
 def trace_from_jsonl(text: str, program: Program) -> Trace:
-    """Rebuild a Trace from its JSONL form, resolving instructions via program."""
+    """Rebuild a Trace from its JSONL form, resolving instructions via program.
+
+    The events must be one contiguous run from the program's entry point.
+    """
     lines = [json.loads(l) for l in text.splitlines() if l.strip()]
     head, tail = lines[0], lines[-1]
-    events = []
-    for d in lines[1:-1]:
-        pc = int(d["pc"], 16)
+    control: list[ControlRecord] = []
+    pc = program.entry_point
+    for cycle, d in enumerate(lines[1:-1]):
         ins = program.instr_at(pc)
+        if int(d["pc"], 16) != pc or d["cycle"] != cycle:
+            raise EmulatorError(f"trace is not a contiguous run at cycle {cycle}")
         if ins is None or ins.mnemonic != d["mnemonic"]:
             raise EmulatorError(f"trace does not match program at pc 0x{pc:x}")
-        events.append(TraceEvent(d["cycle"], pc, ins, d["taken"], int(d["next_pc"], 16)))
-    return Trace(head["program_id"], head["input"], events, tail.get("fault"))
+        next_pc = int(d["next_pc"], 16)
+        if ins.is_control:
+            control.append((cycle, pc, ins, d["taken"], next_pc))
+        elif (d["taken"], next_pc) != (None, pc if ins.kind is Kind.HALT else pc + WORD):
+            raise EmulatorError(f"trace is not a contiguous run at cycle {cycle}")
+        pc = next_pc
+    return Trace(head["program_id"], head["input"], program, control,
+                 len(lines) - 2, tail.get("fault"))
 
 
 def inject(state: MachineState, attack: AttackSpec) -> None:
@@ -130,8 +208,53 @@ def inject(state: MachineState, attack: AttackSpec) -> None:
         state.data_mem[idx] = value
 
 
+# Handler numbers.  Straight-line instructions come first, so one comparison
+# tells them from control transfers and halt.
+(_ADDI, _ADD, _SUB, _LI, _MV, _NOP, _LD, _ST,
+ _BEQ, _BNE, _BLT, _J, _JAL, _JR, _JALR, _RET, _HALT) = range(17)
+_ALU_OPS = {"add": _ADD, "sub": _SUB, "addi": _ADDI, "li": _LI, "mv": _MV}
+_COND_OPS = {"beq": _BEQ, "bne": _BNE}  # any other conditional compares with blt
+_KIND_OPS = {Kind.LOAD: _LD, Kind.STORE: _ST, Kind.DIRECT_JUMP: _J, Kind.LINKING_JUMP: _JAL,
+             Kind.INDIRECT_JUMP: _JR, Kind.LINKING_INDIRECT_JUMP: _JALR,
+             Kind.RETURN: _RET, Kind.HALT: _HALT}
+
+# (handler, x, y, z, instruction); x, y, z are the operands the handler reads:
+# rd/rs1/rs2 or rd/rs1/imm for ALU ops, rd/rs1/imm for memory, rs1/rs2/target
+# for conditionals, the target for direct jumps, rs1 for indirect ones.
+Decoded = tuple[int, Optional[int], Optional[int], Optional[int], Instruction]
+
+
 def _signed(v: int) -> int:
     return v - (1 << 32) if v & 0x8000_0000 else v
+
+
+def _decode(ins: Instruction) -> Decoded:
+    if ins.kind is Kind.ALU:
+        op = _ALU_OPS.get(ins.mnemonic, _NOP)
+        if op in (_ADD, _SUB):
+            return (op, ins.rd, ins.rs1, ins.rs2, ins)
+        return (op, ins.rd, ins.rs1, ins.imm, ins)
+    if ins.kind is Kind.COND_BRANCH:
+        return (_COND_OPS.get(ins.mnemonic, _BLT), ins.rs1, ins.rs2, ins.target, ins)
+    op = _KIND_OPS[ins.kind]
+    if op in (_LD, _ST):
+        return (op, ins.rd, ins.rs1, ins.imm, ins)
+    if op in (_J, _JAL):
+        return (op, ins.target, None, None, ins)
+    return (op, ins.rs1, None, None, ins)
+
+
+def _decoded(program: Program) -> dict[int, Decoded]:
+    """Handler tuples by address, built once per Program object.
+
+    The table is kept on the program object itself, so it lives exactly as
+    long as the program; Program is frozen, hence the write to __dict__.
+    """
+    table = program.__dict__.get("_decoded")
+    if table is None:
+        table = {ins.addr: _decode(ins) for ins in program.instructions}
+        program.__dict__["_decoded"] = table
+    return table
 
 
 def run(
@@ -151,90 +274,92 @@ def run(
     if len(input_words) > data_mem_words:
         raise EmulatorError("input exceeds data memory")
     mem = [w & MASK32 for w in input_words] + [0] * (data_mem_words - len(input_words))
-    state = MachineState(pc=program.entry_point, regs=[0] * 16, ra=0, data_mem=mem)
-    trace = Trace(program.id, list(input_words), [])
-    fired = False
-
-    def valid_pc(a: int) -> bool:
-        return program.instr_at(a) is not None
+    regs = [0] * 16
+    ra = 0
+    code = _decoded(program)
+    control: list[ControlRecord] = []
+    record = control.append
+    fault: Optional[str] = None
+    pc = program.entry_point
+    cycle = 0
+    armed = attack is not None
+    if armed:
+        trigger_cycle = attack.trigger.get("cycle")
+        trigger_pc = attack.trigger.get("pc")
 
     while True:
-        if state.cycle >= cycle_cap:
-            raise CycleLimitExceeded(f"cycle cap {cycle_cap} exceeded")
-        if attack is not None and not fired:
-            t = attack.trigger
-            if t.get("cycle") == state.cycle or t.get("pc") == state.pc:
-                inject(state, attack)
-                fired = True
-
-        ins = program.instr_at(state.pc)
-        if ins is None:
-            trace.fault = f"pc-out-of-range:0x{state.pc:x}"
+        # an invalid pc faults before the cap check: it belongs to the
+        # instruction that jumped there, which has already retired
+        try:
+            op, x, y, z, ins = code[pc]
+        except KeyError:
+            fault = f"pc-out-of-range:0x{pc:x}"
             break
+        if cycle >= cycle_cap:
+            raise CycleLimitExceeded(f"cycle cap {cycle_cap} exceeded")
+        if armed and (cycle == trigger_cycle or pc == trigger_pc):
+            state = MachineState(pc, regs, ra, mem, cycle)
+            inject(state, attack)
+            ra = state.ra
+            armed = False
+
+        if op < _BEQ:  # straight-line instruction
+            if op == _ADDI:
+                regs[x] = (regs[y] + z) & MASK32
+            elif op == _LD or op == _ST:
+                idx = (regs[y] + z) & MASK32
+                if idx >= data_mem_words:
+                    fault = f"data-access-out-of-range:{idx}"
+                elif op == _LD:
+                    regs[x] = mem[idx]
+                else:
+                    mem[idx] = regs[x]
+            elif op == _ADD:
+                regs[x] = (regs[y] + regs[z]) & MASK32
+            elif op == _SUB:
+                regs[x] = (regs[y] - regs[z]) & MASK32
+            elif op == _LI:
+                regs[x] = z & MASK32
+            elif op == _MV:
+                regs[x] = regs[y]
+            if observer is not None:
+                observer(TraceEvent(cycle, pc, ins, None, pc + WORD))
+            cycle += 1
+            if fault is not None:
+                break
+            pc += WORD
+            continue
 
         taken: Optional[bool] = None
-        next_pc = state.pc + WORD
-        fault: Optional[str] = None
-
-        if ins.kind is Kind.ALU:
-            if ins.mnemonic == "add":
-                state.regs[ins.rd] = (state.regs[ins.rs1] + state.regs[ins.rs2]) & MASK32
-            elif ins.mnemonic == "sub":
-                state.regs[ins.rd] = (state.regs[ins.rs1] - state.regs[ins.rs2]) & MASK32
-            elif ins.mnemonic == "addi":
-                state.regs[ins.rd] = (state.regs[ins.rs1] + ins.imm) & MASK32
-            elif ins.mnemonic == "li":
-                state.regs[ins.rd] = ins.imm & MASK32
-            elif ins.mnemonic == "mv":
-                state.regs[ins.rd] = state.regs[ins.rs1]
-        elif ins.kind in (Kind.LOAD, Kind.STORE):
-            idx = (state.regs[ins.rs1] + ins.imm) & MASK32
-            if idx >= len(state.data_mem):
-                fault = f"data-access-out-of-range:{idx}"
-            elif ins.kind is Kind.LOAD:
-                state.regs[ins.rd] = state.data_mem[idx]
-            else:
-                state.data_mem[idx] = state.regs[ins.rd]
-        elif ins.kind is Kind.COND_BRANCH:
-            a, b = state.regs[ins.rs1], state.regs[ins.rs2]
-            if ins.mnemonic == "beq":
-                taken = a == b
-            elif ins.mnemonic == "bne":
-                taken = a != b
-            else:  # blt, signed
-                taken = _signed(a) < _signed(b)
-            if taken:
-                next_pc = ins.target
-        elif ins.kind is Kind.DIRECT_JUMP:
-            next_pc = ins.target
-        elif ins.kind is Kind.LINKING_JUMP:
-            state.ra = state.pc + WORD
-            next_pc = ins.target
-        elif ins.kind is Kind.INDIRECT_JUMP:
-            next_pc = state.regs[ins.rs1]
-        elif ins.kind is Kind.LINKING_INDIRECT_JUMP:
-            target = state.regs[ins.rs1]
-            state.ra = state.pc + WORD
-            next_pc = target
-        elif ins.kind is Kind.RETURN:
-            next_pc = state.ra
-        elif ins.kind is Kind.HALT:
-            next_pc = state.pc
-
-        ev = TraceEvent(state.cycle, state.pc, ins, taken, next_pc)
-        trace.events.append(ev)
+        if op == _BEQ:
+            taken = regs[x] == regs[y]
+        elif op == _BNE:
+            taken = regs[x] != regs[y]
+        elif op == _BLT:
+            taken = _signed(regs[x]) < _signed(regs[y])
+        if taken is not None:
+            next_pc = z if taken else pc + WORD
+        elif op == _J:
+            next_pc = x
+        elif op == _JAL:
+            ra = pc + WORD
+            next_pc = x
+        elif op == _JR:
+            next_pc = regs[x]
+        elif op == _JALR:
+            ra = pc + WORD
+            next_pc = regs[x]
+        elif op == _RET:
+            next_pc = ra
+        else:  # halt
+            if observer is not None:
+                observer(TraceEvent(cycle, pc, ins, None, pc))
+            cycle += 1
+            break
+        record((cycle, pc, ins, taken, next_pc))
         if observer is not None:
-            observer(ev)
+            observer(TraceEvent(cycle, pc, ins, taken, next_pc))
+        pc = next_pc
+        cycle += 1
 
-        if ins.kind is Kind.HALT:
-            break
-        if fault is not None:
-            trace.fault = fault
-            break
-        if not valid_pc(next_pc):
-            trace.fault = f"pc-out-of-range:0x{next_pc:x}"
-            break
-        state.pc = next_pc
-        state.cycle += 1
-
-    return trace
+    return Trace(program.id, list(input_words), program, control, cycle, fault)

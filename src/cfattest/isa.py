@@ -10,7 +10,9 @@ import json
 import re
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional
+from functools import cached_property
+from types import MappingProxyType
+from typing import Mapping, Optional
 
 BASE_ADDR = 0x0000_0100
 WORD = 4
@@ -294,18 +296,19 @@ class Cfg:
     edges: frozenset[Edge]
     static_loops: tuple[tuple[int, int], ...]  # (entry addr, backedge addr)
 
-    def block_at(self, addr: int) -> Optional[Block]:
-        for b in self.blocks:
-            if b.start <= addr <= b.end:
-                return b
-        return None
+    def loop_entries(self) -> Mapping[int, int]:
+        """entry -> largest backedge address (loop body upper bound).
 
-    def loop_entries(self) -> dict[int, int]:
-        """entry -> largest backedge address (loop body upper bound)."""
+        Built once per Cfg: the verifier looks it up for every reported path.
+        """
+        return self._loop_entries
+
+    @cached_property
+    def _loop_entries(self) -> Mapping[int, int]:
         out: dict[int, int] = {}
         for entry, backedge in self.static_loops:
             out[entry] = max(out.get(entry, 0), backedge)
-        return out
+        return MappingProxyType(out)
 
     def to_json(self) -> dict:
         def hx(a):

@@ -176,6 +176,20 @@ h3: addi r4, r4, 4
     ret
 """
 
+# direct recursion: f calls itself word-0 times, then halts.  ra is never
+# saved, so the recursion never returns.
+RECURSIVE = """
+main:
+    ld r1, [r0+0]
+    jal f
+f:
+    beq r1, r0, out
+    addi r1, r1, -1
+    jal f
+out:
+    halt
+"""
+
 STRAIGHT_LINE = """
 main:
     li r1, 7

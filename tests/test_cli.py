@@ -121,6 +121,24 @@ class TestAttackExitCodes:
         assert out["reason"] == "AuthenticatorMismatch"
 
 
+class TestMalformedReport:
+    @pytest.mark.parametrize("field,value", [
+        ("L", [1]),                                           # TypeError
+        ("L", [{"loop_entry": "0x108", "depth": 1, "parent": None,
+                "paths": [{"bits": 1, "count": 1}],
+                "indirect_targets": []}]),                    # AttributeError
+        ("A_hex", "00"),                                      # ProtocolError
+    ])
+    def test_wrongly_typed_report_exit_2(self, ws, capsys, field, value):
+        assert attest_and_verify(ws) == 0
+        report = json.loads((ws / "report.json").read_text())
+        report[field] = value
+        (ws / "report.json").write_text(json.dumps(report))
+        capsys.readouterr()
+        assert cfattest("verify", ws / "report.json", ws / "challenge.json",
+                        ws / "keys" / "pk.hex", ws / "prog.json", "--json") == 2
+        assert json.loads(capsys.readouterr().out)["reason"] == "Malformed"
+
 class TestUsageErrors:
     def test_bad_assembly_exit_1(self, tmp_path):
         bad = tmp_path / "bad.s"
