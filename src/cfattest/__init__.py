@@ -11,7 +11,7 @@ from .isa import parse_program, build_cfg, Program, Cfg
 from .emulator import run, AttackSpec, Trace
 from .branch_filter import filter_trace, detect_loops
 from .loop_monitor import LoopMonitor, MonitorConfig, PathId, LoopSession, memory_bits
-from .hash_engine import StreamingAuthenticator, digest_pairs, simulate_absorb
+from .hash_engine import digest_pairs, simulate_absorb
 from .attestation import (Challenge, Report, ProgramPath, measure,
                           prover_attest, verify, generate_keypair,
                           canonical_serialize)

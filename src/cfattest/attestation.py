@@ -2,11 +2,13 @@
 
 The prover runs the program on the verifier-chosen input, measures the
 control flow into an authenticator A plus loop metadata L, and signs the
-canonical bytes of (A, L) together with the challenge nonce.  The verifier
-checks the binary hash, freshness and signature, structurally decodes every
-reported loop path against the CFG, and replays the execution to compare
-(A, L) against its own measurement.  Prover and verifier share one
-measurement implementation, so any asymmetry is structurally impossible.
+program hash H followed by the canonical bytes of A, L and the challenge
+nonce N.  Those bytes are the report's only encoding of A, L and N, and
+their parser is strict: what it accepts re-serialises to the same bytes.
+The verifier checks the binary hash, freshness and signature, structurally
+decodes every reported loop path against the CFG, and replays the execution
+to compare (A, L) against its own measurement.  Prover and verifier share
+one measurement implementation, so any asymmetry is structurally impossible.
 """
 from __future__ import annotations
 
@@ -14,7 +16,7 @@ import hashlib
 import json
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from cryptography.exceptions import InvalidSignature
@@ -29,7 +31,7 @@ from .loop_monitor import (FAULT_MARKER_ENTRY, PARENT_NONE, LoopMonitor,
                            LoopSession, MonitorConfig, PathId,
                            fault_marker_session)
 
-MAGIC = b"CFATT1"
+MAGIC = b"CFATT2"
 NONCE_LEN = 32
 DIGEST_LEN = 64
 
@@ -80,6 +82,9 @@ class ProgramPath:
             raise ProtocolError("authenticator must be 64 bytes")
 
 
+REPORT_KEYS = frozenset({"program_id", "program_hash_hex", "signed_hex", "sig_hex"})
+
+
 @dataclass(frozen=True)
 class Report:
     program_id: str
@@ -92,22 +97,20 @@ class Report:
         return {
             "program_id": self.program_id,
             "program_hash_hex": self.program_hash.hex(),
-            "nonce_hex": self.nonce.hex(),
-            "A_hex": self.path.authenticator.hex(),
-            "L": [s.to_json() for s in self.path.sessions],
+            "signed_hex": canonical_serialize(self.path, self.nonce).hex(),
             "sig_hex": self.signature.hex(),
         }
 
     @classmethod
     def from_json(cls, d: dict) -> "Report":
-        return cls(
-            program_id=d["program_id"],
-            program_hash=bytes.fromhex(d["program_hash_hex"]),
-            path=ProgramPath(bytes.fromhex(d["A_hex"]),
-                             tuple(LoopSession.from_json(s) for s in d["L"])),
-            nonce=bytes.fromhex(d["nonce_hex"]),
-            signature=bytes.fromhex(d["sig_hex"]),
-        )
+        """Decode a report, taking A, L and N from the signed bytes; ValueError if malformed."""
+        if not isinstance(d, dict) or d.keys() != REPORT_KEYS:
+            raise ProtocolError(f"report must have exactly the keys {sorted(REPORT_KEYS)}")
+        if not all(isinstance(v, str) for v in d.values()):
+            raise ProtocolError("report fields must be strings")
+        path, nonce = canonical_parse(bytes.fromhex(d["signed_hex"]))
+        return cls(d["program_id"], bytes.fromhex(d["program_hash_hex"]), path, nonce,
+                   bytes.fromhex(d["sig_hex"]))
 
 
 # --- keys --------------------------------------------------------------------
@@ -139,72 +142,84 @@ def program_hash(program: Program) -> bytes:
 
 # --- canonical serialization ---------------------------------------------------
 
+_U8 = struct.Struct(">B")
+_U32 = struct.Struct(">I")
+_U64 = struct.Struct(">Q")
+# loop_entry, depth, parent (PARENT_NONE for none), path_overflow, path count
+_SESSION_HEAD = struct.Struct(">IBIBI")
+
+
 def serialize_metadata(sessions: tuple[LoopSession, ...]) -> bytes:
-    out = [struct.pack(">I", len(sessions))]
+    """Binary L; raises ProtocolError for a value that does not fit its field."""
+    out = [_U32.pack(len(sessions))]
     for s in sessions:
+        if s.path_overflow not in (0, 1):
+            raise ProtocolError("path_overflow must be 0 or 1")
+        if s.parent == PARENT_NONE:
+            raise ProtocolError("parent index collides with the no-parent marker")
         parent = PARENT_NONE if s.parent is None else s.parent
-        out.append(struct.pack(">IBIH", s.loop_entry, s.depth, parent, len(s.paths)))
-        for pid, count in s.paths:
-            out.append(struct.pack(">B", len(pid)))
-            out.append(pid.packed())
-            out.append(struct.pack(">Q", count))
-        out.append(struct.pack(">B", len(s.indirect_targets)))
-        for t in s.indirect_targets:
-            out.append(struct.pack(">I", t))
+        try:
+            out.append(_SESSION_HEAD.pack(s.loop_entry, s.depth, parent, s.path_overflow,
+                                          len(s.paths)))
+            for pid, count in s.paths:
+                out.append(_U8.pack(len(pid)) + pid.packed() + _U64.pack(count))
+            out.append(_U8.pack(len(s.indirect_targets)))
+            out.extend(map(_U32.pack, s.indirect_targets))
+        except struct.error as e:
+            raise ProtocolError(f"metadata value does not fit its field: {e}") from None
     return b"".join(out)
 
 
 def parse_metadata(data: bytes) -> tuple[LoopSession, ...]:
-    off = 0
-
-    def take(fmt: str):
-        nonlocal off
-        size = struct.calcsize(fmt)
-        if off + size > len(data):
-            raise ProtocolError("truncated metadata")
-        vals = struct.unpack_from(fmt, data, off)
-        off += size
-        return vals
-
-    (count,) = take(">I")
+    """Strict inverse of serialize_metadata: what it accepts re-serialises to `data`."""
     sessions = []
-    for _ in range(count):
-        entry, depth, parent, npaths = take(">IBIH")
-        paths = []
-        for _ in range(npaths):
-            (bit_len,) = take(">B")
-            nbytes = (bit_len + 7) // 8
-            if off + nbytes > len(data):
-                raise ProtocolError("truncated path bits")
-            pid = PathId.unpack(data[off:off + nbytes], bit_len)
-            off += nbytes
-            (c,) = take(">Q")
-            paths.append((pid, c))
-        (ntargets,) = take(">B")
-        targets = [take(">I")[0] for _ in range(ntargets)]
-        sessions.append(LoopSession(entry, depth, None if parent == PARENT_NONE else parent,
-                                    paths, targets))
+    try:
+        (count,) = _U32.unpack_from(data, 0)
+        off = _U32.size
+        for _ in range(count):
+            entry, depth, parent, overflow, npaths = _SESSION_HEAD.unpack_from(data, off)
+            off += _SESSION_HEAD.size
+            if overflow > 1:
+                raise ProtocolError("path_overflow byte must be 0 or 1")
+            paths = []
+            for _ in range(npaths):
+                bit_len = data[off]
+                end = off + 1 + (bit_len + 7) // 8
+                try:
+                    pid = PathId.unpack(data[off + 1:end], bit_len)
+                except ValueError as e:
+                    raise ProtocolError(f"path bits: {e}") from None
+                (c,) = _U64.unpack_from(data, end)
+                off = end + _U64.size
+                paths.append((pid, c))
+            ntargets = data[off]
+            targets = list(struct.unpack_from(f">{ntargets}I", data, off + 1))
+            off += 1 + ntargets * _U32.size
+            sessions.append(LoopSession(entry, depth, None if parent == PARENT_NONE else parent,
+                                        paths, targets, overflow == 1))
+    except (struct.error, IndexError):
+        raise ProtocolError("truncated metadata") from None
     if off != len(data):
         raise ProtocolError("trailing bytes in metadata")
     return tuple(sessions)
 
 
 def canonical_serialize(path: ProgramPath, nonce: bytes) -> bytes:
-    """Byte string the report signature covers: magic || A || L || N."""
+    """The report's encoding of A, L and N: magic || A || L || N."""
     if len(nonce) != NONCE_LEN:
         raise ProtocolError(f"nonce must be {NONCE_LEN} bytes")
     return MAGIC + path.authenticator + serialize_metadata(path.sessions) + nonce
 
 
 def canonical_parse(data: bytes) -> tuple[ProgramPath, bytes]:
+    """Strict inverse of canonical_serialize."""
+    head = len(MAGIC) + DIGEST_LEN
     if data[:len(MAGIC)] != MAGIC:
         raise ProtocolError("bad magic")
-    a = data[len(MAGIC):len(MAGIC) + DIGEST_LEN]
-    if len(a) != DIGEST_LEN or len(data) < len(MAGIC) + DIGEST_LEN + NONCE_LEN:
+    if len(data) < head + NONCE_LEN:
         raise ProtocolError("truncated")
-    nonce = data[-NONCE_LEN:]
-    sessions = parse_metadata(data[len(MAGIC) + DIGEST_LEN:-NONCE_LEN])
-    return ProgramPath(a, sessions), nonce
+    return (ProgramPath(data[len(MAGIC):head], parse_metadata(data[head:-NONCE_LEN])),
+            data[-NONCE_LEN:])
 
 
 # --- measurement ---------------------------------------------------------------
@@ -238,8 +253,9 @@ def prover_attest(
             f"challenge targets {challenge.program_id!r}, prover has {program.id!r}")
     trace = run(program, list(challenge.input), attack)
     path = measure(trace, config)
-    sig = sign(canonical_serialize(path, challenge.nonce), sk_seed)
-    return Report(program.id, program_hash(program), path, challenge.nonce, sig)
+    h = program_hash(program)
+    sig = sign(h + canonical_serialize(path, challenge.nonce), sk_seed)
+    return Report(program.id, h, path, challenge.nonce, sig)
 
 
 # --- verifier -------------------------------------------------------------------
@@ -430,8 +446,12 @@ def verify(
         return VerifyResult(False, STALE_NONCE, (STALE_NONCE,))
     if nonce_store is not None and nonce_store.used(challenge.nonce):
         return VerifyResult(False, STALE_NONCE, (STALE_NONCE,))
-    message = canonical_serialize(report.path, challenge.nonce)
-    if not signature_valid(message, report.signature, pk):
+    try:
+        signed = canonical_serialize(report.path, challenge.nonce)
+    except ProtocolError:
+        return VerifyResult(False, MALFORMED, (MALFORMED,))
+    # H was checked above against the verifier's own hash of the program
+    if not signature_valid(report.program_hash + signed, report.signature, pk):
         return VerifyResult(False, BAD_SIGNATURE, (BAD_SIGNATURE,))
 
     failures: list[str] = []

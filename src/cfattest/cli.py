@@ -114,7 +114,7 @@ def cmd_verify(args) -> int:
     store = att.NonceStore(args.nonce_store) if args.nonce_store else None
     try:
         report = att.Report.from_json(_load_json(args.report))
-    except (KeyError, TypeError, AttributeError, ValueError, att.ProtocolError):
+    except ValueError:  # bad JSON, key set, hex or signed bytes (ProtocolError)
         result = att.VerifyResult(False, att.MALFORMED, (att.MALFORMED,))
     else:
         result = att.verify(report, challenge, pk, prog, config=_config(args),

@@ -1,4 +1,4 @@
-"""Streaming SHA-3-512 authenticator over (Src, Dest) pairs, plus a
+"""SHA-3-512 authenticator over (Src, Dest) pairs, plus a
 discrete-event model of the absorb cadence (9 words per 576-bit block,
 3 busy cycles per permutation, FIFO input buffer)."""
 from __future__ import annotations
@@ -10,34 +10,10 @@ from dataclasses import dataclass
 BLOCK_WORDS = 9       # 9 x 64 bit = 576-bit message block
 BUSY_CYCLES = 3
 
-class HashUsageError(RuntimeError):
-    pass
-
 
 def pair_bytes(src: int, dest: int) -> bytes:
     """64-bit measurement word: src || dest, big-endian."""
     return struct.pack(">II", src & 0xFFFF_FFFF, dest & 0xFFFF_FFFF)
-
-
-class StreamingAuthenticator:
-    """Accumulates the measurement stream; digest equals the one-shot hash."""
-
-    def __init__(self):
-        self._h = hashlib.sha3_512()
-        self._finalized = False
-        self.words_absorbed = 0
-
-    def absorb(self, src: int, dest: int) -> None:
-        if self._finalized:
-            raise HashUsageError("absorb after finalize")
-        self._h.update(pair_bytes(src, dest))
-        self.words_absorbed += 1
-
-    def finalize(self) -> bytes:
-        if self._finalized:
-            raise HashUsageError("finalize called twice")
-        self._finalized = True
-        return self._h.digest()
 
 
 def digest_pairs(pairs: list[tuple[int, int]]) -> bytes:

@@ -6,7 +6,6 @@ link-register calling convention are the only parts that matter downstream.
 """
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass, field
 from enum import Enum
@@ -379,6 +378,3 @@ def build_cfg(p: Program) -> Cfg:
     static_loops.sort()
     return Cfg(tuple(blocks), frozenset(edges), tuple(static_loops))
 
-
-def cfg_to_json_str(cfg: Cfg) -> str:
-    return json.dumps(cfg.to_json(), indent=2, sort_keys=True)

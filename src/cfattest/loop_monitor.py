@@ -8,8 +8,7 @@ the first time it completes; afterwards only its counter moves.
 """
 from __future__ import annotations
 
-import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .branch_filter import (BranchEvent, BranchKind, LoopStatusEvent,
@@ -26,12 +25,14 @@ class MonitorConfig:
     max_depth: int = 3       # nesting levels tracked as loops
 
     def __post_init__(self):
-        if not 1 <= self.n <= self.path_width:
-            raise ValueError("need 1 <= n <= path_width")
+        # the bounds keep every L encodable: a session's target count, a
+        # path's bit length and a session's depth are one byte each
+        if not 1 <= self.n <= min(8, self.path_width):
+            raise ValueError("need 1 <= n <= min(8, path_width)")
         if self.path_width > 255:
             raise ValueError("path_width must fit in one byte")
-        if self.max_depth < 1:
-            raise ValueError("max_depth must be >= 1")
+        if not 1 <= self.max_depth <= 255:
+            raise ValueError("need 1 <= max_depth <= 255")
 
     @property
     def max_indirect_targets(self) -> int:
@@ -60,9 +61,14 @@ class PathId:
 
     @classmethod
     def unpack(cls, data: bytes, bit_len: int) -> "PathId":
-        total = len(data) * 8
-        v = int.from_bytes(data, "big") >> (total - bit_len) if bit_len else 0
-        return cls(format(v, f"0{bit_len}b") if bit_len else "")
+        """Inverse of packed(); rejects a wrong byte count and set padding bits."""
+        pad = len(data) * 8 - bit_len
+        if not 0 <= pad < 8:
+            raise ValueError(f"{len(data)} bytes cannot hold exactly {bit_len} bits")
+        v = int.from_bytes(data, "big")
+        if v & ((1 << pad) - 1):
+            raise ValueError("padding bits must be zero")
+        return cls(format(v >> pad, f"0{bit_len}b") if bit_len else "")
 
 
 @dataclass
@@ -76,6 +82,7 @@ class LoopSession:
     path_overflow: bool = False
 
     def to_json(self) -> dict:
+        """Human-readable view (`cfattest measure`); reports carry L in binary."""
         return {
             "loop_entry": f"0x{self.loop_entry:x}",
             "depth": self.depth,
@@ -84,17 +91,6 @@ class LoopSession:
             "indirect_targets": [f"0x{t:x}" for t in self.indirect_targets],
             "path_overflow": self.path_overflow,
         }
-
-    @classmethod
-    def from_json(cls, d: dict) -> "LoopSession":
-        return cls(
-            loop_entry=int(d["loop_entry"], 16),
-            depth=d["depth"],
-            parent=d["parent"],
-            paths=[(PathId(p["bits"]), p["count"]) for p in d["paths"]],
-            indirect_targets=[int(t, 16) for t in d["indirect_targets"]],
-            path_overflow=d.get("path_overflow", False),
-        )
 
 
 def fault_marker_session() -> LoopSession:

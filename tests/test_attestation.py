@@ -1,7 +1,10 @@
+import dataclasses
 import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import programs as P
 from cfattest import attestation as att
@@ -21,8 +24,9 @@ from cfattest.attestation import (AUTHENTICATOR_MISMATCH, BAD_SIGNATURE,
 from cfattest.emulator import run
 from cfattest.hash_engine import digest_pairs, pair_bytes
 from cfattest.isa import build_cfg, parse_program
-from cfattest.loop_monitor import (FAULT_MARKER_ENTRY, LoopSession,
-                                   MonitorConfig, PathId)
+from cfattest.loop_monitor import (FAULT_MARKER_ENTRY, PARENT_NONE,
+                                   LoopSession, MonitorConfig, PathId)
+from genprog import gen_input, gen_program
 from keccak_ref import sha3_512_ref
 
 KEY = generate_keypair()
@@ -55,13 +59,15 @@ class TestCanonicalSerialization:
         path = ProgramPath(b"\0" * 64, ())
         blob = canonical_serialize(path, b"\x11" * 32)
         assert len(blob) == 6 + 64 + 4 + 32  # magic, A, session count, nonce
-        assert blob.startswith(b"CFATT1")
+        assert blob.startswith(b"CFATT2")
 
     def test_round_trip(self):
         sessions = (
             LoopSession(0x108, 1, None, [(PathId("0011"), 7), (PathId("1"), 1)], []),
             LoopSession(0x204, 2, 0, [(PathId("000100101"), 2)], [0x300, 0x304],
                         path_overflow=False),
+            LoopSession(0x108, 2, 0, [(PathId("0011"), 4), (PathId("1"), 1)],
+                        [0x200, 0x204], path_overflow=True),
         )
         path = ProgramPath(bytes(range(64)), sessions)
         nonce = bytes(range(32))
@@ -96,11 +102,59 @@ class TestCanonicalSerialization:
         with pytest.raises(ProtocolError, match="truncated"):
             parse_metadata(b"\x00\x00\x00\x02" + serialize_metadata(())[4:])
 
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_round_trip_property(self, data):
+        path = ProgramPath(data.draw(st.binary(min_size=64, max_size=64)),
+                           tuple(data.draw(st.lists(SESSIONS, max_size=3))))
+        nonce = data.draw(st.binary(min_size=32, max_size=32))
+        blob = canonical_serialize(path, nonce)
+        assert canonical_parse(blob) == (path, nonce)
+        # any accepted variant re-serialises to exactly the bytes received
+        bit = data.draw(st.integers(0, len(blob) * 8 - 1))
+        flipped = bytearray(blob)
+        flipped[bit // 8] ^= 0x80 >> bit % 8
+        try:
+            parsed = canonical_parse(bytes(flipped))
+        except ProtocolError:
+            return
+        assert canonical_serialize(*parsed) == flipped
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_genprog_round_trip(self, seed):
+        rng = random.Random(seed)
+        path = measure(run(gen_program(rng, f"g{seed}"), gen_input(rng)))
+        blob = canonical_serialize(path, bytes(32))
+        assert canonical_parse(blob) == (path, bytes(32))
+        assert canonical_serialize(*canonical_parse(blob)) == blob
+
+    def test_strict_parse_rejects_non_canonical_bytes(self):
+        one = serialize_metadata((LoopSession(0x108, 1, None, [(PathId("011"), 1)], []),))
+        head = 4 + 4 + 1 + 4            # session count, entry, depth, parent
+        assert one[head] == 0           # path_overflow byte
+        with pytest.raises(ProtocolError, match="path_overflow"):
+            parse_metadata(one[:head] + b"\x02" + one[head + 1:])
+        bits = head + 1 + 4 + 1         # overflow, path count, bit length
+        assert one[bits] == 0b0110_0000
+        with pytest.raises(ProtocolError, match="padding"):
+            parse_metadata(one[:bits] + b"\x61" + one[bits + 1:])
+
     def test_nonce_length_enforced(self):
         with pytest.raises(ProtocolError):
             canonical_serialize(ProgramPath(b"\0" * 64, ()), b"short")
         with pytest.raises(ProtocolError):
             Challenge("x", (), b"short")
+
+
+SESSIONS = st.builds(
+    LoopSession,
+    loop_entry=st.integers(0, 2**32 - 1),
+    depth=st.integers(0, 255),
+    parent=st.none() | st.integers(0, PARENT_NONE - 1),
+    paths=st.lists(st.tuples(st.text("01", max_size=255).map(PathId),
+                             st.integers(0, 2**64 - 1)), max_size=4),
+    indirect_targets=st.lists(st.integers(0, 2**32 - 1), max_size=255),  # n = 8
+    path_overflow=st.booleans())
 
 
 class TestMeasure:
@@ -213,6 +267,32 @@ class TestProtocolRoundTrip:
         ch = fresh(p, [1, 0])
         r = prover_attest(patched, ch, sk)  # prover runs a patched binary
         assert verify(r, ch, pk, p).reason == PROGRAM_HASH_MISMATCH
+
+    def test_patched_binary_with_honest_hash_breaks_signature(self):
+        sk, pk = KEY
+        p = P.prog(P.WHILE_IF_ELSE, "w")
+        patched = P.prog(P.WHILE_IF_ELSE.replace("addi r4, r4, 2", "addi r4, r4, 3"), "w")
+        ch = fresh(p, [1, 0])
+        r = prover_attest(patched, ch, sk)
+        forged = Report(r.program_id, program_hash(p), r.path, r.nonce, r.signature)
+        assert verify(forged, ch, pk, p).reason == BAD_SIGNATURE
+
+    @pytest.mark.parametrize("change", [
+        {"depth": 300}, {"depth": "1"}, {"path_overflow": 2}, {"parent": PARENT_NONE},
+        {"indirect_targets": list(range(0x100, 0x500, 4))},     # 256 targets
+        {"paths": [(PathId("1"), 2**64)]}, {"paths": [(PathId("1" * 256), 1)]},
+    ])
+    def test_unencodable_metadata_is_malformed(self, change):
+        sk, pk = KEY
+        p = P.prog(P.WHILE_IF_ELSE, "w")
+        ch = fresh(p, [3, 0, 0, 0])
+        r = prover_attest(p, ch, sk)
+        s = dataclasses.replace(r.path.sessions[0], **change)
+        with pytest.raises(ProtocolError):
+            canonical_serialize(ProgramPath(r.path.authenticator, (s,)), r.nonce)
+        tampered = Report(r.program_id, r.program_hash,
+                          ProgramPath(r.path.authenticator, (s,)), r.nonce, r.signature)
+        assert verify(tampered, ch, pk, p).reason == MALFORMED
 
     def test_prover_rejects_wrong_challenge(self):
         sk, _ = KEY

@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 import programs as P
-from cfattest.cli import main
+from cfattest.cli import _REASON_EXIT, main
 
 
 def cfattest(*argv):
@@ -123,21 +123,48 @@ class TestAttackExitCodes:
 
 class TestMalformedReport:
     @pytest.mark.parametrize("field,value", [
-        ("L", [1]),                                           # TypeError
+        ("L", [1]),                                           # unknown key
         ("L", [{"loop_entry": "0x108", "depth": 1, "parent": None,
                 "paths": [{"bits": 1, "count": 1}],
-                "indirect_targets": []}]),                    # AttributeError
-        ("A_hex", "00"),                                      # ProtocolError
+                "indirect_targets": []}]),                    # unknown key
+        ("A_hex", "00"),                                      # unknown key
+        ("signed_hex", lambda h: h + "00"),                   # trailing byte
+        ("signed_hex", lambda h: h[:-2]),                     # truncated
+        ("signed_hex", "zz"),                                 # not hex
+        ("program_hash_hex", None),                           # not a string
+        ("sig_hex", 1),                                       # not a string
     ])
     def test_wrongly_typed_report_exit_2(self, ws, capsys, field, value):
         assert attest_and_verify(ws) == 0
         report = json.loads((ws / "report.json").read_text())
-        report[field] = value
+        report[field] = value(report[field]) if callable(value) else value
         (ws / "report.json").write_text(json.dumps(report))
         capsys.readouterr()
         assert cfattest("verify", ws / "report.json", ws / "challenge.json",
                         ws / "keys" / "pk.hex", ws / "prog.json", "--json") == 2
         assert json.loads(capsys.readouterr().out)["reason"] == "Malformed"
+
+    def test_report_has_the_four_documented_keys(self, ws):
+        assert attest_and_verify(ws) == 0
+        report = json.loads((ws / "report.json").read_text())
+        assert sorted(report) == ["program_hash_hex", "program_id", "sig_hex", "signed_hex"]
+
+    def test_any_flipped_bit_is_rejected_with_a_documented_reason(self, ws, capsys):
+        """Every single-bit flip of the hex fields gives one documented reason."""
+        assert attest_and_verify(ws) == 0
+        honest = json.loads((ws / "report.json").read_text())
+        flipped_path = ws / "flipped.json"
+        for field in ("signed_hex", "program_hash_hex", "sig_hex"):
+            raw = bytes.fromhex(honest[field])
+            for bit in range(len(raw) * 8):
+                b = bytearray(raw)
+                b[bit // 8] ^= 0x80 >> bit % 8
+                flipped_path.write_text(json.dumps({**honest, field: b.hex()}))
+                capsys.readouterr()
+                code = cfattest("verify", flipped_path, ws / "challenge.json",
+                                ws / "keys" / "pk.hex", ws / "prog.json", "--json")
+                reason = json.loads(capsys.readouterr().out)["reason"]
+                assert code != 0 and code == _REASON_EXIT.get(reason), (field, bit, reason)
 
 class TestUsageErrors:
     def test_bad_assembly_exit_1(self, tmp_path):

@@ -1,8 +1,11 @@
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import programs as P
+from cfattest.attestation import ProgramPath, Report
 from cfattest.branch_filter import detect_loops, filter_trace
 from cfattest.emulator import run
 from cfattest.loop_monitor import (FAULT_MARKER_ENTRY, LoopMonitor, LoopSession,
@@ -159,6 +162,7 @@ class TestConfigAndMemory:
 
     @pytest.mark.parametrize("kw", [
         {"n": 0}, {"n": 17, "path_width": 16}, {"path_width": 256}, {"max_depth": 0},
+        {"n": 9}, {"max_depth": 256},
     ])
     def test_config_validation(self, kw):
         with pytest.raises(ValueError):
@@ -171,9 +175,12 @@ class TestConfigAndMemory:
 
 class TestSerialization:
     def test_session_json_round_trip(self):
+        # a session reaches the verifier inside report.json, encoded in signed_hex
         s = LoopSession(0x108, 2, 0, [(PathId("0011"), 4), (PathId("1"), 1)],
                         [0x200, 0x204], path_overflow=True)
-        assert LoopSession.from_json(s.to_json()) == s
+        r = Report("p", bytes(64), ProgramPath(bytes(64), (s,)), bytes(32), bytes(64))
+        wire = json.loads(json.dumps(r.to_json()))
+        assert Report.from_json(wire).path.sessions == (s,)
 
     def test_fault_marker(self):
         m = fault_marker_session()
