@@ -137,7 +137,9 @@ def signature_valid(message: bytes, signature: bytes, pk: bytes) -> bool:
 
 def program_hash(program: Program) -> bytes:
     """Static measurement of the program text (boot-time binary attestation)."""
-    return hashlib.sha3_512(program.canonical_bytes()).digest()
+    if "_hash" not in program.__dict__:  # kept on the frozen object, as emulator._decoded is
+        program.__dict__["_hash"] = hashlib.sha3_512(program.canonical_bytes()).digest()
+    return program.__dict__["_hash"]
 
 
 # --- canonical serialization ---------------------------------------------------

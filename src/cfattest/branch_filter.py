@@ -1,13 +1,15 @@
 """Branch filtering and runtime loop detection over the execution trace.
 
-`filter_trace` turns the trace's control record into branch events.  The
-trace holds no record per cycle, so this walks the branches only.
+`filter_trace` turns the trace's control record into branch columns: source,
+destination, cycle and a kind character per branch, from which `bits` holds
+each branch's loop-path bit ('0' not-taken conditional, '1' taken conditional
+or direct transfer, `INDIRECT` for an indirect transfer, coded by target).
 `detect_loops` classifies non-linking backward branches as loop backedges
-(link-register heuristic), tracks entry/iteration/exit per nesting depth, and
-annotates each branch event with the depth of the innermost active loop.  Its
-cost per branch does not grow with the number of loops: the loops enclosing
-an address come from a table built once per call, and the open loop entries
-are kept as a dict updated on every enter and exit.
+(link-register heuristic), tracks entry/iteration/exit per nesting depth and
+emits only loop marks, so its output grows with loop events, not branches.
+The loops enclosing an address come from a table built once per call, and
+the open loop entries are a dict, so its cost per branch does not grow with
+the number of loops.  The per-item views the tests read are rebuilt on demand.
 
 Loop discovery is a separate first pass over the stream: the set of
 (entry, backedge) pairs a run exhibits is learned before annotation, so the
@@ -18,13 +20,17 @@ which a detect-on-first-backedge scheme would break for the first iteration.
 """
 from __future__ import annotations
 
+import re
 from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
+from itertools import compress, count
+from math import inf
+from operator import gt
 from typing import Iterable, Optional, Union
 
-from .isa import WORD, Kind
-from .emulator import Trace
+from .isa import WORD, Kind, Program
+from .emulator import Trace, View
 
 DEFAULT_MAX_DEPTH = 3
 
@@ -81,48 +87,83 @@ class LoopStatusEvent:
 
 
 StreamItem = tuple[str, Union[BranchEvent, LoopStatusEvent]]  # ("branch"|"loop", ev)
+Mark = tuple[int, LoopStatusKind, LoopContext, int]  # (position, status, context, cycle)
+
+INDIRECT = "x"
+_KIND_INFO = {  # kind character -> (branch kind, linking, indirect)
+    "0": (BranchKind.COND_NOT_TAKEN, False, False), "1": (BranchKind.COND_TAKEN, False, False),
+    "j": (BranchKind.DIRECT_JUMP, False, False), "c": (BranchKind.CALL, True, False),
+    "C": (BranchKind.CALL, True, True), "i": (BranchKind.INDIRECT_JUMP, False, True),
+    "r": (BranchKind.RETURN, False, True)}
+_KIND_CODE = {info: code for code, info in _KIND_INFO.items()}
+_INSTR_CODES = {  # instruction kind -> (taken, kind character) pairs
+    Kind.COND_BRANCH: ((True, "1"), (False, "0")), Kind.DIRECT_JUMP: ((None, "j"),),
+    Kind.LINKING_JUMP: ((None, "c"),), Kind.LINKING_INDIRECT_JUMP: ((None, "C"),),
+    Kind.INDIRECT_JUMP: ((None, "i"),), Kind.RETURN: ((None, "r"),)}
+_BITS = str.maketrans("jcCir", "11" + INDIRECT * 3)
 
 
-# instruction kind -> (branch kind, linking, indirect); conditionals take their
-# branch kind from the outcome
-_CONTROL_INFO = {
-    Kind.COND_BRANCH: (None, False, False),
-    Kind.DIRECT_JUMP: (BranchKind.DIRECT_JUMP, False, False),
-    Kind.LINKING_JUMP: (BranchKind.CALL, True, False),
-    Kind.LINKING_INDIRECT_JUMP: (BranchKind.CALL, True, True),
-    Kind.INDIRECT_JUMP: (BranchKind.INDIRECT_JUMP, False, True),
-    Kind.RETURN: (BranchKind.RETURN, False, True),
-}
+def _branch_codes(program: Program) -> dict[tuple[int, Optional[bool]], str]:
+    """(pc, taken) -> kind character, built once per Program object (as emulator._decoded)."""
+    if "_branch_codes" not in program.__dict__:
+        program.__dict__["_branch_codes"] = {
+            (ins.addr, taken): code for ins in program.instructions
+            for taken, code in _INSTR_CODES.get(ins.kind, ())}
+    return program.__dict__["_branch_codes"]
 
 
-def filter_trace(trace: Trace) -> list[BranchEvent]:
-    """The trace's control-flow events, in order, with kind/linking flags."""
-    out = []
-    for cycle, pc, ins, taken, next_pc in trace.control:
-        bk, linking, indirect = _CONTROL_INFO[ins.kind]
-        if bk is None:
-            bk = BranchKind.COND_TAKEN if taken else BranchKind.COND_NOT_TAKEN
-        out.append(BranchEvent(pc, next_pc, bk, linking, indirect, cycle))
-    return out
+class Branches(View):
+    """A run's branches as columns; as a sequence, fresh BranchEvent objects."""
+
+    def __init__(self, src: tuple[int, ...], dest: tuple[int, ...], kinds: str, cycle: tuple):
+        self.src, self.dest, self.kinds, self.cycle = src, dest, kinds, cycle
+        self.bits = kinds.translate(_BITS)
+
+    @classmethod
+    def of(cls, events: Iterable[BranchEvent]) -> Branches:
+        """The columns of `events`; a list of BranchEvent is converted."""
+        if isinstance(events, Branches):
+            return events
+        rows = [(ev.src, ev.dest, _KIND_CODE[ev.kind, ev.linking, ev.indirect], ev.cycle)
+                for ev in events]
+        src, dest, kinds, cycle = zip(*rows) if rows else ((),) * 4
+        return cls(src, dest, "".join(kinds), cycle)
+
+    def event(self, i: int, loop_depth: int = 0) -> BranchEvent:
+        return BranchEvent(self.src[i], self.dest[i], *_KIND_INFO[self.kinds[i]],
+                           self.cycle[i], loop_depth)
+
+    __getitem__ = event
+
+    def __len__(self) -> int:
+        return len(self.kinds)
+
+
+def filter_trace(trace: Trace) -> Branches:
+    """The trace's control-flow events, in order, as columns."""
+    cycle, src, _, taken, dest = zip(*trace.control) if trace.control else ((),) * 5
+    kinds = "".join(map(_branch_codes(trace.program).__getitem__, zip(src, taken)))
+    return Branches(src, dest, kinds, cycle)
 
 
 def _discover_loops(events: Iterable[BranchEvent]) -> tuple[dict[int, int], dict[int, int]]:
     """First pass: entry -> largest backedge src, plus direct-recursion entries."""
-    loops: dict[int, int] = {}
+    b = Branches.of(events)
+    # backward non-call, non-return branches, sorted: an entry's largest backedge comes last
+    backward = compress(zip(b.dest, b.src, b.kinds), map(gt, b.src, b.dest))
+    loops = dict(sorted({(dest, src) for dest, src, kind in backward if kind not in "cCr"}))
     recursive: dict[int, int] = {}
     call_targets: list[int] = []
     open_calls: dict[int, int] = {}  # call_targets as counts
-    for ev in events:
-        if ev.linking:
-            if open_calls.get(ev.dest):
-                recursive[ev.dest] = max(recursive.get(ev.dest, 0), ev.src)
-            call_targets.append(ev.dest)
-            open_calls[ev.dest] = open_calls.get(ev.dest, 0) + 1
-        elif ev.kind is BranchKind.RETURN:
-            if call_targets:
-                open_calls[call_targets.pop()] -= 1
-        if (not ev.linking and ev.kind is not BranchKind.RETURN and ev.dest < ev.src):
-            loops[ev.dest] = max(loops.get(ev.dest, 0), ev.src)
+    for m in re.finditer("[cCr]", b.kinds):
+        if m.group() != "r":
+            src, dest = b.src[m.start()], b.dest[m.start()]
+            if open_calls.get(dest):
+                recursive[dest] = max(recursive.get(dest, 0), src)
+            call_targets.append(dest)
+            open_calls[dest] = open_calls.get(dest, 0) + 1
+        elif call_targets:
+            open_calls[call_targets.pop()] -= 1
     return loops, recursive
 
 
@@ -154,102 +195,110 @@ class _EnclosingLoops(dict):
         return found
 
 
-def detect_loops(events: list[BranchEvent], max_depth: int = DEFAULT_MAX_DEPTH) -> list[StreamItem]:
-    """Annotate the branch stream with loop status events and depths."""
-    loops, recursive = _discover_loops(events)
+class LoopMarks(View):
+    """`detect_loops` output: branch columns and loop marks, degraded contexts included.
+
+    A mark at position p lies between branches p-1 and p.  As a sequence, the
+    annotated stream: non-degraded status events, BranchEvent copies with depths.
+    """
+
+    def __init__(self, branches: Branches, marks: list[Mark]):
+        self.branches, self.marks = branches, marks
+
+    def __iter__(self):
+        b, pos, open_ = self.branches, 0, []
+        for p, kind, ctx, cycle in self.marks + [(len(b), None, None, 0)]:
+            depth = open_[-1].depth if open_ and not open_[-1].degraded else 0
+            yield from (("branch", b.event(i, depth)) for i in range(pos, p))
+            pos = p
+            if kind is LoopStatusKind.ENTER:
+                open_.append(ctx)
+            elif kind is LoopStatusKind.EXIT:
+                open_.pop()
+            if ctx is not None and not ctx.degraded:
+                yield ("loop", LoopStatusEvent(kind, ctx, cycle))
+
+    def __len__(self) -> int:
+        return len(self.branches) + sum(not ctx.degraded for _, _, ctx, _ in self.marks)
+
+
+def detect_loops(events: Iterable[BranchEvent], max_depth: int = DEFAULT_MAX_DEPTH) -> LoopMarks:
+    """Mark loop entries, iterations and exits in the branch stream."""
+    b = Branches.of(events)
+    loops, recursive = _discover_loops(b)
     enclosing = _EnclosingLoops(loops)
-    out: list[StreamItem] = []
+    marks: list[Mark] = []
     stack: list[LoopContext] = []
     open_at: dict[int, LoopContext] = {}  # entry -> its context; no entry is open twice
+    # per open context, where control stays in it: at call depth `within` or deeper and, at
+    # `within`, in [lo, hi] (a recursion context spans all); the bottom one is never left
+    scopes: list[tuple[int, float, float]] = [(-1, -1, -1)]
     call_depth = 0
     call_targets: list[int] = []
     open_calls: dict[int, int] = {}  # call_targets as counts
-    RETURN, ITERATION = BranchKind.RETURN, LoopStatusKind.ITERATION_BOUNDARY
+    ENTER, ITERATION, EXIT = LoopStatusKind
 
-    def open_ctx(entry: int, backedge: int, rec: bool, cycle: int) -> None:
+    def open_ctx(entry: int, backedge: int, rec: bool, pos: int, cycle: int):
         depth = len(stack) + 1
         degraded = depth > max_depth or (bool(stack) and stack[-1].degraded)
-        ctx = LoopContext(entry, backedge, backedge + WORD, depth, call_depth,
-                          recursive=rec, degraded=degraded)
+        ctx = LoopContext(entry, backedge, backedge + WORD, depth, call_depth, rec, degraded)
         stack.append(ctx)
         open_at[entry] = ctx
-        if not degraded:
-            out.append(("loop", LoopStatusEvent(LoopStatusKind.ENTER, ctx, cycle)))
+        scopes.append((call_depth, -1, inf) if rec else (call_depth, entry, backedge))
+        marks.append((pos, ENTER, ctx, cycle))
+        return scopes[-1]
 
-    def close_ctx(cycle: int) -> None:
+    def close_ctx(pos: int, cycle: int):
         ctx = stack.pop()
         del open_at[ctx.entry_addr]
-        if not ctx.degraded:
-            out.append(("loop", LoopStatusEvent(LoopStatusKind.EXIT, ctx, cycle)))
+        scopes.pop()
+        marks.append((pos, EXIT, ctx, cycle))
+        return scopes[-1]
 
-    for ev in events:
-        src, dest, cycle, linking = ev.src, ev.dest, ev.cycle, ev.linking
-        # Control has left the innermost open loop when it returned below the
-        # call depth the loop opened at, or, at that depth, is outside the
-        # body (a recursion context is left only by returning).  The test is
-        # inlined here and below because it runs twice for every branch.
-        # Here: control left open loops before this event (fallthrough past the body).
-        while stack:
-            top = stack[-1]
-            d = top.call_depth_at_entry
-            if call_depth < d or (call_depth == d and not top.recursive
-                                  and not top.entry_addr <= src <= top.backedge_addr):
-                close_ctx(cycle)
-            else:
-                break
+    within, lo, hi = scopes[-1]
+    for i, src, dest, kind, cycle in zip(count(), b.src, b.dest, b.kinds, b.cycle):
+        linking = kind in "cC"
+        # control left open loops before this branch (fallthrough past the body)
+        while call_depth < within or (call_depth == within and not lo <= src <= hi):
+            within, lo, hi = close_ctx(i, cycle)
 
         # fallthrough arrival: control is inside known loop bodies with no context open
         for entry in enclosing[src]:
             if entry not in open_at:
-                open_ctx(entry, loops[entry], False, cycle)
+                within, lo, hi = open_ctx(entry, loops[entry], False, i, cycle)
 
-        # direct recursion opens (or iterates) a loop context at the callee entry
-        recursion: Optional[LoopContext] = None
+        # direct recursion opens (or iterates) a loop context at the callee entry;
+        # the branch belongs to the innermost context open before it
         if linking and dest in recursive and open_calls.get(dest):
             ctx = open_at.get(dest)
             if ctx is None:
-                open_ctx(dest, recursive[dest], True, cycle)
-            elif ctx.recursive:
-                recursion = ctx
-
-        # attribute and emit; callee branches count toward the innermost loop
-        ev.loop_depth = stack[-1].depth if stack and not stack[-1].degraded else 0
-        out.append(("branch", ev))
-
-        if recursion is not None and not recursion.degraded:
-            out.append(("loop", LoopStatusEvent(ITERATION, recursion, cycle)))
+                within, lo, hi = open_ctx(dest, recursive[dest], True, i, cycle)
+            elif ctx.recursive and not ctx.degraded:
+                marks.append((i + 1, ITERATION, ctx, cycle))
 
         # call-depth bookkeeping
         if linking:
             call_targets.append(dest)
             open_calls[dest] = open_calls.get(dest, 0) + 1
             call_depth += 1
-        elif ev.kind is RETURN:
+        elif kind == "r":
             if call_targets:
                 open_calls[call_targets.pop()] -= 1
             call_depth = max(0, call_depth - 1)
 
-        # this event's destination closes loops it lands outside of
-        while stack:
-            top = stack[-1]
-            d = top.call_depth_at_entry
-            if call_depth < d or (call_depth == d and not top.recursive
-                                  and not top.entry_addr <= dest <= top.backedge_addr):
-                close_ctx(cycle)
-            else:
-                break
+        # this branch's destination closes loops it lands outside of
+        while call_depth < within or (call_depth == within and not lo <= dest <= hi):
+            within, lo, hi = close_ctx(i + 1, cycle)
 
         if not linking:
-            top = stack[-1] if stack else None
-            if top and top.entry_addr == dest and not top.recursive:
+            if dest == lo:
                 # backedge (or continue) re-entering the entry node
-                if not top.degraded:
-                    out.append(("loop", LoopStatusEvent(ITERATION, top, cycle)))
+                if not stack[-1].degraded:
+                    marks.append((i + 1, ITERATION, stack[-1], cycle))
             elif dest in loops and dest not in open_at:
                 # arrival branch from outside; the branch itself is not part of the loop
-                open_ctx(dest, loops[dest], False, cycle)
+                within, lo, hi = open_ctx(dest, loops[dest], False, i + 1, cycle)
 
-    final_cycle = events[-1].cycle if events else 0
     while stack:  # implicit exits at end of trace
-        close_ctx(final_cycle)
-    return out
+        close_ctx(len(b), b.cycle[-1])
+    return LoopMarks(b, marks)

@@ -116,7 +116,19 @@ class Trace:
         return "\n".join(lines) + "\n"
 
 
-class TraceEvents(Sequence):
+class View(Sequence):
+    """Read-only sequence rebuilt from a compact record; equal to a list of its items."""
+
+    def __getitem__(self, i):
+        return list(self)[i]
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (list, tuple, View)):
+            return list(self) == list(other)
+        return NotImplemented
+
+
+class TraceEvents(View):
     """Per-cycle view of a Trace.
 
     Its length is the trace's cycle count.  The TraceEvent objects are built
@@ -159,11 +171,6 @@ class TraceEvents(Sequence):
     def __iter__(self):
         return iter(self._built())
 
-    def __eq__(self, other) -> bool:
-        if isinstance(other, (list, tuple, TraceEvents)):
-            return self._built() == list(other)
-        return NotImplemented
-
 
 def trace_from_jsonl(text: str, program: Program) -> Trace:
     """Rebuild a Trace from its JSONL form, resolving instructions via program.
@@ -182,6 +189,8 @@ def trace_from_jsonl(text: str, program: Program) -> Trace:
             raise EmulatorError(f"trace does not match program at pc 0x{pc:x}")
         next_pc = int(d["next_pc"], 16)
         if ins.is_control:
+            if isinstance(d["taken"], bool) != (ins.kind is Kind.COND_BRANCH):
+                raise EmulatorError(f"taken flag does not fit {ins.mnemonic} at cycle {cycle}")
             control.append((cycle, pc, ins, d["taken"], next_pc))
         elif (d["taken"], next_pc) != (None, pc if ins.kind is Kind.HALT else pc + WORD):
             raise EmulatorError(f"trace is not a contiguous run at cycle {cycle}")

@@ -5,14 +5,18 @@ branches contribute their taken bit, direct jumps and direct calls contribute
 '1', and indirect transfers (including returns) contribute an n-bit code
 assigned to their runtime target in first-seen order.  A path is hashed only
 the first time it completes; afterwards only its counter moves.
+
+The branches between two loop marks all belong to one loop (or none), so
+each such run is encoded in one step: its slice of `Branches.bits` extends
+the path, and its (Src, Dest) pairs stay an index range until they are
+hashed.  Only indirect transfers are coded one at a time.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Optional
 
-from .branch_filter import (BranchEvent, BranchKind, LoopStatusEvent,
-                            LoopStatusKind, StreamItem)
+from .branch_filter import INDIRECT, LoopMarks, LoopStatusKind
 
 FAULT_MARKER_ENTRY = 0xFFFF_FFFF
 PARENT_NONE = 0xFFFF_FFFF
@@ -112,7 +116,7 @@ class _SessionState:
         self.counts: dict[str, int] = {}
         self.order: list[str] = []
         self.partial = ""                       # bits of the in-flight traversal
-        self.buffer: list[tuple[int, int]] = []  # (Src, Dest) pairs of the traversal
+        self.buffer: list[tuple[int, int]] = []  # branch index ranges of the traversal
         self.target_codes: dict[int, int] = {}
         self.targets: list[int] = []
         self.path_overflow = False
@@ -120,15 +124,12 @@ class _SessionState:
 
 
 class LoopMonitor:
-    """Stream consumer turning annotated branch events into (A-stream, L)."""
+    """Consumer of the loop marks turning the branch columns into (A-stream, L)."""
 
     def __init__(self, config: MonitorConfig = MonitorConfig()):
         self.config = config
         self.stream: list[tuple[int, int]] = []   # hash-engine input, in emission order
         self.sessions: list[Optional[LoopSession]] = []
-        self._active: list[tuple[int, _SessionState]] = []  # (session index, state)
-
-    # -- per-event handling ----------------------------------------------
 
     def _indirect_code(self, s: _SessionState, target: int) -> int:
         code = s.target_codes.get(target)
@@ -141,83 +142,82 @@ class LoopMonitor:
             return code
         return 0  # overflow code, target not representable
 
-    def encode_step(self, s: _SessionState, ev: BranchEvent) -> None:
+    def _hash(self, i: int, j: int) -> None:
+        """Send the (Src, Dest) pairs of branches i..j-1 to the hash engine."""
+        self.stream.extend(zip(self._src[i:j], self._dest[i:j]))
+
+    def _end_traversal(self, s: _SessionState, hashed: bool) -> None:
+        for i, j in s.buffer if hashed else ():
+            self._hash(i, j)
+        s.partial, s.buffer = "", []
+
+    def _encode_run(self, s: _SessionState, i: int, j: int) -> None:
+        """Add branches i..j-1, all in the innermost loop, to its traversal."""
         if s.iter_overflowed:
-            self.stream.append(ev.pair)
+            self._hash(i, j)
             return
-        if ev.indirect:
-            contrib = format(self._indirect_code(s, ev.dest), f"0{self.config.n}b")
-        elif ev.kind is BranchKind.COND_NOT_TAKEN:
-            contrib = "0"
-        else:  # taken conditionals, direct jumps and direct calls
-            contrib = "1"
-        if len(s.partial) + len(contrib) > self.config.path_width:
+        bits = self._bits[i:j]
+        path = s.partial + bits
+        if INDIRECT in bits:
+            # code the indirect transfers in order, up to the first one past the width
+            path, k = s.partial, i
+            for direct in bits.split(INDIRECT):
+                path += direct
+                k += len(direct)
+                if len(path) > self.config.path_width or k == j:
+                    break
+                path += f"{self._indirect_code(s, self._dest[k]):0{self.config.n}b}"
+                k += 1
+        s.buffer.append((i, j))
+        if len(path) > self.config.path_width:
             # path width exhausted: degrade this traversal to direct hashing
-            s.path_overflow = True
-            s.iter_overflowed = True
-            self.stream.extend(s.buffer)
-            self.stream.append(ev.pair)
-            s.partial = ""
-            s.buffer = []
-            return
-        s.partial += contrib
-        s.buffer.append(ev.pair)
+            s.path_overflow = s.iter_overflowed = True
+            self._end_traversal(s, hashed=True)
+        else:
+            s.partial = path
 
     def close_path(self, s: _SessionState) -> None:
         if s.iter_overflowed:
             s.iter_overflowed = False
-            return
-        if not s.partial and not s.buffer:
-            return
-        key = s.partial
-        count = s.counts.get(key, 0)
-        if count == 0:
-            # first execution of this path: its pairs go to the hash engine
-            self.stream.extend(s.buffer)
-            s.order.append(key)
-        s.counts[key] = count + 1
-        s.partial = ""
-        s.buffer = []
+        elif s.partial:
+            count = s.counts.get(s.partial, 0)
+            if count == 0:  # first execution of this path: its pairs go to the hash engine
+                s.order.append(s.partial)
+            s.counts[s.partial] = count + 1
+            self._end_traversal(s, hashed=count == 0)
 
     def finalize_session(self, idx: int, s: _SessionState) -> None:
         self.close_path(s)
-        self.sessions[idx] = LoopSession(
-            loop_entry=s.entry,
-            depth=s.depth,
-            parent=s.parent,
-            paths=[(PathId(k), s.counts[k]) for k in s.order],
-            indirect_targets=list(s.targets),
-            path_overflow=s.path_overflow,
-        )
+        self.sessions[idx] = LoopSession(s.entry, s.depth, s.parent,
+                                         [(PathId(k), s.counts[k]) for k in s.order],
+                                         list(s.targets), s.path_overflow)
 
-    # -- stream driver -----------------------------------------------------
-
-    def process(self, annotated: list[StreamItem]) -> tuple[list[tuple[int, int]], list[LoopSession]]:
-        for tag, ev in annotated:
-            if tag == "branch":
-                assert isinstance(ev, BranchEvent)
-                if ev.loop_depth == 0 or not self._active:
-                    self.stream.append(ev.pair)
+    def process(self, annotated: LoopMarks) -> tuple[list[tuple[int, int]], list[LoopSession]]:
+        """Encode each run of branches between two loop marks in one step."""
+        b = annotated.branches
+        self._src, self._dest, self._bits = b.src, b.dest, b.bits
+        # one entry per open loop context: (session index, state), None if degraded
+        open_: list[Optional[tuple[int, _SessionState]]] = []
+        pos = 0
+        for p, kind, ctx, _cycle in annotated.marks + [(len(b), None, None, 0)]:
+            if p > pos:
+                if open_ and open_[-1] is not None:
+                    self._encode_run(open_[-1][1], pos, p)
                 else:
-                    self.encode_step(self._active[-1][1], ev)
-            else:
-                assert isinstance(ev, LoopStatusEvent)
-                if ev.kind is LoopStatusKind.ENTER:
-                    parent = self._active[-1][0] if self._active else None
-                    state = _SessionState(ev.loop.entry_addr, ev.loop.depth, parent)
+                    self._hash(pos, p)
+                pos = p
+            if kind is LoopStatusKind.ENTER:
+                if ctx.degraded:
+                    open_.append(None)
+                else:
                     self.sessions.append(None)
-                    self._active.append((len(self.sessions) - 1, state))
-                elif ev.kind is LoopStatusKind.ITERATION_BOUNDARY:
-                    for _, state in reversed(self._active):
-                        if state.entry == ev.loop.entry_addr and state.depth == ev.loop.depth:
-                            self.close_path(state)
-                            break
-                else:  # EXIT
-                    idx, state = self._active.pop()
-                    assert state.entry == ev.loop.entry_addr
-                    self.finalize_session(idx, state)
-        while self._active:  # defensive; detect_loops emits implicit exits
-            idx, state = self._active.pop()
-            self.finalize_session(idx, state)
-        assert all(s is not None for s in self.sessions)
+                    open_.append((len(self.sessions) - 1, _SessionState(
+                        ctx.entry_addr, ctx.depth, open_[-1][0] if open_ else None)))
+            elif kind is LoopStatusKind.ITERATION_BOUNDARY:
+                self.close_path(open_[ctx.depth - 1][1])
+            elif kind is LoopStatusKind.EXIT:
+                session = open_.pop()
+                if session is not None:
+                    self.finalize_session(*session)
+        assert not open_ and all(s is not None for s in self.sessions)
         return self.stream, list(self.sessions)

@@ -190,6 +190,51 @@ out:
     halt
 """
 
+# the first activation of f recurses before its loop, later ones from inside
+# it: the recursion context iterates while a loop context is open above it
+RECURSION_AROUND_LOOP = """
+main:
+    ld r1, [r0+0]
+    li r4, 2
+    li r5, 3
+    li r6, 1
+    jal f
+f:
+    beq r1, r0, out
+    addi r1, r1, -1
+    beq r6, r0, body
+    li r6, 0
+    jal f
+body:
+    li r2, 0
+loop:
+    addi r2, r2, 1
+    bne r2, r4, skip
+    jal f
+skip:
+    blt r2, r5, loop
+out:
+    halt
+"""
+
+# with input 1 the inner call returns into the outer activation, past the
+# call site: a recursion context is left only by returning below its depth
+RECURSION_RETURNS = """
+main:
+    ld r1, [r0+0]
+    jal f
+    j done
+f:
+    beq r1, r0, base
+    addi r1, r1, -1
+    jal f
+    j done
+base:
+    ret
+done:
+    halt
+"""
+
 STRAIGHT_LINE = """
 main:
     li r1, 7

@@ -53,6 +53,24 @@ class TestKeysAndHashes:
         b = P.prog(P.WHILE_IF_ELSE.replace("addi r4, r4, 2", "addi r4, r4, 3"), "w")
         assert program_hash(a) != program_hash(b)
 
+    def test_program_hash_computed_once_per_program(self, monkeypatch):
+        calls = []
+        canonical_bytes = att.Program.canonical_bytes
+
+        def counting(program):
+            calls.append(program)
+            return canonical_bytes(program)
+
+        monkeypatch.setattr(att.Program, "canonical_bytes", counting)
+        p = P.prog(P.WHILE_IF_ELSE, "w")
+        ch = fresh(p, [2, 0, 1])
+        report = prover_attest(p, ch, KEY[0])
+        assert verify(report, ch, KEY[1], p).accepted
+        assert len(calls) == 1 and calls[0] is p
+        again = P.prog(P.WHILE_IF_ELSE, "w")
+        assert program_hash(again) == program_hash(p)
+        assert len(calls) == 2 and calls[1] is again
+
 
 class TestCanonicalSerialization:
     def test_empty_metadata_length(self):

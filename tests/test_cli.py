@@ -37,6 +37,29 @@ def attest_and_verify(ws, attack_file=None, store=None):
     return cfattest(*vargs)
 
 
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+@pytest.mark.parametrize("golden, attack, flags", [
+    ("measure.json", False, []),
+    ("measure_n1_w4.json", False, ["-n", "1", "--path-width", "4"]),
+    ("measure_attack.json", True, []),
+])
+def test_measure_matches_golden(tmp_path, golden, attack, flags):
+    # the README walkthrough's program and input; the goldens are CI's too
+    (tmp_path / "guest.s").write_text(P.WHILE_IF_ELSE)
+    assert cfattest("asm", tmp_path / "guest.s", "--id", "demo", "-o", tmp_path / "prog.json") == 0
+    run = ["run", tmp_path / "prog.json", "--input", "3,0,1,0", "-o", tmp_path / "trace.jsonl"]
+    if attack:
+        assert cfattest("inject", "--kind", "corrupt-loop-counter", "--trigger-pc", "0x108",
+                        "--reg", "2", "--value", "2", "-o", tmp_path / "atk.json") == 0
+        run += ["--attack", tmp_path / "atk.json"]
+    assert cfattest(*run) == 0
+    assert cfattest("measure", tmp_path / "trace.jsonl", "--program", tmp_path / "prog.json",
+                    *flags, "-o", tmp_path / "m.json") == 0
+    assert (tmp_path / "m.json").read_text() == (GOLDEN / golden).read_text()
+
+
 class TestPipeline:
     def test_asm_output_shape(self, ws):
         data = json.loads((ws / "prog.json").read_text())

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 import programs as P
@@ -151,6 +153,14 @@ class TestTraceSerialization:
         assert t2.input == t.input
         assert t2.events == t.events
         assert t2.fault == t.fault
+
+    @pytest.mark.parametrize("mnemonic, taken", [("bne", None), ("j", True)])
+    def test_jsonl_rejects_taken_flag_that_does_not_fit(self, mnemonic, taken):
+        p = P.prog(P.WHILE_IF_ELSE, "w")
+        lines = [json.loads(line) for line in run(p, [1, 0]).to_jsonl().splitlines()]
+        next(d for d in lines if d.get("mnemonic") == mnemonic)["taken"] = taken
+        with pytest.raises(EmulatorError, match="taken flag"):
+            trace_from_jsonl("\n".join(map(json.dumps, lines)), p)
 
     def test_jsonl_detects_program_mismatch(self):
         t = run(P.prog(P.WHILE_IF_ELSE, "w"), [1, 0])

@@ -1,20 +1,26 @@
 """The control-event trace and the loop lookup against their references.
 
 For each run: the per-cycle view of the trace equals what the observer saw
-as each cycle retired, a JSONL round trip filters to the same branches, and
-`detect_loops` annotates exactly as the all-loops scan in `loop_oracle`.
+as each cycle retired, a JSONL round trip filters to the same branches,
+`detect_loops` annotates exactly as the all-loops scan in `loop_oracle`, and
+`measure` gives the (A, L) of the per-item monitor in `monitor_oracle` fed by
+that scan.
 """
 import random
 
 import pytest
 
 import programs as P
-from cfattest import emulator
-from cfattest.branch_filter import detect_loops, filter_trace
+from cfattest import branch_filter, emulator
+from cfattest.attestation import ProgramPath, measure
+from cfattest.branch_filter import BranchEvent, detect_loops, filter_trace
 from cfattest.emulator import AttackSpec, CycleLimitExceeded, run, trace_from_jsonl
+from cfattest.hash_engine import digest_pairs
 from cfattest.isa import parse_program
+from cfattest.loop_monitor import MonitorConfig, fault_marker_session
 from genprog import gen_input, gen_program
 from loop_oracle import detect_loops_scan
+from monitor_oracle import LoopMonitor as OracleMonitor
 
 
 def sequential_loops(k: int) -> str:
@@ -43,6 +49,8 @@ def _cases():
         "nested-4": (P.prog(P.NESTED_4, "n4"), [2, 1, 2, 2], None),
         "call-in-loop": (P.prog(P.CALL_IN_LOOP, "c"), [3], None),
         "recursive": (P.prog(P.RECURSIVE, "r"), [4], None),
+        "recursion-around-loop": (P.prog(P.RECURSION_AROUND_LOOP, "rl"), [3], None),
+        "recursion-returns": (P.prog(P.RECURSION_RETURNS, "rr"), [1], None),
         "dispatch": (dispatch, [3] + [P.label_addr(dispatch, P.DISPATCH_LOOP, h)
                                       for h in ("h0", "h2", "h0")], None),
         "data-fault": (parse_program("main:\n    li r1, 100000\n    ld r2, [r1+0]\n    halt\n"),
@@ -89,9 +97,51 @@ def test_filter_survives_jsonl_round_trip(name):
 def test_detect_loops_matches_all_loops_scan(name, max_depth):
     program, inp, attack = CASES[name]
     trace = run(program, inp, attack)
-    # detect_loops annotates the events in place, so each side gets its own
     assert detect_loops(filter_trace(trace), max_depth) == \
         detect_loops_scan(filter_trace(trace), max_depth)
+
+
+def test_detect_loops_leaves_its_input_alone():
+    program, inp, _ = CASES["nested-4"]
+    branches = filter_trace(run(program, inp))
+    by_hand = [BranchEvent(ev.src, ev.dest, ev.kind, ev.linking, ev.indirect, ev.cycle)
+               for ev in branches]
+    first = list(detect_loops(branches))
+    assert list(detect_loops(branches)) == first == list(detect_loops(by_hand))
+    assert any(ev.loop_depth for tag, ev in first if tag == "branch")
+    assert all(ev.loop_depth == 0 for ev in list(branches) + by_hand)
+
+
+MONITOR_CONFIGS = {
+    "default": MonitorConfig(),
+    "depth-1": MonitorConfig(max_depth=1),
+    "n1-w4": MonitorConfig(n=1, path_width=4),
+    "n2-w3": MonitorConfig(n=2, path_width=3),
+    "n8-w8-depth-2": MonitorConfig(n=8, path_width=8, max_depth=2),
+}
+
+
+def oracle_measure(trace, config):
+    annotated = detect_loops_scan(list(filter_trace(trace)), config.max_depth)
+    stream, sessions = OracleMonitor(config).process(annotated)
+    if trace.fault is not None:
+        sessions.append(fault_marker_session())
+    return ProgramPath(digest_pairs(stream), tuple(sessions))
+
+
+@pytest.mark.parametrize("config", sorted(MONITOR_CONFIGS))
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_measure_matches_per_item_monitor(name, config):
+    trace = run(*CASES[name])
+    assert measure(trace, MONITOR_CONFIGS[config]) == oracle_measure(trace, MONITOR_CONFIGS[config])
+
+
+@pytest.mark.parametrize("config", ["n1-w4", "n2-w3"])
+def test_narrow_configs_overflow_paths(config):
+    overflowed = [name for name in CASES
+                  if any(s.path_overflow for s in measure(run(*CASES[name]),
+                                                          MONITOR_CONFIGS[config]).sessions)]
+    assert len(overflowed) >= 5
 
 
 def test_faults_are_covered():
@@ -126,3 +176,17 @@ def test_measurement_builds_no_per_cycle_events(monkeypatch):
     assert built == []
     trace.events[0]
     assert len(built) == trace.cycles
+
+
+def test_measurement_builds_no_per_branch_events(monkeypatch):
+    built = []
+    for name in ("BranchEvent", "LoopStatusEvent"):
+        cls = getattr(branch_filter, name)
+        monkeypatch.setattr(branch_filter, name,
+                            lambda *args, _cls=cls, _name=name: built.append(_name) or _cls(*args))
+    program, inp, _ = CASES["nested-4"]
+    trace = run(program, inp)
+    assert measure(trace).sessions
+    assert built == []
+    annotated = detect_loops(filter_trace(trace))
+    assert len(list(annotated)) == len(annotated) == len(built)
