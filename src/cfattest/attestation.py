@@ -16,6 +16,7 @@ import hashlib
 import json
 import os
 import struct
+import tempfile
 from dataclasses import dataclass
 from typing import Optional
 
@@ -65,6 +66,12 @@ class Challenge:
 
     @classmethod
     def from_json(cls, d: dict) -> "Challenge":
+        """Decode a challenge; ValueError (ProtocolError for a wrong shape) if malformed."""
+        if not isinstance(d, dict) or d.keys() != {"input", "nonce_hex", "program_id"}:
+            raise ProtocolError("challenge must have exactly the keys input, nonce_hex, program_id")
+        if not (isinstance(d["input"], list) and all(type(w) is int for w in d["input"])
+                and isinstance(d["program_id"], str) and isinstance(d["nonce_hex"], str)):
+            raise ProtocolError("challenge needs string program_id and nonce_hex, integer input")
         return cls(d["program_id"], tuple(d["input"]), bytes.fromhex(d["nonce_hex"]))
 
     @classmethod
@@ -263,7 +270,11 @@ def prover_attest(
 # --- verifier -------------------------------------------------------------------
 
 class NonceStore:
-    """Persistent set of consumed nonces; one accepted report per nonce."""
+    """Persistent set of consumed nonces; one accepted report per nonce.
+
+    A write goes to a temp file that then replaces the store, so a writer
+    that dies mid-write loses no nonce.
+    """
 
     def __init__(self, path: Optional[str] = None):
         self.path = path
@@ -278,8 +289,14 @@ class NonceStore:
     def consume(self, nonce: bytes) -> None:
         self._used.add(nonce.hex())
         if self.path:
-            with open(self.path, "w") as f:
-                json.dump(sorted(self._used), f)
+            fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(self.path)))
+            try:
+                with os.fdopen(fd, "w") as f:
+                    json.dump(sorted(self._used), f)
+                os.replace(tmp, self.path)
+            except BaseException:
+                os.unlink(tmp)
+                raise
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,10 @@
 """Branch filtering and runtime loop detection over the execution trace.
 
-`filter_trace` turns the trace's control record into branch columns: source,
-destination, cycle and a kind character per branch, from which `bits` holds
-each branch's loop-path bit ('0' not-taken conditional, '1' taken conditional
-or direct transfer, `INDIRECT` for an indirect transfer, coded by target).
+`filter_trace` wraps the branch columns the emulator records (source,
+destination, kind character and cycle per branch, the kind alphabet defined
+next to the emulator's decode table) in `Branches`, whose `bits` holds each
+branch's loop-path bit ('0' not-taken conditional, '1' taken conditional or
+direct transfer, `INDIRECT` for an indirect transfer, coded by target).
 `detect_loops` classifies non-linking backward branches as loop backedges
 (link-register heuristic), tracks entry/iteration/exit per nesting depth and
 emits only loop marks, so its output grows with loop events, not branches.
@@ -27,10 +28,11 @@ from enum import Enum
 from itertools import compress, count
 from math import inf
 from operator import gt
-from typing import Iterable, Optional, Union
+from typing import Union
 
-from .isa import WORD, Kind, Program
-from .emulator import Trace, View
+from .isa import WORD
+from .emulator import (CALL, INDIRECT_CALL, INDIRECT_JUMP, JUMP, NOT_TAKEN, RETURN, TAKEN,
+                       Trace, View)
 
 DEFAULT_MAX_DEPTH = 3
 
@@ -90,48 +92,26 @@ StreamItem = tuple[str, Union[BranchEvent, LoopStatusEvent]]  # ("branch"|"loop"
 Mark = tuple[int, LoopStatusKind, LoopContext, int]  # (position, status, context, cycle)
 
 INDIRECT = "x"
-_KIND_INFO = {  # kind character -> (branch kind, linking, indirect)
-    "0": (BranchKind.COND_NOT_TAKEN, False, False), "1": (BranchKind.COND_TAKEN, False, False),
-    "j": (BranchKind.DIRECT_JUMP, False, False), "c": (BranchKind.CALL, True, False),
-    "C": (BranchKind.CALL, True, True), "i": (BranchKind.INDIRECT_JUMP, False, True),
-    "r": (BranchKind.RETURN, False, True)}
-_KIND_CODE = {info: code for code, info in _KIND_INFO.items()}
-_INSTR_CODES = {  # instruction kind -> (taken, kind character) pairs
-    Kind.COND_BRANCH: ((True, "1"), (False, "0")), Kind.DIRECT_JUMP: ((None, "j"),),
-    Kind.LINKING_JUMP: ((None, "c"),), Kind.LINKING_INDIRECT_JUMP: ((None, "C"),),
-    Kind.INDIRECT_JUMP: ((None, "i"),), Kind.RETURN: ((None, "r"),)}
-_BITS = str.maketrans("jcCir", "11" + INDIRECT * 3)
-
-
-def _branch_codes(program: Program) -> dict[tuple[int, Optional[bool]], str]:
-    """(pc, taken) -> kind character, built once per Program object (as emulator._decoded)."""
-    if "_branch_codes" not in program.__dict__:
-        program.__dict__["_branch_codes"] = {
-            (ins.addr, taken): code for ins in program.instructions
-            for taken, code in _INSTR_CODES.get(ins.kind, ())}
-    return program.__dict__["_branch_codes"]
+_BRANCH_KIND = {NOT_TAKEN: BranchKind.COND_NOT_TAKEN, TAKEN: BranchKind.COND_TAKEN,
+                JUMP: BranchKind.DIRECT_JUMP, CALL: BranchKind.CALL, INDIRECT_CALL: BranchKind.CALL,
+                INDIRECT_JUMP: BranchKind.INDIRECT_JUMP, RETURN: BranchKind.RETURN}
+_LINKING = CALL + INDIRECT_CALL
+_INDIRECT_KINDS = INDIRECT_CALL + INDIRECT_JUMP + RETURN
+_CALL_OR_RETURN = _LINKING + RETURN
+_BITS = str.maketrans(JUMP + CALL + _INDIRECT_KINDS, TAKEN * 2 + INDIRECT * 3)
 
 
 class Branches(View):
     """A run's branches as columns; as a sequence, fresh BranchEvent objects."""
 
-    def __init__(self, src: tuple[int, ...], dest: tuple[int, ...], kinds: str, cycle: tuple):
+    def __init__(self, src: list[int], dest: list[int], kinds: str, cycle: list[int]):
         self.src, self.dest, self.kinds, self.cycle = src, dest, kinds, cycle
         self.bits = kinds.translate(_BITS)
 
-    @classmethod
-    def of(cls, events: Iterable[BranchEvent]) -> Branches:
-        """The columns of `events`; a list of BranchEvent is converted."""
-        if isinstance(events, Branches):
-            return events
-        rows = [(ev.src, ev.dest, _KIND_CODE[ev.kind, ev.linking, ev.indirect], ev.cycle)
-                for ev in events]
-        src, dest, kinds, cycle = zip(*rows) if rows else ((),) * 4
-        return cls(src, dest, "".join(kinds), cycle)
-
     def event(self, i: int, loop_depth: int = 0) -> BranchEvent:
-        return BranchEvent(self.src[i], self.dest[i], *_KIND_INFO[self.kinds[i]],
-                           self.cycle[i], loop_depth)
+        k = self.kinds[i]
+        return BranchEvent(self.src[i], self.dest[i], _BRANCH_KIND[k], k in _LINKING,
+                           k in _INDIRECT_KINDS, self.cycle[i], loop_depth)
 
     __getitem__ = event
 
@@ -141,22 +121,19 @@ class Branches(View):
 
 def filter_trace(trace: Trace) -> Branches:
     """The trace's control-flow events, in order, as columns."""
-    cycle, src, _, taken, dest = zip(*trace.control) if trace.control else ((),) * 5
-    kinds = "".join(map(_branch_codes(trace.program).__getitem__, zip(src, taken)))
-    return Branches(src, dest, kinds, cycle)
+    return Branches(trace.src, trace.dest, trace.kinds, trace.branch_cycles)
 
 
-def _discover_loops(events: Iterable[BranchEvent]) -> tuple[dict[int, int], dict[int, int]]:
+def _discover_loops(b: Branches) -> tuple[dict[int, int], dict[int, int]]:
     """First pass: entry -> largest backedge src, plus direct-recursion entries."""
-    b = Branches.of(events)
     # backward non-call, non-return branches, sorted: an entry's largest backedge comes last
     backward = compress(zip(b.dest, b.src, b.kinds), map(gt, b.src, b.dest))
-    loops = dict(sorted({(dest, src) for dest, src, kind in backward if kind not in "cCr"}))
+    loops = dict(sorted({(d, s) for d, s, kind in backward if kind not in _CALL_OR_RETURN}))
     recursive: dict[int, int] = {}
     call_targets: list[int] = []
     open_calls: dict[int, int] = {}  # call_targets as counts
-    for m in re.finditer("[cCr]", b.kinds):
-        if m.group() != "r":
+    for m in re.finditer(f"[{_CALL_OR_RETURN}]", b.kinds):
+        if m.group() != RETURN:
             src, dest = b.src[m.start()], b.dest[m.start()]
             if open_calls.get(dest):
                 recursive[dest] = max(recursive.get(dest, 0), src)
@@ -222,9 +199,8 @@ class LoopMarks(View):
         return len(self.branches) + sum(not ctx.degraded for _, _, ctx, _ in self.marks)
 
 
-def detect_loops(events: Iterable[BranchEvent], max_depth: int = DEFAULT_MAX_DEPTH) -> LoopMarks:
+def detect_loops(b: Branches, max_depth: int = DEFAULT_MAX_DEPTH) -> LoopMarks:
     """Mark loop entries, iterations and exits in the branch stream."""
-    b = Branches.of(events)
     loops, recursive = _discover_loops(b)
     enclosing = _EnclosingLoops(loops)
     marks: list[Mark] = []
@@ -257,7 +233,7 @@ def detect_loops(events: Iterable[BranchEvent], max_depth: int = DEFAULT_MAX_DEP
 
     within, lo, hi = scopes[-1]
     for i, src, dest, kind, cycle in zip(count(), b.src, b.dest, b.kinds, b.cycle):
-        linking = kind in "cC"
+        linking = kind in _LINKING
         # control left open loops before this branch (fallthrough past the body)
         while call_depth < within or (call_depth == within and not lo <= src <= hi):
             within, lo, hi = close_ctx(i, cycle)
@@ -281,7 +257,7 @@ def detect_loops(events: Iterable[BranchEvent], max_depth: int = DEFAULT_MAX_DEP
             call_targets.append(dest)
             open_calls[dest] = open_calls.get(dest, 0) + 1
             call_depth += 1
-        elif kind == "r":
+        elif kind == RETURN:
             if call_targets:
                 open_calls[call_targets.pop()] -= 1
             call_depth = max(0, call_depth - 1)

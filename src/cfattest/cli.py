@@ -12,9 +12,9 @@ import sys
 from pathlib import Path
 
 from . import attestation as att
-from .emulator import AttackSpec, CycleLimitExceeded, run, trace_from_jsonl
+from .emulator import AttackSpec, CycleLimitExceeded, EmulatorError, run, trace_from_jsonl
 from .hash_engine import simulate_absorb
-from .isa import AsmError, InvalidProgramError, Program, build_cfg, parse_program
+from .isa import Program, build_cfg, parse_program
 from .loop_monitor import MonitorConfig
 
 EXIT_OK = 0
@@ -259,15 +259,13 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (AsmError, InvalidProgramError, att.ProtocolError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    except FileNotFoundError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    except CycleLimitExceeded as e:
+    except CycleLimitExceeded as e:  # an EmulatorError, but not the input's fault
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INTERNAL
+    except (ValueError, EmulatorError, FileNotFoundError) as e:  # ValueError: AsmError,
+        # InvalidProgramError, ProtocolError and bad JSON among others
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -1,11 +1,12 @@
-"""Deterministic interpreter recording the control events of a run, with attack hooks.
+"""Deterministic interpreter recording the branches of a run, with attack hooks.
 
-One instruction retires per cycle.  A run records only its control-flow
-events, as (cycle, pc, instruction, taken, next_pc) records, plus the count of
+One instruction retires per cycle.  A run records only its branches, as
+columns (source, destination, kind character, cycle), plus the count of
 retired cycles: every other cycle advances the pc by one word, so the
-per-cycle stream (`Trace.events`) is rebuilt from that record on demand, and
+per-cycle stream (`Trace.events`) is rebuilt from the columns on demand, and
 the `observer` hook still sees every cycle as it retires.  Instructions are
-decoded into handler tuples once per `Program` object, at its first run.
+decoded into handler tuples, branch kind character included, once per
+`Program` object, at its first run.
 Attack injection mutates writable state only (registers, link register, data
 memory); program text is immutable.
 """
@@ -36,15 +37,6 @@ class CycleLimitExceeded(EmulatorError):
 
 class AttackError(ValueError):
     pass
-
-
-@dataclass
-class MachineState:
-    pc: int
-    regs: list[int]           # 16 general registers
-    ra: int                   # link register
-    data_mem: list[int]
-    cycle: int = 0
 
 
 @dataclass(frozen=True)
@@ -89,17 +81,19 @@ class AttackSpec:
         return cls(kind=d["kind"], trigger=d["trigger"], payload=d["payload"])
 
 
-# (cycle, pc, instr, taken, next_pc) of one retired control-flow instruction
-ControlRecord = tuple[int, int, Instruction, Optional[bool], int]
-
-
 @dataclass
 class Trace:
-    """One run: its control events in order and the number of retired cycles."""
+    """One run: its branches as columns and the number of retired cycles.
+
+    Branch i went from src[i] to dest[i] at cycle branch_cycles[i], of kind kinds[i].
+    """
     program_id: str
     input: list[int]
     program: Program
-    control: list[ControlRecord]
+    src: list[int]
+    dest: list[int]
+    kinds: str
+    branch_cycles: list[int]
     cycles: int
     fault: Optional[str] = None
 
@@ -132,89 +126,89 @@ class TraceEvents(View):
     """Per-cycle view of a Trace.
 
     Its length is the trace's cycle count.  The TraceEvent objects are built
-    from the control record at the first item access: between two control
-    events the pc advances one word per cycle (a halt repeats its own pc).
+    from the branch columns at the first item access: between two branches
+    the pc advances one word per cycle (a halt repeats its own pc).
     """
 
     def __init__(self, trace: Trace):
         self._trace = trace
-        self._events: Optional[list[TraceEvent]] = None
 
+    @cached_property
     def _built(self) -> list[TraceEvent]:
-        if self._events is None:
-            t = self._trace
-            out: list[TraceEvent] = []
-            pc = t.program.entry_point
-
-            def straight_line(until: int) -> None:
-                nonlocal pc
-                for cycle in range(len(out), until):
-                    ins = t.program.instr_at(pc)
-                    next_pc = pc if ins.kind is Kind.HALT else pc + WORD
-                    out.append(TraceEvent(cycle, pc, ins, None, next_pc))
-                    pc = next_pc
-
-            for rec in t.control:
-                straight_line(rec[0])
-                out.append(TraceEvent(*rec))
-                pc = rec[4]
-            straight_line(t.cycles)
-            self._events = out
-        return self._events
+        t, out, pc = self._trace, [], self._trace.program.entry_point
+        taken = {NOT_TAKEN: False, TAKEN: True}
+        branch_at = dict(zip(t.branch_cycles, zip(t.dest, t.kinds)))  # cycle -> (dest, kind)
+        for cycle in range(t.cycles):
+            ins = t.program.instr_at(pc)
+            next_pc, kind = branch_at.get(cycle, (pc if ins.kind is Kind.HALT else pc + WORD, None))
+            out.append(TraceEvent(cycle, pc, ins, taken.get(kind), next_pc))
+            pc = next_pc
+        return out
 
     def __len__(self) -> int:
         return self._trace.cycles
 
     def __getitem__(self, i):
-        return self._built()[i]
+        return self._built[i]
 
     def __iter__(self):
-        return iter(self._built())
+        return iter(self._built)
 
 
 def trace_from_jsonl(text: str, program: Program) -> Trace:
     """Rebuild a Trace from its JSONL form, resolving instructions via program.
 
-    The events must be one contiguous run from the program's entry point.
+    The lines are a header, one event per cycle and the fault record; the
+    events must be one contiguous run from the program's entry point.  Any
+    other text raises EmulatorError.
     """
-    lines = [json.loads(l) for l in text.splitlines() if l.strip()]
-    head, tail = lines[0], lines[-1]
-    control: list[ControlRecord] = []
+    code = _decoded(program)
+    src, dest, kinds, at = [], [], [], []  # the Trace columns; kinds joined at the end
     pc = program.entry_point
-    for cycle, d in enumerate(lines[1:-1]):
-        ins = program.instr_at(pc)
-        if int(d["pc"], 16) != pc or d["cycle"] != cycle:
-            raise EmulatorError(f"trace is not a contiguous run at cycle {cycle}")
-        if ins is None or ins.mnemonic != d["mnemonic"]:
-            raise EmulatorError(f"trace does not match program at pc 0x{pc:x}")
-        next_pc = int(d["next_pc"], 16)
-        if ins.is_control:
-            if isinstance(d["taken"], bool) != (ins.kind is Kind.COND_BRANCH):
-                raise EmulatorError(f"taken flag does not fit {ins.mnemonic} at cycle {cycle}")
-            control.append((cycle, pc, ins, d["taken"], next_pc))
-        elif (d["taken"], next_pc) != (None, pc if ins.kind is Kind.HALT else pc + WORD):
-            raise EmulatorError(f"trace is not a contiguous run at cycle {cycle}")
-        pc = next_pc
-    return Trace(head["program_id"], head["input"], program, control,
-                 len(lines) - 2, tail.get("fault"))
+    try:
+        lines = [json.loads(l) for l in text.splitlines() if l.strip()]
+        if len(lines) < 2:
+            raise EmulatorError("a trace needs a header line and a fault line")
+        head, tail = lines[0], lines[-1]
+        for cycle, d in enumerate(lines[1:-1]):
+            if int(d["pc"], 16) != pc or d["cycle"] != cycle:
+                raise EmulatorError(f"trace is not a contiguous run at cycle {cycle}")
+            if pc not in code or code[pc][5].mnemonic != d["mnemonic"]:
+                raise EmulatorError(f"trace does not match program at pc 0x{pc:x}")
+            kind, ins = code[pc][4:]
+            taken, next_pc = d["taken"], int(d["next_pc"], 16)
+            if kind is not None:
+                if isinstance(taken, bool) != (ins.kind is Kind.COND_BRANCH):
+                    raise EmulatorError(f"taken flag does not fit {ins.mnemonic} at cycle {cycle}")
+                src.append(pc)
+                dest.append(next_pc)
+                kinds.append(kind[taken] if taken is not None else kind)
+                at.append(cycle)
+            elif (taken, next_pc) != (None, pc if ins.kind is Kind.HALT else pc + WORD):
+                raise EmulatorError(f"trace is not a contiguous run at cycle {cycle}")
+            pc = next_pc
+        return Trace(head["program_id"], head["input"], program, src, dest, "".join(kinds),
+                     at, len(lines) - 2, tail["fault"])
+    except (ValueError, KeyError, TypeError) as e:  # bad JSON, missing key, wrong type
+        raise EmulatorError(f"malformed trace: {e!r}") from None
 
 
-def inject(state: MachineState, attack: AttackSpec) -> None:
-    """Apply the attack mutation to writable state."""
+def inject(attack: AttackSpec, regs: list[int], ra: int, data_mem: list[int]) -> int:
+    """Apply the attack mutation to writable state; returns the link register."""
     value = attack.payload["value"] & MASK32
     if "reg" in attack.payload:
         r = attack.payload["reg"]
         if r == "ra":
-            state.ra = value
-        elif isinstance(r, int) and 0 <= r < len(state.regs):
-            state.regs[r] = value
-        else:
+            return value
+        if not isinstance(r, int) or not 0 <= r < len(regs):
             raise AttackError(f"bad register target {r!r}")
+        regs[r] = value
     else:
         idx = attack.payload["mem"]
-        if not isinstance(idx, int) or not 0 <= idx < len(state.data_mem):
+        if not isinstance(idx, int) or not 0 <= idx < len(data_mem):
             raise AttackError(f"memory target {idx!r} outside data memory")
-        state.data_mem[idx] = value
+        data_mem[idx] = value
+    return ra
 
 
 # Handler numbers.  Straight-line instructions come first, so one comparison
@@ -223,14 +217,20 @@ def inject(state: MachineState, attack: AttackSpec) -> None:
  _BEQ, _BNE, _BLT, _J, _JAL, _JR, _JALR, _RET, _HALT) = range(17)
 _ALU_OPS = {"add": _ADD, "sub": _SUB, "addi": _ADDI, "li": _LI, "mv": _MV}
 _COND_OPS = {"beq": _BEQ, "bne": _BNE}  # any other conditional compares with blt
-_KIND_OPS = {Kind.LOAD: _LD, Kind.STORE: _ST, Kind.DIRECT_JUMP: _J, Kind.LINKING_JUMP: _JAL,
-             Kind.INDIRECT_JUMP: _JR, Kind.LINKING_INDIRECT_JUMP: _JALR,
-             Kind.RETURN: _RET, Kind.HALT: _HALT}
+# The kind character of each recorded branch (Trace.kinds): a conditional's
+# taken bit, or one letter per kind of unconditional transfer.
+NOT_TAKEN, TAKEN, JUMP, CALL, INDIRECT_CALL, INDIRECT_JUMP, RETURN = "01jcCir"
+_KIND_OPS = {  # instruction kind -> (handler, kind character)
+    Kind.LOAD: (_LD, None), Kind.STORE: (_ST, None), Kind.DIRECT_JUMP: (_J, JUMP),
+    Kind.LINKING_JUMP: (_JAL, CALL), Kind.INDIRECT_JUMP: (_JR, INDIRECT_JUMP),
+    Kind.LINKING_INDIRECT_JUMP: (_JALR, INDIRECT_CALL), Kind.RETURN: (_RET, RETURN),
+    Kind.HALT: (_HALT, None)}
 
-# (handler, x, y, z, instruction); x, y, z are the operands the handler reads:
-# rd/rs1/rs2 or rd/rs1/imm for ALU ops, rd/rs1/imm for memory, rs1/rs2/target
-# for conditionals, the target for direct jumps, rs1 for indirect ones.
-Decoded = tuple[int, Optional[int], Optional[int], Optional[int], Instruction]
+# (handler, x, y, z, kind, instruction); x, y, z are the operands the handler reads:
+# rd/rs1/rs2 or rd/rs1/imm for ALU ops, rd/rs1/imm for memory, rs1/rs2/target for
+# conditionals, the target for direct jumps, rs1 for indirect ones.  kind is a branch's
+# kind character (NOT_TAKEN + TAKEN, indexed by the taken bit, for a conditional).
+Decoded = tuple[int, Optional[int], Optional[int], Optional[int], Optional[str], Instruction]
 
 
 def _signed(v: int) -> int:
@@ -241,16 +241,17 @@ def _decode(ins: Instruction) -> Decoded:
     if ins.kind is Kind.ALU:
         op = _ALU_OPS.get(ins.mnemonic, _NOP)
         if op in (_ADD, _SUB):
-            return (op, ins.rd, ins.rs1, ins.rs2, ins)
-        return (op, ins.rd, ins.rs1, ins.imm, ins)
+            return (op, ins.rd, ins.rs1, ins.rs2, None, ins)
+        return (op, ins.rd, ins.rs1, ins.imm, None, ins)
     if ins.kind is Kind.COND_BRANCH:
-        return (_COND_OPS.get(ins.mnemonic, _BLT), ins.rs1, ins.rs2, ins.target, ins)
-    op = _KIND_OPS[ins.kind]
+        return (_COND_OPS.get(ins.mnemonic, _BLT), ins.rs1, ins.rs2, ins.target,
+                NOT_TAKEN + TAKEN, ins)
+    op, kind = _KIND_OPS[ins.kind]
     if op in (_LD, _ST):
-        return (op, ins.rd, ins.rs1, ins.imm, ins)
+        return (op, ins.rd, ins.rs1, ins.imm, None, ins)
     if op in (_J, _JAL):
-        return (op, ins.target, None, None, ins)
-    return (op, ins.rs1, None, None, ins)
+        return (op, ins.target, None, None, kind, ins)
+    return (op, ins.rs1, None, None, kind, ins)
 
 
 def _decoded(program: Program) -> dict[int, Decoded]:
@@ -286,8 +287,7 @@ def run(
     regs = [0] * 16
     ra = 0
     code = _decoded(program)
-    control: list[ControlRecord] = []
-    record = control.append
+    src, dest, kinds, at = [], [], [], []  # the Trace columns; kinds joined at the end
     fault: Optional[str] = None
     pc = program.entry_point
     cycle = 0
@@ -300,16 +300,14 @@ def run(
         # an invalid pc faults before the cap check: it belongs to the
         # instruction that jumped there, which has already retired
         try:
-            op, x, y, z, ins = code[pc]
+            op, x, y, z, kind, ins = code[pc]
         except KeyError:
             fault = f"pc-out-of-range:0x{pc:x}"
             break
         if cycle >= cycle_cap:
             raise CycleLimitExceeded(f"cycle cap {cycle_cap} exceeded")
         if armed and (cycle == trigger_cycle or pc == trigger_pc):
-            state = MachineState(pc, regs, ra, mem, cycle)
-            inject(state, attack)
-            ra = state.ra
+            ra = inject(attack, regs, ra, mem)
             armed = False
 
         if op < _BEQ:  # straight-line instruction
@@ -348,6 +346,7 @@ def run(
             taken = _signed(regs[x]) < _signed(regs[y])
         if taken is not None:
             next_pc = z if taken else pc + WORD
+            kind = kind[taken]
         elif op == _J:
             next_pc = x
         elif op == _JAL:
@@ -365,10 +364,14 @@ def run(
                 observer(TraceEvent(cycle, pc, ins, None, pc))
             cycle += 1
             break
-        record((cycle, pc, ins, taken, next_pc))
+        src.append(pc)
+        dest.append(next_pc)
+        kinds.append(kind)
+        at.append(cycle)
         if observer is not None:
             observer(TraceEvent(cycle, pc, ins, taken, next_pc))
         pc = next_pc
         cycle += 1
 
-    return Trace(program.id, list(input_words), program, control, cycle, fault)
+    return Trace(program.id, list(input_words), program, src, dest, "".join(kinds), at,
+                 cycle, fault)

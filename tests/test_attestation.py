@@ -163,6 +163,23 @@ class TestCanonicalSerialization:
         with pytest.raises(ProtocolError):
             Challenge("x", (), b"short")
 
+    @pytest.mark.parametrize("change", [
+        {"nonce_hex": None},                 # missing key
+        {"extra": 1},                        # unknown key
+        {"input": "3,0,1,0"},                # not a list
+        {"input": [3, "0"]},                 # not an integer word
+        {"input": [3, 1.0]},                 # not an integer word
+        {"input": [True]},                   # not an integer word
+        {"program_id": 7},                   # not a string
+        {"nonce_hex": 7},                    # not a string
+    ])
+    def test_malformed_challenge_rejected(self, change):
+        d = Challenge.fresh("w", [3, 0]).to_json()
+        d.update(change)
+        d = {k: v for k, v in d.items() if v is not None}
+        with pytest.raises(ProtocolError):
+            Challenge.from_json(d)
+
 
 SESSIONS = st.builds(
     LoopSession,
@@ -233,6 +250,25 @@ class TestProtocolRoundTrip:
         # persistence across store instances
         store2 = NonceStore(str(tmp_path / "nonces.json"))
         assert verify(report, ch, pk, p, nonce_store=store2).reason == STALE_NONCE
+
+    def test_nonce_store_survives_a_writer_dying_mid_write(self, tmp_path, monkeypatch):
+        path = tmp_path / "nonces.json"
+        store = NonceStore(str(path))
+        earlier = [bytes([i]) * 32 for i in range(3)]
+        for nonce in earlier:
+            store.consume(nonce)
+
+        def dying_dump(obj, f):
+            f.write(json.dumps(obj)[:4])  # '["01'
+            raise RuntimeError("writer died")
+
+        monkeypatch.setattr(att.json, "dump", dying_dump)
+        with pytest.raises(RuntimeError, match="writer died"):
+            store.consume(b"\x09" * 32)
+        monkeypatch.undo()
+        reloaded = NonceStore(str(path))
+        assert all(reloaded.used(nonce) for nonce in earlier)
+        assert [p.name for p in tmp_path.iterdir()] == ["nonces.json"]
 
     def test_rejected_report_does_not_consume_nonce(self, tmp_path):
         sk, pk = KEY

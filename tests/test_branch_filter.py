@@ -1,5 +1,5 @@
 import programs as P
-from cfattest.branch_filter import (BranchEvent, BranchKind, LoopStatusEvent,
+from cfattest.branch_filter import (Branches, BranchKind, LoopStatusEvent,
                                     LoopStatusKind, _discover_loops,
                                     detect_loops, filter_trace)
 from cfattest.emulator import run
@@ -90,12 +90,10 @@ done:
 
     def test_direct_recursion_detected(self):
         f = 0x200
-        calls = [
-            BranchEvent(0x100, f, BranchKind.CALL, True, False, 0),
-            BranchEvent(f + 8, f, BranchKind.CALL, True, False, 1),
-            BranchEvent(f + 12, f + 12, BranchKind.RETURN, False, True, 2),
-            BranchEvent(f + 12, 0x104, BranchKind.RETURN, False, True, 3),
-        ]
+        calls = Branches(src=[0x100, f + 8, f + 12, f + 12],
+                         dest=[f, f, f + 12, 0x104],
+                         kinds="ccrr",  # direct calls, returns
+                         cycle=[0, 1, 2, 3])
         loops, recursive = _discover_loops(calls)
         assert loops == {}
         assert recursive == {f: f + 8}
@@ -161,14 +159,11 @@ class TestDetectLoops:
 
     def test_recursion_enter_iterate_exit(self):
         f = 0x200
-        stream = [
-            BranchEvent(0x100, f, BranchKind.CALL, True, False, 0),
-            BranchEvent(f + 8, f, BranchKind.CALL, True, False, 1),   # enter
-            BranchEvent(f + 8, f, BranchKind.CALL, True, False, 2),   # iterate
-            BranchEvent(f + 12, f + 12, BranchKind.RETURN, False, True, 3),
-            BranchEvent(f + 12, f + 12, BranchKind.RETURN, False, True, 4),
-            BranchEvent(f + 12, 0x104, BranchKind.RETURN, False, True, 5),
-        ]
+        # call, recursive call (enter), recursive call (iterate), three returns
+        stream = Branches(src=[0x100, f + 8, f + 8, f + 12, f + 12, f + 12],
+                          dest=[f, f, f, f + 12, f + 12, 0x104],
+                          kinds="cccrrr",
+                          cycle=[0, 1, 2, 3, 4, 5])
         annotated = detect_loops(stream)
         kinds = loop_kinds(annotated)
         assert kinds == [(E, f), (I, f), (X, f)]
@@ -177,9 +172,10 @@ class TestDetectLoops:
 
     def test_implicit_exit_at_end_of_trace(self):
         events = filter_trace(run(P.prog(P.WHILE_IF_ELSE, "w"), [2, 0, 0]))
-        truncated = [e for e in events if e.cycle <= events[-3].cycle]
+        n = len(events) - 2  # the branches up to and including events[-3]
+        truncated = Branches(events.src[:n], events.dest[:n], events.kinds[:n], events.cycle[:n])
         annotated = detect_loops(truncated)
         assert loop_kinds(annotated)[-1][0] is X
 
     def test_empty_stream(self):
-        assert detect_loops([]) == []
+        assert detect_loops(Branches([], [], "", [])) == []

@@ -204,3 +204,34 @@ class TestUsageErrors:
         assert cfattest("asm", src, "-o", tmp_path / "p.json") == 0
         assert cfattest("run", tmp_path / "p.json", "--cycle-cap", "50",
                         "-o", tmp_path / "t.jsonl") == 6
+
+    @pytest.mark.parametrize("malform", ["bne-taken-null", "empty", "record-without-pc"])
+    def test_malformed_trace_exit_1(self, ws, capsys, malform):
+        assert cfattest("run", ws / "prog.json", "--input", "3,0,1,0",
+                        "-o", ws / "trace.jsonl") == 0
+        lines = [json.loads(line) for line in (ws / "trace.jsonl").read_text().splitlines()]
+        if malform == "bne-taken-null":
+            next(d for d in lines if d.get("mnemonic") == "bne")["taken"] = None
+        elif malform == "empty":
+            lines = []
+        else:
+            del lines[3]["pc"]
+        (ws / "trace.jsonl").write_text("".join(json.dumps(d) + "\n" for d in lines))
+        capsys.readouterr()
+        assert cfattest("measure", ws / "trace.jsonl", "--program", ws / "prog.json") == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("command", ["attest", "verify"])
+    def test_challenge_without_nonce_exit_1(self, ws, capsys, command):
+        assert attest_and_verify(ws) == 0
+        challenge = json.loads((ws / "challenge.json").read_text())
+        del challenge["nonce_hex"]
+        (ws / "challenge.json").write_text(json.dumps(challenge))
+        capsys.readouterr()
+        if command == "attest":
+            argv = ["attest", ws / "prog.json", ws / "challenge.json", ws / "keys" / "sk.hex"]
+        else:
+            argv = ["verify", ws / "report.json", ws / "challenge.json",
+                    ws / "keys" / "pk.hex", ws / "prog.json"]
+        assert cfattest(*argv) == 1
+        assert capsys.readouterr().err.startswith("error: challenge must have exactly the keys")

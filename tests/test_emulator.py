@@ -162,6 +162,26 @@ class TestTraceSerialization:
         with pytest.raises(EmulatorError, match="taken flag"):
             trace_from_jsonl("\n".join(map(json.dumps, lines)), p)
 
+    @pytest.mark.parametrize("malform", ["empty", "header-only", "no-pc", "no-fault-line",
+                                         "event-not-a-dict", "pc-not-a-string"])
+    def test_jsonl_rejects_malformed_text(self, malform):
+        p = P.prog(P.WHILE_IF_ELSE, "w")
+        lines = [json.loads(line) for line in run(p, [1, 0]).to_jsonl().splitlines()]
+        if malform == "empty":
+            lines = []
+        elif malform == "header-only":
+            lines = lines[:1]
+        elif malform == "no-pc":
+            del lines[2]["pc"]
+        elif malform == "no-fault-line":
+            lines.pop()
+        elif malform == "event-not-a-dict":
+            lines[2] = [lines[2]["pc"]]
+        else:
+            lines[2]["pc"] = 0x104
+        with pytest.raises(EmulatorError):
+            trace_from_jsonl("\n".join(map(json.dumps, lines)), p)
+
     def test_jsonl_detects_program_mismatch(self):
         t = run(P.prog(P.WHILE_IF_ELSE, "w"), [1, 0])
         with pytest.raises(EmulatorError):

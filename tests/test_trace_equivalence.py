@@ -1,7 +1,8 @@
 """The control-event trace and the loop lookup against their references.
 
 For each run: the per-cycle view of the trace equals what the observer saw
-as each cycle retired, a JSONL round trip filters to the same branches,
+as each cycle retired, so do the recorded branch columns, a JSONL round trip
+filters to the same branches,
 `detect_loops` annotates exactly as the all-loops scan in `loop_oracle`, and
 `measure` gives the (A, L) of the per-item monitor in `monitor_oracle` fed by
 that scan.
@@ -13,10 +14,10 @@ import pytest
 import programs as P
 from cfattest import branch_filter, emulator
 from cfattest.attestation import ProgramPath, measure
-from cfattest.branch_filter import BranchEvent, detect_loops, filter_trace
+from cfattest.branch_filter import Branches, detect_loops, filter_trace
 from cfattest.emulator import AttackSpec, CycleLimitExceeded, run, trace_from_jsonl
 from cfattest.hash_engine import digest_pairs
-from cfattest.isa import parse_program
+from cfattest.isa import Kind, parse_program
 from cfattest.loop_monitor import MonitorConfig, fault_marker_session
 from genprog import gen_input, gen_program
 from loop_oracle import detect_loops_scan
@@ -79,8 +80,25 @@ def test_events_equal_observer_stream(name):
     trace = run(program, inp, attack, observer=seen.append)
     assert len(trace.events) == len(seen) == trace.cycles
     assert list(trace.events) == seen
-    assert [ev for ev in seen if ev.instr.is_control] == \
-        [emulator.TraceEvent(*rec) for rec in trace.control]
+
+
+# the kind character of each branch, spelled out independently of the emulator
+KIND_CHARACTERS = {Kind.DIRECT_JUMP: "j", Kind.LINKING_JUMP: "c", Kind.LINKING_INDIRECT_JUMP: "C",
+                   Kind.INDIRECT_JUMP: "i", Kind.RETURN: "r"}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_branch_columns_equal_observer_stream(name):
+    program, inp, attack = CASES[name]
+    seen = []
+    trace = run(program, inp, attack, observer=seen.append)
+    control = [ev for ev in seen if ev.instr.is_control]
+    assert trace.src == [ev.pc for ev in control]
+    assert trace.dest == [ev.next_pc for ev in control]
+    assert trace.branch_cycles == [ev.cycle for ev in control]
+    assert trace.kinds == "".join(
+        str(int(ev.taken)) if ev.instr.kind is Kind.COND_BRANCH else KIND_CHARACTERS[ev.instr.kind]
+        for ev in control)
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -104,12 +122,13 @@ def test_detect_loops_matches_all_loops_scan(name, max_depth):
 def test_detect_loops_leaves_its_input_alone():
     program, inp, _ = CASES["nested-4"]
     branches = filter_trace(run(program, inp))
-    by_hand = [BranchEvent(ev.src, ev.dest, ev.kind, ev.linking, ev.indirect, ev.cycle)
-               for ev in branches]
+    columns = (list(branches.src), list(branches.dest), branches.kinds, list(branches.cycle))
+    by_hand = Branches(*columns)
     first = list(detect_loops(branches))
     assert list(detect_loops(branches)) == first == list(detect_loops(by_hand))
     assert any(ev.loop_depth for tag, ev in first if tag == "branch")
-    assert all(ev.loop_depth == 0 for ev in list(branches) + by_hand)
+    assert all(ev.loop_depth == 0 for ev in list(branches) + list(by_hand))
+    assert (branches.src, branches.dest, branches.kinds, branches.cycle) == columns
 
 
 MONITOR_CONFIGS = {
