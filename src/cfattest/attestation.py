@@ -18,6 +18,7 @@ import os
 import struct
 import tempfile
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from cryptography.exceptions import InvalidSignature
@@ -100,11 +101,20 @@ class Report:
     nonce: bytes
     signature: bytes
 
+    @cached_property
+    def signed(self) -> bytes:
+        """The encoding of A, L and N: as signed or received, else built from the fields.
+
+        The prover and `from_json` store the bytes they signed or parsed; a
+        Report built by hand, or by `dataclasses.replace`, encodes its own fields.
+        """
+        return canonical_serialize(self.path, self.nonce)
+
     def to_json(self) -> dict:
         return {
             "program_id": self.program_id,
             "program_hash_hex": self.program_hash.hex(),
-            "signed_hex": canonical_serialize(self.path, self.nonce).hex(),
+            "signed_hex": self.signed.hex(),
             "sig_hex": self.signature.hex(),
         }
 
@@ -115,9 +125,12 @@ class Report:
             raise ProtocolError(f"report must have exactly the keys {sorted(REPORT_KEYS)}")
         if not all(isinstance(v, str) for v in d.values()):
             raise ProtocolError("report fields must be strings")
-        path, nonce = canonical_parse(bytes.fromhex(d["signed_hex"]))
-        return cls(d["program_id"], bytes.fromhex(d["program_hash_hex"]), path, nonce,
-                   bytes.fromhex(d["sig_hex"]))
+        signed = bytes.fromhex(d["signed_hex"])
+        path, nonce = canonical_parse(signed)
+        report = cls(d["program_id"], bytes.fromhex(d["program_hash_hex"]), path, nonce,
+                     bytes.fromhex(d["sig_hex"]))
+        report.__dict__["signed"] = signed  # the strict parser re-serialises it to these bytes
+        return report
 
 
 # --- keys --------------------------------------------------------------------
@@ -263,8 +276,10 @@ def prover_attest(
     trace = run(program, list(challenge.input), attack)
     path = measure(trace, config)
     h = program_hash(program)
-    sig = sign(h + canonical_serialize(path, challenge.nonce), sk_seed)
-    return Report(program.id, h, path, challenge.nonce, sig)
+    signed = canonical_serialize(path, challenge.nonce)
+    report = Report(program.id, h, path, challenge.nonce, sign(h + signed, sk_seed))
+    report.__dict__["signed"] = signed
+    return report
 
 
 # --- verifier -------------------------------------------------------------------
@@ -339,7 +354,9 @@ def decode_loop_path(
     the walk resumes at its exit node; but a static loop that never iterates
     in the whole run is not tracked dynamically and its header bit stays in
     the enclosing path.  The decoder cannot tell the two apart from the CFG
-    alone, so it accepts a path if either continuation decodes.
+    alone, so it accepts a path if either continuation decodes.  Pending
+    continuations wait on an explicit worklist, tried depth first under one
+    step budget, so a path past thousands of inner loops needs no recursion.
     """
     entries = cfg.loop_entries()
     if session.loop_entry not in entries:
@@ -347,26 +364,28 @@ def decode_loop_path(
     entry = session.loop_entry
     body_end = entries[entry]
     bits = pid.bits
-    budget = [_DECODE_STEP_CAP]
+    budget = _DECODE_STEP_CAP
+    # walks still to try, depth first: (addr, i, call_stack, started, no_skip_at)
+    todo: list[tuple[int, int, tuple[int, ...], bool, Optional[int]]] = [
+        (entry, 0, (), False, None)]
 
     def walk(addr: int, i: int, call_stack: tuple[int, ...],
-             started: bool, no_skip_at: Optional[int] = None) -> str:
+             started: bool, no_skip_at: Optional[int]) -> str:
+        nonlocal budget
         while True:
-            if budget[0] <= 0:
+            if budget <= 0:
                 return PATH_UNVERIFIABLE
-            budget[0] -= 1
+            budget -= 1
             if started and addr == entry:
                 return PATH_INVALID if i < len(bits) else PATH_VALID_CYCLE
             if not call_stack and started and not (entry <= addr <= body_end):
                 return PATH_INVALID if i < len(bits) else PATH_VALID_EXIT
             if addr != entry and addr != no_skip_at and addr in entries:
-                # inner loop was active: resume at its exit node
-                r1 = walk(entries[addr] + WORD, i, call_stack, started)
-                if _DECODE_RANK[r1] == 2:
-                    return r1
-                # inner loop never ran: decode its header bit here
-                r2 = walk(addr, i, call_stack, started, no_skip_at=addr)
-                return r1 if _DECODE_RANK[r1] >= _DECODE_RANK[r2] else r2
+                # inner loop was active: resume at its exit node; if that walk fails,
+                # the inner loop never ran: decode its header bit here
+                todo.append((addr, i, call_stack, started, addr))
+                addr, no_skip_at = entries[addr] + WORD, None
+                continue
             no_skip_at = None
             ins = program.instr_at(addr)
             if ins is None:
@@ -411,7 +430,14 @@ def decode_loop_path(
                     call_stack = call_stack + (ins.addr + WORD,)
                 addr = ins.target
 
-    return walk(entry, 0, (), False)
+    # the first valid walk decides; else the best failure (unverifiable over invalid)
+    result = PATH_INVALID
+    while todo:
+        status = walk(*todo.pop())
+        if _DECODE_RANK[status] == 2:
+            return status
+        result = max(result, status, key=_DECODE_RANK.get)
+    return result
 
 
 def check_loop_paths(
@@ -466,7 +492,7 @@ def verify(
     if nonce_store is not None and nonce_store.used(challenge.nonce):
         return VerifyResult(False, STALE_NONCE, (STALE_NONCE,))
     try:
-        signed = canonical_serialize(report.path, challenge.nonce)
+        signed = report.signed  # its nonce is the challenge's, checked above
     except ProtocolError:
         return VerifyResult(False, MALFORMED, (MALFORMED,))
     # H was checked above against the verifier's own hash of the program

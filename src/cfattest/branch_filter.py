@@ -1,16 +1,26 @@
-"""Branch filtering and runtime loop detection over the execution trace.
+"""Branch filtering and runtime loop detection over the branch record.
 
-`filter_trace` wraps the branch columns the emulator records (source,
-destination, kind character and cycle per branch, the kind alphabet defined
-next to the emulator's decode table) in `Branches`, whose `bits` holds each
-branch's loop-path bit ('0' not-taken conditional, '1' taken conditional or
-direct transfer, `INDIRECT` for an indirect transfer, coded by target).
+The emulator records only branches, one site character each plus the
+targets of indirect transfers (`emulator.Sites`), so `filter_trace` hands
+on the trace's `Branches`.  A branch's loop-path bit is '0' for a not-taken
+conditional, '1' for a taken conditional or direct transfer and `INDIRECT`
+for an indirect transfer, coded by target (`site_bits`).
 `detect_loops` classifies non-linking backward branches as loop backedges
 (link-register heuristic), tracks entry/iteration/exit per nesting depth and
 emits only loop marks, so its output grows with loop events, not branches.
 The loops enclosing an address come from a table built once per call, and
 the open loop entries are a dict, so its cost per branch does not grow with
-the number of loops.  The per-item views the tests read are rebuilt on demand.
+the number of loops.
+
+Most loop contexts are **flat**: no other discovered loop entry lies in the
+body [entry, backedge], and the body holds no call, return or indirect
+transfer.  While a flat context is innermost, every branch up to the first
+one whose static destination leaves the body stays in it, and an iteration
+ends after each branch whose destination is the entry.  So `detect_loops`
+finds that exit with one compiled character class over the site string and
+emits one `FLAT_RUN` mark for the branches before it, which the loop monitor
+splits at the backedges.  Every other context, and each exit branch, takes
+the per-branch step.
 
 Loop discovery is a separate first pass over the stream: the set of
 (entry, backedge) pairs a run exhibits is learned before annotation, so the
@@ -22,43 +32,17 @@ which a detect-on-first-backedge scheme would break for the first iteration.
 from __future__ import annotations
 
 import re
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
-from itertools import compress, count
 from math import inf
-from operator import gt
-from typing import Union
+from typing import NamedTuple, Optional
 
 from .isa import WORD
-from .emulator import (CALL, INDIRECT_CALL, INDIRECT_JUMP, JUMP, NOT_TAKEN, RETURN, TAKEN,
-                       Trace, View)
+from .emulator import (CALL, INDIRECT_CALL, INDIRECT_JUMP, JUMP, RETURN, TAKEN, Branches,
+                       Sites, Trace, char_class)
 
 DEFAULT_MAX_DEPTH = 3
-
-
-class BranchKind(Enum):
-    COND_TAKEN = "cond_taken"
-    COND_NOT_TAKEN = "cond_not_taken"
-    DIRECT_JUMP = "direct_jump"
-    INDIRECT_JUMP = "indirect_jump"
-    CALL = "call"
-    RETURN = "return"
-
-
-@dataclass
-class BranchEvent:
-    src: int
-    dest: int
-    kind: BranchKind
-    linking: bool
-    indirect: bool
-    cycle: int
-    loop_depth: int = 0  # 0 = not attributed to any loop
-
-    @property
-    def pair(self) -> tuple[int, int]:
-        return (self.src, self.dest)
 
 
 @dataclass
@@ -81,79 +65,87 @@ class LoopStatusKind(Enum):
     EXIT = "exit"
 
 
-@dataclass
-class LoopStatusEvent:
-    kind: LoopStatusKind
-    loop: LoopContext
-    at_cycle: int
+class FlatBody(NamedTuple):
+    """A flat loop body's sites."""
+    exits: re.Pattern   # a site whose static destination leaves [entry, backedge]
+    re_enter: str       # the sites whose destination is the entry
+    pieces: re.Pattern  # one iteration: up to and including a re-entering site
 
 
-StreamItem = tuple[str, Union[BranchEvent, LoopStatusEvent]]  # ("branch"|"loop", ev)
-Mark = tuple[int, LoopStatusKind, LoopContext, int]  # (position, status, context, cycle)
+# A mark at position p lies between branches p-1 and p: (p, status, context, the
+# branch it happened at).  A flat run is (p, FLAT_RUN, body, end): branches p..end-1
+# stay in the innermost loop, whose body is `body`.
+FLAT_RUN = "flat_run"
+Mark = tuple[int, object, object, int]
 
 INDIRECT = "x"
-_BRANCH_KIND = {NOT_TAKEN: BranchKind.COND_NOT_TAKEN, TAKEN: BranchKind.COND_TAKEN,
-                JUMP: BranchKind.DIRECT_JUMP, CALL: BranchKind.CALL, INDIRECT_CALL: BranchKind.CALL,
-                INDIRECT_JUMP: BranchKind.INDIRECT_JUMP, RETURN: BranchKind.RETURN}
 _LINKING = CALL + INDIRECT_CALL
-_INDIRECT_KINDS = INDIRECT_CALL + INDIRECT_JUMP + RETURN
 _CALL_OR_RETURN = _LINKING + RETURN
-_BITS = str.maketrans(JUMP + CALL + _INDIRECT_KINDS, TAKEN * 2 + INDIRECT * 3)
+_BITS = str.maketrans(JUMP + CALL + INDIRECT_CALL + INDIRECT_JUMP + RETURN,
+                      TAKEN * 2 + INDIRECT * 3)
 
 
-class Branches(View):
-    """A run's branches as columns; as a sequence, fresh BranchEvent objects."""
+def _derived(table: Sites, key, make):
+    """table.derived[key], made on first use: it lives as long as the program."""
+    value = table.derived.get(key)
+    if value is None:
+        value = table.derived[key] = make()
+    return value
 
-    def __init__(self, src: list[int], dest: list[int], kinds: str, cycle: list[int]):
-        self.src, self.dest, self.kinds, self.cycle = src, dest, kinds, cycle
-        self.bits = kinds.translate(_BITS)
 
-    def event(self, i: int, loop_depth: int = 0) -> BranchEvent:
-        k = self.kinds[i]
-        return BranchEvent(self.src[i], self.dest[i], _BRANCH_KIND[k], k in _LINKING,
-                           k in _INDIRECT_KINDS, self.cycle[i], loop_depth)
-
-    __getitem__ = event
-
-    def __len__(self) -> int:
-        return len(self.kinds)
+def site_bits(table: Sites) -> str:
+    """Each site's loop-path bit, by site number: a `str.translate` table for site strings."""
+    return _derived(table, "bits", lambda: table.kinds.translate(_BITS))
 
 
 def filter_trace(trace: Trace) -> Branches:
-    """The trace's control-flow events, in order, as columns."""
-    return Branches(trace.src, trace.dest, trace.kinds, trace.branch_cycles)
+    """The trace's control-flow events, in order."""
+    return trace.branches
 
 
 def _discover_loops(b: Branches) -> tuple[dict[int, int], dict[int, int]]:
     """First pass: entry -> largest backedge src, plus direct-recursion entries."""
-    # backward non-call, non-return branches, sorted: an entry's largest backedge comes last
-    backward = compress(zip(b.dest, b.src, b.kinds), map(gt, b.src, b.dest))
-    loops = dict(sorted({(d, s) for d, s, kind in backward if kind not in _CALL_OR_RETURN}))
+    site, target_at = b.table.site, b.target_at
+    # backward non-call, non-return branches: direct ones by site (one fast scan each),
+    # indirect jumps by target below
+    backward = {(dest, src) for c, (src, dest) in _derived(b.table, "backward", lambda: [
+        (c, (src, dest)) for c, (src, dest, kind) in site.items()
+        if dest is not None and dest < src and kind not in _CALL_OR_RETURN]) if c in b.sites}
     recursive: dict[int, int] = {}
     call_targets: list[int] = []
     open_calls: dict[int, int] = {}  # call_targets as counts
-    for m in re.finditer(f"[{_CALL_OR_RETURN}]", b.kinds):
-        if m.group() != RETURN:
-            src, dest = b.src[m.start()], b.dest[m.start()]
+    transfers = _derived(b.table, "transfers", lambda: char_class(
+        c for c, (_, _, kind) in b.table.site.items() if kind in _CALL_OR_RETURN + INDIRECT_JUMP))
+    for m in transfers.finditer(b.sites) if transfers else ():
+        src, dest, kind = site[m.group()]
+        if dest is None:
+            dest = target_at[m.start()]
+        if kind == INDIRECT_JUMP:
+            if dest < src:
+                backward.add((dest, src))
+        elif kind != RETURN:
             if open_calls.get(dest):
                 recursive[dest] = max(recursive.get(dest, 0), src)
             call_targets.append(dest)
             open_calls[dest] = open_calls.get(dest, 0) + 1
         elif call_targets:
             open_calls[call_targets.pop()] -= 1
-    return loops, recursive
+    return dict(sorted(backward)), recursive  # sorted: an entry's largest backedge comes last
 
 
-class _EnclosingLoops(dict):
+class _Loops(dict):
     """Address -> entries of the discovered loop bodies containing it, ascending.
 
     The body boundaries cut the address space into segments that each have
     one set of enclosing loops; the first lookup of an address bisects them,
-    later ones are a dict hit.
+    later ones are a dict hit.  A program's table keeps the last one, for the
+    next run that discovers the same loops.
     """
 
     def __init__(self, loops: dict[int, int]):
         super().__init__()
+        self.loops, self.entries = loops, sorted(loops)
+        self.flat: dict[int, Optional[tuple]] = {}
         ends: dict[int, list[int]] = {}
         for entry, backedge in loops.items():
             ends.setdefault(backedge + 1, []).append(entry)
@@ -171,86 +163,105 @@ class _EnclosingLoops(dict):
         found = self[addr] = self._segments[i - 1] if i else ()
         return found
 
+    def flat_scope(self, table: Sites, lo: int) -> Optional[tuple[FlatBody, tuple[int, ...]]]:
+        """A flat loop's body and the other loops enclosing its entry; None if not flat.
 
-class LoopMarks(View):
-    """`detect_loops` output: branch columns and loop marks, degraded contexts included.
+        The body's sites are a range of site numbers, as sites are in address order.
+        """
+        if lo not in self.flat:
+            hi, k = self.loops[lo], bisect_right(self.entries, lo)
+            body = [(c, *table.site[c][1:]) for c in map(chr, range(
+                bisect_left(table.srcs, lo), bisect_right(table.srcs, hi)))]
+            re_enter = "".join(c for c, dest, _ in body if dest == lo)
+            chars = re.escape(re_enter)
+            self.flat[lo] = (
+                re_enter and (k == len(self.entries) or self.entries[k] > hi)
+                and not any(kind in _CALL_OR_RETURN + INDIRECT_JUMP for _, _, kind in body)
+                and (FlatBody(char_class(c for c, dest, _ in body if not lo <= dest <= hi),
+                              re_enter, re.compile(f"[^{chars}]*[{chars}]")),
+                     tuple(e for e in self[lo] if e != lo)))
+        return self.flat[lo] or None
 
-    A mark at position p lies between branches p-1 and p.  As a sequence, the
-    annotated stream: non-degraded status events, BranchEvent copies with depths.
-    """
 
-    def __init__(self, branches: Branches, marks: list[Mark]):
-        self.branches, self.marks = branches, marks
-
-    def __iter__(self):
-        b, pos, open_ = self.branches, 0, []
-        for p, kind, ctx, cycle in self.marks + [(len(b), None, None, 0)]:
-            depth = open_[-1].depth if open_ and not open_[-1].degraded else 0
-            yield from (("branch", b.event(i, depth)) for i in range(pos, p))
-            pos = p
-            if kind is LoopStatusKind.ENTER:
-                open_.append(ctx)
-            elif kind is LoopStatusKind.EXIT:
-                open_.pop()
-            if ctx is not None and not ctx.degraded:
-                yield ("loop", LoopStatusEvent(kind, ctx, cycle))
-
-    def __len__(self) -> int:
-        return len(self.branches) + sum(not ctx.degraded for _, _, ctx, _ in self.marks)
+class LoopMarks(NamedTuple):
+    """`detect_loops` output: the branches and their loop marks, degraded contexts included."""
+    branches: Branches
+    marks: list[Mark]
 
 
 def detect_loops(b: Branches, max_depth: int = DEFAULT_MAX_DEPTH) -> LoopMarks:
     """Mark loop entries, iterations and exits in the branch stream."""
     loops, recursive = _discover_loops(b)
-    enclosing = _EnclosingLoops(loops)
+    enclosing = b.table.derived.get("loops")
+    if enclosing is None or enclosing.loops != loops:
+        enclosing = b.table.derived["loops"] = _Loops(loops)
+    sites, site, target_at, n = b.sites, b.table.site, b.target_at, len(b)
     marks: list[Mark] = []
     stack: list[LoopContext] = []
     open_at: dict[int, LoopContext] = {}  # entry -> its context; no entry is open twice
     # per open context, where control stays in it: at call depth `within` or deeper and, at
-    # `within`, in [lo, hi] (a recursion context spans all); the bottom one is never left
-    scopes: list[tuple[int, float, float]] = [(-1, -1, -1)]
+    # `within`, in [lo, hi] (a recursion context spans all); the bottom one is never left.
+    # A flat context adds its body and the other loops enclosing its entry.
+    scopes: list[tuple[int, float, float, Optional[tuple]]] = [(-1, -1, -1, None)]
     call_depth = 0
     call_targets: list[int] = []
     open_calls: dict[int, int] = {}  # call_targets as counts
     ENTER, ITERATION, EXIT = LoopStatusKind
 
-    def open_ctx(entry: int, backedge: int, rec: bool, pos: int, cycle: int):
+    def open_ctx(entry: int, backedge: int, rec: bool, pos: int, branch: int):
         depth = len(stack) + 1
         degraded = depth > max_depth or (bool(stack) and stack[-1].degraded)
         ctx = LoopContext(entry, backedge, backedge + WORD, depth, call_depth, rec, degraded)
         stack.append(ctx)
         open_at[entry] = ctx
-        scopes.append((call_depth, -1, inf) if rec else (call_depth, entry, backedge))
-        marks.append((pos, ENTER, ctx, cycle))
+        scopes.append((call_depth, -1, inf, None) if rec else
+                      (call_depth, entry, backedge, enclosing.flat_scope(b.table, entry)))
+        marks.append((pos, ENTER, ctx, branch))
         return scopes[-1]
 
-    def close_ctx(pos: int, cycle: int):
+    def close_ctx(pos: int, branch: int):
         ctx = stack.pop()
         del open_at[ctx.entry_addr]
         scopes.pop()
-        marks.append((pos, EXIT, ctx, cycle))
+        marks.append((pos, EXIT, ctx, branch))
         return scopes[-1]
 
-    within, lo, hi = scopes[-1]
-    for i, src, dest, kind, cycle in zip(count(), b.src, b.dest, b.kinds, b.cycle):
-        linking = kind in _LINKING
+    within, lo, hi, flat = scopes[-1]
+    i = 0
+    while i < n:
+        src, dest, kind = site[sites[i]]
+        if dest is None:
+            dest = target_at[i]
         # control left open loops before this branch (fallthrough past the body)
         while call_depth < within or (call_depth == within and not lo <= src <= hi):
-            within, lo, hi = close_ctx(i, cycle)
+            within, lo, hi, flat = close_ctx(i, i)
 
         # fallthrough arrival: control is inside known loop bodies with no context open
         for entry in enclosing[src]:
             if entry not in open_at:
-                within, lo, hi = open_ctx(entry, loops[entry], False, i, cycle)
+                within, lo, hi, flat = open_ctx(entry, loops[entry], False, i, i)
 
+        # control is in a flat innermost loop: it stays there up to the first exit site,
+        # which takes the rest of this step
+        if flat is not None and all(map(open_at.__contains__, flat[1])):
+            m = flat[0].exits and flat[0].exits.search(sites, i)
+            end = m.start() if m else n
+            if end > i and not stack[-1].degraded:
+                marks.append((i, FLAT_RUN, flat[0], end))
+            if end == n:
+                break
+            i = end
+            src, dest, kind = site[sites[i]]  # a body site: its destination is static
+
+        linking = kind in _LINKING
         # direct recursion opens (or iterates) a loop context at the callee entry;
         # the branch belongs to the innermost context open before it
         if linking and dest in recursive and open_calls.get(dest):
             ctx = open_at.get(dest)
             if ctx is None:
-                within, lo, hi = open_ctx(dest, recursive[dest], True, i, cycle)
+                within, lo, hi, flat = open_ctx(dest, recursive[dest], True, i, i)
             elif ctx.recursive and not ctx.degraded:
-                marks.append((i + 1, ITERATION, ctx, cycle))
+                marks.append((i + 1, ITERATION, ctx, i))
 
         # call-depth bookkeeping
         if linking:
@@ -264,17 +275,18 @@ def detect_loops(b: Branches, max_depth: int = DEFAULT_MAX_DEPTH) -> LoopMarks:
 
         # this branch's destination closes loops it lands outside of
         while call_depth < within or (call_depth == within and not lo <= dest <= hi):
-            within, lo, hi = close_ctx(i + 1, cycle)
+            within, lo, hi, flat = close_ctx(i + 1, i)
 
         if not linking:
             if dest == lo:
                 # backedge (or continue) re-entering the entry node
                 if not stack[-1].degraded:
-                    marks.append((i + 1, ITERATION, stack[-1], cycle))
+                    marks.append((i + 1, ITERATION, stack[-1], i))
             elif dest in loops and dest not in open_at:
                 # arrival branch from outside; the branch itself is not part of the loop
-                within, lo, hi = open_ctx(dest, loops[dest], False, i + 1, cycle)
+                within, lo, hi, flat = open_ctx(dest, loops[dest], False, i + 1, i)
+        i += 1
 
     while stack:  # implicit exits at end of trace
-        close_ctx(len(b), b.cycle[-1])
+        close_ctx(n, n - 1)
     return LoopMarks(b, marks)

@@ -1,21 +1,26 @@
 """Deterministic interpreter recording the branches of a run, with attack hooks.
 
-One instruction retires per cycle.  A run records only its branches, as
-columns (source, destination, kind character, cycle), plus the count of
-retired cycles: every other cycle advances the pc by one word, so the
-per-cycle stream (`Trace.events`) is rebuilt from the columns on demand, and
-the `observer` hook still sees every cycle as it retires.  Instructions are
-decoded into handler tuples, branch kind character included, once per
-`Program` object, at its first run.
+One instruction retires per cycle.  A run records only its branches, in the
+layout of Intel PT's TNT/TIP packets: one **site character** per branch,
+naming its (instruction, taken) pair in the program's `Sites` table, plus the
+target of each indirect transfer.  The handler tuples, decoded once per
+`Program` object at its first run, carry the site characters, so recording a
+branch is one append.  Every other cycle advances the pc by one word, so the
+branch columns (source, destination, kind character, cycle) and the
+per-cycle stream (`Trace.events`) are derived from the record on demand,
+while the `observer` hook still sees every cycle as it retires.
 Attack injection mutates writable state only (registers, link register, data
 memory); program text is immutable.
 """
 from __future__ import annotations
 
 import json
+import re
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
+from operator import sub
 from typing import Callable, Optional
 
 from .isa import WORD, Kind, Instruction, Program
@@ -83,19 +88,29 @@ class AttackSpec:
 
 @dataclass
 class Trace:
-    """One run: its branches as columns and the number of retired cycles.
+    """One run: its branch record and the number of retired cycles.
 
-    Branch i went from src[i] to dest[i] at cycle branch_cycles[i], of kind kinds[i].
+    The record is one site character per branch (`Sites`) plus the target of
+    each indirect transfer, in order.  `branches` reads it through the
+    program's site table; branch i went from src[i] to dest[i] at cycle
+    branch_cycles[i], of kind kinds[i].
     """
     program_id: str
     input: list[int]
     program: Program
-    src: list[int]
-    dest: list[int]
-    kinds: str
-    branch_cycles: list[int]
+    sites: str
+    targets: list[int]
     cycles: int
     fault: Optional[str] = None
+
+    @cached_property
+    def branches(self) -> "Branches":
+        return Branches(self.sites, self.targets, site_table(self.program))
+
+    src = property(lambda self: self.branches.src)
+    dest = property(lambda self: self.branches.dest)
+    kinds = property(lambda self: self.branches.kinds)
+    branch_cycles = property(lambda self: self.branches.cycle)
 
     @cached_property
     def events(self) -> "TraceEvents":
@@ -110,20 +125,94 @@ class Trace:
         return "\n".join(lines) + "\n"
 
 
-class View(Sequence):
-    """Read-only sequence rebuilt from a compact record; equal to a list of its items."""
-
-    def __getitem__(self, i):
-        return list(self)[i]
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, (list, tuple, View)):
-            return list(self) == list(other)
-        return NotImplemented
+def char_class(chars) -> Optional[re.Pattern]:
+    """A pattern matching any one of the given characters; None if there are none."""
+    chars = "".join(map(re.escape, chars))
+    return re.compile(f"[{chars}]") if chars else None
 
 
-class TraceEvents(View):
-    """Per-cycle view of a Trace.
+class Sites:
+    """A program's branch sites: each (instruction, taken) pair that transfers control.
+
+    Site n is the character chr(n), given as (Src, Dest, kind character), in
+    address order; Dest is None for an indirect transfer, whose target only
+    the run knows.
+    `pair` gives a site's (Src, Dest); `srcs` the Src and `kinds` the kind
+    character by site number, the latter a `str.translate` table.
+    """
+
+    def __init__(self, entry: int, ends: list[tuple[int, Optional[int], str]]):
+        self.entry = entry
+        self.site = {chr(n): end for n, end in enumerate(ends)}
+        self.srcs = [src for src, _, _ in ends]
+        self.pair = {c: (src, dest) for c, (src, dest, _) in self.site.items()}
+        self.kinds = "".join(kind for _, _, kind in ends)
+        self.indirect = char_class(c for c, (_, dest) in self.pair.items() if dest is None)
+        self.derived: dict = {}  # values the loop detection derives from the table
+
+    @classmethod
+    def of(cls, program: Program) -> "Sites":
+        """A conditional has two sites, not taken then taken; any other transfer one."""
+        ends = []
+        for ins in program.instructions:
+            if ins.kind is Kind.COND_BRANCH:
+                ends += [(ins.addr, ins.addr + WORD, NOT_TAKEN), (ins.addr, ins.target, TAKEN)]
+            elif ins.is_control:
+                ends.append((ins.addr, None if ins.indirect else ins.target,
+                             _KIND_OPS[ins.kind][1]))
+        return cls(program.entry_point, ends)
+
+
+class Branches:
+    """A run's branches: its site string and indirect targets, read through a `Sites`.
+
+    The columns src, dest, kinds and cycle are derived on first use, by table
+    lookups, the targets in order and a prefix sum: between one branch's
+    destination and the next branch, the pc advances one word per cycle.
+    """
+
+    def __init__(self, sites: str, targets: list[int], table: Sites):
+        self.sites, self.targets, self.table = sites, targets, table
+
+    def __len__(self) -> int:
+        return len(self.sites)
+
+    @cached_property
+    def target_at(self) -> dict[int, int]:
+        """Position -> target of each indirect transfer."""
+        if not self.targets:
+            return {}
+        at = (m.start() for m in self.table.indirect.finditer(self.sites))
+        return dict(zip(at, self.targets))
+
+    def pairs(self, i: int, j: int) -> list[tuple[int, int]]:
+        """(Src, Dest) of branches i..j-1."""
+        pairs = list(map(self.table.pair.__getitem__, self.sites[i:j]))
+        if not self.targets or self.table.indirect.search(self.sites, i, j) is None:
+            return pairs
+        at = self.target_at
+        return [(s, at[k] if d is None else d) for k, (s, d) in enumerate(pairs, i)]
+
+    @cached_property
+    def src(self) -> list[int]:
+        return [s for s, _ in map(self.table.pair.__getitem__, self.sites)]
+
+    @cached_property
+    def dest(self) -> list[int]:
+        return [d for _, d in self.pairs(0, len(self))]
+
+    @cached_property
+    def kinds(self) -> str:
+        return self.sites.translate(self.table.kinds)
+
+    @cached_property
+    def cycle(self) -> list[int]:
+        words = accumulate(map(sub, self.src, [self.table.entry] + self.dest))
+        return [i + w // WORD for i, w in enumerate(words)]
+
+
+class TraceEvents(Sequence):
+    """Per-cycle view of a Trace, equal to the list of its TraceEvents.
 
     Its length is the trace's cycle count.  The TraceEvent objects are built
     from the branch columns at the first item access: between two branches
@@ -154,6 +243,11 @@ class TraceEvents(View):
     def __iter__(self):
         return iter(self._built)
 
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (list, tuple, TraceEvents)):
+            return list(self) == list(other)
+        return NotImplemented
+
 
 def trace_from_jsonl(text: str, program: Program) -> Trace:
     """Rebuild a Trace from its JSONL form, resolving instructions via program.
@@ -162,8 +256,8 @@ def trace_from_jsonl(text: str, program: Program) -> Trace:
     events must be one contiguous run from the program's entry point.  Any
     other text raises EmulatorError.
     """
-    code = _decoded(program)
-    src, dest, kinds, at = [], [], [], []  # the Trace columns; kinds joined at the end
+    code, table = _decoded(program), site_table(program)
+    sites, targets = [], []  # the Trace record; sites joined at the end
     pc = program.entry_point
     try:
         lines = [json.loads(l) for l in text.splitlines() if l.strip()]
@@ -175,20 +269,22 @@ def trace_from_jsonl(text: str, program: Program) -> Trace:
                 raise EmulatorError(f"trace is not a contiguous run at cycle {cycle}")
             if pc not in code or code[pc][5].mnemonic != d["mnemonic"]:
                 raise EmulatorError(f"trace does not match program at pc 0x{pc:x}")
-            kind, ins = code[pc][4:]
+            site, ins = code[pc][4:]
             taken, next_pc = d["taken"], int(d["next_pc"], 16)
-            if kind is not None:
+            if site is not None:
                 if isinstance(taken, bool) != (ins.kind is Kind.COND_BRANCH):
                     raise EmulatorError(f"taken flag does not fit {ins.mnemonic} at cycle {cycle}")
-                src.append(pc)
-                dest.append(next_pc)
-                kinds.append(kind[taken] if taken is not None else kind)
-                at.append(cycle)
+                site = site[taken] if taken is not None else site
+                if table.pair[site][1] is None:
+                    targets.append(next_pc)
+                elif table.pair[site][1] != next_pc:
+                    raise EmulatorError(f"trace does not match program at pc 0x{pc:x}")
+                sites.append(site)
             elif (taken, next_pc) != (None, pc if ins.kind is Kind.HALT else pc + WORD):
                 raise EmulatorError(f"trace is not a contiguous run at cycle {cycle}")
             pc = next_pc
-        return Trace(head["program_id"], head["input"], program, src, dest, "".join(kinds),
-                     at, len(lines) - 2, tail["fault"])
+        return Trace(head["program_id"], head["input"], program, "".join(sites), targets,
+                     len(lines) - 2, tail["fault"])
     except (ValueError, KeyError, TypeError) as e:  # bad JSON, missing key, wrong type
         raise EmulatorError(f"malformed trace: {e!r}") from None
 
@@ -217,8 +313,8 @@ def inject(attack: AttackSpec, regs: list[int], ra: int, data_mem: list[int]) ->
  _BEQ, _BNE, _BLT, _J, _JAL, _JR, _JALR, _RET, _HALT) = range(17)
 _ALU_OPS = {"add": _ADD, "sub": _SUB, "addi": _ADDI, "li": _LI, "mv": _MV}
 _COND_OPS = {"beq": _BEQ, "bne": _BNE}  # any other conditional compares with blt
-# The kind character of each recorded branch (Trace.kinds): a conditional's
-# taken bit, or one letter per kind of unconditional transfer.
+# The kind character of each branch site (Sites.kinds, Trace.kinds): a
+# conditional's taken bit, or one letter per kind of unconditional transfer.
 NOT_TAKEN, TAKEN, JUMP, CALL, INDIRECT_CALL, INDIRECT_JUMP, RETURN = "01jcCir"
 _KIND_OPS = {  # instruction kind -> (handler, kind character)
     Kind.LOAD: (_LD, None), Kind.STORE: (_ST, None), Kind.DIRECT_JUMP: (_J, JUMP),
@@ -226,10 +322,10 @@ _KIND_OPS = {  # instruction kind -> (handler, kind character)
     Kind.LINKING_INDIRECT_JUMP: (_JALR, INDIRECT_CALL), Kind.RETURN: (_RET, RETURN),
     Kind.HALT: (_HALT, None)}
 
-# (handler, x, y, z, kind, instruction); x, y, z are the operands the handler reads:
+# (handler, x, y, z, site, instruction); x, y, z are the operands the handler reads:
 # rd/rs1/rs2 or rd/rs1/imm for ALU ops, rd/rs1/imm for memory, rs1/rs2/target for
-# conditionals, the target for direct jumps, rs1 for indirect ones.  kind is a branch's
-# kind character (NOT_TAKEN + TAKEN, indexed by the taken bit, for a conditional).
+# conditionals, the target for direct jumps, rs1 for indirect ones.  site is a branch's
+# site character (both, indexed by the taken bit, for a conditional).
 Decoded = tuple[int, Optional[int], Optional[int], Optional[int], Optional[str], Instruction]
 
 
@@ -237,34 +333,43 @@ def _signed(v: int) -> int:
     return v - (1 << 32) if v & 0x8000_0000 else v
 
 
-def _decode(ins: Instruction) -> Decoded:
+def _decode(ins: Instruction, site: Optional[str]) -> Decoded:
     if ins.kind is Kind.ALU:
         op = _ALU_OPS.get(ins.mnemonic, _NOP)
         if op in (_ADD, _SUB):
             return (op, ins.rd, ins.rs1, ins.rs2, None, ins)
         return (op, ins.rd, ins.rs1, ins.imm, None, ins)
     if ins.kind is Kind.COND_BRANCH:
-        return (_COND_OPS.get(ins.mnemonic, _BLT), ins.rs1, ins.rs2, ins.target,
-                NOT_TAKEN + TAKEN, ins)
-    op, kind = _KIND_OPS[ins.kind]
+        return (_COND_OPS.get(ins.mnemonic, _BLT), ins.rs1, ins.rs2, ins.target, site, ins)
+    op = _KIND_OPS[ins.kind][0]
     if op in (_LD, _ST):
         return (op, ins.rd, ins.rs1, ins.imm, None, ins)
     if op in (_J, _JAL):
-        return (op, ins.target, None, None, kind, ins)
-    return (op, ins.rs1, None, None, kind, ins)
+        return (op, ins.target, None, None, site, ins)
+    return (op, ins.rs1, None, None, site, ins)
 
 
 def _decoded(program: Program) -> dict[int, Decoded]:
-    """Handler tuples by address, built once per Program object.
+    """Handler tuples by address, built once per Program object with its `Sites`.
 
-    The table is kept on the program object itself, so it lives exactly as
+    The tables are kept on the program object itself, so they live exactly as
     long as the program; Program is frozen, hence the write to __dict__.
     """
     table = program.__dict__.get("_decoded")
     if table is None:
-        table = {ins.addr: _decode(ins) for ins in program.instructions}
+        sites = program.__dict__["_sites"] = Sites.of(program)
+        chars: dict[int, str] = {}  # address -> its site characters
+        for c, (src, _, _) in sites.site.items():
+            chars[src] = chars.get(src, "") + c
+        table = {ins.addr: _decode(ins, chars.get(ins.addr)) for ins in program.instructions}
         program.__dict__["_decoded"] = table
     return table
+
+
+def site_table(program: Program) -> Sites:
+    """The program's branch sites, built with its handler tuples."""
+    _decoded(program)
+    return program.__dict__["_sites"]
 
 
 def run(
@@ -287,7 +392,7 @@ def run(
     regs = [0] * 16
     ra = 0
     code = _decoded(program)
-    src, dest, kinds, at = [], [], [], []  # the Trace columns; kinds joined at the end
+    sites, targets = [], []  # the Trace record; sites joined at the end
     fault: Optional[str] = None
     pc = program.entry_point
     cycle = 0
@@ -300,7 +405,7 @@ def run(
         # an invalid pc faults before the cap check: it belongs to the
         # instruction that jumped there, which has already retired
         try:
-            op, x, y, z, kind, ins = code[pc]
+            op, x, y, z, site, ins = code[pc]
         except KeyError:
             fault = f"pc-out-of-range:0x{pc:x}"
             break
@@ -346,7 +451,7 @@ def run(
             taken = _signed(regs[x]) < _signed(regs[y])
         if taken is not None:
             next_pc = z if taken else pc + WORD
-            kind = kind[taken]
+            site = site[taken]
         elif op == _J:
             next_pc = x
         elif op == _JAL:
@@ -354,24 +459,23 @@ def run(
             next_pc = x
         elif op == _JR:
             next_pc = regs[x]
+            targets.append(next_pc)
         elif op == _JALR:
             ra = pc + WORD
             next_pc = regs[x]
+            targets.append(next_pc)
         elif op == _RET:
             next_pc = ra
+            targets.append(next_pc)
         else:  # halt
             if observer is not None:
                 observer(TraceEvent(cycle, pc, ins, None, pc))
             cycle += 1
             break
-        src.append(pc)
-        dest.append(next_pc)
-        kinds.append(kind)
-        at.append(cycle)
+        sites.append(site)
         if observer is not None:
             observer(TraceEvent(cycle, pc, ins, taken, next_pc))
         pc = next_pc
         cycle += 1
 
-    return Trace(program.id, list(input_words), program, src, dest, "".join(kinds), at,
-                 cycle, fault)
+    return Trace(program.id, list(input_words), program, "".join(sites), targets, cycle, fault)

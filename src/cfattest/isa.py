@@ -326,6 +326,13 @@ class Cfg:
 
 
 def build_cfg(p: Program) -> Cfg:
+    """The program's CFG, built once per Program object (a failed build is not kept)."""
+    if "_cfg" not in p.__dict__:  # kept on the frozen object, as its hash and decode table are
+        p.__dict__["_cfg"] = _partition(p)
+    return p.__dict__["_cfg"]
+
+
+def _partition(p: Program) -> Cfg:
     """Partition a program into basic blocks and collect static edges.
 
     static_loops holds exactly the targets of non-linking backward branches;

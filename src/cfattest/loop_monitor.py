@@ -7,16 +7,25 @@ assigned to their runtime target in first-seen order.  A path is hashed only
 the first time it completes; afterwards only its counter moves.
 
 The branches between two loop marks all belong to one loop (or none), so
-each such run is encoded in one step: its slice of `Branches.bits` extends
-the path, and its (Src, Dest) pairs stay an index range until they are
-hashed.  Only indirect transfers are coded one at a time.
+each such run is encoded in one step: its site string, translated to bits
+(`site_bits`), extends the path, and its (Src, Dest) pairs stay an index
+range until they are hashed.  Only indirect transfers are coded one at a
+time.  A flat run (`FLAT_RUN`) is the slice of the site string a flat loop
+keeps, from where the context opens: split after each site re-entering the
+entry, its pieces are the iterations, and the last one may stay open.
+`Counter` over the pieces gives their paths and counts in first-occurrence
+order, and a new path's pairs come from its piece's sites.  A piece longer
+than the path width is hashed at every occurrence, so only then are the
+pieces walked one by one.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Optional
 
-from .branch_filter import INDIRECT, LoopMarks, LoopStatusKind
+from .branch_filter import FLAT_RUN, INDIRECT, FlatBody, LoopMarks, LoopStatusKind, site_bits
 
 FAULT_MARKER_ENTRY = 0xFFFF_FFFF
 PARENT_NONE = 0xFFFF_FFFF
@@ -109,16 +118,17 @@ def memory_bits(path_width: int, depth: int) -> int:
 
 
 class _SessionState:
+    __slots__ = ("entry", "depth", "parent", "counts", "partial", "buffer", "targets",
+                 "path_overflow", "iter_overflowed")
+
     def __init__(self, entry: int, depth: int, parent: Optional[int]):
         self.entry = entry
         self.depth = depth
         self.parent = parent
-        self.counts: dict[str, int] = {}
-        self.order: list[str] = []
+        self.counts: dict[str, int] = {}        # path -> count, first-occurrence order
         self.partial = ""                       # bits of the in-flight traversal
         self.buffer: list[tuple[int, int]] = []  # branch index ranges of the traversal
-        self.target_codes: dict[int, int] = {}
-        self.targets: list[int] = []
+        self.targets: dict[int, int] = {}        # indirect target -> code, first-seen order
         self.path_overflow = False
         self.iter_overflowed = False
 
@@ -132,23 +142,18 @@ class LoopMonitor:
         self.sessions: list[Optional[LoopSession]] = []
 
     def _indirect_code(self, s: _SessionState, target: int) -> int:
-        code = s.target_codes.get(target)
-        if code is not None:
-            return code
-        if len(s.targets) < self.config.max_indirect_targets:
-            s.targets.append(target)
-            code = len(s.targets)
-            s.target_codes[target] = code
-            return code
-        return 0  # overflow code, target not representable
+        code = s.targets.get(target)
+        if code is None and len(s.targets) < self.config.max_indirect_targets:
+            code = s.targets[target] = len(s.targets) + 1
+        return code or 0  # 0 is the overflow code: target not representable
 
     def _hash(self, i: int, j: int) -> None:
         """Send the (Src, Dest) pairs of branches i..j-1 to the hash engine."""
-        self.stream.extend(zip(self._src[i:j], self._dest[i:j]))
+        self.stream.extend(self._branches.pairs(i, j))
 
     def _end_traversal(self, s: _SessionState, hashed: bool) -> None:
         for i, j in s.buffer if hashed else ():
-            self._hash(i, j)
+            self.stream.extend(self._branches.pairs(i, j))
         s.partial, s.buffer = "", []
 
     def _encode_run(self, s: _SessionState, i: int, j: int) -> None:
@@ -156,7 +161,7 @@ class LoopMonitor:
         if s.iter_overflowed:
             self._hash(i, j)
             return
-        bits = self._bits[i:j]
+        bits = self._sites[i:j].translate(self._bits)
         path = s.partial + bits
         if INDIRECT in bits:
             # code the indirect transfers in order, up to the first one past the width
@@ -166,7 +171,7 @@ class LoopMonitor:
                 k += len(direct)
                 if len(path) > self.config.path_width or k == j:
                     break
-                path += f"{self._indirect_code(s, self._dest[k]):0{self.config.n}b}"
+                path += f"{self._indirect_code(s, self._target_at[k]):0{self.config.n}b}"
                 k += 1
         s.buffer.append((i, j))
         if len(path) > self.config.path_width:
@@ -176,30 +181,59 @@ class LoopMonitor:
         else:
             s.partial = path
 
+    def _count_iterations(self, s: _SessionState, body: FlatBody, i: int, j: int) -> None:
+        """Add branches i..j-1, a flat run of the innermost loop, to its session."""
+        text, end = self._sites[i:j], body.re_enter
+        if len(end) == 1:  # one re-entering site ends every piece: split at it
+            *pieces, tail = text.split(end)
+        else:
+            pieces, end = body.pieces.findall(text), ""
+            tail = text[sum(map(len, pieces)):]
+        # pieces are the complete iterations, less their last site `end`; a flat run
+        # starts where its context opens, so the first one starts a traversal too
+        assert not (s.partial or s.iter_overflowed or s.counts)
+        distinct = dict.fromkeys(pieces)  # often all iterations take one path: no Counter
+        counts = Counter(pieces) if len(distinct) > 1 else dict.fromkeys(distinct, len(pieces))
+        width = self.config.path_width
+        overflow = max(map(len, distinct), default=0) + len(end) > width
+        for piece, count in zip(pieces, repeat(1)) if overflow else counts.items():
+            piece += end
+            if len(piece) > width:  # hashed at every occurrence
+                s.path_overflow = True
+                self.stream.extend(map(self._pair.__getitem__, piece))
+                continue
+            path = piece.translate(self._bits)
+            seen = s.counts.get(path, 0)
+            if not seen:  # first execution of this path: its pairs go to the hash engine
+                self.stream.extend(map(self._pair.__getitem__, piece))
+            s.counts[path] = seen + count
+        if tail:
+            self._encode_run(s, j - len(tail), j)
+
     def close_path(self, s: _SessionState) -> None:
         if s.iter_overflowed:
             s.iter_overflowed = False
         elif s.partial:
             count = s.counts.get(s.partial, 0)
-            if count == 0:  # first execution of this path: its pairs go to the hash engine
-                s.order.append(s.partial)
             s.counts[s.partial] = count + 1
+            # first execution of this path: its pairs go to the hash engine
             self._end_traversal(s, hashed=count == 0)
 
     def finalize_session(self, idx: int, s: _SessionState) -> None:
         self.close_path(s)
         self.sessions[idx] = LoopSession(s.entry, s.depth, s.parent,
-                                         [(PathId(k), s.counts[k]) for k in s.order],
+                                         [(PathId(k), c) for k, c in s.counts.items()],
                                          list(s.targets), s.path_overflow)
 
     def process(self, annotated: LoopMarks) -> tuple[list[tuple[int, int]], list[LoopSession]]:
         """Encode each run of branches between two loop marks in one step."""
-        b = annotated.branches
-        self._src, self._dest, self._bits = b.src, b.dest, b.bits
+        b = self._branches = annotated.branches
+        self._sites, self._target_at, self._pair = b.sites, b.target_at, b.table.pair
+        self._bits = site_bits(b.table)
         # one entry per open loop context: (session index, state), None if degraded
         open_: list[Optional[tuple[int, _SessionState]]] = []
         pos = 0
-        for p, kind, ctx, _cycle in annotated.marks + [(len(b), None, None, 0)]:
+        for p, kind, ctx, arg in annotated.marks + [(len(b), None, None, 0)]:
             if p > pos:
                 if open_ and open_[-1] is not None:
                     self._encode_run(open_[-1][1], pos, p)
@@ -219,5 +253,8 @@ class LoopMonitor:
                 session = open_.pop()
                 if session is not None:
                     self.finalize_session(*session)
+            elif kind == FLAT_RUN:  # ctx is the flat body, arg the end of the run
+                self._count_iterations(open_[-1][1], ctx, p, arg)
+                pos = arg
         assert not open_ and all(s is not None for s in self.sessions)
         return self.stream, list(self.sessions)

@@ -235,6 +235,117 @@ done:
     halt
 """
 
+# a `continue` re-enters the entry from mid-body: two sites end an iteration
+CONTINUE_LOOP = """
+main:
+    ld r2, [r0+0]
+    li r1, 0
+loop:
+    beq r1, r2, done
+    addi r1, r1, 1
+    add r5, r1, r0
+    ld r3, [r5+0]       # nonzero: continue
+    bne r3, r0, loop
+    addi r4, r4, 1
+    j loop
+done:
+    halt
+"""
+
+# inside loop O, loop A's exit branch lands on loop B's entry: one branch
+# exits one loop and enters another
+EXIT_ONTO_ENTRY = """
+main:
+    ld r2, [r0+0]
+    li r7, 0
+O:
+    li r1, 0
+    li r6, 0
+A:
+    beq r1, r2, B
+    addi r1, r1, 1
+    j A
+B:
+    beq r6, r2, N
+    addi r6, r6, 1
+    j B
+N:
+    addi r7, r7, 1
+    bne r7, r2, O
+    halt
+"""
+
+# the run halts inside the loop body, before its backedge
+HALT_IN_LOOP = """
+main:
+    ld r2, [r0+0]
+    li r1, 0
+L:
+    addi r1, r1, 1
+    bne r1, r2, C
+    halt
+C:
+    j L
+"""
+
+# a loop with no exit branch: its third iteration loads past data memory
+FAULT_IN_LOOP = """
+main:
+    li r1, 0
+L:
+    addi r1, r1, 1
+    addi r5, r5, 2000
+    ld r3, [r5+0]
+    j L
+    halt
+"""
+
+# a zero selector takes a 3-bit path, a nonzero one a 19-bit path (past the
+# default path width of 16)
+LONG_AND_SHORT_PATHS = """
+main:
+    ld r2, [r0+0]
+    li r1, 0
+loop:
+    beq r1, r2, done
+    addi r1, r1, 1
+    add r5, r1, r0
+    ld r3, [r5+0]
+""" + "    beq r3, r0, short\n" * 17 + """short:
+    j loop
+done:
+    halt
+"""
+
+
+# control enters loop L past loop P's backedge, which lies inside L's body:
+# P opens above L when a later branch of L falls inside P
+ENTERED_PAST_OVERLAP = """
+main:
+    li r2, 3
+    li r5, 6
+    li r1, 0
+    j M
+P:
+    addi r6, r6, 1
+L:
+    addi r1, r1, 1
+    beq r1, r2, P
+M:
+    blt r1, r5, L
+    halt
+"""
+
+
+def loops_in_one_loop(k: int) -> str:
+    """One outer loop, run twice, around k inner loops whose backedge fires once each."""
+    lines = ["main:", "    li r3, 2", "    li r5, 0", "outer:"]
+    for i in range(k):
+        lines += ["    li r1, 0", f"I{i}:", "    addi r1, r1, 1", f"    bne r1, r3, I{i}"]
+    lines += ["    addi r5, r5, 1", "    bne r5, r3, outer", "    halt"]
+    return "\n".join(lines) + "\n"
+
+
 STRAIGHT_LINE = """
 main:
     li r1, 7

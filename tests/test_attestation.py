@@ -72,6 +72,33 @@ class TestKeysAndHashes:
         assert len(calls) == 2 and calls[1] is again
 
 
+    def test_cfg_built_once_per_program(self, monkeypatch):
+        from cfattest import isa
+        calls = []
+        partition = isa._partition
+        monkeypatch.setattr(isa, "_partition", lambda p: calls.append(p) or partition(p))
+        p = P.prog(P.WHILE_IF_ELSE, "w")
+        for _ in range(2):
+            ch = fresh(p, [2, 0, 1])
+            assert verify(prover_attest(p, ch, KEY[0]), ch, KEY[1], p).accepted
+        assert len(calls) == 1 and calls[0] is p
+        again = P.prog(P.WHILE_IF_ELSE, "w")
+        assert build_cfg(again) == build_cfg(p) and len(calls) == 2
+
+    def test_signed_bytes_serialised_once_per_session(self, monkeypatch):
+        calls = []
+        serialize = att.canonical_serialize
+        monkeypatch.setattr(att, "canonical_serialize",
+                            lambda *a: calls.append(a) or serialize(*a))
+        p = P.prog(P.WHILE_IF_ELSE, "w")
+        ch = fresh(p, [2, 0, 1])
+        report = prover_attest(p, ch, KEY[0])
+        received = Report.from_json(json.loads(json.dumps(report.to_json())))
+        assert verify(received, ch, KEY[1], p).accepted
+        assert len(calls) == 1
+        assert received.signed == report.signed == serialize(report.path, report.nonce)
+
+
 class TestCanonicalSerialization:
     def test_empty_metadata_length(self):
         path = ProgramPath(b"\0" * 64, ())
@@ -462,6 +489,15 @@ class TestStructuralDecode:
         ok, notes = check_loop_paths((fault_marker_session(),), self.p, self.cfg,
                                      MonitorConfig())
         assert not ok and "fault marker" in notes[0]
+
+    @pytest.mark.parametrize("inner", [1200, 3000])
+    def test_many_inner_loops_get_a_verdict(self, inner):
+        # the decode walks past every inner loop entry of the outer path
+        p = P.prog(P.loops_in_one_loop(inner), "ll")
+        ch = fresh(p, [])
+        report = prover_attest(p, ch, KEY[0])
+        assert len(report.path.sessions) == 2 * inner + 1
+        assert verify(report, ch, KEY[1], p).accepted
 
     def test_honest_measurements_decode(self):
         for src, inp in [(P.WHILE_IF_ELSE, [4, 0, 1, 1, 0]),

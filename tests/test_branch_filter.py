@@ -1,9 +1,9 @@
 import programs as P
-from cfattest.branch_filter import (Branches, BranchKind, LoopStatusEvent,
-                                    LoopStatusKind, _discover_loops,
-                                    detect_loops, filter_trace)
+import views
+from cfattest.branch_filter import LoopStatusKind, _discover_loops, detect_loops, filter_trace
 from cfattest.emulator import run
 from cfattest.isa import Kind, parse_program
+from views import BranchKind, branch_events, branches_from_columns
 
 E = LoopStatusKind.ENTER
 I = LoopStatusKind.ITERATION_BOUNDARY
@@ -15,22 +15,22 @@ def loop_kinds(annotated):
 
 
 def annotate(src, inp, pid="x", **kw):
-    return detect_loops(filter_trace(run(P.prog(src, pid), inp)), **kw)
+    return views.annotated(detect_loops(filter_trace(run(P.prog(src, pid), inp)), **kw))
 
 
 class TestFilter:
     def test_matches_brute_force(self):
         t = run(P.prog(P.WHILE_IF_ELSE, "w"), [3, 1, 0, 1])
-        events = filter_trace(t)
+        events = branch_events(filter_trace(t))
         control = [e for e in t.events if e.instr.is_control]
         assert [b.src for b in events] == [e.pc for e in control]
         assert [b.dest for b in events] == [e.next_pc for e in control]
 
     def test_alu_only_is_empty(self):
-        assert filter_trace(run(P.prog(P.STRAIGHT_LINE, "s"), [])) == []
+        assert branch_events(filter_trace(run(P.prog(P.STRAIGHT_LINE, "s"), []))) == []
 
     def test_kinds_and_flags(self):
-        events = filter_trace(run(P.prog(P.WHILE_IF_ELSE, "w"), [1, 1]))
+        events = branch_events(filter_trace(run(P.prog(P.WHILE_IF_ELSE, "w"), [1, 1])))
         kinds = [e.kind for e in events]
         assert kinds == [BranchKind.COND_NOT_TAKEN, BranchKind.COND_TAKEN,
                          BranchKind.DIRECT_JUMP, BranchKind.COND_TAKEN,
@@ -41,8 +41,8 @@ class TestFilter:
         assert ret.indirect and not ret.linking
 
     def test_indirect_kinds(self):
-        events = filter_trace(run(P.prog(P.INDIRECT_BACKEDGE, "i"),
-                                  [1, P.INDIRECT_LOOP_ENTRY, 0]))
+        events = branch_events(filter_trace(run(P.prog(P.INDIRECT_BACKEDGE, "i"),
+                                                [1, P.INDIRECT_LOOP_ENTRY, 0])))
         jr = next(e for e in events if e.src == P.INDIRECT_JR_ADDR)
         assert jr.kind is BranchKind.INDIRECT_JUMP and jr.indirect
 
@@ -90,10 +90,10 @@ done:
 
     def test_direct_recursion_detected(self):
         f = 0x200
-        calls = Branches(src=[0x100, f + 8, f + 12, f + 12],
-                         dest=[f, f, f + 12, 0x104],
-                         kinds="ccrr",  # direct calls, returns
-                         cycle=[0, 1, 2, 3])
+        calls = branches_from_columns(src=[0x100, f + 8, f + 12, f + 12],
+                                      dest=[f, f, f + 12, 0x104],
+                                      kinds="ccrr",  # direct calls, returns
+                                      cycle=[0, 1, 2, 3])
         loops, recursive = _discover_loops(calls)
         assert loops == {}
         assert recursive == {f: f + 8}
@@ -160,11 +160,11 @@ class TestDetectLoops:
     def test_recursion_enter_iterate_exit(self):
         f = 0x200
         # call, recursive call (enter), recursive call (iterate), three returns
-        stream = Branches(src=[0x100, f + 8, f + 8, f + 12, f + 12, f + 12],
-                          dest=[f, f, f, f + 12, f + 12, 0x104],
-                          kinds="cccrrr",
-                          cycle=[0, 1, 2, 3, 4, 5])
-        annotated = detect_loops(stream)
+        stream = branches_from_columns(src=[0x100, f + 8, f + 8, f + 12, f + 12, f + 12],
+                                       dest=[f, f, f, f + 12, f + 12, 0x104],
+                                       kinds="cccrrr",
+                                       cycle=[0, 1, 2, 3, 4, 5])
+        annotated = views.annotated(detect_loops(stream))
         kinds = loop_kinds(annotated)
         assert kinds == [(E, f), (I, f), (X, f)]
         rec = next(ev.loop for tag, ev in annotated if tag == "loop")
@@ -173,9 +173,10 @@ class TestDetectLoops:
     def test_implicit_exit_at_end_of_trace(self):
         events = filter_trace(run(P.prog(P.WHILE_IF_ELSE, "w"), [2, 0, 0]))
         n = len(events) - 2  # the branches up to and including events[-3]
-        truncated = Branches(events.src[:n], events.dest[:n], events.kinds[:n], events.cycle[:n])
-        annotated = detect_loops(truncated)
+        truncated = branches_from_columns(events.src[:n], events.dest[:n], events.kinds[:n],
+                                          events.cycle[:n])
+        annotated = views.annotated(detect_loops(truncated))
         assert loop_kinds(annotated)[-1][0] is X
 
     def test_empty_stream(self):
-        assert detect_loops(Branches([], [], "", [])) == []
+        assert views.annotated(detect_loops(branches_from_columns([], [], "", []))) == []

@@ -235,3 +235,16 @@ class TestUsageErrors:
                     ws / "keys" / "pk.hex", ws / "prog.json"]
         assert cfattest(*argv) == 1
         assert capsys.readouterr().err.startswith("error: challenge must have exactly the keys")
+
+
+@pytest.mark.parametrize("inner", [1200, 3000])
+def test_verify_many_inner_loops(tmp_path, capsys, inner):
+    (tmp_path / "prog.s").write_text(P.loops_in_one_loop(inner))
+    assert cfattest("asm", tmp_path / "prog.s", "--id", "ll", "-o", tmp_path / "prog.json") == 0
+    assert cfattest("keygen", "-o", tmp_path / "keys") == 0
+    assert cfattest("challenge", "--id", "ll", "--input", "", "-o", tmp_path / "ch.json") == 0
+    assert cfattest("attest", tmp_path / "prog.json", tmp_path / "ch.json",
+                    tmp_path / "keys" / "sk.hex", "-o", tmp_path / "report.json") == 0
+    assert cfattest("verify", tmp_path / "report.json", tmp_path / "ch.json",
+                    tmp_path / "keys" / "pk.hex", tmp_path / "prog.json") == 0
+    assert "Traceback" not in capsys.readouterr().err

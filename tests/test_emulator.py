@@ -162,6 +162,13 @@ class TestTraceSerialization:
         with pytest.raises(EmulatorError, match="taken flag"):
             trace_from_jsonl("\n".join(map(json.dumps, lines)), p)
 
+    def test_jsonl_rejects_a_direct_jump_off_its_target(self):
+        # same mnemonics at every address, but B's jump lands one word further
+        a = parse_program("main:\n j t\n li r1, 1\nt:\n li r1, 2\n li r1, 3\n halt\n", "p")
+        b = parse_program("main:\n j t\n li r1, 1\n li r1, 2\nt:\n li r1, 3\n halt\n", "p")
+        with pytest.raises(EmulatorError, match="does not match program"):
+            trace_from_jsonl(run(b, []).to_jsonl(), a)
+
     @pytest.mark.parametrize("malform", ["empty", "header-only", "no-pc", "no-fault-line",
                                          "event-not-a-dict", "pc-not-a-string"])
     def test_jsonl_rejects_malformed_text(self, malform):

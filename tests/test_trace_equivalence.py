@@ -12,9 +12,10 @@ import random
 import pytest
 
 import programs as P
-from cfattest import branch_filter, emulator
+import views
+from cfattest import emulator
 from cfattest.attestation import ProgramPath, measure
-from cfattest.branch_filter import Branches, detect_loops, filter_trace
+from cfattest.branch_filter import FLAT_RUN, detect_loops, filter_trace
 from cfattest.emulator import AttackSpec, CycleLimitExceeded, run, trace_from_jsonl
 from cfattest.hash_engine import digest_pairs
 from cfattest.isa import Kind, parse_program
@@ -22,6 +23,7 @@ from cfattest.loop_monitor import MonitorConfig, fault_marker_session
 from genprog import gen_input, gen_program
 from loop_oracle import detect_loops_scan
 from monitor_oracle import LoopMonitor as OracleMonitor
+from views import annotated, branch_events, branches_from_columns
 
 
 def sequential_loops(k: int) -> str:
@@ -56,6 +58,13 @@ def _cases():
                                       for h in ("h0", "h2", "h0")], None),
         "data-fault": (parse_program("main:\n    li r1, 100000\n    ld r2, [r1+0]\n    halt\n"),
                        [], None),
+        "continue": (P.prog(P.CONTINUE_LOOP, "cl"), [5, 1, 0, 1, 1, 0], None),
+        "exit-onto-entry": (P.prog(P.EXIT_ONTO_ENTRY, "ee"), [2], None),
+        "halt-in-loop": (P.prog(P.HALT_IN_LOOP, "hl"), [3], None),
+        "fault-in-loop": (P.prog(P.FAULT_IN_LOOP, "fl"), [], None),
+        "long-and-short-paths": (P.prog(P.LONG_AND_SHORT_PATHS, "ls"), [6, 0, 1, 0, 1, 1, 0], None),
+        "entered-past-overlap": (P.prog(P.ENTERED_PAST_OVERLAP, "po"), [], None),
+        "loops-in-loop-5": (P.prog(P.loops_in_one_loop(5), "ll"), [], None),
         "pc-fault-in-loop": (indirect, indirect_input, AttackSpec(
             "corrupt-code-pointer", {"cycle": P.nth_cycle_of(indirect, indirect_input, "jr", 2)},
             {"reg": 3, "value": 0x9999_0000})),
@@ -106,7 +115,7 @@ def test_filter_survives_jsonl_round_trip(name):
     program, inp, attack = CASES[name]
     trace = run(program, inp, attack)
     again = trace_from_jsonl(trace.to_jsonl(), program)
-    assert filter_trace(again) == filter_trace(trace)
+    assert branch_events(filter_trace(again)) == branch_events(filter_trace(trace))
     assert (again.cycles, again.fault) == (trace.cycles, trace.fault)
 
 
@@ -115,19 +124,19 @@ def test_filter_survives_jsonl_round_trip(name):
 def test_detect_loops_matches_all_loops_scan(name, max_depth):
     program, inp, attack = CASES[name]
     trace = run(program, inp, attack)
-    assert detect_loops(filter_trace(trace), max_depth) == \
-        detect_loops_scan(filter_trace(trace), max_depth)
+    assert annotated(detect_loops(filter_trace(trace), max_depth)) == \
+        detect_loops_scan(branch_events(filter_trace(trace)), max_depth)
 
 
 def test_detect_loops_leaves_its_input_alone():
     program, inp, _ = CASES["nested-4"]
     branches = filter_trace(run(program, inp))
     columns = (list(branches.src), list(branches.dest), branches.kinds, list(branches.cycle))
-    by_hand = Branches(*columns)
-    first = list(detect_loops(branches))
-    assert list(detect_loops(branches)) == first == list(detect_loops(by_hand))
+    by_hand = branches_from_columns(*columns)
+    first = annotated(detect_loops(branches))
+    assert annotated(detect_loops(branches)) == first == annotated(detect_loops(by_hand))
     assert any(ev.loop_depth for tag, ev in first if tag == "branch")
-    assert all(ev.loop_depth == 0 for ev in list(branches) + list(by_hand))
+    assert all(ev.loop_depth == 0 for ev in branch_events(branches) + branch_events(by_hand))
     assert (branches.src, branches.dest, branches.kinds, branches.cycle) == columns
 
 
@@ -141,8 +150,8 @@ MONITOR_CONFIGS = {
 
 
 def oracle_measure(trace, config):
-    annotated = detect_loops_scan(list(filter_trace(trace)), config.max_depth)
-    stream, sessions = OracleMonitor(config).process(annotated)
+    scanned = detect_loops_scan(branch_events(filter_trace(trace)), config.max_depth)
+    stream, sessions = OracleMonitor(config).process(scanned)
     if trace.fault is not None:
         sessions.append(fault_marker_session())
     return ProgramPath(digest_pairs(stream), tuple(sessions))
@@ -200,12 +209,31 @@ def test_measurement_builds_no_per_cycle_events(monkeypatch):
 def test_measurement_builds_no_per_branch_events(monkeypatch):
     built = []
     for name in ("BranchEvent", "LoopStatusEvent"):
-        cls = getattr(branch_filter, name)
-        monkeypatch.setattr(branch_filter, name,
+        cls = getattr(views, name)
+        monkeypatch.setattr(views, name,
                             lambda *args, _cls=cls, _name=name: built.append(_name) or _cls(*args))
     program, inp, _ = CASES["nested-4"]
     trace = run(program, inp)
     assert measure(trace).sessions
     assert built == []
-    annotated = detect_loops(filter_trace(trace))
-    assert len(list(annotated)) == len(annotated) == len(built)
+    stream = annotated(detect_loops(filter_trace(trace)))
+    assert len(stream) == len(built)
+
+
+def test_flat_contexts_are_taken():
+    for program, inp in [(P.prog(P.WHILE_IF_ELSE, "w"), [3, 1, 0, 1]), CASES["seq-loops-100"][:2]]:
+        marks = detect_loops(filter_trace(run(program, inp))).marks
+        assert any(kind == FLAT_RUN for _, kind, _, _ in marks)
+
+
+def test_new_loop_cases_cover_the_flat_edge_cases():
+    # two re-entering sites, an exit onto another entry, a run ending in a body
+    flats = {name: [m for m in detect_loops(filter_trace(run(*CASES[name]))).marks
+                    if m[1] == FLAT_RUN] for name in ("continue", "exit-onto-entry",
+                                                      "halt-in-loop", "fault-in-loop")}
+    assert all(flats.values())
+    assert len(flats["continue"][0][2].re_enter) == 2
+    assert {run(*CASES[name]).fault for name in ("halt-in-loop", "fault-in-loop")} == \
+        {None, "data-access-out-of-range:6000"}
+    sessions = measure(run(*CASES["long-and-short-paths"])).sessions
+    assert sessions[0].path_overflow and sessions[0].paths
