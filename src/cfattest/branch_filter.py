@@ -12,15 +12,16 @@ The loops enclosing an address come from a table built once per call, and
 the open loop entries are a dict, so its cost per branch does not grow with
 the number of loops.
 
-Most loop contexts are **flat**: no other discovered loop entry lies in the
-body [entry, backedge], and the body holds no call, return or indirect
-transfer.  While a flat context is innermost, every branch up to the first
-one whose static destination leaves the body stays in it, and an iteration
-ends after each branch whose destination is the entry.  So `detect_loops`
-finds that exit with one compiled character class over the site string and
-emits one `FLAT_RUN` mark for the branches before it, which the loop monitor
-splits at the backedges.  Every other context, and each exit branch, takes
-the per-branch step.
+A loop context is **flat** when no other discovered loop entry lies in its
+body [entry, backedge], the body holds no call, return or indirect transfer,
+and exactly one of its sites re-enters the entry.  While a flat context is
+innermost, every branch up to the first one whose static destination leaves
+the body stays in it, and an iteration ends at each occurrence of that one
+re-entering site.  Flat bodies never overlap, so `detect_loops` finds that
+exit with one character class per loop set over the site string and emits
+one `FLAT_RUN` mark for the branches before it, which the loop monitor
+splits at the re-entering site.  Every other context, and each exit branch,
+takes the per-branch step.
 
 Loop discovery is a separate first pass over the stream: the set of
 (entry, backedge) pairs a run exhibits is learned before annotation, so the
@@ -31,7 +32,6 @@ which a detect-on-first-backedge scheme would break for the first iteration.
 """
 from __future__ import annotations
 
-import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
@@ -65,16 +65,9 @@ class LoopStatusKind(Enum):
     EXIT = "exit"
 
 
-class FlatBody(NamedTuple):
-    """A flat loop body's sites."""
-    exits: re.Pattern   # a site whose static destination leaves [entry, backedge]
-    re_enter: str       # the sites whose destination is the entry
-    pieces: re.Pattern  # one iteration: up to and including a re-entering site
-
-
 # A mark at position p lies between branches p-1 and p: (p, status, context, the
-# branch it happened at).  A flat run is (p, FLAT_RUN, body, end): branches p..end-1
-# stay in the innermost loop, whose body is `body`.
+# branch it happened at).  A flat run is (p, FLAT_RUN, site, end): branches p..end-1
+# stay in the innermost loop, and each of its iterations ends with `site`.
 FLAT_RUN = "flat_run"
 Mark = tuple[int, object, object, int]
 
@@ -138,14 +131,14 @@ class _Loops(dict):
 
     The body boundaries cut the address space into segments that each have
     one set of enclosing loops; the first lookup of an address bisects them,
-    later ones are a dict hit.  A program's table keeps the last one, for the
-    next run that discovers the same loops.
+    later ones are a dict hit.  `flat` maps each flat loop's entry to its
+    re-entering site and the other loops enclosing that entry.  A program's
+    table keeps the last one, for the next run that discovers the same loops.
     """
 
-    def __init__(self, loops: dict[int, int]):
+    def __init__(self, loops: dict[int, int], table: Sites):
         super().__init__()
         self.loops, self.entries = loops, sorted(loops)
-        self.flat: dict[int, Optional[tuple]] = {}
         ends: dict[int, list[int]] = {}
         for entry, backedge in loops.items():
             ends.setdefault(backedge + 1, []).append(entry)
@@ -157,30 +150,28 @@ class _Loops(dict):
             if lo in loops:
                 inside.add(lo)
             self._segments.append(tuple(sorted(inside)))
+        # The flat bodies are disjoint (one holding another's entry is not flat), so a site
+        # lies in at most one, and one class of the sites that leave their flat body finds
+        # the exit of whichever is innermost.  A body's sites are a range of site numbers.
+        self.flat: dict[int, tuple[str, tuple[int, ...]]] = {}
+        exits = []
+        for k, (lo, hi) in enumerate(loops.items(), 1):
+            if k < len(self.entries) and self.entries[k] <= hi:
+                continue
+            body = [(c, *table.site[c][1:]) for c in map(chr, range(
+                bisect_left(table.srcs, lo), bisect_right(table.srcs, hi)))]
+            if any(kind in _CALL_OR_RETURN + INDIRECT_JUMP for _, _, kind in body):
+                continue
+            re_enter = [c for c, dest, _ in body if dest == lo]
+            if len(re_enter) == 1:
+                self.flat[lo] = (re_enter[0], tuple(e for e in self[lo] if e != lo))
+                exits += (c for c, dest, _ in body if not lo <= dest <= hi)
+        self.exit = char_class(exits)  # None if no flat body can be left
 
     def __missing__(self, addr: int) -> tuple[int, ...]:
         i = bisect_right(self._bounds, addr)
         found = self[addr] = self._segments[i - 1] if i else ()
         return found
-
-    def flat_scope(self, table: Sites, lo: int) -> Optional[tuple[FlatBody, tuple[int, ...]]]:
-        """A flat loop's body and the other loops enclosing its entry; None if not flat.
-
-        The body's sites are a range of site numbers, as sites are in address order.
-        """
-        if lo not in self.flat:
-            hi, k = self.loops[lo], bisect_right(self.entries, lo)
-            body = [(c, *table.site[c][1:]) for c in map(chr, range(
-                bisect_left(table.srcs, lo), bisect_right(table.srcs, hi)))]
-            re_enter = "".join(c for c, dest, _ in body if dest == lo)
-            chars = re.escape(re_enter)
-            self.flat[lo] = (
-                re_enter and (k == len(self.entries) or self.entries[k] > hi)
-                and not any(kind in _CALL_OR_RETURN + INDIRECT_JUMP for _, _, kind in body)
-                and (FlatBody(char_class(c for c, dest, _ in body if not lo <= dest <= hi),
-                              re_enter, re.compile(f"[^{chars}]*[{chars}]")),
-                     tuple(e for e in self[lo] if e != lo)))
-        return self.flat[lo] or None
 
 
 class LoopMarks(NamedTuple):
@@ -194,14 +185,14 @@ def detect_loops(b: Branches, max_depth: int = DEFAULT_MAX_DEPTH) -> LoopMarks:
     loops, recursive = _discover_loops(b)
     enclosing = b.table.derived.get("loops")
     if enclosing is None or enclosing.loops != loops:
-        enclosing = b.table.derived["loops"] = _Loops(loops)
+        enclosing = b.table.derived["loops"] = _Loops(loops, b.table)
     sites, site, target_at, n = b.sites, b.table.site, b.target_at, len(b)
     marks: list[Mark] = []
     stack: list[LoopContext] = []
     open_at: dict[int, LoopContext] = {}  # entry -> its context; no entry is open twice
     # per open context, where control stays in it: at call depth `within` or deeper and, at
     # `within`, in [lo, hi] (a recursion context spans all); the bottom one is never left.
-    # A flat context adds its body and the other loops enclosing its entry.
+    # A flat context adds its re-entering site and the other loops enclosing its entry.
     scopes: list[tuple[int, float, float, Optional[tuple]]] = [(-1, -1, -1, None)]
     call_depth = 0
     call_targets: list[int] = []
@@ -215,7 +206,7 @@ def detect_loops(b: Branches, max_depth: int = DEFAULT_MAX_DEPTH) -> LoopMarks:
         stack.append(ctx)
         open_at[entry] = ctx
         scopes.append((call_depth, -1, inf, None) if rec else
-                      (call_depth, entry, backedge, enclosing.flat_scope(b.table, entry)))
+                      (call_depth, entry, backedge, enclosing.flat.get(entry)))
         marks.append((pos, ENTER, ctx, branch))
         return scopes[-1]
 
@@ -244,7 +235,7 @@ def detect_loops(b: Branches, max_depth: int = DEFAULT_MAX_DEPTH) -> LoopMarks:
         # control is in a flat innermost loop: it stays there up to the first exit site,
         # which takes the rest of this step
         if flat is not None and all(map(open_at.__contains__, flat[1])):
-            m = flat[0].exits and flat[0].exits.search(sites, i)
+            m = enclosing.exit and enclosing.exit.search(sites, i)
             end = m.start() if m else n
             if end > i and not stack[-1].degraded:
                 marks.append((i, FLAT_RUN, flat[0], end))

@@ -92,8 +92,7 @@ class Trace:
 
     The record is one site character per branch (`Sites`) plus the target of
     each indirect transfer, in order.  `branches` reads it through the
-    program's site table; branch i went from src[i] to dest[i] at cycle
-    branch_cycles[i], of kind kinds[i].
+    program's site table.
     """
     program_id: str
     input: list[int]
@@ -106,11 +105,6 @@ class Trace:
     @cached_property
     def branches(self) -> "Branches":
         return Branches(self.sites, self.targets, site_table(self.program))
-
-    src = property(lambda self: self.branches.src)
-    dest = property(lambda self: self.branches.dest)
-    kinds = property(lambda self: self.branches.kinds)
-    branch_cycles = property(lambda self: self.branches.cycle)
 
     @cached_property
     def events(self) -> "TraceEvents":
@@ -226,7 +220,8 @@ class TraceEvents(Sequence):
     def _built(self) -> list[TraceEvent]:
         t, out, pc = self._trace, [], self._trace.program.entry_point
         taken = {NOT_TAKEN: False, TAKEN: True}
-        branch_at = dict(zip(t.branch_cycles, zip(t.dest, t.kinds)))  # cycle -> (dest, kind)
+        b = t.branches
+        branch_at = dict(zip(b.cycle, zip(b.dest, b.kinds)))  # cycle -> (dest, kind)
         for cycle in range(t.cycles):
             ins = t.program.instr_at(pc)
             next_pc, kind = branch_at.get(cycle, (pc if ins.kind is Kind.HALT else pc + WORD, None))
@@ -313,7 +308,7 @@ def inject(attack: AttackSpec, regs: list[int], ra: int, data_mem: list[int]) ->
  _BEQ, _BNE, _BLT, _J, _JAL, _JR, _JALR, _RET, _HALT) = range(17)
 _ALU_OPS = {"add": _ADD, "sub": _SUB, "addi": _ADDI, "li": _LI, "mv": _MV}
 _COND_OPS = {"beq": _BEQ, "bne": _BNE}  # any other conditional compares with blt
-# The kind character of each branch site (Sites.kinds, Trace.kinds): a
+# The kind character of each branch site (Sites.kinds, Branches.kinds): a
 # conditional's taken bit, or one letter per kind of unconditional transfer.
 NOT_TAKEN, TAKEN, JUMP, CALL, INDIRECT_CALL, INDIRECT_JUMP, RETURN = "01jcCir"
 _KIND_OPS = {  # instruction kind -> (handler, kind character)

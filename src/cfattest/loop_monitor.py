@@ -11,7 +11,7 @@ each such run is encoded in one step: its site string, translated to bits
 (`site_bits`), extends the path, and its (Src, Dest) pairs stay an index
 range until they are hashed.  Only indirect transfers are coded one at a
 time.  A flat run (`FLAT_RUN`) is the slice of the site string a flat loop
-keeps, from where the context opens: split after each site re-entering the
+keeps, from where the context opens: split at the one site re-entering the
 entry, its pieces are the iterations, and the last one may stay open.
 `Counter` over the pieces gives their paths and counts in first-occurrence
 order, and a new path's pairs come from its piece's sites.  A piece longer
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from itertools import repeat
 from typing import Optional
 
-from .branch_filter import FLAT_RUN, INDIRECT, FlatBody, LoopMarks, LoopStatusKind, site_bits
+from .branch_filter import FLAT_RUN, INDIRECT, LoopMarks, LoopStatusKind, site_bits
 
 FAULT_MARKER_ENTRY = 0xFFFF_FFFF
 PARENT_NONE = 0xFFFF_FFFF
@@ -181,21 +181,14 @@ class LoopMonitor:
         else:
             s.partial = path
 
-    def _count_iterations(self, s: _SessionState, body: FlatBody, i: int, j: int) -> None:
+    def _count_iterations(self, s: _SessionState, end: str, i: int, j: int) -> None:
         """Add branches i..j-1, a flat run of the innermost loop, to its session."""
-        text, end = self._sites[i:j], body.re_enter
-        if len(end) == 1:  # one re-entering site ends every piece: split at it
-            *pieces, tail = text.split(end)
-        else:
-            pieces, end = body.pieces.findall(text), ""
-            tail = text[sum(map(len, pieces)):]
-        # pieces are the complete iterations, less their last site `end`; a flat run
-        # starts where its context opens, so the first one starts a traversal too
+        # the complete iterations, less their last site `end`; a flat run starts where its
+        # context opens, so the first one starts a traversal too
+        *pieces, tail = self._sites[i:j].split(end)
         assert not (s.partial or s.iter_overflowed or s.counts)
-        distinct = dict.fromkeys(pieces)  # often all iterations take one path: no Counter
-        counts = Counter(pieces) if len(distinct) > 1 else dict.fromkeys(distinct, len(pieces))
-        width = self.config.path_width
-        overflow = max(map(len, distinct), default=0) + len(end) > width
+        counts, width = Counter(pieces), self.config.path_width
+        overflow = max(map(len, counts), default=0) >= width  # a piece and `end` exceed it
         for piece, count in zip(pieces, repeat(1)) if overflow else counts.items():
             piece += end
             if len(piece) > width:  # hashed at every occurrence
@@ -253,7 +246,7 @@ class LoopMonitor:
                 session = open_.pop()
                 if session is not None:
                     self.finalize_session(*session)
-            elif kind == FLAT_RUN:  # ctx is the flat body, arg the end of the run
+            elif kind == FLAT_RUN:  # ctx is the re-entering site, arg the end of the run
                 self._count_iterations(open_[-1][1], ctx, p, arg)
                 pos = arg
         assert not open_ and all(s is not None for s in self.sessions)

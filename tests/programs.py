@@ -275,6 +275,27 @@ N:
     halt
 """
 
+# the inner loop's mid-body branch leaves it backwards, onto the outer loop's entry
+BACKWARD_EXIT = """
+main:
+    ld r2, [r0+0]
+    li r4, 3
+    li r6, 0
+outer:
+    beq r6, r2, done
+    addi r6, r6, 1
+    li r1, 0
+inner:
+    addi r1, r1, 1
+    add r5, r1, r6
+    ld r3, [r5+0]       # nonzero: back to outer, leaving inner mid-body
+    bne r3, r0, outer
+    bne r1, r4, inner
+    j outer
+done:
+    halt
+"""
+
 # the run halts inside the loop body, before its backedge
 HALT_IN_LOOP = """
 main:

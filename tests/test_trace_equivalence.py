@@ -60,6 +60,7 @@ def _cases():
                        [], None),
         "continue": (P.prog(P.CONTINUE_LOOP, "cl"), [5, 1, 0, 1, 1, 0], None),
         "exit-onto-entry": (P.prog(P.EXIT_ONTO_ENTRY, "ee"), [2], None),
+        "backward-exit": (P.prog(P.BACKWARD_EXIT, "be"), [4, 0, 0, 1, 0, 0, 0, 1, 0], None),
         "halt-in-loop": (P.prog(P.HALT_IN_LOOP, "hl"), [3], None),
         "fault-in-loop": (P.prog(P.FAULT_IN_LOOP, "fl"), [], None),
         "long-and-short-paths": (P.prog(P.LONG_AND_SHORT_PATHS, "ls"), [6, 0, 1, 0, 1, 1, 0], None),
@@ -102,10 +103,10 @@ def test_branch_columns_equal_observer_stream(name):
     seen = []
     trace = run(program, inp, attack, observer=seen.append)
     control = [ev for ev in seen if ev.instr.is_control]
-    assert trace.src == [ev.pc for ev in control]
-    assert trace.dest == [ev.next_pc for ev in control]
-    assert trace.branch_cycles == [ev.cycle for ev in control]
-    assert trace.kinds == "".join(
+    assert trace.branches.src == [ev.pc for ev in control]
+    assert trace.branches.dest == [ev.next_pc for ev in control]
+    assert trace.branches.cycle == [ev.cycle for ev in control]
+    assert trace.branches.kinds == "".join(
         str(int(ev.taken)) if ev.instr.kind is Kind.COND_BRANCH else KIND_CHARACTERS[ev.instr.kind]
         for ev in control)
 
@@ -227,12 +228,13 @@ def test_flat_contexts_are_taken():
 
 
 def test_new_loop_cases_cover_the_flat_edge_cases():
-    # two re-entering sites, an exit onto another entry, a run ending in a body
+    # an exit onto another entry or backwards, a run ending in a body; two re-entering
+    # sites: not flat
     flats = {name: [m for m in detect_loops(filter_trace(run(*CASES[name]))).marks
                     if m[1] == FLAT_RUN] for name in ("continue", "exit-onto-entry",
-                                                      "halt-in-loop", "fault-in-loop")}
-    assert all(flats.values())
-    assert len(flats["continue"][0][2].re_enter) == 2
+                                                      "backward-exit", "halt-in-loop",
+                                                      "fault-in-loop")}
+    assert not flats.pop("continue") and all(flats.values())
     assert {run(*CASES[name]).fault for name in ("halt-in-loop", "fault-in-loop")} == \
         {None, "data-access-out-of-range:6000"}
     sessions = measure(run(*CASES["long-and-short-paths"])).sessions

@@ -80,8 +80,9 @@ def _marks(lm: LoopMarks):
     """The loop marks, each flat run expanded into iteration marks of the innermost loop."""
     for p, kind, ctx, arg in lm.marks:
         if kind == FLAT_RUN:
-            for m in ctx.pieces.finditer(lm.branches.sites, p, arg):
-                yield (m.end(), LoopStatusKind.ITERATION_BOUNDARY, None, m.end() - 1)
+            for k in range(p, arg):
+                if lm.branches.sites[k] == ctx:
+                    yield (k + 1, LoopStatusKind.ITERATION_BOUNDARY, None, k)
         else:
             yield (p, kind, ctx, arg)
 
