@@ -469,7 +469,6 @@ def verify(
     challenge: Challenge,
     pk: bytes,
     program: Program,
-    cfg: Optional[Cfg] = None,
     config: MonitorConfig = MonitorConfig(),
     nonce_store: Optional[NonceStore] = None,
 ) -> VerifyResult:
@@ -480,8 +479,7 @@ def verify(
     see e.g. that a rogue in-loop edge both breaks the loop structure and
     changes the authenticator.
     """
-    if cfg is None:
-        cfg = build_cfg(program)
+    cfg = build_cfg(program)
 
     if report.program_id != program.id or challenge.program_id != program.id:
         return VerifyResult(False, MALFORMED, (MALFORMED,))

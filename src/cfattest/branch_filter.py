@@ -1,7 +1,7 @@
 """Branch filtering and runtime loop detection over the branch record.
 
 The emulator records only branches, one site character each plus the
-targets of indirect transfers (`emulator.Sites`), so `filter_trace` hands
+targets of indirect transfers (`isa.Sites`), so `filter_trace` hands
 on the trace's `Branches`.  A branch's loop-path bit is '0' for a not-taken
 conditional, '1' for a taken conditional or direct transfer and `INDIRECT`
 for an indirect transfer, coded by target (`site_bits`).
@@ -38,9 +38,9 @@ from enum import Enum
 from math import inf
 from typing import NamedTuple, Optional
 
-from .isa import WORD
-from .emulator import (CALL, INDIRECT_CALL, INDIRECT_JUMP, JUMP, RETURN, TAKEN, Branches,
-                       Sites, Trace, char_class)
+from .isa import (CALL, INDIRECT_CALL, INDIRECT_JUMP, JUMP, RETURN, TAKEN, WORD, Sites,
+                  char_class)
+from .emulator import Branches, Trace
 
 DEFAULT_MAX_DEPTH = 3
 
@@ -99,11 +99,9 @@ def filter_trace(trace: Trace) -> Branches:
 def _discover_loops(b: Branches) -> tuple[dict[int, int], dict[int, int]]:
     """First pass: entry -> largest backedge src, plus direct-recursion entries."""
     site, target_at = b.table.site, b.target_at
-    # backward non-call, non-return branches: direct ones by site (one fast scan each),
-    # indirect jumps by target below
-    backward = {(dest, src) for c, (src, dest) in _derived(b.table, "backward", lambda: [
-        (c, (src, dest)) for c, (src, dest, kind) in site.items()
-        if dest is not None and dest < src and kind not in _CALL_OR_RETURN]) if c in b.sites}
+    # backward non-call, non-return branches: the static backedges by site (one fast scan
+    # each), indirect jumps by target below
+    backward = {(dest, src) for c, (src, dest) in b.table.backward.items() if c in b.sites}
     recursive: dict[int, int] = {}
     call_targets: list[int] = []
     open_calls: dict[int, int] = {}  # call_targets as counts

@@ -12,7 +12,8 @@ import sys
 from pathlib import Path
 
 from . import attestation as att
-from .emulator import AttackSpec, CycleLimitExceeded, EmulatorError, run, trace_from_jsonl
+from .emulator import (ATTACK_KINDS, DEFAULT_CYCLE_CAP, AttackSpec, CycleLimitExceeded,
+                       EmulatorError, run, trace_from_jsonl)
 from .hash_engine import simulate_absorb
 from .isa import Program, build_cfg, parse_program
 from .loop_monitor import MonitorConfig
@@ -165,10 +166,10 @@ def cmd_challenge(args) -> int:
 
 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("-n", type=int, default=4, help="bits per indirect target code")
-    p.add_argument("--path-width", dest="path_width", type=int, default=16,
+    p.add_argument("-n", type=int, default=MonitorConfig.n, help="bits per indirect target code")
+    p.add_argument("--path-width", dest="path_width", type=int, default=MonitorConfig.path_width,
                    help="maximum bits per loop path")
-    p.add_argument("--max-depth", dest="max_depth", type=int, default=3,
+    p.add_argument("--max-depth", dest="max_depth", type=int, default=MonitorConfig.max_depth,
                    help="tracked loop nesting depth")
 
 
@@ -192,7 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("program")
     p.add_argument("--input", default="")
     p.add_argument("--attack")
-    p.add_argument("--cycle-cap", dest="cycle_cap", type=int, default=1_000_000)
+    p.add_argument("--cycle-cap", dest="cycle_cap", type=int, default=DEFAULT_CYCLE_CAP)
     p.add_argument("-o", "--output")
     p.set_defaults(fn=cmd_run)
 
@@ -223,9 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("inject", help="build an attack spec file")
-    p.add_argument("--kind", required=True,
-                   choices=["corrupt-decision-var", "corrupt-loop-counter",
-                            "corrupt-code-pointer"])
+    p.add_argument("--kind", required=True, choices=ATTACK_KINDS)
     g = p.add_mutually_exclusive_group(required=True)
     g.add_argument("--trigger-cycle", type=int)
     g.add_argument("--trigger-pc")

@@ -2,20 +2,20 @@
 
 One instruction retires per cycle.  A run records only its branches, in the
 layout of Intel PT's TNT/TIP packets: one **site character** per branch,
-naming its (instruction, taken) pair in the program's `Sites` table, plus the
-target of each indirect transfer.  The handler tuples, decoded once per
-`Program` object at its first run, carry the site characters, so recording a
-branch is one append.  Every other cycle advances the pc by one word, so the
-branch columns (source, destination, kind character, cycle) and the
-per-cycle stream (`Trace.events`) are derived from the record on demand,
-while the `observer` hook still sees every cycle as it retires.
+naming its (instruction, taken) pair in the program's site table
+(`Program.sites`), plus the target of each indirect transfer.  The handler
+tuples, decoded once per `Program` object at its first run, carry the site
+characters, so recording a branch is one append.  Every other cycle
+advances the pc by one word, so the branch columns (source, destination,
+kind character, cycle) and the per-cycle stream (`Trace.events`) are
+derived from the record on demand, while the `observer` hook still sees
+every cycle as it retires.
 Attack injection mutates writable state only (registers, link register, data
 memory); program text is immutable.
 """
 from __future__ import annotations
 
 import json
-import re
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
@@ -23,7 +23,7 @@ from itertools import accumulate
 from operator import sub
 from typing import Callable, Optional
 
-from .isa import WORD, Kind, Instruction, Program
+from .isa import FIELDS, NOT_TAKEN, NUM_REGS, TAKEN, WORD, Instruction, Kind, Program, Sites
 
 DEFAULT_CYCLE_CAP = 1_000_000
 DEFAULT_DATA_WORDS = 4096
@@ -71,10 +71,13 @@ class AttackSpec:
     def __post_init__(self):
         if self.kind not in ATTACK_KINDS:
             raise AttackError(f"unknown attack kind {self.kind!r}")
-        if set(self.trigger) not in ({"cycle"}, {"pc"}):
-            raise AttackError("trigger must be exactly one of cycle/pc")
-        if "value" not in self.payload or ("reg" in self.payload) == ("mem" in self.payload):
-            raise AttackError("payload must name one reg or mem target plus a value")
+        if not (isinstance(self.trigger, dict) and isinstance(self.payload, dict)):
+            raise AttackError("trigger and payload must be objects")
+        if set(self.trigger) not in ({"cycle"}, {"pc"}) or type(*self.trigger.values()) is not int:
+            raise AttackError("trigger must be exactly one integer cycle or pc")
+        if type(self.payload.get("value")) is not int or (
+                ("reg" in self.payload) == ("mem" in self.payload)):
+            raise AttackError("payload must name one reg or mem target plus an integer value")
         if "code" in self.payload:
             raise AttackError("code memory is not writable")
 
@@ -83,6 +86,9 @@ class AttackSpec:
 
     @classmethod
     def from_json(cls, d: dict) -> "AttackSpec":
+        """Decode an attack file; AttackError if it is malformed."""
+        if not isinstance(d, dict) or d.keys() != {"kind", "trigger", "payload"}:
+            raise AttackError("attack must have exactly the keys kind, payload, trigger")
         return cls(kind=d["kind"], trigger=d["trigger"], payload=d["payload"])
 
 
@@ -104,7 +110,7 @@ class Trace:
 
     @cached_property
     def branches(self) -> "Branches":
-        return Branches(self.sites, self.targets, site_table(self.program))
+        return Branches(self.sites, self.targets, self.program.sites)
 
     @cached_property
     def events(self) -> "TraceEvents":
@@ -117,44 +123,6 @@ class Trace:
         lines += [json.dumps(ev.to_json(), sort_keys=True) for ev in self.events]
         lines.append(json.dumps({"fault": self.fault}, sort_keys=True))
         return "\n".join(lines) + "\n"
-
-
-def char_class(chars) -> Optional[re.Pattern]:
-    """A pattern matching any one of the given characters; None if there are none."""
-    chars = "".join(map(re.escape, chars))
-    return re.compile(f"[{chars}]") if chars else None
-
-
-class Sites:
-    """A program's branch sites: each (instruction, taken) pair that transfers control.
-
-    Site n is the character chr(n), given as (Src, Dest, kind character), in
-    address order; Dest is None for an indirect transfer, whose target only
-    the run knows.
-    `pair` gives a site's (Src, Dest); `srcs` the Src and `kinds` the kind
-    character by site number, the latter a `str.translate` table.
-    """
-
-    def __init__(self, entry: int, ends: list[tuple[int, Optional[int], str]]):
-        self.entry = entry
-        self.site = {chr(n): end for n, end in enumerate(ends)}
-        self.srcs = [src for src, _, _ in ends]
-        self.pair = {c: (src, dest) for c, (src, dest, _) in self.site.items()}
-        self.kinds = "".join(kind for _, _, kind in ends)
-        self.indirect = char_class(c for c, (_, dest) in self.pair.items() if dest is None)
-        self.derived: dict = {}  # values the loop detection derives from the table
-
-    @classmethod
-    def of(cls, program: Program) -> "Sites":
-        """A conditional has two sites, not taken then taken; any other transfer one."""
-        ends = []
-        for ins in program.instructions:
-            if ins.kind is Kind.COND_BRANCH:
-                ends += [(ins.addr, ins.addr + WORD, NOT_TAKEN), (ins.addr, ins.target, TAKEN)]
-            elif ins.is_control:
-                ends.append((ins.addr, None if ins.indirect else ins.target,
-                             _KIND_OPS[ins.kind][1]))
-        return cls(program.entry_point, ends)
 
 
 class Branches:
@@ -251,7 +219,7 @@ def trace_from_jsonl(text: str, program: Program) -> Trace:
     events must be one contiguous run from the program's entry point.  Any
     other text raises EmulatorError.
     """
-    code, table = _decoded(program), site_table(program)
+    code, table = _decoded(program), program.sites
     sites, targets = [], []  # the Trace record; sites joined at the end
     pc = program.entry_point
     try:
@@ -302,25 +270,19 @@ def inject(attack: AttackSpec, regs: list[int], ra: int, data_mem: list[int]) ->
     return ra
 
 
-# Handler numbers.  Straight-line instructions come first, so one comparison
-# tells them from control transfers and halt.
-(_ADDI, _ADD, _SUB, _LI, _MV, _NOP, _LD, _ST,
- _BEQ, _BNE, _BLT, _J, _JAL, _JR, _JALR, _RET, _HALT) = range(17)
-_ALU_OPS = {"add": _ADD, "sub": _SUB, "addi": _ADDI, "li": _LI, "mv": _MV}
-_COND_OPS = {"beq": _BEQ, "bne": _BNE}  # any other conditional compares with blt
-# The kind character of each branch site (Sites.kinds, Branches.kinds): a
-# conditional's taken bit, or one letter per kind of unconditional transfer.
-NOT_TAKEN, TAKEN, JUMP, CALL, INDIRECT_CALL, INDIRECT_JUMP, RETURN = "01jcCir"
-_KIND_OPS = {  # instruction kind -> (handler, kind character)
-    Kind.LOAD: (_LD, None), Kind.STORE: (_ST, None), Kind.DIRECT_JUMP: (_J, JUMP),
-    Kind.LINKING_JUMP: (_JAL, CALL), Kind.INDIRECT_JUMP: (_JR, INDIRECT_JUMP),
-    Kind.LINKING_INDIRECT_JUMP: (_JALR, INDIRECT_CALL), Kind.RETURN: (_RET, RETURN),
-    Kind.HALT: (_HALT, None)}
+# Handler numbers by mnemonic.  Straight-line instructions come first, so one
+# comparison tells them from control transfers and halt.
+(_ADDI, _ADD, _SUB, _LI, _MV, _LD, _ST,
+ _BEQ, _BNE, _BLT, _J, _JAL, _JR, _JALR, _RET, _HALT) = range(16)
+_HANDLERS = {"addi": _ADDI, "add": _ADD, "sub": _SUB, "li": _LI, "mv": _MV, "ld": _LD, "st": _ST,
+             "beq": _BEQ, "bne": _BNE, "blt": _BLT, "j": _J, "jal": _JAL, "jr": _JR,
+             "jalr": _JALR, "ret": _RET, "halt": _HALT}
 
-# (handler, x, y, z, site, instruction); x, y, z are the operands the handler reads:
-# rd/rs1/rs2 or rd/rs1/imm for ALU ops, rd/rs1/imm for memory, rs1/rs2/target for
-# conditionals, the target for direct jumps, rs1 for indirect ones.  site is a branch's
-# site character (both, indexed by the taken bit, for a conditional).
+# (handler, x, y, z, site, instruction); x, y, z are the instruction's operand fields
+# in source order (`isa.FIELDS`), the rest None: rd/rs1/rs2, rd/rs1/imm, rd/imm or
+# rd/rs1 for ALU ops, rd/rs1/imm for memory, rs1/rs2/target for conditionals, the
+# target for direct jumps, rs1 for indirect ones.  site is a branch's site character
+# (both, indexed by the taken bit, for a conditional).
 Decoded = tuple[int, Optional[int], Optional[int], Optional[int], Optional[str], Instruction]
 
 
@@ -329,42 +291,24 @@ def _signed(v: int) -> int:
 
 
 def _decode(ins: Instruction, site: Optional[str]) -> Decoded:
-    if ins.kind is Kind.ALU:
-        op = _ALU_OPS.get(ins.mnemonic, _NOP)
-        if op in (_ADD, _SUB):
-            return (op, ins.rd, ins.rs1, ins.rs2, None, ins)
-        return (op, ins.rd, ins.rs1, ins.imm, None, ins)
-    if ins.kind is Kind.COND_BRANCH:
-        return (_COND_OPS.get(ins.mnemonic, _BLT), ins.rs1, ins.rs2, ins.target, site, ins)
-    op = _KIND_OPS[ins.kind][0]
-    if op in (_LD, _ST):
-        return (op, ins.rd, ins.rs1, ins.imm, None, ins)
-    if op in (_J, _JAL):
-        return (op, ins.target, None, None, site, ins)
-    return (op, ins.rs1, None, None, site, ins)
+    x, y, z = (*(getattr(ins, f) for f in FIELDS[ins.mnemonic]), None, None, None)[:3]
+    return (_HANDLERS[ins.mnemonic], x, y, z, site, ins)
 
 
 def _decoded(program: Program) -> dict[int, Decoded]:
-    """Handler tuples by address, built once per Program object with its `Sites`.
+    """Handler tuples by address, built once per Program object.
 
-    The tables are kept on the program object itself, so they live exactly as
+    The table is kept on the program object itself, so it lives exactly as
     long as the program; Program is frozen, hence the write to __dict__.
     """
     table = program.__dict__.get("_decoded")
     if table is None:
-        sites = program.__dict__["_sites"] = Sites.of(program)
         chars: dict[int, str] = {}  # address -> its site characters
-        for c, (src, _, _) in sites.site.items():
+        for c, (src, _, _) in program.sites.site.items():
             chars[src] = chars.get(src, "") + c
         table = {ins.addr: _decode(ins, chars.get(ins.addr)) for ins in program.instructions}
         program.__dict__["_decoded"] = table
     return table
-
-
-def site_table(program: Program) -> Sites:
-    """The program's branch sites, built with its handler tuples."""
-    _decoded(program)
-    return program.__dict__["_sites"]
 
 
 def run(
@@ -384,7 +328,7 @@ def run(
     if len(input_words) > data_mem_words:
         raise EmulatorError("input exceeds data memory")
     mem = [w & MASK32 for w in input_words] + [0] * (data_mem_words - len(input_words))
-    regs = [0] * 16
+    regs = [0] * NUM_REGS
     ra = 0
     code = _decoded(program)
     sites, targets = [], []  # the Trace record; sites joined at the end
@@ -426,7 +370,7 @@ def run(
             elif op == _SUB:
                 regs[x] = (regs[y] - regs[z]) & MASK32
             elif op == _LI:
-                regs[x] = z & MASK32
+                regs[x] = y & MASK32
             elif op == _MV:
                 regs[x] = regs[y]
             if observer is not None:

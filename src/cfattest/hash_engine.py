@@ -43,10 +43,10 @@ def simulate_absorb(arrival_cycles: list[int], buffer_depth: int) -> AbsorbResul
     queue in a FIFO buffer of the given depth; exceeding it is reported as
     overflow (words are still accounted for, never dropped).
     """
-    if any(b < a for a, b in zip(arrival_cycles, arrival_cycles[1:])):
-        raise ValueError("arrival cycles must be non-decreasing")
-    if len(arrival_cycles) != len(set(arrival_cycles)):
-        raise ValueError("at most one arrival per cycle")
+    if not isinstance(arrival_cycles, list) or any(type(a) is not int for a in arrival_cycles):
+        raise ValueError("arrival cycles must be a list of integers")
+    if any(b <= a for a, b in zip(arrival_cycles, arrival_cycles[1:])):
+        raise ValueError("arrival cycles must be increasing: at most one arrival per cycle")
 
     queue = 0
     in_block = 0

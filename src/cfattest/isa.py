@@ -1,4 +1,5 @@
-"""Toy RISC-like ISA: assembler, program model and static control-flow graph.
+"""Toy RISC-like ISA: opcode table, assembler, program model with its branch
+sites, and the static control-flow graph derived from them.
 
 The instruction set is deliberately tiny: one link register (`ra`), 16
 general registers, word-addressed data memory.  Branch semantics and the
@@ -31,12 +32,35 @@ class Kind(Enum):
     HALT = "halt"
 
 
-CONTROL_KINDS = frozenset({
-    Kind.COND_BRANCH, Kind.DIRECT_JUMP, Kind.LINKING_JUMP,
-    Kind.INDIRECT_JUMP, Kind.LINKING_INDIRECT_JUMP, Kind.RETURN,
-})
+STRAIGHT_KINDS = frozenset({Kind.ALU, Kind.LOAD, Kind.STORE})
+CONTROL_KINDS = frozenset(Kind) - STRAIGHT_KINDS - {Kind.HALT}
 LINKING_KINDS = frozenset({Kind.LINKING_JUMP, Kind.LINKING_INDIRECT_JUMP})
 INDIRECT_KINDS = frozenset({Kind.INDIRECT_JUMP, Kind.LINKING_INDIRECT_JUMP, Kind.RETURN})
+
+# mnemonic -> (kind, operand roles in source order).  A role names the Instruction
+# field it sets, except "mem", the memory operand `[rs1 +- offset]`, which sets rs1 and imm.
+OPCODES: Mapping[str, tuple[Kind, tuple[str, ...]]] = MappingProxyType({
+    "add": (Kind.ALU, ("rd", "rs1", "rs2")),
+    "sub": (Kind.ALU, ("rd", "rs1", "rs2")),
+    "addi": (Kind.ALU, ("rd", "rs1", "imm")),
+    "li": (Kind.ALU, ("rd", "imm")),
+    "mv": (Kind.ALU, ("rd", "rs1")),
+    "ld": (Kind.LOAD, ("rd", "mem")),
+    "st": (Kind.STORE, ("rd", "mem")),
+    "beq": (Kind.COND_BRANCH, ("rs1", "rs2", "target")),
+    "bne": (Kind.COND_BRANCH, ("rs1", "rs2", "target")),
+    "blt": (Kind.COND_BRANCH, ("rs1", "rs2", "target")),
+    "j": (Kind.DIRECT_JUMP, ("target",)),
+    "jal": (Kind.LINKING_JUMP, ("target",)),
+    "jr": (Kind.INDIRECT_JUMP, ("rs1",)),
+    "jalr": (Kind.LINKING_INDIRECT_JUMP, ("rs1",)),
+    "ret": (Kind.RETURN, ()),
+    "halt": (Kind.HALT, ()),
+})
+# mnemonic -> the Instruction fields its operands set, in source order
+FIELDS: Mapping[str, tuple[str, ...]] = MappingProxyType({
+    m: tuple(f for r in roles for f in (("rs1", "imm") if r == "mem" else (r,)))
+    for m, (_, roles) in OPCODES.items()})
 
 
 class AsmError(ValueError):
@@ -92,16 +116,15 @@ class Instruction:
 
     @classmethod
     def from_json(cls, d: dict) -> "Instruction":
-        return cls(
-            addr=int(d["addr"], 16),
-            kind=Kind(d["kind"]),
-            mnemonic=d["mnemonic"],
-            rd=d.get("rd"),
-            rs1=d.get("rs1"),
-            rs2=d.get("rs2"),
-            imm=d.get("imm"),
-            target=int(d["target"], 16) if "target" in d else None,
-        )
+        """Decode one instruction; its operands must be the integer fields its mnemonic sets."""
+        ops = {k: v for k, v in d.items() if k not in ("addr", "kind", "mnemonic")}
+        if "target" in ops:
+            ops["target"] = int(ops["target"], 16)
+        fields = FIELDS.get(d["mnemonic"], ops)  # Program rejects an unknown mnemonic
+        if (set(ops) != set(fields) or not all(type(v) is int for v in ops.values())
+                or not all(0 <= ops[r] < NUM_REGS for r in ("rd", "rs1", "rs2") if r in ops)):
+            raise InvalidProgramError(f"bad operands for {d['mnemonic']!r} at {d['addr']}")
+        return cls(int(d["addr"], 16), Kind(d["kind"]), d["mnemonic"], **ops)
 
 
 @dataclass(frozen=True)
@@ -115,6 +138,14 @@ class Program:
         for i, ins in enumerate(self.instructions):
             if ins.addr != self.base + i * WORD:
                 raise InvalidProgramError(f"non-contiguous address 0x{ins.addr:x}")
+            if OPCODES.get(ins.mnemonic, (None,))[0] is not ins.kind:
+                raise InvalidProgramError(
+                    f"no {ins.kind.value} instruction {ins.mnemonic!r} at 0x{ins.addr:x}")
+
+    @cached_property
+    def sites(self) -> "Sites":
+        """The program's branch sites, built on first use."""
+        return Sites.of(self)
 
     @property
     def end(self) -> int:
@@ -122,7 +153,7 @@ class Program:
         return self.base + len(self.instructions) * WORD
 
     def instr_at(self, addr: int) -> Optional[Instruction]:
-        if addr < self.base or addr >= self.end or addr % WORD:
+        if addr < self.base or addr >= self.end or (addr - self.base) % WORD:
             return None
         return self.instructions[(addr - self.base) // WORD]
 
@@ -141,12 +172,19 @@ class Program:
 
     @classmethod
     def from_json(cls, d: dict) -> "Program":
-        return cls(
-            id=d["id"],
-            instructions=tuple(Instruction.from_json(i) for i in d["instructions"]),
-            entry_point=int(d["entry_point"], 16),
-            base=int(d["base"], 16),
-        )
+        """Decode a program file; InvalidProgramError if it is malformed."""
+        try:
+            return cls(
+                id=d["id"],
+                instructions=tuple(Instruction.from_json(i) for i in d["instructions"]),
+                entry_point=int(d["entry_point"], 16),
+                base=int(d["base"], 16),
+            )
+        except InvalidProgramError:
+            raise
+        except (KeyError, TypeError, AttributeError, ValueError) as e:  # missing key, wrong
+            # type (an instruction that is not an object has no items), bad hex or kind
+            raise InvalidProgramError(f"malformed program: {e!r}") from None
 
 
 _REG_RE = re.compile(r"^r(\d{1,2})$")
@@ -159,13 +197,6 @@ def _reg(tok: str, line_no: int) -> int:
     if not m or int(m.group(1)) >= NUM_REGS:
         raise AsmError(line_no, f"bad register {tok!r}")
     return int(m.group(1))
-
-
-def _imm(tok: str, line_no: int) -> int:
-    try:
-        return int(tok, 0)
-    except ValueError:
-        raise AsmError(line_no, f"bad immediate {tok!r}") from None
 
 
 def parse_program(text: str, program_id: str = "anon") -> Program:
@@ -196,75 +227,88 @@ def parse_program(text: str, program_id: str = "anon") -> Program:
 
     instrs: list[Instruction] = []
     addr = BASE_ADDR
-
-    def resolve(tok: str, line_no: int) -> int:
-        if tok not in labels:
-            raise AsmError(line_no, f"unresolved label {tok!r}")
-        return labels[tok]
-
     for line_no, mnem, ops in pending:
-        def need(k: int):
-            if len(ops) != k:
-                raise AsmError(line_no, f"{mnem} expects {k} operands, got {len(ops)}")
-
-        if mnem in ("add", "sub"):
-            need(3)
-            ins = Instruction(addr, Kind.ALU, mnem, rd=_reg(ops[0], line_no),
-                              rs1=_reg(ops[1], line_no), rs2=_reg(ops[2], line_no))
-        elif mnem == "addi":
-            need(3)
-            ins = Instruction(addr, Kind.ALU, mnem, rd=_reg(ops[0], line_no),
-                              rs1=_reg(ops[1], line_no), imm=_imm(ops[2], line_no))
-        elif mnem == "li":
-            need(2)
-            ins = Instruction(addr, Kind.ALU, mnem, rd=_reg(ops[0], line_no),
-                              imm=_imm(ops[1], line_no))
-        elif mnem == "mv":
-            need(2)
-            ins = Instruction(addr, Kind.ALU, mnem, rd=_reg(ops[0], line_no),
-                              rs1=_reg(ops[1], line_no))
-        elif mnem in ("ld", "st"):
-            need(2)
-            m = _MEM_RE.match(ops[1])
-            if not m:
-                raise AsmError(line_no, f"bad memory operand {ops[1]!r}")
-            off = int(m.group(3) or 0)
-            if m.group(2) == "-":
-                off = -off
-            kind = Kind.LOAD if mnem == "ld" else Kind.STORE
-            ins = Instruction(addr, kind, mnem, rd=_reg(ops[0], line_no),
-                              rs1=_reg(m.group(1), line_no), imm=off)
-        elif mnem in ("beq", "bne", "blt"):
-            need(3)
-            ins = Instruction(addr, Kind.COND_BRANCH, mnem, rs1=_reg(ops[0], line_no),
-                              rs2=_reg(ops[1], line_no), target=resolve(ops[2], line_no))
-        elif mnem == "j":
-            need(1)
-            ins = Instruction(addr, Kind.DIRECT_JUMP, mnem, target=resolve(ops[0], line_no))
-        elif mnem == "jal":
-            need(1)
-            ins = Instruction(addr, Kind.LINKING_JUMP, mnem, target=resolve(ops[0], line_no))
-        elif mnem == "jr":
-            need(1)
-            ins = Instruction(addr, Kind.INDIRECT_JUMP, mnem, rs1=_reg(ops[0], line_no))
-        elif mnem == "jalr":
-            need(1)
-            ins = Instruction(addr, Kind.LINKING_INDIRECT_JUMP, mnem, rs1=_reg(ops[0], line_no))
-        elif mnem == "ret":
-            need(0)
-            ins = Instruction(addr, Kind.RETURN, mnem)
-        elif mnem == "halt":
-            need(0)
-            ins = Instruction(addr, Kind.HALT, mnem)
-        else:
+        if mnem not in OPCODES:
             raise AsmError(line_no, f"unknown mnemonic {mnem!r}")
-        instrs.append(ins)
+        kind, roles = OPCODES[mnem]
+        if len(ops) != len(roles):
+            raise AsmError(line_no, f"{mnem} expects {len(roles)} operands, got {len(ops)}")
+        fields: dict[str, int] = {}
+        for role, tok in zip(roles, ops):
+            if role == "imm":
+                try:
+                    fields["imm"] = int(tok, 0)
+                except ValueError:
+                    raise AsmError(line_no, f"bad immediate {tok!r}") from None
+            elif role == "target":
+                if tok not in labels:
+                    raise AsmError(line_no, f"unresolved label {tok!r}")
+                fields["target"] = labels[tok]
+            elif role == "mem":
+                m = _MEM_RE.match(tok)
+                if not m:
+                    raise AsmError(line_no, f"bad memory operand {tok!r}")
+                off = int(m.group(3) or 0)
+                fields["rs1"] = _reg(m.group(1), line_no)
+                fields["imm"] = -off if m.group(2) == "-" else off
+            else:
+                fields[role] = _reg(tok, line_no)
+        instrs.append(Instruction(addr, kind, mnem, **fields))
         addr += WORD
 
     if sum(1 for i in instrs if i.kind is Kind.HALT) != 1:
         raise AsmError(len(text.splitlines()) or 1, "program must contain exactly one halt")
 
     return Program(id=program_id, instructions=tuple(instrs))
+
+
+# --- branch sites -------------------------------------------------------------
+
+# The kind character of each branch site (Sites.kinds): a conditional's taken
+# bit, or one letter per kind of unconditional transfer.
+NOT_TAKEN, TAKEN, JUMP, CALL, INDIRECT_CALL, INDIRECT_JUMP, RETURN = "01jcCir"
+_SITE_KIND = {Kind.DIRECT_JUMP: JUMP, Kind.LINKING_JUMP: CALL, Kind.INDIRECT_JUMP: INDIRECT_JUMP,
+              Kind.LINKING_INDIRECT_JUMP: INDIRECT_CALL, Kind.RETURN: RETURN}
+
+
+def char_class(chars) -> Optional[re.Pattern]:
+    """A pattern matching any one of the given characters; None if there are none."""
+    chars = "".join(map(re.escape, chars))
+    return re.compile(f"[{chars}]") if chars else None
+
+
+class Sites:
+    """A program's branch sites: each (instruction, taken) pair that transfers control.
+
+    Site n is the character chr(n), given as (Src, Dest, kind character), in
+    address order; Dest is None for an indirect transfer, whose target only
+    the run knows.
+    `pair` gives a site's (Src, Dest); `srcs` the Src and `kinds` the kind
+    character by site number, the latter a `str.translate` table.  `backward`
+    holds the static loop backedges: the taken or jump sites with Dest < Src.
+    """
+
+    def __init__(self, entry: int, ends: list[tuple[int, Optional[int], str]]):
+        self.entry = entry
+        self.site = {chr(n): end for n, end in enumerate(ends)}
+        self.srcs = [src for src, _, _ in ends]
+        self.pair = {c: (src, dest) for c, (src, dest, _) in self.site.items()}
+        self.kinds = "".join(kind for _, _, kind in ends)
+        self.indirect = char_class(c for c, (_, dest) in self.pair.items() if dest is None)
+        self.backward = {c: (src, dest) for c, (src, dest, kind) in self.site.items()
+                         if kind in (TAKEN, JUMP) and dest < src}
+        self.derived: dict = {}  # values the loop detection derives from the table
+
+    @classmethod
+    def of(cls, program: Program) -> "Sites":
+        """A conditional has two sites, not taken then taken; any other transfer one."""
+        ends = []
+        for ins in program.instructions:
+            if ins.kind is Kind.COND_BRANCH:
+                ends += [(ins.addr, ins.addr + WORD, NOT_TAKEN), (ins.addr, ins.target, TAKEN)]
+            elif ins.kind in _SITE_KIND:  # an indirect transfer has no target
+                ends.append((ins.addr, ins.target, _SITE_KIND[ins.kind]))
+        return cls(program.entry_point, ends)
 
 
 # --- static CFG -------------------------------------------------------------
@@ -274,6 +318,9 @@ EDGE_TAKEN = "taken"
 EDGE_CALL = "call"
 EDGE_RETURN_ANY = "return-any"
 EDGE_INDIRECT_ANY = "indirect-any"
+_EDGE_KIND = {NOT_TAKEN: EDGE_FALLTHROUGH, TAKEN: EDGE_TAKEN, JUMP: EDGE_TAKEN, CALL: EDGE_CALL,
+              INDIRECT_CALL: EDGE_INDIRECT_ANY, INDIRECT_JUMP: EDGE_INDIRECT_ANY,
+              RETURN: EDGE_RETURN_ANY}
 
 
 @dataclass(frozen=True, order=True)
@@ -335,8 +382,10 @@ def build_cfg(p: Program) -> Cfg:
 def _partition(p: Program) -> Cfg:
     """Partition a program into basic blocks and collect static edges.
 
-    static_loops holds exactly the targets of non-linking backward branches;
-    subroutine calls (linking) never qualify.
+    The edges are the program's branch sites, plus a fallthrough edge out of
+    each block that ends on a straight-line instruction.  static_loops holds
+    exactly the sites' static loop backedges (`Sites.backward`); subroutine
+    calls (linking) never qualify.
     """
     leaders = {p.base}
     for ins in p.instructions:
@@ -345,7 +394,7 @@ def _partition(p: Program) -> Cfg:
                 raise InvalidProgramError(
                     f"branch at 0x{ins.addr:x} targets 0x{ins.target:x} outside program")
             leaders.add(ins.target)
-        if ins.is_control or ins.kind is Kind.HALT:
+        if ins.kind not in STRAIGHT_KINDS:
             nxt = ins.addr + WORD
             if nxt < p.end:
                 leaders.add(nxt)
@@ -356,32 +405,8 @@ def _partition(p: Program) -> Cfg:
         last = (starts[i + 1] - WORD) if i + 1 < len(starts) else (p.end - WORD)
         blocks.append(Block(s, last))
 
-    edges: set[Edge] = set()
-    static_loops: list[tuple[int, int]] = []
-    for b in blocks:
-        term = p.instr_at(b.end)
-        nxt = b.end + WORD
-        if term.kind is Kind.COND_BRANCH:
-            edges.add(Edge(term.addr, term.target, EDGE_TAKEN))
-            edges.add(Edge(term.addr, nxt, EDGE_FALLTHROUGH))
-            if term.target < term.addr:
-                static_loops.append((term.target, term.addr))
-        elif term.kind is Kind.DIRECT_JUMP:
-            edges.add(Edge(term.addr, term.target, EDGE_TAKEN))
-            if term.target < term.addr:
-                static_loops.append((term.target, term.addr))
-        elif term.kind is Kind.LINKING_JUMP:
-            edges.add(Edge(term.addr, term.target, EDGE_CALL))
-        elif term.kind in (Kind.INDIRECT_JUMP, Kind.LINKING_INDIRECT_JUMP):
-            edges.add(Edge(term.addr, None, EDGE_INDIRECT_ANY))
-        elif term.kind is Kind.RETURN:
-            edges.add(Edge(term.addr, None, EDGE_RETURN_ANY))
-        elif term.kind is Kind.HALT:
-            pass
-        else:
-            if nxt < p.end:
-                edges.add(Edge(term.addr, nxt, EDGE_FALLTHROUGH))
-
-    static_loops.sort()
+    edges = {Edge(src, dest, _EDGE_KIND[kind]) for src, dest, kind in p.sites.site.values()}
+    edges.update(Edge(b.end, b.end + WORD, EDGE_FALLTHROUGH) for b in blocks
+                 if b.end + WORD < p.end and p.instr_at(b.end).kind in STRAIGHT_KINDS)
+    static_loops = sorted((dest, src) for src, dest in p.sites.backward.values())
     return Cfg(tuple(blocks), frozenset(edges), tuple(static_loops))
-

@@ -25,7 +25,8 @@ from dataclasses import dataclass
 from itertools import repeat
 from typing import Optional
 
-from .branch_filter import FLAT_RUN, INDIRECT, LoopMarks, LoopStatusKind, site_bits
+from .branch_filter import (DEFAULT_MAX_DEPTH, FLAT_RUN, INDIRECT, LoopMarks, LoopStatusKind,
+                            site_bits)
 
 FAULT_MARKER_ENTRY = 0xFFFF_FFFF
 PARENT_NONE = 0xFFFF_FFFF
@@ -35,7 +36,7 @@ PARENT_NONE = 0xFFFF_FFFF
 class MonitorConfig:
     n: int = 4               # bits per indirect target code
     path_width: int = 16     # maximum bits per loop path
-    max_depth: int = 3       # nesting levels tracked as loops
+    max_depth: int = DEFAULT_MAX_DEPTH  # nesting levels tracked as loops
 
     def __post_init__(self):
         # the bounds keep every L encodable: a session's target count, a

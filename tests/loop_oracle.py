@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from cfattest.branch_filter import (DEFAULT_MAX_DEPTH, BranchEvent, BranchKind,
+from views import (DEFAULT_MAX_DEPTH, BranchEvent, BranchKind,
                                     LoopContext, LoopStatusEvent, LoopStatusKind,
                                     StreamItem)
 from cfattest.isa import WORD

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from cfattest.branch_filter import (BranchEvent, BranchKind, LoopStatusEvent,
+from views import (BranchEvent, BranchKind, LoopStatusEvent,
                                     LoopStatusKind, StreamItem)
 from cfattest.loop_monitor import LoopSession, MonitorConfig, PathId
 

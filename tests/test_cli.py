@@ -221,6 +221,32 @@ class TestUsageErrors:
         assert cfattest("measure", ws / "trace.jsonl", "--program", ws / "prog.json") == 1
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("malform", ["program-without-key", "program-not-object",
+                                         "program-mul", "program-kind-mismatch",
+                                         "attack-without-trigger", "arrivals-not-ints"])
+    def test_malformed_input_file_exit_1(self, ws, capsys, malform):
+        bad = ws / "bad.json"
+        content = json.loads((ws / "prog.json").read_text())
+        argv = ["run", bad, "--input", "3,0,1,0"]
+        if malform == "program-without-key":
+            del content["instructions"][0]["addr"]
+        elif malform == "program-not-object":
+            content = [content]
+        elif malform == "program-mul":
+            content["instructions"][3]["mnemonic"] = "mul"  # add r5, r1, r0
+        elif malform == "program-kind-mismatch":
+            content["instructions"][10]["kind"] = "linking_jump"  # j loop
+        elif malform == "attack-without-trigger":
+            content = {"kind": "corrupt-loop-counter", "payload": {"reg": 2, "value": 2}}
+            argv = ["run", ws / "prog.json", "--attack", bad]
+        else:
+            content = [0, "1", 2]
+            argv = ["timing", bad, "--buffer", "3"]
+        bad.write_text(json.dumps(content))
+        capsys.readouterr()
+        assert cfattest(*argv) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
     @pytest.mark.parametrize("command", ["attest", "verify"])
     def test_challenge_without_nonce_exit_1(self, ws, capsys, command):
         assert attest_and_verify(ws) == 0

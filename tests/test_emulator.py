@@ -3,9 +3,9 @@ import json
 import pytest
 
 import programs as P
-from cfattest.emulator import (AttackError, AttackSpec, CycleLimitExceeded,
+from cfattest.emulator import (_BEQ, _HANDLERS, AttackError, AttackSpec, CycleLimitExceeded,
                                EmulatorError, run, trace_from_jsonl)
-from cfattest.isa import Kind, parse_program
+from cfattest.isa import OPCODES, STRAIGHT_KINDS, Kind, parse_program
 
 
 class TestExecution:
@@ -52,6 +52,12 @@ end:
         t = run(parse_program(src), [])
         blt = next(e for e in t.events if e.instr.mnemonic == "blt")
         assert blt.taken is True  # -1 < 0 under signed compare
+
+    def test_handler_map_covers_exactly_the_opcodes(self):
+        assert _HANDLERS.keys() == OPCODES.keys()
+        # straight-line handlers come first: one comparison separates them
+        assert all((_HANDLERS[m] < _BEQ) == (kind in STRAIGHT_KINDS)
+                   for m, (kind, _) in OPCODES.items())
 
     def test_follows_static_edges(self):
         # attack-free runs only traverse CFG-sanctioned successors
@@ -134,10 +140,24 @@ class TestAttacks:
         ("corrupt-decision-var", {"cycle": 0}, {"reg": 1, "mem": 0, "value": 0}),
         ("corrupt-decision-var", {"cycle": 0}, {"reg": 1}),
         ("corrupt-code-pointer", {"cycle": 0}, {"code": 0, "value": 0}),
+        ("corrupt-decision-var", ["cycle"], {"reg": 1, "value": 0}),
+        ("corrupt-decision-var", {"pc": "0x108"}, {"reg": 1, "value": 0}),
+        ("corrupt-decision-var", {"cycle": 0}, ["reg", "value"]),
+        ("corrupt-decision-var", {"cycle": 0}, {"reg": 1, "value": "0"}),
     ])
     def test_invalid_attack_specs(self, kind, trigger, payload):
         with pytest.raises(AttackError):
             AttackSpec(kind, trigger, payload)
+
+    @pytest.mark.parametrize("d", [
+        {"kind": "corrupt-loop-counter", "payload": {"reg": 2, "value": 3}},
+        {"kind": "corrupt-loop-counter", "trigger": {"pc": 0x108},
+         "payload": {"reg": 2, "value": 3}, "extra": 1},
+        [], "attack", None,
+    ])
+    def test_malformed_attack_file_rejected(self, d):
+        with pytest.raises(AttackError):
+            AttackSpec.from_json(d)
 
     def test_attack_json_round_trip(self):
         atk = AttackSpec("corrupt-loop-counter", {"pc": 0x108}, {"reg": 2, "value": 3})

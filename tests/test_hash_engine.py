@@ -74,6 +74,11 @@ class TestAbsorbModel:
         with pytest.raises(ValueError):
             simulate_absorb([1, 1], 0)  # more than one arrival per cycle
 
+    @pytest.mark.parametrize("arrivals", [[0, "1"], [0, 1.5], [True], {"0": 1}, "012", None])
+    def test_arrivals_must_be_a_list_of_integers(self, arrivals):
+        with pytest.raises(ValueError, match="list of integers"):
+            simulate_absorb(arrivals, 0)
+
     def test_json(self):
         assert simulate_absorb([0], 0).to_json() == {
             "max_occupancy": 0, "overflow": False, "completion_cycle": 0}

@@ -1,10 +1,16 @@
+import hashlib
 import json
+import random
+from pathlib import Path
 
 import pytest
 
 import programs as P
-from cfattest.isa import (AsmError, Cfg, Edge, Instruction, InvalidProgramError,
+from cfattest.isa import (AsmError, Block, Cfg, Edge, Instruction, InvalidProgramError,
                           Kind, Program, build_cfg, parse_program)
+from genprog import gen_program
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 class TestParser:
@@ -95,6 +101,73 @@ class TestParserErrors:
             Program("x", ins)
 
 
+class TestProgramFile:
+    """`Program.from_json` takes only the opcode table's instructions, else InvalidProgramError."""
+
+    @pytest.mark.parametrize("index, change", [
+        (3, {"mnemonic": "mul"}),             # add r5, r1, r0 as an unknown ALU op
+        (2, {"mnemonic": "bgt"}),             # beq as an unknown conditional
+        (10, {"kind": "linking_jump"}),       # j with the kind of jal
+        (10, {"kind": "halt"}),
+    ])
+    def test_instruction_outside_the_opcode_table_rejected(self, index, change):
+        d = P.prog(P.WHILE_IF_ELSE, "w").to_json()
+        d["instructions"][index].update(change)
+        with pytest.raises(InvalidProgramError, match="no .* instruction"):
+            Program.from_json(json.loads(json.dumps(d)))
+
+    @pytest.mark.parametrize("index, change", [
+        (2, {"target": None}),                # beq without a target
+        (3, {"rd": 16}),                      # register out of range
+        (3, {"rs1": -1}),
+        (6, {"imm": "1"}),                    # immediate not an integer
+        (6, {"rs2": 0}),                      # addi has no rs2
+        (14, {"rs1": 1}),                     # ret has no operand
+    ])
+    def test_bad_operands_rejected(self, index, change):
+        d = P.prog(P.WHILE_IF_ELSE, "w").to_json()
+        ins = d["instructions"][index]
+        ins.update(change)
+        if ins.get("target", "") is None:
+            del ins["target"]
+        with pytest.raises(InvalidProgramError, match="bad operands"):
+            Program.from_json(d)
+
+    @pytest.mark.parametrize("malform", [
+        lambda d: d.pop("base"),
+        lambda d: d["instructions"][0].pop("addr"),
+        lambda d: d["instructions"][0].pop("mnemonic"),
+        lambda d: d["instructions"].__setitem__(0, "li r1, 0"),
+        lambda d: d.__setitem__("instructions", 7),
+        lambda d: d.__setitem__("entry_point", 256),
+        lambda d: d["instructions"][0].__setitem__("kind", "nonsense"),
+    ])
+    def test_malformed_file_rejected(self, malform):
+        d = P.prog(P.WHILE_IF_ELSE, "w").to_json()
+        malform(d)
+        with pytest.raises(InvalidProgramError):
+            Program.from_json(d)
+
+    @pytest.mark.parametrize("d", [[], "program", None])
+    def test_file_that_is_not_an_object_rejected(self, d):
+        with pytest.raises(InvalidProgramError, match="malformed program"):
+            Program.from_json(d)
+
+
+# sha256 over the canonical bytes of every program source in tests/programs.py (by name)
+# and of genprog seeds 0-299, each followed by a NUL byte
+PROGRAM_BYTES_SHA256 = "af77fc510e2ad8a6994bd2d98fcbdcd77f58c08181cc02be9c4a3a4cc30cddbc"
+
+
+def test_assembled_program_bytes_are_pinned():
+    h = hashlib.sha256()
+    for name in sorted(n for n, v in vars(P).items() if n.isupper() and isinstance(v, str)):
+        h.update(parse_program(getattr(P, name), program_id=name.lower()).canonical_bytes() + b"\0")
+    for seed in range(300):
+        h.update(gen_program(random.Random(seed), f"g{seed}").canonical_bytes() + b"\0")
+    assert h.hexdigest() == PROGRAM_BYTES_SHA256
+
+
 class TestCfg:
     def test_blocks_and_static_loop(self):
         cfg = build_cfg(P.prog(P.WHILE_IF_ELSE, "w"))
@@ -145,6 +218,14 @@ go:
         with pytest.raises(InvalidProgramError, match="outside program"):
             build_cfg(Program("x", ins))
 
+    def test_base_off_word_alignment(self):
+        # a loaded program may start at any address; its instructions are base + k words
+        ins = (Instruction(0x102, Kind.DIRECT_JUMP, "j", target=0x106),
+               Instruction(0x106, Kind.HALT, "halt"))
+        cfg = build_cfg(Program("x", ins, entry_point=0x102, base=0x102))
+        assert cfg.blocks == (Block(0x102, 0x102), Block(0x106, 0x106))
+        assert cfg.edges == {Edge(0x102, 0x106, "taken")}
+
     def test_json_deterministic(self):
         a = build_cfg(P.prog(P.NESTED_2, "n"))
         b = build_cfg(P.prog(P.NESTED_2, "n"))
@@ -153,3 +234,11 @@ go:
     def test_straight_line_single_block(self):
         cfg = build_cfg(P.prog(P.STRAIGHT_LINE, "s"))
         assert len(cfg.blocks) == 1 and cfg.static_loops == ()
+
+    @pytest.mark.parametrize("name", ["WHILE_IF_ELSE", "DISPATCH_LOOP", "RECURSIVE",
+                                      "CALL_IN_LOOP", "NESTED_4"])
+    def test_matches_golden(self, name):
+        # `cfattest cfg` output; CI diffs the first against the CLI's
+        cfg = build_cfg(P.prog(getattr(P, name), "demo"))
+        text = json.dumps(cfg.to_json(), indent=2, sort_keys=True) + "\n"
+        assert text == (GOLDEN / f"cfg_{name.lower()}.json").read_text()

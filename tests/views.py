@@ -6,9 +6,8 @@ branch and, interleaved, one `LoopStatusEvent` per loop mark, with each flat
 run expanded into its iteration marks.  `branches_from_columns` builds a
 hand-written branch stream.
 
-`loop_oracle` and `monitor_oracle` are the earlier code verbatim, and import
-these names from `cfattest.branch_filter`, where they used to live; importing
-this module (conftest does) puts them there.
+`loop_oracle` and `monitor_oracle` are the earlier code verbatim, importing
+these names, and the `branch_filter` names they use, from here.
 """
 from __future__ import annotations
 
@@ -16,10 +15,11 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Union
 
-from cfattest import branch_filter
-from cfattest.branch_filter import FLAT_RUN, LoopContext, LoopMarks, LoopStatusKind
-from cfattest.emulator import (CALL, INDIRECT_CALL, INDIRECT_JUMP, JUMP, NOT_TAKEN, RETURN,
-                               TAKEN, Branches, Sites)
+from cfattest.branch_filter import (DEFAULT_MAX_DEPTH, FLAT_RUN, LoopContext, LoopMarks,
+                                    LoopStatusKind)
+from cfattest.emulator import Branches
+from cfattest.isa import (CALL, INDIRECT_CALL, INDIRECT_JUMP, JUMP, NOT_TAKEN, RETURN, TAKEN,
+                          Sites)
 
 
 class BranchKind(Enum):
@@ -54,9 +54,6 @@ class LoopStatusEvent:
 
 
 StreamItem = tuple[str, Union[BranchEvent, LoopStatusEvent]]  # ("branch"|"loop", ev)
-
-for _name in ("BranchEvent", "BranchKind", "LoopStatusEvent", "StreamItem"):
-    setattr(branch_filter, _name, globals()[_name])
 
 _BRANCH_KIND = {NOT_TAKEN: BranchKind.COND_NOT_TAKEN, TAKEN: BranchKind.COND_TAKEN,
                 JUMP: BranchKind.DIRECT_JUMP, CALL: BranchKind.CALL, INDIRECT_CALL: BranchKind.CALL,
