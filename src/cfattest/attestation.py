@@ -157,7 +157,7 @@ def signature_valid(message: bytes, signature: bytes, pk: bytes) -> bool:
 
 def program_hash(program: Program) -> bytes:
     """Static measurement of the program text (boot-time binary attestation)."""
-    if "_hash" not in program.__dict__:  # kept on the frozen object, as emulator._decoded is
+    if "_hash" not in program.__dict__:  # kept on the frozen object, as its CFG and units are
         program.__dict__["_hash"] = hashlib.sha3_512(program.canonical_bytes()).digest()
     return program.__dict__["_hash"]
 
@@ -477,7 +477,8 @@ def verify(
     The reported reason is the first failing check in order; `failures`
     additionally lists every distinguishing check that failed, so callers can
     see e.g. that a rogue in-loop edge both breaks the loop structure and
-    changes the authenticator.
+    changes the authenticator.  A replay past the cycle cap raises
+    CycleLimitExceeded, for which `cfattest verify` exits 6.
     """
     cfg = build_cfg(program)
 

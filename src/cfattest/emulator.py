@@ -1,35 +1,46 @@
-"""Deterministic interpreter recording the branches of a run, with attack hooks.
+"""Deterministic emulator recording the branches of a run, with attack hooks.
 
 One instruction retires per cycle.  A run records only its branches, in the
 layout of Intel PT's TNT/TIP packets: one **site character** per branch,
 naming its (instruction, taken) pair in the program's site table
-(`Program.sites`), plus the target of each indirect transfer.  The handler
-tuples, decoded once per `Program` object at its first run, carry the site
-characters, so recording a branch is one append.  Every other cycle
-advances the pc by one word, so the branch columns (source, destination,
-kind character, cycle) and the per-cycle stream (`Trace.events`) are
-derived from the record on demand, while the `observer` hook still sees
-every cycle as it retires.
+(`Program.sites`), plus the target of each indirect transfer.  The branch
+columns (source, destination, kind character, cycle) and the per-cycle
+stream (`Trace.events`) are derived from that record on demand.
+
+The program runs as Python functions, *units*, compiled from `SEMANTICS`
+when control first reaches them and kept with the `Program`: an innermost
+static loop is one unit looping over its blocks, with the registers in
+locals; any other entry pc starts a unit of one block.  Units of one
+*shape*, equal but for addresses, immediates and site characters, share a
+code object and take those as parameter defaults.  Units of one instruction
+single-step a run while an attack's trigger is armed or an `observer`
+watches, and through the last block before the cycle cap, so every cycle
+is exactly the interpreter's.
 Attack injection mutates writable state only (registers, link register, data
 memory); program text is immutable.
 """
 from __future__ import annotations
 
 import json
+import re
+from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import accumulate
 from operator import sub
-from typing import Callable, Optional
+from types import CodeType, FunctionType, MappingProxyType
+from typing import Callable, Mapping, Optional
 
-from .isa import FIELDS, NOT_TAKEN, NUM_REGS, TAKEN, WORD, Instruction, Kind, Program, Sites
+from .isa import (NOT_TAKEN, NUM_REGS, OPCODES, STRAIGHT_KINDS, TAKEN, WORD, Instruction, Kind,
+                  Program, Sites)
 
 DEFAULT_CYCLE_CAP = 1_000_000
 DEFAULT_DATA_WORDS = 4096
 MASK32 = 0xFFFF_FFFF
 
 ATTACK_KINDS = ("corrupt-decision-var", "corrupt-loop-counter", "corrupt-code-pointer")
+_TAKEN = {NOT_TAKEN: False, TAKEN: True}  # a conditional's kind character -> its taken flag
 
 
 class EmulatorError(RuntimeError):
@@ -187,14 +198,11 @@ class TraceEvents(Sequence):
     @cached_property
     def _built(self) -> list[TraceEvent]:
         t, out, pc = self._trace, [], self._trace.program.entry_point
-        taken = {NOT_TAKEN: False, TAKEN: True}
         b = t.branches
-        branch_at = dict(zip(b.cycle, zip(b.dest, b.kinds)))  # cycle -> (dest, kind)
+        branch_at = dict(zip(b.cycle, zip(t.sites, b.dest)))  # cycle -> (site, dest)
         for cycle in range(t.cycles):
-            ins = t.program.instr_at(pc)
-            next_pc, kind = branch_at.get(cycle, (pc if ins.kind is Kind.HALT else pc + WORD, None))
-            out.append(TraceEvent(cycle, pc, ins, taken.get(kind), next_pc))
-            pc = next_pc
+            out.append(_event(t.program, cycle, pc, *branch_at.get(cycle, (None, None))))
+            pc = out[-1].next_pc
         return out
 
     def __len__(self) -> int:
@@ -212,6 +220,15 @@ class TraceEvents(Sequence):
         return NotImplemented
 
 
+def _event(program: Program, cycle: int, pc: int, site: Optional[str], dest) -> TraceEvent:
+    """The event of the instruction at pc: a branch with its site character and
+    destination, or (site None) one that goes on to the next word or halts."""
+    ins = program.instr_at(pc)
+    if site is None:
+        return TraceEvent(cycle, pc, ins, None, pc if ins.kind is Kind.HALT else pc + WORD)
+    return TraceEvent(cycle, pc, ins, _TAKEN.get(program.sites.kinds[ord(site)]), dest)
+
+
 def trace_from_jsonl(text: str, program: Program) -> Trace:
     """Rebuild a Trace from its JSONL form, resolving instructions via program.
 
@@ -219,7 +236,7 @@ def trace_from_jsonl(text: str, program: Program) -> Trace:
     events must be one contiguous run from the program's entry point.  Any
     other text raises EmulatorError.
     """
-    code, table = _decoded(program), program.sites
+    table = program.sites
     sites, targets = [], []  # the Trace record; sites joined at the end
     pc = program.entry_point
     try:
@@ -230,9 +247,10 @@ def trace_from_jsonl(text: str, program: Program) -> Trace:
         for cycle, d in enumerate(lines[1:-1]):
             if int(d["pc"], 16) != pc or d["cycle"] != cycle:
                 raise EmulatorError(f"trace is not a contiguous run at cycle {cycle}")
-            if pc not in code or code[pc][5].mnemonic != d["mnemonic"]:
+            ins = program.instr_at(pc)
+            if ins is None or ins.mnemonic != d["mnemonic"]:
                 raise EmulatorError(f"trace does not match program at pc 0x{pc:x}")
-            site, ins = code[pc][4:]
+            site = table.at.get(pc)
             taken, next_pc = d["taken"], int(d["next_pc"], 16)
             if site is not None:
                 if isinstance(taken, bool) != (ins.kind is Kind.COND_BRANCH):
@@ -252,14 +270,14 @@ def trace_from_jsonl(text: str, program: Program) -> Trace:
         raise EmulatorError(f"malformed trace: {e!r}") from None
 
 
-def inject(attack: AttackSpec, regs: list[int], ra: int, data_mem: list[int]) -> int:
-    """Apply the attack mutation to writable state; returns the link register."""
+def inject(attack: AttackSpec, regs: list[int], data_mem: list[int]) -> None:
+    """Apply the attack mutation to writable state; regs[NUM_REGS] is the link register."""
     value = attack.payload["value"] & MASK32
     if "reg" in attack.payload:
         r = attack.payload["reg"]
         if r == "ra":
-            return value
-        if not isinstance(r, int) or not 0 <= r < len(regs):
+            r = NUM_REGS
+        elif not isinstance(r, int) or not 0 <= r < NUM_REGS:
             raise AttackError(f"bad register target {r!r}")
         regs[r] = value
     else:
@@ -267,48 +285,126 @@ def inject(attack: AttackSpec, regs: list[int], ra: int, data_mem: list[int]) ->
         if not isinstance(idx, int) or not 0 <= idx < len(data_mem):
             raise AttackError(f"memory target {idx!r} outside data memory")
         data_mem[idx] = value
-    return ra
 
 
-# Handler numbers by mnemonic.  Straight-line instructions come first, so one
-# comparison tells them from control transfers and halt.
-(_ADDI, _ADD, _SUB, _LI, _MV, _LD, _ST,
- _BEQ, _BNE, _BLT, _J, _JAL, _JR, _JALR, _RET, _HALT) = range(16)
-_HANDLERS = {"addi": _ADDI, "add": _ADD, "sub": _SUB, "li": _LI, "mv": _MV, "ld": _LD, "st": _ST,
-             "beq": _BEQ, "bne": _BNE, "blt": _BLT, "j": _J, "jal": _JAL, "jr": _JR,
-             "jalr": _JALR, "ret": _RET, "halt": _HALT}
+# What each instruction does: Python over its operand fields, `ra`, its parameters
+# (`_PARAMS`; `site` is a conditional's not-taken one), `after` (the cycles of its
+# block after it) and `leave_target`/`leave_next` (`break` if that successor
+# leaves the unit).  A transfer leaves its next pc in `pc`.
+_BRANCH = "    sa({taken})\n    pc = {target}\n    {leave_target}\nelse:\n    sa({site})\n" \
+    "    pc = {next}\n    {leave_next}"  # a conditional's two outcomes
+SEMANTICS: Mapping[str, str] = MappingProxyType({
+    "add": "{rd} = ({rs1} + {rs2}) & 0xFFFFFFFF",
+    "sub": "{rd} = ({rs1} - {rs2}) & 0xFFFFFFFF",
+    "addi": "{rd} = ({rs1} + {imm}) & 0xFFFFFFFF",
+    "li": "{rd} = {imm}",
+    "mv": "{rd} = {rs1}",
+    "ld": "try:\n    {rd} = mem[({rs1} + {imm}) & 0xFFFFFFFF]\nexcept IndexError:\n    return "
+          "'data-access-out-of-range:%d' % (({rs1} + {imm}) & 0xFFFFFFFF), cycle - {after}",
+    "st": "try:\n    mem[({rs1} + {imm}) & 0xFFFFFFFF] = {rd}\nexcept IndexError:\n    return "
+          "'data-access-out-of-range:%d' % (({rs1} + {imm}) & 0xFFFFFFFF), cycle - {after}",
+    "beq": "if {rs1} == {rs2}:\n" + _BRANCH,
+    "bne": "if {rs1} != {rs2}:\n" + _BRANCH,
+    "blt": "if ({rs1} ^ 0x80000000) < ({rs2} ^ 0x80000000):\n" + _BRANCH,
+    "j": "sa({site})\npc = {target}\n{leave_target}",
+    "jal": "{ra} = {next}\nsa({site})\npc = {target}\n{leave_target}",
+    "jr": "pc = {rs1}\nta(pc)\nsa({site})\nbreak",
+    "jalr": "{ra} = {next}\npc = {rs1}\nta(pc)\nsa({site})\nbreak",
+    "ret": "pc = {ra}\nta(pc)\nsa({site})\nbreak",
+    "halt": "return None, cycle",
+})
+_FALLTHROUGH = "pc = {next}\n{leave_next}"  # after a block that ends on a straight-line instruction
+_PARAMS = ("addr", "next", "imm", "target", "site", "taken")  # of each instruction of a unit
+_BLOCK_LIMIT = 64  # instructions per block of a unit, so that a long block compiles in pieces
 
-# (handler, x, y, z, site, instruction); x, y, z are the instruction's operand fields
-# in source order (`isa.FIELDS`), the rest None: rd/rs1/rs2, rd/rs1/imm, rd/imm or
-# rd/rs1 for ALU ops, rd/rs1/imm for memory, rs1/rs2/target for conditionals, the
-# target for direct jumps, rs1 for indirect ones.  site is a branch's site character
-# (both, indexed by the taken bit, for a conditional).
-Decoded = tuple[int, Optional[int], Optional[int], Optional[int], Optional[str], Instruction]
+
+@lru_cache(maxsize=1024)
+def _shape(blocks: tuple) -> CodeType:
+    """Compile a unit shape: per block, the (mnemonic, rd, rs1, rs2) of its
+    instructions and whether its direct target and its next address start
+    blocks of the unit.  Instruction i's values are parameters, `imm{i}` etc."""
+    lines: list[str] = []
+    firsts = list(accumulate((len(ops) for ops, _, _ in blocks), initial=0))
+
+    def block(j: int, pad: str) -> None:
+        ops, target_inside, next_inside = blocks[j]
+        n = len(ops)
+        lines.extend(pad + line for line in (f"cycle += {n}", "if cycle > cap:",
+                                             f"    cycle -= {n}", "    break"))
+        for k, (mnemonic, *operands) in enumerate(ops):
+            template = SEMANTICS[mnemonic]
+            if k == n - 1 and OPCODES[mnemonic][0] in STRAIGHT_KINDS:
+                template += "\n" + _FALLTHROUGH
+            code = template.format(
+                ra="ra", after=n - k - 1, leave_target="pass" if target_inside else "break",
+                leave_next="pass" if next_inside else "break",
+                **{f: f"r{v}" for f, v in zip(("rd", "rs1", "rs2"), operands)},
+                **{p: f"{p}{firsts[j] + k}" for p in _PARAMS})
+            lines.extend(pad + line for line in code.split("\n"))
+
+    def tree(lo: int, hi: int, pad: str) -> None:  # the pc starts one of blocks[lo:hi]
+        if hi - lo == 1:
+            return block(lo, pad)
+        mid = (lo + hi) // 2
+        lines.append(f"{pad}if pc < addr{firsts[mid]}:")
+        tree(lo, mid, pad + "    ")
+        lines.append(pad + "else:")
+        tree(mid, hi, pad + "    ")
+
+    tree(0, len(blocks), " " * 8)
+    body = "\n".join(lines)
+    regs = sorted(set(re.findall(r"\br(?:\d+|a)\b", body)))
+    names, slots = "".join(f"{r}, " for r in regs), "".join(
+        f"regs[{NUM_REGS if r == 'ra' else r[1:]}], " for r in regs)
+    params = "".join(f", {p}{i}" for i in range(firsts[-1]) for p in _PARAMS)
+    namespace: dict = {}
+    exec("\n".join([f"def unit(regs, mem, sa, ta, pc, cycle, cap{params}):",
+                    f"    {names}= {slots}" if regs else "", "    while True:", body,
+                    f"    {slots}= {names}" if regs else "", "    return pc, cycle"]), namespace)
+    return namespace["unit"].__code__
 
 
-def _signed(v: int) -> int:
-    return v - (1 << 32) if v & 0x8000_0000 else v
+class _Units:
+    """A program's units, each built the first time control reaches it.
 
-
-def _decode(ins: Instruction, site: Optional[str]) -> Decoded:
-    x, y, z = (*(getattr(ins, f) for f in FIELDS[ins.mnemonic]), None, None, None)[:3]
-    return (_HANDLERS[ins.mnemonic], x, y, z, site, ins)
-
-
-def _decoded(program: Program) -> dict[int, Decoded]:
-    """Handler tuples by address, built once per Program object.
-
-    The table is kept on the program object itself, so it lives exactly as
-    long as the program; Program is frozen, hence the write to __dict__.
+    The blocks of an innermost static loop, a backward site span [Dest, Src]
+    that holds no other, are one unit; any other pc control reaches (a block
+    start, the entry point, an indirect target inside a block) starts a unit
+    of one block.  At a block limit of 1 each instruction is a unit.
     """
-    table = program.__dict__.get("_decoded")
-    if table is None:
-        chars: dict[int, str] = {}  # address -> its site characters
-        for c, (src, _, _) in program.sites.site.items():
-            chars[src] = chars.get(src, "") + c
-        table = {ins.addr: _decode(ins, chars.get(ins.addr)) for ins in program.instructions}
-        program.__dict__["_decoded"] = table
-    return table
+
+    def __init__(self, program: Program):
+        self.program, self.units, self.steps = program, {}, {}
+        self.ends = program.leaders + (program.end,)  # where blocks end
+        self.loop_of: dict[int, tuple[int, ...]] = {}  # leader -> its loop's leaders
+        least = None
+        for lo, hi in sorted({(dest, src) for src, dest in program.sites.backward.values()},
+                             key=lambda span: (-span[0], span[1])):
+            if least is None or hi < least:  # no span starting at or above lo ends by hi
+                group = self.ends[bisect_left(self.ends, lo):bisect_right(self.ends, hi)]
+                self.loop_of.update(dict.fromkeys(group, group))
+            least = hi if least is None else min(least, hi)
+
+    def unit(self, pc, limit: int) -> Optional[Callable]:
+        """The unit entered at pc with its blocks cut to limit instructions; None
+        if pc is no instruction."""
+        table, program = self.steps if limit == 1 else self.units, self.program
+        if pc in table or type(pc) is not int or program.instr_at(pc) is None:
+            return table.get(pc)
+        loop = limit > 1 and pc in self.loop_of
+        starts, instrs, shape = self.loop_of[pc] if loop else (pc,), [], []
+        for start in starts:
+            stop = min(self.ends[bisect_right(self.ends, start)], start + limit * WORD)
+            block = [program.instr_at(a) for a in range(start, stop, WORD)]
+            instrs += block
+            shape.append((tuple((i.mnemonic, i.rd, i.rs1, i.rs2) for i in block),
+                          loop and block[-1].target in starts, loop and stop in starts))
+        at = program.sites.at
+        fn = FunctionType(_shape(tuple(shape)), globals(), "unit", tuple(
+            v for i in instrs for v in (i.addr, i.addr + WORD, (i.imm or 0) & MASK32, i.target,
+                                        *at.get(i.addr, "").ljust(2))))
+        table.update(dict.fromkeys(starts, fn))
+        return fn
 
 
 def run(
@@ -323,98 +419,43 @@ def run(
     """Execute the program on the given input, optionally under attack.
 
     The optional observer receives each TraceEvent as it retires; attaching
-    one never alters the produced trace.
+    one never alters the produced trace.  CycleLimitExceeded if the run
+    would retire more than cycle_cap cycles.
     """
     if len(input_words) > data_mem_words:
         raise EmulatorError("input exceeds data memory")
     mem = [w & MASK32 for w in input_words] + [0] * (data_mem_words - len(input_words))
-    regs = [0] * NUM_REGS
-    ra = 0
-    code = _decoded(program)
+    regs = [0] * (NUM_REGS + 1)  # the general registers, then the link register
     sites, targets = [], []  # the Trace record; sites joined at the end
-    fault: Optional[str] = None
-    pc = program.entry_point
-    cycle = 0
-    armed = attack is not None
-    if armed:
-        trigger_cycle = attack.trigger.get("cycle")
-        trigger_pc = attack.trigger.get("pc")
+    sa, ta = sites.append, targets.append
+    code = program.__dict__.get("_units") or program.__dict__.setdefault("_units", _Units(program))
+    units, pc, cycle = code.units, program.entry_point, 0
+    # single step while a trigger is armed or an observer watches, and from the
+    # first block that does not fit under the cap
+    capped, stepping = False, attack is not None or observer is not None
 
     while True:
-        # an invalid pc faults before the cap check: it belongs to the
-        # instruction that jumped there, which has already retired
-        try:
-            op, x, y, z, site, ins = code[pc]
-        except KeyError:
-            fault = f"pc-out-of-range:0x{pc:x}"
+        if not stepping:
+            unit = units.get(pc) or code.unit(pc, _BLOCK_LIMIT)
+            if unit is None:
+                break
+            pc, after = unit(regs, mem, sa, ta, pc, cycle, cycle_cap)
+            stepping = capped = after == cycle
+            cycle = after
+            continue
+        unit = code.unit(pc, 1)
+        if unit is None:  # an invalid pc faults before the cap: it belongs to the jump there
             break
         if cycle >= cycle_cap:
             raise CycleLimitExceeded(f"cycle cap {cycle_cap} exceeded")
-        if armed and (cycle == trigger_cycle or pc == trigger_pc):
-            ra = inject(attack, regs, ra, mem)
-            armed = False
-
-        if op < _BEQ:  # straight-line instruction
-            if op == _ADDI:
-                regs[x] = (regs[y] + z) & MASK32
-            elif op == _LD or op == _ST:
-                idx = (regs[y] + z) & MASK32
-                if idx >= data_mem_words:
-                    fault = f"data-access-out-of-range:{idx}"
-                elif op == _LD:
-                    regs[x] = mem[idx]
-                else:
-                    mem[idx] = regs[x]
-            elif op == _ADD:
-                regs[x] = (regs[y] + regs[z]) & MASK32
-            elif op == _SUB:
-                regs[x] = (regs[y] - regs[z]) & MASK32
-            elif op == _LI:
-                regs[x] = y & MASK32
-            elif op == _MV:
-                regs[x] = regs[y]
-            if observer is not None:
-                observer(TraceEvent(cycle, pc, ins, None, pc + WORD))
-            cycle += 1
-            if fault is not None:
-                break
-            pc += WORD
-            continue
-
-        taken: Optional[bool] = None
-        if op == _BEQ:
-            taken = regs[x] == regs[y]
-        elif op == _BNE:
-            taken = regs[x] != regs[y]
-        elif op == _BLT:
-            taken = _signed(regs[x]) < _signed(regs[y])
-        if taken is not None:
-            next_pc = z if taken else pc + WORD
-            site = site[taken]
-        elif op == _J:
-            next_pc = x
-        elif op == _JAL:
-            ra = pc + WORD
-            next_pc = x
-        elif op == _JR:
-            next_pc = regs[x]
-            targets.append(next_pc)
-        elif op == _JALR:
-            ra = pc + WORD
-            next_pc = regs[x]
-            targets.append(next_pc)
-        elif op == _RET:
-            next_pc = ra
-            targets.append(next_pc)
-        else:  # halt
-            if observer is not None:
-                observer(TraceEvent(cycle, pc, ins, None, pc))
-            cycle += 1
-            break
-        sites.append(site)
+        if attack is not None and (cycle == attack.trigger.get("cycle") or pc == attack.trigger.get("pc")):
+            inject(attack, regs, mem)
+            attack = None
+        last, branches = pc, len(sites)
+        pc, cycle = unit(regs, mem, sa, ta, pc, cycle, cycle_cap)
         if observer is not None:
-            observer(TraceEvent(cycle, pc, ins, taken, next_pc))
-        pc = next_pc
-        cycle += 1
+            observer(_event(program, cycle - 1, last, "".join(sites[branches:]) or None, pc))
+        stepping = capped or attack is not None or observer is not None
 
+    fault = None if pc is None else pc if isinstance(pc, str) else f"pc-out-of-range:0x{pc:x}"
     return Trace(program.id, list(input_words), program, "".join(sites), targets, cycle, fault)

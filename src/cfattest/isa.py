@@ -11,6 +11,7 @@ import re
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
+from itertools import groupby
 from types import MappingProxyType
 from typing import Mapping, Optional
 
@@ -141,11 +142,25 @@ class Program:
             if OPCODES.get(ins.mnemonic, (None,))[0] is not ins.kind:
                 raise InvalidProgramError(
                     f"no {ins.kind.value} instruction {ins.mnemonic!r} at 0x{ins.addr:x}")
+            if ins.target is not None and self.instr_at(ins.target) is None:
+                raise InvalidProgramError(
+                    f"branch at 0x{ins.addr:x} targets 0x{ins.target:x} outside program")
 
     @cached_property
     def sites(self) -> "Sites":
         """The program's branch sites, built on first use."""
         return Sites.of(self)
+
+    @cached_property
+    def leaders(self) -> tuple[int, ...]:
+        """Block starts: the base, direct targets and what follows a transfer or halt."""
+        out = {self.base}
+        for ins in self.instructions:
+            if ins.target is not None:
+                out.add(ins.target)
+            if ins.kind not in STRAIGHT_KINDS and ins.addr + WORD < self.end:
+                out.add(ins.addr + WORD)
+        return tuple(sorted(out))
 
     @property
     def end(self) -> int:
@@ -284,7 +299,8 @@ class Sites:
     address order; Dest is None for an indirect transfer, whose target only
     the run knows.
     `pair` gives a site's (Src, Dest); `srcs` the Src and `kinds` the kind
-    character by site number, the latter a `str.translate` table.  `backward`
+    character by site number, the latter a `str.translate` table; `at` the
+    characters of each branch address (not taken, then taken).  `backward`
     holds the static loop backedges: the taken or jump sites with Dest < Src.
     """
 
@@ -294,6 +310,7 @@ class Sites:
         self.srcs = [src for src, _, _ in ends]
         self.pair = {c: (src, dest) for c, (src, dest, _) in self.site.items()}
         self.kinds = "".join(kind for _, _, kind in ends)
+        self.at = {src: "".join(cs) for src, cs in groupby(self.site, lambda c: self.pair[c][0])}
         self.indirect = char_class(c for c, (_, dest) in self.pair.items() if dest is None)
         self.backward = {c: (src, dest) for c, (src, dest, kind) in self.site.items()
                          if kind in (TAKEN, JUMP) and dest < src}
@@ -373,37 +390,21 @@ class Cfg:
 
 
 def build_cfg(p: Program) -> Cfg:
-    """The program's CFG, built once per Program object (a failed build is not kept)."""
-    if "_cfg" not in p.__dict__:  # kept on the frozen object, as its hash and decode table are
-        p.__dict__["_cfg"] = _partition(p)
-    return p.__dict__["_cfg"]
+    """The program's CFG, built once per Program object."""
+    # kept on the frozen object, as its hash and units are
+    return p.__dict__.get("_cfg") or p.__dict__.setdefault("_cfg", _partition(p))
 
 
 def _partition(p: Program) -> Cfg:
-    """Partition a program into basic blocks and collect static edges.
+    """Partition a program into basic blocks at its leaders and collect static edges.
 
     The edges are the program's branch sites, plus a fallthrough edge out of
     each block that ends on a straight-line instruction.  static_loops holds
     exactly the sites' static loop backedges (`Sites.backward`); subroutine
     calls (linking) never qualify.
     """
-    leaders = {p.base}
-    for ins in p.instructions:
-        if ins.target is not None:
-            if p.instr_at(ins.target) is None:
-                raise InvalidProgramError(
-                    f"branch at 0x{ins.addr:x} targets 0x{ins.target:x} outside program")
-            leaders.add(ins.target)
-        if ins.kind not in STRAIGHT_KINDS:
-            nxt = ins.addr + WORD
-            if nxt < p.end:
-                leaders.add(nxt)
-
-    starts = sorted(leaders)
-    blocks = []
-    for i, s in enumerate(starts):
-        last = (starts[i + 1] - WORD) if i + 1 < len(starts) else (p.end - WORD)
-        blocks.append(Block(s, last))
+    starts = p.leaders
+    blocks = [Block(s, e - WORD) for s, e in zip(starts, starts[1:] + (p.end,))]
 
     edges = {Edge(src, dest, _EDGE_KIND[kind]) for src, dest, kind in p.sites.site.values()}
     edges.update(Edge(b.end, b.end + WORD, EDGE_FALLTHROUGH) for b in blocks

@@ -4,7 +4,10 @@ from pathlib import Path
 import pytest
 
 import programs as P
+from cfattest.attestation import (Challenge, ProgramPath, Report, canonical_serialize,
+                                  program_hash, sign)
 from cfattest.cli import _REASON_EXIT, main
+from cfattest.isa import Program
 
 
 def cfattest(*argv):
@@ -205,6 +208,25 @@ class TestUsageErrors:
         assert cfattest("run", tmp_path / "p.json", "--cycle-cap", "50",
                         "-o", tmp_path / "t.jsonl") == 6
 
+    def test_replay_past_the_cycle_cap_exit_6(self, tmp_path, capsys):
+        # a signed report for a program that never halts: the replay raises
+        # CycleLimitExceeded, which verify lets through and the CLI maps to 6
+        (tmp_path / "spin.s").write_text("main:\nloop:\n    addi r1, r1, 1\n"
+                                         "    bne r1, r0, loop\n    halt\n")
+        assert cfattest("asm", tmp_path / "spin.s", "--id", "s", "-o", tmp_path / "p.json") == 0
+        assert cfattest("keygen", "-o", tmp_path / "keys") == 0
+        assert cfattest("challenge", "--id", "s", "-o", tmp_path / "ch.json") == 0
+        program = Program.from_json(json.loads((tmp_path / "p.json").read_text()))
+        nonce = Challenge.from_json(json.loads((tmp_path / "ch.json").read_text())).nonce
+        sk = bytes.fromhex((tmp_path / "keys" / "sk.hex").read_text().strip())
+        path, h = ProgramPath(bytes(64), ()), program_hash(program)
+        report = Report(program.id, h, path, nonce, sign(h + canonical_serialize(path, nonce), sk))
+        (tmp_path / "r.json").write_text(json.dumps(report.to_json()))
+        capsys.readouterr()
+        assert cfattest("verify", tmp_path / "r.json", tmp_path / "ch.json",
+                        tmp_path / "keys" / "pk.hex", tmp_path / "p.json") == 6
+        assert capsys.readouterr().err.startswith("error: cycle cap")
+
     @pytest.mark.parametrize("malform", ["bne-taken-null", "empty", "record-without-pc"])
     def test_malformed_trace_exit_1(self, ws, capsys, malform):
         assert cfattest("run", ws / "prog.json", "--input", "3,0,1,0",
@@ -223,6 +245,7 @@ class TestUsageErrors:
 
     @pytest.mark.parametrize("malform", ["program-without-key", "program-not-object",
                                          "program-mul", "program-kind-mismatch",
+                                         "program-target-outside", "attest-target-outside",
                                          "attack-without-trigger", "arrivals-not-ints"])
     def test_malformed_input_file_exit_1(self, ws, capsys, malform):
         bad = ws / "bad.json"
@@ -236,6 +259,10 @@ class TestUsageErrors:
             content["instructions"][3]["mnemonic"] = "mul"  # add r5, r1, r0
         elif malform == "program-kind-mismatch":
             content["instructions"][10]["kind"] = "linking_jump"  # j loop
+        elif malform.endswith("target-outside"):
+            content["instructions"][10]["target"] = "-0x10"  # j loop
+            if malform.startswith("attest"):
+                argv = ["attest", bad, ws / "challenge.json", ws / "keys" / "sk.hex"]
         elif malform == "attack-without-trigger":
             content = {"kind": "corrupt-loop-counter", "payload": {"reg": 2, "value": 2}}
             argv = ["run", ws / "prog.json", "--attack", bad]
@@ -245,7 +272,10 @@ class TestUsageErrors:
         bad.write_text(json.dumps(content))
         capsys.readouterr()
         assert cfattest(*argv) == 1
-        assert capsys.readouterr().err.startswith("error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        if malform.endswith("target-outside"):
+            assert err == "error: branch at 0x128 targets 0x-10 outside program\n"
 
     @pytest.mark.parametrize("command", ["attest", "verify"])
     def test_challenge_without_nonce_exit_1(self, ws, capsys, command):

@@ -1,11 +1,12 @@
 import json
+from string import Formatter
 
 import pytest
 
 import programs as P
-from cfattest.emulator import (_BEQ, _HANDLERS, AttackError, AttackSpec, CycleLimitExceeded,
+from cfattest.emulator import (SEMANTICS, AttackError, AttackSpec, CycleLimitExceeded,
                                EmulatorError, run, trace_from_jsonl)
-from cfattest.isa import OPCODES, STRAIGHT_KINDS, Kind, parse_program
+from cfattest.isa import FIELDS, OPCODES, Kind, parse_program
 
 
 class TestExecution:
@@ -53,11 +54,12 @@ end:
         blt = next(e for e in t.events if e.instr.mnemonic == "blt")
         assert blt.taken is True  # -1 < 0 under signed compare
 
-    def test_handler_map_covers_exactly_the_opcodes(self):
-        assert _HANDLERS.keys() == OPCODES.keys()
-        # straight-line handlers come first: one comparison separates them
-        assert all((_HANDLERS[m] < _BEQ) == (kind in STRAIGHT_KINDS)
-                   for m, (kind, _) in OPCODES.items())
+    def test_semantics_cover_exactly_the_opcodes(self):
+        assert SEMANTICS.keys() == OPCODES.keys()
+        # each template reads exactly the operand fields its mnemonic sets
+        for m, template in SEMANTICS.items():
+            used = {f for _, f, _, _ in Formatter().parse(template) if f}
+            assert used & {"rd", "rs1", "rs2", "imm", "target"} == set(FIELDS[m]), m
 
     def test_follows_static_edges(self):
         # attack-free runs only traverse CFG-sanctioned successors

@@ -216,7 +216,7 @@ go:
         ins = (Instruction(0x100, Kind.DIRECT_JUMP, "j", target=0x200),
                Instruction(0x104, Kind.HALT, "halt"))
         with pytest.raises(InvalidProgramError, match="outside program"):
-            build_cfg(Program("x", ins))
+            Program("x", ins)
 
     def test_base_off_word_alignment(self):
         # a loaded program may start at any address; its instructions are base + k words

@@ -1,6 +1,8 @@
-"""The control-event trace and the loop lookup against their references.
+"""The compiled emulator, the control-event trace and the loop lookup against their references.
 
-For each run: the per-cycle view of the trace equals what the observer saw
+For each run: the compiled `run` records the same sites, targets, cycles,
+fault and observer stream as the interpreter in `emulator_oracle`, at every
+cycle cap; the per-cycle view of the trace equals what the observer saw
 as each cycle retired, so do the recorded branch columns, a JSONL round trip
 filters to the same branches,
 `detect_loops` annotates exactly as the all-loops scan in `loop_oracle`, and
@@ -8,17 +10,22 @@ filters to the same branches,
 that scan.
 """
 import random
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import emulator_oracle
 import programs as P
 import views
 from cfattest import emulator
 from cfattest.attestation import ProgramPath, measure
 from cfattest.branch_filter import FLAT_RUN, detect_loops, filter_trace
-from cfattest.emulator import AttackSpec, CycleLimitExceeded, run, trace_from_jsonl
+from cfattest.emulator import (ATTACK_KINDS, AttackError, AttackSpec, CycleLimitExceeded, run,
+                               trace_from_jsonl)
 from cfattest.hash_engine import digest_pairs
-from cfattest.isa import Kind, parse_program
+from cfattest.isa import BASE_ADDR, FIELDS, OPCODES, WORD, Instruction, Kind, Program, parse_program
 from cfattest.loop_monitor import MonitorConfig, fault_marker_session
 from genprog import gen_input, gen_program
 from loop_oracle import detect_loops_scan
@@ -76,6 +83,113 @@ def _cases():
 
 
 CASES = _cases()
+
+
+def _outcome(run_fn, program, inp, attack=None, observe=False, **kw):
+    """What a run shows: its record, or the error it raised, and the observed events."""
+    seen = []
+    try:
+        t = run_fn(program, inp, attack, observer=seen.append if observe else None, **kw)
+    except (CycleLimitExceeded, AttackError) as e:
+        return type(e).__name__, seen
+    return (t.sites, t.targets, t.cycles, t.fault), seen
+
+
+def assert_same_as_oracle(program, inp, attack=None, **kw):
+    for observe in (False, True):
+        got = _outcome(run, program, inp, attack, observe, **kw)
+        assert got == _outcome(emulator_oracle.run, program, inp, attack, observe, **kw)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_run_matches_the_interpreter(name):
+    program, inp, attack = CASES[name]
+    assert_same_as_oracle(program, inp, attack)
+    assert_same_as_oracle(program, inp)
+
+
+@pytest.mark.parametrize("name", sorted(n for n, (p, i, a) in CASES.items()
+                                        if emulator_oracle.run(p, i, a).cycles <= 200))
+def test_run_matches_the_interpreter_at_every_cycle_cap(name):
+    program, inp, attack = CASES[name]
+    for cap in range(emulator_oracle.run(program, inp, attack).cycles + 1):
+        assert_same_as_oracle(program, inp, attack, cycle_cap=cap)
+
+
+HAND_CASES = {
+    # jr into the middle of a straight-line block, and into the middle of a loop's block
+    "jr-mid-block": ("main:\n li r1, 0x110\n jr r1\n addi r2, r2, 1\n addi r2, r2, 1\n"
+                     " addi r2, r2, 1\n addi r2, r2, 1\n st r2, [r0+0]\n halt\n"),
+    "jr-mid-loop": ("main:\n li r1, 0x110\n li r3, 3\n jr r1\nL:\n addi r2, r2, 1\n"
+                    " addi r4, r4, 1\n bne r2, r3, L\n halt\n"),
+    # a load and a store faulting in the middle of a block, one of them in a loop
+    "ld-fault-mid-block": "main:\n li r1, 100000\n ld r2, [r1+0]\n addi r3, r3, 1\n halt\n",
+    "st-fault-mid-loop": ("main:\nL:\n addi r1, r1, 1\n addi r5, r5, 1000\n st r1, [r5+3]\n"
+                          " addi r6, r6, 1\n j L\n halt\n"),
+    # blt compares signed: each taken bit is in the site string
+    "blt-negative": ("main:\n li r1, -5\n li r2, -3\n blt r1, r2, a\n addi r9, r9, 1\n"
+                     "a:\n blt r2, r1, b\n addi r9, r9, 1\nb:\n li r3, 0x80000000\n"
+                     " li r4, 0x7fffffff\n blt r3, r4, c\n addi r9, r9, 1\nc:\n blt r4, r3, d\n"
+                     " addi r9, r9, 1\nd:\n addi r5, r0, -1\n blt r5, r0, e\n addi r9, r9, 1\n"
+                     "e:\n blt r0, r5, f\n addi r9, r9, 1\nf:\n halt\n"),
+    # immediates outside 32 bits wrap: the jr targets show the values
+    "wide-immediates": ("main:\n li r1, 0x100000108\n jr r1\n li r2, -0xFFFFFEF0\n jr r2\n"
+                        " addi r3, r2, 0x300000008\n jr r3\n addi r4, r3, -0x1FFFFFFF8\n"
+                        " jr r4\n halt\n"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HAND_CASES))
+def test_run_matches_the_interpreter_on_hand_cases(name):
+    program = parse_program(HAND_CASES[name], name)
+    full = emulator_oracle.run(program, [])
+    assert (full.fault is not None) == ("fault" in name)
+    for cap in (emulator.DEFAULT_CYCLE_CAP, *range(full.cycles + 1)):
+        assert_same_as_oracle(program, [], cycle_cap=cap)
+
+
+@st.composite
+def _hypothesis_runs(draw):
+    """A small random program (any opcode, any in-program target), input, attack and cap."""
+    n = draw(st.integers(1, 10))
+    addrs = [BASE_ADDR + WORD * i for i in range(n + 1)]
+    word = st.sampled_from(addrs) | st.integers(0, 20) | st.integers(-2 ** 34, 2 ** 34)
+    instrs = []
+    for i in range(n):
+        mnemonic = draw(st.sampled_from(sorted(OPCODES)))
+        ops = {f: draw(st.sampled_from(addrs[:n])) if f == "target"
+               else draw(word) if f == "imm" else draw(st.integers(0, 3))
+               for f in FIELDS[mnemonic]}
+        instrs.append(Instruction(addrs[i], OPCODES[mnemonic][0], mnemonic, **ops))
+    program = Program("h", tuple(instrs), entry_point=draw(st.sampled_from(addrs)))
+    inp = draw(st.lists(word, max_size=8))
+    attack = None
+    if draw(st.booleans()):
+        trigger = draw(st.sampled_from([{"cycle": c} for c in range(8)] + [{"pc": a} for a in addrs]))
+        target = draw(st.sampled_from([{"reg": r} for r in (0, 1, 2, 3, "ra")]
+                                      + [{"mem": m} for m in (0, 5, 40)]))
+        attack = AttackSpec(draw(st.sampled_from(ATTACK_KINDS)), trigger,
+                            {**target, "value": draw(word)})
+    return program, inp, attack, draw(st.integers(0, 60))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_hypothesis_runs())
+def test_run_matches_the_interpreter_on_drawn_programs(case):
+    program, inp, attack, cap = case
+    assert_same_as_oracle(program, inp, attack, cycle_cap=cap, data_mem_words=16)
+    assert_same_as_oracle(program, inp, attack, data_mem_words=16, cycle_cap=400)
+
+
+def test_units_of_one_shape_share_a_code_object(monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    from workloads import many_loops_source
+    for source, inp in [(P.loops_in_one_loop(400), []), (many_loops_source(), [3] * 400)]:
+        program = parse_program(source)
+        run(program, inp)
+        units = program.__dict__["_units"].units
+        assert len(units) > 800
+        assert len({unit.__code__ for unit in units.values()}) <= 6
 
 
 def test_cases_cover_both_attack_triggers():
