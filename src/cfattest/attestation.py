@@ -174,6 +174,7 @@ _SESSION_HEAD = struct.Struct(">IBIBI")
 def serialize_metadata(sessions: tuple[LoopSession, ...]) -> bytes:
     """Binary L; raises ProtocolError for a value that does not fit its field."""
     out = [_U32.pack(len(sessions))]
+    encoded: dict[str, bytes] = {}  # path bits -> their length byte and packed bits
     for s in sessions:
         if s.path_overflow not in (0, 1):
             raise ProtocolError("path_overflow must be 0 or 1")
@@ -184,7 +185,9 @@ def serialize_metadata(sessions: tuple[LoopSession, ...]) -> bytes:
             out.append(_SESSION_HEAD.pack(s.loop_entry, s.depth, parent, s.path_overflow,
                                           len(s.paths)))
             for pid, count in s.paths:
-                out.append(_U8.pack(len(pid)) + pid.packed() + _U64.pack(count))
+                if pid.bits not in encoded:
+                    encoded[pid.bits] = _U8.pack(len(pid)) + pid.packed()
+                out.append(encoded[pid.bits] + _U64.pack(count))
             out.append(_U8.pack(len(s.indirect_targets)))
             out.extend(map(_U32.pack, s.indirect_targets))
         except struct.error as e:
@@ -195,6 +198,7 @@ def serialize_metadata(sessions: tuple[LoopSession, ...]) -> bytes:
 def parse_metadata(data: bytes) -> tuple[LoopSession, ...]:
     """Strict inverse of serialize_metadata: what it accepts re-serialises to `data`."""
     sessions = []
+    pids: dict[bytes, PathId] = {}  # a path's length byte and packed bits -> its PathId
     try:
         (count,) = _U32.unpack_from(data, 0)
         off = _U32.size
@@ -205,15 +209,14 @@ def parse_metadata(data: bytes) -> tuple[LoopSession, ...]:
                 raise ProtocolError("path_overflow byte must be 0 or 1")
             paths = []
             for _ in range(npaths):
-                bit_len = data[off]
-                end = off + 1 + (bit_len + 7) // 8
-                try:
-                    pid = PathId.unpack(data[off + 1:end], bit_len)
-                except ValueError as e:
-                    raise ProtocolError(f"path bits: {e}") from None
-                (c,) = _U64.unpack_from(data, end)
+                end = off + 1 + (data[off] + 7) // 8
+                if data[off:end] not in pids:  # a new path, or a malformed one
+                    try:
+                        pids[data[off:end]] = PathId.unpack(data[off + 1:end], data[off])
+                    except ValueError as e:
+                        raise ProtocolError(f"path bits: {e}") from None
+                paths.append((pids[data[off:end]], *_U64.unpack_from(data, end)))
                 off = end + _U64.size
-                paths.append((pid, c))
             ntargets = data[off]
             targets = list(struct.unpack_from(f">{ntargets}I", data, off + 1))
             off += 1 + ntargets * _U32.size

@@ -1,34 +1,25 @@
 """Branch filtering and runtime loop detection over the branch record.
 
-The emulator records only branches, one site character each plus the
-targets of indirect transfers (`isa.Sites`), so `filter_trace` hands
-on the trace's `Branches`.  A branch's loop-path bit is '0' for a not-taken
-conditional, '1' for a taken conditional or direct transfer and `INDIRECT`
-for an indirect transfer, coded by target (`site_bits`).
-`detect_loops` classifies non-linking backward branches as loop backedges
-(link-register heuristic), tracks entry/iteration/exit per nesting depth and
-emits only loop marks, so its output grows with loop events, not branches.
-The loops enclosing an address come from a table built once per call, and
-the open loop entries are a dict, so its cost per branch does not grow with
-the number of loops.
+`filter_trace` hands on the trace's `Branches`: one site character per
+branch plus the targets of indirect transfers (`isa.Sites`).  A branch's
+loop-path bit is '0' for a not-taken conditional, '1' for a taken
+conditional or direct transfer and `INDIRECT` for an indirect transfer,
+coded by target (`site_bits`).  `detect_loops` first discovers the run's
+loops, taking non-linking backward branches as backedges (link-register
+heuristic), so the first traversal of a loop is attributed like later ones
+and A does not depend on the iteration count.  It then emits only loop marks
+(entry, iteration and exit per nesting depth); a table gives the loops
+enclosing an address, so its cost per branch does not grow with the number
+of loops.  Prover and verifier share this code.
 
 A loop context is **flat** when no other discovered loop entry lies in its
 body [entry, backedge], the body holds no call, return or indirect transfer,
-and exactly one of its sites re-enters the entry.  While a flat context is
-innermost, every branch up to the first one whose static destination leaves
-the body stays in it, and an iteration ends at each occurrence of that one
-re-entering site.  Flat bodies never overlap, so `detect_loops` finds that
-exit with one character class per loop set over the site string and emits
-one `FLAT_RUN` mark for the branches before it, which the loop monitor
-splits at the re-entering site.  Every other context, and each exit branch,
-takes the per-branch step.
-
-Loop discovery is a separate first pass over the stream: the set of
-(entry, backedge) pairs a run exhibits is learned before annotation, so the
-very first traversal of a loop is attributed to the loop exactly like later
-ones.  Both prover and verifier share this code, so the measurement stays
-symmetric; it also keeps the authenticator independent of iteration count,
-which a detect-on-first-backedge scheme would break for the first iteration.
+and exactly one of its sites re-enters the entry.  Opened with every other
+loop enclosing its entry open, it is a flat session: control stays in it up
+to the first branch whose static destination leaves the body, and that exit
+branch closes it.  Flat bodies never overlap, so one character class per loop
+set finds the exit in the site string, and the session is one `FLAT` mark,
+exit branch included, which the loop monitor turns into a `LoopSession`.
 """
 from __future__ import annotations
 
@@ -66,10 +57,11 @@ class LoopStatusKind(Enum):
 
 
 # A mark at position p lies between branches p-1 and p: (p, status, context, the
-# branch it happened at).  A flat run is (p, FLAT_RUN, site, end): branches p..end-1
-# stay in the innermost loop, and each of its iterations ends with `site`.
-FLAT_RUN = "flat_run"
-Mark = tuple[int, object, object, int]
+# branch it happened at).  A flat session is (p, FLAT, context, (site, end, branch)):
+# the context opens at p, at `branch`, and closes at end, after its exit branch end-1
+# or at the end of the trace; each of its iterations ends with `site`.
+FLAT = "flat"
+Mark = tuple[int, object, LoopContext, object]
 
 INDIRECT = "x"
 _LINKING = CALL + INDIRECT_CALL
@@ -190,7 +182,7 @@ def detect_loops(b: Branches, max_depth: int = DEFAULT_MAX_DEPTH) -> LoopMarks:
     open_at: dict[int, LoopContext] = {}  # entry -> its context; no entry is open twice
     # per open context, where control stays in it: at call depth `within` or deeper and, at
     # `within`, in [lo, hi] (a recursion context spans all); the bottom one is never left.
-    # A flat context adds its re-entering site and the other loops enclosing its entry.
+    # A flat session adds its re-entering site, and the position and branch it opened at.
     scopes: list[tuple[int, float, float, Optional[tuple]]] = [(-1, -1, -1, None)]
     call_depth = 0
     call_targets: list[int] = []
@@ -203,16 +195,23 @@ def detect_loops(b: Branches, max_depth: int = DEFAULT_MAX_DEPTH) -> LoopMarks:
         ctx = LoopContext(entry, backedge, backedge + WORD, depth, call_depth, rec, degraded)
         stack.append(ctx)
         open_at[entry] = ctx
-        scopes.append((call_depth, -1, inf, None) if rec else
-                      (call_depth, entry, backedge, enclosing.flat.get(entry)))
-        marks.append((pos, ENTER, ctx, branch))
+        # the contexts below this one stay while it is open, so whether it is a flat
+        # session is known now; its one mark is made when it closes
+        flat = None if rec else enclosing.flat.get(entry)
+        if flat is not None and all(map(open_at.__contains__, flat[1])):
+            flat = (flat[0], pos, branch)
+        else:
+            flat = None
+            marks.append((pos, ENTER, ctx, branch))
+        scopes.append((call_depth, -1, inf, None) if rec else (call_depth, entry, backedge, flat))
         return scopes[-1]
 
     def close_ctx(pos: int, branch: int):
         ctx = stack.pop()
         del open_at[ctx.entry_addr]
-        scopes.pop()
-        marks.append((pos, EXIT, ctx, branch))
+        flat = scopes.pop()[3]
+        marks.append((pos, EXIT, ctx, branch) if flat is None else
+                     (flat[1], FLAT, ctx, (flat[0], pos, flat[2])))
         return scopes[-1]
 
     within, lo, hi, flat = scopes[-1]
@@ -230,16 +229,11 @@ def detect_loops(b: Branches, max_depth: int = DEFAULT_MAX_DEPTH) -> LoopMarks:
             if entry not in open_at:
                 within, lo, hi, flat = open_ctx(entry, loops[entry], False, i, i)
 
-        # control is in a flat innermost loop: it stays there up to the first exit site,
-        # which takes the rest of this step
-        if flat is not None and all(map(open_at.__contains__, flat[1])):
+        if flat is not None:  # a flat session: skip to its first exit site, whose step closes it
             m = enclosing.exit and enclosing.exit.search(sites, i)
-            end = m.start() if m else n
-            if end > i and not stack[-1].degraded:
-                marks.append((i, FLAT_RUN, flat[0], end))
-            if end == n:
+            if m is None:
                 break
-            i = end
+            i = m.start()
             src, dest, kind = site[sites[i]]  # a body site: its destination is static
 
         linking = kind in _LINKING

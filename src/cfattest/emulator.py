@@ -32,12 +32,11 @@ from operator import sub
 from types import CodeType, FunctionType, MappingProxyType
 from typing import Callable, Mapping, Optional
 
-from .isa import (NOT_TAKEN, NUM_REGS, OPCODES, STRAIGHT_KINDS, TAKEN, WORD, Instruction, Kind,
-                  Program, Sites)
+from .isa import (MASK32, NOT_TAKEN, NUM_REGS, OPCODES, STRAIGHT_KINDS, TAKEN, WORD, Instruction,
+                  Kind, Program, Sites)
 
 DEFAULT_CYCLE_CAP = 1_000_000
 DEFAULT_DATA_WORDS = 4096
-MASK32 = 0xFFFF_FFFF
 
 ATTACK_KINDS = ("corrupt-decision-var", "corrupt-loop-counter", "corrupt-code-pointer")
 _TAKEN = {NOT_TAKEN: False, TAKEN: True}  # a conditional's kind character -> its taken flag

@@ -6,22 +6,19 @@ from __future__ import annotations
 import hashlib
 import struct
 from dataclasses import dataclass
+from itertools import starmap
 
 BLOCK_WORDS = 9       # 9 x 64 bit = 576-bit message block
 BUSY_CYCLES = 3
 
 
-def pair_bytes(src: int, dest: int) -> bytes:
-    """64-bit measurement word: src || dest, big-endian."""
-    return struct.pack(">II", src & 0xFFFF_FFFF, dest & 0xFFFF_FFFF)
+# 64-bit measurement word: src || dest, big-endian; `Program` keeps addresses to 32 bits
+pair_bytes = struct.Struct(">II").pack
 
 
 def digest_pairs(pairs: list[tuple[int, int]]) -> bytes:
     """One-shot authenticator over a complete measurement stream."""
-    h = hashlib.sha3_512()
-    for s, d in pairs:
-        h.update(pair_bytes(s, d))
-    return h.digest()
+    return hashlib.sha3_512(b"".join(starmap(pair_bytes, pairs))).digest()
 
 
 @dataclass(frozen=True)

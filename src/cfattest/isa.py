@@ -17,6 +17,7 @@ from typing import Mapping, Optional
 
 BASE_ADDR = 0x0000_0100
 WORD = 4
+MASK32 = 0xFFFF_FFFF  # addresses, registers and hashed words are 32 bits
 NUM_REGS = 16
 
 
@@ -136,6 +137,8 @@ class Program:
     base: int = BASE_ADDR
 
     def __post_init__(self):
+        if not 0 <= self.base <= self.end <= MASK32:  # end may be a return address
+            raise InvalidProgramError(f"program at 0x{self.base:x} does not fit 32-bit addresses")
         for i, ins in enumerate(self.instructions):
             if ins.addr != self.base + i * WORD:
                 raise InvalidProgramError(f"non-contiguous address 0x{ins.addr:x}")

@@ -6,27 +6,22 @@ branches contribute their taken bit, direct jumps and direct calls contribute
 assigned to their runtime target in first-seen order.  A path is hashed only
 the first time it completes; afterwards only its counter moves.
 
-The branches between two loop marks all belong to one loop (or none), so
-each such run is encoded in one step: its site string, translated to bits
-(`site_bits`), extends the path, and its (Src, Dest) pairs stay an index
-range until they are hashed.  Only indirect transfers are coded one at a
-time.  A flat run (`FLAT_RUN`) is the slice of the site string a flat loop
-keeps, from where the context opens: split at the one site re-entering the
-entry, its pieces are the iterations, and the last one may stay open.
-`Counter` over the pieces gives their paths and counts in first-occurrence
-order, and a new path's pairs come from its piece's sites.  A piece longer
-than the path width is hashed at every occurrence, so only then are the
-pieces walked one by one.
+Each run of branches between two loop marks is encoded in one step: its
+sites, translated to bits (`site_bits`), extend the path, and its pairs stay
+an index range until they are hashed.  A flat session (`FLAT`) is one step
+too: its slice of the site string, split at the re-entering site, gives the
+iterations, counted in first-occurrence order in one C pass, and the tail is
+its last traversal.  A piece longer than the path width is hashed at every
+occurrence.  One `PathId` stands for each distinct path of a `process` call.
 """
 from __future__ import annotations
 
-from collections import Counter
+from collections import _count_elements
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Optional
 
-from .branch_filter import (DEFAULT_MAX_DEPTH, FLAT_RUN, INDIRECT, LoopMarks, LoopStatusKind,
-                            site_bits)
+from .branch_filter import (DEFAULT_MAX_DEPTH, FLAT, INDIRECT, LoopContext, LoopMarks,
+                            LoopStatusKind, site_bits)
 
 FAULT_MARKER_ENTRY = 0xFFFF_FFFF
 PARENT_NONE = 0xFFFF_FFFF
@@ -118,20 +113,25 @@ def memory_bits(path_width: int, depth: int) -> int:
     return 8 * (1 << path_width) * depth
 
 
+class _PathIds(dict):
+    """Bit string -> its PathId, made on first use."""
+
+    def __missing__(self, bits: str) -> PathId:
+        pid = self[bits] = PathId(bits)
+        return pid
+
+
 class _SessionState:
     __slots__ = ("entry", "depth", "parent", "counts", "partial", "buffer", "targets",
                  "path_overflow", "iter_overflowed")
 
     def __init__(self, entry: int, depth: int, parent: Optional[int]):
-        self.entry = entry
-        self.depth = depth
-        self.parent = parent
+        self.entry, self.depth, self.parent = entry, depth, parent
         self.counts: dict[str, int] = {}        # path -> count, first-occurrence order
         self.partial = ""                       # bits of the in-flight traversal
         self.buffer: list[tuple[int, int]] = []  # branch index ranges of the traversal
         self.targets: dict[int, int] = {}        # indirect target -> code, first-seen order
-        self.path_overflow = False
-        self.iter_overflowed = False
+        self.path_overflow = self.iter_overflowed = False
 
 
 class LoopMonitor:
@@ -160,8 +160,7 @@ class LoopMonitor:
     def _encode_run(self, s: _SessionState, i: int, j: int) -> None:
         """Add branches i..j-1, all in the innermost loop, to its traversal."""
         if s.iter_overflowed:
-            self._hash(i, j)
-            return
+            return self._hash(i, j)
         bits = self._sites[i:j].translate(self._bits)
         path = s.partial + bits
         if INDIRECT in bits:
@@ -182,27 +181,34 @@ class LoopMonitor:
         else:
             s.partial = path
 
-    def _count_iterations(self, s: _SessionState, end: str, i: int, j: int) -> None:
-        """Add branches i..j-1, a flat run of the innermost loop, to its session."""
-        # the complete iterations, less their last site `end`; a flat run starts where its
-        # context opens, so the first one starts a traversal too
-        *pieces, tail = self._sites[i:j].split(end)
-        assert not (s.partial or s.iter_overflowed or s.counts)
-        counts, width = Counter(pieces), self.config.path_width
-        overflow = max(map(len, counts), default=0) >= width  # a piece and `end` exceed it
-        for piece, count in zip(pieces, repeat(1)) if overflow else counts.items():
-            piece += end
-            if len(piece) > width:  # hashed at every occurrence
-                s.path_overflow = True
-                self.stream.extend(map(self._pair.__getitem__, piece))
+    def _flat_session(self, open_: list, ctx: LoopContext, site: str, i: int, j: int) -> None:
+        """Add the session of a flat context holding branches i..j-1, inside `open_`, to L."""
+        if ctx.degraded:
+            return self._hash(i, j)
+        # the complete iterations, less their last site `site`, then the last traversal
+        pieces = self._sites[i:j].split(site)
+        tail = pieces.pop()
+        runs: dict[str, int] = {}
+        _count_elements(runs, pieces)  # Counter's C loop, without its set-up per call
+        width, stream, pair = self.config.path_width, self.stream, self._pair.__getitem__
+        wide = max(map(len, runs), default=0) >= width  # a piece and `site` exceed it
+        traversals = [(piece + site, 1) for piece in pieces] if wide else [
+            (piece + site, count) for piece, count in runs.items()]
+        counts: dict[str, int] = {}
+        overflow = False
+        for sites, count in traversals + [(tail, 1)] if tail else traversals:
+            if len(sites) > width:  # hashed at every occurrence
+                overflow = True
+                stream.extend(map(pair, sites))
                 continue
-            path = piece.translate(self._bits)
-            seen = s.counts.get(path, 0)
+            path = sites.translate(self._bits)
+            seen = counts.get(path, 0)
             if not seen:  # first execution of this path: its pairs go to the hash engine
-                self.stream.extend(map(self._pair.__getitem__, piece))
-            s.counts[path] = seen + count
-        if tail:
-            self._encode_run(s, j - len(tail), j)
+                stream.extend(map(pair, sites))
+            counts[path] = seen + count
+        parent = open_[-1][0] if open_ else None
+        self.sessions.append(LoopSession(ctx.entry_addr, ctx.depth, parent, [
+            (self._path_id(k), c) for k, c in counts.items()], [], overflow))
 
     def close_path(self, s: _SessionState) -> None:
         if s.iter_overflowed:
@@ -213,17 +219,12 @@ class LoopMonitor:
             # first execution of this path: its pairs go to the hash engine
             self._end_traversal(s, hashed=count == 0)
 
-    def finalize_session(self, idx: int, s: _SessionState) -> None:
-        self.close_path(s)
-        self.sessions[idx] = LoopSession(s.entry, s.depth, s.parent,
-                                         [(PathId(k), c) for k, c in s.counts.items()],
-                                         list(s.targets), s.path_overflow)
-
     def process(self, annotated: LoopMarks) -> tuple[list[tuple[int, int]], list[LoopSession]]:
-        """Encode each run of branches between two loop marks in one step."""
+        """Encode each run of branches between two marks, and each flat session, in one step."""
         b = self._branches = annotated.branches
         self._sites, self._target_at, self._pair = b.sites, b.target_at, b.table.pair
-        self._bits = site_bits(b.table)
+        self._bits, self._path_id = site_bits(b.table), _PathIds().__getitem__
+        ENTER, ITERATION, EXIT = LoopStatusKind
         # one entry per open loop context: (session index, state), None if degraded
         open_: list[Optional[tuple[int, _SessionState]]] = []
         pos = 0
@@ -234,21 +235,24 @@ class LoopMonitor:
                 else:
                     self._hash(pos, p)
                 pos = p
-            if kind is LoopStatusKind.ENTER:
+            if kind is FLAT:
+                site, pos, _ = arg
+                self._flat_session(open_, ctx, site, p, pos)
+            elif kind is ENTER:
                 if ctx.degraded:
                     open_.append(None)
                 else:
                     self.sessions.append(None)
                     open_.append((len(self.sessions) - 1, _SessionState(
                         ctx.entry_addr, ctx.depth, open_[-1][0] if open_ else None)))
-            elif kind is LoopStatusKind.ITERATION_BOUNDARY:
+            elif kind is ITERATION:
                 self.close_path(open_[ctx.depth - 1][1])
-            elif kind is LoopStatusKind.EXIT:
-                session = open_.pop()
-                if session is not None:
-                    self.finalize_session(*session)
-            elif kind == FLAT_RUN:  # ctx is the re-entering site, arg the end of the run
-                self._count_iterations(open_[-1][1], ctx, p, arg)
-                pos = arg
+            elif kind is EXIT:
+                idx, s = open_.pop() or (None, None)
+                if s is not None:
+                    self.close_path(s)
+                    self.sessions[idx] = LoopSession(s.entry, s.depth, s.parent, [
+                        (self._path_id(k), c) for k, c in s.counts.items()], list(s.targets),
+                        s.path_overflow)
         assert not open_ and all(s is not None for s in self.sessions)
         return self.stream, list(self.sessions)

@@ -358,6 +358,15 @@ M:
 """
 
 
+def sequential_loops(k: int) -> str:
+    """k counted loops in a row; loop i reads its bound from input word i."""
+    lines = ["main:"]
+    for i in range(k):
+        lines += [f"    ld r2, [r0+{i}]", "    li r1, 0", f"L{i}:",
+                  f"    beq r1, r2, E{i}", "    addi r1, r1, 1", f"    j L{i}", f"E{i}:"]
+    return "\n".join(lines + ["    halt"]) + "\n"
+
+
 def loops_in_one_loop(k: int) -> str:
     """One outer loop, run twice, around k inner loops whose backedge fires once each."""
     lines = ["main:", "    li r3, 2", "    li r5, 0", "outer:"]

@@ -184,6 +184,20 @@ class TestCanonicalSerialization:
         with pytest.raises(ProtocolError, match="padding"):
             parse_metadata(one[:bits] + b"\x61" + one[bits + 1:])
 
+    def test_strict_parse_checks_every_occurrence_of_a_path(self):
+        # the parser decodes each distinct path once per L; a later occurrence that differs
+        # in a padding bit, or that L cuts short, raises as it would on its own
+        session = LoopSession(0x108, 1, None, [(PathId("011"), 1)], [])
+        one, two = serialize_metadata((session,)), serialize_metadata((session, session))
+        bits = len(one) - 1 - 8 - 1     # packed bits, count, target count at the end
+        for data, at in ((one, bits), (two, len(one) - 4 + bits)):
+            assert data[at] == 0b0110_0000
+            with pytest.raises(ProtocolError, match="^path bits: padding bits must be zero$"):
+                parse_metadata(data[:at] + b"\x61" + data[at + 1:])
+            with pytest.raises(ProtocolError,
+                               match="^path bits: 0 bytes cannot hold exactly 3 bits$"):
+                parse_metadata(data[:at])
+
     def test_nonce_length_enforced(self):
         with pytest.raises(ProtocolError):
             canonical_serialize(ProgramPath(b"\0" * 64, ()), b"short")

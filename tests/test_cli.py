@@ -63,6 +63,21 @@ def test_measure_matches_golden(tmp_path, golden, attack, flags):
     assert (tmp_path / "m.json").read_text() == (GOLDEN / golden).read_text()
 
 
+def test_measure_flat_loops_matches_golden(tmp_path):
+    # flat sessions of one and two iterations, in nested and sequential loops; a loop
+    # with bound 0 never iterates and has no session.  CI diffs the same golden.
+    out = ""
+    for name, source, inp in [("ll", P.loops_in_one_loop(5), ""),
+                              ("seq", P.sequential_loops(6), "0,1,2,0,1,2")]:
+        prog, trace = tmp_path / f"{name}.json", tmp_path / f"{name}.jsonl"
+        (tmp_path / f"{name}.s").write_text(source)
+        assert cfattest("asm", tmp_path / f"{name}.s", "--id", name, "-o", prog) == 0
+        assert cfattest("run", prog, "--input", inp, "-o", trace) == 0
+        assert cfattest("measure", trace, "--program", prog, "-o", tmp_path / "m.json") == 0
+        out += (tmp_path / "m.json").read_text()
+    assert out == (GOLDEN / "measure_flat_loops.json").read_text()
+
+
 class TestPipeline:
     def test_asm_output_shape(self, ws):
         data = json.loads((ws / "prog.json").read_text())
@@ -246,7 +261,8 @@ class TestUsageErrors:
     @pytest.mark.parametrize("malform", ["program-without-key", "program-not-object",
                                          "program-mul", "program-kind-mismatch",
                                          "program-target-outside", "attest-target-outside",
-                                         "attack-without-trigger", "arrivals-not-ints"])
+                                         "attest-past-32-bits", "attack-without-trigger",
+                                         "arrivals-not-ints"])
     def test_malformed_input_file_exit_1(self, ws, capsys, malform):
         bad = ws / "bad.json"
         content = json.loads((ws / "prog.json").read_text())
@@ -263,6 +279,12 @@ class TestUsageErrors:
             content["instructions"][10]["target"] = "-0x10"  # j loop
             if malform.startswith("attest"):
                 argv = ["attest", bad, ws / "challenge.json", ws / "keys" / "sk.hex"]
+        elif malform == "attest-past-32-bits":  # the whole program moved up by 2**32
+            for d, key in [(content, "base"), (content, "entry_point")] + [
+                    (ins, key) for ins in content["instructions"] for key in ("addr", "target")]:
+                if key in d:
+                    d[key] = hex(int(d[key], 16) + 2 ** 32)
+            argv = ["attest", bad, ws / "challenge.json", ws / "keys" / "sk.hex"]
         elif malform == "attack-without-trigger":
             content = {"kind": "corrupt-loop-counter", "payload": {"reg": 2, "value": 2}}
             argv = ["run", ws / "prog.json", "--attack", bad]
@@ -276,6 +298,8 @@ class TestUsageErrors:
         assert err.startswith("error: ")
         if malform.endswith("target-outside"):
             assert err == "error: branch at 0x128 targets 0x-10 outside program\n"
+        if malform.endswith("32-bits"):
+            assert err == "error: program at 0x100000100 does not fit 32-bit addresses\n"
 
     @pytest.mark.parametrize("command", ["attest", "verify"])
     def test_challenge_without_nonce_exit_1(self, ws, capsys, command):

@@ -1,13 +1,14 @@
 import hashlib
 import json
 import random
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 import programs as P
-from cfattest.isa import (AsmError, Block, Cfg, Edge, Instruction, InvalidProgramError,
-                          Kind, Program, build_cfg, parse_program)
+from cfattest.isa import (BASE_ADDR, WORD, AsmError, Block, Cfg, Edge, Instruction,
+                          InvalidProgramError, Kind, Program, build_cfg, parse_program)
 from genprog import gen_program
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -217,6 +218,17 @@ go:
                Instruction(0x104, Kind.HALT, "halt"))
         with pytest.raises(InvalidProgramError, match="outside program"):
             Program("x", ins)
+
+    @pytest.mark.parametrize("base", [BASE_ADDR + 2 ** 32, 2 ** 32 - 8, -8])
+    def test_program_outside_32_bit_addresses_rejected(self, base):
+        # registers, L's loop entries and the hashed words are 32 bits wide; the last
+        # instruction's fallthrough or return address must fit too
+        ins = (Instruction(base, Kind.ALU, "li", rd=1, imm=0),
+               Instruction(base + WORD, Kind.HALT, "halt"))
+        with pytest.raises(InvalidProgramError, match="does not fit 32-bit addresses"):
+            Program("x", ins, entry_point=base, base=base)
+        top = 2 ** 32 - 1 - 2 * WORD    # two instructions whose end is 2**32 - 1
+        Program("x", tuple(replace(i, addr=i.addr - base + top) for i in ins), top, top)
 
     def test_base_off_word_alignment(self):
         # a loaded program may start at any address; its instructions are base + k words

@@ -19,27 +19,38 @@ from hypothesis import strategies as st
 import emulator_oracle
 import programs as P
 import views
-from cfattest import emulator
+from cfattest import emulator, loop_monitor
 from cfattest.attestation import ProgramPath, measure
-from cfattest.branch_filter import FLAT_RUN, detect_loops, filter_trace
+from cfattest.branch_filter import FLAT, detect_loops, filter_trace
 from cfattest.emulator import (ATTACK_KINDS, AttackError, AttackSpec, CycleLimitExceeded, run,
                                trace_from_jsonl)
 from cfattest.hash_engine import digest_pairs
 from cfattest.isa import BASE_ADDR, FIELDS, OPCODES, WORD, Instruction, Kind, Program, parse_program
-from cfattest.loop_monitor import MonitorConfig, fault_marker_session
+from cfattest.loop_monitor import LoopMonitor, MonitorConfig, fault_marker_session
 from genprog import gen_input, gen_program
 from loop_oracle import detect_loops_scan
 from monitor_oracle import LoopMonitor as OracleMonitor
 from views import annotated, branch_events, branches_from_columns
 
 
-def sequential_loops(k: int) -> str:
-    """k counted loops in a row; loop i reads its bound from input word i."""
-    lines = ["main:"]
-    for i in range(k):
-        lines += [f"    ld r2, [r0+{i}]", "    li r1, 0", f"L{i}:",
-                  f"    beq r1, r2, E{i}", "    addi r1, r1, 1", f"    j L{i}", f"E{i}:"]
-    return "\n".join(lines + ["    halt"]) + "\n"
+# an outer loop around one counted loop, whose bound for pass p is input word p: a
+# bound of 0 after the inner loop has iterated is a flat session with no iteration
+INNER_BOUND_PER_PASS = """
+main:
+    ld r4, [r0+0]
+    li r5, 0
+outer:
+    addi r5, r5, 1
+    ld r2, [r5+0]
+    li r1, 0
+inner:
+    beq r1, r2, done
+    addi r1, r1, 1
+    j inner
+done:
+    bne r5, r4, outer
+    halt
+"""
 
 
 def _genprog_case(seed):
@@ -50,8 +61,12 @@ def _genprog_case(seed):
 def _cases():
     cases = {f"genprog-{seed}": _genprog_case(seed) for seed in range(40)}
     for k in (1, 10, 100):
-        cases[f"seq-loops-{k}"] = (P.prog(sequential_loops(k), f"seq{k}"),
+        cases[f"seq-loops-{k}"] = (P.prog(P.sequential_loops(k), f"seq{k}"),
                                    [2 + i % 3 for i in range(k)], None)
+    cases["seq-loops-0-1-2"] = (P.prog(P.sequential_loops(12), "seq012"),
+                                [i % 3 for i in range(12)], None)
+    cases["inner-bound-per-pass"] = (P.prog(INNER_BOUND_PER_PASS, "ib"), [6, 0, 1, 2, 0, 1, 2],
+                                     None)
     dispatch = P.prog(P.DISPATCH_LOOP, "d")
     indirect, indirect_input = P.prog(P.INDIRECT_BACKEDGE, "i"), [3, P.INDIRECT_LOOP_ENTRY, 0]
     cases.update({
@@ -338,18 +353,54 @@ def test_measurement_builds_no_per_branch_events(monkeypatch):
 def test_flat_contexts_are_taken():
     for program, inp in [(P.prog(P.WHILE_IF_ELSE, "w"), [3, 1, 0, 1]), CASES["seq-loops-100"][:2]]:
         marks = detect_loops(filter_trace(run(program, inp))).marks
-        assert any(kind == FLAT_RUN for _, kind, _, _ in marks)
+        assert any(kind == FLAT for _, kind, _, _ in marks)
 
 
 def test_new_loop_cases_cover_the_flat_edge_cases():
     # an exit onto another entry or backwards, a run ending in a body; two re-entering
     # sites: not flat
     flats = {name: [m for m in detect_loops(filter_trace(run(*CASES[name]))).marks
-                    if m[1] == FLAT_RUN] for name in ("continue", "exit-onto-entry",
-                                                      "backward-exit", "halt-in-loop",
-                                                      "fault-in-loop")}
+                    if m[1] == FLAT] for name in ("continue", "exit-onto-entry",
+                                                  "backward-exit", "halt-in-loop",
+                                                  "fault-in-loop")}
     assert not flats.pop("continue") and all(flats.values())
     assert {run(*CASES[name]).fault for name in ("halt-in-loop", "fault-in-loop")} == \
         {None, "data-access-out-of-range:6000"}
     sessions = measure(run(*CASES["long-and-short-paths"])).sessions
     assert sessions[0].path_overflow and sessions[0].paths
+
+
+def _flat_slices(name):
+    """Each flat session's slice of the site string, exit branch included, and its site."""
+    b = filter_trace(run(*CASES[name]))
+    return [(b.sites[p:arg[1]], arg[0]) for p, kind, _, arg in detect_loops(b).marks
+            if kind == FLAT]
+
+
+def test_flat_sessions_of_zero_one_and_two_iterations_are_covered():
+    iterations = {name: {sites.count(site) for sites, site in _flat_slices(name)}
+                  for name in ("seq-loops-0-1-2", "inner-bound-per-pass")}
+    # a loop that never iterates in the run is not discovered: no session at all
+    assert iterations == {"seq-loops-0-1-2": {1, 2}, "inner-bound-per-pass": {0, 1, 2}}
+
+
+def test_each_flat_session_is_one_mark():
+    program, inp, _ = CASES["seq-loops-100"]
+    marks = detect_loops(filter_trace(run(program, inp))).marks
+    assert [kind for _, kind, _, _ in marks] == [FLAT] * 100
+    assert len(measure(run(program, inp)).sessions) == 100
+
+
+def test_process_makes_one_path_id_per_distinct_path(monkeypatch):
+    made = []
+
+    class CountingPathId(loop_monitor.PathId):
+        def __post_init__(self):
+            made.append(self.bits)
+            super().__post_init__()
+
+    monkeypatch.setattr(loop_monitor, "PathId", CountingPathId)
+    program, inp, _ = CASES["seq-loops-100"]
+    _, sessions = LoopMonitor().process(detect_loops(filter_trace(run(program, inp))))
+    assert sum(len(s.paths) for s in sessions) == 200
+    assert sorted(made) == sorted({pid.bits for s in sessions for pid, _ in s.paths})

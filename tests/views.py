@@ -3,8 +3,8 @@
 The measurement never builds these.  `branch_events` and `annotated` rebuild
 the per-item streams the oracles consume and produce: one `BranchEvent` per
 branch and, interleaved, one `LoopStatusEvent` per loop mark, with each flat
-run expanded into its iteration marks.  `branches_from_columns` builds a
-hand-written branch stream.
+session expanded into its enter, iteration and exit marks.
+`branches_from_columns` builds a hand-written branch stream.
 
 `loop_oracle` and `monitor_oracle` are the earlier code verbatim, importing
 these names, and the `branch_filter` names they use, from here.
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Union
 
-from cfattest.branch_filter import (DEFAULT_MAX_DEPTH, FLAT_RUN, LoopContext, LoopMarks,
+from cfattest.branch_filter import (DEFAULT_MAX_DEPTH, FLAT, LoopContext, LoopMarks,
                                     LoopStatusKind)
 from cfattest.emulator import Branches
 from cfattest.isa import (CALL, INDIRECT_CALL, INDIRECT_JUMP, JUMP, NOT_TAKEN, RETURN, TAKEN,
@@ -74,12 +74,15 @@ def branch_events(b: Branches) -> list[BranchEvent]:
 
 
 def _marks(lm: LoopMarks):
-    """The loop marks, each flat run expanded into iteration marks of the innermost loop."""
+    """The loop marks, each flat session expanded into its enter, iteration and exit marks."""
     for p, kind, ctx, arg in lm.marks:
-        if kind == FLAT_RUN:
-            for k in range(p, arg):
-                if lm.branches.sites[k] == ctx:
-                    yield (k + 1, LoopStatusKind.ITERATION_BOUNDARY, None, k)
+        if kind == FLAT:
+            site, end, branch = arg
+            yield (p, LoopStatusKind.ENTER, ctx, branch)
+            for k in range(p, end):
+                if lm.branches.sites[k] == site:
+                    yield (k + 1, LoopStatusKind.ITERATION_BOUNDARY, ctx, k)
+            yield (end, LoopStatusKind.EXIT, ctx, end - 1)
         else:
             yield (p, kind, ctx, arg)
 
@@ -95,8 +98,6 @@ def annotated(lm: LoopMarks) -> list[StreamItem]:
             open_.append(ctx)
         elif kind is LoopStatusKind.EXIT:
             open_.pop()
-        elif kind is LoopStatusKind.ITERATION_BOUNDARY and ctx is None:
-            ctx = open_[-1]
         if ctx is not None and not ctx.degraded:
             out.append(("loop", LoopStatusEvent(kind, ctx, b.cycle[branch])))
     return out
