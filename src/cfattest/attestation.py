@@ -25,7 +25,8 @@ from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives.asymmetric.ed25519 import (
     Ed25519PrivateKey, Ed25519PublicKey)
 
-from .isa import WORD, Cfg, Kind, Program, build_cfg
+from .isa import (CALL, INDIRECT_CALL, JUMP, NOT_TAKEN, RETURN, WORD, Cfg, Kind, Program,
+                  build_cfg)
 from .emulator import AttackSpec, Trace, run
 from .branch_filter import detect_loops, filter_trace
 from .hash_engine import digest_pairs
@@ -169,6 +170,7 @@ _U32 = struct.Struct(">I")
 _U64 = struct.Struct(">Q")
 # loop_entry, depth, parent (PARENT_NONE for none), path_overflow, path count
 _SESSION_HEAD = struct.Struct(">IBIBI")
+_TARGETS = [struct.Struct(f">{k}I") for k in range(256)]  # a session's target table
 
 
 def serialize_metadata(sessions: tuple[LoopSession, ...]) -> bytes:
@@ -210,15 +212,16 @@ def parse_metadata(data: bytes) -> tuple[LoopSession, ...]:
             paths = []
             for _ in range(npaths):
                 end = off + 1 + (data[off] + 7) // 8
-                if data[off:end] not in pids:  # a new path, or a malformed one
+                pid = pids.get(key := data[off:end])
+                if pid is None:  # a new path, or a malformed one
                     try:
-                        pids[data[off:end]] = PathId.unpack(data[off + 1:end], data[off])
+                        pid = pids[key] = PathId.unpack(key[1:], key[0])
                     except ValueError as e:
                         raise ProtocolError(f"path bits: {e}") from None
-                paths.append((pids[data[off:end]], *_U64.unpack_from(data, end)))
+                paths.append((pid, _U64.unpack_from(data, end)[0]))
                 off = end + _U64.size
             ntargets = data[off]
-            targets = list(struct.unpack_from(f">{ntargets}I", data, off + 1))
+            targets = [*_TARGETS[ntargets].unpack_from(data, off + 1)]
             off += 1 + ntargets * _U32.size
             sessions.append(LoopSession(entry, depth, None if parent == PARENT_NONE else parent,
                                         paths, targets, overflow == 1))
@@ -334,10 +337,32 @@ PATH_UNVERIFIABLE = "unverifiable"
 PATH_INVALID = "invalid"
 
 _DECODE_STEP_CAP = 4096
-
-
 _DECODE_RANK = {PATH_INVALID: 0, PATH_UNVERIFIABLE: 1,
                 PATH_VALID_EXIT: 2, PATH_VALID_CYCLE: 2}
+_ENTRY, _HALT = "e", "h"  # stop kinds besides the site kinds: a static loop entry, the halt
+_OUTSIDE = (0, None, "", None)  # the stop of an address outside the program
+
+
+def _stop_table(program: Program) -> dict[int, tuple[int, Optional[int], str, Optional[int]]]:
+    """Address -> (k, stop, kind, Dest): k plain instructions, then the next stop.
+
+    A stop is a control transfer (the kind of its first site, '0' for a conditional,
+    and the Dest of its last), the halt, a static loop entry or program.end.  A
+    transfer or the halt is its own stop; before an `_ENTRY` stop k leaves it out.
+    """
+    sites, table = program.sites, {}
+    entries = {dest for _, dest in sites.backward.values()}
+    ahead = (program.end, "", None)  # the nearest stop past the current address
+    for ins in reversed(program.instructions):
+        a, cs = ins.addr, sites.at.get(ins.addr)
+        if cs or ins.kind is Kind.HALT:
+            ahead = (a, sites.kinds[ord(cs[0])], sites.site[cs[-1]][1]) if cs else (a, _HALT, None)
+            table[a] = (0, *ahead)
+        else:
+            table[a] = ((ahead[0] - a) // WORD - (ahead[1] == _ENTRY), *ahead)
+        if a in entries:
+            ahead = (a, _ENTRY, None)
+    return table
 
 
 def decode_loop_path(
@@ -352,6 +377,9 @@ def decode_loop_path(
     Replays the bit-contribution rules as a walk from the session's loop
     entry; indirect codes resolve through the session's target table.  A
     valid path either cycles back to the entry or leaves the loop body.
+    The walk goes from stop to stop of a table built once per program from its
+    sites: one step per control transfer or loop entry.  The step budget still
+    counts every instruction visited, the skipped plain ones included.
 
     A statically nested loop normally keeps its bits in its own session, so
     the walk resumes at its exit node; but a static loop that never iterates
@@ -364,83 +392,69 @@ def decode_loop_path(
     entries = cfg.loop_entries()
     if session.loop_entry not in entries:
         return PATH_UNVERIFIABLE  # e.g. recursion sessions: no static backedge
-    entry = session.loop_entry
-    body_end = entries[entry]
-    bits = pid.bits
-    budget = _DECODE_STEP_CAP
+    entry, body_end = session.loop_entry, entries[session.loop_entry]
+    derived = program.sites.derived
+    stops = derived.get("stops") or derived.setdefault("stops", _stop_table(program))
+    bits, targets = pid.bits, session.indirect_targets
+    nbits, budget, result = len(bits), _DECODE_STEP_CAP, PATH_INVALID
     # walks still to try, depth first: (addr, i, call_stack, started, no_skip_at)
-    todo: list[tuple[int, int, tuple[int, ...], bool, Optional[int]]] = [
-        (entry, 0, (), False, None)]
-
-    def walk(addr: int, i: int, call_stack: tuple[int, ...],
-             started: bool, no_skip_at: Optional[int]) -> str:
-        nonlocal budget
-        while True:
-            if budget <= 0:
-                return PATH_UNVERIFIABLE
-            budget -= 1
-            if started and addr == entry:
-                return PATH_INVALID if i < len(bits) else PATH_VALID_CYCLE
-            if not call_stack and started and not (entry <= addr <= body_end):
-                return PATH_INVALID if i < len(bits) else PATH_VALID_EXIT
-            if addr != entry and addr != no_skip_at and addr in entries:
-                # inner loop was active: resume at its exit node; if that walk fails,
-                # the inner loop never ran: decode its header bit here
-                todo.append((addr, i, call_stack, started, addr))
-                addr, no_skip_at = entries[addr] + WORD, None
-                continue
+    todo: list[tuple[int, int, tuple[int, ...], bool, Optional[int]]] = []
+    addr, i, call_stack, started, no_skip_at = entry, 0, (), False, None
+    while True:  # a step that ends the walk sets its status
+        budget -= 1
+        if budget < 0:
+            status = PATH_UNVERIFIABLE
+        elif started and addr == entry:
+            status = PATH_INVALID if i < nbits else PATH_VALID_CYCLE
+        elif started and not call_stack and not entry <= addr <= body_end:
+            status = PATH_INVALID if i < nbits else PATH_VALID_EXIT
+        elif addr != entry and addr != no_skip_at and addr in entries:
+            # inner loop was active: resume at its exit node; if that walk fails,
+            # the inner loop never ran: decode its header bit here
+            todo.append((addr, i, call_stack, started, addr))
+            addr, no_skip_at = entries[addr] + WORD, None
+            continue
+        else:
             no_skip_at = None
-            ins = program.instr_at(addr)
-            if ins is None:
-                return PATH_INVALID
-            if ins.kind is Kind.HALT:
-                return PATH_VALID_EXIT if i == len(bits) else PATH_INVALID
-            if not ins.is_control:
-                addr += WORD
+            k, addr, kind, target = stops.get(addr, _OUTSIDE)
+            budget -= k
+            if budget < 0:
+                status = PATH_UNVERIFIABLE
+            elif kind == _ENTRY:
                 continue
-
-            started = True
-            if ins.indirect:
-                if i + n > len(bits):
-                    return PATH_INVALID
-                code = int(bits[i:i + n], 2)
-                i += n
+            elif kind in (NOT_TAKEN, JUMP, CALL):
+                if i >= nbits or kind != NOT_TAKEN and bits[i] != "1":
+                    status = PATH_INVALID  # path ends mid-body, or a jump contributed '0'
+                else:
+                    if kind == CALL:
+                        call_stack += (addr + WORD,)
+                    addr = target if bits[i] == "1" else addr + WORD
+                    started, i = True, i + 1
+                    continue
+            elif kind == _HALT or not kind:  # the halt, or past the program
+                status = PATH_VALID_EXIT if kind and i == nbits else PATH_INVALID
+            else:  # an indirect transfer: an n-bit code picks the target
+                code = int(bits[i:i + n], 2) if i + n <= nbits else -1
+                target = targets[code - 1] if 0 < code <= len(targets) else None
                 if code == 0:
-                    return PATH_UNVERIFIABLE  # overflow code: target not reported
-                if code > len(session.indirect_targets):
-                    return PATH_INVALID
-                target = session.indirect_targets[code - 1]
-                if program.instr_at(target) is None:
-                    return PATH_INVALID
-                if ins.kind is Kind.RETURN:
-                    if call_stack:
-                        if call_stack[-1] != target:
-                            return PATH_INVALID
+                    status = PATH_UNVERIFIABLE  # overflow code: target not reported
+                elif target not in stops or (kind == RETURN and call_stack
+                                             and call_stack[-1] != target):
+                    status = PATH_INVALID
+                else:
+                    if kind == RETURN:
                         call_stack = call_stack[:-1]
-                elif ins.kind is Kind.LINKING_INDIRECT_JUMP:
-                    call_stack = call_stack + (ins.addr + WORD,)
-                addr = target
-            elif ins.kind is Kind.COND_BRANCH:
-                if i >= len(bits):
-                    return PATH_INVALID  # path ends mid-body
-                addr = ins.target if bits[i] == "1" else ins.addr + WORD
-                i += 1
-            else:  # direct jump or direct call
-                if i >= len(bits) or bits[i] != "1":
-                    return PATH_INVALID
-                i += 1
-                if ins.kind is Kind.LINKING_JUMP:
-                    call_stack = call_stack + (ins.addr + WORD,)
-                addr = ins.target
-
-    # the first valid walk decides; else the best failure (unverifiable over invalid)
-    result = PATH_INVALID
-    while todo:
-        status = walk(*todo.pop())
+                    elif kind == INDIRECT_CALL:
+                        call_stack += (addr + WORD,)
+                    addr, started, i = target, True, i + n
+                    continue
+        # the first valid walk decides; else the best failure (unverifiable over invalid)
         if _DECODE_RANK[status] == 2:
             return status
         result = max(result, status, key=_DECODE_RANK.get)
-    return result
+        if not todo:
+            return result
+        addr, i, call_stack, started, no_skip_at = todo.pop()
 
 
 def check_loop_paths(
