@@ -7,13 +7,13 @@ protocol able to detect non-control-data, loop-counter and code-pointer
 attacks.
 """
 
-from .isa import parse_program, build_cfg, Program, Cfg
+from .isa import parse_program, cfg_json, Program
 from .emulator import run, AttackSpec, Trace
 from .branch_filter import filter_trace, detect_loops
 from .loop_monitor import LoopMonitor, MonitorConfig, PathId, LoopSession, memory_bits
 from .hash_engine import digest_pairs, simulate_absorb
 from .attestation import (Challenge, Report, ProgramPath, measure,
                           prover_attest, verify, generate_keypair,
-                          canonical_serialize)
+                          canonical_serialize, build_cfg, Cfg)
 
 __version__ = "0.1.0"

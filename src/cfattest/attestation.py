@@ -6,27 +6,28 @@ program hash H followed by the canonical bytes of A, L and the challenge
 nonce N.  Those bytes are the report's only encoding of A, L and N, and
 their parser is strict: what it accepts re-serialises to the same bytes.
 The verifier checks the binary hash, freshness and signature, structurally
-decodes every reported loop path against the CFG, and replays the execution
-to compare (A, L) against its own measurement.  Prover and verifier share
-one measurement implementation, so any asymmetry is structurally impossible.
+decodes every reported loop path against the program's static table (`Cfg`:
+its loop bodies and its stop table), and replays the execution to compare
+(A, L) against its own measurement.  Prover and verifier share one
+measurement implementation, so any asymmetry is structurally impossible.
 """
 from __future__ import annotations
 
 import hashlib
 import json
 import os
+import re
 import struct
 import tempfile
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
+from typing import Mapping, Optional
 
 from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives.asymmetric.ed25519 import (
     Ed25519PrivateKey, Ed25519PublicKey)
 
-from .isa import (CALL, INDIRECT_CALL, JUMP, NOT_TAKEN, RETURN, WORD, Cfg, Kind, Program,
-                  build_cfg)
+from .isa import CALL, INDIRECT_CALL, JUMP, NOT_TAKEN, RETURN, WORD, Kind, Program
 from .emulator import AttackSpec, Trace, run
 from .branch_filter import detect_loops, filter_trace
 from .hash_engine import digest_pairs
@@ -36,6 +37,7 @@ from .loop_monitor import (FAULT_MARKER_ENTRY, PARENT_NONE, LoopMonitor,
 
 MAGIC = b"CFATT2"
 NONCE_LEN = 32
+_NONCE_HEX = re.compile("[0-9a-f]{64}")  # a nonce as the store keeps it: 2 * NONCE_LEN digits
 DIGEST_LEN = 64
 
 # reject reasons
@@ -293,8 +295,9 @@ def prover_attest(
 class NonceStore:
     """Persistent set of consumed nonces; one accepted report per nonce.
 
-    A write goes to a temp file that then replaces the store, so a writer
-    that dies mid-write loses no nonce.
+    The file is a JSON list of nonces in lowercase hex; any other content is
+    a ProtocolError.  A write goes to a temp file that then replaces the
+    store, so a writer that dies mid-write loses no nonce.
     """
 
     def __init__(self, path: Optional[str] = None):
@@ -302,7 +305,12 @@ class NonceStore:
         self._used: set[str] = set()
         if path and os.path.exists(path):
             with open(path) as f:
-                self._used = set(json.load(f))
+                used = json.load(f)
+            if not (isinstance(used, list) and all(
+                    isinstance(h, str) and _NONCE_HEX.fullmatch(h) for h in used)):
+                raise ProtocolError(f"nonce store {path} is not a JSON list of "
+                                    f"{2 * NONCE_LEN}-character lowercase hex strings")
+            self._used = set(used)
 
     def used(self, nonce: bytes) -> bool:
         return nonce.hex() in self._used
@@ -343,43 +351,49 @@ _ENTRY, _HALT = "e", "h"  # stop kinds besides the site kinds: a static loop ent
 _OUTSIDE = (0, None, "", None)  # the stop of an address outside the program
 
 
-def _stop_table(program: Program) -> dict[int, tuple[int, Optional[int], str, Optional[int]]]:
-    """Address -> (k, stop, kind, Dest): k plain instructions, then the next stop.
+@dataclass(frozen=True)
+class Cfg:
+    """A program's static table, all the structural decode reads.
 
-    A stop is a control transfer (the kind of its first site, '0' for a conditional,
-    and the Dest of its last), the halt, a static loop entry or program.end.  A
-    transfer or the halt is its own stop; before an `_ENTRY` stop k leaves it out.
+    `loops`: static loop entry -> largest backedge address, the end of its body.
+    `stops`: address -> (k, stop, kind, Dest): k plain instructions, then the next
+    stop: a control transfer (the kind of its first site, '0' for a conditional, and
+    the Dest of its last), the halt, a static loop entry or program.end.  A transfer
+    or the halt is its own stop; before an `_ENTRY` stop k leaves it out.
     """
-    sites, table = program.sites, {}
-    entries = {dest for _, dest in sites.backward.values()}
+    loops: Mapping[int, int]
+    stops: Mapping[int, tuple[int, Optional[int], str, Optional[int]]]
+
+
+def build_cfg(program: Program) -> Cfg:
+    """The program's static table, from its sites; built once per Program object."""
+    if "_cfg" in program.__dict__:  # kept on the frozen object, as its hash and units are
+        return program.__dict__["_cfg"]
+    sites, loops, stops = program.sites, {}, {}
+    for src, dest in sites.backward.values():
+        loops[dest] = max(loops.get(dest, 0), src)
     ahead = (program.end, "", None)  # the nearest stop past the current address
     for ins in reversed(program.instructions):
         a, cs = ins.addr, sites.at.get(ins.addr)
         if cs or ins.kind is Kind.HALT:
             ahead = (a, sites.kinds[ord(cs[0])], sites.site[cs[-1]][1]) if cs else (a, _HALT, None)
-            table[a] = (0, *ahead)
+            stops[a] = (0, *ahead)
         else:
-            table[a] = ((ahead[0] - a) // WORD - (ahead[1] == _ENTRY), *ahead)
-        if a in entries:
+            stops[a] = ((ahead[0] - a) // WORD - (ahead[1] == _ENTRY), *ahead)
+        if a in loops:
             ahead = (a, _ENTRY, None)
-    return table
+    return program.__dict__.setdefault("_cfg", Cfg(loops, stops))
 
 
-def decode_loop_path(
-    session: LoopSession,
-    pid: PathId,
-    program: Program,
-    cfg: Cfg,
-    n: int = 4,
-) -> str:
-    """Structurally decode one loop path against the CFG.
+def decode_loop_path(session: LoopSession, pid: PathId, cfg: Cfg, n: int = 4) -> str:
+    """Structurally decode one loop path against the program's static table.
 
     Replays the bit-contribution rules as a walk from the session's loop
     entry; indirect codes resolve through the session's target table.  A
     valid path either cycles back to the entry or leaves the loop body.
-    The walk goes from stop to stop of a table built once per program from its
-    sites: one step per control transfer or loop entry.  The step budget still
-    counts every instruction visited, the skipped plain ones included.
+    The walk goes from stop to stop of `cfg.stops`: one step per control
+    transfer or loop entry.  The step budget still counts every instruction
+    visited, the skipped plain ones included.
 
     A statically nested loop normally keeps its bits in its own session, so
     the walk resumes at its exit node; but a static loop that never iterates
@@ -389,12 +403,10 @@ def decode_loop_path(
     continuations wait on an explicit worklist, tried depth first under one
     step budget, so a path past thousands of inner loops needs no recursion.
     """
-    entries = cfg.loop_entries()
+    entries, stops = cfg.loops, cfg.stops
     if session.loop_entry not in entries:
         return PATH_UNVERIFIABLE  # e.g. recursion sessions: no static backedge
     entry, body_end = session.loop_entry, entries[session.loop_entry]
-    derived = program.sites.derived
-    stops = derived.get("stops") or derived.setdefault("stops", _stop_table(program))
     bits, targets = pid.bits, session.indirect_targets
     nbits, budget, result = len(bits), _DECODE_STEP_CAP, PATH_INVALID
     # walks still to try, depth first: (addr, i, call_stack, started, no_skip_at)
@@ -457,12 +469,8 @@ def decode_loop_path(
         addr, i, call_stack, started, no_skip_at = todo.pop()
 
 
-def check_loop_paths(
-    sessions: tuple[LoopSession, ...],
-    program: Program,
-    cfg: Cfg,
-    config: MonitorConfig,
-) -> tuple[bool, list[str]]:
+def check_loop_paths(sessions: tuple[LoopSession, ...], cfg: Cfg,
+                     config: MonitorConfig) -> tuple[bool, list[str]]:
     """Decode every reported path; returns (all structurally valid, notes)."""
     notes = []
     ok = True
@@ -472,7 +480,7 @@ def check_loop_paths(
             notes.append(f"session {idx}: fault marker")
             continue
         for pid, _count in s.paths:
-            status = decode_loop_path(s, pid, program, cfg, config.n)
+            status = decode_loop_path(s, pid, cfg, config.n)
             if status == PATH_INVALID:
                 ok = False
                 notes.append(f"session {idx} path {pid.bits!r}: invalid")
@@ -517,7 +525,7 @@ def verify(
 
     failures: list[str] = []
 
-    structural_ok, _notes = check_loop_paths(report.path.sessions, program, cfg, config)
+    structural_ok, _notes = check_loop_paths(report.path.sessions, cfg, config)
     if not structural_ok:
         failures.append(INVALID_LOOP_PATH)
 

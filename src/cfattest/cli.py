@@ -15,7 +15,7 @@ from . import attestation as att
 from .emulator import (ATTACK_KINDS, DEFAULT_CYCLE_CAP, AttackSpec, CycleLimitExceeded,
                        EmulatorError, run, trace_from_jsonl)
 from .hash_engine import simulate_absorb
-from .isa import Program, build_cfg, parse_program
+from .isa import Program, cfg_json, parse_program
 from .loop_monitor import MonitorConfig
 
 EXIT_OK = 0
@@ -72,8 +72,8 @@ def cmd_asm(args) -> int:
 
 
 def cmd_cfg(args) -> int:
-    cfg = build_cfg(_program(args.program))
-    _write(args.output, json.dumps(cfg.to_json(), indent=2, sort_keys=True) + "\n")
+    cfg = cfg_json(_program(args.program))
+    _write(args.output, json.dumps(cfg, indent=2, sort_keys=True) + "\n")
     return EXIT_OK
 
 
@@ -184,7 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output")
     p.set_defaults(fn=cmd_asm)
 
-    p = sub.add_parser("cfg", help="build the static CFG of a program")
+    p = sub.add_parser("cfg", help="print the static CFG of a program")
     p.add_argument("program")
     p.add_argument("-o", "--output")
     p.set_defaults(fn=cmd_cfg)

@@ -1,5 +1,5 @@
 """Toy RISC-like ISA: opcode table, assembler, program model with its branch
-sites, and the static control-flow graph derived from them.
+sites, and the static control-flow graph printed from them.
 
 The instruction set is deliberately tiny: one link register (`ra`), 16
 general registers, word-addressed data memory.  Branch semantics and the
@@ -8,7 +8,7 @@ link-register calling convention are the only parts that matter downstream.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from itertools import groupby
@@ -35,9 +35,6 @@ class Kind(Enum):
 
 
 STRAIGHT_KINDS = frozenset({Kind.ALU, Kind.LOAD, Kind.STORE})
-CONTROL_KINDS = frozenset(Kind) - STRAIGHT_KINDS - {Kind.HALT}
-LINKING_KINDS = frozenset({Kind.LINKING_JUMP, Kind.LINKING_INDIRECT_JUMP})
-INDIRECT_KINDS = frozenset({Kind.INDIRECT_JUMP, Kind.LINKING_INDIRECT_JUMP, Kind.RETURN})
 
 # mnemonic -> (kind, operand roles in source order).  A role names the Instruction
 # field it sets, except "mem", the memory operand `[rs1 +- offset]`, which sets rs1 and imm.
@@ -87,18 +84,6 @@ class Instruction:
     rs2: Optional[int] = None
     imm: Optional[int] = None
     target: Optional[int] = None  # resolved absolute address
-
-    @property
-    def is_control(self) -> bool:
-        return self.kind in CONTROL_KINDS
-
-    @property
-    def linking(self) -> bool:
-        return self.kind in LINKING_KINDS
-
-    @property
-    def indirect(self) -> bool:
-        return self.kind in INDIRECT_KINDS
 
     def canonical(self) -> str:
         ops = [self.mnemonic]
@@ -333,84 +318,28 @@ class Sites:
 
 # --- static CFG -------------------------------------------------------------
 
-EDGE_FALLTHROUGH = "fallthrough"
-EDGE_TAKEN = "taken"
-EDGE_CALL = "call"
-EDGE_RETURN_ANY = "return-any"
-EDGE_INDIRECT_ANY = "indirect-any"
-_EDGE_KIND = {NOT_TAKEN: EDGE_FALLTHROUGH, TAKEN: EDGE_TAKEN, JUMP: EDGE_TAKEN, CALL: EDGE_CALL,
-              INDIRECT_CALL: EDGE_INDIRECT_ANY, INDIRECT_JUMP: EDGE_INDIRECT_ANY,
-              RETURN: EDGE_RETURN_ANY}
+_EDGE_KIND = {NOT_TAKEN: "fallthrough", TAKEN: "taken", JUMP: "taken", CALL: "call",
+              INDIRECT_CALL: "indirect-any", INDIRECT_JUMP: "indirect-any", RETURN: "return-any"}
 
 
-@dataclass(frozen=True, order=True)
-class Edge:
-    src: int
-    dest: Optional[int]  # None for statically unresolved targets
-    kind: str
+def cfg_json(p: Program) -> dict:
+    """The static CFG as `cfattest cfg` prints it: blocks, edges and static loops.
 
-
-@dataclass(frozen=True, order=True)
-class Block:
-    start: int
-    end: int  # address of the last instruction in the block
-
-
-@dataclass(frozen=True)
-class Cfg:
-    blocks: tuple[Block, ...]
-    edges: frozenset[Edge]
-    static_loops: tuple[tuple[int, int], ...]  # (entry addr, backedge addr)
-
-    def loop_entries(self) -> Mapping[int, int]:
-        """entry -> largest backedge address (loop body upper bound).
-
-        Built once per Cfg: the verifier looks it up for every reported path.
-        """
-        return self._loop_entries
-
-    @cached_property
-    def _loop_entries(self) -> Mapping[int, int]:
-        out: dict[int, int] = {}
-        for entry, backedge in self.static_loops:
-            out[entry] = max(out.get(entry, 0), backedge)
-        return MappingProxyType(out)
-
-    def to_json(self) -> dict:
-        def hx(a):
-            return "any" if a is None else f"0x{a:x}"
-
-        return {
-            "blocks": [{"start": hx(b.start), "end": hx(b.end)} for b in self.blocks],
-            "edges": [
-                {"src": hx(e.src), "dest": hx(e.dest), "kind": e.kind}
-                for e in sorted(self.edges, key=lambda e: (e.src, e.kind, -1 if e.dest is None else e.dest))
-            ],
-            "static_loops": [
-                {"entry": hx(en), "backedge": hx(be)} for en, be in self.static_loops
-            ],
-        }
-
-
-def build_cfg(p: Program) -> Cfg:
-    """The program's CFG, built once per Program object."""
-    # kept on the frozen object, as its hash and units are
-    return p.__dict__.get("_cfg") or p.__dict__.setdefault("_cfg", _partition(p))
-
-
-def _partition(p: Program) -> Cfg:
-    """Partition a program into basic blocks at its leaders and collect static edges.
-
-    The edges are the program's branch sites, plus a fallthrough edge out of
-    each block that ends on a straight-line instruction.  static_loops holds
-    exactly the sites' static loop backedges (`Sites.backward`); subroutine
-    calls (linking) never qualify.
+    A block runs from one leader to the next.  The edges are the branch sites plus
+    a fallthrough edge out of each block that ends on a straight-line instruction.
+    The static loops are the sites' static loop backedges (`Sites.backward`).
     """
-    starts = p.leaders
-    blocks = [Block(s, e - WORD) for s, e in zip(starts, starts[1:] + (p.end,))]
+    def hx(a):
+        return "any" if a is None else f"0x{a:x}"
 
-    edges = {Edge(src, dest, _EDGE_KIND[kind]) for src, dest, kind in p.sites.site.values()}
-    edges.update(Edge(b.end, b.end + WORD, EDGE_FALLTHROUGH) for b in blocks
-                 if b.end + WORD < p.end and p.instr_at(b.end).kind in STRAIGHT_KINDS)
-    static_loops = sorted((dest, src) for src, dest in p.sites.backward.values())
-    return Cfg(tuple(blocks), frozenset(edges), tuple(static_loops))
+    ends = [e - WORD for e in p.leaders[1:] + (p.end,)]  # each block's last instruction
+    edges = {(src, dest, _EDGE_KIND[kind]) for src, dest, kind in p.sites.site.values()}
+    edges.update((e, e + WORD, "fallthrough") for e in ends
+                 if e + WORD < p.end and p.instr_at(e).kind in STRAIGHT_KINDS)
+    return {
+        "blocks": [{"start": hx(s), "end": hx(e)} for s, e in zip(p.leaders, ends)],
+        "edges": [{"src": hx(s), "dest": hx(d), "kind": k} for s, d, k in
+                  sorted(edges, key=lambda e: (e[0], e[2], -1 if e[1] is None else e[1]))],
+        "static_loops": [{"entry": hx(en), "backedge": hx(be)} for en, be in
+                         sorted((dest, src) for src, dest in p.sites.backward.values())],
+    }

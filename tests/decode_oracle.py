@@ -10,9 +10,10 @@ from __future__ import annotations
 from typing import Optional
 
 from cfattest.attestation import (PATH_INVALID, PATH_UNVERIFIABLE, PATH_VALID_CYCLE,
-                                  PATH_VALID_EXIT)
-from cfattest.isa import WORD, Cfg, Kind, Program
+                                  PATH_VALID_EXIT, Cfg)
+from cfattest.isa import WORD, Kind, Program
 from cfattest.loop_monitor import LoopSession, PathId
+from views import is_control, is_indirect
 
 _DECODE_STEP_CAP = 4096
 
@@ -42,7 +43,7 @@ def decode_loop_path(
     continuations wait on an explicit worklist, tried depth first under one
     step budget, so a path past thousands of inner loops needs no recursion.
     """
-    entries = cfg.loop_entries()
+    entries = cfg.loops
     if session.loop_entry not in entries:
         return PATH_UNVERIFIABLE  # e.g. recursion sessions: no static backedge
     entry = session.loop_entry
@@ -76,12 +77,12 @@ def decode_loop_path(
                 return PATH_INVALID
             if ins.kind is Kind.HALT:
                 return PATH_VALID_EXIT if i == len(bits) else PATH_INVALID
-            if not ins.is_control:
+            if not is_control(ins):
                 addr += WORD
                 continue
 
             started = True
-            if ins.indirect:
+            if is_indirect(ins):
                 if i + n > len(bits):
                     return PATH_INVALID
                 code = int(bits[i:i + n], 2)

@@ -9,13 +9,12 @@ import time
 import programs as P
 from genprog import gen_input, gen_program
 from cfattest import attestation as att
-from cfattest.attestation import (Challenge, NonceStore, ProgramPath, Report,
+from cfattest.attestation import (Challenge, NonceStore, ProgramPath, Report, build_cfg,
                                   check_loop_paths, decode_loop_path, measure,
                                   prover_attest, verify)
 from cfattest.branch_filter import detect_loops, filter_trace
 from cfattest.emulator import run
 from cfattest.hash_engine import simulate_absorb
-from cfattest.isa import build_cfg
 from cfattest.loop_monitor import LoopMonitor, MonitorConfig, memory_bits
 
 SK, PK = att.generate_keypair()
@@ -178,7 +177,7 @@ def test_criterion_7_replay_oracle_symmetry():
         assert prover_view.sessions == verifier_view.sessions
         for s in prover_view.sessions:
             for pid, _count in s.paths:
-                status = decode_loop_path(s, pid, program, cfg, config.n)
+                status = decode_loop_path(s, pid, cfg, config.n)
                 assert status in (att.PATH_VALID_CYCLE, att.PATH_VALID_EXIT), (
                     i, s.loop_entry, pid.bits, status)
     elapsed = time.monotonic() - start

@@ -15,7 +15,7 @@ from cfattest.attestation import (AUTHENTICATOR_MISMATCH, BAD_SIGNATURE,
                                   PATH_VALID_EXIT, PROGRAM_HASH_MISMATCH,
                                   STALE_NONCE, Challenge, NonceStore,
                                   ProgramPath, ProtocolError, Report,
-                                  canonical_parse, canonical_serialize,
+                                  build_cfg, canonical_parse, canonical_serialize,
                                   check_loop_paths, decode_loop_path,
                                   generate_keypair, measure, parse_metadata,
                                   program_hash, prover_attest,
@@ -23,7 +23,7 @@ from cfattest.attestation import (AUTHENTICATOR_MISMATCH, BAD_SIGNATURE,
                                   verify)
 from cfattest.emulator import run
 from cfattest.hash_engine import digest_pairs, pair_bytes
-from cfattest.isa import build_cfg, parse_program
+from cfattest.isa import parse_program
 from cfattest.loop_monitor import (FAULT_MARKER_ENTRY, PARENT_NONE,
                                    LoopSession, MonitorConfig, PathId)
 from genprog import gen_input, gen_program
@@ -73,17 +73,17 @@ class TestKeysAndHashes:
 
 
     def test_cfg_built_once_per_program(self, monkeypatch):
-        from cfattest import isa
-        calls = []
-        partition = isa._partition
-        monkeypatch.setattr(isa, "_partition", lambda p: calls.append(p) or partition(p))
+        made = []
+        cfg = att.Cfg
+        monkeypatch.setattr(att, "Cfg", lambda *a: made.append(cfg(*a)) or made[-1])
         p = P.prog(P.WHILE_IF_ELSE, "w")
         for _ in range(2):
             ch = fresh(p, [2, 0, 1])
             assert verify(prover_attest(p, ch, KEY[0]), ch, KEY[1], p).accepted
-        assert len(calls) == 1 and calls[0] is p
+        assert len(made) == 1 and build_cfg(p) is made[0]
         again = P.prog(P.WHILE_IF_ELSE, "w")
-        assert build_cfg(again) == build_cfg(p) and len(calls) == 2
+        assert build_cfg(again) == build_cfg(p) and len(made) == 2
+        assert build_cfg(again) is made[1]
 
     def test_signed_bytes_serialised_once_per_session(self, monkeypatch):
         calls = []
@@ -440,22 +440,22 @@ class TestStructuralDecode:
 
     def test_valid_cycles_and_exit(self):
         s = self.session("0011")
-        assert decode_loop_path(s, PathId("0011"), self.p, self.cfg) == PATH_VALID_CYCLE
-        assert decode_loop_path(s, PathId("011"), self.p, self.cfg) == PATH_VALID_CYCLE
-        assert decode_loop_path(s, PathId("1"), self.p, self.cfg) == PATH_VALID_EXIT
+        assert decode_loop_path(s, PathId("0011"), self.cfg) == PATH_VALID_CYCLE
+        assert decode_loop_path(s, PathId("011"), self.cfg) == PATH_VALID_CYCLE
+        assert decode_loop_path(s, PathId("1"), self.cfg) == PATH_VALID_EXIT
 
     def test_invalid_bits(self):
         s = self.session("0011")
         # direct jump must contribute '1'; '0000' claims it fell through
-        assert decode_loop_path(s, PathId("0000"), self.p, self.cfg) == PATH_INVALID
+        assert decode_loop_path(s, PathId("0000"), self.cfg) == PATH_INVALID
         # too short: ends in the middle of the body
-        assert decode_loop_path(s, PathId("00"), self.p, self.cfg) == PATH_INVALID
+        assert decode_loop_path(s, PathId("00"), self.cfg) == PATH_INVALID
         # too long: bits left over after reaching the entry
-        assert decode_loop_path(s, PathId("00111"), self.p, self.cfg) == PATH_INVALID
+        assert decode_loop_path(s, PathId("00111"), self.cfg) == PATH_INVALID
 
     def test_unknown_entry_unverifiable(self):
         s = LoopSession(0x9999, 1, None, [(PathId("1"), 1)], [])
-        assert decode_loop_path(s, PathId("1"), self.p, self.cfg) == PATH_UNVERIFIABLE
+        assert decode_loop_path(s, PathId("1"), self.cfg) == PATH_UNVERIFIABLE
 
     def test_indirect_target_resolution(self):
         p = P.prog(P.DISPATCH_LOOP, "d")
@@ -463,16 +463,13 @@ class TestStructuralDecode:
         h0 = P.label_addr(p, P.DISPATCH_LOOP, "h0")
         ret_site = 0x118  # jalr+4
         good = LoopSession(0x108, 1, None, [], [h0, ret_site])
-        assert decode_loop_path(good, PathId("0000100101"), p,
-                                cfg) == PATH_VALID_CYCLE
+        assert decode_loop_path(good, PathId("0000100101"), cfg) == PATH_VALID_CYCLE
         # dispatch through a target outside the program text
         rogue = LoopSession(0x108, 1, None, [], [h0, ret_site, 0x9999_0000])
-        assert decode_loop_path(rogue, PathId("0001100101"), p,
-                                cfg) == PATH_INVALID
+        assert decode_loop_path(rogue, PathId("0001100101"), cfg) == PATH_INVALID
         # code references a target the session never reported
         missing = LoopSession(0x108, 1, None, [], [h0, ret_site])
-        assert decode_loop_path(missing, PathId("0001100101"), p,
-                                cfg) == PATH_INVALID
+        assert decode_loop_path(missing, PathId("0001100101"), cfg) == PATH_INVALID
 
     def test_indirect_backedge_loop_is_unverifiable(self):
         # a loop closed only by a register jump has no static backedge, so its
@@ -480,27 +477,26 @@ class TestStructuralDecode:
         p = P.prog(P.INDIRECT_BACKEDGE, "i")
         cfg = build_cfg(p)
         s = LoopSession(0x110, 1, None, [], [0x110])
-        assert decode_loop_path(s, PathId("000001"), p, cfg) == PATH_UNVERIFIABLE
+        assert decode_loop_path(s, PathId("000001"), cfg) == PATH_UNVERIFIABLE
 
     def test_overflow_code_unverifiable(self):
         p = P.prog(P.DISPATCH_LOOP, "d")
         cfg = build_cfg(p)
         s = LoopSession(0x108, 1, None, [], [])
-        assert decode_loop_path(s, PathId("00000"), p, cfg,
-                                n=4) == PATH_UNVERIFIABLE
+        assert decode_loop_path(s, PathId("00000"), cfg, n=4) == PATH_UNVERIFIABLE
 
     def test_return_must_match_call_site(self):
         p = P.prog(P.CALL_IN_LOOP, "c")
         cfg = build_cfg(p)
         ok = LoopSession(0x108, 1, None, [], [0x110])
-        assert decode_loop_path(ok, PathId("0100011"), p, cfg) == PATH_VALID_CYCLE
+        assert decode_loop_path(ok, PathId("0100011"), cfg) == PATH_VALID_CYCLE
         # return target that is not the call site
         bad = LoopSession(0x108, 1, None, [], [0x100])
-        assert decode_loop_path(bad, PathId("0100011"), p, cfg) == PATH_INVALID
+        assert decode_loop_path(bad, PathId("0100011"), cfg) == PATH_INVALID
 
     def test_check_loop_paths_flags_fault_marker(self):
         from cfattest.loop_monitor import fault_marker_session
-        ok, notes = check_loop_paths((fault_marker_session(),), self.p, self.cfg,
+        ok, notes = check_loop_paths((fault_marker_session(),), self.cfg,
                                      MonitorConfig())
         assert not ok and "fault marker" in notes[0]
 
@@ -521,5 +517,5 @@ class TestStructuralDecode:
                          (P.AUTH_THEN_WORK, [42, 4])]:
             p = P.prog(src, "x")
             m = measure(run(p, inp))
-            ok, notes = check_loop_paths(m.sessions, p, build_cfg(p), MonitorConfig())
+            ok, notes = check_loop_paths(m.sessions, build_cfg(p), MonitorConfig())
             assert ok, (src, notes)

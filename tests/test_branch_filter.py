@@ -3,7 +3,7 @@ import views
 from cfattest.branch_filter import LoopStatusKind, _discover_loops, detect_loops, filter_trace
 from cfattest.emulator import run
 from cfattest.isa import Kind, parse_program
-from views import BranchKind, branch_events, branches_from_columns
+from views import BranchKind, branch_events, branches_from_columns, is_control
 
 E = LoopStatusKind.ENTER
 I = LoopStatusKind.ITERATION_BOUNDARY
@@ -22,7 +22,7 @@ class TestFilter:
     def test_matches_brute_force(self):
         t = run(P.prog(P.WHILE_IF_ELSE, "w"), [3, 1, 0, 1])
         events = branch_events(filter_trace(t))
-        control = [e for e in t.events if e.instr.is_control]
+        control = [e for e in t.events if is_control(e.instr)]
         assert [b.src for b in events] == [e.pc for e in control]
         assert [b.dest for b in events] == [e.next_pc for e in control]
 

@@ -316,6 +316,17 @@ class TestUsageErrors:
         assert cfattest(*argv) == 1
         assert capsys.readouterr().err.startswith("error: challenge must have exactly the keys")
 
+    @pytest.mark.parametrize("content", ["5", "null", "[1, 2]", '{"a": 1}', '"ab"'])
+    def test_malformed_nonce_store_exit_1(self, ws, capsys, content):
+        # neither a crash nor a misread store: the report is not verified against it
+        store = ws / "nonces.json"
+        store.write_text(content)
+        capsys.readouterr()
+        assert attest_and_verify(ws, store=store) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: nonce store ") and "Traceback" not in err
+        assert store.read_text() == content
+
 
 @pytest.mark.parametrize("inner", [1200, 3000])
 def test_verify_many_inner_loops(tmp_path, capsys, inner):

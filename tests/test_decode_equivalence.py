@@ -18,9 +18,9 @@ from hypothesis import strategies as st
 import decode_oracle
 import programs as P
 from cfattest.attestation import (PATH_INVALID, PATH_UNVERIFIABLE, PATH_VALID_CYCLE,
-                                  _DECODE_STEP_CAP, decode_loop_path, measure)
+                                  _DECODE_STEP_CAP, build_cfg, decode_loop_path, measure)
 from cfattest.emulator import AttackError, CycleLimitExceeded, run
-from cfattest.isa import WORD, build_cfg
+from cfattest.isa import WORD
 from cfattest.loop_monitor import LoopSession, MonitorConfig, PathId
 from test_trace_equivalence import CASES
 
@@ -76,7 +76,7 @@ def assert_same(session: LoopSession, bits: str, program, n: int) -> str:
     pid = PathId(bits)
     cfg = build_cfg(program)
     want = decode_oracle.decode_loop_path(session, pid, program, cfg, n)
-    assert decode_loop_path(session, pid, program, cfg, n) == want, (program.id, session, bits, n)
+    assert decode_loop_path(session, pid, cfg, n) == want, (program.id, session, bits, n)
     return want
 
 
@@ -93,7 +93,7 @@ def addresses(name: str):
 def entries(name: str):
     """Session entries: the static loop entries, the entry point and any other address."""
     program = PROGRAMS[name][0]
-    static = sorted(build_cfg(program).loop_entries()) or [program.entry_point]
+    static = sorted(build_cfg(program).loops) or [program.entry_point]
     return st.one_of(st.sampled_from(static), st.just(program.entry_point), addresses(name))
 
 

@@ -7,6 +7,7 @@ import programs as P
 from cfattest.emulator import (SEMANTICS, AttackError, AttackSpec, CycleLimitExceeded,
                                EmulatorError, run, trace_from_jsonl)
 from cfattest.isa import FIELDS, OPCODES, Kind, parse_program
+from views import is_control
 
 
 class TestExecution:
@@ -75,7 +76,7 @@ end:
                     assert e.next_pc == e.instr.target
                 elif k is Kind.HALT:
                     assert e.next_pc == e.pc
-                elif not e.instr.is_control:
+                elif not is_control(e.instr):
                     assert e.next_pc == e.pc + 4
 
     def test_observer_receives_all_events_without_altering_trace(self):

@@ -7,9 +7,11 @@ from pathlib import Path
 import pytest
 
 import programs as P
-from cfattest.isa import (BASE_ADDR, WORD, AsmError, Block, Cfg, Edge, Instruction,
-                          InvalidProgramError, Kind, Program, build_cfg, parse_program)
+from cfattest.attestation import build_cfg
+from cfattest.isa import (BASE_ADDR, WORD, AsmError, Instruction, InvalidProgramError, Kind,
+                          Program, cfg_json, parse_program)
 from genprog import gen_program
+from views import is_indirect, is_linking
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -41,7 +43,7 @@ class TestParser:
         p3 = P.prog(P.DISPATCH_LOOP, "d")
         jalr = next(i for i in p3.instructions if i.mnemonic == "jalr")
         assert jalr.kind is Kind.LINKING_INDIRECT_JUMP
-        assert jalr.linking and jalr.indirect
+        assert is_linking(jalr) and is_indirect(jalr)
 
     def test_instr_at_boundaries(self):
         p = P.prog(P.STRAIGHT_LINE, "s")
@@ -169,28 +171,34 @@ def test_assembled_program_bytes_are_pinned():
     assert h.hexdigest() == PROGRAM_BYTES_SHA256
 
 
+def edge(src, dest, kind):
+    """One `cfg_json` edge entry; dest None is an indirect transfer's "any"."""
+    return {"src": f"0x{src:x}", "dest": "any" if dest is None else f"0x{dest:x}", "kind": kind}
+
+
 class TestCfg:
     def test_blocks_and_static_loop(self):
-        cfg = build_cfg(P.prog(P.WHILE_IF_ELSE, "w"))
-        assert len(cfg.blocks) == 9
-        assert cfg.static_loops == ((0x108, 0x128),)
-        assert cfg.loop_entries() == {0x108: 0x128}
+        p = P.prog(P.WHILE_IF_ELSE, "w")
+        cfg = cfg_json(p)
+        assert len(cfg["blocks"]) == 9
+        assert cfg["static_loops"] == [{"entry": "0x108", "backedge": "0x128"}]
+        assert build_cfg(p).loops == {0x108: 0x128}
 
     def test_edges(self):
-        cfg = build_cfg(P.prog(P.WHILE_IF_ELSE, "w"))
-        assert Edge(0x108, 0x12C, "taken") in cfg.edges
-        assert Edge(0x108, 0x10C, "fallthrough") in cfg.edges
-        assert Edge(0x128, 0x108, "taken") in cfg.edges
-        assert Edge(0x12C, 0x138, "call") in cfg.edges
-        assert Edge(0x138, None, "return-any") in cfg.edges
+        edges = cfg_json(P.prog(P.WHILE_IF_ELSE, "w"))["edges"]
+        assert edge(0x108, 0x12C, "taken") in edges
+        assert edge(0x108, 0x10C, "fallthrough") in edges
+        assert edge(0x128, 0x108, "taken") in edges
+        assert edge(0x12C, 0x138, "call") in edges
+        assert edge(0x138, None, "return-any") in edges
         # fallthrough out of a non-control block (main: into loop:)
-        assert Edge(0x104, 0x108, "fallthrough") in cfg.edges
+        assert edge(0x104, 0x108, "fallthrough") in edges
 
     def test_indirect_edge(self):
-        cfg = build_cfg(P.prog(P.INDIRECT_BACKEDGE, "i"))
-        assert Edge(P.INDIRECT_JR_ADDR, None, "indirect-any") in cfg.edges
+        cfg = cfg_json(P.prog(P.INDIRECT_BACKEDGE, "i"))
+        assert edge(P.INDIRECT_JR_ADDR, None, "indirect-any") in cfg["edges"]
         # the indirect backedge is not statically a loop
-        assert cfg.static_loops == ()
+        assert cfg["static_loops"] == []
 
     def test_backward_call_is_not_a_loop(self):
         src = """
@@ -203,12 +211,11 @@ go:
     jal f
     halt
 """
-        cfg = build_cfg(parse_program(src))
-        assert cfg.static_loops == ()
+        assert cfg_json(parse_program(src))["static_loops"] == []
+        assert build_cfg(parse_program(src)).loops == {}
 
     def test_nested_static_loops(self):
-        cfg = build_cfg(P.prog(P.NESTED_2, "n"))
-        entries = cfg.loop_entries()
+        entries = build_cfg(P.prog(P.NESTED_2, "n")).loops
         assert len(entries) == 2
         (outer, inner) = sorted(entries)
         assert entries[inner] < entries[outer]  # inner body nested in outer
@@ -234,23 +241,24 @@ go:
         # a loaded program may start at any address; its instructions are base + k words
         ins = (Instruction(0x102, Kind.DIRECT_JUMP, "j", target=0x106),
                Instruction(0x106, Kind.HALT, "halt"))
-        cfg = build_cfg(Program("x", ins, entry_point=0x102, base=0x102))
-        assert cfg.blocks == (Block(0x102, 0x102), Block(0x106, 0x106))
-        assert cfg.edges == {Edge(0x102, 0x106, "taken")}
+        cfg = cfg_json(Program("x", ins, entry_point=0x102, base=0x102))
+        assert cfg["blocks"] == [{"start": "0x102", "end": "0x102"},
+                                 {"start": "0x106", "end": "0x106"}]
+        assert cfg["edges"] == [edge(0x102, 0x106, "taken")]
 
     def test_json_deterministic(self):
-        a = build_cfg(P.prog(P.NESTED_2, "n"))
-        b = build_cfg(P.prog(P.NESTED_2, "n"))
-        assert json.dumps(a.to_json(), sort_keys=True) == json.dumps(b.to_json(), sort_keys=True)
+        a = cfg_json(P.prog(P.NESTED_2, "n"))
+        b = cfg_json(P.prog(P.NESTED_2, "n"))
+        assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
     def test_straight_line_single_block(self):
-        cfg = build_cfg(P.prog(P.STRAIGHT_LINE, "s"))
-        assert len(cfg.blocks) == 1 and cfg.static_loops == ()
+        cfg = cfg_json(P.prog(P.STRAIGHT_LINE, "s"))
+        assert len(cfg["blocks"]) == 1 and cfg["static_loops"] == []
 
     @pytest.mark.parametrize("name", ["WHILE_IF_ELSE", "DISPATCH_LOOP", "RECURSIVE",
                                       "CALL_IN_LOOP", "NESTED_4"])
     def test_matches_golden(self, name):
-        # `cfattest cfg` output; CI diffs the first against the CLI's
-        cfg = build_cfg(P.prog(getattr(P, name), "demo"))
-        text = json.dumps(cfg.to_json(), indent=2, sort_keys=True) + "\n"
+        # `cfattest cfg` output; CI diffs each against the CLI's
+        cfg = cfg_json(P.prog(getattr(P, name), "demo"))
+        text = json.dumps(cfg, indent=2, sort_keys=True) + "\n"
         assert text == (GOLDEN / f"cfg_{name.lower()}.json").read_text()

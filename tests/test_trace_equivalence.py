@@ -30,7 +30,7 @@ from cfattest.loop_monitor import LoopMonitor, MonitorConfig, fault_marker_sessi
 from genprog import gen_input, gen_program
 from loop_oracle import detect_loops_scan
 from monitor_oracle import LoopMonitor as OracleMonitor
-from views import annotated, branch_events, branches_from_columns
+from views import annotated, branch_events, branches_from_columns, is_control
 
 
 # an outer loop around one counted loop, whose bound for pass p is input word p: a
@@ -231,7 +231,7 @@ def test_branch_columns_equal_observer_stream(name):
     program, inp, attack = CASES[name]
     seen = []
     trace = run(program, inp, attack, observer=seen.append)
-    control = [ev for ev in seen if ev.instr.is_control]
+    control = [ev for ev in seen if is_control(ev.instr)]
     assert trace.branches.src == [ev.pc for ev in control]
     assert trace.branches.dest == [ev.next_pc for ev in control]
     assert trace.branches.cycle == [ev.cycle for ev in control]

@@ -4,7 +4,8 @@ The measurement never builds these.  `branch_events` and `annotated` rebuild
 the per-item streams the oracles consume and produce: one `BranchEvent` per
 branch and, interleaved, one `LoopStatusEvent` per loop mark, with each flat
 session expanded into its enter, iteration and exit marks.
-`branches_from_columns` builds a hand-written branch stream.
+`branches_from_columns` builds a hand-written branch stream.  `is_control`,
+`is_linking` and `is_indirect` classify an instruction by its kind.
 
 `loop_oracle` and `monitor_oracle` are the earlier code verbatim, importing
 these names, and the `branch_filter` names they use, from here.
@@ -18,8 +19,24 @@ from typing import Union
 from cfattest.branch_filter import (DEFAULT_MAX_DEPTH, FLAT, LoopContext, LoopMarks,
                                     LoopStatusKind)
 from cfattest.emulator import Branches
-from cfattest.isa import (CALL, INDIRECT_CALL, INDIRECT_JUMP, JUMP, NOT_TAKEN, RETURN, TAKEN,
-                          Sites)
+from cfattest.isa import (CALL, INDIRECT_CALL, INDIRECT_JUMP, JUMP, NOT_TAKEN, RETURN,
+                          STRAIGHT_KINDS, TAKEN, Instruction, Kind, Sites)
+
+CONTROL_KINDS = frozenset(Kind) - STRAIGHT_KINDS - {Kind.HALT}
+LINKING_KINDS = frozenset({Kind.LINKING_JUMP, Kind.LINKING_INDIRECT_JUMP})
+INDIRECT_KINDS = frozenset({Kind.INDIRECT_JUMP, Kind.LINKING_INDIRECT_JUMP, Kind.RETURN})
+
+
+def is_control(ins: Instruction) -> bool:
+    return ins.kind in CONTROL_KINDS
+
+
+def is_linking(ins: Instruction) -> bool:
+    return ins.kind in LINKING_KINDS
+
+
+def is_indirect(ins: Instruction) -> bool:
+    return ins.kind in INDIRECT_KINDS
 
 
 class BranchKind(Enum):
@@ -59,13 +76,13 @@ _BRANCH_KIND = {NOT_TAKEN: BranchKind.COND_NOT_TAKEN, TAKEN: BranchKind.COND_TAK
                 JUMP: BranchKind.DIRECT_JUMP, CALL: BranchKind.CALL, INDIRECT_CALL: BranchKind.CALL,
                 INDIRECT_JUMP: BranchKind.INDIRECT_JUMP, RETURN: BranchKind.RETURN}
 _LINKING = CALL + INDIRECT_CALL
-_INDIRECT_KINDS = INDIRECT_CALL + INDIRECT_JUMP + RETURN
+_INDIRECT_SITES = INDIRECT_CALL + INDIRECT_JUMP + RETURN
 
 
 def branch_event(b: Branches, i: int, loop_depth: int = 0) -> BranchEvent:
     k = b.kinds[i]
     return BranchEvent(b.src[i], b.dest[i], _BRANCH_KIND[k], k in _LINKING,
-                       k in _INDIRECT_KINDS, b.cycle[i], loop_depth)
+                       k in _INDIRECT_SITES, b.cycle[i], loop_depth)
 
 
 def branch_events(b: Branches) -> list[BranchEvent]:
@@ -106,10 +123,10 @@ def annotated(lm: LoopMarks) -> list[StreamItem]:
 def branches_from_columns(src: list[int], dest: list[int], kinds: str,
                           cycle: list[int]) -> Branches:
     """Branches with exactly these columns, read through a site table of their own."""
-    ends = [(s, None if k in _INDIRECT_KINDS else d, k) for s, d, k in zip(src, dest, kinds)]
+    ends = [(s, None if k in _INDIRECT_SITES else d, k) for s, d, k in zip(src, dest, kinds)]
     site_of = {end: chr(n) for n, end in enumerate(sorted(dict.fromkeys(ends), key=lambda e: e[0]))}
     b = Branches("".join(map(site_of.__getitem__, ends)),
-                 [d for d, k in zip(dest, kinds) if k in _INDIRECT_KINDS],
+                 [d for d, k in zip(dest, kinds) if k in _INDIRECT_SITES],
                  Sites(None, list(site_of)))
     b.cycle = list(cycle)  # given, not derived: a hand-written stream need not be a run
     return b
