@@ -255,10 +255,8 @@ def canonical_parse(data: bytes) -> tuple[ProgramPath, bytes]:
 # --- measurement ---------------------------------------------------------------
 
 def measure(trace: Trace, config: MonitorConfig = MonitorConfig()) -> ProgramPath:
-    """Run the full filter -> loop detection -> monitor -> hash pipeline."""
-    events = filter_trace(trace)
-    annotated = detect_loops(events, config.max_depth)
-    stream, sessions = LoopMonitor(config).process(annotated)
+    """Run the full filter -> loop discovery -> loop monitor -> hash pipeline."""
+    stream, sessions = LoopMonitor(config).process(detect_loops(filter_trace(trace)))
     if trace.fault is not None:
         sessions.append(fault_marker_session())
     return ProgramPath(digest_pairs(stream), tuple(sessions))
@@ -304,8 +302,11 @@ class NonceStore:
         self.path = path
         self._used: set[str] = set()
         if path and os.path.exists(path):
-            with open(path) as f:
-                used = json.load(f)
+            try:
+                with open(path) as f:
+                    used = json.load(f)
+            except ValueError:  # not JSON text
+                used = None
             if not (isinstance(used, list) and all(
                     isinstance(h, str) and _NONCE_HEX.fullmatch(h) for h in used)):
                 raise ProtocolError(f"nonce store {path} is not a JSON list of "

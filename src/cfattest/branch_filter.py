@@ -1,16 +1,17 @@
-"""Branch filtering and runtime loop detection over the branch record.
+"""Branch filtering and loop discovery over the branch record.
 
 `filter_trace` hands on the trace's `Branches`: one site character per
 branch plus the targets of indirect transfers (`isa.Sites`).  A branch's
 loop-path bit is '0' for a not-taken conditional, '1' for a taken
 conditional or direct transfer and `INDIRECT` for an indirect transfer,
-coded by target (`site_bits`).  `detect_loops` first discovers the run's
-loops, taking non-linking backward branches as backedges (link-register
+coded by target (`site_bits`).  `detect_loops` discovers the run's loops,
+taking non-linking backward branches as backedges (link-register
 heuristic), so the first traversal of a loop is attributed like later ones
-and A does not depend on the iteration count.  It then emits only loop marks
-(entry, iteration and exit per nesting depth); a table gives the loops
-enclosing an address, so its cost per branch does not grow with the number
-of loops.  Prover and verifier share this code.
+and A does not depend on the iteration count, and the entries of direct
+recursion.  Its table of loop bodies (`_Loops`) gives the loops enclosing
+an address, so the loop monitor's walk (`LoopMonitor.process`) costs no
+more per branch as the number of loops grows.  Prover and verifier share
+this code.
 
 A loop context is **flat** when no other discovered loop entry lies in its
 body [entry, backedge], the body holds no call, return or indirect transfer,
@@ -18,54 +19,18 @@ and exactly one of its sites re-enters the entry.  Opened with every other
 loop enclosing its entry open, it is a flat session: control stays in it up
 to the first branch whose static destination leaves the body, and that exit
 branch closes it.  Flat bodies never overlap, so one character class per loop
-set finds the exit in the site string, and the session is one `FLAT` mark,
-exit branch included, which the loop monitor turns into a `LoopSession`.
+set (`_Loops.exit`) finds the exit in the site string, and the loop monitor
+takes the session, exit branch included, in one step.
 """
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
-from enum import Enum
-from math import inf
-from typing import NamedTuple, Optional
 
-from .isa import (CALL, INDIRECT_CALL, INDIRECT_JUMP, JUMP, RETURN, TAKEN, WORD, Sites,
-                  char_class)
+from .isa import CALL, INDIRECT_CALL, INDIRECT_JUMP, JUMP, RETURN, TAKEN, Sites, char_class
 from .emulator import Branches, Trace
 
-DEFAULT_MAX_DEPTH = 3
-
-
-@dataclass
-class LoopContext:
-    entry_addr: int
-    backedge_addr: int
-    exit_addr: int
-    depth: int
-    call_depth_at_entry: int
-    recursive: bool = False
-    degraded: bool = False  # beyond max_depth: tracked but not measured as a loop
-
-    def contains(self, addr: int) -> bool:
-        return self.entry_addr <= addr <= self.backedge_addr
-
-
-class LoopStatusKind(Enum):
-    ENTER = "enter"
-    ITERATION_BOUNDARY = "iteration_boundary"
-    EXIT = "exit"
-
-
-# A mark at position p lies between branches p-1 and p: (p, status, context, the
-# branch it happened at).  A flat session is (p, FLAT, context, (site, end, branch)):
-# the context opens at p, at `branch`, and closes at end, after its exit branch end-1
-# or at the end of the trace; each of its iterations ends with `site`.
-FLAT = "flat"
-Mark = tuple[int, object, LoopContext, object]
-
 INDIRECT = "x"
-_LINKING = CALL + INDIRECT_CALL
-_CALL_OR_RETURN = _LINKING + RETURN
+_CALL_OR_RETURN = CALL + INDIRECT_CALL + RETURN
 _BITS = str.maketrans(JUMP + CALL + INDIRECT_CALL + INDIRECT_JUMP + RETURN,
                       TAKEN * 2 + INDIRECT * 3)
 
@@ -164,112 +129,10 @@ class _Loops(dict):
         return found
 
 
-class LoopMarks(NamedTuple):
-    """`detect_loops` output: the branches and their loop marks, degraded contexts included."""
-    branches: Branches
-    marks: list[Mark]
-
-
-def detect_loops(b: Branches, max_depth: int = DEFAULT_MAX_DEPTH) -> LoopMarks:
-    """Mark loop entries, iterations and exits in the branch stream."""
+def detect_loops(b: Branches) -> tuple[Branches, _Loops, dict[int, int]]:
+    """The run's loops: the branches, the table of loop bodies and the recursion entries."""
     loops, recursive = _discover_loops(b)
     enclosing = b.table.derived.get("loops")
     if enclosing is None or enclosing.loops != loops:
         enclosing = b.table.derived["loops"] = _Loops(loops, b.table)
-    sites, site, target_at, n = b.sites, b.table.site, b.target_at, len(b)
-    marks: list[Mark] = []
-    stack: list[LoopContext] = []
-    open_at: dict[int, LoopContext] = {}  # entry -> its context; no entry is open twice
-    # per open context, where control stays in it: at call depth `within` or deeper and, at
-    # `within`, in [lo, hi] (a recursion context spans all); the bottom one is never left.
-    # A flat session adds its re-entering site, and the position and branch it opened at.
-    scopes: list[tuple[int, float, float, Optional[tuple]]] = [(-1, -1, -1, None)]
-    call_depth = 0
-    call_targets: list[int] = []
-    open_calls: dict[int, int] = {}  # call_targets as counts
-    ENTER, ITERATION, EXIT = LoopStatusKind
-
-    def open_ctx(entry: int, backedge: int, rec: bool, pos: int, branch: int):
-        depth = len(stack) + 1
-        degraded = depth > max_depth or (bool(stack) and stack[-1].degraded)
-        ctx = LoopContext(entry, backedge, backedge + WORD, depth, call_depth, rec, degraded)
-        stack.append(ctx)
-        open_at[entry] = ctx
-        # the contexts below this one stay while it is open, so whether it is a flat
-        # session is known now; its one mark is made when it closes
-        flat = None if rec else enclosing.flat.get(entry)
-        if flat is not None and all(map(open_at.__contains__, flat[1])):
-            flat = (flat[0], pos, branch)
-        else:
-            flat = None
-            marks.append((pos, ENTER, ctx, branch))
-        scopes.append((call_depth, -1, inf, None) if rec else (call_depth, entry, backedge, flat))
-        return scopes[-1]
-
-    def close_ctx(pos: int, branch: int):
-        ctx = stack.pop()
-        del open_at[ctx.entry_addr]
-        flat = scopes.pop()[3]
-        marks.append((pos, EXIT, ctx, branch) if flat is None else
-                     (flat[1], FLAT, ctx, (flat[0], pos, flat[2])))
-        return scopes[-1]
-
-    within, lo, hi, flat = scopes[-1]
-    i = 0
-    while i < n:
-        src, dest, kind = site[sites[i]]
-        if dest is None:
-            dest = target_at[i]
-        # control left open loops before this branch (fallthrough past the body)
-        while call_depth < within or (call_depth == within and not lo <= src <= hi):
-            within, lo, hi, flat = close_ctx(i, i)
-
-        # fallthrough arrival: control is inside known loop bodies with no context open
-        for entry in enclosing[src]:
-            if entry not in open_at:
-                within, lo, hi, flat = open_ctx(entry, loops[entry], False, i, i)
-
-        if flat is not None:  # a flat session: skip to its first exit site, whose step closes it
-            m = enclosing.exit and enclosing.exit.search(sites, i)
-            if m is None:
-                break
-            i = m.start()
-            src, dest, kind = site[sites[i]]  # a body site: its destination is static
-
-        linking = kind in _LINKING
-        # direct recursion opens (or iterates) a loop context at the callee entry;
-        # the branch belongs to the innermost context open before it
-        if linking and dest in recursive and open_calls.get(dest):
-            ctx = open_at.get(dest)
-            if ctx is None:
-                within, lo, hi, flat = open_ctx(dest, recursive[dest], True, i, i)
-            elif ctx.recursive and not ctx.degraded:
-                marks.append((i + 1, ITERATION, ctx, i))
-
-        # call-depth bookkeeping
-        if linking:
-            call_targets.append(dest)
-            open_calls[dest] = open_calls.get(dest, 0) + 1
-            call_depth += 1
-        elif kind == RETURN:
-            if call_targets:
-                open_calls[call_targets.pop()] -= 1
-            call_depth = max(0, call_depth - 1)
-
-        # this branch's destination closes loops it lands outside of
-        while call_depth < within or (call_depth == within and not lo <= dest <= hi):
-            within, lo, hi, flat = close_ctx(i + 1, i)
-
-        if not linking:
-            if dest == lo:
-                # backedge (or continue) re-entering the entry node
-                if not stack[-1].degraded:
-                    marks.append((i + 1, ITERATION, stack[-1], i))
-            elif dest in loops and dest not in open_at:
-                # arrival branch from outside; the branch itself is not part of the loop
-                within, lo, hi, flat = open_ctx(dest, loops[dest], False, i + 1, i)
-        i += 1
-
-    while stack:  # implicit exits at end of trace
-        close_ctx(n, n - 1)
-    return LoopMarks(b, marks)
+    return b, enclosing, recursive

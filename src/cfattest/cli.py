@@ -261,8 +261,9 @@ def main(argv=None) -> int:
     except CycleLimitExceeded as e:  # an EmulatorError, but not the input's fault
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INTERNAL
-    except (ValueError, EmulatorError, FileNotFoundError) as e:  # ValueError: AsmError,
-        # InvalidProgramError, ProtocolError and bad JSON among others
+    except (ValueError, EmulatorError, OSError) as e:  # ValueError: AsmError,
+        # InvalidProgramError, ProtocolError and bad JSON among others; OSError: a path
+        # that is missing, a directory or unreadable
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
 

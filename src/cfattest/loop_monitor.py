@@ -1,4 +1,14 @@
-"""Loop path encoding, per-path iteration counters and metadata assembly.
+"""The loop walk, loop path encoding, per-path iteration counters and metadata.
+
+`LoopMonitor.process` walks the branch record once, with the loops that
+`detect_loops` discovered.  It opens a loop context at each loop entry (a
+fallthrough into a loop body, an arrival branch onto its entry, or a
+direct-recursive call), ends a traversal at each branch re-entering the
+entry, and closes the context at the first branch that leaves it (returns
+below its call depth or, at that depth, lands outside its body).  A context
+nested deeper than `max_depth` is tracked, but not measured as a loop: its
+branches are hashed like those outside any loop.  Every other context is one
+`LoopSession` in L.
 
 Each traversal of a loop body is encoded into a bitstring: conditional
 branches contribute their taken bit, direct jumps and direct calls contribute
@@ -6,25 +16,29 @@ branches contribute their taken bit, direct jumps and direct calls contribute
 assigned to their runtime target in first-seen order.  A path is hashed only
 the first time it completes; afterwards only its counter moves.
 
-Each run of branches between two loop marks is encoded in one step: its
+Each run of branches between two loop boundaries is encoded in one step: its
 sites, translated to bits (`site_bits`), extend the path, and its pairs stay
-an index range until they are hashed.  A flat session (`FLAT`) is one step
-too: its slice of the site string, split at the re-entering site, gives the
-iterations, counted in first-occurrence order in one C pass, and the tail is
-its last traversal.  A piece longer than the path width is hashed at every
-occurrence.  One `PathId` stands for each distinct path of a `process` call.
+an index range until they are hashed.  A flat session (see `branch_filter`)
+is one step too: the walk skips to its exit, its slice of the site string,
+split at the re-entering site, gives the iterations, counted in
+first-occurrence order in one C pass, and the tail is its last traversal.  A
+piece longer than the path width is hashed at every occurrence.  One `PathId`
+stands for each distinct path of a `process` call.
 """
 from __future__ import annotations
 
 from collections import _count_elements
 from dataclasses import dataclass
+from math import inf
 from typing import Optional
 
-from .branch_filter import (DEFAULT_MAX_DEPTH, FLAT, INDIRECT, LoopContext, LoopMarks,
-                            LoopStatusKind, site_bits)
+from .branch_filter import INDIRECT, site_bits
+from .isa import CALL, INDIRECT_CALL, RETURN
 
 FAULT_MARKER_ENTRY = 0xFFFF_FFFF
 PARENT_NONE = 0xFFFF_FFFF
+DEFAULT_MAX_DEPTH = 3
+_LINKING = CALL + INDIRECT_CALL
 
 
 @dataclass(frozen=True)
@@ -121,28 +135,46 @@ class _PathIds(dict):
         return pid
 
 
-class _SessionState:
-    __slots__ = ("entry", "depth", "parent", "counts", "partial", "buffer", "targets",
-                 "path_overflow", "iter_overflowed")
+class _Context:
+    """An open loop context: where control stays in it, and its session's state.
 
-    def __init__(self, entry: int, depth: int, parent: Optional[int]):
-        self.entry, self.depth, self.parent = entry, depth, parent
-        self.counts: dict[str, int] = {}        # path -> count, first-occurrence order
-        self.partial = ""                       # bits of the in-flight traversal
-        self.buffer: list[tuple[int, int]] = []  # branch index ranges of the traversal
-        self.targets: dict[int, int] = {}        # indirect target -> code, first-seen order
-        self.path_overflow = self.iter_overflowed = False
+    Control stays at call depth `within` or deeper and, at `within`, in
+    [lo, hi]; a recursion context spans all addresses.  `flat` is the
+    re-entering site of a flat session, which starts at branch `start`.
+    `index` is the session's place in L, None for a flat or degraded context,
+    and `parent` the index of the enclosing session.
+    """
+    __slots__ = ("within", "lo", "hi", "entry", "depth", "degraded", "flat", "start", "index",
+                 "parent", "counts", "partial", "buffer", "targets", "path_overflow",
+                 "iter_overflowed")
+
+    def __init__(self, within: int, lo: float, hi: float, entry: int, depth: int,
+                 degraded: bool = False, flat: Optional[str] = None):
+        self.within, self.lo, self.hi, self.entry, self.depth = within, lo, hi, entry, depth
+        self.degraded = degraded  # beyond max_depth: tracked but not measured as a loop
+        self.flat, self.index = flat, None
+        if flat is None and not degraded:  # the state of a session walked branch by branch
+            self.counts: dict[str, int] = {}        # path -> count, first-occurrence order
+            self.partial = ""                       # bits of the in-flight traversal
+            self.buffer: list[tuple[int, int]] = []  # branch index ranges of the traversal
+            self.targets: dict[int, int] = {}        # indirect target -> code, first-seen order
+            self.path_overflow = self.iter_overflowed = False
 
 
 class LoopMonitor:
-    """Consumer of the loop marks turning the branch columns into (A-stream, L)."""
+    """The loop walk turning the branch columns into (A-stream, L).
+
+    `_enter`, `_iterate`, `_exit` and `_flat` are its loop boundaries: each
+    takes the context, the position of the boundary (between branches
+    pos-1 and pos) and the branch it happens at.
+    """
 
     def __init__(self, config: MonitorConfig = MonitorConfig()):
         self.config = config
         self.stream: list[tuple[int, int]] = []   # hash-engine input, in emission order
         self.sessions: list[Optional[LoopSession]] = []
 
-    def _indirect_code(self, s: _SessionState, target: int) -> int:
+    def _indirect_code(self, s: _Context, target: int) -> int:
         code = s.targets.get(target)
         if code is None and len(s.targets) < self.config.max_indirect_targets:
             code = s.targets[target] = len(s.targets) + 1
@@ -152,12 +184,12 @@ class LoopMonitor:
         """Send the (Src, Dest) pairs of branches i..j-1 to the hash engine."""
         self.stream.extend(self._branches.pairs(i, j))
 
-    def _end_traversal(self, s: _SessionState, hashed: bool) -> None:
+    def _end_traversal(self, s: _Context, hashed: bool) -> None:
         for i, j in s.buffer if hashed else ():
             self.stream.extend(self._branches.pairs(i, j))
         s.partial, s.buffer = "", []
 
-    def _encode_run(self, s: _SessionState, i: int, j: int) -> None:
+    def _encode_run(self, s: _Context, i: int, j: int) -> None:
         """Add branches i..j-1, all in the innermost loop, to its traversal."""
         if s.iter_overflowed:
             return self._hash(i, j)
@@ -181,11 +213,46 @@ class LoopMonitor:
         else:
             s.partial = path
 
-    def _flat_session(self, open_: list, ctx: LoopContext, site: str, i: int, j: int) -> None:
-        """Add the session of a flat context holding branches i..j-1, inside `open_`, to L."""
+    def _run(self, pos: int) -> None:
+        """Encode the branches since the last boundary, up to pos-1, in the innermost context."""
+        i, self._pos = self._pos, pos
+        if pos > i:
+            top = self._stack[-1]
+            if top.index is None:  # outside any session
+                self._hash(i, pos)
+            else:
+                self._encode_run(top, i, pos)
+
+    def _enter(self, ctx: _Context, pos: int, branch: int) -> None:
+        """Open ctx, the new innermost context, and its session unless it is flat or degraded."""
+        self._run(pos)
+        ctx.start, ctx.parent = pos, self._stack[-1].index
+        if ctx.flat is None and not ctx.degraded:
+            ctx.index = len(self.sessions)
+            self.sessions.append(None)
+
+    def _iterate(self, ctx: _Context, pos: int, branch: int) -> None:
+        """End a traversal of ctx: the branch re-entered it."""
+        self._run(pos)
+        self.close_path(ctx)
+
+    def _exit(self, ctx: _Context, pos: int, branch: int) -> None:
+        """Close ctx, the innermost context, and put its session in L."""
+        self._run(pos)
+        if ctx.index is not None:
+            self.close_path(ctx)
+            self.sessions[ctx.index] = LoopSession(ctx.entry, ctx.depth, ctx.parent, [
+                (self._path_id(k), c) for k, c in ctx.counts.items()], list(ctx.targets),
+                ctx.path_overflow)
+
+    def _flat(self, ctx: _Context, pos: int, branch: int) -> None:
+        """Close the flat session of ctx, branches ctx.start..pos-1, and add it to L."""
+        i, j = ctx.start, pos
+        self._pos = pos
         if ctx.degraded:
             return self._hash(i, j)
         # the complete iterations, less their last site `site`, then the last traversal
+        site = ctx.flat
         pieces = self._sites[i:j].split(site)
         tail = pieces.pop()
         runs: dict[str, int] = {}
@@ -206,11 +273,10 @@ class LoopMonitor:
             if not seen:  # first execution of this path: its pairs go to the hash engine
                 stream.extend(map(pair, sites))
             counts[path] = seen + count
-        parent = open_[-1][0] if open_ else None
-        self.sessions.append(LoopSession(ctx.entry_addr, ctx.depth, parent, [
+        self.sessions.append(LoopSession(ctx.entry, ctx.depth, ctx.parent, [
             (self._path_id(k), c) for k, c in counts.items()], [], overflow))
 
-    def close_path(self, s: _SessionState) -> None:
+    def close_path(self, s: _Context) -> None:
         if s.iter_overflowed:
             s.iter_overflowed = False
         elif s.partial:
@@ -219,40 +285,99 @@ class LoopMonitor:
             # first execution of this path: its pairs go to the hash engine
             self._end_traversal(s, hashed=count == 0)
 
-    def process(self, annotated: LoopMarks) -> tuple[list[tuple[int, int]], list[LoopSession]]:
-        """Encode each run of branches between two marks, and each flat session, in one step."""
-        b = self._branches = annotated.branches
-        self._sites, self._target_at, self._pair = b.sites, b.target_at, b.table.pair
-        self._bits, self._path_id = site_bits(b.table), _PathIds().__getitem__
-        ENTER, ITERATION, EXIT = LoopStatusKind
-        # one entry per open loop context: (session index, state), None if degraded
-        open_: list[Optional[tuple[int, _SessionState]]] = []
-        pos = 0
-        for p, kind, ctx, arg in annotated.marks + [(len(b), None, None, 0)]:
-            if p > pos:
-                if open_ and open_[-1] is not None:
-                    self._encode_run(open_[-1][1], pos, p)
-                else:
-                    self._hash(pos, p)
-                pos = p
-            if kind is FLAT:
-                site, pos, _ = arg
-                self._flat_session(open_, ctx, site, p, pos)
-            elif kind is ENTER:
-                if ctx.degraded:
-                    open_.append(None)
-                else:
-                    self.sessions.append(None)
-                    open_.append((len(self.sessions) - 1, _SessionState(
-                        ctx.entry_addr, ctx.depth, open_[-1][0] if open_ else None)))
-            elif kind is ITERATION:
-                self.close_path(open_[ctx.depth - 1][1])
-            elif kind is EXIT:
-                idx, s = open_.pop() or (None, None)
-                if s is not None:
-                    self.close_path(s)
-                    self.sessions[idx] = LoopSession(s.entry, s.depth, s.parent, [
-                        (self._path_id(k), c) for k, c in s.counts.items()], list(s.targets),
-                        s.path_overflow)
-        assert not open_ and all(s is not None for s in self.sessions)
+    def process(self, found: tuple) -> tuple[list[tuple[int, int]], list[LoopSession]]:
+        """Walk the branches once, given `detect_loops`'s loops, and measure each loop."""
+        b, enclosing, recursive = found
+        self._branches, self._sites, self._target_at = b, b.sites, b.target_at
+        self._pair, self._bits = b.table.pair, site_bits(b.table)
+        self._path_id, self._pos = _PathIds().__getitem__, 0
+        loops, max_depth = enclosing.loops, self.config.max_depth
+        sites, site, target_at, n = b.sites, b.table.site, b.target_at, len(b)
+        stack = self._stack = [_Context(-1, -1, -1, -1, 0)]  # the bottom one is never left
+        open_at: dict[int, _Context] = {}  # entry -> its context; no entry is open twice
+        call_depth = 0
+        call_targets: list[int] = []
+        open_calls: dict[int, int] = {}  # call_targets as counts
+
+        def open_ctx(entry: int, lo: float, hi: float, pos: int, branch: int):
+            # the contexts below this one stay while it is open, so whether it is a flat
+            # session is known now
+            flat = None if hi == inf else enclosing.flat.get(entry)
+            if flat is not None:
+                flat = flat[0] if all(map(open_at.__contains__, flat[1])) else None
+            depth = len(stack)
+            ctx = open_at[entry] = _Context(call_depth, lo, hi, entry, depth,
+                                            depth > max_depth or stack[-1].degraded, flat)
+            self._enter(ctx, pos, branch)
+            stack.append(ctx)
+            return call_depth, lo, hi, flat
+
+        def close_ctx(pos: int, branch: int):
+            ctx = stack[-1]
+            (self._exit if ctx.flat is None else self._flat)(ctx, pos, branch)
+            stack.pop()
+            del open_at[ctx.entry]
+            top = stack[-1]
+            return top.within, top.lo, top.hi, top.flat
+
+        within, lo, hi, flat = -1, -1, -1, None
+        i = 0
+        while i < n:
+            src, dest, kind = site[sites[i]]
+            if dest is None:
+                dest = target_at[i]
+            # control left open loops before this branch (fallthrough past the body)
+            while call_depth < within or (call_depth == within and not lo <= src <= hi):
+                within, lo, hi, flat = close_ctx(i, i)
+
+            # fallthrough arrival: control is inside known loop bodies with no context open
+            for entry in enclosing[src]:
+                if entry not in open_at:
+                    within, lo, hi, flat = open_ctx(entry, entry, loops[entry], i, i)
+
+            if flat is not None:  # a flat session: skip to its first exit, whose step closes it
+                m = enclosing.exit and enclosing.exit.search(sites, i)
+                if m is None:
+                    break
+                i = m.start()
+                src, dest, kind = site[sites[i]]  # a body site: its destination is static
+
+            linking = kind in _LINKING
+            # direct recursion opens (or iterates) a loop context at the callee entry, spanning
+            # all addresses; the branch belongs to the innermost context open before it
+            if linking and dest in recursive and open_calls.get(dest):
+                ctx = open_at.get(dest)
+                if ctx is None:
+                    within, lo, hi, flat = open_ctx(dest, -1, inf, i, i)
+                elif ctx.hi == inf and not ctx.degraded:
+                    self._iterate(ctx, i + 1, i)
+
+            # call-depth bookkeeping
+            if linking:
+                call_targets.append(dest)
+                open_calls[dest] = open_calls.get(dest, 0) + 1
+                call_depth += 1
+            elif kind == RETURN:
+                if call_targets:
+                    open_calls[call_targets.pop()] -= 1
+                call_depth = max(0, call_depth - 1)
+
+            # this branch's destination closes loops it lands outside of
+            while call_depth < within or (call_depth == within and not lo <= dest <= hi):
+                within, lo, hi, flat = close_ctx(i + 1, i)
+
+            if not linking:
+                if dest == lo:
+                    # backedge (or continue) re-entering the entry node
+                    if not stack[-1].degraded:
+                        self._iterate(stack[-1], i + 1, i)
+                elif dest in loops and dest not in open_at:
+                    # arrival branch from outside; the branch itself is not part of the loop
+                    within, lo, hi, flat = open_ctx(dest, dest, loops[dest], i + 1, i)
+            i += 1
+
+        while len(stack) > 1:  # implicit exits at end of trace
+            close_ctx(n, n - 1)
+        self._run(n)
+        assert all(s is not None for s in self.sessions)
         return self.stream, list(self.sessions)

@@ -1,9 +1,9 @@
 import programs as P
 import views
-from cfattest.branch_filter import LoopStatusKind, _discover_loops, detect_loops, filter_trace
+from cfattest.branch_filter import _discover_loops, filter_trace
 from cfattest.emulator import run
 from cfattest.isa import Kind, parse_program
-from views import BranchKind, branch_events, branches_from_columns, is_control
+from views import BranchKind, LoopStatusKind, branch_events, branches_from_columns, is_control
 
 E = LoopStatusKind.ENTER
 I = LoopStatusKind.ITERATION_BOUNDARY
@@ -15,7 +15,7 @@ def loop_kinds(annotated):
 
 
 def annotate(src, inp, pid="x", **kw):
-    return views.annotated(detect_loops(filter_trace(run(P.prog(src, pid), inp)), **kw))
+    return views.annotated(filter_trace(run(P.prog(src, pid), inp)), **kw)
 
 
 class TestFilter:
@@ -164,7 +164,7 @@ class TestDetectLoops:
                                        dest=[f, f, f, f + 12, f + 12, 0x104],
                                        kinds="cccrrr",
                                        cycle=[0, 1, 2, 3, 4, 5])
-        annotated = views.annotated(detect_loops(stream))
+        annotated = views.annotated(stream)
         kinds = loop_kinds(annotated)
         assert kinds == [(E, f), (I, f), (X, f)]
         rec = next(ev.loop for tag, ev in annotated if tag == "loop")
@@ -175,8 +175,8 @@ class TestDetectLoops:
         n = len(events) - 2  # the branches up to and including events[-3]
         truncated = branches_from_columns(events.src[:n], events.dest[:n], events.kinds[:n],
                                           events.cycle[:n])
-        annotated = views.annotated(detect_loops(truncated))
+        annotated = views.annotated(truncated)
         assert loop_kinds(annotated)[-1][0] is X
 
     def test_empty_stream(self):
-        assert views.annotated(detect_loops(branches_from_columns([], [], "", []))) == []
+        assert views.annotated(branches_from_columns([], [], "", [])) == []

@@ -78,6 +78,21 @@ def test_measure_flat_loops_matches_golden(tmp_path):
     assert out == (GOLDEN / "measure_flat_loops.json").read_text()
 
 
+def test_measure_degraded_contexts_match_golden(tmp_path):
+    # at --max-depth 2 the two inner levels of NESTED_4 are tracked, not measured: their
+    # branches are hashed, and L has 3 sessions against 9 at depth 4.  CI diffs the same golden.
+    (tmp_path / "n4.s").write_text(P.NESTED_4)
+    assert cfattest("asm", tmp_path / "n4.s", "--id", "n4", "-o", tmp_path / "n4.json") == 0
+    assert cfattest("run", tmp_path / "n4.json", "--input", "2,1,2,2",
+                    "-o", tmp_path / "n4.jsonl") == 0
+    for depth, sessions in [(2, 3), (4, 9)]:
+        assert cfattest("measure", tmp_path / "n4.jsonl", "--program", tmp_path / "n4.json",
+                        "--max-depth", depth, "-o", tmp_path / f"m{depth}.json") == 0
+        assert len(json.loads((tmp_path / f"m{depth}.json").read_text())["L"]) == sessions
+    assert (tmp_path / "m2.json").read_text() == \
+        (GOLDEN / "measure_nested4_depth2.json").read_text()
+
+
 class TestPipeline:
     def test_asm_output_shape(self, ws):
         data = json.loads((ws / "prog.json").read_text())
@@ -316,7 +331,8 @@ class TestUsageErrors:
         assert cfattest(*argv) == 1
         assert capsys.readouterr().err.startswith("error: challenge must have exactly the keys")
 
-    @pytest.mark.parametrize("content", ["5", "null", "[1, 2]", '{"a": 1}', '"ab"'])
+    @pytest.mark.parametrize("content", ["5", "null", "[1, 2]", '{"a": 1}', '"ab"', "",
+                                         "not json"])
     def test_malformed_nonce_store_exit_1(self, ws, capsys, content):
         # neither a crash nor a misread store: the report is not verified against it
         store = ws / "nonces.json"
@@ -326,6 +342,22 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: nonce store ") and "Traceback" not in err
         assert store.read_text() == content
+
+    @pytest.mark.parametrize("command", ["verify", "cfg", "asm"])
+    def test_directory_as_path_exit_1(self, ws, capsys, command):
+        # a path that cannot be read or written as a file is a usage error
+        d = ws / "d"
+        d.mkdir()
+        argv = {"verify": ["verify", ws / "report.json", ws / "challenge.json",
+                           ws / "keys" / "pk.hex", ws / "prog.json", "--nonce-store", d],
+                "cfg": ["cfg", ws / "prog.json", "-o", d],
+                "asm": ["asm", d]}[command]
+        assert cfattest("attest", ws / "prog.json", ws / "challenge.json",
+                        ws / "keys" / "sk.hex", "-o", ws / "report.json") == 0
+        capsys.readouterr()
+        assert cfattest(*argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
 
 
 @pytest.mark.parametrize("inner", [1200, 3000])

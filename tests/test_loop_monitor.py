@@ -9,14 +9,13 @@ from cfattest.attestation import ProgramPath, Report
 from cfattest.branch_filter import detect_loops, filter_trace
 from cfattest.emulator import run
 from cfattest.loop_monitor import (FAULT_MARKER_ENTRY, LoopMonitor, LoopSession,
-                                   MonitorConfig, PathId, _SessionState,
+                                   MonitorConfig, PathId, _Context,
                                    fault_marker_session, memory_bits)
 
 
 def sessions_of(src, inp, config=MonitorConfig(), **runkw):
     t = run(P.prog(src, "x"), inp, **runkw)
-    annotated = detect_loops(filter_trace(t), config.max_depth)
-    return LoopMonitor(config).process(annotated)
+    return LoopMonitor(config).process(detect_loops(filter_trace(t)))
 
 
 def path_view(s: LoopSession):
@@ -56,7 +55,7 @@ class TestPathEncoding:
 class TestIndirectCodes:
     def test_first_seen_codes(self):
         cfg = MonitorConfig(n=4)
-        s = _SessionState(0x100, 1, None)
+        s = _Context(0, 0x100, 0x10C, 0x100, 1)
         mon = LoopMonitor(cfg)
         codes = [mon._indirect_code(s, 0x1000 + 4 * i) for i in range(16)]
         assert codes[:15] == list(range(1, 16))

@@ -5,7 +5,8 @@ fault and observer stream as the interpreter in `emulator_oracle`, at every
 cycle cap; the per-cycle view of the trace equals what the observer saw
 as each cycle retired, so do the recorded branch columns, a JSONL round trip
 filters to the same branches,
-`detect_loops` annotates exactly as the all-loops scan in `loop_oracle`, and
+the loop monitor's walk marks loops exactly as the all-loops scan in
+`loop_oracle` (through `views.loop_marks`), and
 `measure` gives the (A, L) of the per-item monitor in `monitor_oracle` fed by
 that scan.
 """
@@ -21,7 +22,7 @@ import programs as P
 import views
 from cfattest import emulator, loop_monitor
 from cfattest.attestation import ProgramPath, measure
-from cfattest.branch_filter import FLAT, detect_loops, filter_trace
+from cfattest.branch_filter import detect_loops, filter_trace
 from cfattest.emulator import (ATTACK_KINDS, AttackError, AttackSpec, CycleLimitExceeded, run,
                                trace_from_jsonl)
 from cfattest.hash_engine import digest_pairs
@@ -30,7 +31,7 @@ from cfattest.loop_monitor import LoopMonitor, MonitorConfig, fault_marker_sessi
 from genprog import gen_input, gen_program
 from loop_oracle import detect_loops_scan
 from monitor_oracle import LoopMonitor as OracleMonitor
-from views import annotated, branch_events, branches_from_columns, is_control
+from views import FLAT, annotated, branch_events, branches_from_columns, is_control, loop_marks
 
 
 # an outer loop around one counted loop, whose bound for pass p is input word p: a
@@ -254,7 +255,7 @@ def test_filter_survives_jsonl_round_trip(name):
 def test_detect_loops_matches_all_loops_scan(name, max_depth):
     program, inp, attack = CASES[name]
     trace = run(program, inp, attack)
-    assert annotated(detect_loops(filter_trace(trace), max_depth)) == \
+    assert annotated(filter_trace(trace), max_depth) == \
         detect_loops_scan(branch_events(filter_trace(trace)), max_depth)
 
 
@@ -263,8 +264,8 @@ def test_detect_loops_leaves_its_input_alone():
     branches = filter_trace(run(program, inp))
     columns = (list(branches.src), list(branches.dest), branches.kinds, list(branches.cycle))
     by_hand = branches_from_columns(*columns)
-    first = annotated(detect_loops(branches))
-    assert annotated(detect_loops(branches)) == first == annotated(detect_loops(by_hand))
+    first = annotated(branches)
+    assert annotated(branches) == first == annotated(by_hand)
     assert any(ev.loop_depth for tag, ev in first if tag == "branch")
     assert all(ev.loop_depth == 0 for ev in branch_events(branches) + branch_events(by_hand))
     assert (branches.src, branches.dest, branches.kinds, branches.cycle) == columns
@@ -330,7 +331,7 @@ def test_measurement_builds_no_per_cycle_events(monkeypatch):
     program, inp, _ = CASES["seq-loops-100"]
     trace = run(program, inp)
     assert len(trace.events) == trace.cycles > 0
-    detect_loops(filter_trace(trace))
+    measure(trace)
     assert built == []
     trace.events[0]
     assert len(built) == trace.cycles
@@ -346,20 +347,20 @@ def test_measurement_builds_no_per_branch_events(monkeypatch):
     trace = run(program, inp)
     assert measure(trace).sessions
     assert built == []
-    stream = annotated(detect_loops(filter_trace(trace)))
+    stream = annotated(filter_trace(trace))
     assert len(stream) == len(built)
 
 
 def test_flat_contexts_are_taken():
     for program, inp in [(P.prog(P.WHILE_IF_ELSE, "w"), [3, 1, 0, 1]), CASES["seq-loops-100"][:2]]:
-        marks = detect_loops(filter_trace(run(program, inp))).marks
+        marks = loop_marks(filter_trace(run(program, inp)))
         assert any(kind == FLAT for _, kind, _, _ in marks)
 
 
 def test_new_loop_cases_cover_the_flat_edge_cases():
     # an exit onto another entry or backwards, a run ending in a body; two re-entering
     # sites: not flat
-    flats = {name: [m for m in detect_loops(filter_trace(run(*CASES[name]))).marks
+    flats = {name: [m for m in loop_marks(filter_trace(run(*CASES[name])))
                     if m[1] == FLAT] for name in ("continue", "exit-onto-entry",
                                                   "backward-exit", "halt-in-loop",
                                                   "fault-in-loop")}
@@ -373,7 +374,7 @@ def test_new_loop_cases_cover_the_flat_edge_cases():
 def _flat_slices(name):
     """Each flat session's slice of the site string, exit branch included, and its site."""
     b = filter_trace(run(*CASES[name]))
-    return [(b.sites[p:arg[1]], arg[0]) for p, kind, _, arg in detect_loops(b).marks
+    return [(b.sites[p:arg[1]], arg[0]) for p, kind, _, arg in loop_marks(b)
             if kind == FLAT]
 
 
@@ -386,7 +387,7 @@ def test_flat_sessions_of_zero_one_and_two_iterations_are_covered():
 
 def test_each_flat_session_is_one_mark():
     program, inp, _ = CASES["seq-loops-100"]
-    marks = detect_loops(filter_trace(run(program, inp))).marks
+    marks = loop_marks(filter_trace(run(program, inp)))
     assert [kind for _, kind, _, _ in marks] == [FLAT] * 100
     assert len(measure(run(program, inp)).sessions) == 100
 

@@ -1,26 +1,28 @@
-"""Per-item views of the branch record and of the loop marks.
+"""Per-item views of the branch record and of the loop monitor's walk.
 
 The measurement never builds these.  `branch_events` and `annotated` rebuild
 the per-item streams the oracles consume and produce: one `BranchEvent` per
 branch and, interleaved, one `LoopStatusEvent` per loop mark, with each flat
-session expanded into its enter, iteration and exit marks.
+session expanded into its enter, iteration and exit marks.  `loop_marks`
+records the marks as the monitor's walk reaches each loop boundary.
 `branches_from_columns` builds a hand-written branch stream.  `is_control`,
 `is_linking` and `is_indirect` classify an instruction by its kind.
 
 `loop_oracle` and `monitor_oracle` are the earlier code verbatim, importing
-these names, and the `branch_filter` names they use, from here.
+these names, and the loop types they use, from here.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from math import inf
 from typing import Union
 
-from cfattest.branch_filter import (DEFAULT_MAX_DEPTH, FLAT, LoopContext, LoopMarks,
-                                    LoopStatusKind)
+from cfattest.branch_filter import detect_loops
 from cfattest.emulator import Branches
 from cfattest.isa import (CALL, INDIRECT_CALL, INDIRECT_JUMP, JUMP, NOT_TAKEN, RETURN,
-                          STRAIGHT_KINDS, TAKEN, Instruction, Kind, Sites)
+                          STRAIGHT_KINDS, TAKEN, WORD, Instruction, Kind, Sites)
+from cfattest.loop_monitor import DEFAULT_MAX_DEPTH, LoopMonitor, MonitorConfig
 
 CONTROL_KINDS = frozenset(Kind) - STRAIGHT_KINDS - {Kind.HALT}
 LINKING_KINDS = frozenset({Kind.LINKING_JUMP, Kind.LINKING_INDIRECT_JUMP})
@@ -64,6 +66,34 @@ class BranchEvent:
 
 
 @dataclass
+class LoopContext:
+    entry_addr: int
+    backedge_addr: int
+    exit_addr: int
+    depth: int
+    call_depth_at_entry: int
+    recursive: bool = False
+    degraded: bool = False  # beyond max_depth: tracked but not measured as a loop
+
+    def contains(self, addr: int) -> bool:
+        return self.entry_addr <= addr <= self.backedge_addr
+
+
+class LoopStatusKind(Enum):
+    ENTER = "enter"
+    ITERATION_BOUNDARY = "iteration_boundary"
+    EXIT = "exit"
+
+
+# A mark at position p lies between branches p-1 and p: (p, status, context, the
+# branch it happened at).  A flat session is (p, FLAT, context, (site, end, branch)):
+# the context opens at p, at `branch`, and closes at end, after its exit branch end-1
+# or at the end of the trace; each of its iterations ends with `site`.
+FLAT = "flat"
+Mark = tuple[int, object, LoopContext, object]
+
+
+@dataclass
 class LoopStatusEvent:
     kind: LoopStatusKind
     loop: LoopContext
@@ -90,24 +120,63 @@ def branch_events(b: Branches) -> list[BranchEvent]:
     return [branch_event(b, i) for i in range(len(b))]
 
 
-def _marks(lm: LoopMarks):
+class _Recorder(LoopMonitor):
+    """The loop monitor, recording each loop boundary of its walk as a mark."""
+
+    def process(self, found):
+        self.marks: list[Mark] = []
+        self.recursive, self.contexts = found[2], {}  # open context -> (LoopContext, branch)
+        return super().process(found)
+
+    def _enter(self, ctx, pos, branch):
+        super()._enter(ctx, pos, branch)
+        recursive = ctx.hi == inf
+        backedge = self.recursive[ctx.entry] if recursive else ctx.hi
+        loop = LoopContext(ctx.entry, backedge, backedge + WORD, ctx.depth, ctx.within,
+                           recursive, ctx.degraded)
+        self.contexts[ctx] = (loop, branch)
+        if ctx.flat is None:
+            self.marks.append((pos, LoopStatusKind.ENTER, loop, branch))
+
+    def _iterate(self, ctx, pos, branch):
+        super()._iterate(ctx, pos, branch)
+        self.marks.append((pos, LoopStatusKind.ITERATION_BOUNDARY, self.contexts[ctx][0], branch))
+
+    def _exit(self, ctx, pos, branch):
+        super()._exit(ctx, pos, branch)
+        self.marks.append((pos, LoopStatusKind.EXIT, self.contexts.pop(ctx)[0], branch))
+
+    def _flat(self, ctx, pos, branch):
+        super()._flat(ctx, pos, branch)
+        loop, opened_at = self.contexts.pop(ctx)
+        self.marks.append((ctx.start, FLAT, loop, (ctx.flat, pos, opened_at)))
+
+
+def loop_marks(b: Branches, max_depth: int = DEFAULT_MAX_DEPTH) -> list[Mark]:
+    """The loop marks of the monitor's walk over b, degraded contexts included."""
+    recorder = _Recorder(MonitorConfig(max_depth=max_depth))
+    recorder.process(detect_loops(b))
+    return recorder.marks
+
+
+def _marks(b: Branches, marks: list[Mark]):
     """The loop marks, each flat session expanded into its enter, iteration and exit marks."""
-    for p, kind, ctx, arg in lm.marks:
+    for p, kind, ctx, arg in marks:
         if kind == FLAT:
             site, end, branch = arg
             yield (p, LoopStatusKind.ENTER, ctx, branch)
             for k in range(p, end):
-                if lm.branches.sites[k] == site:
+                if b.sites[k] == site:
                     yield (k + 1, LoopStatusKind.ITERATION_BOUNDARY, ctx, k)
             yield (end, LoopStatusKind.EXIT, ctx, end - 1)
         else:
             yield (p, kind, ctx, arg)
 
 
-def annotated(lm: LoopMarks) -> list[StreamItem]:
+def annotated(b: Branches, max_depth: int = DEFAULT_MAX_DEPTH) -> list[StreamItem]:
     """The annotated stream: non-degraded status events, BranchEvent copies with depths."""
-    b, out, pos, open_ = lm.branches, [], 0, []
-    for p, kind, ctx, branch in [*_marks(lm), (len(b), None, None, 0)]:
+    out, pos, open_ = [], 0, []
+    for p, kind, ctx, branch in [*_marks(b, loop_marks(b, max_depth)), (len(b), None, None, 0)]:
         depth = open_[-1].depth if open_ and not open_[-1].degraded else 0
         out += [("branch", branch_event(b, i, depth)) for i in range(pos, p)]
         pos = p
