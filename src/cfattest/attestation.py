@@ -13,6 +13,7 @@ measurement implementation, so any asymmetry is structurally impossible.
 """
 from __future__ import annotations
 
+import fcntl
 import hashlib
 import json
 import os
@@ -20,7 +21,7 @@ import re
 import struct
 import tempfile
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Mapping, Optional
 
 from cryptography.exceptions import InvalidSignature
@@ -146,8 +147,12 @@ def generate_keypair() -> tuple[bytes, bytes]:
     return seed, pk
 
 
+# the key object of a seed, kept: building it costs about as much as a signature
+_private_key = lru_cache(maxsize=8)(Ed25519PrivateKey.from_private_bytes)
+
+
 def sign(message: bytes, sk_seed: bytes) -> bytes:
-    return Ed25519PrivateKey.from_private_bytes(sk_seed).sign(message)
+    return _private_key(bytes(sk_seed)).sign(message)
 
 
 def signature_valid(message: bytes, signature: bytes, pk: bytes) -> bool:
@@ -296,37 +301,77 @@ class NonceStore:
     The file is a JSON list of nonces in lowercase hex; any other content is
     a ProtocolError.  A write goes to a temp file that then replaces the
     store, so a writer that dies mid-write loses no nonce.
+
+    `verify` claims a report's nonce with `consume` only after the replay,
+    so a rejected report does not burn its nonce.  A claim holds an
+    exclusive lock on the store's directory (the store file itself is
+    swapped out by each write) and re-reads the store first if another
+    writer grew it, so of two verifiers sharing one store and racing on
+    one nonce, one accepts and the other gets StaleNonce.
     """
 
     def __init__(self, path: Optional[str] = None):
         self.path = path
         self._used: set[str] = set()
-        if path and os.path.exists(path):
-            try:
-                with open(path) as f:
-                    used = json.load(f)
-            except ValueError:  # not JSON text
-                used = None
-            if not (isinstance(used, list) and all(
-                    isinstance(h, str) and _NONCE_HEX.fullmatch(h) for h in used)):
-                raise ProtocolError(f"nonce store {path} is not a JSON list of "
-                                    f"{2 * NONCE_LEN}-character lowercase hex strings")
-            self._used = set(used)
+        self._size: Optional[int] = None  # the file's size when last read or written here
+        if path:
+            self._load()
+
+    def _load(self) -> None:
+        try:
+            with open(self.path) as f:
+                size = os.fstat(f.fileno()).st_size
+                used = json.load(f)
+        except FileNotFoundError:
+            self._size = None
+            return
+        except ValueError:  # not JSON text
+            used = None
+        if not (isinstance(used, list) and all(
+                isinstance(h, str) and _NONCE_HEX.fullmatch(h) for h in used)):
+            raise ProtocolError(f"nonce store {self.path} is not a JSON list of "
+                                f"{2 * NONCE_LEN}-character lowercase hex strings")
+        self._used.update(used)
+        self._size = size
 
     def used(self, nonce: bytes) -> bool:
+        """Whether the nonce was consumed, as of this store's last read or write."""
         return nonce.hex() in self._used
 
-    def consume(self, nonce: bytes) -> None:
-        self._used.add(nonce.hex())
-        if self.path:
-            fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(self.path)))
+    def consume(self, nonce: bytes) -> bool:
+        """Claim the nonce: False if it was already consumed, here or by another writer."""
+        h = nonce.hex()
+        if not self.path:
+            fresh = h not in self._used
+            self._used.add(h)
+            return fresh
+        directory = os.path.dirname(os.path.abspath(self.path))
+        lock = os.open(directory, os.O_RDONLY)
+        try:
+            fcntl.flock(lock, fcntl.LOCK_EX)
+            try:
+                size = os.stat(self.path).st_size
+            except FileNotFoundError:
+                size = None
+            if size != self._size:  # the store only grows: same size, same nonces
+                self._load()
+            if h in self._used:
+                return False
+            fd, tmp = tempfile.mkstemp(dir=directory)
+            self._used.add(h)
             try:
                 with os.fdopen(fd, "w") as f:
                     json.dump(sorted(self._used), f)
+                    size = f.tell()
                 os.replace(tmp, self.path)
             except BaseException:
+                self._used.discard(h)  # not claimed
                 os.unlink(tmp)
                 raise
+            self._size = size
+            return True
+        finally:
+            os.close(lock)  # releases the lock
 
 
 @dataclass(frozen=True)
@@ -538,6 +583,6 @@ def verify(
 
     if failures:
         return VerifyResult(False, failures[0], tuple(failures))
-    if nonce_store is not None:
-        nonce_store.consume(challenge.nonce)
+    if nonce_store is not None and not nonce_store.consume(challenge.nonce):
+        return VerifyResult(False, STALE_NONCE, (STALE_NONCE,))  # another verifier claimed it
     return VerifyResult(True)

@@ -423,7 +423,8 @@ def run(
     """
     if len(input_words) > data_mem_words:
         raise EmulatorError("input exceeds data memory")
-    mem = [w & MASK32 for w in input_words] + [0] * (data_mem_words - len(input_words))
+    mem = [0] * data_mem_words
+    mem[:len(input_words)] = [w & MASK32 for w in input_words]
     regs = [0] * (NUM_REGS + 1)  # the general registers, then the link register
     sites, targets = [], []  # the Trace record; sites joined at the end
     sa, ta = sites.append, targets.append

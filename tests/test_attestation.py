@@ -1,8 +1,10 @@
 import dataclasses
 import json
+import multiprocessing
 import random
 
 import pytest
+from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -36,6 +38,19 @@ def fresh(program, inp):
     return Challenge.fresh(program.id, inp)
 
 
+def _verify_when_released(barrier, results, report_json, challenge_json, pk, store_path):
+    """One verifier process of the nonce race: verify once the other is ready too."""
+    try:
+        report, challenge = Report.from_json(report_json), Challenge.from_json(challenge_json)
+        store = NonceStore(store_path)
+        barrier.wait(timeout=60)
+        reason = verify(report, challenge, pk, P.prog(P.WHILE_IF_ELSE, "w"),
+                        nonce_store=store).reason
+    except Exception as e:  # reported to the test, which expects a verdict
+        reason = repr(e)
+    results.put(str(reason))
+
+
 class TestKeysAndHashes:
     def test_sign_verify_round_trip(self):
         sk, pk = KEY
@@ -43,6 +58,17 @@ class TestKeysAndHashes:
         assert signature_valid(b"hello", sig, pk)
         assert not signature_valid(b"hellp", sig, pk)
         assert not signature_valid(b"hello", sig[:-1] + bytes([sig[-1] ^ 1]), pk)
+
+    def test_sign_keeps_each_seeds_own_key(self):
+        # alternate two seeds, so a key kept for the wrong seed shows
+        keys = [generate_keypair() for _ in range(2)]
+        for i in range(6):
+            (sk, pk), (_, other_pk) = keys[i % 2], keys[1 - i % 2]
+            msg = b"message %d" % i
+            sig = sign(msg, sk)
+            assert sig == Ed25519PrivateKey.from_private_bytes(sk).sign(msg)
+            assert signature_valid(msg, sig, pk)
+            assert not signature_valid(msg, sig, other_pk)
 
     def test_program_hash_matches_independent_reference(self):
         p = P.prog(P.WHILE_IF_ELSE, "w")
@@ -321,6 +347,53 @@ class TestProtocolRoundTrip:
         assert verify(forged, ch, pk, p, nonce_store=store).reason == BAD_SIGNATURE
         genuine = prover_attest(p, ch, sk)
         assert verify(genuine, ch, pk, p, nonce_store=store).accepted
+
+    def test_two_stores_on_one_file_accept_a_nonce_once(self, tmp_path):
+        # both stores read the file before either claims: the claim decides, not used()
+        sk, pk = KEY
+        p = P.prog(P.WHILE_IF_ELSE, "w")
+        path = tmp_path / "nonces.json"
+        first, second = NonceStore(str(path)), NonceStore(str(path))
+        ch = fresh(p, [1, 0])
+        report = prover_attest(p, ch, sk)
+        assert verify(report, ch, pk, p, nonce_store=first).accepted
+        assert not second.used(ch.nonce)
+        assert verify(report, ch, pk, p, nonce_store=second).reason == STALE_NONCE
+        assert json.loads(path.read_text()) == [ch.nonce.hex()]
+
+    def test_claim_rereads_the_store_only_after_another_writer(self, tmp_path, monkeypatch):
+        path = str(tmp_path / "nonces.json")
+        store, other = NonceStore(path), NonceStore(path)
+        loads, load = [], att.json.load
+        monkeypatch.setattr(att.json, "load", lambda f: loads.append(f.name) or load(f))
+        for i in range(3):
+            assert store.consume(bytes([i]) * 32)
+        assert loads == []
+        assert other.consume(b"\x07" * 32)  # reads the three nonces first
+        assert not store.consume(b"\x07" * 32)  # reads the fourth first
+        assert len(loads) == 2
+        assert not other.consume(b"\x00" * 32)
+        assert len(loads) == 2
+
+    def test_two_verifier_processes_accept_a_nonce_once(self, tmp_path):
+        # a replay of 4000 iterations keeps both verifiers between the freshness
+        # check and the claim at once
+        sk, pk = KEY
+        p = P.prog(P.WHILE_IF_ELSE, "w")
+        ch = fresh(p, [4000] + [0, 1] * 2000)
+        report = prover_attest(p, ch, sk)
+        ctx = multiprocessing.get_context("spawn")
+        barrier, results = ctx.Barrier(2), ctx.Queue()
+        args = (barrier, results, report.to_json(), ch.to_json(), pk, str(tmp_path / "n.json"))
+        procs = [ctx.Process(target=_verify_when_released, args=args) for _ in range(2)]
+        for proc in procs:
+            proc.start()
+        reasons = sorted(results.get(timeout=120) for _ in procs)
+        for proc in procs:
+            proc.join(timeout=60)
+            assert not proc.is_alive() and proc.exitcode == 0
+        assert reasons == ["None", STALE_NONCE]
+        assert json.loads((tmp_path / "n.json").read_text()) == [ch.nonce.hex()]
 
     def test_tampered_authenticator_breaks_signature(self):
         sk, pk = KEY

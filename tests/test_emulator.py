@@ -1,11 +1,12 @@
+import functools
 import json
 from string import Formatter
 
 import pytest
 
 import programs as P
-from cfattest.emulator import (SEMANTICS, AttackError, AttackSpec, CycleLimitExceeded,
-                               EmulatorError, run, trace_from_jsonl)
+from cfattest.emulator import (DEFAULT_DATA_WORDS, SEMANTICS, AttackError, AttackSpec,
+                               CycleLimitExceeded, EmulatorError, run, trace_from_jsonl)
 from cfattest.isa import FIELDS, OPCODES, Kind, parse_program
 from views import is_control
 
@@ -109,6 +110,62 @@ class TestFaults:
     def test_input_exceeding_memory(self):
         with pytest.raises(EmulatorError):
             run(P.prog(P.STRAIGHT_LINE, "s"), [0] * 10, data_mem_words=4)
+
+
+# reads word {index}, takes the beq if it holds 5, else stores 5 there
+READS_FIVE = """
+main:
+    li r1, {index}
+    ld r2, [r1+0]
+    li r3, 5
+    beq r2, r3, five
+    st r3, [r1+0]
+five:
+    halt
+"""
+
+
+@functools.cache  # one Program per index, so runs share its compiled units
+def five_reader(index):
+    return parse_program(READS_FIVE.format(index=index))
+
+
+def reads_five(index, input_words, **kw):
+    """Whether word `index` of the data memory holds 5 when the run starts."""
+    t = run(five_reader(index), input_words, **kw)
+    assert t.fault is None
+    return next(e.taken for e in t.events if e.instr.mnemonic == "beq")
+
+
+# single stepping (an observer) and compiled units share the data memory
+@pytest.mark.parametrize("kw", [{}, {"observer": lambda e: None}], ids=["units", "stepping"])
+class TestDataMemory:
+    @pytest.mark.parametrize("words", [DEFAULT_DATA_WORDS, 8])
+    def test_input_may_fill_the_memory(self, kw, words):
+        assert not reads_five(0, [], data_mem_words=words, **kw)
+        assert reads_five(words - 1, [0] * (words - 1) + [5], data_mem_words=words, **kw)
+        with pytest.raises(EmulatorError, match="input exceeds data memory"):
+            run(five_reader(0), [0] * (words + 1), data_mem_words=words, **kw)
+
+    @pytest.mark.parametrize("words", [DEFAULT_DATA_WORDS, 8])
+    @pytest.mark.parametrize("op", ["ld", "st"])
+    def test_last_word_is_the_last_one_in_range(self, kw, words, op):
+        src = "main:\n    li r1, {}\n    " + op + " r2, [r1+0]\n    halt\n"
+        last = run(parse_program(src.format(words - 1)), [], data_mem_words=words, **kw)
+        assert last.fault is None
+        past = run(parse_program(src.format(words)), [], data_mem_words=words, **kw)
+        assert past.fault == f"data-access-out-of-range:{words}"
+        assert past.events[-1].instr.mnemonic == op
+
+    @pytest.mark.parametrize("word", [5 + 2**32, 5 + 2**40, 5 - 2**32])
+    def test_input_words_are_masked_to_32_bits(self, kw, word):
+        assert reads_five(1, [0, word], **kw)
+        assert not reads_five(1, [0, 2**32], **kw)
+
+    def test_a_store_is_gone_in_the_next_run(self, kw):
+        # the first run of the program stores 5 at word 3; the second must still read 0
+        assert not reads_five(3, [], **kw)
+        assert not reads_five(3, [], **kw)
 
 
 class TestAttacks:
