@@ -19,8 +19,9 @@ and exactly one of its sites re-enters the entry.  Opened with every other
 loop enclosing its entry open, it is a flat session: control stays in it up
 to the first branch whose static destination leaves the body, and that exit
 branch closes it.  Flat bodies never overlap, so one character class per loop
-set (`_Loops.exit`) finds the exit in the site string, and the loop monitor
-takes the session, exit branch included, in one step.
+set (`_Loops.exit`) finds the exit in the site string.  The loop monitor takes
+the session, exit branch included, in one step with no loop context, and then
+resumes its walk at the exit branch, in the enclosing context.
 """
 from __future__ import annotations
 
@@ -35,7 +36,7 @@ _BITS = str.maketrans(JUMP + CALL + INDIRECT_CALL + INDIRECT_JUMP + RETURN,
                       TAKEN * 2 + INDIRECT * 3)
 
 
-def _derived(table: Sites, key, make):
+def derived(table: Sites, key, make):
     """table.derived[key], made on first use: it lives as long as the program."""
     value = table.derived.get(key)
     if value is None:
@@ -45,7 +46,7 @@ def _derived(table: Sites, key, make):
 
 def site_bits(table: Sites) -> str:
     """Each site's loop-path bit, by site number: a `str.translate` table for site strings."""
-    return _derived(table, "bits", lambda: table.kinds.translate(_BITS))
+    return derived(table, "bits", lambda: table.kinds.translate(_BITS))
 
 
 def filter_trace(trace: Trace) -> Branches:
@@ -62,7 +63,7 @@ def _discover_loops(b: Branches) -> tuple[dict[int, int], dict[int, int]]:
     recursive: dict[int, int] = {}
     call_targets: list[int] = []
     open_calls: dict[int, int] = {}  # call_targets as counts
-    transfers = _derived(b.table, "transfers", lambda: char_class(
+    transfers = derived(b.table, "transfers", lambda: char_class(
         c for c, (_, _, kind) in b.table.site.items() if kind in _CALL_OR_RETURN + INDIRECT_JUMP))
     for m in transfers.finditer(b.sites) if transfers else ():
         src, dest, kind = site[m.group()]

@@ -302,7 +302,7 @@ class Sites:
         self.indirect = char_class(c for c, (_, dest) in self.pair.items() if dest is None)
         self.backward = {c: (src, dest) for c, (src, dest, kind) in self.site.items()
                          if kind in (TAKEN, JUMP) and dest < src}
-        self.derived: dict = {}  # values the loop detection derives from the table
+        self.derived: dict = {}  # values loop detection and the loop monitor derive from it
 
     @classmethod
     def of(cls, program: Program) -> "Sites":

@@ -19,11 +19,14 @@ the first time it completes; afterwards only its counter moves.
 Each run of branches between two loop boundaries is encoded in one step: its
 sites, translated to bits (`site_bits`), extend the path, and its pairs stay
 an index range until they are hashed.  A flat session (see `branch_filter`)
-is one step too: the walk skips to its exit, its slice of the site string,
-split at the re-entering site, gives the iterations, counted in
-first-occurrence order in one C pass, and the tail is its last traversal.  A
-piece longer than the path width is hashed at every occurrence.  One `PathId`
-stands for each distinct path of a `process` call.
+is one step of the walk, with no context.  If its iterations (up to the last
+re-entering site) are the first one repeated, it is that path, counted, plus
+its tail; else its pieces are counted in first-occurrence order in one C
+pass.  A traversal past the path width is hashed at every occurrence.  Per
+path width, a program keeps a table from a flat traversal's sites to its bits
+and pairs: at most 2^path_width entries a flat loop, the bound of LO-FAT's
+path-indexed counters (`memory_bits`).  One `PathId` stands for each distinct
+path of a `process` call.
 """
 from __future__ import annotations
 
@@ -32,7 +35,7 @@ from dataclasses import dataclass
 from math import inf
 from typing import Optional
 
-from .branch_filter import INDIRECT, site_bits
+from .branch_filter import INDIRECT, derived, site_bits
 from .isa import CALL, INDIRECT_CALL, RETURN
 
 FAULT_MARKER_ENTRY = 0xFFFF_FFFF
@@ -138,22 +141,18 @@ class _PathIds(dict):
 class _Context:
     """An open loop context: where control stays in it, and its session's state.
 
-    Control stays at call depth `within` or deeper and, at `within`, in
-    [lo, hi]; a recursion context spans all addresses.  `flat` is the
-    re-entering site of a flat session, which starts at branch `start`.
-    `index` is the session's place in L, None for a flat or degraded context,
-    and `parent` the index of the enclosing session.
+    Control stays at call depth `within` or deeper and, at `within`, in [lo, hi];
+    a recursion context spans all addresses.  `index` is the session's place in
+    L, None for a degraded context, and `parent` the enclosing session's index.
     """
-    __slots__ = ("within", "lo", "hi", "entry", "depth", "degraded", "flat", "start", "index",
-                 "parent", "counts", "partial", "buffer", "targets", "path_overflow",
-                 "iter_overflowed")
+    __slots__ = ("within", "lo", "hi", "entry", "depth", "degraded", "index", "parent", "counts",
+                 "partial", "buffer", "targets", "path_overflow", "iter_overflowed")
 
     def __init__(self, within: int, lo: float, hi: float, entry: int, depth: int,
-                 degraded: bool = False, flat: Optional[str] = None):
+                 degraded: bool = False):
         self.within, self.lo, self.hi, self.entry, self.depth = within, lo, hi, entry, depth
-        self.degraded = degraded  # beyond max_depth: tracked but not measured as a loop
-        self.flat, self.index = flat, None
-        if flat is None and not degraded:  # the state of a session walked branch by branch
+        self.degraded, self.index = degraded, None  # degraded: tracked, not measured as a loop
+        if not degraded:  # the state of a session walked branch by branch
             self.counts: dict[str, int] = {}        # path -> count, first-occurrence order
             self.partial = ""                       # bits of the in-flight traversal
             self.buffer: list[tuple[int, int]] = []  # branch index ranges of the traversal
@@ -164,9 +163,9 @@ class _Context:
 class LoopMonitor:
     """The loop walk turning the branch columns into (A-stream, L).
 
-    `_enter`, `_iterate`, `_exit` and `_flat` are its loop boundaries: each
-    takes the context, the position of the boundary (between branches
-    pos-1 and pos) and the branch it happens at.
+    `_enter`, `_iterate` and `_exit` are a walked context's boundaries: each
+    takes the context, the position of the boundary (between branches pos-1
+    and pos) and the branch it happens at.  `_flat` takes a flat session.
     """
 
     def __init__(self, config: MonitorConfig = MonitorConfig()):
@@ -224,10 +223,10 @@ class LoopMonitor:
                 self._encode_run(top, i, pos)
 
     def _enter(self, ctx: _Context, pos: int, branch: int) -> None:
-        """Open ctx, the new innermost context, and its session unless it is flat or degraded."""
+        """Open ctx, the new innermost context, and its session unless it is degraded."""
         self._run(pos)
-        ctx.start, ctx.parent = pos, self._stack[-1].index
-        if ctx.flat is None and not ctx.degraded:
+        ctx.parent = self._stack[-1].index
+        if not ctx.degraded:
             ctx.index = len(self.sessions)
             self.sessions.append(None)
 
@@ -245,36 +244,53 @@ class LoopMonitor:
                 (self._path_id(k), c) for k, c in ctx.counts.items()], list(ctx.targets),
                 ctx.path_overflow)
 
-    def _flat(self, ctx: _Context, pos: int, branch: int) -> None:
-        """Close the flat session of ctx, branches ctx.start..pos-1, and add it to L."""
-        i, j = ctx.start, pos
-        self._pos = pos
-        if ctx.degraded:
-            return self._hash(i, j)
-        # the complete iterations, less their last site `site`, then the last traversal
-        site = ctx.flat
-        pieces = self._sites[i:j].split(site)
-        tail = pieces.pop()
-        runs: dict[str, int] = {}
-        _count_elements(runs, pieces)  # Counter's C loop, without its set-up per call
-        width, stream, pair = self.config.path_width, self.stream, self._pair.__getitem__
-        wide = max(map(len, runs), default=0) >= width  # a piece and `site` exceed it
-        traversals = [(piece + site, 1) for piece in pieces] if wide else [
-            (piece + site, count) for piece, count in runs.items()]
-        counts: dict[str, int] = {}
-        overflow = False
-        for sites, count in traversals + [(tail, 1)] if tail else traversals:
-            if len(sites) > width:  # hashed at every occurrence
-                overflow = True
-                stream.extend(map(pair, sites))
-                continue
-            path = sites.translate(self._bits)
-            seen = counts.get(path, 0)
-            if not seen:  # first execution of this path: its pairs go to the hash engine
-                stream.extend(map(pair, sites))
-            counts[path] = seen + count
-        self.sessions.append(LoopSession(ctx.entry, ctx.depth, ctx.parent, [
-            (self._path_id(k), c) for k, c in counts.items()], [], overflow))
+    def _flat(self, entry: int, site: str, start: int, end: int, branch: int, depth: int,
+              within: int, degraded: bool) -> None:
+        """Add entry's flat session, branches start..end-1 opened at `branch` at call depth
+        `within`, to L at `depth`: its iterations end with `site`; a degraded one is hashed."""
+        self._run(start)
+        self._pos = end
+        if degraded:
+            return self._hash(start, end)
+        sites = self._sites[start:end]
+        k, done = sites.find(site) + 1, sites.rfind(site) + 1  # first and last iteration end
+        first, width, stream, table = sites[:k], self.config.path_width, self.stream, self._paths
+        n = done // k if k and not done % k and (done == k or sites.startswith(first, k)) else 0
+        tail = sites[done:]
+        if n and max(k, len(tail)) <= width and sites.startswith(first * n):
+            # all n complete iterations take the first one's path: (first, n) and the tail
+            path, pairs = table.get(first) or self._traversal(first)
+            last, tail_pairs = table.get(tail) or self._traversal(tail)
+            stream.extend(pairs if last == path else pairs + tail_pairs)
+            paths, overflow = [(self._path_id(path), n + (last == path))], False
+            if tail and last != path:
+                paths.append((self._path_id(last), 1))
+        else:  # the complete iterations, less `site`, counted in one C pass, then the tail
+            pieces = sites.split(site)
+            tail = pieces.pop()
+            runs: dict[str, int] = {}
+            _count_elements(runs, pieces)  # Counter's C loop, without its set-up per call
+            wide = max(map(len, runs), default=0) >= width  # a piece and `site` exceed it
+            traversals = [(piece + site, 1) for piece in pieces] if wide else [
+                (piece + site, count) for piece, count in runs.items()]
+            counts, overflow = {}, False
+            for traversal, count in traversals + [(tail, 1)] if tail else traversals:
+                if len(traversal) > width:  # in order, hashed at every occurrence
+                    overflow = True
+                    stream.extend(map(self._pair, traversal))
+                    continue
+                path, pairs = table.get(traversal) or self._traversal(traversal)
+                seen = counts.get(path, 0)
+                if not seen:  # first execution of this path: its pairs go to the hash engine
+                    stream.extend(pairs)
+                counts[path] = seen + count
+            paths = [(self._path_id(path), c) for path, c in counts.items()]
+        self.sessions.append(LoopSession(entry, depth, self._stack[-1].index, paths, [], overflow))
+
+    def _traversal(self, sites: str) -> tuple[str, tuple[tuple[int, int], ...]]:
+        """A flat traversal that fits the width: its path bits and pairs, now in the table."""
+        found = self._paths[sites] = (sites.translate(self._bits), tuple(map(self._pair, sites)))
+        return found
 
     def close_path(self, s: _Context) -> None:
         if s.iter_overflowed:
@@ -289,9 +305,11 @@ class LoopMonitor:
         """Walk the branches once, given `detect_loops`'s loops, and measure each loop."""
         b, enclosing, recursive = found
         self._branches, self._sites, self._target_at = b, b.sites, b.target_at
-        self._pair, self._bits = b.table.pair, site_bits(b.table)
+        self._pair, self._bits = b.table.pair.__getitem__, site_bits(b.table)
+        self._paths = derived(b.table, ("flat paths", self.config.path_width), dict)
         self._path_id, self._pos = _PathIds().__getitem__, 0
-        loops, max_depth = enclosing.loops, self.config.max_depth
+        loops, flat, exits = enclosing.loops, enclosing.flat, enclosing.exit
+        max_depth = self.config.max_depth
         sites, site, target_at, n = b.sites, b.table.site, b.target_at, len(b)
         stack = self._stack = [_Context(-1, -1, -1, -1, 0)]  # the bottom one is never left
         open_at: dict[int, _Context] = {}  # entry -> its context; no entry is open twice
@@ -300,47 +318,44 @@ class LoopMonitor:
         open_calls: dict[int, int] = {}  # call_targets as counts
 
         def open_ctx(entry: int, lo: float, hi: float, pos: int, branch: int):
-            # the contexts below this one stay while it is open, so whether it is a flat
-            # session is known now
-            flat = None if hi == inf else enclosing.flat.get(entry)
-            if flat is not None:
-                flat = flat[0] if all(map(open_at.__contains__, flat[1])) else None
-            depth = len(stack)
-            ctx = open_at[entry] = _Context(call_depth, lo, hi, entry, depth,
-                                            depth > max_depth or stack[-1].degraded, flat)
+            # the new innermost context's scope, and -1; a flat session instead is measured up to
+            # its first exit, and the scope stays, with the exit's position (n: the trace ended)
+            depth, top = len(stack), stack[-1]
+            degraded, flat_loop = depth > max_depth or top.degraded, flat.get(entry)
+            if flat_loop and hi != inf and all(map(open_at.__contains__, flat_loop[1])):
+                m = exits and exits.search(sites, pos)
+                self._flat(entry, flat_loop[0], pos, m.end() if m else n, branch, depth, call_depth,
+                           degraded)
+                return top.within, top.lo, top.hi, m.start() if m else n
+            ctx = open_at[entry] = _Context(call_depth, lo, hi, entry, depth, degraded)
             self._enter(ctx, pos, branch)
             stack.append(ctx)
-            return call_depth, lo, hi, flat
+            return call_depth, lo, hi, -1
 
         def close_ctx(pos: int, branch: int):
-            ctx = stack[-1]
-            (self._exit if ctx.flat is None else self._flat)(ctx, pos, branch)
-            stack.pop()
-            del open_at[ctx.entry]
+            self._exit(stack[-1], pos, branch)
+            del open_at[stack.pop().entry]
             top = stack[-1]
-            return top.within, top.lo, top.hi, top.flat
+            return top.within, top.lo, top.hi
 
-        within, lo, hi, flat = -1, -1, -1, None
-        i = 0
+        within, lo, hi = -1, -1, -1
+        i, resume = 0, -1  # resume: the exit branch of a flat session, whose step goes on
         while i < n:
             src, dest, kind = site[sites[i]]
             if dest is None:
                 dest = target_at[i]
-            # control left open loops before this branch (fallthrough past the body)
-            while call_depth < within or (call_depth == within and not lo <= src <= hi):
-                within, lo, hi, flat = close_ctx(i, i)
+            if i != resume:
+                # control left open loops before this branch (fallthrough past the body)
+                while call_depth < within or (call_depth == within and not lo <= src <= hi):
+                    within, lo, hi = close_ctx(i, i)
 
-            # fallthrough arrival: control is inside known loop bodies with no context open
-            for entry in enclosing[src]:
-                if entry not in open_at:
-                    within, lo, hi, flat = open_ctx(entry, entry, loops[entry], i, i)
-
-            if flat is not None:  # a flat session: skip to its first exit, whose step closes it
-                m = enclosing.exit and enclosing.exit.search(sites, i)
-                if m is None:
-                    break
-                i = m.start()
-                src, dest, kind = site[sites[i]]  # a body site: its destination is static
+                # fallthrough arrival: control is inside known loop bodies with no context open
+                for entry in enclosing[src]:
+                    if entry not in open_at:
+                        within, lo, hi, resume = open_ctx(entry, entry, loops[entry], i, i)
+                if resume >= i:  # a flat session (the innermost loop) took branches i..resume
+                    i = resume
+                    continue
 
             linking = kind in _LINKING
             # direct recursion opens (or iterates) a loop context at the callee entry, spanning
@@ -348,7 +363,7 @@ class LoopMonitor:
             if linking and dest in recursive and open_calls.get(dest):
                 ctx = open_at.get(dest)
                 if ctx is None:
-                    within, lo, hi, flat = open_ctx(dest, -1, inf, i, i)
+                    within, lo, hi, _ = open_ctx(dest, -1, inf, i, i)
                 elif ctx.hi == inf and not ctx.degraded:
                     self._iterate(ctx, i + 1, i)
 
@@ -364,7 +379,7 @@ class LoopMonitor:
 
             # this branch's destination closes loops it lands outside of
             while call_depth < within or (call_depth == within and not lo <= dest <= hi):
-                within, lo, hi, flat = close_ctx(i + 1, i)
+                within, lo, hi = close_ctx(i + 1, i)
 
             if not linking:
                 if dest == lo:
@@ -373,7 +388,10 @@ class LoopMonitor:
                         self._iterate(stack[-1], i + 1, i)
                 elif dest in loops and dest not in open_at:
                     # arrival branch from outside; the branch itself is not part of the loop
-                    within, lo, hi, flat = open_ctx(dest, dest, loops[dest], i + 1, i)
+                    within, lo, hi, resume = open_ctx(dest, dest, loops[dest], i + 1, i)
+                    if resume > i:  # a flat session took branches i+1..resume
+                        i = resume
+                        continue
             i += 1
 
         while len(stack) > 1:  # implicit exits at end of trace

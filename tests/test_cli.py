@@ -63,9 +63,7 @@ def test_measure_matches_golden(tmp_path, golden, attack, flags):
     assert (tmp_path / "m.json").read_text() == (GOLDEN / golden).read_text()
 
 
-def test_measure_flat_loops_matches_golden(tmp_path):
-    # flat sessions of one and two iterations, in nested and sequential loops; a loop
-    # with bound 0 never iterates and has no session.  CI diffs the same golden.
+def _measure_flat_loops(tmp_path, *flags):
     out = ""
     for name, source, inp in [("ll", P.loops_in_one_loop(5), ""),
                               ("seq", P.sequential_loops(6), "0,1,2,0,1,2")]:
@@ -73,9 +71,23 @@ def test_measure_flat_loops_matches_golden(tmp_path):
         (tmp_path / f"{name}.s").write_text(source)
         assert cfattest("asm", tmp_path / f"{name}.s", "--id", name, "-o", prog) == 0
         assert cfattest("run", prog, "--input", inp, "-o", trace) == 0
-        assert cfattest("measure", trace, "--program", prog, "-o", tmp_path / "m.json") == 0
+        assert cfattest("measure", trace, "--program", prog, *flags, "-o", tmp_path / "m.json") == 0
         out += (tmp_path / "m.json").read_text()
-    assert out == (GOLDEN / "measure_flat_loops.json").read_text()
+    return out
+
+
+def test_measure_flat_loops_matches_golden(tmp_path):
+    # flat sessions of one and two iterations, in nested and sequential loops; a loop
+    # with bound 0 never iterates and has no session.  CI diffs the same golden.
+    assert _measure_flat_loops(tmp_path) == (GOLDEN / "measure_flat_loops.json").read_text()
+
+
+def test_measure_flat_loops_past_the_path_width_matches_golden(tmp_path):
+    # at path width 1 a complete iteration of a sequential loop (2 bits) overflows: its
+    # pairs are hashed at every occurrence, in order.  CI diffs the same golden.
+    out = _measure_flat_loops(tmp_path, "-n", "1", "--path-width", "1")
+    assert '"path_overflow": true' in out
+    assert out == (GOLDEN / "measure_flat_loops_w1.json").read_text()
 
 
 def test_measure_degraded_contexts_match_golden(tmp_path):

@@ -14,7 +14,7 @@ import random
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import emulator_oracle
@@ -53,6 +53,42 @@ done:
     halt
 """
 
+# control jumps into the loop body past its entry: the first traversal starts
+# mid-body, so at input 1 its path and the exit traversal's are both "1"
+JUMP_INTO_LOOP = """
+main:
+    ld r2, [r0+0]
+    j M
+L:
+    beq r1, r2, E
+M:
+    addi r1, r1, 1
+    j L
+E:
+    halt
+"""
+
+# the exit traversal takes five in-body branches, a complete iteration two: at path
+# width 4 the iterations fit and the exit traversal does not
+LONG_EXIT = """
+main:
+    ld r2, [r0+0]
+L:
+    bne r1, r2, C
+    beq r0, r0, A
+A:
+    beq r0, r0, B
+B:
+    beq r0, r0, D
+D:
+    j E
+C:
+    addi r1, r1, 1
+    j L
+E:
+    halt
+"""
+
 
 def _genprog_case(seed):
     rng = random.Random(seed)
@@ -88,6 +124,8 @@ def _cases():
         "fault-in-loop": (P.prog(P.FAULT_IN_LOOP, "fl"), [], None),
         "long-and-short-paths": (P.prog(P.LONG_AND_SHORT_PATHS, "ls"), [6, 0, 1, 0, 1, 1, 0], None),
         "entered-past-overlap": (P.prog(P.ENTERED_PAST_OVERLAP, "po"), [], None),
+        "jump-into-loop": (P.prog(JUMP_INTO_LOOP, "ji"), [1], None),
+        "long-exit": (P.prog(LONG_EXIT, "le"), [3], None),
         "loops-in-loop-5": (P.prog(P.loops_in_one_loop(5), "ll"), [], None),
         "pc-fault-in-loop": (indirect, indirect_input, AttackSpec(
             "corrupt-code-pointer", {"cycle": P.nth_cycle_of(indirect, indirect_input, "jr", 2)},
@@ -293,6 +331,47 @@ def oracle_measure(trace, config):
 def test_measure_matches_per_item_monitor(name, config):
     trace = run(*CASES[name])
     assert measure(trace, MONITOR_CONFIGS[config]) == oracle_measure(trace, MONITOR_CONFIGS[config])
+
+
+_WHILE = P.prog(P.WHILE_IF_ELSE, "w")
+_SEQUENTIAL = {k: P.prog(P.sequential_loops(k), f"seq{k}") for k in range(1, 7)}
+# flat loops entered by an arrival branch or past their entry, left by a traversal
+# longer than the others, or whose session runs to the end of the trace
+_FLAT_EDGE_INPUTS = {"exit-onto-entry": st.integers(1, 5).map(lambda k: [k]),
+                     "jump-into-loop": st.integers(1, 5).map(lambda k: [k]),
+                     "long-exit": st.integers(0, 5).map(lambda k: [k]),
+                     "halt-in-loop": st.integers(1, 20).map(lambda k: [k]),
+                     "fault-in-loop": st.just([])}
+
+
+@st.composite
+def _flat_runs(draw):
+    """A program of flat loops and an input: the loops take one path, or several."""
+    family = draw(st.sampled_from(["while_if_else", "sequential", "edge"]))
+    if family == "while_if_else":
+        n, c = draw(st.integers(0, 64)), draw(st.integers(0, 1))
+        shape = draw(st.sampled_from(["constant", "one flip", "alternating", "random"]))
+        selectors = [(c + i) % 2 if shape == "alternating" else c for i in range(n)]
+        if shape == "one flip" and n:  # the one-path check fails at the flip, the last one too
+            selectors[draw(st.just(n - 1) | st.integers(0, n - 1))] ^= 1
+        elif shape == "random":
+            selectors = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+        return _WHILE, [n] + selectors
+    if family == "sequential":
+        bounds = draw(st.lists(st.integers(0, 20), min_size=1, max_size=len(_SEQUENTIAL)))
+        return _SEQUENTIAL[len(bounds)], bounds
+    name = draw(st.sampled_from(sorted(_FLAT_EDGE_INPUTS)))
+    return CASES[name][0], draw(_FLAT_EDGE_INPUTS[name])
+
+
+@settings(max_examples=300, deadline=None)
+@given(_flat_runs())
+@example((_WHILE, [5, 0, 0, 0, 0, 1]))  # the last iteration, shorter, leaves the one path
+@example((_WHILE, [5, 1, 1, 1, 1, 0]))
+def test_flat_sessions_match_per_item_monitor(case):
+    trace = run(*case)
+    for config in MONITOR_CONFIGS.values():
+        assert measure(trace, config) == oracle_measure(trace, config)
 
 
 @pytest.mark.parametrize("config", ["n1-w4", "n2-w3"])

@@ -125,31 +125,31 @@ class _Recorder(LoopMonitor):
 
     def process(self, found):
         self.marks: list[Mark] = []
-        self.recursive, self.contexts = found[2], {}  # open context -> (LoopContext, branch)
+        self.loops, self.recursive = found[1].loops, found[2]
+        self.contexts = {}  # open context -> its LoopContext
         return super().process(found)
 
     def _enter(self, ctx, pos, branch):
         super()._enter(ctx, pos, branch)
         recursive = ctx.hi == inf
         backedge = self.recursive[ctx.entry] if recursive else ctx.hi
-        loop = LoopContext(ctx.entry, backedge, backedge + WORD, ctx.depth, ctx.within,
-                           recursive, ctx.degraded)
-        self.contexts[ctx] = (loop, branch)
-        if ctx.flat is None:
-            self.marks.append((pos, LoopStatusKind.ENTER, loop, branch))
+        loop = self.contexts[ctx] = LoopContext(ctx.entry, backedge, backedge + WORD, ctx.depth,
+                                                ctx.within, recursive, ctx.degraded)
+        self.marks.append((pos, LoopStatusKind.ENTER, loop, branch))
 
     def _iterate(self, ctx, pos, branch):
         super()._iterate(ctx, pos, branch)
-        self.marks.append((pos, LoopStatusKind.ITERATION_BOUNDARY, self.contexts[ctx][0], branch))
+        self.marks.append((pos, LoopStatusKind.ITERATION_BOUNDARY, self.contexts[ctx], branch))
 
     def _exit(self, ctx, pos, branch):
         super()._exit(ctx, pos, branch)
-        self.marks.append((pos, LoopStatusKind.EXIT, self.contexts.pop(ctx)[0], branch))
+        self.marks.append((pos, LoopStatusKind.EXIT, self.contexts.pop(ctx), branch))
 
-    def _flat(self, ctx, pos, branch):
-        super()._flat(ctx, pos, branch)
-        loop, opened_at = self.contexts.pop(ctx)
-        self.marks.append((ctx.start, FLAT, loop, (ctx.flat, pos, opened_at)))
+    def _flat(self, entry, site, start, end, branch, depth, within, degraded):
+        super()._flat(entry, site, start, end, branch, depth, within, degraded)
+        backedge = self.loops[entry]
+        loop = LoopContext(entry, backedge, backedge + WORD, depth, within, False, degraded)
+        self.marks.append((start, FLAT, loop, (site, end, branch)))
 
 
 def loop_marks(b: Branches, max_depth: int = DEFAULT_MAX_DEPTH) -> list[Mark]:
