@@ -8,14 +8,16 @@ columns (source, destination, kind character, cycle) and the per-cycle
 stream (`Trace.events`) are derived from that record on demand.
 
 The program runs as Python functions, *units*, compiled from `SEMANTICS`
-when control first reaches them and kept with the `Program`: an innermost
-static loop is one unit looping over its blocks, with the registers in
-locals; any other entry pc starts a unit of one block.  Units of one
-*shape*, equal but for addresses, immediates and site characters, share a
-code object and take those as parameter defaults.  Units of one instruction
-single-step a run while an attack's trigger is armed or an `observer`
-watches, and through the last block before the cycle cap, so every cycle
-is exactly the interpreter's.
+when control first reaches them and kept with the `Program`.  An innermost
+static loop is one unit entered at its header, with the registers in locals:
+each pass tests the cycle cap once and runs the loop's blocks once in address
+order, and a block tests pc only if an earlier block's jump can pass over it.
+Any other entry pc (a loop's block entered past its header too) starts a
+unit of one block.  Units of one *shape*, equal but for addresses,
+immediates and site characters, share a code object and take those as
+parameter defaults.  Units of one instruction single-step a run while an
+attack's trigger is armed or an `observer` watches, and through the last
+pass before the cycle cap, so every cycle is exactly the interpreter's.
 Attack injection mutates writable state only (registers, link register, data
 memory); program text is immutable.
 """
@@ -23,7 +25,8 @@ from __future__ import annotations
 
 import json
 import re
-from bisect import bisect_left, bisect_right
+from array import array
+from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -289,22 +292,25 @@ def inject(attack: AttackSpec, regs: list[int], data_mem: list[int]) -> None:
 # What each instruction does: Python over its operand fields, `ra`, its parameters
 # (`_PARAMS`; `site` is a conditional's not-taken one), `after` (the cycles of its
 # block after it) and `leave_target`/`leave_next` (`break` if that successor
-# leaves the unit).  A transfer leaves its next pc in `pc`.
+# leaves the unit).  A transfer leaves its next pc in `pc`.  Values stay in
+# 0..2^32-1, so a sum or an address wraps by one comparison and at most one
+# correction, and blt compares signed without `^`: 0xFFFFFFFF is a two-digit int,
+# and a mask with it allocates a new int on every instruction.
 _BRANCH = "    sa({taken})\n    pc = {target}\n    {leave_target}\nelse:\n    sa({site})\n" \
     "    pc = {next}\n    {leave_next}"  # a conditional's two outcomes
+_ADDRESS = "a = {rs1} + {imm}\nif a > 0xFFFFFFFF:\n    a -= 0x100000000\ntry:\n    {access}\n" \
+    "except IndexError:\n    return 'data-access-out-of-range:%d' % a, cycle - {after}"
 SEMANTICS: Mapping[str, str] = MappingProxyType({
-    "add": "{rd} = ({rs1} + {rs2}) & 0xFFFFFFFF",
-    "sub": "{rd} = ({rs1} - {rs2}) & 0xFFFFFFFF",
-    "addi": "{rd} = ({rs1} + {imm}) & 0xFFFFFFFF",
+    "add": "{rd} = {rs1} + {rs2}\nif {rd} > 0xFFFFFFFF:\n    {rd} -= 0x100000000",
+    "sub": "{rd} = {rs1} - {rs2}\nif {rd} < 0:\n    {rd} += 0x100000000",
+    "addi": "{rd} = {rs1} + {imm}\nif {rd} > 0xFFFFFFFF:\n    {rd} -= 0x100000000",
     "li": "{rd} = {imm}",
     "mv": "{rd} = {rs1}",
-    "ld": "try:\n    {rd} = mem[({rs1} + {imm}) & 0xFFFFFFFF]\nexcept IndexError:\n    return "
-          "'data-access-out-of-range:%d' % (({rs1} + {imm}) & 0xFFFFFFFF), cycle - {after}",
-    "st": "try:\n    mem[({rs1} + {imm}) & 0xFFFFFFFF] = {rd}\nexcept IndexError:\n    return "
-          "'data-access-out-of-range:%d' % (({rs1} + {imm}) & 0xFFFFFFFF), cycle - {after}",
+    "ld": _ADDRESS.replace("{access}", "{rd} = mem[a]"),
+    "st": _ADDRESS.replace("{access}", "mem[a] = {rd}"),
     "beq": "if {rs1} == {rs2}:\n" + _BRANCH,
     "bne": "if {rs1} != {rs2}:\n" + _BRANCH,
-    "blt": "if ({rs1} ^ 0x80000000) < ({rs2} ^ 0x80000000):\n" + _BRANCH,
+    "blt": "if ({rs1} < {rs2}) == (({rs1} > 0x7FFFFFFF) == ({rs2} > 0x7FFFFFFF)):\n" + _BRANCH,
     "j": "sa({site})\npc = {target}\n{leave_target}",
     "jal": "{ra} = {next}\nsa({site})\npc = {target}\n{leave_target}",
     "jr": "pc = {rs1}\nta(pc)\nsa({site})\nbreak",
@@ -312,45 +318,34 @@ SEMANTICS: Mapping[str, str] = MappingProxyType({
     "ret": "pc = {ra}\nta(pc)\nsa({site})\nbreak",
     "halt": "return None, cycle",
 })
-_FALLTHROUGH = "pc = {next}\n{leave_next}"  # after a block that ends on a straight-line instruction
 _PARAMS = ("addr", "next", "imm", "target", "site", "taken")  # of each instruction of a unit
 _BLOCK_LIMIT = 64  # instructions per block of a unit, so that a long block compiles in pieces
 
 
 @lru_cache(maxsize=1024)
 def _shape(blocks: tuple) -> CodeType:
-    """Compile a unit shape: per block, the (mnemonic, rd, rs1, rs2) of its
-    instructions and whether its direct target and its next address start
-    blocks of the unit.  Instruction i's values are parameters, `imm{i}` etc."""
+    """Compile a unit shape: per block in address order, the (mnemonic, rd, rs1,
+    rs2) of its instructions, the index of the block its direct target starts
+    (None if it leaves the unit) and whether its next address starts the next
+    block.  Instruction i's values are parameters, `imm{i}` etc."""
     lines: list[str] = []
     firsts = list(accumulate((len(ops) for ops, _, _ in blocks), initial=0))
-
-    def block(j: int, pad: str) -> None:
-        ops, target_inside, next_inside = blocks[j]
-        n = len(ops)
-        lines.extend(pad + line for line in (f"cycle += {n}", "if cycle > cap:",
-                                             f"    cycle -= {n}", "    break"))
+    for j, (ops, target, next_inside) in enumerate(blocks):
+        pad, n = " " * 8, len(ops)
+        if any(t is not None and (t == 0 or t > j) for _, t, _ in blocks[:j]):  # passed over
+            lines.append(f"{pad}if pc == addr{firsts[j]}:")
+            pad += "    "
+        lines.append(f"{pad}cycle += {n}")
         for k, (mnemonic, *operands) in enumerate(ops):
             template = SEMANTICS[mnemonic]
-            if k == n - 1 and OPCODES[mnemonic][0] in STRAIGHT_KINDS:
-                template += "\n" + _FALLTHROUGH
+            if k == n - 1 and OPCODES[mnemonic][0] in STRAIGHT_KINDS:  # the block falls through
+                template += "\npc = {next}\n{leave_next}"
             code = template.format(
-                ra="ra", after=n - k - 1, leave_target="pass" if target_inside else "break",
+                ra="ra", after=n - k - 1, leave_target="break" if target is None else "pass",
                 leave_next="pass" if next_inside else "break",
                 **{f: f"r{v}" for f, v in zip(("rd", "rs1", "rs2"), operands)},
                 **{p: f"{p}{firsts[j] + k}" for p in _PARAMS})
             lines.extend(pad + line for line in code.split("\n"))
-
-    def tree(lo: int, hi: int, pad: str) -> None:  # the pc starts one of blocks[lo:hi]
-        if hi - lo == 1:
-            return block(lo, pad)
-        mid = (lo + hi) // 2
-        lines.append(f"{pad}if pc < addr{firsts[mid]}:")
-        tree(lo, mid, pad + "    ")
-        lines.append(pad + "else:")
-        tree(mid, hi, pad + "    ")
-
-    tree(0, len(blocks), " " * 8)
     body = "\n".join(lines)
     regs = sorted(set(re.findall(r"\br(?:\d+|a)\b", body)))
     names, slots = "".join(f"{r}, " for r in regs), "".join(
@@ -358,7 +353,8 @@ def _shape(blocks: tuple) -> CodeType:
     params = "".join(f", {p}{i}" for i in range(firsts[-1]) for p in _PARAMS)
     namespace: dict = {}
     exec("\n".join([f"def unit(regs, mem, sa, ta, pc, cycle, cap{params}):",
-                    f"    {names}= {slots}" if regs else "", "    while True:", body,
+                    f"    {names}= {slots}" if regs else "", f"    cap -= {firsts[-1]}",
+                    "    while cycle <= cap:", body,
                     f"    {slots}= {names}" if regs else "", "    return pc, cycle"]), namespace)
     return namespace["unit"].__code__
 
@@ -366,23 +362,21 @@ def _shape(blocks: tuple) -> CodeType:
 class _Units:
     """A program's units, each built the first time control reaches it.
 
-    The blocks of an innermost static loop, a backward site span [Dest, Src]
-    that holds no other, are one unit; any other pc control reaches (a block
-    start, the entry point, an indirect target inside a block) starts a unit
-    of one block.  At a block limit of 1 each instruction is a unit.
+    An innermost static loop, a backward site span [Dest, Src] that holds no
+    other, is one unit entered at Dest; any other pc control reaches (a block
+    start, the entry point, an indirect target, a loop's block past Dest) starts
+    a unit of one block.  At a block limit of 1 each instruction is a unit.
     """
 
     def __init__(self, program: Program):
         self.program, self.units, self.steps = program, {}, {}
         self.ends = program.leaders + (program.end,)  # where blocks end
-        self.loop_of: dict[int, tuple[int, ...]] = {}  # leader -> its loop's leaders
-        least = None
+        self.loops: dict[int, int] = {}  # header -> the loop's backedge address
+        least = program.end  # the least end of the spans seen, past every backedge at first
         for lo, hi in sorted({(dest, src) for src, dest in program.sites.backward.values()},
                              key=lambda span: (-span[0], span[1])):
-            if least is None or hi < least:  # no span starting at or above lo ends by hi
-                group = self.ends[bisect_left(self.ends, lo):bisect_right(self.ends, hi)]
-                self.loop_of.update(dict.fromkeys(group, group))
-            least = hi if least is None else min(least, hi)
+            if hi < least:  # no span starting at or above lo ends by hi
+                self.loops[lo] = least = hi
 
     def unit(self, pc, limit: int) -> Optional[Callable]:
         """The unit entered at pc with its blocks cut to limit instructions; None
@@ -390,19 +384,22 @@ class _Units:
         table, program = self.steps if limit == 1 else self.units, self.program
         if pc in table or type(pc) is not int or program.instr_at(pc) is None:
             return table.get(pc)
-        loop = limit > 1 and pc in self.loop_of
-        starts, instrs, shape = self.loop_of[pc] if loop else (pc,), [], []
-        for start in starts:
-            stop = min(self.ends[bisect_right(self.ends, start)], start + limit * WORD)
+        loop = limit > 1 and pc in self.loops
+        starts, stop = [], pc
+        while not starts or loop and stop <= self.loops[pc]:  # a loop's blocks end past its backedge
+            starts.append(stop)
+            stop = min(self.ends[bisect_right(self.ends, stop)], stop + limit * WORD)
+        instrs, shape = [], []
+        for start, stop in zip(starts, starts[1:] + [stop]):
             block = [program.instr_at(a) for a in range(start, stop, WORD)]
             instrs += block
+            target = block[-1].target  # inside if forward or back to the header
             shape.append((tuple((i.mnemonic, i.rd, i.rs1, i.rs2) for i in block),
-                          loop and block[-1].target in starts, loop and stop in starts))
-        at = program.sites.at
-        fn = FunctionType(_shape(tuple(shape)), globals(), "unit", tuple(
+                          starts.index(target) if loop and target in starts and (
+                              target == pc or target > start) else None, stop in starts))
+        fn = table[pc] = FunctionType(_shape(tuple(shape)), globals(), "unit", tuple(
             v for i in instrs for v in (i.addr, i.addr + WORD, (i.imm or 0) & MASK32, i.target,
-                                        *at.get(i.addr, "").ljust(2))))
-        table.update(dict.fromkeys(starts, fn))
+                                        *program.sites.at.get(i.addr, "").ljust(2))))
         return fn
 
 
@@ -424,7 +421,10 @@ def run(
     if len(input_words) > data_mem_words:
         raise EmulatorError("input exceeds data memory")
     mem = [0] * data_mem_words
-    mem[:len(input_words)] = [w & MASK32 for w in input_words]
+    try:  # array("I") holds 4-byte words: it checks in C that each is in 0..2^32-1
+        mem[:len(input_words)] = array("I", input_words)
+    except OverflowError:
+        mem[:len(input_words)] = [w & MASK32 for w in input_words]
     regs = [0] * (NUM_REGS + 1)  # the general registers, then the link register
     sites, targets = [], []  # the Trace record; sites joined at the end
     sa, ta = sites.append, targets.append

@@ -1,5 +1,7 @@
+import ast
 import functools
 import json
+from collections import defaultdict
 from string import Formatter
 
 import pytest
@@ -58,10 +60,19 @@ end:
 
     def test_semantics_cover_exactly_the_opcodes(self):
         assert SEMANTICS.keys() == OPCODES.keys()
-        # each template reads exactly the operand fields its mnemonic sets
+        # each template reads exactly the operand fields its mnemonic sets, and wraps
+        # by comparison: it applies no bitwise operator or % to a multi-digit int
         for m, template in SEMANTICS.items():
             used = {f for _, f, _, _ in Formatter().parse(template) if f}
             assert used & {"rd", "rs1", "rs2", "imm", "target"} == set(FIELDS[m]), m
+            code = ast.parse(template.format_map(defaultdict(lambda: "x")))
+            for node in ast.walk(code):
+                if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(
+                        node.op, (ast.BitAnd, ast.BitOr, ast.BitXor, ast.Mod)):
+                    operands = (node.left, node.right) if isinstance(node, ast.BinOp) else (
+                        node.target, node.value)
+                    assert not any(isinstance(o, ast.Constant) and type(o.value) is int
+                                   and o.value >= 2 ** 30 for o in operands), m
 
     def test_follows_static_edges(self):
         # attack-free runs only traverse CFG-sanctioned successors

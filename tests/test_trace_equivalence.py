@@ -170,6 +170,11 @@ def test_run_matches_the_interpreter_at_every_cycle_cap(name):
         assert_same_as_oracle(program, inp, attack, cycle_cap=cap)
 
 
+# a loop of one block of 132 instructions, run twice
+LONG_BLOCK_LOOP = ("main:\n li r2, 2\nL:\n"
+                   + "".join(f" addi r{3 + i % 4}, r{3 + (i + 1) % 4}, {i}\n" for i in range(130))
+                   + " addi r1, r1, 1\n bne r1, r2, L\n halt\n")
+
 HAND_CASES = {
     # jr into the middle of a straight-line block, and into the middle of a loop's block
     "jr-mid-block": ("main:\n li r1, 0x110\n jr r1\n addi r2, r2, 1\n addi r2, r2, 1\n"
@@ -186,6 +191,23 @@ HAND_CASES = {
                      " li r4, 0x7fffffff\n blt r3, r4, c\n addi r9, r9, 1\nc:\n blt r4, r3, d\n"
                      " addi r9, r9, 1\nd:\n addi r5, r0, -1\n blt r5, r0, e\n addi r9, r9, 1\n"
                      "e:\n blt r0, r5, f\n addi r9, r9, 1\nf:\n halt\n"),
+    # inside a loop unit: add past 2^32, sub below 0, and a store and a load at a negative
+    # offset that wraps back into data memory; a wrong wrap faults or flips a taken bit
+    "wrap-in-loop": ("main:\n li r1, 0xFFFFFFFF\n li r6, 2\n li r8, 3\nL:\n add r2, r1, r6\n"
+                     " sub r3, r2, r6\n st r3, [r6-1]\n ld r4, [r6-1]\n beq r2, r0, N\n"
+                     " addi r9, r9, 1\nN:\n beq r4, r1, M\n addi r9, r9, 1\nM:\n"
+                     " addi r1, r1, -1\n addi r7, r7, 1\n bne r7, r8, L\n halt\n"),
+    # inside a loop unit: a forward jump over blocks A and B on every other pass, then a
+    # mid-body continue, past which the rest of the body runs outside the unit
+    "jump-over-two-blocks": ("main:\n li r3, 1\n li r8, 6\n li r9, 3\nL:\n addi r1, r1, 1\n"
+                             " beq r1, r8, E\n sub r2, r3, r2\n beq r2, r0, F\nA:\n"
+                             " addi r4, r4, 1\n bne r2, r0, B\nB:\n addi r5, r5, 1\nF:\n"
+                             " blt r1, r9, L\n addi r6, r6, 1\n j L\nE:\n halt\n"),
+    # inside a loop unit: a forward branch over a jal back to the header
+    "jal-back-to-header": ("main:\n li r8, 6\n li r9, 3\nL:\n addi r1, r1, 1\n beq r1, r8, E\n"
+                           " blt r1, r9, C\n jal L\nC:\n addi r4, r4, 1\n j L\nE:\n halt\n"),
+    # a loop whose one block is longer than two block limits
+    "long-block-loop": LONG_BLOCK_LOOP,
     # immediates outside 32 bits wrap: the jr targets show the values
     "wide-immediates": ("main:\n li r1, 0x100000108\n jr r1\n li r2, -0xFFFFFEF0\n jr r2\n"
                         " addi r3, r2, 0x300000008\n jr r3\n addi r4, r3, -0x1FFFFFFF8\n"
@@ -200,6 +222,13 @@ def test_run_matches_the_interpreter_on_hand_cases(name):
     assert (full.fault is not None) == ("fault" in name)
     for cap in (emulator.DEFAULT_CYCLE_CAP, *range(full.cycles + 1)):
         assert_same_as_oracle(program, [], cycle_cap=cap)
+
+
+def test_a_loop_with_long_blocks_runs_as_one_unit():
+    program = parse_program(LONG_BLOCK_LOOP)
+    run(program, [])
+    assert sorted(program.__dict__["_units"].units) == [BASE_ADDR, BASE_ADDR + WORD, program.end - WORD]
+    assert emulator._BLOCK_LIMIT < 132
 
 
 @st.composite
