@@ -292,14 +292,16 @@ def inject(attack: AttackSpec, regs: list[int], data_mem: list[int]) -> None:
 # What each instruction does: Python over its operand fields, `ra`, its parameters
 # (`_PARAMS`; `site` is a conditional's not-taken one), `after` (the cycles of its
 # block after it) and `leave_target`/`leave_next` (`break` if that successor
-# leaves the unit).  A transfer leaves its next pc in `pc`.  Values stay in
+# leaves the unit).  A transfer leaves its next pc in `pc`, a halt None and a data
+# fault its fault string, and what leaves the unit breaks out of its `while`, so the
+# registers are written back.  Values stay in
 # 0..2^32-1, so a sum or an address wraps by one comparison and at most one
 # correction, and blt compares signed without `^`: 0xFFFFFFFF is a two-digit int,
 # and a mask with it allocates a new int on every instruction.
 _BRANCH = "    sa({taken})\n    pc = {target}\n    {leave_target}\nelse:\n    sa({site})\n" \
     "    pc = {next}\n    {leave_next}"  # a conditional's two outcomes
 _ADDRESS = "a = {rs1} + {imm}\nif a > 0xFFFFFFFF:\n    a -= 0x100000000\ntry:\n    {access}\n" \
-    "except IndexError:\n    return 'data-access-out-of-range:%d' % a, cycle - {after}"
+    "except IndexError:\n    pc = 'data-access-out-of-range:%d' % a\n    cycle -= {after}\n    break"
 SEMANTICS: Mapping[str, str] = MappingProxyType({
     "add": "{rd} = {rs1} + {rs2}\nif {rd} > 0xFFFFFFFF:\n    {rd} -= 0x100000000",
     "sub": "{rd} = {rs1} - {rs2}\nif {rd} < 0:\n    {rd} += 0x100000000",
@@ -316,7 +318,7 @@ SEMANTICS: Mapping[str, str] = MappingProxyType({
     "jr": "pc = {rs1}\nta(pc)\nsa({site})\nbreak",
     "jalr": "{ra} = {next}\npc = {rs1}\nta(pc)\nsa({site})\nbreak",
     "ret": "pc = {ra}\nta(pc)\nsa({site})\nbreak",
-    "halt": "return None, cycle",
+    "halt": "pc = None\nbreak",
 })
 _PARAMS = ("addr", "next", "imm", "target", "site", "taken")  # of each instruction of a unit
 _BLOCK_LIMIT = 64  # instructions per block of a unit, so that a long block compiles in pieces
@@ -418,6 +420,12 @@ def run(
     one never alters the produced trace.  CycleLimitExceeded if the run
     would retire more than cycle_cap cycles.
     """
+    return _execute(program, input_words, attack, [0] * (NUM_REGS + 1),
+                    _memory(input_words, data_mem_words), cycle_cap, observer)
+
+
+def _memory(input_words: list[int], data_mem_words: int) -> list[int]:
+    """Data memory at the start of a run: the input words masked to 32 bits, then zeros."""
     if len(input_words) > data_mem_words:
         raise EmulatorError("input exceeds data memory")
     mem = [0] * data_mem_words
@@ -425,7 +433,15 @@ def run(
         mem[:len(input_words)] = array("I", input_words)
     except OverflowError:
         mem[:len(input_words)] = [w & MASK32 for w in input_words]
-    regs = [0] * (NUM_REGS + 1)  # the general registers, then the link register
+    return mem
+
+
+def _execute(program: Program, input_words: list[int], attack: Optional[AttackSpec],
+             regs: list[int], mem: list[int], cycle_cap: int,
+             observer: Optional[Callable[[TraceEvent], None]]) -> Trace:
+    """`run` on the given registers (the general ones, then the link register) and
+    data memory, which it leaves as the last retired cycle left them, also when it
+    raises."""
     sites, targets = [], []  # the Trace record; sites joined at the end
     sa, ta = sites.append, targets.append
     code = program.__dict__.get("_units") or program.__dict__.setdefault("_units", _Units(program))

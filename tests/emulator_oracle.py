@@ -2,7 +2,9 @@
 
 It decodes each instruction into a handler tuple once per program and
 dispatches on the handler number every cycle.  Tests compare `emulator.run`
-against it: the same sites, targets, cycles, fault and observer stream.
+against it: the same sites, targets, cycles, fault and observer stream, and
+the same registers, link register and data memory when the run ends or
+stops at the cycle cap (`execute` leaves them in the lists it is given).
 """
 from __future__ import annotations
 
@@ -13,14 +15,17 @@ from cfattest.emulator import (DEFAULT_CYCLE_CAP, DEFAULT_DATA_WORDS, MASK32, At
 from cfattest.isa import FIELDS, NUM_REGS, WORD, Instruction, Program
 
 
-def inject(attack: AttackSpec, regs: list[int], ra: int, data_mem: list[int]) -> int:
-    """Apply the attack mutation to writable state; returns the link register."""
+RA = NUM_REGS  # the link register's index in regs
+
+
+def inject(attack: AttackSpec, regs: list[int], data_mem: list[int]) -> None:
+    """Apply the attack mutation to writable state."""
     value = attack.payload["value"] & MASK32
     if "reg" in attack.payload:
         r = attack.payload["reg"]
         if r == "ra":
-            return value
-        if not isinstance(r, int) or not 0 <= r < len(regs):
+            r = RA
+        elif not isinstance(r, int) or not 0 <= r < NUM_REGS:
             raise AttackError(f"bad register target {r!r}")
         regs[r] = value
     else:
@@ -28,7 +33,6 @@ def inject(attack: AttackSpec, regs: list[int], ra: int, data_mem: list[int]) ->
         if not isinstance(idx, int) or not 0 <= idx < len(data_mem):
             raise AttackError(f"memory target {idx!r} outside data memory")
         data_mem[idx] = value
-    return ra
 
 
 # Handler numbers by mnemonic.  Straight-line instructions come first, so one
@@ -86,11 +90,22 @@ def run(
     The optional observer receives each TraceEvent as it retires; attaching
     one never alters the produced trace.
     """
+    return execute(program, input_words, attack, [0] * (NUM_REGS + 1),
+                   memory(input_words, data_mem_words), cycle_cap, observer)
+
+
+def memory(input_words: list[int], data_mem_words: int) -> list[int]:
+    """Data memory at the start of a run: the input words masked to 32 bits, then zeros."""
     if len(input_words) > data_mem_words:
         raise EmulatorError("input exceeds data memory")
-    mem = [w & MASK32 for w in input_words] + [0] * (data_mem_words - len(input_words))
-    regs = [0] * NUM_REGS
-    ra = 0
+    return [w & MASK32 for w in input_words] + [0] * (data_mem_words - len(input_words))
+
+
+def execute(program: Program, input_words: list[int], attack: Optional[AttackSpec],
+            regs: list[int], mem: list[int], cycle_cap: int,
+            observer: Optional[Callable[[TraceEvent], None]]) -> Trace:
+    """`run` on the given registers (the link register last) and data memory,
+    which it leaves as the last retired cycle left them, also when it raises."""
     code = _decoded(program)
     sites, targets = [], []  # the Trace record; sites joined at the end
     fault: Optional[str] = None
@@ -112,7 +127,7 @@ def run(
         if cycle >= cycle_cap:
             raise CycleLimitExceeded(f"cycle cap {cycle_cap} exceeded")
         if armed and (cycle == trigger_cycle or pc == trigger_pc):
-            ra = inject(attack, regs, ra, mem)
+            inject(attack, regs, mem)
             armed = False
 
         if op < _BEQ:  # straight-line instruction
@@ -120,7 +135,7 @@ def run(
                 regs[x] = (regs[y] + z) & MASK32
             elif op == _LD or op == _ST:
                 idx = (regs[y] + z) & MASK32
-                if idx >= data_mem_words:
+                if idx >= len(mem):
                     fault = f"data-access-out-of-range:{idx}"
                 elif op == _LD:
                     regs[x] = mem[idx]
@@ -155,17 +170,17 @@ def run(
         elif op == _J:
             next_pc = x
         elif op == _JAL:
-            ra = pc + WORD
+            regs[RA] = pc + WORD
             next_pc = x
         elif op == _JR:
             next_pc = regs[x]
             targets.append(next_pc)
         elif op == _JALR:
-            ra = pc + WORD
+            regs[RA] = pc + WORD
             next_pc = regs[x]
             targets.append(next_pc)
         elif op == _RET:
-            next_pc = ra
+            next_pc = regs[RA]
             targets.append(next_pc)
         else:  # halt
             if observer is not None:

@@ -321,6 +321,21 @@ L:
     halt
 """
 
+# a data fault between two branches of one pass: at input 5 the third pass takes
+# the header's not-taken branch, then loads past data memory before the backedge
+FAULT_MID_PASS = """
+main:
+    ld r2, [r0+0]
+L:
+    beq r1, r2, E
+    addi r5, r5, 2000
+    ld r3, [r5+0]
+    addi r1, r1, 1
+    j L
+E:
+    halt
+"""
+
 # a zero selector takes a 3-bit path, a nonzero one a 19-bit path (past the
 # default path width of 16)
 LONG_AND_SHORT_PATHS = """

@@ -105,6 +105,19 @@ def test_measure_degraded_contexts_match_golden(tmp_path):
         (GOLDEN / "measure_nested4_depth2.json").read_text()
 
 
+def test_measure_fault_mid_pass_matches_golden(tmp_path):
+    # a data fault inside a loop pass, after the header's not-taken branch: that branch
+    # is the last session's path "0", before the fault marker.  CI diffs the same golden.
+    (tmp_path / "fmp.s").write_text(P.FAULT_MID_PASS)
+    assert cfattest("asm", tmp_path / "fmp.s", "--id", "fmp", "-o", tmp_path / "fmp.json") == 0
+    assert cfattest("run", tmp_path / "fmp.json", "--input", "5",
+                    "-o", tmp_path / "fmp.jsonl") == 0
+    assert cfattest("measure", tmp_path / "fmp.jsonl", "--program", tmp_path / "fmp.json",
+                    "-o", tmp_path / "m.json") == 0
+    assert (tmp_path / "m.json").read_text() == \
+        (GOLDEN / "measure_fault_mid_pass.json").read_text()
+
+
 class TestPipeline:
     def test_asm_output_shape(self, ws):
         data = json.loads((ws / "prog.json").read_text())

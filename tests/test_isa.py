@@ -159,7 +159,7 @@ class TestProgramFile:
 
 # sha256 over the canonical bytes of every program source in tests/programs.py (by name)
 # and of genprog seeds 0-299, each followed by a NUL byte
-PROGRAM_BYTES_SHA256 = "af77fc510e2ad8a6994bd2d98fcbdcd77f58c08181cc02be9c4a3a4cc30cddbc"
+PROGRAM_BYTES_SHA256 = "a57e6c0d6f29fdf5ca5fbfbd4a0576696d280883fa02a3f957be3bfc2078f013"
 
 
 def test_assembled_program_bytes_are_pinned():

@@ -1,8 +1,8 @@
 """The compiled emulator, the control-event trace and the loop lookup against their references.
 
 For each run: the compiled `run` records the same sites, targets, cycles,
-fault and observer stream as the interpreter in `emulator_oracle`, at every
-cycle cap; the per-cycle view of the trace equals what the observer saw
+fault and observer stream as the interpreter in `emulator_oracle`, and leaves
+the same registers, link register and data memory, at every cycle cap; the per-cycle view of the trace equals what the observer saw
 as each cycle retired, so do the recorded branch columns, a JSONL round trip
 filters to the same branches,
 the loop monitor's walk marks loops exactly as the all-loops scan in
@@ -26,7 +26,8 @@ from cfattest.branch_filter import detect_loops, filter_trace
 from cfattest.emulator import (ATTACK_KINDS, AttackError, AttackSpec, CycleLimitExceeded, run,
                                trace_from_jsonl)
 from cfattest.hash_engine import digest_pairs
-from cfattest.isa import BASE_ADDR, FIELDS, OPCODES, WORD, Instruction, Kind, Program, parse_program
+from cfattest.isa import (BASE_ADDR, FIELDS, MASK32, NUM_REGS, OPCODES, WORD, Instruction, Kind,
+                          Program, parse_program)
 from cfattest.loop_monitor import LoopMonitor, MonitorConfig, fault_marker_session
 from genprog import gen_input, gen_program
 from loop_oracle import detect_loops_scan
@@ -122,6 +123,7 @@ def _cases():
         "backward-exit": (P.prog(P.BACKWARD_EXIT, "be"), [4, 0, 0, 1, 0, 0, 0, 1, 0], None),
         "halt-in-loop": (P.prog(P.HALT_IN_LOOP, "hl"), [3], None),
         "fault-in-loop": (P.prog(P.FAULT_IN_LOOP, "fl"), [], None),
+        "fault-mid-pass": (P.prog(P.FAULT_MID_PASS, "fm"), [5], None),
         "long-and-short-paths": (P.prog(P.LONG_AND_SHORT_PATHS, "ls"), [6, 0, 1, 0, 1, 1, 0], None),
         "entered-past-overlap": (P.prog(P.ENTERED_PAST_OVERLAP, "po"), [], None),
         "jump-into-loop": (P.prog(JUMP_INTO_LOOP, "ji"), [1], None),
@@ -139,20 +141,24 @@ def _cases():
 CASES = _cases()
 
 
-def _outcome(run_fn, program, inp, attack=None, observe=False, **kw):
-    """What a run shows: its record, or the error it raised, and the observed events."""
-    seen = []
+def _outcome(emulator_module, program, inp, attack=None, observe=False,
+             data_mem_words=emulator.DEFAULT_DATA_WORDS, cycle_cap=emulator.DEFAULT_CYCLE_CAP):
+    """What a run shows: its record, or the error it raised; the registers, link
+    register and data memory it left; and the observed events."""
+    execute, memory = (emulator._execute, emulator._memory) if emulator_module is emulator else (
+        emulator_oracle.execute, emulator_oracle.memory)
+    seen, regs, mem = [], [0] * (NUM_REGS + 1), memory(inp, data_mem_words)
     try:
-        t = run_fn(program, inp, attack, observer=seen.append if observe else None, **kw)
+        t = execute(program, inp, attack, regs, mem, cycle_cap, seen.append if observe else None)
     except (CycleLimitExceeded, AttackError) as e:
-        return type(e).__name__, seen
-    return (t.sites, t.targets, t.cycles, t.fault), seen
+        return type(e).__name__, regs, mem, seen
+    return (t.sites, t.targets, t.cycles, t.fault), regs, mem, seen
 
 
 def assert_same_as_oracle(program, inp, attack=None, **kw):
     for observe in (False, True):
-        got = _outcome(run, program, inp, attack, observe, **kw)
-        assert got == _outcome(emulator_oracle.run, program, inp, attack, observe, **kw)
+        got = _outcome(emulator, program, inp, attack, observe, **kw)
+        assert got == _outcome(emulator_oracle, program, inp, attack, observe, **kw)
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -231,19 +237,52 @@ def test_a_loop_with_long_blocks_runs_as_one_unit():
     assert emulator._BLOCK_LIMIT < 132
 
 
+# instructions per drawn wrap, by the mnemonic that wraps
+_WRAPS = {"add": 3, "addi": 2, "sub": 3, "ld": 2, "st": 2, "blt": 3}
+
+
+def _wrap(draw, mnemonic, targets):
+    """The (mnemonic, operands) of one wrap, from registers it sets first: an add or
+    addi past 2^32, a sub below 0, a load or store at an address that wraps into the
+    first 16 words of data memory, or a blt with one operand on each side of 2^31."""
+    a, b, c = draw(st.permutations(range(4)))[:3]
+    low, high = st.integers(0, 2 ** 31 - 1), st.integers(2 ** 31, MASK32)
+    if mnemonic in ("ld", "st"):
+        k = draw(st.integers(1, 16))
+        return [("li", {"rd": a, "imm": k}),
+                (mnemonic, {"rd": c, "rs1": a, "imm": draw(st.integers(-k, -1))})]
+    if mnemonic == "addi":
+        return [("li", {"rd": a, "imm": draw(high)}),
+                ("addi", {"rd": c, "rs1": a, "imm": draw(high | st.integers(-2 ** 31, -1))})]
+    if mnemonic == "blt":
+        x, y = draw(st.permutations([draw(low), draw(high)]))
+        return [("li", {"rd": a, "imm": x}), ("li", {"rd": b, "imm": y}),
+                ("blt", {"rs1": a, "rs2": b, "target": draw(st.sampled_from(targets))})]
+    x = draw(high if mnemonic == "add" else st.integers(0, MASK32 - 1))
+    y = draw(high if mnemonic == "add" else st.integers(x + 1, MASK32))
+    return [("li", {"rd": a, "imm": x}), ("li", {"rd": b, "imm": y}),
+            (mnemonic, {"rd": c, "rs1": a, "rs2": b})]
+
+
 @st.composite
 def _hypothesis_runs(draw):
-    """A small random program (any opcode, any in-program target), input, attack and cap."""
-    n = draw(st.integers(1, 10))
+    """A small random program (any opcode, any in-program target, and wraps), input,
+    attack and cap."""
+    plan = draw(st.lists(st.sampled_from(["any"] * 6 + sorted(_WRAPS)), min_size=1, max_size=10))
+    n = sum(_WRAPS.get(p, 1) for p in plan)
     addrs = [BASE_ADDR + WORD * i for i in range(n + 1)]
-    word = st.sampled_from(addrs) | st.integers(0, 20) | st.integers(-2 ** 34, 2 ** 34)
-    instrs = []
-    for i in range(n):
+    word = (st.sampled_from(addrs) | st.integers(0, 20) | st.integers(-2 ** 34, 2 ** 34)
+            | st.sampled_from([0x7FFFFFFF, 0x80000000, MASK32, 2 ** 32, -1]))
+    body = []
+    for p in plan:
+        if p != "any":
+            body += _wrap(draw, p, addrs[:n])
+            continue
         mnemonic = draw(st.sampled_from(sorted(OPCODES)))
-        ops = {f: draw(st.sampled_from(addrs[:n])) if f == "target"
-               else draw(word) if f == "imm" else draw(st.integers(0, 3))
-               for f in FIELDS[mnemonic]}
-        instrs.append(Instruction(addrs[i], OPCODES[mnemonic][0], mnemonic, **ops))
+        body.append((mnemonic, {f: draw(st.sampled_from(addrs[:n])) if f == "target"
+                                else draw(word) if f == "imm" else draw(st.integers(0, 3))
+                                for f in FIELDS[mnemonic]}))
+    instrs = [Instruction(addr, OPCODES[m][0], m, **ops) for addr, (m, ops) in zip(addrs, body)]
     program = Program("h", tuple(instrs), entry_point=draw(st.sampled_from(addrs)))
     inp = draw(st.lists(word, max_size=8))
     attack = None
