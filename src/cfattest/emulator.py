@@ -9,13 +9,19 @@ stream (`Trace.events`) are derived from that record on demand.
 
 The program runs as Python functions, *units*, compiled from `SEMANTICS`
 when control first reaches them and kept with the `Program`.  An innermost
-static loop is one unit entered at its header, with the registers in locals:
-each pass tests the cycle cap once and runs the loop's blocks once in address
-order, and a block tests pc only if an earlier block's jump can pass over it.
-Any other entry pc (a loop's block entered past its header too) starts a
-unit of one block.  Units of one *shape*, equal but for addresses,
-immediates and site characters, share a code object and take those as
-parameter defaults.  Units of one instruction single-step a run while an
+static loop is one unit entered at its header, with the registers in locals.
+Each pass tests the cycle cap once and runs as straight-line code, a *path
+tree* (`_Tree`): a conditional is an if/else over the paths from its target
+and from the next instruction, and a direct jump inside the loop is followed.
+Each path ends once, back at the header or leaving the unit (a successor
+outside, an indirect transfer, a halt, a data fault), and there appends its
+site characters with one call and adds its cycle count, fixed at compile
+time, once; pc is written only where the unit leaves.  A body whose tree
+would pass its bound runs its blocks in address order instead, a block
+testing pc only if an earlier block's jump can pass over it.  Any other
+entry pc (a loop's block entered past its header too) starts a unit of one
+block.  Units of one *shape*, equal but for addresses, immediates and site
+characters, share a code object and take those as parameter defaults.  Units of one instruction single-step a run while an
 attack's trigger is armed or an `observer` watches, and through the last
 pass before the cycle cap, so every cycle is exactly the interpreter's.
 Attack injection mutates writable state only (registers, link register, data
@@ -289,76 +295,152 @@ def inject(attack: AttackSpec, regs: list[int], data_mem: list[int]) -> None:
         data_mem[idx] = value
 
 
-# What each instruction does: Python over its operand fields, `ra`, its parameters
-# (`_PARAMS`; `site` is a conditional's not-taken one), `after` (the cycles of its
-# block after it) and `leave_target`/`leave_next` (`break` if that successor
-# leaves the unit).  A transfer leaves its next pc in `pc`, a halt None and a data
-# fault its fault string, and what leaves the unit breaks out of its `while`, so the
-# registers are written back.  Values stay in
-# 0..2^32-1, so a sum or an address wraps by one comparison and at most one
-# correction, and blt compares signed without `^`: 0xFFFFFFFF is a two-digit int,
-# and a mask with it allocates a new int on every instruction.
-_BRANCH = "    sa({taken})\n    pc = {target}\n    {leave_target}\nelse:\n    sa({site})\n" \
-    "    pc = {next}\n    {leave_next}"  # a conditional's two outcomes
+# What each instruction does: Python over its operand fields, `ra` and the
+# parameters `imm` and `link` (its immediate and the address after it), with each
+# place where control goes on alone on its line: `{next}` (the next instruction),
+# `{target}` (its direct target) and `{leave}` (out of the unit, `pc` already set:
+# the next pc, None after a halt, or the fault string after a data fault).  Values
+# stay in 0..2^32-1, so a sum or an address wraps by one comparison and at most
+# one correction, and blt compares signed without `^`: 0xFFFFFFFF is a two-digit
+# int, and a mask with it allocates a new int on every instruction.
+_BRANCH = ":\n    {target}\nelse:\n    {next}"  # a conditional's two outcomes
 _ADDRESS = "a = {rs1} + {imm}\nif a > 0xFFFFFFFF:\n    a -= 0x100000000\ntry:\n    {access}\n" \
-    "except IndexError:\n    pc = 'data-access-out-of-range:%d' % a\n    cycle -= {after}\n    break"
+    "except IndexError:\n    pc = 'data-access-out-of-range:%d' % a\n    {leave}\n{next}"
 SEMANTICS: Mapping[str, str] = MappingProxyType({
-    "add": "{rd} = {rs1} + {rs2}\nif {rd} > 0xFFFFFFFF:\n    {rd} -= 0x100000000",
-    "sub": "{rd} = {rs1} - {rs2}\nif {rd} < 0:\n    {rd} += 0x100000000",
-    "addi": "{rd} = {rs1} + {imm}\nif {rd} > 0xFFFFFFFF:\n    {rd} -= 0x100000000",
-    "li": "{rd} = {imm}",
-    "mv": "{rd} = {rs1}",
+    "add": "{rd} = {rs1} + {rs2}\nif {rd} > 0xFFFFFFFF:\n    {rd} -= 0x100000000\n{next}",
+    "sub": "{rd} = {rs1} - {rs2}\nif {rd} < 0:\n    {rd} += 0x100000000\n{next}",
+    "addi": "{rd} = {rs1} + {imm}\nif {rd} > 0xFFFFFFFF:\n    {rd} -= 0x100000000\n{next}",
+    "li": "{rd} = {imm}\n{next}",
+    "mv": "{rd} = {rs1}\n{next}",
     "ld": _ADDRESS.replace("{access}", "{rd} = mem[a]"),
     "st": _ADDRESS.replace("{access}", "mem[a] = {rd}"),
-    "beq": "if {rs1} == {rs2}:\n" + _BRANCH,
-    "bne": "if {rs1} != {rs2}:\n" + _BRANCH,
-    "blt": "if ({rs1} < {rs2}) == (({rs1} > 0x7FFFFFFF) == ({rs2} > 0x7FFFFFFF)):\n" + _BRANCH,
-    "j": "sa({site})\npc = {target}\n{leave_target}",
-    "jal": "{ra} = {next}\nsa({site})\npc = {target}\n{leave_target}",
-    "jr": "pc = {rs1}\nta(pc)\nsa({site})\nbreak",
-    "jalr": "{ra} = {next}\npc = {rs1}\nta(pc)\nsa({site})\nbreak",
-    "ret": "pc = {ra}\nta(pc)\nsa({site})\nbreak",
-    "halt": "pc = None\nbreak",
+    "beq": "if {rs1} == {rs2}" + _BRANCH,
+    "bne": "if {rs1} != {rs2}" + _BRANCH,
+    "blt": "if ({rs1} < {rs2}) == (({rs1} > 0x7FFFFFFF) == ({rs2} > 0x7FFFFFFF))" + _BRANCH,
+    "j": "{target}",
+    "jal": "{ra} = {link}\n{target}",
+    "jr": "pc = {rs1}\nta(pc)\n{leave}",
+    "jalr": "{ra} = {link}\npc = {rs1}\nta(pc)\n{leave}",
+    "ret": "pc = {ra}\nta(pc)\n{leave}",
+    "halt": "pc = None\n{leave}",
 })
-_PARAMS = ("addr", "next", "imm", "target", "site", "taken")  # of each instruction of a unit
-_BLOCK_LIMIT = 64  # instructions per block of a unit, so that a long block compiles in pieces
+_GO_ON = ("{next}", "{target}", "{leave}")
+_BLOCK_LIMIT = 64  # instructions per block of a unit, so that a long block compiles in pieces,
+# and how far a path tree may outgrow its unit
+# a parameter's value, by its kind, from its instruction
+_VALUES = {"imm": lambda i: (i.imm or 0) & MASK32, "next": lambda i: i.addr + WORD,
+           "target": lambda i: i.target, "addr": lambda i: i.addr}
 
 
-@lru_cache(maxsize=1024)
-def _shape(blocks: tuple) -> CodeType:
-    """Compile a unit shape: per block in address order, the (mnemonic, rd, rs1,
-    rs2) of its instructions, the index of the block its direct target starts
-    (None if it leaves the unit) and whether its next address starts the next
-    block.  Instruction i's values are parameters, `imm{i}` etc."""
-    lines: list[str] = []
-    firsts = list(accumulate((len(ops) for ops, _, _ in blocks), initial=0))
-    for j, (ops, target, next_inside) in enumerate(blocks):
-        pad, n = " " * 8, len(ops)
-        if any(t is not None and (t == 0 or t > j) for _, t, _ in blocks[:j]):  # passed over
-            lines.append(f"{pad}if pc == addr{firsts[j]}:")
-            pad += "    "
-        lines.append(f"{pad}cycle += {n}")
-        for k, (mnemonic, *operands) in enumerate(ops):
-            template = SEMANTICS[mnemonic]
-            if k == n - 1 and OPCODES[mnemonic][0] in STRAIGHT_KINDS:  # the block falls through
-                template += "\npc = {next}\n{leave_next}"
-            code = template.format(
-                ra="ra", after=n - k - 1, leave_target="break" if target is None else "pass",
-                leave_next="pass" if next_inside else "break",
-                **{f: f"r{v}" for f, v in zip(("rd", "rs1", "rs2"), operands)},
-                **{p: f"{p}{firsts[j] + k}" for p in _PARAMS})
-            lines.extend(pad + line for line in code.split("\n"))
-    body = "\n".join(lines)
+class _TooLarge(Exception):
+    """A unit's path tree would pass its bound."""
+
+
+class _Tree:
+    """The body of a unit's `while`, one pass: a path tree from each region start.
+
+    A path runs its instructions in the order they retire.  A conditional is
+    `if cond:` over the path from its target and `else:` over the path from the
+    next instruction, and a direct jump inside the unit is followed.  A path ends
+    at a *leaf*: out of the unit (a halt, a data fault, an indirect transfer, a
+    successor outside: `pc` set, `break`), back at the header (the pass ends) or
+    at another region's start (`pc` set; the region is guarded by `if pc ==` its
+    address only if an earlier leaf passes over it).  Each leaf makes one `sa` of
+    its path's site characters and one `cycle +=` of its path's length.  The
+    tree holds at most `_BLOCK_LIMIT` instructions more than the unit, nested at
+    most `_BLOCK_LIMIT` deep, or `_TooLarge` is raised.  `params` maps each
+    parameter to its (kind, instruction index), or ("s", the (instruction, taken)
+    pairs of a leaf's site characters).
+    """
+
+    def __init__(self, ops: tuple, regions: tuple[int, ...]):
+        self.ops, self.regions, self.params, self.lines = ops, regions, {}, []
+        self.left, self.reached = len(ops) + _BLOCK_LIMIT, set()
+        for r in regions:
+            pad = " " * 8
+            if any(to is not None and (to == 0 or to > r) for to in self.reached):
+                self.lines.append(f"{pad}if pc == {self.param('addr', r)}:")
+                pad += "    "
+            self.path(r, 0, (), pad)
+
+    def param(self, kind: str, arg) -> str:
+        name = f"s{len(self.params)}" if kind == "s" else f"{kind}{arg}"
+        self.params.setdefault(name, (kind, arg))
+        return name
+
+    def leaf(self, n: int, sites: tuple, pad: str, *end: str) -> None:
+        if sites:
+            self.lines.append(f"{pad}sa({self.param('s', sites)})")
+        self.lines.append(f"{pad}cycle += {n}")
+        self.lines.extend(pad + line for line in end)
+
+    def path(self, i: Optional[int], n: int, sites: tuple, pad: str) -> None:
+        """Emit the path from instruction i, after n instructions of its region
+        whose site characters are `sites`."""
+        while i is not None:
+            self.left -= 1
+            if self.left < 0 or len(pad) > 4 * _BLOCK_LIMIT:
+                raise _TooLarge
+            mnemonic, rd, rs1, rs2, target = self.ops[i]
+            kind, template, n = OPCODES[mnemonic][0], SEMANTICS[mnemonic], n + 1
+            fields = {"rd": f"r{rd}", "rs1": f"r{rs1}", "rs2": f"r{rs2}", "ra": "ra"}
+            fields.update({f: self.param(p, i) for f, p in (("imm", "imm"), ("link", "next"))
+                           if f"{{{f}}}" in template})
+            lines, on, i = template.split("\n"), i, None
+            for k, line in enumerate(lines):
+                text = line.lstrip()
+                indent = pad + line[:len(line) - len(text)]
+                if text not in _GO_ON:
+                    self.lines.append(indent + text.format_map(fields))
+                    continue
+                step = sites
+                if kind is Kind.COND_BRANCH:
+                    step += ((on, int(text == "{target}")),)
+                elif kind not in STRAIGHT_KINDS and kind is not Kind.HALT:
+                    step += ((on, 0),)
+                if text == "{leave}":
+                    self.leaf(n, step, indent, "break")
+                    continue
+                to = target if text == "{target}" else on + 1 if on + 1 < len(self.ops) else None
+                if to is None or to in self.regions:
+                    self.reached.add(to)
+                    goto = () if to == 0 and len(self.regions) == 1 else (  # pc is the header
+                        f"pc = {self.param(text[1:-1], on)}",)
+                    self.leaf(n, step, indent, *goto, *("break",) * (to is None))
+                elif k == len(lines) - 1 and indent == pad:  # in tail position: walk on
+                    i, sites = to, step
+                else:
+                    self.path(to, n, step, indent)
+
+
+def _source(key: tuple) -> tuple[str, tuple]:
+    """A unit shape's function source and its parameters, (kind, arg) each: a path
+    tree (`_Tree`) from the entry, or, if that would be too large, one region per
+    block, each of them entered in address order."""
+    ops, starts = key
+    try:
+        tree = _Tree(ops, (0,))
+    except _TooLarge:
+        tree = _Tree(ops, starts)
+    body = "\n".join(tree.lines)
     regs = sorted(set(re.findall(r"\br(?:\d+|a)\b", body)))
     names, slots = "".join(f"{r}, " for r in regs), "".join(
         f"regs[{NUM_REGS if r == 'ra' else r[1:]}], " for r in regs)
-    params = "".join(f", {p}{i}" for i in range(firsts[-1]) for p in _PARAMS)
+    params = "".join(f", {p}" for p in tree.params)
+    return "\n".join([f"def unit(regs, mem, sa, ta, pc, cycle, cap{params}):",
+                      f"    {names}= {slots}" if regs else "", f"    cap -= {len(ops)}",
+                      "    while cycle <= cap:", body,
+                      f"    {slots}= {names}" if regs else "", "    return pc, cycle"]), \
+        tuple(tree.params.values())
+
+
+@lru_cache(maxsize=1024)
+def _shape(key: tuple) -> tuple[CodeType, tuple]:
+    """Compile a unit shape (`_Units.layout`): its code object and its parameters."""
+    source, params = _source(key)
     namespace: dict = {}
-    exec("\n".join([f"def unit(regs, mem, sa, ta, pc, cycle, cap{params}):",
-                    f"    {names}= {slots}" if regs else "", f"    cap -= {firsts[-1]}",
-                    "    while cycle <= cap:", body,
-                    f"    {slots}= {names}" if regs else "", "    return pc, cycle"]), namespace)
-    return namespace["unit"].__code__
+    exec(source, namespace)
+    return namespace["unit"].__code__, params
 
 
 class _Units:
@@ -386,23 +468,28 @@ class _Units:
         table, program = self.steps if limit == 1 else self.units, self.program
         if pc in table or type(pc) is not int or program.instr_at(pc) is None:
             return table.get(pc)
+        key, instrs = self.layout(pc, limit)
+        code, params = _shape(key)
+        at = program.sites.at
+        fn = table[pc] = FunctionType(code, globals(), "unit", tuple(
+            "".join(at[instrs[i].addr][t] for i, t in arg) if kind == "s"
+            else _VALUES[kind](instrs[arg]) for kind, arg in params))
+        return fn
+
+    def layout(self, pc: int, limit: int) -> tuple[tuple, list[Instruction]]:
+        """The shape of the unit entered at pc, and its instructions.  The shape
+        is, per instruction, its (mnemonic, rd, rs1, rs2) and the index of its
+        direct target if the unit goes on there (forward, or back to a loop's
+        header: 0), else None; then the indices where its blocks start."""
         loop = limit > 1 and pc in self.loops
         starts, stop = [], pc
         while not starts or loop and stop <= self.loops[pc]:  # a loop's blocks end past its backedge
             starts.append(stop)
             stop = min(self.ends[bisect_right(self.ends, stop)], stop + limit * WORD)
-        instrs, shape = [], []
-        for start, stop in zip(starts, starts[1:] + [stop]):
-            block = [program.instr_at(a) for a in range(start, stop, WORD)]
-            instrs += block
-            target = block[-1].target  # inside if forward or back to the header
-            shape.append((tuple((i.mnemonic, i.rd, i.rs1, i.rs2) for i in block),
-                          starts.index(target) if loop and target in starts and (
-                              target == pc or target > start) else None, stop in starts))
-        fn = table[pc] = FunctionType(_shape(tuple(shape)), globals(), "unit", tuple(
-            v for i in instrs for v in (i.addr, i.addr + WORD, (i.imm or 0) & MASK32, i.target,
-                                        *program.sites.at.get(i.addr, "").ljust(2))))
-        return fn
+        instrs = [self.program.instr_at(a) for a in range(pc, stop, WORD)]
+        ops = tuple((i.mnemonic, i.rd, i.rs1, i.rs2, (i.target - pc) // WORD if loop and (
+            i.target == pc or i.addr < (i.target or 0) < stop) else None) for i in instrs)
+        return (ops, tuple((s - pc) // WORD for s in starts)), instrs
 
 
 def run(

@@ -10,6 +10,7 @@ the loop monitor's walk marks loops exactly as the all-loops scan in
 `measure` gives the (A, L) of the per-item monitor in `monitor_oracle` fed by
 that scan.
 """
+import ast
 import random
 from pathlib import Path
 
@@ -181,6 +182,13 @@ LONG_BLOCK_LOOP = ("main:\n li r2, 2\nL:\n"
                    + "".join(f" addi r{3 + i % 4}, r{3 + (i + 1) % 4}, {i}\n" for i in range(130))
                    + " addi r1, r1, 1\n bne r1, r2, L\n halt\n")
 
+TWO_IF_ELSE = ("main:\n li r2, 6\n li r8, 1\n li r9, 3\nL:\n beq r1, r2, E\n addi r1, r1, 1\n"
+               " sub r3, r8, r3\n beq r3, r0, A\n addi r4, r4, 1\n j B0\nA:\n addi r5, r5, 1\nB0:\n"
+               " blt r1, r9, B\n addi r6, r6, 2\n j N\nB:\n addi r7, r7, 3\nN:\n j L\nE:\n halt\n")
+PAST_TREE_BOUND = ("main:\n li r2, 4\n li r8, 1\nL:\n beq r1, r2, E\n addi r1, r1, 1\n sub r3, r8, r3\n"
+                   + "".join(f" beq r3, r0, F{k}\n addi r{4 + k % 4}, r{4 + k % 4}, {k + 1}\nF{k}:\n"
+                             for k in range(8)) + " j L\nE:\n halt\n")
+
 HAND_CASES = {
     # jr into the middle of a straight-line block, and into the middle of a loop's block
     "jr-mid-block": ("main:\n li r1, 0x110\n jr r1\n addi r2, r2, 1\n addi r2, r2, 1\n"
@@ -214,6 +222,16 @@ HAND_CASES = {
                            " blt r1, r9, C\n jal L\nC:\n addi r4, r4, 1\n j L\nE:\n halt\n"),
     # a loop whose one block is longer than two block limits
     "long-block-loop": LONG_BLOCK_LOOP,
+    # inside a loop unit's pass: a halt after a taken branch, on the third pass
+    "halt-mid-pass": ("main:\n li r2, 3\nL:\n addi r1, r1, 1\n beq r1, r2, H\n addi r4, r4, 1\n"
+                      " j C\nH:\n halt\nC:\n addi r5, r5, 1\n j L\n"),
+    # inside a loop unit's pass: a forward jump out of the body, on the third pass
+    "jump-out-mid-pass": ("main:\n li r2, 3\nL:\n addi r1, r1, 1\n bne r1, r2, C\n j X\nC:\n"
+                          " addi r4, r4, 1\n j L\nX:\n st r4, [r0+0]\n halt\n"),
+    # two if/else in sequence: four paths through a pass, each taken on one of six passes
+    "two-if-else": TWO_IF_ELSE,
+    # eight if-thens in sequence: the path tree would pass its bound
+    "past-tree-bound": PAST_TREE_BOUND,
     # immediates outside 32 bits wrap: the jr targets show the values
     "wide-immediates": ("main:\n li r1, 0x100000108\n jr r1\n li r2, -0xFFFFFEF0\n jr r2\n"
                         " addi r3, r2, 0x300000008\n jr r3\n addi r4, r3, -0x1FFFFFFF8\n"
@@ -312,6 +330,51 @@ def test_units_of_one_shape_share_a_code_object(monkeypatch):
         units = program.__dict__["_units"].units
         assert len(units) > 800
         assert len({unit.__code__ for unit in units.values()}) <= 6
+
+
+def _runs(stmts):
+    """Each way through a statement list: the statements it runs, and whether it breaks
+    out.  An if forks; an except handler forks off a way that runs only the handler."""
+    runs = [((), False)]
+    for node in stmts:
+        if isinstance(node, ast.If):
+            forks = _runs(node.body) + _runs(node.orelse)
+        elif isinstance(node, ast.Try):
+            forks = _runs(node.body) + [way for h in node.handlers for way in _runs(h.body)]
+        else:
+            forks = [((node,), isinstance(node, ast.Break))]
+        runs = [(run, True) for run, broke in runs if broke] + [
+            (run + more, ends) for run, broke in runs if not broke for more, ends in forks]
+    return runs
+
+
+def _loop_unit(source, limit=emulator._BLOCK_LIMIT):
+    """The function source of the loop unit of the program's one innermost loop."""
+    program = parse_program(source)
+    units = emulator._Units(program)
+    (header,) = units.loops
+    return emulator._source(units.layout(header, limit)[0])[0]
+
+
+def test_a_loop_pass_is_a_path_tree():
+    # WHILE_IF_ELSE's pass tests no pc; each way through it (the exit, a data fault, the
+    # else and the then iteration) appends its sites once and adds its cycles once
+    tree = ast.parse(_loop_unit(P.WHILE_IF_ELSE))
+    assert not [node for node in ast.walk(tree) if isinstance(node, ast.Compare)
+                and isinstance(node.left, ast.Name) and node.left.id == "pc"]
+    (loop,) = [node for node in ast.walk(tree) if isinstance(node, ast.While)]
+    adds = set()
+    for run, _ in _runs(loop.body):
+        appends = [node for node in run if isinstance(node, ast.Expr)
+                   and isinstance(node.value, ast.Call) and node.value.func.id == "sa"]
+        cycles = [node.value.value for node in run if isinstance(node, ast.AugAssign)
+                  and node.target.id == "cycle"]
+        assert len(appends) == len(cycles) == 1
+        adds.update(cycles)
+    assert sorted(adds) == [1, 3, 7, 8]
+    # past the bound, the blocks keep their address order and test pc
+    assert "if pc == addr" in _loop_unit(PAST_TREE_BOUND)
+    assert "if pc ==" not in _loop_unit(TWO_IF_ELSE) + _loop_unit(LONG_BLOCK_LOOP)
 
 
 def test_cases_cover_both_attack_triggers():
