@@ -21,9 +21,10 @@ would pass its bound runs its blocks in address order instead, a block
 testing pc only if an earlier block's jump can pass over it.  Any other
 entry pc (a loop's block entered past its header too) starts a unit of one
 block.  Units of one *shape*, equal but for addresses, immediates and site
-characters, share a code object and take those as parameter defaults.  Units of one instruction single-step a run while an
-attack's trigger is armed or an `observer` watches, and through the last
-pass before the cycle cap, so every cycle is exactly the interpreter's.
+characters, share a code object and take those as parameter defaults.
+Units of one instruction single-step a run while an attack's trigger is
+armed or an `observer` watches, and through the last pass before the cycle
+cap, so every cycle is exactly the interpreter's.
 Attack injection mutates writable state only (registers, link register, data
 memory); program text is immutable.
 """
@@ -358,7 +359,7 @@ class _Tree:
         self.left, self.reached = len(ops) + _BLOCK_LIMIT, set()
         for r in regions:
             pad = " " * 8
-            if any(to is not None and (to == 0 or to > r) for to in self.reached):
+            if any(to == 0 or to > r for to in self.reached):
                 self.lines.append(f"{pad}if pc == {self.param('addr', r)}:")
                 pad += "    "
             self.path(r, 0, (), pad)
@@ -386,7 +387,7 @@ class _Tree:
             fields = {"rd": f"r{rd}", "rs1": f"r{rs1}", "rs2": f"r{rs2}", "ra": "ra"}
             fields.update({f: self.param(p, i) for f, p in (("imm", "imm"), ("link", "next"))
                            if f"{{{f}}}" in template})
-            lines, on, i = template.split("\n"), i, None
+            lines, at, i = template.split("\n"), i, None
             for k, line in enumerate(lines):
                 text = line.lstrip()
                 indent = pad + line[:len(line) - len(text)]
@@ -395,18 +396,19 @@ class _Tree:
                     continue
                 step = sites
                 if kind is Kind.COND_BRANCH:
-                    step += ((on, int(text == "{target}")),)
+                    step += ((at, int(text == "{target}")),)
                 elif kind not in STRAIGHT_KINDS and kind is not Kind.HALT:
-                    step += ((on, 0),)
+                    step += ((at, 0),)
                 if text == "{leave}":
                     self.leaf(n, step, indent, "break")
                     continue
-                to = target if text == "{target}" else on + 1 if on + 1 < len(self.ops) else None
-                if to is None or to in self.regions:
+                to = target if text == "{target}" else at + 1 if at + 1 < len(self.ops) else None
+                if to is None:
+                    self.leaf(n, step, indent, f"pc = {self.param(text[1:-1], at)}", "break")
+                elif to in self.regions:  # in a tree, only the header, which pc holds still
                     self.reached.add(to)
-                    goto = () if to == 0 and len(self.regions) == 1 else (  # pc is the header
-                        f"pc = {self.param(text[1:-1], on)}",)
-                    self.leaf(n, step, indent, *goto, *("break",) * (to is None))
+                    goto = (f"pc = {self.param(text[1:-1], at)}",) if len(self.regions) > 1 else ()
+                    self.leaf(n, step, indent, *goto)
                 elif k == len(lines) - 1 and indent == pad:  # in tail position: walk on
                     i, sites = to, step
                 else:
@@ -450,6 +452,7 @@ class _Units:
     other, is one unit entered at Dest; any other pc control reaches (a block
     start, the entry point, an indirect target, a loop's block past Dest) starts
     a unit of one block.  At a block limit of 1 each instruction is a unit.
+    Each unit's code is a path tree from its entry (`_Tree`).
     """
 
     def __init__(self, program: Program):

@@ -2,8 +2,8 @@
 
 For each run: the compiled `run` records the same sites, targets, cycles,
 fault and observer stream as the interpreter in `emulator_oracle`, and leaves
-the same registers, link register and data memory, at every cycle cap; the per-cycle view of the trace equals what the observer saw
-as each cycle retired, so do the recorded branch columns, a JSONL round trip
+the same registers, link register and data memory, at every cycle cap; the
+per-cycle view of the trace equals what the observer saw as each cycle retired, so do the recorded branch columns, a JSONL round trip
 filters to the same branches,
 the loop monitor's walk marks loops exactly as the all-loops scan in
 `loop_oracle` (through `views.loop_marks`), and
@@ -185,9 +185,10 @@ LONG_BLOCK_LOOP = ("main:\n li r2, 2\nL:\n"
 TWO_IF_ELSE = ("main:\n li r2, 6\n li r8, 1\n li r9, 3\nL:\n beq r1, r2, E\n addi r1, r1, 1\n"
                " sub r3, r8, r3\n beq r3, r0, A\n addi r4, r4, 1\n j B0\nA:\n addi r5, r5, 1\nB0:\n"
                " blt r1, r9, B\n addi r6, r6, 2\n j N\nB:\n addi r7, r7, 3\nN:\n j L\nE:\n halt\n")
-PAST_TREE_BOUND = ("main:\n li r2, 4\n li r8, 1\nL:\n beq r1, r2, E\n addi r1, r1, 1\n sub r3, r8, r3\n"
-                   + "".join(f" beq r3, r0, F{k}\n addi r{4 + k % 4}, r{4 + k % 4}, {k + 1}\nF{k}:\n"
-                             for k in range(8)) + " j L\nE:\n halt\n")
+PAST_TREE_BOUND = ("main:\n li r2, 4\n li r8, 1\nL:\n beq r1, r2, E\n addi r1, r1, 1\n"
+                   " sub r3, r8, r3\n" + "".join(f" beq r3, r0, F{k}\n addi r{4 + k % 4}, "
+                                                  f"r{4 + k % 4}, {k + 1}\nF{k}:\n" for k in range(8))
+                   + " j L\nE:\n halt\n")
 
 HAND_CASES = {
     # jr into the middle of a straight-line block, and into the middle of a loop's block
