@@ -20,7 +20,7 @@ import os
 import re
 import struct
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Mapping, Optional
 
@@ -391,6 +391,7 @@ PATH_UNVERIFIABLE = "unverifiable"
 PATH_INVALID = "invalid"
 
 _DECODE_STEP_CAP = 4096
+_DECODE_MEMO_CAP = 4096  # decode statuses a program's Cfg keeps
 _DECODE_RANK = {PATH_INVALID: 0, PATH_UNVERIFIABLE: 1,
                 PATH_VALID_EXIT: 2, PATH_VALID_CYCLE: 2}
 _ENTRY, _HALT = "e", "h"  # stop kinds besides the site kinds: a static loop entry, the halt
@@ -406,9 +407,11 @@ class Cfg:
     stop: a control transfer (the kind of its first site, '0' for a conditional, and
     the Dest of its last), the halt, a static loop entry or program.end.  A transfer
     or the halt is its own stop; before an `_ENTRY` stop k leaves it out.
+    `decoded`: (loop entry, target table, path bits, n) -> `decode_loop_path`'s status.
     """
     loops: Mapping[int, int]
     stops: Mapping[int, tuple[int, Optional[int], str, Optional[int]]]
+    decoded: dict = field(default_factory=dict, compare=False, repr=False)
 
 
 def build_cfg(program: Program) -> Cfg:
@@ -434,6 +437,22 @@ def build_cfg(program: Program) -> Cfg:
 def decode_loop_path(session: LoopSession, pid: PathId, cfg: Cfg, n: int = 4) -> str:
     """Structurally decode one loop path against the program's static table.
 
+    The status depends only on the loop entry, the session's target table, the
+    path bits and n, so each distinct one is walked once (`_walk`) and kept in
+    `cfg.decoded`, up to `_DECODE_MEMO_CAP` of them per program.
+    """
+    key = (session.loop_entry, tuple(session.indirect_targets), pid.bits, n)
+    status = cfg.decoded.get(key)
+    if status is None:
+        status = _walk(session.loop_entry, session.indirect_targets, pid.bits, cfg, n)
+        if len(cfg.decoded) < _DECODE_MEMO_CAP:
+            cfg.decoded[key] = status
+    return status
+
+
+def _walk(entry: int, targets: list[int], bits: str, cfg: Cfg, n: int) -> str:
+    """The structural walk of one loop path, from its loop's entry.
+
     Replays the bit-contribution rules as a walk from the session's loop
     entry; indirect codes resolve through the session's target table.  A
     valid path either cycles back to the entry or leaves the loop body.
@@ -450,10 +469,9 @@ def decode_loop_path(session: LoopSession, pid: PathId, cfg: Cfg, n: int = 4) ->
     step budget, so a path past thousands of inner loops needs no recursion.
     """
     entries, stops = cfg.loops, cfg.stops
-    if session.loop_entry not in entries:
+    if entry not in entries:
         return PATH_UNVERIFIABLE  # e.g. recursion sessions: no static backedge
-    entry, body_end = session.loop_entry, entries[session.loop_entry]
-    bits, targets = pid.bits, session.indirect_targets
+    body_end = entries[entry]
     nbits, budget, result = len(bits), _DECODE_STEP_CAP, PATH_INVALID
     # walks still to try, depth first: (addr, i, call_stack, started, no_skip_at)
     todo: list[tuple[int, int, tuple[int, ...], bool, Optional[int]]] = []

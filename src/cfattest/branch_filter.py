@@ -10,8 +10,11 @@ heuristic), so the first traversal of a loop is attributed like later ones
 and A does not depend on the iteration count, and the entries of direct
 recursion.  Its table of loop bodies (`_Loops`) gives the loops enclosing
 an address, so the loop monitor's walk (`LoopMonitor.process`) costs no
-more per branch as the number of loops grows.  Prover and verifier share
-this code.
+more per branch as the number of loops grows.  Discovery finds the static
+backedges with one `in` scan per backward site, and the call, return and
+indirect-jump branches with `str.find`, one walk per such site, their
+positions sorted once: a fast C search, where a regex character class is
+matched one character at a time.  Prover and verifier share this code.
 
 A loop context is **flat** when no other discovered loop entry lies in its
 body [entry, backedge], the body holds no call, return or indirect transfer,
@@ -54,21 +57,33 @@ def filter_trace(trace: Trace) -> Branches:
     return trace.branches
 
 
+def _positions(sites: str, chars: str) -> list[int]:
+    """Where any of `chars` occurs in `sites`, ascending: one `str.find` walk per character."""
+    found = []
+    for c in chars:
+        i = sites.find(c)
+        while i >= 0:
+            found.append(i)
+            i = sites.find(c, i + 1)
+    found.sort()
+    return found
+
+
 def _discover_loops(b: Branches) -> tuple[dict[int, int], dict[int, int]]:
     """First pass: entry -> largest backedge src, plus direct-recursion entries."""
-    site, target_at = b.table.site, b.target_at
+    site, sites, target_at = b.table.site, b.sites, b.target_at
     # backward non-call, non-return branches: the static backedges by site (one fast scan
     # each), indirect jumps by target below
-    backward = {(dest, src) for c, (src, dest) in b.table.backward.items() if c in b.sites}
+    backward = {(dest, src) for c, (src, dest) in b.table.backward.items() if c in sites}
     recursive: dict[int, int] = {}
     call_targets: list[int] = []
     open_calls: dict[int, int] = {}  # call_targets as counts
-    transfers = derived(b.table, "transfers", lambda: char_class(
+    transfers = derived(b.table, "transfers", lambda: "".join(
         c for c, (_, _, kind) in b.table.site.items() if kind in _CALL_OR_RETURN + INDIRECT_JUMP))
-    for m in transfers.finditer(b.sites) if transfers else ():
-        src, dest, kind = site[m.group()]
+    for i in _positions(sites, transfers):
+        src, dest, kind = site[sites[i]]
         if dest is None:
-            dest = target_at[m.start()]
+            dest = target_at[i]
         if kind == INDIRECT_JUMP:
             if dest < src:
                 backward.add((dest, src))

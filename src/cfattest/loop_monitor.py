@@ -21,12 +21,28 @@ sites, translated to bits (`site_bits`), extend the path, and its pairs stay
 an index range until they are hashed.  A flat session (see `branch_filter`)
 is one step of the walk, with no context.  If its iterations (up to the last
 re-entering site) are the first one repeated, it is that path, counted, plus
-its tail; else its pieces are counted in first-occurrence order in one C
-pass.  A traversal past the path width is hashed at every occurrence.  Per
-path width, a program keeps a table from a flat traversal's sites to its bits
-and pairs: at most 2^path_width entries a flat loop, the bound of LO-FAT's
-path-indexed counters (`memory_bits`).  One `PathId` stands for each distinct
-path of a `process` call.
+its tail.  Else its iterations are counted against the traversals its loop
+has taken before, as LO-FAT bumps the counter of an iteration's path: with
+the re-entering site doubled, each iteration lies between two copies of it,
+so one `str.count` and one `str.find` per known traversal give its count and
+first position, until the counts cover every iteration.  The session is
+instead split at the re-entering site, and its pieces counted in
+first-occurrence order in one C pass, when the known traversals do not cover
+its iterations (a new path, a traversal that is only the re-entering site,
+or one past the width), outnumber them, or would take more scanning than a
+split costs (`_SCAN_BUDGET`); its new traversals then become known.  The rule
+reads only the session and the table, and both ways give the same stream and
+paths, so A and L do not depend on what the tables hold.  A traversal past
+the path width is hashed at every occurrence.
+
+Per path width, a program keeps a table from a flat traversal's sites to its
+bits and pairs, and, per flat loop (keyed by its re-entering site), the
+traversals it has taken that fit the width and hold more than that site, in
+first-seen order.  Each known traversal is in the table, so both hold at most
+2^path_width entries a flat loop, the bound of LO-FAT's path-indexed counters
+(`memory_bits`); a loop stops learning traversals once it knows
+`_SCAN_BUDGET // 2`, which never fit the budget.  One `PathId` stands for
+each distinct path of a `process` call.
 """
 from __future__ import annotations
 
@@ -42,6 +58,9 @@ FAULT_MARKER_ENTRY = 0xFFFF_FFFF
 PARENT_NONE = 0xFFFF_FFFF
 DEFAULT_MAX_DEPTH = 3
 _LINKING = CALL + INDIRECT_CALL
+# characters per iteration the scans for known traversals may read: splitting a session
+# and counting its pieces costs about as much
+_SCAN_BUDGET = 32
 
 
 @dataclass(frozen=True)
@@ -265,14 +284,21 @@ class LoopMonitor:
             paths, overflow = [(self._path_id(path), n + (last == path))], False
             if tail and last != path:
                 paths.append((self._path_id(last), 1))
-        else:  # the complete iterations, less `site`, counted in one C pass, then the tail
-            pieces = sites.split(site)
-            tail = pieces.pop()
-            runs: dict[str, int] = {}
-            _count_elements(runs, pieces)  # Counter's C loop, without its set-up per call
-            wide = max(map(len, runs), default=0) >= width  # a piece and `site` exceed it
-            traversals = [(piece + site, 1) for piece in pieces] if wide else [
-                (piece + site, count) for piece, count in runs.items()]
+        else:  # the complete iterations, each traversal counted, then the tail
+            traversals = self._count_known(site, sites)
+            if traversals is None:  # split and counted in one C pass, less `site`
+                pieces = sites.split(site)
+                pieces.pop()  # the tail
+                runs: dict[str, int] = {}
+                _count_elements(runs, pieces)  # Counter's C loop, without its set-up per call
+                known = self._known.setdefault(site, {})
+                if 2 * len(known) < _SCAN_BUDGET:  # past that, `_count_known` never scans
+                    for piece in runs:
+                        if piece not in known and piece and len(piece) < width:
+                            known[piece] = site + piece + site
+                wide = max(map(len, runs), default=0) >= width  # a piece and `site` exceed it
+                traversals = [(piece + site, 1) for piece in pieces] if wide else [
+                    (piece + site, count) for piece, count in runs.items()]
             counts, overflow = {}, False
             for traversal, count in traversals + [(tail, 1)] if tail else traversals:
                 if len(traversal) > width:  # in order, hashed at every occurrence
@@ -286,6 +312,31 @@ class LoopMonitor:
                 counts[path] = seen + count
             paths = [(self._path_id(path), c) for path, c in counts.items()]
         self.sessions.append(LoopSession(entry, depth, self._stack[-1].index, paths, [], overflow))
+
+    def _count_known(self, site: str, sites: str) -> Optional[list[tuple[str, int]]]:
+        """A flat session's complete iterations as (traversal, count), in first-position order,
+        counted against its loop's known traversals; None unless they cover every iteration,
+        number no more than the iterations and fit the scan budget."""
+        known = self._known.get(site)
+        # each iteration takes at least two characters of `scan` (its own `site` and the
+        # copy), so this many traversals always exceed the budget
+        if not known or 2 * len(known) >= _SCAN_BUDGET:
+            return None
+        # with `site` doubled, each iteration sits between two copies of its own
+        scan, found = (site + sites).replace(site, site + site), []
+        left = len(scan) - len(sites) - 2  # iterations: len(scan) is len(sites) + 2 + iterations
+        if len(known) > left or len(known) * len(scan) > _SCAN_BUDGET * left:
+            return None
+        for pattern in known.values():
+            at = scan.find(pattern)
+            if at >= 0:
+                count = scan.count(pattern, at)
+                found.append((at, pattern, count))
+                left -= count
+                if not left:
+                    found.sort()
+                    return [(pattern[1:], count) for _, pattern, count in found]
+        return None
 
     def _traversal(self, sites: str) -> tuple[str, tuple[tuple[int, int], ...]]:
         """A flat traversal that fits the width: its path bits and pairs, now in the table."""
@@ -307,6 +358,7 @@ class LoopMonitor:
         self._branches, self._sites, self._target_at = b, b.sites, b.target_at
         self._pair, self._bits = b.table.pair.__getitem__, site_bits(b.table)
         self._paths = derived(b.table, ("flat paths", self.config.path_width), dict)
+        self._known = derived(b.table, ("flat traversals", self.config.path_width), dict)
         self._path_id, self._pos = _PathIds().__getitem__, 0
         loops, flat, exits = enclosing.loops, enclosing.flat, enclosing.exit
         max_depth = self.config.max_depth

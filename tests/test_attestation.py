@@ -582,6 +582,28 @@ class TestStructuralDecode:
         assert len(report.path.sessions) == 2 * inner + 1
         assert verify(report, ch, KEY[1], p).accepted
 
+    def test_a_repeated_path_is_walked_once(self, monkeypatch):
+        # a signed report whose one session at the outer loop's entry holds 10,000 copies
+        # of a path whose walk runs out of steps: one walk gives every copy its status
+        source = P.loops_in_one_loop(20)
+        p = P.prog(source, "ll")
+        ch = fresh(p, [])
+        session = LoopSession(P.label_addr(p, source, "outer"), 1, None,
+                              [(PathId("0" * 40), 1)] * 10_000, [])
+        path = ProgramPath(measure(run(p, [])).authenticator, (session,))
+        h = program_hash(p)
+        signed = Report(p.id, h, path, ch.nonce, sign(h + canonical_serialize(path, ch.nonce),
+                                                      KEY[0]))
+        calls, walks = [], []
+        for name, log in (("decode_loop_path", calls), ("_walk", walks)):
+            real = getattr(att, name)
+            monkeypatch.setattr(att, name, lambda *a, _real=real, _log=log: _log.append(1)
+                                or _real(*a))
+        report = Report.from_json(json.loads(json.dumps(signed.to_json())))
+        assert verify(report, ch, KEY[1], p).reason == METADATA_MISMATCH
+        assert (len(calls), len(walks)) == (10_000, 1)
+        assert att._walk(session.loop_entry, [], "0" * 40, build_cfg(p), 4) == PATH_UNVERIFIABLE
+
     def test_honest_measurements_decode(self):
         for src, inp in [(P.WHILE_IF_ELSE, [4, 0, 1, 1, 0]),
                          (P.NESTED_2, [2, 3]),

@@ -159,16 +159,41 @@ class TestProgramFile:
 
 # sha256 over the canonical bytes of every program source in tests/programs.py (by name)
 # and of genprog seeds 0-299, each followed by a NUL byte
-PROGRAM_BYTES_SHA256 = "a57e6c0d6f29fdf5ca5fbfbd4a0576696d280883fa02a3f957be3bfc2078f013"
+# sha256 of each named program's canonical bytes; a new program only adds an entry
+PROGRAM_BYTES_SHA256 = {
+    "AUTH_THEN_WORK": "8f18fbf02ec1f6e6f7628d4987c57c49e604e2473c0a615c7769ab3c0a5ceea2",
+    "BACKWARD_EXIT": "581e5580ef3c3dc1a90c152f422d30688ec5d89f7e28d6d86b65b37e08e7851c",
+    "CALL_IN_LOOP": "c64cdd5bc606a1afa18ef176c8c267367f086f7f19c3bdaddfc33ca54854953e",
+    "CONTINUE_LOOP": "320d27df38bf0133113f897852f174180033644f45ba946499d0c2af327c7e79",
+    "DISPATCH_LOOP": "b6ca6be0638c278e9e2cf2dec47cb0f33db108047d2c8c89a379614fa7f9274e",
+    "ENTERED_PAST_OVERLAP": "8c3c113db56b4db2c07cdb953a6d38e7c64515079ca86b932500e6c54e4aa951",
+    "EXIT_ONTO_ENTRY": "99840895e263976fbaeb9311e765072d31efb74f400b22076f2492ccf667219e",
+    "FAULT_IN_LOOP": "990b9000112b9fb28c0e547ef7ab0bfbd182df9b06d69348a81b43669cdedf37",
+    "FAULT_MID_PASS": "3f59336043c83667b5a37531a1e1da8dd098029caaaf8ec85508deff754c7101",
+    "HALT_IN_LOOP": "97ae65955d5f4f3d84d6f2f5532083a31efafadc4177c0d616c91d8b566d8e04",
+    "INDIRECT_BACKEDGE": "f50a422efbfc4948d65c7e938cbf30633354ca645f3a871917be54db30c98df5",
+    "LONG_AND_SHORT_PATHS": "f415f01e697a59b56b8e49570723e90ff73df41f15f746f6df61d9dcc529ee54",
+    "NESTED_2": "514f01e6c8741c691c8a039e823fedf9a8560df4117624fa06b5b94ea7f0ffeb",
+    "NESTED_4": "3d69902169a6d74aaec135668fdd97dade18044e88ee77d257dbe3a7211e9da2",
+    "RECURSION_AROUND_LOOP": "3cbee60a55611c047d8276a6b931a7554d4053942691e02493866a059165411b",
+    "RECURSION_RETURNS": "7000e1307ca3d34acd2a4019a365d92cb790bd27b416df407fd790ecd5b29c36",
+    "RECURSIVE": "ff93c8c4c6f1fd0884b9e9d3947abac6a18fd658e878d7bbdd12ddabc2ff9ac5",
+    "STRAIGHT_LINE": "e5eca059a037d3a2e0f1e63c14ce46964113ea9507c37a7222471f256163b217",
+    "WHILE_IF_ELSE": "eedb283b301abd009d02ac9796633f33f7c52128f46304cf05ed281feb105570",
+}
+GENPROG_BYTES_SHA256 = "e3b1500b692baf8f3268bdb8b5985eb696fb550bd3674a86b1d3c0fbc9a22380"  # seeds 0-299
 
 
 def test_assembled_program_bytes_are_pinned():
+    named = {n: v for n, v in vars(P).items() if n.isupper() and isinstance(v, str)}
+    assert named.keys() == PROGRAM_BYTES_SHA256.keys(), "pin each named program"
+    for name, source in named.items():
+        digest = hashlib.sha256(parse_program(source, program_id=name.lower()).canonical_bytes())
+        assert digest.hexdigest() == PROGRAM_BYTES_SHA256[name], name
     h = hashlib.sha256()
-    for name in sorted(n for n, v in vars(P).items() if n.isupper() and isinstance(v, str)):
-        h.update(parse_program(getattr(P, name), program_id=name.lower()).canonical_bytes() + b"\0")
     for seed in range(300):
         h.update(gen_program(random.Random(seed), f"g{seed}").canonical_bytes() + b"\0")
-    assert h.hexdigest() == PROGRAM_BYTES_SHA256
+    assert h.hexdigest() == GENPROG_BYTES_SHA256
 
 
 def edge(src, dest, kind):

@@ -11,6 +11,7 @@ the loop monitor's walk marks loops exactly as the all-loops scan in
 that scan.
 """
 import ast
+import dataclasses
 import random
 from pathlib import Path
 
@@ -465,45 +466,191 @@ def test_measure_matches_per_item_monitor(name, config):
     assert measure(trace, MONITOR_CONFIGS[config]) == oracle_measure(trace, MONITOR_CONFIGS[config])
 
 
-_WHILE = P.prog(P.WHILE_IF_ELSE, "w")
-_SEQUENTIAL = {k: P.prog(P.sequential_loops(k), f"seq{k}") for k in range(1, 7)}
+def _warming_runs(program, inp, attack):
+    """Other inputs and attacked runs of the program, measured to fill its tables."""
+    cycles = run(program, inp, attack).cycles
+    others = [([w + 1 for w in inp], None), ([w // 2 for w in inp], None), (inp, None)]
+    others += [(inp, AttackSpec(kind, {"cycle": cycles * k // 4}, {"reg": reg, "value": value}))
+               for k, (kind, reg, value) in enumerate([("corrupt-loop-counter", 1, 0),
+                                                        ("corrupt-decision-var", 3, 1),
+                                                        ("corrupt-code-pointer", "ra", 0x104)], 1)]
+    for other, other_attack in others:
+        try:
+            yield run(program, other, other_attack, cycle_cap=4 * cycles + 1000)
+        except CycleLimitExceeded:
+            pass
+
+
+@pytest.mark.parametrize("config", sorted(MONITOR_CONFIGS))
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_measure_does_not_depend_on_the_tables(name, config):
+    program, inp, attack = CASES[name]
+    config = MONITOR_CONFIGS[config]
+    fresh, warm = dataclasses.replace(program), dataclasses.replace(program)
+    for trace in _warming_runs(warm, inp, attack):
+        measure(trace, config)
+    trace = run(program, inp, attack)
+    assert measure(run(fresh, inp, attack), config) == measure(run(warm, inp, attack), config) \
+        == oracle_measure(trace, config)
+
+
 # flat loops entered by an arrival branch or past their entry, left by a traversal
 # longer than the others, or whose session runs to the end of the trace
-_FLAT_EDGE_INPUTS = {"exit-onto-entry": st.integers(1, 5).map(lambda k: [k]),
-                     "jump-into-loop": st.integers(1, 5).map(lambda k: [k]),
-                     "long-exit": st.integers(0, 5).map(lambda k: [k]),
-                     "halt-in-loop": st.integers(1, 20).map(lambda k: [k]),
-                     "fault-in-loop": st.just([])}
+_FLAT_EDGE_INPUTS = {"exit-onto-entry": (P.EXIT_ONTO_ENTRY, st.integers(1, 5).map(lambda k: [k])),
+                     "jump-into-loop": (JUMP_INTO_LOOP, st.integers(1, 5).map(lambda k: [k])),
+                     "long-exit": (LONG_EXIT, st.integers(0, 5).map(lambda k: [k])),
+                     "halt-in-loop": (P.HALT_IN_LOOP, st.integers(1, 20).map(lambda k: [k])),
+                     "fault-in-loop": (P.FAULT_IN_LOOP, st.just([]))}
 
 
 @st.composite
 def _flat_runs(draw):
-    """A program of flat loops and an input: the loops take one path, or several."""
+    """A program of flat loops, a warming input and an input: the loops take one path, or
+    several."""
     family = draw(st.sampled_from(["while_if_else", "sequential", "edge"]))
     if family == "while_if_else":
-        n, c = draw(st.integers(0, 64)), draw(st.integers(0, 1))
-        shape = draw(st.sampled_from(["constant", "one flip", "alternating", "random"]))
-        selectors = [(c + i) % 2 if shape == "alternating" else c for i in range(n)]
-        if shape == "one flip" and n:  # the one-path check fails at the flip, the last one too
-            selectors[draw(st.just(n - 1) | st.integers(0, n - 1))] ^= 1
-        elif shape == "random":
-            selectors = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
-        return _WHILE, [n] + selectors
+        def inputs():
+            n, c = draw(st.integers(0, 64)), draw(st.integers(0, 1))
+            shape = draw(st.sampled_from(["constant", "one flip", "alternating", "random"]))
+            selectors = [(c + i) % 2 if shape == "alternating" else c for i in range(n)]
+            if shape == "one flip" and n:  # the one-path check fails at the flip, the last one too
+                selectors[draw(st.just(n - 1) | st.integers(0, n - 1))] ^= 1
+            elif shape == "random":
+                selectors = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+            return [n] + selectors
+        return P.WHILE_IF_ELSE, inputs(), inputs()
     if family == "sequential":
-        bounds = draw(st.lists(st.integers(0, 20), min_size=1, max_size=len(_SEQUENTIAL)))
-        return _SEQUENTIAL[len(bounds)], bounds
-    name = draw(st.sampled_from(sorted(_FLAT_EDGE_INPUTS)))
-    return CASES[name][0], draw(_FLAT_EDGE_INPUTS[name])
+        k = draw(st.integers(1, 6))
+        bounds = st.lists(st.integers(0, 20), min_size=k, max_size=k)
+        return P.sequential_loops(k), draw(bounds), draw(bounds)
+    source, inputs = _FLAT_EDGE_INPUTS[draw(st.sampled_from(sorted(_FLAT_EDGE_INPUTS)))]
+    return source, draw(inputs), draw(inputs)
 
 
 @settings(max_examples=300, deadline=None)
 @given(_flat_runs())
-@example((_WHILE, [5, 0, 0, 0, 0, 1]))  # the last iteration, shorter, leaves the one path
-@example((_WHILE, [5, 1, 1, 1, 1, 0]))
+# the last iteration, shorter, leaves the one path
+@example((P.WHILE_IF_ELSE, [3, 0, 1, 0], [5, 0, 0, 0, 0, 1]))
+@example((P.WHILE_IF_ELSE, [3, 0, 1, 0], [5, 1, 1, 1, 1, 0]))
 def test_flat_sessions_match_per_item_monitor(case):
-    trace = run(*case)
+    source, warm, inp = case  # each example fills the tables of its own program
+    program = parse_program(source, "flat")
+    trace = run(program, inp)
     for config in MONITOR_CONFIGS.values():
+        measure(run(program, warm), config)
         assert measure(trace, config) == oracle_measure(trace, config)
+
+
+# a flat loop whose input word i (i >= 1) picks iteration i's path: 0, 1, or 2 and above
+THREE_PATH_LOOP = """
+main:
+    ld r2, [r0+0]
+    li r8, 2
+L:
+    beq r1, r2, E
+    addi r1, r1, 1
+    ld r3, [r1+0]
+    beq r3, r0, A
+    addi r4, r4, 1
+A:
+    blt r3, r8, B
+    addi r5, r5, 1
+B:
+    j L
+E:
+    halt
+"""
+
+# a flat loop of eight paths: pass i reads input words 3i-2 to 3i, one if-then each
+EIGHT_PATH_LOOP = """
+main:
+    ld r2, [r0+0]
+L:
+    beq r1, r2, E
+    addi r1, r1, 1
+    addi r9, r9, 3
+    ld r3, [r9-2]
+    beq r3, r0, F0
+    addi r4, r4, 1
+F0:
+    ld r3, [r9-1]
+    beq r3, r0, F1
+    addi r4, r4, 1
+F1:
+    ld r3, [r9+0]
+    beq r3, r0, F2
+    addi r4, r4, 1
+F2:
+    j L
+E:
+    halt
+"""
+
+# inputs measured in turn on one program, and whether each one's flat session is counted
+# against the known traversals at the default width
+WARM_SCENARIOS = {
+    # the table lacks the third path, then knows it
+    "lacks-a-path": (THREE_PATH_LOOP, [([4, 0, 1, 0, 1], False), ([4, 0, 1, 2, 0], False),
+                                       ([5, 2, 0, 1, 2, 1], True)]),
+    "more-known-than-iterations": (THREE_PATH_LOOP, [([3, 0, 1, 2], False), ([2, 0, 1], False),
+                                                     ([4, 2, 1, 0, 1], True), ([1, 2], False)]),
+    # each session's first traversal is only the re-entering site
+    "jump-into-loop": (JUMP_INTO_LOOP, [([3], False), ([2], False), ([5], False)]),
+    # eight traversals of five sites: scanning for them costs more than a split
+    "past-the-scan-budget": (EIGHT_PATH_LOOP, [([8] + [k >> b & 1 for k in range(8) for b in (2, 1, 0)],
+                                                False), ([4] + [0, 1, 1] * 4, False),
+                                               ([9] + [1, 0, 0, 0, 1, 1] * 4 + [1, 1, 1], False)]),
+    "while-if-else": (P.WHILE_IF_ELSE, [([6, 0, 1, 1, 0, 1, 0], False), ([5, 1, 1, 0, 0, 1], True),
+                                        ([3, 1, 1, 1], False)]),
+}
+
+
+def _counting(monkeypatch):
+    """Whether each `_count_known` call counted its session, in call order."""
+    counted, count_known = [], LoopMonitor._count_known
+
+    def spy(self, site, sites):
+        found = count_known(self, site, sites)
+        counted.append(found is not None)
+        return found
+
+    monkeypatch.setattr(LoopMonitor, "_count_known", spy)
+    return counted
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 4, 16])
+@pytest.mark.parametrize("name", sorted(WARM_SCENARIOS))
+def test_flat_sessions_on_a_warm_table(name, width, monkeypatch):
+    source, inputs = WARM_SCENARIOS[name]
+    config, warm = MonitorConfig(n=1, path_width=width), parse_program(source, name)
+    counted, took = _counting(monkeypatch), []
+    for inp, _ in inputs:
+        trace, calls = run(warm, inp), len(counted)
+        path = measure(trace, config)
+        took.append(any(counted[calls:]))
+        assert path == measure(run(parse_program(source, name), inp), config) \
+            == oracle_measure(trace, config)
+    if width == 16:
+        assert took == [expected for _, expected in inputs]
+    known = warm.sites.derived[("flat traversals", width)]
+    # only traversals that fit the width and hold more than the re-entering site
+    assert all(pattern == site + piece + site and piece and len(piece) < width
+               and site not in piece for site, pieces in known.items()
+               for piece, pattern in pieces.items())
+    assert any(known.values()) or width < 16
+
+
+def test_a_tail_past_the_width_is_hashed_once(monkeypatch):
+    # at width 4 LONG_EXIT's iterations fit and its exit traversal does not: the one-path
+    # step fails, and once the iteration is known the session is counted with that tail
+    config, program = MonitorConfig(n=1, path_width=4), parse_program(LONG_EXIT, "le")
+    counted = _counting(monkeypatch)
+    for inp in ([3], [4], [2]):
+        trace = run(program, inp)
+        path = measure(trace, config)
+        assert path == oracle_measure(trace, config)
+        assert path.sessions[0].path_overflow
+    assert counted == [False, True, True]
 
 
 @pytest.mark.parametrize("config", ["n1-w4", "n2-w3"])
