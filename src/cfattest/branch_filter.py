@@ -22,13 +22,16 @@ and exactly one of its sites re-enters the entry.  Opened with every other
 loop enclosing its entry open, it is a flat session: control stays in it up
 to the first branch whose static destination leaves the body, and that exit
 branch closes it.  Flat bodies never overlap, so one character class per loop
-set (`_Loops.exit`) finds the exit in the site string.  The loop monitor takes
-the session, exit branch included, in one step with no loop context, and then
-resumes its walk at the exit branch, in the enclosing context.
+set (`_Loops.exit`) finds the exit in the site string; for a flat loop with
+one exit site, the usual case, a one-character `str.find` does.  The loop
+monitor takes the session, exit branch included, in one step with no loop
+context, and then resumes its walk at the exit branch, in the enclosing
+context.
 """
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from typing import Optional
 
 from .isa import CALL, INDIRECT_CALL, INDIRECT_JUMP, JUMP, RETURN, TAKEN, Sites, char_class
 from .emulator import Branches, Trace
@@ -103,8 +106,9 @@ class _Loops(dict):
     The body boundaries cut the address space into segments that each have
     one set of enclosing loops; the first lookup of an address bisects them,
     later ones are a dict hit.  `flat` maps each flat loop's entry to its
-    re-entering site and the other loops enclosing that entry.  A program's
-    table keeps the last one, for the next run that discovers the same loops.
+    re-entering site, the other loops enclosing that entry and its exit site if
+    it has only one.  A program's table keeps the last one, for the next run
+    that discovers the same loops.
     """
 
     def __init__(self, loops: dict[int, int], table: Sites):
@@ -124,7 +128,7 @@ class _Loops(dict):
         # The flat bodies are disjoint (one holding another's entry is not flat), so a site
         # lies in at most one, and one class of the sites that leave their flat body finds
         # the exit of whichever is innermost.  A body's sites are a range of site numbers.
-        self.flat: dict[int, tuple[str, tuple[int, ...]]] = {}
+        self.flat: dict[int, tuple[str, tuple[int, ...], Optional[str]]] = {}
         exits = []
         for k, (lo, hi) in enumerate(loops.items(), 1):
             if k < len(self.entries) and self.entries[k] <= hi:
@@ -135,8 +139,10 @@ class _Loops(dict):
                 continue
             re_enter = [c for c, dest, _ in body if dest == lo]
             if len(re_enter) == 1:
-                self.flat[lo] = (re_enter[0], tuple(e for e in self[lo] if e != lo))
-                exits += (c for c, dest, _ in body if not lo <= dest <= hi)
+                leave = [c for c, dest, _ in body if not lo <= dest <= hi]
+                self.flat[lo] = (re_enter[0], tuple(e for e in self[lo] if e != lo),
+                                 leave[0] if len(leave) == 1 else None)
+                exits += leave
         self.exit = char_class(exits)  # None if no flat body can be left
 
     def __missing__(self, addr: int) -> tuple[int, ...]:

@@ -43,13 +43,26 @@ first-seen order.  Each known traversal is in the table, so both hold at most
 (`memory_bits`); a loop stops learning traversals once it knows
 `_SCAN_BUDGET // 2`, which never fit the budget.  One `PathId` stands for
 each distinct path of a `process` call.
+
+Each flat session is measured once per program and path width.  A third
+table, the session memo, maps a session's sites (exit branch included) to
+what it adds: its stream pairs, its paths as (bits, count) and its overflow
+flag.  A session the program has measured before costs one lookup; depth,
+parent and PathIds are applied per call, the PathIds once per distinct list
+of paths in the call (an inner loop that runs the same count on each pass
+of an outer one repeats it).  What a flat session adds depends only on its
+sites and the path width: its body holds no indirect transfer, so no target
+code, and both ways of counting give the same stream and paths.  So A and L
+do not depend on what the memo holds.  It takes sessions while its keys,
+each counted as `_MEMO_ENTRY` characters more, fit in `_MEMO_CHARS`.  The
+three tables of one width are one `Sites.derived` entry.
 """
 from __future__ import annotations
 
 from collections import _count_elements
 from dataclasses import dataclass
 from math import inf
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .branch_filter import INDIRECT, derived, site_bits
 from .isa import CALL, INDIRECT_CALL, RETURN
@@ -61,6 +74,10 @@ _LINKING = CALL + INDIRECT_CALL
 # characters per iteration the scans for known traversals may read: splitting a session
 # and counting its pieces costs about as much
 _SCAN_BUDGET = 32
+# the characters a program's session memo may hold per path width, each session's key
+# counted as `_MEMO_ENTRY` characters more
+_MEMO_CHARS = 1 << 22
+_MEMO_ENTRY = 256
 
 
 @dataclass(frozen=True)
@@ -155,6 +172,15 @@ class _PathIds(dict):
     def __missing__(self, bits: str) -> PathId:
         pid = self[bits] = PathId(bits)
         return pid
+
+
+class _FlatTables(NamedTuple):
+    """A program's tables for flat sessions at one path width (`Sites.derived`)."""
+    bits: str                         # `site_bits`
+    paths: dict[str, tuple]           # traversal sites -> (bits, pairs)
+    known: dict[str, dict[str, str]]  # re-entering site -> {piece: scan pattern}
+    memo: dict[str, tuple]            # session sites -> (pairs, paths as (bits, count), overflow)
+    room: list[int]                   # [characters the memo may still take]
 
 
 class _Context:
@@ -267,23 +293,40 @@ class LoopMonitor:
               within: int, degraded: bool) -> None:
         """Add entry's flat session, branches start..end-1 opened at `branch` at call depth
         `within`, to L at `depth`: its iterations end with `site`; a degraded one is hashed."""
-        self._run(start)
+        if start != self._pos:
+            self._run(start)
         self._pos = end
         if degraded:
             return self._hash(start, end)
         sites = self._sites[start:end]
+        found = self._memo.get(sites) or self._measure_flat(site, sites)
+        self.stream.extend(found[0])
+        paths = self._flat_paths.get(found[1])
+        if paths is None:  # first in this call: through the call's PathIds
+            path_id, paths = self._path_id, []
+            for bits, count in found[1]:
+                paths.append((path_id(bits), count))
+            self._flat_paths[found[1]] = paths
+        self.sessions.append(LoopSession(entry, depth, self._stack[-1].index, paths[:], [],
+                                         found[2]))
+
+    def _measure_flat(self, site: str, sites: str) -> tuple:
+        """What a flat session not measured before adds: its stream pairs, its paths as (bits,
+        count) and its overflow flag, put in the memo while it has room."""
         k, done = sites.find(site) + 1, sites.rfind(site) + 1  # first and last iteration end
-        first, width, stream, table = sites[:k], self.config.path_width, self.stream, self._paths
+        first, width, table = sites[:k], self.config.path_width, self._paths
         n = done // k if k and not done % k and (done == k or sites.startswith(first, k)) else 0
         tail = sites[done:]
         if n and max(k, len(tail)) <= width and sites.startswith(first * n):
             # all n complete iterations take the first one's path: (first, n) and the tail
             path, pairs = table.get(first) or self._traversal(first)
             last, tail_pairs = table.get(tail) or self._traversal(tail)
-            stream.extend(pairs if last == path else pairs + tail_pairs)
-            paths, overflow = [(self._path_id(path), n + (last == path))], False
-            if tail and last != path:
-                paths.append((self._path_id(last), 1))
+            if last == path:
+                found = pairs, ((path, n + 1),), False
+            elif tail:
+                found = pairs + tail_pairs, ((path, n), (last, 1)), False
+            else:  # the trace ended at a re-entering site
+                found = pairs, ((path, n),), False
         else:  # the complete iterations, each traversal counted, then the tail
             traversals = self._count_known(site, sites)
             if traversals is None:  # split and counted in one C pass, less `site`
@@ -299,7 +342,7 @@ class LoopMonitor:
                 wide = max(map(len, runs), default=0) >= width  # a piece and `site` exceed it
                 traversals = [(piece + site, 1) for piece in pieces] if wide else [
                     (piece + site, count) for piece, count in runs.items()]
-            counts, overflow = {}, False
+            stream, counts, overflow = [], {}, False
             for traversal, count in traversals + [(tail, 1)] if tail else traversals:
                 if len(traversal) > width:  # in order, hashed at every occurrence
                     overflow = True
@@ -310,23 +353,27 @@ class LoopMonitor:
                 if not seen:  # first execution of this path: its pairs go to the hash engine
                     stream.extend(pairs)
                 counts[path] = seen + count
-            paths = [(self._path_id(path), c) for path, c in counts.items()]
-        self.sessions.append(LoopSession(entry, depth, self._stack[-1].index, paths, [], overflow))
+            found = tuple(stream), tuple(counts.items()), overflow
+        room, cost = self._room, len(sites) + _MEMO_ENTRY
+        if cost <= room[0]:
+            self._memo[sites] = found
+            room[0] -= cost
+        return found
 
     def _count_known(self, site: str, sites: str) -> Optional[list[tuple[str, int]]]:
         """A flat session's complete iterations as (traversal, count), in first-position order,
         counted against its loop's known traversals; None unless they cover every iteration,
         number no more than the iterations and fit the scan budget."""
         known = self._known.get(site)
-        # each iteration takes at least two characters of `scan` (its own `site` and the
+        # each iteration takes at least two characters of the scan (its own `site` and the
         # copy), so this many traversals always exceed the budget
         if not known or 2 * len(known) >= _SCAN_BUDGET:
             return None
+        left = sites.count(site)  # iterations; the scan below is len(sites) + 2 + left long
+        if len(known) > left or len(known) * (len(sites) + 2 + left) > _SCAN_BUDGET * left:
+            return None
         # with `site` doubled, each iteration sits between two copies of its own
         scan, found = (site + sites).replace(site, site + site), []
-        left = len(scan) - len(sites) - 2  # iterations: len(scan) is len(sites) + 2 + iterations
-        if len(known) > left or len(known) * len(scan) > _SCAN_BUDGET * left:
-            return None
         for pattern in known.values():
             at = scan.find(pattern)
             if at >= 0:
@@ -356,10 +403,12 @@ class LoopMonitor:
         """Walk the branches once, given `detect_loops`'s loops, and measure each loop."""
         b, enclosing, recursive = found
         self._branches, self._sites, self._target_at = b, b.sites, b.target_at
-        self._pair, self._bits = b.table.pair.__getitem__, site_bits(b.table)
-        self._paths = derived(b.table, ("flat paths", self.config.path_width), dict)
-        self._known = derived(b.table, ("flat traversals", self.config.path_width), dict)
+        self._pair = b.table.pair.__getitem__
+        self._bits, self._paths, self._known, self._memo, self._room = derived(
+            b.table, ("flat", self.config.path_width),
+            lambda: _FlatTables(site_bits(b.table), {}, {}, {}, [_MEMO_CHARS]))
         self._path_id, self._pos = _PathIds().__getitem__, 0
+        self._flat_paths: dict[tuple, list] = {}  # a flat session's paths -> with PathIds
         loops, flat, exits = enclosing.loops, enclosing.flat, enclosing.exit
         max_depth = self.config.max_depth
         sites, site, target_at, n = b.sites, b.table.site, b.target_at, len(b)
@@ -374,11 +423,18 @@ class LoopMonitor:
             # its first exit, and the scope stays, with the exit's position (n: the trace ended)
             depth, top = len(stack), stack[-1]
             degraded, flat_loop = depth > max_depth or top.degraded, flat.get(entry)
-            if flat_loop and hi != inf and all(map(open_at.__contains__, flat_loop[1])):
-                m = exits and exits.search(sites, pos)
-                self._flat(entry, flat_loop[0], pos, m.end() if m else n, branch, depth, call_depth,
+            if flat_loop and hi != inf and (not flat_loop[1] or all(map(open_at.__contains__,
+                                                                        flat_loop[1]))):
+                if flat_loop[2]:  # the loop's one exit site
+                    at = sites.find(flat_loop[2], pos)
+                else:
+                    m = exits and exits.search(sites, pos)
+                    at = m.start() if m else -1
+                if at < 0:  # the trace ended in the session
+                    at = n
+                self._flat(entry, flat_loop[0], pos, min(at + 1, n), branch, depth, call_depth,
                            degraded)
-                return top.within, top.lo, top.hi, m.start() if m else n
+                return top.within, top.lo, top.hi, at
             ctx = open_at[entry] = _Context(call_depth, lo, hi, entry, depth, degraded)
             self._enter(ctx, pos, branch)
             stack.append(ctx)

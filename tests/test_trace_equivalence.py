@@ -23,7 +23,8 @@ import emulator_oracle
 import programs as P
 import views
 from cfattest import emulator, loop_monitor
-from cfattest.attestation import ProgramPath, measure
+from cfattest.attestation import (Challenge, ProgramPath, generate_keypair, measure, prover_attest,
+                                  verify)
 from cfattest.branch_filter import detect_loops, filter_trace
 from cfattest.emulator import (ATTACK_KINDS, AttackError, AttackSpec, CycleLimitExceeded, run,
                                trace_from_jsonl)
@@ -632,7 +633,7 @@ def test_flat_sessions_on_a_warm_table(name, width, monkeypatch):
             == oracle_measure(trace, config)
     if width == 16:
         assert took == [expected for _, expected in inputs]
-    known = warm.sites.derived[("flat traversals", width)]
+    known = warm.sites.derived[("flat", width)].known
     # only traversals that fit the width and hold more than the re-entering site
     assert all(pattern == site + piece + site and piece and len(piece) < width
                and site not in piece for site, pieces in known.items()
@@ -763,3 +764,62 @@ def test_process_makes_one_path_id_per_distinct_path(monkeypatch):
     _, sessions = LoopMonitor().process(detect_loops(filter_trace(run(program, inp))))
     assert sum(len(s.paths) for s in sessions) == 200
     assert sorted(made) == sorted({pid.bits for s in sessions for pid, _ in s.paths})
+
+
+_SK, _PK = generate_keypair()
+
+
+def _memo(program, width):
+    """A program's flat-session memo at one path width: session sites -> what it adds."""
+    return program.sites.derived[("flat", width)].memo
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_a_memo_warmed_under_one_config_serves_every_other_config(name):
+    # configs of one width share a memo, which holds no n, depth or parent
+    program, inp, attack = CASES[name]
+    configs = [MonitorConfig(n=n, path_width=width, max_depth=depth)
+               for width in (3, 16) for n in (1, min(8, width)) for depth in (1, 3)]
+    trace = run(program, inp, attack)
+    expected = [oracle_measure(trace, config) for config in configs]
+    for warming in configs:
+        copy = dataclasses.replace(program)  # tables of its own
+        measure(run(copy, inp, attack), warming)
+        assert [measure(run(copy, inp, attack), config) for config in configs] == expected
+
+
+def test_sessions_that_differ_only_in_their_last_branch():
+    # at input 2 the third header branch is taken and leaves the loop; at input 5 it is
+    # not taken and the pass faults before the next branch: the sessions' sites differ
+    # only there, and each must be measured as its own
+    for order in ([2, 5], [5, 2]):
+        program = parse_program(P.FAULT_MID_PASS, "fm")
+        for k in order:
+            trace = run(program, [k])
+            assert measure(trace) == oracle_measure(trace, MonitorConfig())
+        assert len(_memo(program, 16)) == 2
+
+
+def test_a_memo_past_its_bound_still_measures_every_session(monkeypatch):
+    monkeypatch.setattr(loop_monitor, "_MEMO_CHARS", 1500)
+    config, rng = MonitorConfig(), random.Random(11)
+    program = parse_program(P.sequential_loops(6), "seq6")
+    sizes = []
+    for _ in range(40):
+        trace = run(program, [rng.randint(0, 12) for _ in range(6)])
+        assert measure(trace, config) == oracle_measure(trace, config)
+        memo = _memo(program, 16)
+        sizes.append(len(memo))
+        assert sum(len(sites) + loop_monitor._MEMO_ENTRY for sites in memo) \
+            + program.sites.derived[("flat", 16)].room[0] == 1500
+    assert sizes[-1] == sizes[len(sizes) // 2] < 6 * 13  # full, and kept at its bound
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_verify_does_not_depend_on_the_memo(name):
+    # the prover's object holds what its attest measured; a copy holds nothing
+    program, inp, attack = CASES[name]
+    challenge = Challenge.fresh(program.id, inp)
+    report = prover_attest(program, challenge, _SK, attack)
+    assert verify(report, challenge, _PK, dataclasses.replace(program)) \
+        == verify(report, challenge, _PK, program)
