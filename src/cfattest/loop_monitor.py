@@ -53,9 +53,11 @@ of paths in the call (an inner loop that runs the same count on each pass
 of an outer one repeats it).  What a flat session adds depends only on its
 sites and the path width: its body holds no indirect transfer, so no target
 code, and both ways of counting give the same stream and paths.  So A and L
-do not depend on what the memo holds.  It takes sessions while its keys,
-each counted as `_MEMO_ENTRY` characters more, fit in `_MEMO_CHARS`.  The
-three tables of one width are one `Sites.derived` entry.
+do not depend on what the memo holds.  It takes sessions while what it holds
+fits in `_MEMO_BYTES`: keys, value tuples, counts and a dict slot each, as
+`sys.getsizeof` counts them, or more (`_memo_bytes`); past the width every
+pair of a session is stored, eight bytes a site against the key's one to
+four.  The three tables of one width are one `Sites.derived` entry.
 """
 from __future__ import annotations
 
@@ -74,10 +76,14 @@ _LINKING = CALL + INDIRECT_CALL
 # characters per iteration the scans for known traversals may read: splitting a session
 # and counting its pieces costs about as much
 _SCAN_BUDGET = 32
-# the characters a program's session memo may hold per path width, each session's key
-# counted as `_MEMO_ENTRY` characters more
-_MEMO_CHARS = 1 << 22
-_MEMO_ENTRY = 256
+# the bytes a program's session memo may hold per path width, as `sys.getsizeof` counts
+# them: a session's key, at most 4 bytes a site (1 while all its sites are below 128) and
+# 76 more; its value's three tuples (64 + 40 + 40) and its dict slot (a str-keyed dict
+# takes at most 44 bytes a key past eight keys, CPython 3.11); 8 a stored pair; and a
+# path's slot, (bits, count) tuple and count (8 + 56 + 32)
+_MEMO_BYTES = 1 << 22
+_MEMO_ENTRY = 76 + 64 + 40 + 40 + 48
+_MEMO_PATH = 8 + 56 + 32
 
 
 @dataclass(frozen=True)
@@ -172,6 +178,13 @@ class _PathIds(dict):
     def __missing__(self, bits: str) -> PathId:
         pid = self[bits] = PathId(bits)
         return pid
+
+
+def _memo_bytes(sites: str, found: tuple) -> int:
+    """The bytes a session's memo entry holds; the pairs and bits themselves are shared with
+    the site and traversal tables."""
+    return (len(sites) if sites.isascii() else 4 * len(sites)) + 8 * len(found[0]) \
+        + _MEMO_PATH * len(found[1]) + _MEMO_ENTRY
 
 
 class _FlatTables(NamedTuple):
@@ -354,7 +367,7 @@ class LoopMonitor:
                     stream.extend(pairs)
                 counts[path] = seen + count
             found = tuple(stream), tuple(counts.items()), overflow
-        room, cost = self._room, len(sites) + _MEMO_ENTRY
+        room, cost = self._room, _memo_bytes(sites, found)
         if cost <= room[0]:
             self._memo[sites] = found
             room[0] -= cost
@@ -406,7 +419,7 @@ class LoopMonitor:
         self._pair = b.table.pair.__getitem__
         self._bits, self._paths, self._known, self._memo, self._room = derived(
             b.table, ("flat", self.config.path_width),
-            lambda: _FlatTables(site_bits(b.table), {}, {}, {}, [_MEMO_CHARS]))
+            lambda: _FlatTables(site_bits(b.table), {}, {}, {}, [_MEMO_BYTES]))
         self._path_id, self._pos = _PathIds().__getitem__, 0
         self._flat_paths: dict[tuple, list] = {}  # a flat session's paths -> with PathIds
         loops, flat, exits = enclosing.loops, enclosing.flat, enclosing.exit

@@ -13,6 +13,7 @@ that scan.
 import ast
 import dataclasses
 import random
+import sys
 from pathlib import Path
 
 import pytest
@@ -800,17 +801,43 @@ def test_sessions_that_differ_only_in_their_last_branch():
         assert len(_memo(program, 16)) == 2
 
 
-def test_a_memo_past_its_bound_still_measures_every_session(monkeypatch):
-    monkeypatch.setattr(loop_monitor, "_MEMO_CHARS", 1500)
-    config, rng = MonitorConfig(), random.Random(11)
-    program = parse_program(P.sequential_loops(6), "seq6")
-    for _ in range(40):
-        trace = run(program, [rng.randint(0, 12) for _ in range(6)])
+def _held_bytes(program, width):
+    """The bytes a program's memo at one width holds, as `sys.getsizeof` counts every object
+    it reaches, less the empty dict and what the site and traversal tables hold too."""
+    tables = program.sites.derived[("flat", width)]
+    shared = {id(x) for x in program.sites.pair.values()}
+    for bits, pairs in tables.paths.values():
+        shared |= {id(bits), id(pairs)} | {id(pair) for pair in pairs}
+    seen, todo, held = set(), [tables.memo], -sys.getsizeof({})
+    while todo:
+        x = todo.pop()
+        if id(x) in seen or id(x) in shared:
+            continue
+        seen.add(id(x))
+        held += sys.getsizeof(x)
+        todo += [*x.keys(), *x.values()] if isinstance(x, dict) else \
+            list(x) if isinstance(x, tuple) else []
+    return held
+
+
+@pytest.mark.parametrize("width", [1, 16])
+def test_a_memo_past_its_bound_still_measures_every_session(width, monkeypatch):
+    # at width 1 every traversal overflows, so a session's stored pairs outweigh its key;
+    # 140 loops have 420 sites, so keys take one byte a site, then two
+    monkeypatch.setattr(loop_monitor, "_MEMO_BYTES", 100_000)
+    config, rng = MonitorConfig(n=1, path_width=width), random.Random(11)
+    program = parse_program(P.sequential_loops(140), "seq140")
+    sizes = []
+    for _ in range(12):
+        trace = run(program, [rng.randint(0, 40) for _ in range(140)])
         assert measure(trace, config) == oracle_measure(trace, config)
-        tables = program.sites.derived[("flat", 16)]
-        assert sum(len(sites) + loop_monitor._MEMO_ENTRY for sites in tables.memo) \
-            + tables.room[0] == 1500 and tables.room[0] >= 0
-    assert tables.room[0] < loop_monitor._MEMO_ENTRY  # full: no further session fits
+        tables = program.sites.derived[("flat", width)]
+        assert sum(loop_monitor._memo_bytes(*item) for item in tables.memo.items()) \
+            + tables.room[0] == 100_000 and tables.room[0] >= 0
+        sizes.append(len(tables.memo))
+    assert sizes[-1] == sizes[-5] > 8  # full: the last runs added nothing
+    assert not all(sites.isascii() for sites in tables.memo)
+    assert _held_bytes(program, width) <= 100_000
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
