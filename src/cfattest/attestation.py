@@ -4,12 +4,17 @@ The prover runs the program on the verifier-chosen input, measures the
 control flow into an authenticator A plus loop metadata L, and signs the
 program hash H followed by the canonical bytes of A, L and the challenge
 nonce N.  Those bytes are the report's only encoding of A, L and N, and
-their parser is strict: what it accepts re-serialises to the same bytes.
-The verifier checks the binary hash, freshness and signature, structurally
-decodes every reported loop path against the program's static table (`Cfg`:
-its loop bodies and its stop table), and replays the execution to compare
-(A, L) against its own measurement.  Prover and verifier share one
-measurement implementation, so any asymmetry is structurally impossible.
+their reading is strict: what it accepts re-serialises to the same bytes.
+`Report.from_json` checks them with one offset walk that builds no objects,
+and parses them into sessions only when `Report.path` is first read.
+The verifier checks the binary hash, freshness and signature, then replays
+the execution and compares the encoding of its own (A, L) with the signed
+bytes.  Equal bytes are equal A and L, so it structurally decodes the
+replay's loop paths against the program's static table (`Cfg`: its loop
+bodies and its stop table) and builds no report objects.  Only other bytes
+are parsed, decoded and compared with the replay object by object, to say
+what differs.  Prover and verifier share one measurement implementation,
+so any asymmetry is structurally impossible.
 """
 from __future__ import annotations
 
@@ -97,11 +102,26 @@ class ProgramPath:
 REPORT_KEYS = frozenset({"program_id", "program_hash_hex", "signed_hex", "sig_hex"})
 
 
+class _ParsedFromSigned:
+    """`Report.path` of a received report: parsed from its signed bytes when first read.
+
+    A non-data descriptor, as `cached_property` is: a path set by `__init__`
+    shadows it.  Read on the class it raises AttributeError, so the dataclass
+    field keeps no default.
+    """
+
+    def __get__(self, report, owner=None):
+        if report is None:
+            raise AttributeError("path")
+        path = report.__dict__["path"] = canonical_parse(report.signed)[0]
+        return path
+
+
 @dataclass(frozen=True)
 class Report:
     program_id: str
     program_hash: bytes
-    path: ProgramPath
+    path: ProgramPath = _ParsedFromSigned()
     nonce: bytes
     signature: bytes
 
@@ -109,7 +129,7 @@ class Report:
     def signed(self) -> bytes:
         """The encoding of A, L and N: as signed or received, else built from the fields.
 
-        The prover and `from_json` store the bytes they signed or parsed; a
+        The prover and `from_json` store the bytes they signed or checked; a
         Report built by hand, or by `dataclasses.replace`, encodes its own fields.
         """
         return canonical_serialize(self.path, self.nonce)
@@ -124,16 +144,22 @@ class Report:
 
     @classmethod
     def from_json(cls, d: dict) -> "Report":
-        """Decode a report, taking A, L and N from the signed bytes; ValueError if malformed."""
+        """Decode a report, taking A, L and N from the signed bytes; ValueError if malformed.
+
+        The signed bytes are checked as strictly as `canonical_parse` reads them,
+        by a walk that builds no sessions; `path` is parsed from them when first read.
+        """
         if not isinstance(d, dict) or d.keys() != REPORT_KEYS:
             raise ProtocolError(f"report must have exactly the keys {sorted(REPORT_KEYS)}")
         if not all(isinstance(v, str) for v in d.values()):
             raise ProtocolError("report fields must be strings")
         signed = bytes.fromhex(d["signed_hex"])
-        path, nonce = canonical_parse(signed)
-        report = cls(d["program_id"], bytes.fromhex(d["program_hash_hex"]), path, nonce,
-                     bytes.fromhex(d["sig_hex"]))
-        report.__dict__["signed"] = signed  # the strict parser re-serialises it to these bytes
+        _check_metadata(_signed_metadata(signed))
+        report = cls.__new__(cls)
+        report.__dict__.update(program_id=d["program_id"],
+                               program_hash=bytes.fromhex(d["program_hash_hex"]),
+                               nonce=signed[-NONCE_LEN:], signature=bytes.fromhex(d["sig_hex"]),
+                               signed=signed)
         return report
 
 
@@ -177,12 +203,18 @@ _U32 = struct.Struct(">I")
 _U64 = struct.Struct(">Q")
 # loop_entry, depth, parent (PARENT_NONE for none), path_overflow, path count
 _SESSION_HEAD = struct.Struct(">IBIBI")
-_TARGETS = [struct.Struct(f">{k}I") for k in range(256)]  # a session's target table
+_TARGETS = [struct.Struct(f">B{k}I") for k in range(256)]  # a session's target count and table
+_NPATHS_AT = _SESSION_HEAD.size - _U32.size  # a head ends in its path_overflow byte and path count
+# by a path's bit length n: the bytes of its entry in L (n, the packed bits, the count), and
+# the padding bits of its last packed byte
+_ENTRY_LEN = bytes(1 + (n + 7) // 8 + _U64.size for n in range(256))
+_PADDING = bytes((1 << -n % 8) - 1 for n in range(256))
 
 
 def serialize_metadata(sessions: tuple[LoopSession, ...]) -> bytes:
     """Binary L; raises ProtocolError for a value that does not fit its field."""
     out = [_U32.pack(len(sessions))]
+    append, head, count_bytes = out.append, _SESSION_HEAD.pack, _U64.pack
     encoded: dict[str, bytes] = {}  # path bits -> their length byte and packed bits
     for s in sessions:
         if s.path_overflow not in (0, 1):
@@ -190,52 +222,79 @@ def serialize_metadata(sessions: tuple[LoopSession, ...]) -> bytes:
         if s.parent == PARENT_NONE:
             raise ProtocolError("parent index collides with the no-parent marker")
         parent = PARENT_NONE if s.parent is None else s.parent
+        paths, targets = s.paths, s.indirect_targets
         try:
-            out.append(_SESSION_HEAD.pack(s.loop_entry, s.depth, parent, s.path_overflow,
-                                          len(s.paths)))
-            for pid, count in s.paths:
-                if pid.bits not in encoded:
-                    encoded[pid.bits] = _U8.pack(len(pid)) + pid.packed()
-                out.append(encoded[pid.bits] + _U64.pack(count))
-            out.append(_U8.pack(len(s.indirect_targets)))
-            out.extend(map(_U32.pack, s.indirect_targets))
-        except struct.error as e:
+            append(head(s.loop_entry, s.depth, parent, s.path_overflow, len(paths)))
+            for pid, count in paths:
+                entry = encoded.get(pid.bits)
+                if entry is None:
+                    entry = encoded[pid.bits] = _U8.pack(len(pid)) + pid.packed()
+                append(entry)
+                append(count_bytes(count))
+            append(_TARGETS[len(targets)].pack(len(targets), *targets))
+        except (struct.error, IndexError) as e:  # IndexError: more targets than a byte counts
             raise ProtocolError(f"metadata value does not fit its field: {e}") from None
     return b"".join(out)
 
 
-def parse_metadata(data: bytes) -> tuple[LoopSession, ...]:
-    """Strict inverse of serialize_metadata: what it accepts re-serialises to `data`."""
-    sessions = []
-    pids: dict[bytes, PathId] = {}  # a path's length byte and packed bits -> its PathId
+def _check_metadata(data: bytes) -> None:
+    """The one strict reading of binary L: ProtocolError unless serialize_metadata wrote `data`.
+
+    One offset walk that builds no objects.  A path entry is its length byte n,
+    then n bits packed into whole bytes, then its count: it is well formed if
+    those bytes are all there and its padding bits are zero.
+    """
+    size = len(data)
     try:
         (count,) = _U32.unpack_from(data, 0)
         off = _U32.size
         for _ in range(count):
-            entry, depth, parent, overflow, npaths = _SESSION_HEAD.unpack_from(data, off)
-            off += _SESSION_HEAD.size
-            if overflow > 1:
+            (npaths,) = _U32.unpack_from(data, off + _NPATHS_AT)  # the whole head is there
+            if data[off + _NPATHS_AT - 1] > 1:
                 raise ProtocolError("path_overflow byte must be 0 or 1")
-            paths = []
+            off += _SESSION_HEAD.size
             for _ in range(npaths):
-                end = off + 1 + (data[off] + 7) // 8
-                pid = pids.get(key := data[off:end])
-                if pid is None:  # a new path, or a malformed one
-                    try:
-                        pid = pids[key] = PathId.unpack(key[1:], key[0])
-                    except ValueError as e:
-                        raise ProtocolError(f"path bits: {e}") from None
-                paths.append((pid, _U64.unpack_from(data, end)[0]))
-                off = end + _U64.size
-            ntargets = data[off]
-            targets = [*_TARGETS[ntargets].unpack_from(data, off + 1)]
-            off += 1 + ntargets * _U32.size
-            sessions.append(LoopSession(entry, depth, None if parent == PARENT_NONE else parent,
-                                        paths, targets, overflow == 1))
+                n = data[off]
+                off += _ENTRY_LEN[n]  # a count cut short shows at the next read
+                try:  # the last packed byte; for n = 0, the length byte
+                    last = data[off - _U64.size - 1]
+                except IndexError:
+                    raise ProtocolError(f"path bits: {size - off + _ENTRY_LEN[n] - 1} bytes "
+                                        f"cannot hold exactly {n} bits") from None
+                if last & _PADDING[n]:
+                    raise ProtocolError("path bits: padding bits must be zero")
+            off += 1 + data[off] * _U32.size
     except (struct.error, IndexError):
         raise ProtocolError("truncated metadata") from None
-    if off != len(data):
-        raise ProtocolError("trailing bytes in metadata")
+    if off != size:
+        raise ProtocolError("truncated metadata" if off > size else "trailing bytes in metadata")
+
+
+def parse_metadata(data: bytes) -> tuple[LoopSession, ...]:
+    """Strict inverse of serialize_metadata: what it accepts re-serialises to `data`."""
+    _check_metadata(data)
+    sessions = []
+    pids: dict[bytes, PathId] = {}  # a path's length byte and packed bits -> its PathId
+    pairs: dict[bytes, tuple[PathId, int]] = {}  # a whole path entry -> (PathId, count)
+    (count,) = _U32.unpack_from(data, 0)
+    off = _U32.size
+    for _ in range(count):
+        entry, depth, parent, overflow, npaths = _SESSION_HEAD.unpack_from(data, off)
+        off += _SESSION_HEAD.size
+        paths = []
+        for _ in range(npaths):
+            end = off + _ENTRY_LEN[data[off]]
+            pair = pairs.get(key := data[off:end])
+            if pair is None:  # each distinct entry is one tuple, each distinct path one PathId
+                if (pid := pids.get(bits := key[:-_U64.size])) is None:
+                    pid = pids[bits] = PathId.unpack(bits[1:], bits[0])
+                pair = pairs[key] = (pid, _U64.unpack_from(key, len(bits))[0])
+            paths.append(pair)
+            off = end
+        ntargets, *targets = _TARGETS[data[off]].unpack_from(data, off)
+        off += 1 + ntargets * _U32.size
+        sessions.append(LoopSession(entry, depth, None if parent == PARENT_NONE else parent,
+                                    paths, targets, overflow == 1))
     return tuple(sessions)
 
 
@@ -246,14 +305,21 @@ def canonical_serialize(path: ProgramPath, nonce: bytes) -> bytes:
     return MAGIC + path.authenticator + serialize_metadata(path.sessions) + nonce
 
 
-def canonical_parse(data: bytes) -> tuple[ProgramPath, bytes]:
-    """Strict inverse of canonical_serialize."""
-    head = len(MAGIC) + DIGEST_LEN
+_HEAD = len(MAGIC) + DIGEST_LEN
+
+
+def _signed_metadata(data: bytes) -> bytes:
+    """The L of signed bytes whose magic and length are right; ProtocolError otherwise."""
     if data[:len(MAGIC)] != MAGIC:
         raise ProtocolError("bad magic")
-    if len(data) < head + NONCE_LEN:
+    if len(data) < _HEAD + NONCE_LEN:
         raise ProtocolError("truncated")
-    return (ProgramPath(data[len(MAGIC):head], parse_metadata(data[head:-NONCE_LEN])),
+    return data[_HEAD:-NONCE_LEN]
+
+
+def canonical_parse(data: bytes) -> tuple[ProgramPath, bytes]:
+    """Strict inverse of canonical_serialize."""
+    return (ProgramPath(data[len(MAGIC):_HEAD], parse_metadata(_signed_metadata(data))),
             data[-NONCE_LEN:])
 
 
@@ -563,7 +629,11 @@ def verify(
 ) -> VerifyResult:
     """Full verifier: static hash, freshness, signature, structure, replay.
 
-    The reported reason is the first failing check in order; `failures`
+    The replay runs before the structural decode.  If its encoding equals the
+    signed bytes, the decode reads the replay's sessions, which equal the
+    report's, and the report is never parsed; otherwise the report's sessions
+    are decoded and A and L compared with the replay's.  Either way the
+    reported reason is the first failing check in the order above; `failures`
     additionally lists every distinguishing check that failed, so callers can
     see e.g. that a rogue in-loop edge both breaks the loop structure and
     changes the authenticator.  A replay past the cycle cap raises
@@ -587,16 +657,18 @@ def verify(
     if not signature_valid(report.program_hash + signed, report.signature, pk):
         return VerifyResult(False, BAD_SIGNATURE, (BAD_SIGNATURE,))
 
+    expected = measure(run(program, list(challenge.input)), config)
+    # the strict parse makes equal bytes equal A and L, so the replay's sessions stand
+    # for the report's; only other bytes are parsed, to say what differs
+    same = canonical_serialize(expected, challenge.nonce) == signed
+    reported = expected if same else report.path
     failures: list[str] = []
-
-    structural_ok, _notes = check_loop_paths(report.path.sessions, cfg, config)
+    structural_ok, _notes = check_loop_paths(reported.sessions, cfg, config)
     if not structural_ok:
         failures.append(INVALID_LOOP_PATH)
-
-    expected = measure(run(program, list(challenge.input)), config)
-    if report.path.authenticator != expected.authenticator:
+    if reported.authenticator != expected.authenticator:
         failures.append(AUTHENTICATOR_MISMATCH)
-    if report.path.sessions != expected.sessions:
+    if reported.sessions != expected.sessions:
         failures.append(METADATA_MISMATCH)
 
     if failures:

@@ -121,8 +121,15 @@ class TestKeysAndHashes:
         report = prover_attest(p, ch, KEY[0])
         received = Report.from_json(json.loads(json.dumps(report.to_json())))
         assert verify(received, ch, KEY[1], p).accepted
-        assert len(calls) == 1
+        # the prover's path, to sign it, and the verifier's replay, to compare bytes; the
+        # received report keeps the bytes it came with and is never parsed into a path
+        assert len(calls) == 2
+        (signed_path, signed_nonce), (replay, replay_nonce) = calls
+        assert signed_path is report.path and signed_nonce == replay_nonce == ch.nonce
+        assert replay is not report.path and replay == report.path
+        assert "path" not in received.__dict__
         assert received.signed == report.signed == serialize(report.path, report.nonce)
+        assert received.path == report.path
 
 
 class TestCanonicalSerialization:
