@@ -275,7 +275,6 @@ def parse_metadata(data: bytes) -> tuple[LoopSession, ...]:
     _check_metadata(data)
     sessions = []
     pids: dict[bytes, PathId] = {}  # a path's length byte and packed bits -> its PathId
-    pairs: dict[bytes, tuple[PathId, int]] = {}  # a whole path entry -> (PathId, count)
     (count,) = _U32.unpack_from(data, 0)
     off = _U32.size
     for _ in range(count):
@@ -283,14 +282,12 @@ def parse_metadata(data: bytes) -> tuple[LoopSession, ...]:
         off += _SESSION_HEAD.size
         paths = []
         for _ in range(npaths):
-            end = off + _ENTRY_LEN[data[off]]
-            pair = pairs.get(key := data[off:end])
-            if pair is None:  # each distinct entry is one tuple, each distinct path one PathId
-                if (pid := pids.get(bits := key[:-_U64.size])) is None:
-                    pid = pids[bits] = PathId.unpack(bits[1:], bits[0])
-                pair = pairs[key] = (pid, _U64.unpack_from(key, len(bits))[0])
-            paths.append(pair)
-            off = end
+            end = off + 1 + (data[off] + 7) // 8
+            pid = pids.get(key := data[off:end])
+            if pid is None:
+                pid = pids[key] = PathId.unpack(key[1:], key[0])
+            paths.append((pid, _U64.unpack_from(data, end)[0]))
+            off = end + _U64.size
         ntargets, *targets = _TARGETS[data[off]].unpack_from(data, off)
         off += 1 + ntargets * _U32.size
         sessions.append(LoopSession(entry, depth, None if parent == PARENT_NONE else parent,

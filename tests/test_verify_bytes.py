@@ -155,7 +155,7 @@ def test_a_rejection_parses_the_report_once(monkeypatch):
     parsed, parse = [], att.parse_metadata
     monkeypatch.setattr(att, "parse_metadata", lambda data: parsed.append(data) or parse(data))
     res = verify(report, challenge, KEY[1], program)
-    assert parsed == [report.signed[len(MAGIC) + 64:-32]]
+    assert parsed == [report.signed[len(MAGIC) + att.DIGEST_LEN:-att.NONCE_LEN]]
     oracle = verify_oracle.verify(report, challenge, KEY[1], program)
     assert (res.accepted, res.reason, res.failures) == (False, oracle.reason, oracle.failures)
 
@@ -184,7 +184,7 @@ def assert_walk_agrees(metadata: bytes):
     assert canonical_serialize(*canonical_parse(report.signed)) == report.signed
 
 
-def _honest_metadata() -> list[tuple[LoopSession, ...]]:
+def _measured_metadata() -> list[tuple[LoopSession, ...]]:
     out = []
     for name in ("nested-4", "dispatch", "seq-loops-10", "long-exit", "call-in-loop",
                  "recursion-around-loop", "attack-p1-counter"):
@@ -194,12 +194,12 @@ def _honest_metadata() -> list[tuple[LoopSession, ...]]:
     return out
 
 
-HONEST = _honest_metadata()
+MEASURED = _measured_metadata()
 
 
-@pytest.mark.parametrize("index", range(len(HONEST)))
+@pytest.mark.parametrize("index", range(len(MEASURED)))
 def test_walk_agrees_at_every_truncation(index):
-    blob = serialize_metadata(HONEST[index])
+    blob = serialize_metadata(MEASURED[index])
     for end in range(len(blob) + 1):
         assert_walk_agrees(blob[:end])
     assert_walk_agrees(blob + b"\0")
@@ -207,25 +207,22 @@ def test_walk_agrees_at_every_truncation(index):
 
 @st.composite
 def _mutated(draw):
-    sessions = draw(st.sampled_from(HONEST))
+    sessions = draw(st.sampled_from(MEASURED))
     blob = bytearray(serialize_metadata(sessions))
     fields = verify_oracle.layout(sessions)
-    kinds = ["flip", "trailing"] + [kind for kind in ("overflow", "padding", "length")
-                                   if fields[{"overflow": "overflow", "padding": "last_packed",
-                                              "length": "path_length"}[kind]]]
-    kind = draw(st.sampled_from(kinds))
+    kind = draw(st.sampled_from(["flip", "trailing"] + [
+        field for field in ("overflow", "last_packed", "path_length") if fields[field]]))
     if kind == "flip":
         for _ in range(draw(st.integers(1, 3))):
             blob[draw(st.integers(0, len(blob) - 1))] ^= draw(st.integers(1, 255))
     elif kind == "trailing":
         blob.append(draw(st.integers(0, 255)))
     elif kind == "overflow":
-        blob[draw(st.sampled_from(fields["overflow"]))] = 2
-    elif kind == "padding":
-        at = draw(st.sampled_from(fields["last_packed"]))
-        blob[at] |= 1  # the lowest bit of a path's last byte is padding
-    else:
-        at = draw(st.sampled_from(fields["path_length"]))
+        blob[draw(st.sampled_from(fields[kind]))] = 2
+    elif kind == "last_packed":
+        blob[draw(st.sampled_from(fields[kind]))] |= 1  # its lowest bit is padding
+    else:  # a path one bit longer or shorter
+        at = draw(st.sampled_from(fields[kind]))
         blob[at] = (blob[at] + draw(st.sampled_from([1, -1]))) % 256
     return bytes(blob)
 
@@ -236,7 +233,23 @@ def test_walk_agrees_on_mutated_metadata(metadata):
     assert_walk_agrees(metadata)
 
 
-def test_mutations_reach_every_field():
-    fields = [verify_oracle.layout(s) for s in HONEST]
-    for field in ("overflow", "path_length", "last_packed", "count_low"):
-        assert any(f[field] for f in fields), field
+def test_layout_names_each_field():
+    def changed(blob, at, byte):
+        return verify_oracle.parse_metadata(blob[:at] + bytes([byte]) + blob[at + 1:])
+
+    seen = set()
+    for sessions in MEASURED:
+        blob, fields = serialize_metadata(sessions), verify_oracle.layout(sessions)
+        seen.update(field for field, offsets in fields.items() if offsets)
+        for at in fields["overflow"]:
+            with pytest.raises(ProtocolError, match="path_overflow"):
+                changed(blob, at, 2)
+        for at in fields["last_packed"]:
+            with pytest.raises(ProtocolError, match="padding"):
+                changed(blob, at, blob[at] | 1)
+        counts = [count for s in sessions for _, count in s.paths]
+        for i, at in enumerate(fields["count_low"]):
+            got = [count for s in changed(blob, at, blob[at] ^ 1) for _, count in s.paths]
+            assert got == counts[:i] + [counts[i] ^ 1] + counts[i + 1:]
+        assert len(fields["path_length"]) == len(counts)
+    assert seen == {"overflow", "path_length", "last_packed", "count_low"}
