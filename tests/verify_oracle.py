@@ -1,4 +1,4 @@
-"""Reference verifier: the object-comparing `verify` and the L parser that the byte compare replaced.
+"""Reference verifier: the object-comparing `verify` and the L parser the byte compare replaced.
 
 `verify` parses every report into `LoopSession`s, decodes the reported paths
 and then compares A and L with the replay's, object by object.
