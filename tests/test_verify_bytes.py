@@ -23,7 +23,7 @@ from cfattest.attestation import (MAGIC, Challenge, ProgramPath, ProtocolError, 
                                   parse_metadata, prover_attest, serialize_metadata, sign, verify)
 from cfattest.cli import main
 from cfattest.emulator import run
-from cfattest.loop_monitor import LoopSession, PathId
+from cfattest.loop_monitor import LoopSession, MonitorConfig, PathId
 from test_trace_equivalence import CASES, MONITOR_CONFIGS
 
 KEY = generate_keypair()
@@ -86,6 +86,17 @@ def test_verify_matches_the_object_oracle(monkeypatch, name, config):
         new, old = verdicts(monkeypatch, resigned(report, path), challenge, program, config)
         assert new == old, change
         assert attack is not None or not new[0], change  # a change can undo an attack's
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(CASES)), st.integers(1, 8), st.integers(1, 255), st.integers(1, 255))
+def test_the_replay_encodes_under_any_accepted_config(name, n, width, depth):
+    # the byte compare rests on this: every L the monitor makes encodes, and parses back equal
+    program, inp, attack = CASES[name]
+    config = MonitorConfig(n=n, path_width=max(n, width), max_depth=depth)
+    for run_attack in ([None] if attack is None else [None, attack]):
+        path = measure(run(program, inp, run_attack), config)
+        assert canonical_parse(canonical_serialize(path, bytes(32)))[0] == path
 
 
 def test_tampered_reports_cover_every_change():
