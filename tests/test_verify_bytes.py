@@ -103,17 +103,18 @@ def test_tampered_reports_cover_every_change():
     program, inp, _ = CASES["nested-4"]
     path = measure(run(program, inp))
     assert sorted(tampered(path)) == ["a-byte", "count-byte", "path-bit", "session-dropped"]
-    layout = verify_oracle.layout(path.sessions)
     blob = serialize_metadata(path.sessions)
-    # the count change is one byte of L, the path flip one bit
-    for change, field in (("count-byte", "count_low"), ("path-bit", "path_length")):
+
+    def changed_bytes(change):
         other = serialize_metadata(tampered(path)[change].sessions)
-        diff = [i for i, (x, y) in enumerate(zip(blob, other)) if x != y]
-        assert len(other) == len(blob) and len(diff) == 1, change
-        if change == "count-byte":
-            assert diff[0] in layout[field]
-        else:
-            assert bin(blob[diff[0]] ^ other[diff[0]]).count("1") == 1
+        assert len(other) == len(blob)
+        return [(i, x ^ y) for i, (x, y) in enumerate(zip(blob, other)) if x != y]
+
+    # the count change is the last byte of one count, the path change one bit
+    [(at, _)] = changed_bytes("count-byte")
+    assert at in verify_oracle.layout(path.sessions)["count_low"]
+    [(_, bits)] = changed_bytes("path-bit")
+    assert bin(bits).count("1") == 1
 
 
 def _honest_verdicts():
