@@ -6,7 +6,10 @@ program hash H followed by the canonical bytes of A, L and the challenge
 nonce N.  Those bytes are the report's only encoding of A, L and N, and
 their reading is strict: what it accepts re-serialises to the same bytes.
 `Report.from_json` checks them with one offset walk that builds no objects,
-and parses them into sessions only when `Report.path` is first read.
+and parses them into sessions only when `Report.path` is first read.  A
+measured path comes with most of its L already encoded: the loop monitor
+writes each session's tail as it measures, once per distinct flat session of
+a program, and `ProgramPath.metadata` packs only the session heads.
 The verifier checks the binary hash, freshness and signature, then replays
 the execution and compares the encoding of its own (A, L) with the signed
 bytes.  Equal bytes are equal A and L, so it structurally decodes the
@@ -37,9 +40,9 @@ from .isa import CALL, INDIRECT_CALL, JUMP, NOT_TAKEN, RETURN, WORD, Kind, Progr
 from .emulator import AttackSpec, Trace, run
 from .branch_filter import detect_loops, filter_trace
 from .hash_engine import digest_pairs
-from .loop_monitor import (FAULT_MARKER_ENTRY, PARENT_NONE, LoopMonitor,
-                           LoopSession, MonitorConfig, PathId,
-                           fault_marker_session)
+from .loop_monitor import (FAULT_MARKER_ENTRY, PARENT_NONE, PATH_COUNT, SESSION_HEAD,
+                           SESSION_TAIL, TARGETS, LoopMonitor, LoopSession, MonitorConfig,
+                           PathId, fault_marker_session, session_head, session_tail)
 
 MAGIC = b"CFATT2"
 NONCE_LEN = 32
@@ -97,6 +100,25 @@ class ProgramPath:
     def __post_init__(self):
         if len(self.authenticator) != DIGEST_LEN:
             raise ProtocolError("authenticator must be 64 bytes")
+
+    @cached_property
+    def metadata(self) -> bytes:
+        """Binary L: `serialize_metadata` of the sessions; for a path `measure` returned, each
+        session's head joined with the tail the loop monitor wrote for it.
+
+        `measure` leaves those tails in `_tails` until L is first read, so a path built by
+        hand or by `dataclasses.replace` encodes its own sessions, and the sessions of a
+        measured path are not to be changed in place.
+        """
+        tails = self.__dict__.pop("_tails", None)
+        if tails is None:
+            return serialize_metadata(self.sessions)
+        out = [_U32.pack(len(tails))]
+        append = out.append
+        for s, tail in zip(self.sessions, tails):
+            append(session_head(s.loop_entry, s.depth, s.parent))
+            append(tail)
+        return b"".join(out)
 
 
 REPORT_KEYS = frozenset({"program_id", "program_hash_hex", "signed_hex", "sig_hex"})
@@ -198,40 +220,35 @@ def program_hash(program: Program) -> bytes:
 
 # --- canonical serialization ---------------------------------------------------
 
-_U8 = struct.Struct(">B")
 _U32 = struct.Struct(">I")
-_U64 = struct.Struct(">Q")
-# loop_entry, depth, parent (PARENT_NONE for none), path_overflow, path count
-_SESSION_HEAD = struct.Struct(">IBIBI")
-_TARGETS = [struct.Struct(f">B{k}I") for k in range(256)]  # a session's target count and table
+# a session's head and the fixed part of its tail (`loop_monitor`): loop_entry, depth, parent,
+# path_overflow, path count
+_SESSION_HEAD = struct.Struct(SESSION_HEAD.format + SESSION_TAIL.format[1:])
 _NPATHS_AT = _SESSION_HEAD.size - _U32.size  # a head ends in its path_overflow byte and path count
 # by a path's bit length n: the bytes of its entry in L (n, the packed bits, the count), and
 # the padding bits of its last packed byte
-_ENTRY_LEN = bytes(1 + (n + 7) // 8 + _U64.size for n in range(256))
+_ENTRY_LEN = bytes(1 + (n + 7) // 8 + PATH_COUNT.size for n in range(256))
 _PADDING = bytes((1 << -n % 8) - 1 for n in range(256))
 
 
 def serialize_metadata(sessions: tuple[LoopSession, ...]) -> bytes:
-    """Binary L; raises ProtocolError for a value that does not fit its field."""
+    """Binary L; raises ProtocolError for a value that does not fit its field.
+
+    Each session is written by the loop monitor's encoder (`session_head`,
+    `session_tail`), which also writes the L of a measured path.
+    """
     out = [_U32.pack(len(sessions))]
-    append, head, count_bytes = out.append, _SESSION_HEAD.pack, _U64.pack
-    encoded: dict[str, bytes] = {}  # path bits -> their length byte and packed bits
+    append = out.append
+    entries: dict[str, bytes] = {}  # path bits -> their length byte and packed bits
     for s in sessions:
         if s.path_overflow not in (0, 1):
             raise ProtocolError("path_overflow must be 0 or 1")
         if s.parent == PARENT_NONE:
             raise ProtocolError("parent index collides with the no-parent marker")
-        parent = PARENT_NONE if s.parent is None else s.parent
-        paths, targets = s.paths, s.indirect_targets
         try:
-            append(head(s.loop_entry, s.depth, parent, s.path_overflow, len(paths)))
-            for pid, count in paths:
-                entry = encoded.get(pid.bits)
-                if entry is None:
-                    entry = encoded[pid.bits] = _U8.pack(len(pid)) + pid.packed()
-                append(entry)
-                append(count_bytes(count))
-            append(_TARGETS[len(targets)].pack(len(targets), *targets))
+            append(session_head(s.loop_entry, s.depth, s.parent))
+            append(session_tail(s.path_overflow, [(pid.bits, count) for pid, count in s.paths],
+                                s.indirect_targets, entries))
         except (struct.error, IndexError) as e:  # IndexError: more targets than a byte counts
             raise ProtocolError(f"metadata value does not fit its field: {e}") from None
     return b"".join(out)
@@ -257,7 +274,7 @@ def _check_metadata(data: bytes) -> None:
                 n = data[off]
                 off += _ENTRY_LEN[n]  # a count cut short shows at the next read
                 try:  # the last packed byte; for n = 0, the length byte
-                    last = data[off - _U64.size - 1]
+                    last = data[off - PATH_COUNT.size - 1]
                 except IndexError:
                     raise ProtocolError(f"path bits: {size - off + _ENTRY_LEN[n] - 1} bytes "
                                         f"cannot hold exactly {n} bits") from None
@@ -286,9 +303,9 @@ def parse_metadata(data: bytes) -> tuple[LoopSession, ...]:
             pid = pids.get(key := data[off:end])
             if pid is None:
                 pid = pids[key] = PathId.unpack(key[1:], key[0])
-            paths.append((pid, _U64.unpack_from(data, end)[0]))
-            off = end + _U64.size
-        ntargets, *targets = _TARGETS[data[off]].unpack_from(data, off)
+            paths.append((pid, PATH_COUNT.unpack_from(data, end)[0]))
+            off = end + PATH_COUNT.size
+        ntargets, *targets = TARGETS[data[off]].unpack_from(data, off)
         off += 1 + ntargets * _U32.size
         sessions.append(LoopSession(entry, depth, None if parent == PARENT_NONE else parent,
                                     paths, targets, overflow == 1))
@@ -296,10 +313,15 @@ def parse_metadata(data: bytes) -> tuple[LoopSession, ...]:
 
 
 def canonical_serialize(path: ProgramPath, nonce: bytes) -> bytes:
-    """The report's encoding of A, L and N: magic || A || L || N."""
+    """The report's encoding of A, L and N: magic || A || L || N.
+
+    L is `path.metadata`, which for a measured path packs only each session's head:
+    the loop monitor wrote the rest while it measured, once per distinct flat session
+    of the program, so the prover and the verifier's replay encode no path here.
+    """
     if len(nonce) != NONCE_LEN:
         raise ProtocolError(f"nonce must be {NONCE_LEN} bytes")
-    return MAGIC + path.authenticator + serialize_metadata(path.sessions) + nonce
+    return MAGIC + path.authenticator + path.metadata + nonce
 
 
 _HEAD = len(MAGIC) + DIGEST_LEN
@@ -322,12 +344,24 @@ def canonical_parse(data: bytes) -> tuple[ProgramPath, bytes]:
 
 # --- measurement ---------------------------------------------------------------
 
+_FAULT_MARKER_TAIL = session_tail(False, (), (), {})  # the fault marker session's tail in L
+
+
 def measure(trace: Trace, config: MonitorConfig = MonitorConfig()) -> ProgramPath:
-    """Run the full filter -> loop discovery -> loop monitor -> hash pipeline."""
-    stream, sessions = LoopMonitor(config).process(detect_loops(filter_trace(trace)))
+    """Run the full filter -> loop discovery -> loop monitor -> hash pipeline.
+
+    The path carries the tail in L the monitor wrote for each session, for its
+    `metadata`.
+    """
+    monitor = LoopMonitor(config)
+    stream, sessions = monitor.process(detect_loops(filter_trace(trace)))
+    tails = monitor.tails
     if trace.fault is not None:
         sessions.append(fault_marker_session())
-    return ProgramPath(digest_pairs(stream), tuple(sessions))
+        tails.append(_FAULT_MARKER_TAIL)
+    path = ProgramPath(digest_pairs(stream), tuple(sessions))
+    path.__dict__["_tails"] = tails
+    return path
 
 
 # --- prover ---------------------------------------------------------------------

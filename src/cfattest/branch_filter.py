@@ -11,10 +11,11 @@ and A does not depend on the iteration count, and the entries of direct
 recursion.  Its table of loop bodies (`_Loops`) gives the loops enclosing
 an address, so the loop monitor's walk (`LoopMonitor.process`) costs no
 more per branch as the number of loops grows.  Discovery finds the static
-backedges with one `in` scan per backward site, and the call, return and
-indirect-jump branches with `str.find`, one walk per such site, their
-positions sorted once: a fast C search, where a regex character class is
-matched one character at a time.  Prover and verifier share this code.
+backedges with one `str.find` per backward site, from where the site before
+it was found (`_backedges`), and the call, return and indirect-jump branches
+with `str.find`, one walk per such site, their positions sorted once: a fast
+C search, where a regex character class is matched one character at a time.
+Prover and verifier share this code.
 
 A loop context is **flat** when no other discovered loop entry lies in its
 body [entry, backedge], the body holds no call, return or indirect transfer,
@@ -26,7 +27,11 @@ set (`_Loops.exit`) finds the exit in the site string; for a flat loop with
 one exit site, the usual case, a one-character `str.find` does.  The loop
 monitor takes the session, exit branch included, in one step with no loop
 context, and then resumes its walk at the exit branch, in the enclosing
-context.
+context.  With no context open, such an exit leads straight into the next
+flat loop when it lands on that loop's entry, or when the next branch site
+past its destination lies in that loop's body and no other loop's: the walk
+does nothing else at the exit and at that branch, so the step goes on with
+the next session.
 """
 from __future__ import annotations
 
@@ -72,12 +77,31 @@ def _positions(sites: str, chars: str) -> list[int]:
     return found
 
 
+def _backedges(table: Sites, sites: str) -> set[tuple[int, int]]:
+    """(dest, src) of each static backedge in the run's sites.
+
+    Each backward site is looked for from where the one before it was found, then
+    before that: loops that run in address order are found in one pass over the
+    sites, and no site costs more than one.
+    """
+    found, at = set(), 0
+    for c, (src, dest) in table.backward.items():
+        k = sites.find(c, at)
+        if k < 0:
+            k = sites.find(c, 0, at)
+            if k < 0:
+                continue
+        found.add((dest, src))
+        at = k
+    return found
+
+
 def _discover_loops(b: Branches) -> tuple[dict[int, int], dict[int, int]]:
     """First pass: entry -> largest backedge src, plus direct-recursion entries."""
     site, sites, target_at = b.table.site, b.sites, b.target_at
-    # backward non-call, non-return branches: the static backedges by site (one fast scan
-    # each), indirect jumps by target below
-    backward = {(dest, src) for c, (src, dest) in b.table.backward.items() if c in sites}
+    # backward non-call, non-return branches: the static backedges by site, indirect jumps
+    # by target below
+    backward = _backedges(b.table, sites)
     recursive: dict[int, int] = {}
     call_targets: list[int] = []
     open_calls: dict[int, int] = {}  # call_targets as counts
@@ -106,9 +130,10 @@ class _Loops(dict):
     The body boundaries cut the address space into segments that each have
     one set of enclosing loops; the first lookup of an address bisects them,
     later ones are a dict hit.  `flat` maps each flat loop's entry to its
-    re-entering site, the other loops enclosing that entry and its exit site if
-    it has only one.  A program's table keeps the last one, for the next run
-    that discovers the same loops.
+    re-entering site, the other loops enclosing that entry, its exit site if it
+    has only one, and then the flat loop that exit leads into (`_then`).  A
+    program's table keeps the last one, for the next run that discovers the
+    same loops.
     """
 
     def __init__(self, loops: dict[int, int], table: Sites):
@@ -128,7 +153,8 @@ class _Loops(dict):
         # The flat bodies are disjoint (one holding another's entry is not flat), so a site
         # lies in at most one, and one class of the sites that leave their flat body finds
         # the exit of whichever is innermost.  A body's sites are a range of site numbers.
-        self.flat: dict[int, tuple[str, tuple[int, ...], Optional[str]]] = {}
+        self.flat: dict[int, tuple[str, tuple[int, ...], Optional[str],
+                                   Optional[tuple[int, str]]]] = {}
         exits = []
         for k, (lo, hi) in enumerate(loops.items(), 1):
             if k < len(self.entries) and self.entries[k] <= hi:
@@ -141,9 +167,30 @@ class _Loops(dict):
             if len(re_enter) == 1:
                 leave = [c for c, dest, _ in body if not lo <= dest <= hi]
                 self.flat[lo] = (re_enter[0], tuple(e for e in self[lo] if e != lo),
-                                 leave[0] if len(leave) == 1 else None)
+                                 leave[0] if len(leave) == 1 else None, None)
                 exits += leave
         self.exit = char_class(exits)  # None if no flat body can be left
+        for lo, (re_enter, others, leave, _) in self.flat.items():
+            self.flat[lo] = (re_enter, others, leave, leave and self._then(table, leave))
+
+    def _then(self, table: Sites, leave: str) -> Optional[tuple[int, str]]:
+        """The flat loop the walk opens next, with no loop context open, after the exit
+        branch `leave`, and the sites its session must start with ("": any).
+
+        The exit branch opens it by landing on its entry, or, when the next branch is
+        at the first site past that, by falling into its body.  None unless that loop
+        is flat and no other loop encloses its entry, so none encloses the branch.
+        """
+        dest = table.site[leave][1]
+        if dest in self.loops:
+            entry, starts = dest, ""
+        else:
+            k = bisect_left(table.srcs, dest)
+            if k == len(table.srcs) or not self[table.srcs[k]]:
+                return None
+            entry, starts = self[table.srcs[k]][-1], table.at[table.srcs[k]]
+        flat = self.flat.get(entry)
+        return (entry, starts) if flat and not flat[1] else None
 
     def __missing__(self, addr: int) -> tuple[int, ...]:
         i = bisect_right(self._bounds, addr)

@@ -19,21 +19,23 @@ the first time it completes; afterwards only its counter moves.
 Each run of branches between two loop boundaries is encoded in one step: its
 sites, translated to bits (`site_bits`), extend the path, and its pairs stay
 an index range until they are hashed.  A flat session (see `branch_filter`)
-is one step of the walk, with no context.  If its iterations (up to the last
-re-entering site) are the first one repeated, it is that path, counted, plus
-its tail.  Else its iterations are counted against the traversals its loop
-has taken before, as LO-FAT bumps the counter of an iteration's path: with
-the re-entering site doubled, each iteration lies between two copies of it,
-so one `str.count` and one `str.find` per known traversal give its count and
-first position, until the counts cover every iteration.  The session is
-instead split at the re-entering site, and its pieces counted in
-first-occurrence order in one C pass, when the known traversals do not cover
-its iterations (a new path, a traversal that is only the re-entering site,
-or one past the width), outnumber them, or would take more scanning than a
-split costs (`_SCAN_BUDGET`); its new traversals then become known.  The rule
-reads only the session and the table, and both ways give the same stream and
-paths, so A and L do not depend on what the tables hold.  A traversal past
-the path width is hashed at every occurrence.
+is one step of the walk, with no context; with no context open, the step
+goes on with each flat session its exit leads into (`_Loops.flat`), so
+back-to-back flat loops take one step in all.  If a session's iterations (up
+to the last re-entering site) are the first one repeated, it is that path,
+counted, plus its tail.  Else its iterations are counted against the
+traversals its loop has taken before, as LO-FAT bumps the counter of an
+iteration's path: with the re-entering site doubled, each iteration lies
+between two copies of it, so one `str.count` and one `str.find` per known
+traversal give its count and first position, until the counts cover every
+iteration.  The session is instead split at the re-entering site, and its
+pieces counted in first-occurrence order in one C pass, when the known
+traversals do not cover its iterations (a new path, a traversal that is only
+the re-entering site, or one past the width), outnumber them, or would take
+more scanning than a split costs (`_SCAN_BUDGET`); its new traversals then
+become known.  The rule reads only the session and the table, and both ways
+give the same stream and paths, so A and L do not depend on what the tables
+hold.  A traversal past the path width is hashed at every occurrence.
 
 Per path width, a program keeps a table from a flat traversal's sites to its
 bits and pairs, and, per flat loop (keyed by its re-entering site), the
@@ -46,25 +48,36 @@ each distinct path of a `process` call.
 
 Each flat session is measured once per program and path width.  A third
 table, the session memo, maps a session's sites (exit branch included) to
-what it adds: its stream pairs, its paths as (bits, count) and its overflow
-flag.  A session the program has measured before costs one lookup; depth,
-parent and PathIds are applied per call, the PathIds once per distinct list
-of paths in the call (an inner loop that runs the same count on each pass
-of an outer one repeats it).  What a flat session adds depends only on its
-sites and the path width: its body holds no indirect transfer, so no target
-code, and both ways of counting give the same stream and paths.  So A and L
-do not depend on what the memo holds.  It takes sessions while what it holds
-fits in `_MEMO_BYTES`: keys, value tuples, counts and a dict slot each, as
-`sys.getsizeof` counts them, or more (`_memo_bytes`); past the width every
-pair of a session is stored, eight bytes a site against the key's one to
-four.  The three tables of one width are one `Sites.derived` entry.
+what it adds: its stream pairs, its paths as (bits, count), its overflow
+flag and its tail in L.  A session the program has measured before costs one
+lookup; depth, parent and PathIds are applied per call, the PathIds once per
+distinct session in the call (an inner loop that runs the same count on each
+pass of an outer one repeats it).  What a flat session adds depends only on
+its sites and the path width: its body holds no indirect transfer, so no
+target code, and both ways of counting give the same stream and paths.  So
+A and L do not depend on what the memo holds.  It takes sessions while what
+it holds fits in `_MEMO_BYTES`: keys, value tuples, tails, counts and a dict
+slot each, as `sys.getsizeof` counts them, or more (`_memo_bytes`); past the
+width every pair of a session is stored, eight bytes a site against the
+key's one to four.  A session that does not fit empties it first, so
+sessions that repeat after it filled are memoised again.  The three tables
+of one width are one `Sites.derived` entry.
+
+A session's bytes in L are its head (loop entry, depth, parent) and its tail
+(`session_tail`): overflow flag, paths with counts and target table.  The
+walk writes each session's tail into `tails`, a walked session's when it
+closes and a flat one's from its memo entry, so a flat session is encoded
+once per program; `attestation` packs the heads when it joins them into L.
+`session_head` and `session_tail` are L's one encoder, `serialize_metadata`'s
+too.
 """
 from __future__ import annotations
 
+import struct
 from collections import _count_elements
 from dataclasses import dataclass
 from math import inf
-from typing import NamedTuple, Optional
+from typing import Collection, NamedTuple, Optional
 
 from .branch_filter import INDIRECT, derived, site_bits
 from .isa import CALL, INDIRECT_CALL, RETURN
@@ -78,12 +91,23 @@ _LINKING = CALL + INDIRECT_CALL
 _SCAN_BUDGET = 32
 # the bytes a program's session memo may hold per path width, as `sys.getsizeof` counts
 # them: a session's key, at most 4 bytes a site (1 while all its sites are below 128) and
-# 76 more; its value's three tuples (64 + 40 + 40) and its dict slot (a str-keyed dict
-# takes at most 44 bytes a key past eight keys, CPython 3.11); 8 a stored pair; and a
-# path's slot, (bits, count) tuple and count (8 + 56 + 32)
+# 76 more; its value's four-tuple and two tuples (72 + 40 + 40), its L tail (33 bytes and
+# its length) and its dict slot (a str-keyed dict takes at most 44 bytes a key past eight
+# keys, CPython 3.11); 8 a stored pair; and a path's slot, (bits, count) tuple and count
+# (8 + 56 + 32)
 _MEMO_BYTES = 1 << 22
-_MEMO_ENTRY = 76 + 64 + 40 + 40 + 48
+_MEMO_ENTRY = 76 + 72 + 40 + 40 + 33 + 48
 _MEMO_PATH = 8 + 56 + 32
+
+# Binary L, big-endian: a u32 session count, then each session's head (loop_entry, depth,
+# parent: PARENT_NONE for none) and tail: path_overflow, path count, each path's bit length,
+# bits packed MSB-first into whole bytes and count, then the target count and targets.
+# `session_head` and `session_tail` are its one encoder; `attestation` reads it.
+SESSION_HEAD = struct.Struct(">IBI")
+SESSION_TAIL = struct.Struct(">BI")  # the tail up to its first path
+PATH_COUNT = struct.Struct(">Q")
+TARGETS = [struct.Struct(f">B{k}I") for k in range(256)]  # a session's target count and table
+_BIT_LENGTH = struct.Struct(">B")
 
 
 @dataclass(frozen=True)
@@ -121,11 +145,7 @@ class PathId:
 
     def packed(self) -> bytes:
         """Bits packed MSB-first into whole bytes, zero-padded at the end."""
-        nbytes = (len(self.bits) + 7) // 8
-        if not nbytes:
-            return b""
-        padded = self.bits + "0" * (nbytes * 8 - len(self.bits))
-        return int(padded, 2).to_bytes(nbytes, "big")
+        return pack_bits(self.bits)
 
     @classmethod
     def unpack(cls, data: bytes, bit_len: int) -> "PathId":
@@ -139,7 +159,15 @@ class PathId:
         return cls(format(v >> pad, f"0{bit_len}b") if bit_len else "")
 
 
-@dataclass
+def pack_bits(bits: str) -> bytes:
+    """A bit string packed MSB-first into whole bytes, zero-padded at the end."""
+    nbytes = (len(bits) + 7) // 8
+    if not nbytes:
+        return b""
+    return int(bits + "0" * (nbytes * 8 - len(bits)), 2).to_bytes(nbytes, "big")
+
+
+@dataclass(slots=True)
 class LoopSession:
     """Per-loop-execution record in the metadata L."""
     loop_entry: int
@@ -159,6 +187,28 @@ class LoopSession:
             "indirect_targets": [f"0x{t:x}" for t in self.indirect_targets],
             "path_overflow": self.path_overflow,
         }
+
+
+def session_head(entry: int, depth: int, parent: Optional[int]) -> bytes:
+    """A session's head in L; struct.error for a value that does not fit its field."""
+    return SESSION_HEAD.pack(entry, depth, PARENT_NONE if parent is None else parent)
+
+
+def session_tail(overflow: bool, paths: Collection[tuple[str, int]], targets: Collection[int],
+                 entries: dict[str, bytes]) -> bytes:
+    """A session's tail in L, its paths given as (bits, count); struct.error or IndexError for
+    a value that does not fit its field.  `entries` keeps each path's length byte and packed
+    bits, for the next session that takes the path."""
+    out = [SESSION_TAIL.pack(overflow, len(paths))]
+    append, count_bytes = out.append, PATH_COUNT.pack
+    for bits, count in paths:
+        entry = entries.get(bits)
+        if entry is None:
+            entry = entries[bits] = _BIT_LENGTH.pack(len(bits)) + pack_bits(bits)
+        append(entry)
+        append(count_bytes(count))
+    append(TARGETS[len(targets)].pack(len(targets), *targets))
+    return b"".join(out)
 
 
 def fault_marker_session() -> LoopSession:
@@ -184,7 +234,7 @@ def _memo_bytes(sites: str, found: tuple) -> int:
     """The bytes a session's memo entry holds; the pairs and bits themselves are shared with
     the site and traversal tables."""
     return (len(sites) if sites.isascii() else 4 * len(sites)) + 8 * len(found[0]) \
-        + _MEMO_PATH * len(found[1]) + _MEMO_ENTRY
+        + _MEMO_PATH * len(found[1]) + len(found[3]) + _MEMO_ENTRY
 
 
 class _FlatTables(NamedTuple):
@@ -192,8 +242,10 @@ class _FlatTables(NamedTuple):
     bits: str                         # `site_bits`
     paths: dict[str, tuple]           # traversal sites -> (bits, pairs)
     known: dict[str, dict[str, str]]  # re-entering site -> {piece: scan pattern}
-    memo: dict[str, tuple]            # session sites -> (pairs, paths as (bits, count), overflow)
-    room: list[int]                   # [characters the memo may still take]
+    memo: dict[str, tuple]            # session sites -> (pairs, paths as (bits, count), overflow,
+                                      # L tail)
+    room: list[int]                   # [bytes the memo may still take]
+    bound: int                        # bytes the memo may hold
 
 
 class _Context:
@@ -287,6 +339,7 @@ class LoopMonitor:
         if not ctx.degraded:
             ctx.index = len(self.sessions)
             self.sessions.append(None)
+            self.tails.append(None)
 
     def _iterate(self, ctx: _Context, pos: int, branch: int) -> None:
         """End a traversal of ctx: the branch re-entered it."""
@@ -301,6 +354,8 @@ class LoopMonitor:
             self.sessions[ctx.index] = LoopSession(ctx.entry, ctx.depth, ctx.parent, [
                 (self._path_id(k), c) for k, c in ctx.counts.items()], list(ctx.targets),
                 ctx.path_overflow)
+            self.tails[ctx.index] = session_tail(ctx.path_overflow, ctx.counts.items(),
+                                                 ctx.targets, self._entries)
 
     def _flat(self, entry: int, site: str, start: int, end: int, branch: int, depth: int,
               within: int, degraded: bool) -> None:
@@ -314,18 +369,20 @@ class LoopMonitor:
         sites = self._sites[start:end]
         found = self._memo.get(sites) or self._measure_flat(site, sites)
         self.stream.extend(found[0])
-        paths = self._flat_paths.get(found[1])
+        paths = self._flat_paths.get(found[3])
         if paths is None:  # first in this call: through the call's PathIds
             path_id, paths = self._path_id, []
             for bits, count in found[1]:
                 paths.append((path_id(bits), count))
-            self._flat_paths[found[1]] = paths
+            self._flat_paths[found[3]] = paths
         self.sessions.append(LoopSession(entry, depth, self._stack[-1].index, paths[:], [],
                                          found[2]))
+        self.tails.append(found[3])
 
     def _measure_flat(self, site: str, sites: str) -> tuple:
         """What a flat session not measured before adds: its stream pairs, its paths as (bits,
-        count) and its overflow flag, put in the memo while it has room."""
+        count), its overflow flag and its L tail, put in the memo; a memo with no room for it
+        is emptied first."""
         k, done = sites.find(site) + 1, sites.rfind(site) + 1  # first and last iteration end
         first, width, table = sites[:k], self.config.path_width, self._paths
         n = done // k if k and not done % k and (done == k or sites.startswith(first, k)) else 0
@@ -367,7 +424,11 @@ class LoopMonitor:
                     stream.extend(pairs)
                 counts[path] = seen + count
             found = tuple(stream), tuple(counts.items()), overflow
-        room, cost = self._room, _memo_bytes(sites, found)
+        found = (*found, session_tail(found[2], found[1], (), self._entries))
+        room, cost, bound = self._room, _memo_bytes(sites, found), self._bound
+        if room[0] < cost <= bound:  # full: start over, so sessions that repeat are kept again
+            self._memo.clear()
+            room[0] = bound
         if cost <= room[0]:
             self._memo[sites] = found
             room[0] -= cost
@@ -413,15 +474,21 @@ class LoopMonitor:
             self._end_traversal(s, hashed=count == 0)
 
     def process(self, found: tuple) -> tuple[list[tuple[int, int]], list[LoopSession]]:
-        """Walk the branches once, given `detect_loops`'s loops, and measure each loop."""
+        """Walk the branches once, given `detect_loops`'s loops, and measure each loop.
+
+        `tails` then holds each session's tail in L (`session_tail`), in the order of the
+        sessions."""
         b, enclosing, recursive = found
         self._branches, self._sites, self._target_at = b, b.sites, b.target_at
         self._pair = b.table.pair.__getitem__
-        self._bits, self._paths, self._known, self._memo, self._room = derived(
+        self._bits, self._paths, self._known, self._memo, self._room, self._bound = derived(
             b.table, ("flat", self.config.path_width),
-            lambda: _FlatTables(site_bits(b.table), {}, {}, {}, [_MEMO_BYTES]))
+            lambda: _FlatTables(site_bits(b.table), {}, {}, {}, [_MEMO_BYTES], _MEMO_BYTES))
         self._path_id, self._pos = _PathIds().__getitem__, 0
-        self._flat_paths: dict[tuple, list] = {}  # a flat session's paths -> with PathIds
+        # a flat session's tail in L, which holds its paths -> the paths with PathIds
+        self._flat_paths: dict[bytes, list] = {}
+        self._entries: dict[str, bytes] = {}  # path bits -> their length byte and packed bits
+        self.tails: list[Optional[bytes]] = []
         loops, flat, exits = enclosing.loops, enclosing.flat, enclosing.exit
         max_depth = self.config.max_depth
         sites, site, target_at, n = b.sites, b.table.site, b.target_at, len(b)
@@ -432,12 +499,20 @@ class LoopMonitor:
         open_calls: dict[int, int] = {}  # call_targets as counts
 
         def open_ctx(entry: int, lo: float, hi: float, pos: int, branch: int):
-            # the new innermost context's scope, and -1; a flat session instead is measured up to
-            # its first exit, and the scope stays, with the exit's position (n: the trace ended)
+            # the new innermost context's scope, and -1.  A flat session instead is measured up
+            # to its first exit and, with no loop context open, so is each next one its loop
+            # gives (`_Loops.flat`), whose exit branch and the branch after it do nothing else;
+            # the scope stays, with the last exit's position (n: the trace ended in the session)
             depth, top = len(stack), stack[-1]
             degraded, flat_loop = depth > max_depth or top.degraded, flat.get(entry)
-            if flat_loop and hi != inf and (not flat_loop[1] or all(map(open_at.__contains__,
-                                                                        flat_loop[1]))):
+            if not (flat_loop and hi != inf and (not flat_loop[1] or all(
+                    map(open_at.__contains__, flat_loop[1])))):
+                ctx = open_at[entry] = _Context(call_depth, lo, hi, entry, depth, degraded)
+                self._enter(ctx, pos, branch)
+                stack.append(ctx)
+                return call_depth, lo, hi, -1
+            alone = top is stack[0]
+            while True:
                 if flat_loop[2]:  # the loop's one exit site
                     at = sites.find(flat_loop[2], pos)
                 else:
@@ -445,13 +520,14 @@ class LoopMonitor:
                     at = m.start() if m else -1
                 if at < 0:  # the trace ended in the session
                     at = n
-                self._flat(entry, flat_loop[0], pos, min(at + 1, n), branch, depth, call_depth,
+                end = at + 1
+                self._flat(entry, flat_loop[0], pos, min(end, n), branch, depth, call_depth,
                            degraded)
-                return top.within, top.lo, top.hi, at
-            ctx = open_at[entry] = _Context(call_depth, lo, hi, entry, depth, degraded)
-            self._enter(ctx, pos, branch)
-            stack.append(ctx)
-            return call_depth, lo, hi, -1
+                then = flat_loop[3]
+                if not alone or then is None or end >= n or then[1] and sites[end] not in then[1]:
+                    return top.within, top.lo, top.hi, at
+                entry, pos, branch = then[0], end, end if then[1] else at
+                flat_loop = flat[entry]
 
         def close_ctx(pos: int, branch: int):
             self._exit(stack[-1], pos, branch)

@@ -8,7 +8,9 @@ filters to the same branches,
 the loop monitor's walk marks loops exactly as the all-loops scan in
 `loop_oracle` (through `views.loop_marks`), and
 `measure` gives the (A, L) of the per-item monitor in `monitor_oracle` fed by
-that scan.
+that scan, and the L bytes a measured path carries are `serialize_metadata` of
+its sessions.  Static backedges are found as one `in` scan per backward site
+finds them.
 """
 import ast
 import dataclasses
@@ -25,13 +27,13 @@ import programs as P
 import views
 from cfattest import emulator, loop_monitor
 from cfattest.attestation import (Challenge, ProgramPath, generate_keypair, measure, prover_attest,
-                                  verify)
-from cfattest.branch_filter import detect_loops, filter_trace
+                                  serialize_metadata, verify)
+from cfattest.branch_filter import _backedges, detect_loops, filter_trace
 from cfattest.emulator import (ATTACK_KINDS, AttackError, AttackSpec, CycleLimitExceeded, run,
                                trace_from_jsonl)
 from cfattest.hash_engine import digest_pairs
-from cfattest.isa import (BASE_ADDR, FIELDS, MASK32, NUM_REGS, OPCODES, WORD, Instruction, Kind,
-                          Program, parse_program)
+from cfattest.isa import (BASE_ADDR, FIELDS, JUMP, MASK32, NOT_TAKEN, NUM_REGS, OPCODES, TAKEN,
+                          WORD, Instruction, Kind, Program, parse_program)
 from cfattest.loop_monitor import LoopMonitor, MonitorConfig, fault_marker_session
 from genprog import gen_input, gen_program
 from loop_oracle import detect_loops_scan
@@ -95,6 +97,126 @@ E:
 """
 
 
+# flat loops with a call, an indirect jump and a loop that is not flat between them, at the
+# bottom of the walk: input word 0 bounds every loop, word 1 is C0's address
+FLAT_LOOPS_APART = """
+main:
+    ld r2, [r0+0]
+A:
+    beq r1, r2, EA
+    addi r1, r1, 1
+    j A
+EA:
+    jal f
+    li r1, 0
+B:
+    beq r1, r2, EB
+    addi r1, r1, 1
+    j B
+EB:
+    ld r3, [r0+1]
+    jr r3
+C0:
+    li r1, 0
+C:
+    beq r1, r2, EC
+    addi r1, r1, 1
+    j C
+EC:
+    li r4, 0
+N:
+    beq r4, r2, EN
+    jal f
+    addi r4, r4, 1
+    j N
+EN:
+    li r1, 0
+D:
+    beq r1, r2, ED
+    addi r1, r1, 1
+    j D
+ED:
+    halt
+f:
+    addi r5, r5, 1
+    ret
+"""
+
+# with no loop context open, flat loop A's exit branch lands on flat loop B's entry
+EXIT_ONTO_NEXT_LOOP = """
+main:
+    ld r2, [r0+0]
+A:
+    beq r1, r2, B
+    addi r1, r1, 1
+    j A
+B:
+    beq r6, r2, N
+    addi r6, r6, 1
+    j B
+N:
+    halt
+"""
+
+
+# flat loop A, inside loop W, exits onto flat loop B's entry past W's body: the exit closes W
+# before B opens.  W's first pass skips A, so W is a loop of the run
+EXIT_OUT_OF_ENCLOSING_LOOP = """
+main:
+    ld r2, [r0+0]
+W:
+    bne r7, r0, A0
+    addi r7, r7, 1
+    j WB
+A0:
+    li r1, 0
+A:
+    beq r1, r2, B
+    addi r1, r1, 1
+    j A
+WB:
+    j W
+B:
+    beq r6, r2, N
+    addi r6, r6, 1
+    j B
+N:
+    halt
+"""
+
+# flat loop A exits onto the entry of flat loop B, which lies in loop X's body past X's entry:
+# B opens before X, and X above it at B's next branch
+EXIT_INTO_LOOP_MID_BODY = """
+main:
+    ld r2, [r0+0]
+A:
+    beq r1, r2, B
+    addi r1, r1, 1
+    j A
+X:
+    addi r5, r5, 1
+B:
+    beq r6, r2, XE
+    addi r6, r6, 1
+    j B
+XE:
+    li r6, 0
+    addi r4, r4, 1
+    blt r4, r2, X
+    halt
+"""
+
+
+def descending_loops(k: int) -> str:
+    """k counted loops, each in a function, called from the highest address down; loop i
+    reads its bound from input word i."""
+    lines = ["main:"] + [f"    jal F{i}" for i in reversed(range(k))] + ["    halt"]
+    for i in range(k):
+        lines += [f"F{i}:", f"    ld r2, [r0+{i}]", "    li r1, 0", f"L{i}:",
+                  f"    beq r1, r2, E{i}", "    addi r1, r1, 1", f"    j L{i}", f"E{i}:", "    ret"]
+    return "\n".join(lines) + "\n"
+
+
 def _genprog_case(seed):
     rng = random.Random(seed)
     return gen_program(rng, f"g{seed}"), gen_input(rng), None
@@ -111,6 +233,7 @@ def _cases():
                                      None)
     dispatch = P.prog(P.DISPATCH_LOOP, "d")
     indirect, indirect_input = P.prog(P.INDIRECT_BACKEDGE, "i"), [3, P.INDIRECT_LOOP_ENTRY, 0]
+    apart = P.prog(FLAT_LOOPS_APART, "fa")
     cases.update({
         "nested-2": (P.prog(P.NESTED_2, "n2"), [2, 3], None),
         "nested-4": (P.prog(P.NESTED_4, "n4"), [2, 1, 2, 2], None),
@@ -133,6 +256,11 @@ def _cases():
         "jump-into-loop": (P.prog(JUMP_INTO_LOOP, "ji"), [1], None),
         "long-exit": (P.prog(LONG_EXIT, "le"), [3], None),
         "loops-in-loop-5": (P.prog(P.loops_in_one_loop(5), "ll"), [], None),
+        "flat-loops-apart": (apart, [3, P.label_addr(apart, FLAT_LOOPS_APART, "C0")], None),
+        "exit-onto-next-loop": (P.prog(EXIT_ONTO_NEXT_LOOP, "en"), [3], None),
+        "descending-loops": (P.prog(descending_loops(5), "dl"), [4, 0, 2, 3, 1], None),
+        "exit-out-of-enclosing-loop": (P.prog(EXIT_OUT_OF_ENCLOSING_LOOP, "eo"), [2], None),
+        "exit-into-loop-mid-body": (P.prog(EXIT_INTO_LOOP_MID_BODY, "em"), [2], None),
         "pc-fault-in-loop": (indirect, indirect_input, AttackSpec(
             "corrupt-code-pointer", {"cycle": P.nth_cycle_of(indirect, indirect_input, "jr", 2)},
             {"reg": 3, "value": 0x9999_0000})),
@@ -430,6 +558,38 @@ def test_detect_loops_matches_all_loops_scan(name, max_depth):
     trace = run(program, inp, attack)
     assert annotated(filter_trace(trace), max_depth) == \
         detect_loops_scan(branch_events(filter_trace(trace)), max_depth)
+
+
+def _backedges_by_scan(b):
+    """The static backedges of a run as one `in` scan per backward site finds them."""
+    return {(dest, src) for c, (src, dest) in b.table.backward.items() if c in b.sites}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_backedges_match_a_scan_per_site(name):
+    b = filter_trace(run(*CASES[name]))
+    assert _backedges(b.table, b.sites) == _backedges_by_scan(b)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2 ** 32), st.integers(1, 12))
+def test_backedges_match_a_scan_per_site_on_drawn_programs(seed, k):
+    rng = random.Random(seed)
+    bounds = [rng.randint(0, 3) for _ in range(k)]
+    for program, inp in [_genprog_case(seed)[:2], (parse_program(descending_loops(k), "dl"), bounds),
+                         (parse_program(P.sequential_loops(k), "sq"), bounds)]:
+        b = filter_trace(run(program, inp))
+        assert _backedges(b.table, b.sites) == _backedges_by_scan(b)
+
+
+def test_backedges_are_found_in_descending_order():
+    # the loops run from the highest address down, so each site is found before the last one
+    program = parse_program(descending_loops(6), "dl")
+    b = filter_trace(run(program, [2] * 6))
+    found = _backedges(b.table, b.sites)
+    assert len(found) == 6 and found == _backedges_by_scan(b)
+    at = [b.sites.find(c) for c in b.table.backward]
+    assert at == sorted(at, reverse=True)
 
 
 def test_detect_loops_leaves_its_input_alone():
@@ -801,14 +961,15 @@ def test_sessions_that_differ_only_in_their_last_branch():
         assert len(_memo(program, 16)) == 2
 
 
-def _held_bytes(program, width):
-    """The bytes a program's memo at one width holds, as `sys.getsizeof` counts every object
-    it reaches, less the empty dict and what the site and traversal tables hold too."""
+def _held_bytes(program, width, *roots):
+    """The bytes a program's memo at one width holds, or the objects `roots`, as
+    `sys.getsizeof` counts every object they reach, less what the site and traversal tables
+    hold too and the memo's empty dict."""
     tables = program.sites.derived[("flat", width)]
     shared = {id(x) for x in program.sites.pair.values()}
     for bits, pairs in tables.paths.values():
         shared |= {id(bits), id(pairs)} | {id(pair) for pair in pairs}
-    seen, todo, held = set(), [tables.memo], -sys.getsizeof({})
+    seen, todo, held = set(), list(roots) or [tables.memo], 0 if roots else -sys.getsizeof({})
     while todo:
         x = todo.pop()
         if id(x) in seen or id(x) in shared:
@@ -827,17 +988,49 @@ def test_a_memo_past_its_bound_still_measures_every_session(width, monkeypatch):
     monkeypatch.setattr(loop_monitor, "_MEMO_BYTES", 100_000)
     config, rng = MonitorConfig(n=1, path_width=width), random.Random(11)
     program = parse_program(P.sequential_loops(140), "seq140")
-    sizes = []
+    sizes, held = [], []
     for _ in range(12):
         trace = run(program, [rng.randint(0, 40) for _ in range(140)])
         assert measure(trace, config) == oracle_measure(trace, config)
         tables = program.sites.derived[("flat", width)]
         assert sum(loop_monitor._memo_bytes(*item) for item in tables.memo.items()) \
-            + tables.room[0] == 100_000 and tables.room[0] >= 0
+            + tables.room[0] == tables.bound == 100_000 and tables.room[0] >= 0
         sizes.append(len(tables.memo))
-    assert sizes[-1] == sizes[-5] > 8  # full: the last runs added nothing
+        held.append(_held_bytes(program, width))
+    # full, it started over, and kept taking sessions
+    assert any(later < size for size, later in zip(sizes, sizes[1:])) and max(sizes) > 8
+    assert min(sizes) > 0
     assert not all(sites.isascii() for sites in tables.memo)
-    assert _held_bytes(program, width) <= 100_000
+    assert max(held) <= 100_000
+
+
+def test_each_memo_entry_is_charged_what_it_holds():
+    # sessions of up to eight paths, whose L tails outgrow their keys
+    program, rng = parse_program(EIGHT_PATH_LOOP, "e8"), random.Random(8)
+    for n in range(1, 40):
+        measure(run(program, [n] + [rng.randint(0, 1) for _ in range(3 * n)]))
+    memo = program.sites.derived[("flat", 16)].memo
+    assert len(memo) == 39 and max(len(found[3]) for found in memo.values()) > 80
+    for sites, found in memo.items():
+        assert _held_bytes(program, 16, sites, found) <= loop_monitor._memo_bytes(sites, found)
+
+
+def test_a_full_memo_takes_later_repeats(monkeypatch):
+    # fresh selector vectors fill the memo; a vector that then comes twice hits the second time
+    monkeypatch.setattr(loop_monitor, "_MEMO_BYTES", 50_000)
+    misses, measure_flat = [], LoopMonitor._measure_flat
+    monkeypatch.setattr(LoopMonitor, "_measure_flat",
+                        lambda self, *a: misses.append(a) or measure_flat(self, *a))
+    program, rng = parse_program(P.WHILE_IF_ELSE, "w"), random.Random(3)
+    vectors = [[100] + [rng.randint(0, 1) for _ in range(100)] for _ in range(80)]
+    for inp in vectors[:-1]:
+        measure(run(program, inp))
+    tables = program.sites.derived[("flat", 16)]
+    assert len(misses) == len(vectors) - 1 > len(tables.memo)  # it started over at least once
+    for _ in range(2):
+        trace = run(program, vectors[-1])
+        assert measure(trace) == oracle_measure(trace, MonitorConfig())
+    assert len(misses) == len(vectors)
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -848,3 +1041,107 @@ def test_verify_does_not_depend_on_the_memo(name):
     report = prover_attest(program, challenge, _SK, attack)
     assert verify(report, challenge, _PK, dataclasses.replace(program)) \
         == verify(report, challenge, _PK, program)
+
+
+def assert_carries_its_encoding(trace, config):
+    """The walk's stream and sessions are the oracle's, and the L a measured path carries is
+    `serialize_metadata` of its sessions."""
+    b = filter_trace(trace)
+    stream, sessions = LoopMonitor(config).process(detect_loops(b))
+    assert (stream, sessions) == OracleMonitor(config).process(
+        detect_loops_scan(branch_events(b), config.max_depth))
+    path = measure(trace, config)
+    assert "_tails" in path.__dict__  # the monitor's bytes, not an encoding of the sessions
+    assert path.metadata == serialize_metadata(path.sessions)
+    assert path == oracle_measure(trace, config)
+
+
+@pytest.mark.parametrize("config", sorted(MONITOR_CONFIGS))
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_a_measured_path_carries_its_encoding(name, config):
+    # on a program of its own, measured cold and then from the memo
+    program, inp, attack = CASES[name]
+    program = dataclasses.replace(program)
+    for _ in range(2):
+        assert_carries_its_encoding(run(program, inp, attack), MONITOR_CONFIGS[config])
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 7])
+def test_flat_loop_families_carry_their_encoding(k):
+    rng = random.Random(k)
+    sequential = parse_program(P.sequential_loops(k), "sq")
+    inner = parse_program(P.loops_in_one_loop(k), "ll")
+    for _ in range(4):
+        bounds = [rng.randint(0, 4) for _ in range(k)]
+        for config in MONITOR_CONFIGS.values():
+            assert_carries_its_encoding(run(sequential, bounds), config)
+            assert_carries_its_encoding(run(inner, []), config)
+
+
+@pytest.mark.parametrize("name", ["seq-loops-10", "seq-loops-0-1-2", "flat-loops-apart",
+                                  "exit-onto-next-loop", "loops-in-loop-5", "descending-loops"])
+def test_a_trace_cut_mid_session_carries_its_encoding(name):
+    # the branch record cut after every branch, as a run stopped there (at a cycle cap, say)
+    # leaves it: the last session ends mid-iteration, at its exit, or before the next one opens
+    program, inp, attack = CASES[name]
+    trace = run(program, inp, attack)
+    site = program.sites.site
+    for k in range(len(trace.sites) + 1):
+        indirect = sum(site[c][1] is None for c in trace.sites[:k])  # their targets are recorded
+        cut = dataclasses.replace(trace, sites=trace.sites[:k], targets=trace.targets[:indirect])
+        for config in (MonitorConfig(), MonitorConfig(n=1, path_width=1)):
+            assert_carries_its_encoding(cut, config)
+
+
+def test_chained_sessions_are_covered():
+    # at the bottom of the walk, exits that lead into the next flat loop by falling into its
+    # body and by landing on its entry, and some that lead into none
+    then = {}
+    for name in ("seq-loops-10", "exit-onto-next-loop", "flat-loops-apart", "descending-loops"):
+        program, inp, attack = CASES[name]
+        for entry, flat_loop in detect_loops(filter_trace(run(program, inp, attack)))[1].flat.items():
+            then.setdefault(name, []).append(flat_loop[3] and bool(flat_loop[3][1]))
+    assert True in then["seq-loops-10"] and False in then["exit-onto-next-loop"]
+    assert set(then["flat-loops-apart"]) == set(then["descending-loops"]) == {None}
+
+
+def test_a_chain_follows_the_record_not_the_table():
+    # a hand-written record in which flat loop A's exit is followed by loop C's branch, not by
+    # loop B's at the first site past A's exit, and B's exit by A's: the walk opens C, then A
+    A, B, C = 0x100, 0x114, 0x130
+    record = [(B, B + 4, NOT_TAKEN), (B + 4, B, JUMP), (B, B + 8, TAKEN),
+              (A, A + 4, NOT_TAKEN), (A + 8, A, JUMP), (A, A + 0x10, TAKEN),
+              (C, C + 4, NOT_TAKEN), (C + 4, C, JUMP), (C, C + 8, TAKEN)]
+    src, dest, kinds = map(list, zip(*record))
+    b = branches_from_columns(src, dest, "".join(kinds), list(range(0, 2 * len(record), 2)))
+    found = detect_loops(b)
+    assert [found[1].flat[entry][3][0] for entry in (A, B)] == [B, C]
+    config = MonitorConfig()
+    assert LoopMonitor(config).process(found) == OracleMonitor(config).process(
+        detect_loops_scan(branch_events(b), config.max_depth))
+
+
+@st.composite
+def _attacked_genprog_runs(draw):
+    """A generated program, its input, and an attack that flips a decision or a loop bound."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    program, inp = gen_program(rng, "g"), gen_input(rng)
+    if not draw(st.booleans()):
+        return program, inp, None
+    cycle = draw(st.integers(0, run(program, inp).cycles))
+    kind, reg = draw(st.sampled_from([("corrupt-decision-var", 7), ("corrupt-loop-counter", 1),
+                                      ("corrupt-loop-counter", 3)]))
+    return program, inp, AttackSpec(kind, {"cycle": cycle}, {"reg": reg,
+                                                              "value": draw(st.integers(0, 9))})
+
+
+@settings(max_examples=150, deadline=None)
+@given(_attacked_genprog_runs())
+def test_drawn_programs_carry_their_encoding(case):
+    program, inp, attack = case
+    try:
+        trace = run(program, inp, attack, cycle_cap=100_000)
+    except CycleLimitExceeded:
+        return
+    for config in MONITOR_CONFIGS.values():
+        assert_carries_its_encoding(trace, config)
