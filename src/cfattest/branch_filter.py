@@ -78,12 +78,9 @@ def _positions(sites: str, chars: str) -> list[int]:
 
 
 def _backedges(table: Sites, sites: str) -> set[tuple[int, int]]:
-    """(dest, src) of each static backedge in the run's sites.
-
-    Each backward site is looked for from where the one before it was found, then
-    before that: loops that run in address order are found in one pass over the
-    sites, and no site costs more than one.
-    """
+    """(dest, src) of each static backedge in the run's sites.  Each backward site is looked
+    for from where the one before it was found, then before that: loops that run in address
+    order take one pass over the sites in all, and no site more than one."""
     found, at = set(), 0
     for c, (src, dest) in table.backward.items():
         k = sites.find(c, at)
@@ -175,12 +172,10 @@ class _Loops(dict):
 
     def _then(self, table: Sites, leave: str) -> Optional[tuple[int, str]]:
         """The flat loop the walk opens next, with no loop context open, after the exit
-        branch `leave`, and the sites its session must start with ("": any).
-
-        The exit branch opens it by landing on its entry, or, when the next branch is
-        at the first site past that, by falling into its body.  None unless that loop
-        is flat and no other loop encloses its entry, so none encloses the branch.
-        """
+        branch `leave`, and the sites its session must start with ("": any): the loop whose
+        entry the branch lands on, else the innermost one around the first site past it.
+        None unless that loop is flat and no other loop encloses its entry, so that the
+        walk does nothing else there."""
         dest = table.site[leave][1]
         if dest in self.loops:
             entry, starts = dest, ""

@@ -51,7 +51,7 @@ table, the session memo, maps a session's sites (exit branch included) to
 what it adds: its stream pairs, its paths as (bits, count), its overflow
 flag and its tail in L.  A session the program has measured before costs one
 lookup; depth, parent and PathIds are applied per call, the PathIds once per
-distinct session in the call (an inner loop that runs the same count on each
+distinct tail in the call (an inner loop that runs the same count on each
 pass of an outer one repeats it).  What a flat session adds depends only on
 its sites and the path width: its body holds no indirect transfer, so no
 target code, and both ways of counting give the same stream and paths.  So
