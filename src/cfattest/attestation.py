@@ -3,10 +3,10 @@
 The prover runs the program on the verifier-chosen input, measures the
 control flow into an authenticator A plus loop metadata L, and signs the
 program hash H followed by the canonical bytes of A, L and the challenge
-nonce N.  Those bytes are the report's only encoding of A, L and N, and
+nonce N.  A `Report` is those bytes, its only source of A, L and N, and
 their reading is strict: what it accepts re-serialises to the same bytes.
 `Report.from_json` checks them with one offset walk that builds no objects,
-and parses them into sessions only when `Report.path` is first read.  A
+and `Report.path` parses them into sessions only when first read.  A
 measured path comes with most of its L already encoded: the loop monitor
 writes each session's tail as it measures, once per distinct flat session of
 a program, and `ProgramPath.metadata` packs only the session heads.
@@ -124,37 +124,23 @@ class ProgramPath:
 REPORT_KEYS = frozenset({"program_id", "program_hash_hex", "signed_hex", "sig_hex"})
 
 
-class _ParsedFromSigned:
-    """`Report.path` of a received report: parsed from its signed bytes when first read.
-
-    A non-data descriptor, as `cached_property` is: a path set by `__init__`
-    shadows it.  Read on the class it raises AttributeError, so the dataclass
-    field keeps no default.
-    """
-
-    def __get__(self, report, owner=None):
-        if report is None:
-            raise AttributeError("path")
-        path = report.__dict__["path"] = canonical_parse(report.signed)[0]
-        return path
-
-
 @dataclass(frozen=True)
 class Report:
+    """The program id, its hash H, the bytes of A, L and N, and the signature over H and
+    those bytes, the report's only source of A, L and N."""
     program_id: str
     program_hash: bytes
-    path: ProgramPath = _ParsedFromSigned()
-    nonce: bytes
+    signed: bytes
     signature: bytes
 
-    @cached_property
-    def signed(self) -> bytes:
-        """The encoding of A, L and N: as signed or received, else built from the fields.
+    @property
+    def nonce(self) -> bytes:
+        return self.signed[-NONCE_LEN:]
 
-        The prover and `from_json` store the bytes they signed or checked; a
-        Report built by hand, or by `dataclasses.replace`, encodes its own fields.
-        """
-        return canonical_serialize(self.path, self.nonce)
+    @cached_property
+    def path(self) -> ProgramPath:
+        """A and L, parsed when first read; ProtocolError if the bytes do not parse."""
+        return canonical_parse(self.signed)[0]
 
     def to_json(self) -> dict:
         return {
@@ -166,10 +152,10 @@ class Report:
 
     @classmethod
     def from_json(cls, d: dict) -> "Report":
-        """Decode a report, taking A, L and N from the signed bytes; ValueError if malformed.
+        """Decode a report; ValueError if it is malformed.
 
         The signed bytes are checked as strictly as `canonical_parse` reads them,
-        by a walk that builds no sessions; `path` is parsed from them when first read.
+        by a walk that builds no sessions.
         """
         if not isinstance(d, dict) or d.keys() != REPORT_KEYS:
             raise ProtocolError(f"report must have exactly the keys {sorted(REPORT_KEYS)}")
@@ -177,12 +163,8 @@ class Report:
             raise ProtocolError("report fields must be strings")
         signed = bytes.fromhex(d["signed_hex"])
         _check_metadata(_signed_metadata(signed))
-        report = cls.__new__(cls)
-        report.__dict__.update(program_id=d["program_id"],
-                               program_hash=bytes.fromhex(d["program_hash_hex"]),
-                               nonce=signed[-NONCE_LEN:], signature=bytes.fromhex(d["sig_hex"]),
-                               signed=signed)
-        return report
+        return cls(d["program_id"], bytes.fromhex(d["program_hash_hex"]), signed,
+                   bytes.fromhex(d["sig_hex"]))
 
 
 # --- keys --------------------------------------------------------------------
@@ -385,9 +367,7 @@ def prover_attest(
     path = measure(trace, config)
     h = program_hash(program)
     signed = canonical_serialize(path, challenge.nonce)
-    report = Report(program.id, h, path, challenge.nonce, sign(h + signed, sk_seed))
-    report.__dict__["signed"] = signed
-    return report
+    return Report(program.id, h, signed, sign(h + signed, sk_seed))
 
 
 # --- verifier -------------------------------------------------------------------
@@ -663,12 +643,13 @@ def verify(
     The replay runs before the structural decode.  If its encoding equals the
     signed bytes, the decode reads the replay's sessions, which equal the
     report's, and the report is never parsed; otherwise the report's sessions
-    are decoded and A and L compared with the replay's.  Either way the
-    reported reason is the first failing check in the order above; `failures`
-    additionally lists every distinguishing check that failed, so callers can
-    see e.g. that a rogue in-loop edge both breaks the loop structure and
-    changes the authenticator.  A replay past the cycle cap raises
-    CycleLimitExceeded, for which `cfattest verify` exits 6.
+    are decoded and A and L compared with the replay's.  Signed bytes that do
+    not parse, which only a Report built around them can hold, are MALFORMED.
+    Either way the reported reason is the first failing check in the order
+    above; `failures` additionally lists every distinguishing check that
+    failed, so callers can see e.g. that a rogue in-loop edge both breaks the
+    loop structure and changes the authenticator.  A replay past the cycle
+    cap raises CycleLimitExceeded, for which `cfattest verify` exits 6.
     """
     cfg = build_cfg(program)
 
@@ -680,19 +661,18 @@ def verify(
         return VerifyResult(False, STALE_NONCE, (STALE_NONCE,))
     if nonce_store is not None and nonce_store.used(challenge.nonce):
         return VerifyResult(False, STALE_NONCE, (STALE_NONCE,))
-    try:
-        signed = report.signed  # its nonce is the challenge's, checked above
-    except ProtocolError:
-        return VerifyResult(False, MALFORMED, (MALFORMED,))
     # H was checked above against the verifier's own hash of the program
-    if not signature_valid(report.program_hash + signed, report.signature, pk):
+    if not signature_valid(report.program_hash + report.signed, report.signature, pk):
         return VerifyResult(False, BAD_SIGNATURE, (BAD_SIGNATURE,))
 
     expected = measure(run(program, list(challenge.input)), config)
     # the strict parse makes equal bytes equal A and L, so the replay's sessions stand
     # for the report's; only other bytes are parsed, to say what differs
-    same = canonical_serialize(expected, challenge.nonce) == signed
-    reported = expected if same else report.path
+    same = canonical_serialize(expected, challenge.nonce) == report.signed
+    try:
+        reported = expected if same else report.path
+    except ProtocolError:  # validly signed bytes that do not parse
+        return VerifyResult(False, MALFORMED, (MALFORMED,))
     failures: list[str] = []
     structural_ok, _notes = check_loop_paths(reported.sessions, cfg, config)
     if not structural_ok:

@@ -16,12 +16,11 @@ and from the next instruction, and a direct jump inside the loop is followed.
 Each path ends once, back at the header or leaving the unit (a successor
 outside, an indirect transfer, a halt, a data fault), and there appends its
 site characters with one call and adds its cycle count, fixed at compile
-time, once; pc is written only where the unit leaves.  A body whose tree
-would pass its bound runs its blocks in address order instead, a block
-testing pc only if an earlier block's jump can pass over it.  Any other
-entry pc (a loop's block entered past its header too) starts a unit of one
-block.  Units of one *shape*, equal but for addresses, immediates and site
-characters, share a code object and take those as parameter defaults.
+time, once; pc is written only where the unit leaves.  A loop whose tree
+would pass its bound runs as units of one block, as does any other entry pc
+(a loop's block entered past its header too).  Units of one *shape*, equal
+but for addresses, immediates and site characters, share a code object and
+take those as parameter defaults.
 Units of one instruction single-step a run while an attack's trigger is
 armed or an `observer` watches, and through the last pass before the cycle
 cap, so every cycle is exactly the interpreter's.
@@ -330,7 +329,7 @@ _BLOCK_LIMIT = 64  # instructions per block of a unit, so that a long block comp
 # and how far a path tree may outgrow its unit
 # a parameter's value, by its kind, from its instruction
 _VALUES = {"imm": lambda i: (i.imm or 0) & MASK32, "next": lambda i: i.addr + WORD,
-           "target": lambda i: i.target, "addr": lambda i: i.addr}
+           "target": lambda i: i.target}
 
 
 class _TooLarge(Exception):
@@ -338,31 +337,24 @@ class _TooLarge(Exception):
 
 
 class _Tree:
-    """The body of a unit's `while`, one pass: a path tree from each region start.
+    """The body of a unit's `while`, one pass: the path tree from its entry.
 
     A path runs its instructions in the order they retire.  A conditional is
     `if cond:` over the path from its target and `else:` over the path from the
     next instruction, and a direct jump inside the unit is followed.  A path ends
     at a *leaf*: out of the unit (a halt, a data fault, an indirect transfer, a
-    successor outside: `pc` set, `break`), back at the header (the pass ends) or
-    at another region's start (`pc` set; the region is guarded by `if pc ==` its
-    address only if an earlier leaf passes over it).  Each leaf makes one `sa` of
-    its path's site characters and one `cycle +=` of its path's length.  The
-    tree holds at most `_BLOCK_LIMIT` instructions more than the unit, nested at
-    most `_BLOCK_LIMIT` deep, or `_TooLarge` is raised.  `params` maps each
-    parameter to its (kind, instruction index), or ("s", the (instruction, taken)
-    pairs of a leaf's site characters).
+    successor outside: `pc` set, `break`) or back at the entry, a loop's header,
+    where `pc` already is (the pass ends).  Each leaf makes one `sa` of its
+    path's site characters and one `cycle +=` of its path's length.  The tree
+    holds at most `_BLOCK_LIMIT` instructions more than the unit, nested at most
+    `_BLOCK_LIMIT` deep, or `_TooLarge` is raised.  `params` maps each parameter
+    to its (kind, instruction index), or ("s", the (instruction, taken) pairs of
+    a leaf's site characters).
     """
 
-    def __init__(self, ops: tuple, regions: tuple[int, ...]):
-        self.ops, self.regions, self.params, self.lines = ops, regions, {}, []
-        self.left, self.reached = len(ops) + _BLOCK_LIMIT, set()
-        for r in regions:
-            pad = " " * 8
-            if any(to == 0 or to > r for to in self.reached):
-                self.lines.append(f"{pad}if pc == {self.param('addr', r)}:")
-                pad += "    "
-            self.path(r, 0, (), pad)
+    def __init__(self, ops: tuple):
+        self.ops, self.params, self.lines, self.left = ops, {}, [], len(ops) + _BLOCK_LIMIT
+        self.path(0, 0, (), " " * 8)
 
     def param(self, kind: str, arg) -> str:
         name = f"s{len(self.params)}" if kind == "s" else f"{kind}{arg}"
@@ -376,7 +368,7 @@ class _Tree:
         self.lines.extend(pad + line for line in end)
 
     def path(self, i: Optional[int], n: int, sites: tuple, pad: str) -> None:
-        """Emit the path from instruction i, after n instructions of its region
+        """Emit the path from instruction i, after n instructions of the pass
         whose site characters are `sites`."""
         while i is not None:
             self.left -= 1
@@ -405,25 +397,18 @@ class _Tree:
                 to = target if text == "{target}" else at + 1 if at + 1 < len(self.ops) else None
                 if to is None:
                     self.leaf(n, step, indent, f"pc = {self.param(text[1:-1], at)}", "break")
-                elif to in self.regions:  # in a tree, only the header, which pc holds still
-                    self.reached.add(to)
-                    goto = (f"pc = {self.param(text[1:-1], at)}",) if len(self.regions) > 1 else ()
-                    self.leaf(n, step, indent, *goto)
+                elif to == 0:  # back at the header, which pc holds still
+                    self.leaf(n, step, indent)
                 elif k == len(lines) - 1 and indent == pad:  # in tail position: walk on
                     i, sites = to, step
                 else:
                     self.path(to, n, step, indent)
 
 
-def _source(key: tuple) -> tuple[str, tuple]:
-    """A unit shape's function source and its parameters, (kind, arg) each: a path
-    tree (`_Tree`) from the entry, or, if that would be too large, one region per
-    block, each of them entered in address order."""
-    ops, starts = key
-    try:
-        tree = _Tree(ops, (0,))
-    except _TooLarge:
-        tree = _Tree(ops, starts)
+def _source(ops: tuple) -> tuple[str, tuple]:
+    """A unit shape's function source and its parameters, (kind, arg) each: the path
+    tree (`_Tree`) from its entry; `_TooLarge` if that would pass its bound."""
+    tree = _Tree(ops)
     body = "\n".join(tree.lines)
     regs = sorted(set(re.findall(r"\br(?:\d+|a)\b", body)))
     names, slots = "".join(f"{r}, " for r in regs), "".join(
@@ -437,9 +422,9 @@ def _source(key: tuple) -> tuple[str, tuple]:
 
 
 @lru_cache(maxsize=1024)
-def _shape(key: tuple) -> tuple[CodeType, tuple]:
+def _shape(ops: tuple) -> tuple[CodeType, tuple]:
     """Compile a unit shape (`_Units.layout`): its code object and its parameters."""
-    source, params = _source(key)
+    source, params = _source(ops)
     namespace: dict = {}
     exec(source, namespace)
     return namespace["unit"].__code__, params
@@ -449,10 +434,11 @@ class _Units:
     """A program's units, each built the first time control reaches it.
 
     An innermost static loop, a backward site span [Dest, Src] that holds no
-    other, is one unit entered at Dest; any other pc control reaches (a block
-    start, the entry point, an indirect target, a loop's block past Dest) starts
-    a unit of one block.  At a block limit of 1 each instruction is a unit.
-    Each unit's code is a path tree from its entry (`_Tree`).
+    other, is one unit entered at Dest, unless its path tree would pass its
+    bound; any other pc control reaches (a block start, the entry point, an
+    indirect target, a loop's block past Dest) starts a unit of one block.  At a
+    block limit of 1 each instruction is a unit.  Each unit's code is the path
+    tree from its entry (`_Tree`).
     """
 
     def __init__(self, program: Program):
@@ -471,8 +457,12 @@ class _Units:
         table, program = self.steps if limit == 1 else self.units, self.program
         if pc in table or type(pc) is not int or program.instr_at(pc) is None:
             return table.get(pc)
-        key, instrs = self.layout(pc, limit)
-        code, params = _shape(key)
+        ops, instrs = self.layout(pc, limit)
+        try:
+            code, params = _shape(ops)
+        except _TooLarge:  # the loop runs as units of one block
+            del self.loops[pc]
+            return self.unit(pc, limit)
         at = program.sites.at
         fn = table[pc] = FunctionType(code, globals(), "unit", tuple(
             "".join(at[instrs[i].addr][t] for i, t in arg) if kind == "s"
@@ -480,19 +470,17 @@ class _Units:
         return fn
 
     def layout(self, pc: int, limit: int) -> tuple[tuple, list[Instruction]]:
-        """The shape of the unit entered at pc, and its instructions.  The shape
-        is, per instruction, its (mnemonic, rd, rs1, rs2) and the index of its
-        direct target if the unit goes on there (forward, or back to a loop's
-        header: 0), else None; then the indices where its blocks start."""
+        """The shape of the unit entered at pc, and its instructions: a loop's
+        header to its backedge, else one block.  The shape is, per instruction,
+        its (mnemonic, rd, rs1, rs2) and the index of its direct target if the
+        unit goes on there (forward, or back to a loop's header: 0), else None."""
         loop = limit > 1 and pc in self.loops
-        starts, stop = [], pc
-        while not starts or loop and stop <= self.loops[pc]:  # a loop's blocks end past its backedge
-            starts.append(stop)
-            stop = min(self.ends[bisect_right(self.ends, stop)], stop + limit * WORD)
+        stop = self.loops[pc] + WORD if loop else min(
+            self.ends[bisect_right(self.ends, pc)], pc + limit * WORD)
         instrs = [self.program.instr_at(a) for a in range(pc, stop, WORD)]
         ops = tuple((i.mnemonic, i.rd, i.rs1, i.rs2, (i.target - pc) // WORD if loop and (
             i.target == pc or i.addr < (i.target or 0) < stop) else None) for i in instrs)
-        return (ops, tuple((s - pc) // WORD for s in starts)), instrs
+        return ops, instrs
 
 
 def run(

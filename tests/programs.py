@@ -391,6 +391,12 @@ def loops_in_one_loop(k: int) -> str:
     return "\n".join(lines) + "\n"
 
 
+# a loop of eight if-thens in sequence, run four times: its path tree would pass its bound
+PAST_TREE_BOUND = ("main:\n li r2, 4\n li r8, 1\nL:\n beq r1, r2, E\n addi r1, r1, 1\n"
+                   " sub r3, r8, r3\n" + "".join(f" beq r3, r0, F{k}\n addi r{4 + k % 4}, "
+                                                  f"r{4 + k % 4}, {k + 1}\nF{k}:\n" for k in range(8))
+                   + " j L\nE:\n halt\n")
+
 STRAIGHT_LINE = """
 main:
     li r1, 7

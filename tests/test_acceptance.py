@@ -3,15 +3,15 @@
 One test per criterion; each prints a single PASS line (visible with -rA or
 on demand) after its assertions, with the tolerance pinned in the assert.
 """
+import dataclasses
 import random
 import time
 
 import programs as P
 from genprog import gen_input, gen_program
 from cfattest import attestation as att
-from cfattest.attestation import (Challenge, NonceStore, ProgramPath, Report, build_cfg,
-                                  check_loop_paths, decode_loop_path, measure,
-                                  prover_attest, verify)
+from cfattest.attestation import (Challenge, NonceStore, build_cfg, check_loop_paths,
+                                  decode_loop_path, measure, prover_attest, verify)
 from cfattest.branch_filter import detect_loops, filter_trace
 from cfattest.emulator import run
 from cfattest.hash_engine import simulate_absorb
@@ -141,20 +141,16 @@ def test_criterion_6_protocol_round_trip_and_freshness(tmp_path):
     def flip(b: bytes, i: int) -> bytes:
         return b[:i] + bytes([b[i] ^ 0x01]) + b[i + 1:]
 
+    nonce_at = len(report.signed) - att.NONCE_LEN
     mutations = [
-        Report(report.program_id + "x", report.program_hash, report.path,
-               report.nonce, report.signature),
-        Report(report.program_id, flip(report.program_hash, 0), report.path,
-               report.nonce, report.signature),
-        Report(report.program_id, report.program_hash,
-               ProgramPath(flip(report.path.authenticator, 7),
-                           report.path.sessions),
-               report.nonce, report.signature),
-        Report(report.program_id, report.program_hash, report.path,
-               flip(report.nonce, 3), report.signature),
-        Report(report.program_id, report.program_hash, report.path,
-               report.nonce, flip(report.signature, 11)),
+        dataclasses.replace(report, program_id=report.program_id + "x"),
+        dataclasses.replace(report, program_hash=flip(report.program_hash, 0)),
+        dataclasses.replace(report, signed=flip(report.signed, len(att.MAGIC) + 7)),  # A
+        dataclasses.replace(report, signed=flip(report.signed, nonce_at + 3)),  # N
+        dataclasses.replace(report, signature=flip(report.signature, 11)),
     ]
+    assert mutations[2].path.authenticator == flip(report.path.authenticator, 7)
+    assert mutations[3].nonce == flip(report.nonce, 3)
     for mutated in mutations:
         assert not verify(mutated, ch, PK, program).accepted
     elapsed = time.monotonic() - start

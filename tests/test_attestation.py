@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import programs as P
+import verify_oracle
 from cfattest import attestation as att
 from cfattest.attestation import (AUTHENTICATOR_MISMATCH, BAD_SIGNATURE,
                                   INVALID_LOOP_PATH, MALFORMED,
@@ -125,11 +126,10 @@ class TestKeysAndHashes:
         # received report keeps the bytes it came with and is never parsed into a path
         assert len(calls) == 2
         (signed_path, signed_nonce), (replay, replay_nonce) = calls
-        assert signed_path is report.path and signed_nonce == replay_nonce == ch.nonce
-        assert replay is not report.path and replay == report.path
+        assert signed_nonce == replay_nonce == ch.nonce and replay is not signed_path
         assert "path" not in received.__dict__
-        assert received.signed == report.signed == serialize(report.path, report.nonce)
-        assert received.path == report.path
+        assert received == report and received.signed == serialize(signed_path, ch.nonce)
+        assert received.path == report.path == signed_path == replay
 
 
 class TestCanonicalSerialization:
@@ -409,8 +409,8 @@ class TestProtocolRoundTrip:
         r = prover_attest(p, ch, sk)
         a = bytearray(r.path.authenticator)
         a[0] ^= 1
-        tampered = Report(r.program_id, r.program_hash,
-                          ProgramPath(bytes(a), r.path.sessions), r.nonce, r.signature)
+        tampered = dataclasses.replace(r, signed=canonical_serialize(
+            ProgramPath(bytes(a), r.path.sessions), r.nonce))
         assert verify(tampered, ch, pk, p).reason == BAD_SIGNATURE
 
     def test_tampered_count_breaks_signature(self):
@@ -422,9 +422,8 @@ class TestProtocolRoundTrip:
         boosted = LoopSession(s.loop_entry, s.depth, s.parent,
                               [(s.paths[0][0], s.paths[0][1] + 5)] + s.paths[1:],
                               s.indirect_targets, s.path_overflow)
-        tampered = Report(r.program_id, r.program_hash,
-                          ProgramPath(r.path.authenticator, (boosted,) + r.path.sessions[1:]),
-                          r.nonce, r.signature)
+        tampered = dataclasses.replace(r, signed=canonical_serialize(
+            ProgramPath(r.path.authenticator, (boosted,) + r.path.sessions[1:]), r.nonce))
         assert verify(tampered, ch, pk, p).reason == BAD_SIGNATURE
 
     def test_wrong_program_id_malformed(self):
@@ -449,7 +448,7 @@ class TestProtocolRoundTrip:
         patched = P.prog(P.WHILE_IF_ELSE.replace("addi r4, r4, 2", "addi r4, r4, 3"), "w")
         ch = fresh(p, [1, 0])
         r = prover_attest(patched, ch, sk)
-        forged = Report(r.program_id, program_hash(p), r.path, r.nonce, r.signature)
+        forged = dataclasses.replace(r, program_hash=program_hash(p))
         assert verify(forged, ch, pk, p).reason == BAD_SIGNATURE
 
     @pytest.mark.parametrize("change", [
@@ -458,16 +457,46 @@ class TestProtocolRoundTrip:
         {"paths": [(PathId("1"), 2**64)]}, {"paths": [(PathId("1" * 256), 1)]},
     ])
     def test_unencodable_metadata_is_malformed(self, change):
+        p = P.prog(P.WHILE_IF_ELSE, "w")
+        ch = fresh(p, [3, 0, 0, 0])
+        r = prover_attest(p, ch, KEY[0])
+        s = dataclasses.replace(r.path.sessions[0], **change)
+        with pytest.raises(ProtocolError):
+            canonical_serialize(ProgramPath(r.path.authenticator, (s,)), r.nonce)
+
+    @pytest.mark.parametrize("damage", ["trailing-byte", "last-byte-dropped", "overflow-2",
+                                        "magic", "too-short"])
+    def test_resigned_bytes_that_do_not_parse_are_malformed(self, damage):
+        # a Report built around validly signed bytes that no strict reading accepts:
+        # verify answers MALFORMED, without a traceback
         sk, pk = KEY
         p = P.prog(P.WHILE_IF_ELSE, "w")
         ch = fresh(p, [3, 0, 0, 0])
         r = prover_attest(p, ch, sk)
-        s = dataclasses.replace(r.path.sessions[0], **change)
+        head, tail = r.signed[:-att.NONCE_LEN], r.signed[-att.NONCE_LEN:]
+        overflow_at = att._HEAD + 4 + att._NPATHS_AT - 1  # the first session's path_overflow
+        bad = {"trailing-byte": head + b"\0" + tail, "last-byte-dropped": head[:-1] + tail,
+               "overflow-2": head[:overflow_at] + b"\2" + head[overflow_at + 1:] + tail,
+               "magic": b"X" + head[1:] + tail, "too-short": tail}[damage]
         with pytest.raises(ProtocolError):
-            canonical_serialize(ProgramPath(r.path.authenticator, (s,)), r.nonce)
-        tampered = Report(r.program_id, r.program_hash,
-                          ProgramPath(r.path.authenticator, (s,)), r.nonce, r.signature)
-        assert verify(tampered, ch, pk, p).reason == MALFORMED
+            canonical_parse(bad)
+        tampered = Report(r.program_id, r.program_hash, bad, sign(r.program_hash + bad, sk))
+        assert tampered.nonce == ch.nonce
+        malformed = att.VerifyResult(False, MALFORMED, (MALFORMED,))
+        assert verify(tampered, ch, pk, p) == verify_oracle.verify(tampered, ch, pk, p) == malformed
+        with pytest.raises(ProtocolError):  # as received, the report is refused at once
+            Report.from_json(json.loads(json.dumps(tampered.to_json())))
+
+    def test_a_replaced_signed_gets_its_own_nonce_and_path(self):
+        p = P.prog(P.WHILE_IF_ELSE, "w")
+        r = prover_attest(p, fresh(p, [3, 0, 0, 0]), KEY[0])
+        other = prover_attest(p, fresh(p, [2, 1, 1]), KEY[0])
+        assert r.path != other.path  # read first, so a stale cached value would show
+        moved = dataclasses.replace(r, signed=other.signed)
+        assert (moved.nonce, moved.path) == (other.nonce, other.path)
+        assert (moved.nonce, moved.path) != (r.nonce, r.path)
+        assert [f.name for f in dataclasses.fields(Report)] == [
+            "program_id", "program_hash", "signed", "signature"]
 
     def test_prover_rejects_wrong_challenge(self):
         sk, _ = KEY
@@ -598,9 +627,8 @@ class TestStructuralDecode:
         session = LoopSession(P.label_addr(p, source, "outer"), 1, None,
                               [(PathId("0" * 40), 1)] * 10_000, [])
         path = ProgramPath(measure(run(p, [])).authenticator, (session,))
-        h = program_hash(p)
-        signed = Report(p.id, h, path, ch.nonce, sign(h + canonical_serialize(path, ch.nonce),
-                                                      KEY[0]))
+        h, blob = program_hash(p), canonical_serialize(path, ch.nonce)
+        signed = Report(p.id, h, blob, sign(h + blob, KEY[0]))
         calls, walks = [], []
         for name, log in (("decode_loop_path", calls), ("_walk", walks)):
             real = getattr(att, name)

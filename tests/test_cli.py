@@ -275,7 +275,8 @@ class TestUsageErrors:
         nonce = Challenge.from_json(json.loads((tmp_path / "ch.json").read_text())).nonce
         sk = bytes.fromhex((tmp_path / "keys" / "sk.hex").read_text().strip())
         path, h = ProgramPath(bytes(64), ()), program_hash(program)
-        report = Report(program.id, h, path, nonce, sign(h + canonical_serialize(path, nonce), sk))
+        signed = canonical_serialize(path, nonce)
+        report = Report(program.id, h, signed, sign(h + signed, sk))
         (tmp_path / "r.json").write_text(json.dumps(report.to_json()))
         capsys.readouterr()
         assert cfattest("verify", tmp_path / "r.json", tmp_path / "ch.json",

@@ -175,6 +175,7 @@ PROGRAM_BYTES_SHA256 = {
     "LONG_AND_SHORT_PATHS": "f415f01e697a59b56b8e49570723e90ff73df41f15f746f6df61d9dcc529ee54",
     "NESTED_2": "514f01e6c8741c691c8a039e823fedf9a8560df4117624fa06b5b94ea7f0ffeb",
     "NESTED_4": "3d69902169a6d74aaec135668fdd97dade18044e88ee77d257dbe3a7211e9da2",
+    "PAST_TREE_BOUND": "1a58387845f9bb4d56ea6acc7d16557660891253c9f4ceae0cf0bd395656d662",
     "RECURSION_AROUND_LOOP": "3cbee60a55611c047d8276a6b931a7554d4053942691e02493866a059165411b",
     "RECURSION_RETURNS": "7000e1307ca3d34acd2a4019a365d92cb790bd27b416df407fd790ecd5b29c36",
     "RECURSIVE": "ff93c8c4c6f1fd0884b9e9d3947abac6a18fd658e878d7bbdd12ddabc2ff9ac5",

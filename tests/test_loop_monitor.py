@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import programs as P
-from cfattest.attestation import ProgramPath, Report
+from cfattest.attestation import ProgramPath, Report, canonical_serialize
 from cfattest.branch_filter import detect_loops, filter_trace
 from cfattest.emulator import run
 from cfattest.loop_monitor import (FAULT_MARKER_ENTRY, LoopMonitor, LoopSession,
@@ -177,7 +177,8 @@ class TestSerialization:
         # a session reaches the verifier inside report.json, encoded in signed_hex
         s = LoopSession(0x108, 2, 0, [(PathId("0011"), 4), (PathId("1"), 1)],
                         [0x200, 0x204], path_overflow=True)
-        r = Report("p", bytes(64), ProgramPath(bytes(64), (s,)), bytes(32), bytes(64))
+        r = Report("p", bytes(64), canonical_serialize(ProgramPath(bytes(64), (s,)), bytes(32)),
+                   bytes(64))
         wire = json.loads(json.dumps(r.to_json()))
         assert Report.from_json(wire).path.sessions == (s,)
 

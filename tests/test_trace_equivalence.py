@@ -316,10 +316,6 @@ LONG_BLOCK_LOOP = ("main:\n li r2, 2\nL:\n"
 TWO_IF_ELSE = ("main:\n li r2, 6\n li r8, 1\n li r9, 3\nL:\n beq r1, r2, E\n addi r1, r1, 1\n"
                " sub r3, r8, r3\n beq r3, r0, A\n addi r4, r4, 1\n j B0\nA:\n addi r5, r5, 1\nB0:\n"
                " blt r1, r9, B\n addi r6, r6, 2\n j N\nB:\n addi r7, r7, 3\nN:\n j L\nE:\n halt\n")
-PAST_TREE_BOUND = ("main:\n li r2, 4\n li r8, 1\nL:\n beq r1, r2, E\n addi r1, r1, 1\n"
-                   " sub r3, r8, r3\n" + "".join(f" beq r3, r0, F{k}\n addi r{4 + k % 4}, "
-                                                  f"r{4 + k % 4}, {k + 1}\nF{k}:\n" for k in range(8))
-                   + " j L\nE:\n halt\n")
 
 HAND_CASES = {
     # jr into the middle of a straight-line block, and into the middle of a loop's block
@@ -363,7 +359,7 @@ HAND_CASES = {
     # two if/else in sequence: four paths through a pass, each taken on one of six passes
     "two-if-else": TWO_IF_ELSE,
     # eight if-thens in sequence: the path tree would pass its bound
-    "past-tree-bound": PAST_TREE_BOUND,
+    "past-tree-bound": P.PAST_TREE_BOUND,
     # immediates outside 32 bits wrap: the jr targets show the values
     "wide-immediates": ("main:\n li r1, 0x100000108\n jr r1\n li r2, -0xFFFFFEF0\n jr r2\n"
                         " addi r3, r2, 0x300000008\n jr r3\n addi r4, r3, -0x1FFFFFFF8\n"
@@ -504,9 +500,49 @@ def test_a_loop_pass_is_a_path_tree():
         assert len(appends) == len(cycles) == 1
         adds.update(cycles)
     assert sorted(adds) == [1, 3, 7, 8]
-    # past the bound, the blocks keep their address order and test pc
-    assert "if pc == addr" in _loop_unit(PAST_TREE_BOUND)
     assert "if pc ==" not in _loop_unit(TWO_IF_ELSE) + _loop_unit(LONG_BLOCK_LOOP)
+    # past the bound, the header gets a unit of one block: its beq
+    program = parse_program(P.PAST_TREE_BOUND)
+    units, limit = emulator._Units(program), emulator._BLOCK_LIMIT
+    (header,) = units.loops
+    with pytest.raises(emulator._TooLarge):
+        emulator._source(units.layout(header, limit)[0])
+    unit = units.unit(header, limit)
+    assert units.loops == {} and units.units == {header: unit}
+    ops, instrs = units.layout(header, limit)
+    assert [i.addr for i in instrs] == [header] and unit.__code__ is emulator._shape(ops)[0]
+
+
+def _unit_sources(program):
+    """The function source of each unit that runs of the program compiled."""
+    units = program.__dict__["_units"]
+    return [emulator._source(units.layout(pc, limit)[0])[0] for limit, table in
+            ((emulator._BLOCK_LIMIT, units.units), (1, units.steps)) for pc in table]
+
+
+def test_no_unit_tests_pc():
+    runs = list(CASES.values()) + [(p, i, None) for p, i, _ in CASES.values()]
+    runs += [(parse_program(source, name), [], None) for name, source in HAND_CASES.items()]
+    for program, inp, attack in runs:
+        run(program, inp, attack)
+        sources = _unit_sources(program)
+        assert sources and not [s for s in sources if "if pc ==" in s], program.id
+
+
+def test_every_innermost_workload_loop_is_one_unit(monkeypatch):
+    # the benchmark's loops run as path trees, not as units of one block
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    from workloads import GEN_SEED, HELD_OUT_GEN_SEED, WORKLOADS
+    for gen_seed in (GEN_SEED, HELD_OUT_GEN_SEED):
+        for name, workload in WORKLOADS.items():
+            w = workload(gen_seed)
+            for program in getattr(w, "programs", None) or [w.program]:
+                units = emulator._Units(program)
+                headers = sorted(units.loops)
+                assert headers or name == "genprog_mix"
+                for header in headers:
+                    units.unit(header, emulator._BLOCK_LIMIT)
+                assert sorted(units.loops) == headers, (name, gen_seed, program.id)
 
 
 def test_cases_cover_both_attack_triggers():

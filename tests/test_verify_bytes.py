@@ -37,7 +37,7 @@ def received(report: Report) -> Report:
 def resigned(report: Report, path: ProgramPath) -> Report:
     """`report` with A and L replaced by `path`, signed with the test key."""
     signed = canonical_serialize(path, report.nonce)
-    return received(Report(report.program_id, report.program_hash, path, report.nonce,
+    return received(Report(report.program_id, report.program_hash, signed,
                            sign(report.program_hash + signed, KEY[0])))
 
 

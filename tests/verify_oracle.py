@@ -39,21 +39,21 @@ def verify(report: Report, challenge, pk: bytes, program: Program,
         return VerifyResult(False, STALE_NONCE, (STALE_NONCE,))
     if nonce_store is not None and nonce_store.used(challenge.nonce):
         return VerifyResult(False, STALE_NONCE, (STALE_NONCE,))
+    if not signature_valid(report.program_hash + report.signed, report.signature, pk):
+        return VerifyResult(False, BAD_SIGNATURE, (BAD_SIGNATURE,))
     try:
-        signed = report.signed
+        path = report.path
     except ProtocolError:
         return VerifyResult(False, MALFORMED, (MALFORMED,))
-    if not signature_valid(report.program_hash + signed, report.signature, pk):
-        return VerifyResult(False, BAD_SIGNATURE, (BAD_SIGNATURE,))
 
     failures: list[str] = []
-    structural_ok, _notes = check_loop_paths(report.path.sessions, cfg, config)
+    structural_ok, _notes = check_loop_paths(path.sessions, cfg, config)
     if not structural_ok:
         failures.append(INVALID_LOOP_PATH)
     expected = measure(run(program, list(challenge.input)), config)
-    if report.path.authenticator != expected.authenticator:
+    if path.authenticator != expected.authenticator:
         failures.append(AUTHENTICATOR_MISMATCH)
-    if report.path.sessions != expected.sessions:
+    if path.sessions != expected.sessions:
         failures.append(METADATA_MISMATCH)
     if failures:
         return VerifyResult(False, failures[0], tuple(failures))
