@@ -3,8 +3,8 @@
 Executes programs in a toy RISC-like ISA, measures their control flow
 (branch filtering, runtime loop detection, loop path encoding, streaming
 SHA-3-512 authenticator), and runs a signed challenge-response attestation
-protocol able to detect non-control-data, loop-counter and code-pointer
-attacks.
+protocol able to detect loop-counter and code-pointer attacks, and the
+non-control-data attacks that change a branch.
 """
 
 from .isa import parse_program, cfg_json, Program

@@ -516,14 +516,15 @@ def decode_loop_path(session: LoopSession, pid: PathId, cfg: Cfg, n: int = 4) ->
 
     The status depends only on the loop entry, the session's target table, the
     path bits and n, so each distinct one is walked once (`_walk`) and kept in
-    `cfg.decoded`, up to `_DECODE_MEMO_CAP` of them per program.
+    `cfg.decoded`; a full memo (`_DECODE_MEMO_CAP` a program) is emptied first.
     """
     key = (session.loop_entry, tuple(session.indirect_targets), pid.bits, n)
     status = cfg.decoded.get(key)
     if status is None:
         status = _walk(session.loop_entry, session.indirect_targets, pid.bits, cfg, n)
-        if len(cfg.decoded) < _DECODE_MEMO_CAP:
-            cfg.decoded[key] = status
+        if len(cfg.decoded) >= _DECODE_MEMO_CAP:
+            cfg.decoded.clear()
+        cfg.decoded[key] = status
     return status
 
 
@@ -644,7 +645,8 @@ def verify(
     signed bytes, the decode reads the replay's sessions, which equal the
     report's, and the report is never parsed; otherwise the report's sessions
     are decoded and A and L compared with the replay's.  Signed bytes that do
-    not parse, which only a Report built around them can hold, are MALFORMED.
+    not parse, which only a Report built around them can hold, are MALFORMED,
+    and so are bytes too short for the magic, A and N, before the nonce is read.
     Either way the reported reason is the first failing check in the order
     above; `failures` additionally lists every distinguishing check that
     failed, so callers can see e.g. that a rogue in-loop edge both breaks the
@@ -657,6 +659,8 @@ def verify(
         return VerifyResult(False, MALFORMED, (MALFORMED,))
     if report.program_hash != program_hash(program):
         return VerifyResult(False, PROGRAM_HASH_MISMATCH, (PROGRAM_HASH_MISMATCH,))
+    if len(report.signed) < _HEAD + NONCE_LEN:  # too short to end with a nonce
+        return VerifyResult(False, MALFORMED, (MALFORMED,))
     if report.nonce != challenge.nonce:
         return VerifyResult(False, STALE_NONCE, (STALE_NONCE,))
     if nonce_store is not None and nonce_store.used(challenge.nonce):

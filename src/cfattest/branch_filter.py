@@ -7,15 +7,15 @@ conditional or direct transfer and `INDIRECT` for an indirect transfer,
 coded by target (`site_bits`).  `detect_loops` discovers the run's loops,
 taking non-linking backward branches as backedges (link-register
 heuristic), so the first traversal of a loop is attributed like later ones
-and A does not depend on the iteration count, and the entries of direct
-recursion.  Its table of loop bodies (`_Loops`) gives the loops enclosing
-an address, so the loop monitor's walk (`LoopMonitor.process`) costs no
-more per branch as the number of loops grows.  Discovery finds the static
-backedges with one `str.find` per backward site, from where the site before
-it was found (`_backedges`), and the call, return and indirect-jump branches
-with `str.find`, one walk per such site, their positions sorted once: a fast
-C search, where a regex character class is matched one character at a time.
-Prover and verifier share this code.
+and A does not depend on the iteration count.  It finds backedges only:
+recursion needs the call stack, which the loop monitor's walk keeps
+(`LoopMonitor.process`).  Its table of loop bodies (`_Loops`) gives the
+loops enclosing an address, so the walk costs no more per branch as the
+number of loops grows.  Discovery finds the static backedges with one
+`str.find` per backward site, from where the site before it was found
+(`_backedges`), a fast C search where a regex character class is matched
+one character at a time, and the backward indirect jumps among the run's
+indirect targets.  Prover and verifier share this code.
 
 A loop context is **flat** when no other discovered loop entry lies in its
 body [entry, backedge], the body holds no call, return or indirect transfer,
@@ -42,9 +42,8 @@ from .isa import CALL, INDIRECT_CALL, INDIRECT_JUMP, JUMP, RETURN, TAKEN, Sites,
 from .emulator import Branches, Trace
 
 INDIRECT = "x"
-_CALL_OR_RETURN = CALL + INDIRECT_CALL + RETURN
-_BITS = str.maketrans(JUMP + CALL + INDIRECT_CALL + INDIRECT_JUMP + RETURN,
-                      TAKEN * 2 + INDIRECT * 3)
+_TRANSFERS = CALL + INDIRECT_CALL + INDIRECT_JUMP + RETURN  # none lies in a flat body
+_BITS = str.maketrans(JUMP + _TRANSFERS, TAKEN * 2 + INDIRECT * 3)
 
 
 def derived(table: Sites, key, make):
@@ -65,18 +64,6 @@ def filter_trace(trace: Trace) -> Branches:
     return trace.branches
 
 
-def _positions(sites: str, chars: str) -> list[int]:
-    """Where any of `chars` occurs in `sites`, ascending: one `str.find` walk per character."""
-    found = []
-    for c in chars:
-        i = sites.find(c)
-        while i >= 0:
-            found.append(i)
-            i = sites.find(c, i + 1)
-    found.sort()
-    return found
-
-
 def _backedges(table: Sites, sites: str) -> set[tuple[int, int]]:
     """(dest, src) of each static backedge in the run's sites.  Each backward site is looked
     for from where the one before it was found, then before that: loops that run in address
@@ -93,32 +80,15 @@ def _backedges(table: Sites, sites: str) -> set[tuple[int, int]]:
     return found
 
 
-def _discover_loops(b: Branches) -> tuple[dict[int, int], dict[int, int]]:
-    """First pass: entry -> largest backedge src, plus direct-recursion entries."""
-    site, sites, target_at = b.table.site, b.sites, b.target_at
-    # backward non-call, non-return branches: the static backedges by site, indirect jumps
-    # by target below
-    backward = _backedges(b.table, sites)
-    recursive: dict[int, int] = {}
-    call_targets: list[int] = []
-    open_calls: dict[int, int] = {}  # call_targets as counts
-    transfers = derived(b.table, "transfers", lambda: "".join(
-        c for c, (_, _, kind) in b.table.site.items() if kind in _CALL_OR_RETURN + INDIRECT_JUMP))
-    for i in _positions(sites, transfers):
-        src, dest, kind = site[sites[i]]
-        if dest is None:
-            dest = target_at[i]
-        if kind == INDIRECT_JUMP:
-            if dest < src:
-                backward.add((dest, src))
-        elif kind != RETURN:
-            if open_calls.get(dest):
-                recursive[dest] = max(recursive.get(dest, 0), src)
-            call_targets.append(dest)
-            open_calls[dest] = open_calls.get(dest, 0) + 1
-        elif call_targets:
-            open_calls[call_targets.pop()] -= 1
-    return dict(sorted(backward)), recursive  # sorted: an entry's largest backedge comes last
+def _discover_loops(b: Branches) -> dict[int, int]:
+    """Entry -> largest backedge src: the static backedges, found by site, and the backward
+    indirect jumps, by target."""
+    backward, site, sites = _backedges(b.table, b.sites), b.table.site, b.sites
+    for i, dest in b.target_at.items():
+        src, _, kind = site[sites[i]]
+        if kind == INDIRECT_JUMP and dest < src:
+            backward.add((dest, src))
+    return dict(sorted(backward))  # sorted: an entry's largest backedge comes last
 
 
 class _Loops(dict):
@@ -158,7 +128,7 @@ class _Loops(dict):
                 continue
             body = [(c, *table.site[c][1:]) for c in map(chr, range(
                 bisect_left(table.srcs, lo), bisect_right(table.srcs, hi)))]
-            if any(kind in _CALL_OR_RETURN + INDIRECT_JUMP for _, _, kind in body):
+            if any(kind in _TRANSFERS for _, _, kind in body):
                 continue
             re_enter = [c for c, dest, _ in body if dest == lo]
             if len(re_enter) == 1:
@@ -193,10 +163,10 @@ class _Loops(dict):
         return found
 
 
-def detect_loops(b: Branches) -> tuple[Branches, _Loops, dict[int, int]]:
-    """The run's loops: the branches, the table of loop bodies and the recursion entries."""
-    loops, recursive = _discover_loops(b)
+def detect_loops(b: Branches) -> tuple[Branches, _Loops]:
+    """The run's loops: the branches and the table of loop bodies."""
+    loops = _discover_loops(b)
     enclosing = b.table.derived.get("loops")
     if enclosing is None or enclosing.loops != loops:
         enclosing = b.table.derived["loops"] = _Loops(loops, b.table)
-    return b, enclosing, recursive
+    return b, enclosing

@@ -1,11 +1,13 @@
 """The loop walk, loop path encoding, per-path iteration counters and metadata.
 
 `LoopMonitor.process` walks the branch record once, with the loops that
-`detect_loops` discovered.  It opens a loop context at each loop entry (a
-fallthrough into a loop body, an arrival branch onto its entry, or a
-direct-recursive call), ends a traversal at each branch re-entering the
-entry, and closes the context at the first branch that leaves it (returns
-below its call depth or, at that depth, lands outside its body).  A context
+`detect_loops` discovered, keeping the call stack as calls and returns
+retire.  It opens a loop context at each loop entry (a fallthrough into a
+loop body, an arrival branch onto its entry, or a directly recursive call:
+one into a callee on the call stack, mutual recursion included), ends a
+traversal at each branch re-entering the entry, and closes the context at
+the first branch that leaves it (returns below its call depth or, at that
+depth, lands outside its body).  A context
 nested deeper than `max_depth` is tracked, but not measured as a loop: its
 branches are hashed like those outside any loop.  Every other context is one
 `LoopSession` in L.
@@ -478,7 +480,7 @@ class LoopMonitor:
 
         `tails` then holds each session's tail in L (`session_tail`), in the order of the
         sessions."""
-        b, enclosing, recursive = found
+        b, enclosing = found
         self._branches, self._sites, self._target_at = b, b.sites, b.target_at
         self._pair = b.table.pair.__getitem__
         self._bits, self._paths, self._known, self._memo, self._room, self._bound = derived(
@@ -555,9 +557,10 @@ class LoopMonitor:
                     continue
 
             linking = kind in _LINKING
-            # direct recursion opens (or iterates) a loop context at the callee entry, spanning
-            # all addresses; the branch belongs to the innermost context open before it
-            if linking and dest in recursive and open_calls.get(dest):
+            # a call into a callee on the call stack opens (or iterates) a recursion context at
+            # the callee entry, spanning all addresses; the branch belongs to the innermost
+            # context open before it
+            if linking and open_calls.get(dest):
                 ctx = open_at.get(dest)
                 if ctx is None:
                     within, lo, hi, _ = open_ctx(dest, -1, inf, i, i)

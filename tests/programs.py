@@ -235,6 +235,136 @@ done:
     halt
 """
 
+# mutual recursion: a calls b, b calls a, word-0 times in all, then halts.  The second
+# call of each finds it on the call stack, so each opens a recursion context.
+MUTUAL_RECURSION = """
+main:
+    ld r1, [r0+0]
+    jal a
+a:
+    beq r1, r0, out
+    addi r1, r1, -1
+    jal b
+out:
+    halt
+b:
+    addi r2, r2, 1
+    jal a
+"""
+
+# direct recursion through jalr: word 1 is f's address, word 0 the recursion depth
+INDIRECT_RECURSION = """
+main:
+    ld r1, [r0+0]
+    ld r3, [r0+1]
+    jalr r3
+f:
+    beq r1, r0, out
+    addi r1, r1, -1
+    jalr r3
+out:
+    halt
+"""
+
+# a counted loop inside a recursive function: each activation runs the loop word-1
+# times, then recurses, word-0 times in all
+LOOP_IN_RECURSION = """
+main:
+    ld r1, [r0+0]
+    ld r4, [r0+1]
+    jal f
+f:
+    beq r1, r0, out
+    addi r1, r1, -1
+    li r2, 0
+loop:
+    beq r2, r4, next
+    addi r2, r2, 1
+    j loop
+next:
+    jal f
+out:
+    halt
+"""
+
+# recursion inside a loop: each of word-1 passes calls f, which recurses word-0 times and
+# jumps back into the loop from its last activation.  Calls outnumber returns, so the
+# recursion context opened on the first pass stays open and later passes iterate it.
+RECURSION_IN_LOOP = """
+main:
+    ld r4, [r0+1]
+    li r5, 0
+loop:
+    beq r5, r4, done
+    addi r5, r5, 1
+    ld r1, [r0+0]
+    jal f
+cont:
+    j loop
+done:
+    halt
+f:
+    beq r1, r0, base
+    addi r1, r1, -1
+    jal f
+    j cont
+base:
+    ret
+"""
+
+# three nested loops, two passes each; the innermost calls f on its first pass, which
+# recurses word-0 times: its recursion context is four loop contexts deep, past the
+# default max_depth, so it is tracked but not measured
+RECURSION_PAST_MAX_DEPTH = """
+main:
+    ld r1, [r0+0]
+    li r7, 2
+    li r4, 0
+L1:
+    li r5, 0
+L2:
+    li r6, 0
+L3:
+    beq r1, r0, N3
+    jal f
+N3:
+    addi r6, r6, 1
+    bne r6, r7, L3
+    addi r5, r5, 1
+    bne r5, r7, L2
+    addi r4, r4, 1
+    bne r4, r7, L1
+    halt
+f:
+    addi r1, r1, -1
+    beq r1, r0, back
+    jal f
+back:
+    j N3
+"""
+
+# f recurses word-0 times; its base case then returns once into the last activation, which
+# halts.  An attack pointing ra at `base` before `unwind` runs makes the base case return
+# to itself until word 1 counts down: returns outnumber calls, past main's call.
+RECURSION_UNWIND = """
+main:
+    ld r1, [r0+0]
+    ld r3, [r0+1]
+    jal f
+f:
+    beq r1, r0, base
+    addi r1, r1, -1
+    jal f
+    j done
+base:
+    beq r3, r0, done
+    addi r3, r3, -1
+unwind:
+    ret
+done:
+    halt
+"""
+
 # a `continue` re-enters the entry from mid-body: two sites end an iteration
 CONTINUE_LOOP = """
 main:

@@ -487,6 +487,23 @@ class TestProtocolRoundTrip:
         with pytest.raises(ProtocolError):  # as received, the report is refused at once
             Report.from_json(json.loads(json.dumps(tampered.to_json())))
 
+    def test_signed_bytes_shorter_than_magic_a_and_n_are_malformed(self):
+        # a Report built around fewer bytes than the magic, A and N is MALFORMED, whatever
+        # nonce its last bytes would be; at that length, with no L, the parse fails
+        sk, pk = KEY
+        p = P.prog(P.WHILE_IF_ELSE, "w")
+        ch = fresh(p, [3, 0, 0, 0])
+        r = prover_attest(p, ch, sk)
+        size = len(att.MAGIC) + att.DIGEST_LEN + att.NONCE_LEN
+        no_l = r.signed[:size - att.NONCE_LEN] + ch.nonce
+        malformed = att.VerifyResult(False, MALFORMED, (MALFORMED,))
+        for k in range(size + 1):
+            # its last k bytes, which end with the nonce, and its first k
+            for bad in {no_l[size - k:]} | ({r.signed[:k]} if k < size else set()):
+                short = Report(r.program_id, r.program_hash, bad, sign(r.program_hash + bad, sk))
+                assert verify(short, ch, pk, p) == malformed, k
+                assert verify_oracle.verify(short, ch, pk, p) == malformed, k
+
     def test_a_replaced_signed_gets_its_own_nonce_and_path(self):
         p = P.prog(P.WHILE_IF_ELSE, "w")
         r = prover_attest(p, fresh(p, [3, 0, 0, 0]), KEY[0])
@@ -638,6 +655,19 @@ class TestStructuralDecode:
         assert verify(report, ch, KEY[1], p).reason == METADATA_MISMATCH
         assert (len(calls), len(walks)) == (10_000, 1)
         assert att._walk(session.loop_entry, [], "0" * 40, build_cfg(p), 4) == PATH_UNVERIFIABLE
+
+    def test_a_full_decode_memo_starts_over(self, monkeypatch):
+        # past the cap the memo is emptied, so a path that repeats afterwards is walked once
+        monkeypatch.setattr(att, "_DECODE_MEMO_CAP", 3)
+        walks, walk = [], att._walk
+        monkeypatch.setattr(att, "_walk", lambda *a: walks.append(a[2]) or walk(*a))
+        cfg = build_cfg(P.prog(P.loops_in_one_loop(2), "ll-memo"))
+        session = LoopSession(min(cfg.loops), 1, None, [], [])
+        paths = [PathId(format(k, "04b")) for k in range(5)]
+        for pid in paths + [paths[-1]] * 3:
+            decode_loop_path(session, pid, cfg)
+        assert walks == [pid.bits for pid in paths]
+        assert len(cfg.decoded) == 2
 
     def test_honest_measurements_decode(self):
         for src, inp in [(P.WHILE_IF_ELSE, [4, 0, 1, 1, 0]),

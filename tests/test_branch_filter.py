@@ -1,8 +1,9 @@
 import programs as P
 import views
-from cfattest.branch_filter import _discover_loops, filter_trace
+from cfattest.branch_filter import _discover_loops, detect_loops, filter_trace
 from cfattest.emulator import run
 from cfattest.isa import Kind, parse_program
+from cfattest.loop_monitor import LoopMonitor
 from views import BranchKind, LoopStatusKind, branch_events, branches_from_columns, is_control
 
 E = LoopStatusKind.ENTER
@@ -50,15 +51,12 @@ class TestFilter:
 class TestLoopDiscovery:
     def test_direct_backedge(self):
         events = filter_trace(run(P.prog(P.WHILE_IF_ELSE, "w"), [2, 0, 0]))
-        loops, recursive = _discover_loops(events)
-        assert loops == {0x108: 0x128}
-        assert recursive == {}
+        assert _discover_loops(events) == {0x108: 0x128}
 
     def test_indirect_backedge(self):
         events = filter_trace(run(P.prog(P.INDIRECT_BACKEDGE, "i"),
                                   [2, P.INDIRECT_LOOP_ENTRY, 0]))
-        loops, _ = _discover_loops(events)
-        assert loops == {P.INDIRECT_LOOP_ENTRY: P.INDIRECT_JR_ADDR}
+        assert _discover_loops(events) == {P.INDIRECT_LOOP_ENTRY: P.INDIRECT_JR_ADDR}
 
     def test_backward_call_and_return_excluded(self):
         # f sits before the loop: every jal is a backward linking branch,
@@ -81,12 +79,10 @@ done:
     halt
 """
         events = filter_trace(run(parse_program(src), [3]))
-        loops, recursive = _discover_loops(events)
-        assert set(loops) == {0x114}  # only the real loop entry
-        assert recursive == {}
+        assert set(_discover_loops(events)) == {0x114}  # only the real loop entry
+        assert not any(ctx.recursive for _, _, ctx, _ in views.loop_marks(events))
         events2 = filter_trace(run(P.prog(P.CALL_IN_LOOP, "c"), [3]))
-        loops2, _ = _discover_loops(events2)
-        assert set(loops2) == {0x108}
+        assert set(_discover_loops(events2)) == {0x108}
 
     def test_direct_recursion_detected(self):
         f = 0x200
@@ -94,9 +90,13 @@ done:
                                       dest=[f, f, f + 12, 0x104],
                                       kinds="ccrr",  # direct calls, returns
                                       cycle=[0, 1, 2, 3])
-        loops, recursive = _discover_loops(calls)
-        assert loops == {}
-        assert recursive == {f: f + 8}
+        assert _discover_loops(calls) == {}
+        # the second call opens a recursion session at f in the monitor's L
+        _, sessions = LoopMonitor().process(detect_loops(calls))
+        assert [(s.loop_entry, s.depth, s.parent) for s in sessions] == [(f, 1, None)]
+        # one traversal: the recursive call, then both returns, coded by target
+        assert [(p.bits, c) for p, c in sessions[0].paths] == [("1" + "0001" + "0010", 1)]
+        assert sessions[0].indirect_targets == [f + 12, 0x104]
 
 
 class TestDetectLoops:

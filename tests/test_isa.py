@@ -172,12 +172,18 @@ PROGRAM_BYTES_SHA256 = {
     "FAULT_MID_PASS": "3f59336043c83667b5a37531a1e1da8dd098029caaaf8ec85508deff754c7101",
     "HALT_IN_LOOP": "97ae65955d5f4f3d84d6f2f5532083a31efafadc4177c0d616c91d8b566d8e04",
     "INDIRECT_BACKEDGE": "f50a422efbfc4948d65c7e938cbf30633354ca645f3a871917be54db30c98df5",
+    "INDIRECT_RECURSION": "3027284f63a889a3955ff8191128b8d3a41e8f54dfabc7930fc08121351f28c4",
     "LONG_AND_SHORT_PATHS": "f415f01e697a59b56b8e49570723e90ff73df41f15f746f6df61d9dcc529ee54",
+    "LOOP_IN_RECURSION": "da5b73ef6651e38a3585272dc180d2e785f88b86acd2da826a9d0af130bee7b4",
+    "MUTUAL_RECURSION": "84300c07d3070df50c7ca45664be1b7d54ff75ada15bae26ecc83a1b18557c44",
     "NESTED_2": "514f01e6c8741c691c8a039e823fedf9a8560df4117624fa06b5b94ea7f0ffeb",
     "NESTED_4": "3d69902169a6d74aaec135668fdd97dade18044e88ee77d257dbe3a7211e9da2",
     "PAST_TREE_BOUND": "1a58387845f9bb4d56ea6acc7d16557660891253c9f4ceae0cf0bd395656d662",
     "RECURSION_AROUND_LOOP": "3cbee60a55611c047d8276a6b931a7554d4053942691e02493866a059165411b",
+    "RECURSION_IN_LOOP": "e4838b660ba839e3aab2da26a6ea51b34148c83d27a0662568ecdf5344650229",
+    "RECURSION_PAST_MAX_DEPTH": "0161bb659a5305cf5e43bcc751c683643f42dab34366fc4110cadd9dcbffb21a",
     "RECURSION_RETURNS": "7000e1307ca3d34acd2a4019a365d92cb790bd27b416df407fd790ecd5b29c36",
+    "RECURSION_UNWIND": "9e1cf1a4e8817a3e6fb5b8edb19ddb0df7a8ebb06d53ffa5012e9d1778c4a98c",
     "RECURSIVE": "ff93c8c4c6f1fd0884b9e9d3947abac6a18fd658e878d7bbdd12ddabc2ff9ac5",
     "STRAIGHT_LINE": "e5eca059a037d3a2e0f1e63c14ce46964113ea9507c37a7222471f256163b217",
     "WHILE_IF_ELSE": "eedb283b301abd009d02ac9796633f33f7c52128f46304cf05ed281feb105570",

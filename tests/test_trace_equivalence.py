@@ -16,6 +16,7 @@ import ast
 import dataclasses
 import random
 import sys
+from math import inf
 from pathlib import Path
 
 import pytest
@@ -34,11 +35,13 @@ from cfattest.emulator import (ATTACK_KINDS, AttackError, AttackSpec, CycleLimit
 from cfattest.hash_engine import digest_pairs
 from cfattest.isa import (BASE_ADDR, FIELDS, JUMP, MASK32, NOT_TAKEN, NUM_REGS, OPCODES, TAKEN,
                           WORD, Instruction, Kind, Program, parse_program)
-from cfattest.loop_monitor import LoopMonitor, MonitorConfig, fault_marker_session
+from cfattest.loop_monitor import (DEFAULT_MAX_DEPTH, LoopMonitor, MonitorConfig,
+                                   fault_marker_session)
 from genprog import gen_input, gen_program
-from loop_oracle import detect_loops_scan
+from loop_oracle import detect_loops_scan, discover_loops_scan
 from monitor_oracle import LoopMonitor as OracleMonitor
-from views import FLAT, annotated, branch_events, branches_from_columns, is_control, loop_marks
+from views import (FLAT, LoopStatusKind, annotated, branch_events, branches_from_columns,
+                   is_control, loop_marks)
 
 
 # an outer loop around one counted loop, whose bound for pass p is input word p: a
@@ -234,6 +237,8 @@ def _cases():
     dispatch = P.prog(P.DISPATCH_LOOP, "d")
     indirect, indirect_input = P.prog(P.INDIRECT_BACKEDGE, "i"), [3, P.INDIRECT_LOOP_ENTRY, 0]
     apart = P.prog(FLAT_LOOPS_APART, "fa")
+    indirect_recursion = P.prog(P.INDIRECT_RECURSION, "ir")
+    unwind = P.prog(P.RECURSION_UNWIND, "ru")
     cases.update({
         "nested-2": (P.prog(P.NESTED_2, "n2"), [2, 3], None),
         "nested-4": (P.prog(P.NESTED_4, "n4"), [2, 1, 2, 2], None),
@@ -241,6 +246,16 @@ def _cases():
         "recursive": (P.prog(P.RECURSIVE, "r"), [4], None),
         "recursion-around-loop": (P.prog(P.RECURSION_AROUND_LOOP, "rl"), [3], None),
         "recursion-returns": (P.prog(P.RECURSION_RETURNS, "rr"), [1], None),
+        "mutual-recursion": (P.prog(P.MUTUAL_RECURSION, "mr"), [3], None),
+        "indirect-recursion": (indirect_recursion, [3, P.label_addr(
+            indirect_recursion, P.INDIRECT_RECURSION, "f")], None),
+        "loop-in-recursion": (P.prog(P.LOOP_IN_RECURSION, "lr"), [3, 2], None),
+        "recursion-in-loop": (P.prog(P.RECURSION_IN_LOOP, "rl2"), [2, 3], None),
+        "recursion-past-max-depth": (P.prog(P.RECURSION_PAST_MAX_DEPTH, "rd"), [3], None),
+        "recursion-unwind": (unwind, [2, 4], None),
+        "ra-unwinds-recursion": (unwind, [2, 4], AttackSpec(
+            "corrupt-code-pointer", {"pc": P.label_addr(unwind, P.RECURSION_UNWIND, "unwind")},
+            {"reg": "ra", "value": P.label_addr(unwind, P.RECURSION_UNWIND, "base")})),
         "dispatch": (dispatch, [3] + [P.label_addr(dispatch, P.DISPATCH_LOOP, h)
                                       for h in ("h0", "h2", "h0")], None),
         "data-fault": (parse_program("main:\n    li r1, 100000\n    ld r2, [r1+0]\n    halt\n"),
@@ -594,6 +609,58 @@ def test_detect_loops_matches_all_loops_scan(name, max_depth):
     trace = run(program, inp, attack)
     assert annotated(filter_trace(trace), max_depth) == \
         detect_loops_scan(branch_events(filter_trace(trace)), max_depth)
+
+
+class _RecursionEntries(LoopMonitor):
+    """The loop monitor, keeping the entry of each recursion context its walk opens."""
+
+    def process(self, found):
+        self.opened = set()
+        return super().process(found)
+
+    def _enter(self, ctx, pos, branch):
+        super()._enter(ctx, pos, branch)
+        if ctx.hi == inf:
+            self.opened.add(ctx.entry)
+
+
+def _case(name):
+    """A CASES entry, or "hand-" and a HAND_CASES name: (program, input, attack)."""
+    if name in CASES:
+        return CASES[name]
+    return parse_program(HAND_CASES[name.removeprefix("hand-")], name), [], None
+
+
+@pytest.mark.parametrize("name", sorted(CASES) + [f"hand-{n}" for n in sorted(HAND_CASES)])
+def test_the_walk_opens_recursion_contexts_where_the_scan_finds_recursion(name):
+    # discovery finds backedges only: the walk's own call stack opens a recursion context at
+    # each callee the scan finds called while already on its call stack, unless the callee is
+    # a loop entry whose loop context is open at each such call (`jal-back-to-header`)
+    b = filter_trace(run(*_case(name)))
+    monitor = _RecursionEntries()
+    monitor.process(detect_loops(b))
+    loops, recursive = discover_loops_scan(branch_events(b))
+    assert monitor.opened <= recursive.keys()
+    assert recursive.keys() - monitor.opened <= loops.keys()
+    assert monitor.opened == recursive.keys() or name == "hand-jal-back-to-header"
+
+
+def test_recursion_cases_open_recursion_contexts():
+    def contexts(name):
+        b = filter_trace(run(*CASES[name]))
+        return len(b), [(p, kind, ctx) for p, kind, ctx, _ in loop_marks(b) if ctx.recursive]
+    for name in ("recursive", "mutual-recursion", "indirect-recursion", "loop-in-recursion",
+                 "recursion-in-loop", "recursion-around-loop", "recursion-returns"):
+        assert contexts(name)[1], name
+    assert len({ctx.entry_addr for _, _, ctx in contexts("mutual-recursion")[1]}) == 2
+    _, past = contexts("recursion-past-max-depth")
+    assert past and all(ctx.degraded and ctx.depth > DEFAULT_MAX_DEPTH for _, _, ctx in past)
+    # honest, the recursion context stays open to the end of the run; with ra pointed back
+    # at the base case, returns outnumber calls and close it at a return below its depth
+    for name, closed_early in (("recursion-unwind", False), ("ra-unwinds-recursion", True)):
+        n, marks = contexts(name)
+        (exit_at,) = [p for p, kind, _ in marks if kind is LoopStatusKind.EXIT]
+        assert (exit_at < n) == closed_early, name
 
 
 def _backedges_by_scan(b):

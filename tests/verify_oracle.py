@@ -13,8 +13,9 @@ from __future__ import annotations
 import struct
 from typing import Optional
 
-from cfattest.attestation import (AUTHENTICATOR_MISMATCH, BAD_SIGNATURE, INVALID_LOOP_PATH,
-                                  MALFORMED, METADATA_MISMATCH, PROGRAM_HASH_MISMATCH,
+from cfattest.attestation import (AUTHENTICATOR_MISMATCH, BAD_SIGNATURE, DIGEST_LEN,
+                                  INVALID_LOOP_PATH, MAGIC, MALFORMED, METADATA_MISMATCH,
+                                  NONCE_LEN, PROGRAM_HASH_MISMATCH,
                                   STALE_NONCE, NonceStore, ProtocolError, Report, VerifyResult,
                                   build_cfg, check_loop_paths, measure, program_hash,
                                   signature_valid)
@@ -35,6 +36,8 @@ def verify(report: Report, challenge, pk: bytes, program: Program,
         return VerifyResult(False, MALFORMED, (MALFORMED,))
     if report.program_hash != program_hash(program):
         return VerifyResult(False, PROGRAM_HASH_MISMATCH, (PROGRAM_HASH_MISMATCH,))
+    if len(report.signed) < len(MAGIC) + DIGEST_LEN + NONCE_LEN:  # too short to end with a nonce
+        return VerifyResult(False, MALFORMED, (MALFORMED,))
     if report.nonce != challenge.nonce:
         return VerifyResult(False, STALE_NONCE, (STALE_NONCE,))
     if nonce_store is not None and nonce_store.used(challenge.nonce):

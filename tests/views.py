@@ -121,17 +121,25 @@ def branch_events(b: Branches) -> list[BranchEvent]:
 
 
 class _Recorder(LoopMonitor):
-    """The loop monitor, recording each loop boundary of its walk as a mark."""
+    """The loop monitor, recording each loop boundary of its walk as a mark.
+
+    The walk does not know a recursion context's backedge, which a mark's
+    `LoopContext` holds: it is the all-loops scan's, taken from the whole run
+    when the first recursion context opens.
+    """
 
     def process(self, found):
         self.marks: list[Mark] = []
-        self.loops, self.recursive = found[1].loops, found[2]
+        self.loops, self.recursive = found[1].loops, None
         self.contexts = {}  # open context -> its LoopContext
         return super().process(found)
 
     def _enter(self, ctx, pos, branch):
         super()._enter(ctx, pos, branch)
         recursive = ctx.hi == inf
+        if recursive and self.recursive is None:
+            from loop_oracle import discover_loops_scan  # which imports this module
+            self.recursive = discover_loops_scan(branch_events(self._branches))[1]
         backedge = self.recursive[ctx.entry] if recursive else ctx.hi
         loop = self.contexts[ctx] = LoopContext(ctx.entry, backedge, backedge + WORD, ctx.depth,
                                                 ctx.within, recursive, ctx.degraded)
