@@ -5,19 +5,18 @@ control flow into an authenticator A plus loop metadata L, and signs the
 program hash H followed by the canonical bytes of A, L and the challenge
 nonce N.  A `Report` is those bytes, its only source of A, L and N, and
 their reading is strict: what it accepts re-serialises to the same bytes.
-`Report.from_json` checks them with one offset walk that builds no objects,
-and `Report.path` parses them into sessions only when first read.  A
-measured path comes with most of its L already encoded: the loop monitor
-writes each session's tail as it measures, once per distinct flat session of
-a program, and `ProgramPath.metadata` packs only the session heads.
-The verifier checks the binary hash, freshness and signature, then replays
-the execution and compares the encoding of its own (A, L) with the signed
-bytes.  Equal bytes are equal A and L, so it structurally decodes the
-replay's loop paths against the program's static table (`Cfg`: its loop
-bodies and its stop table) and builds no report objects.  Only other bytes
-are parsed, decoded and compared with the replay object by object, to say
-what differs.  Prover and verifier share one measurement implementation,
-so any asymmetry is structurally impossible.
+`Report.from_json` checks them with one offset walk that builds no objects.
+A `ProgramPath` is bytes, A and each session's encoding in L, as the loop
+monitor emits them, so the prover signs without building a session; its
+`sessions` are parsed from L only when read.  The verifier checks the
+binary hash, freshness and signature, then replays the execution and
+compares the encoding of its own (A, L) with the signed bytes.  Equal bytes
+are equal A and L, so it structurally decodes the paths of the replay's
+session encodings against the program's static table (`Cfg`: its loop
+bodies, its stop table, the session tails it read) and builds no session.
+Only other bytes are split into the report's encodings, to be decoded and
+compared with the replay's.  Prover and verifier share one measurement
+implementation, so any asymmetry is structurally impossible.
 """
 from __future__ import annotations
 
@@ -42,7 +41,7 @@ from .branch_filter import detect_loops, filter_trace
 from .hash_engine import digest_pairs
 from .loop_monitor import (FAULT_MARKER_ENTRY, PARENT_NONE, PATH_COUNT, SESSION_HEAD,
                            SESSION_TAIL, TARGETS, LoopMonitor, LoopSession, MonitorConfig,
-                           PathId, fault_marker_session, session_head, session_tail)
+                           PathId, session_head, session_tail, unpack_bits)
 
 MAGIC = b"CFATT2"
 NONCE_LEN = 32
@@ -94,8 +93,9 @@ class Challenge:
 
 @dataclass(frozen=True)
 class ProgramPath:
+    """A and L as bytes: two paths are equal exactly when their bytes are."""
     authenticator: bytes                 # 64-byte SHA-3-512 digest A
-    sessions: tuple[LoopSession, ...]    # metadata L
+    encodings: tuple[bytes, ...]         # metadata L: each session's head and tail
 
     def __post_init__(self):
         if len(self.authenticator) != DIGEST_LEN:
@@ -103,22 +103,13 @@ class ProgramPath:
 
     @cached_property
     def metadata(self) -> bytes:
-        """Binary L: `serialize_metadata` of the sessions; for a path `measure` returned, each
-        session's head joined with the tail the loop monitor wrote for it.
+        """Binary L: the session count, then each session's bytes."""
+        return _U32.pack(len(self.encodings)) + b"".join(self.encodings)
 
-        `measure` leaves those tails in `_tails` until L is first read, so a path built by
-        hand or by `dataclasses.replace` encodes its own sessions, and the sessions of a
-        measured path are not to be changed in place.
-        """
-        tails = self.__dict__.pop("_tails", None)
-        if tails is None:
-            return serialize_metadata(self.sessions)
-        out = [_U32.pack(len(tails))]
-        append = out.append
-        for s, tail in zip(self.sessions, tails):
-            append(session_head(s.loop_entry, s.depth, s.parent))
-            append(tail)
-        return b"".join(out)
+    @cached_property
+    def sessions(self) -> tuple[LoopSession, ...]:
+        """L parsed into sessions when first read; ProtocolError if its bytes do not parse."""
+        return parse_metadata(self.metadata)
 
 
 REPORT_KEYS = frozenset({"program_id", "program_hash_hex", "signed_hex", "sig_hex"})
@@ -236,18 +227,20 @@ def serialize_metadata(sessions: tuple[LoopSession, ...]) -> bytes:
     return b"".join(out)
 
 
-def _check_metadata(data: bytes) -> None:
-    """The one strict reading of binary L: ProtocolError unless serialize_metadata wrote `data`.
+def _check_metadata(data: bytes) -> list[int]:
+    """The one strict reading of binary L: ProtocolError unless serialize_metadata wrote `data`;
+    else the offset of each session, and of the end.
 
-    One offset walk that builds no objects.  A path entry is its length byte n,
+    One offset walk that builds no sessions.  A path entry is its length byte n,
     then n bits packed into whole bytes, then its count: it is well formed if
     those bytes are all there and its padding bits are zero.
     """
-    size = len(data)
+    size, starts = len(data), []
     try:
         (count,) = _U32.unpack_from(data, 0)
         off = _U32.size
         for _ in range(count):
+            starts.append(off)
             (npaths,) = _U32.unpack_from(data, off + _NPATHS_AT)  # the whole head is there
             if data[off + _NPATHS_AT - 1] > 1:
                 raise ProtocolError("path_overflow byte must be 0 or 1")
@@ -267,39 +260,42 @@ def _check_metadata(data: bytes) -> None:
         raise ProtocolError("truncated metadata") from None
     if off != size:
         raise ProtocolError("truncated metadata" if off > size else "trailing bytes in metadata")
+    starts.append(off)
+    return starts
+
+
+def _read_tail(data: bytes, off: int) -> tuple[list[tuple[str, int]], list[int]]:
+    """The paths, as (bits, count), and the targets of the checked session tail at data[off:]."""
+    (npaths,) = _U32.unpack_from(data, off + 1)
+    off += SESSION_TAIL.size
+    paths = []
+    for _ in range(npaths):
+        end = off + 1 + (data[off] + 7) // 8
+        paths.append((unpack_bits(data[off + 1:end], data[off]),
+                      PATH_COUNT.unpack_from(data, end)[0]))
+        off = end + PATH_COUNT.size
+    return paths, TARGETS[data[off]].unpack_from(data, off)[1:]
 
 
 def parse_metadata(data: bytes) -> tuple[LoopSession, ...]:
     """Strict inverse of serialize_metadata: what it accepts re-serialises to `data`."""
-    _check_metadata(data)
     sessions = []
-    pids: dict[bytes, PathId] = {}  # a path's length byte and packed bits -> its PathId
-    (count,) = _U32.unpack_from(data, 0)
-    off = _U32.size
-    for _ in range(count):
-        entry, depth, parent, overflow, npaths = _SESSION_HEAD.unpack_from(data, off)
-        off += _SESSION_HEAD.size
-        paths = []
-        for _ in range(npaths):
-            end = off + 1 + (data[off] + 7) // 8
-            pid = pids.get(key := data[off:end])
-            if pid is None:
-                pid = pids[key] = PathId.unpack(key[1:], key[0])
-            paths.append((pid, PATH_COUNT.unpack_from(data, end)[0]))
-            off = end + PATH_COUNT.size
-        ntargets, *targets = TARGETS[data[off]].unpack_from(data, off)
-        off += 1 + ntargets * _U32.size
+    pids: dict[str, PathId] = {}  # path bits -> their PathId
+    for off in _check_metadata(data)[:-1]:
+        entry, depth, parent, overflow = _SESSION_HEAD.unpack_from(data, off)[:4]
+        paths, targets = _read_tail(data, off + SESSION_HEAD.size)
+        paths = [(pids.get(bits) or pids.setdefault(bits, PathId(bits)), count)
+                 for bits, count in paths]
         sessions.append(LoopSession(entry, depth, None if parent == PARENT_NONE else parent,
-                                    paths, targets, overflow == 1))
+                                    paths, list(targets), overflow == 1))
     return tuple(sessions)
 
 
 def canonical_serialize(path: ProgramPath, nonce: bytes) -> bytes:
     """The report's encoding of A, L and N: magic || A || L || N.
 
-    L is `path.metadata`, which for a measured path packs only each session's head:
-    the loop monitor wrote the rest while it measured, once per distinct flat session
-    of the program, so the prover and the verifier's replay encode no path here.
+    L is `path.metadata`, the join of the session encodings the loop monitor wrote
+    while it measured, so the prover and the verifier's replay encode nothing here.
     """
     if len(nonce) != NONCE_LEN:
         raise ProtocolError(f"nonce must be {NONCE_LEN} bytes")
@@ -319,31 +315,30 @@ def _signed_metadata(data: bytes) -> bytes:
 
 
 def canonical_parse(data: bytes) -> tuple[ProgramPath, bytes]:
-    """Strict inverse of canonical_serialize."""
-    return (ProgramPath(data[len(MAGIC):_HEAD], parse_metadata(_signed_metadata(data))),
+    """Strict inverse of canonical_serialize: the path holds L's session encodings."""
+    metadata = _signed_metadata(data)
+    starts = _check_metadata(metadata)
+    return (ProgramPath(data[len(MAGIC):_HEAD],
+                        tuple(map(metadata.__getitem__, map(slice, starts, starts[1:])))),
             data[-NONCE_LEN:])
 
 
 # --- measurement ---------------------------------------------------------------
 
-_FAULT_MARKER_TAIL = session_tail(False, (), (), {})  # the fault marker session's tail in L
+# the session a faulted run's L ends with
+_FAULT_MARKER = session_head(FAULT_MARKER_ENTRY, 0, None) + session_tail(False, (), (), {})
 
 
 def measure(trace: Trace, config: MonitorConfig = MonitorConfig()) -> ProgramPath:
     """Run the full filter -> loop discovery -> loop monitor -> hash pipeline.
 
-    The path carries the tail in L the monitor wrote for each session, for its
-    `metadata`.
+    The path holds the session encodings the monitor wrote; the hash engine takes its
+    stream one 8-byte word an item.
     """
-    monitor = LoopMonitor(config)
-    stream, sessions = monitor.process(detect_loops(filter_trace(trace)))
-    tails = monitor.tails
+    stream, sessions = LoopMonitor(config).process(detect_loops(filter_trace(trace)))
     if trace.fault is not None:
-        sessions.append(fault_marker_session())
-        tails.append(_FAULT_MARKER_TAIL)
-    path = ProgramPath(digest_pairs(stream), tuple(sessions))
-    path.__dict__["_tails"] = tails
-    return path
+        sessions.append(_FAULT_MARKER)
+    return ProgramPath(digest_pairs(memoryview(stream).cast("Q")), tuple(sessions))
 
 
 # --- prover ---------------------------------------------------------------------
@@ -468,7 +463,8 @@ PATH_UNVERIFIABLE = "unverifiable"
 PATH_INVALID = "invalid"
 
 _DECODE_STEP_CAP = 4096
-_DECODE_MEMO_CAP = 4096  # decode statuses a program's Cfg keeps
+_DECODE_MEMO_CAP = 4096  # decode statuses, and session tails, a program's Cfg keeps
+_TAIL_CACHE_LEN = 256  # the longest session tail it keeps: at most 28 paths
 _DECODE_RANK = {PATH_INVALID: 0, PATH_UNVERIFIABLE: 1,
                 PATH_VALID_EXIT: 2, PATH_VALID_CYCLE: 2}
 _ENTRY, _HALT = "e", "h"  # stop kinds besides the site kinds: a static loop entry, the halt
@@ -485,10 +481,12 @@ class Cfg:
     the Dest of its last), the halt, a static loop entry or program.end.  A transfer
     or the halt is its own stop; before an `_ENTRY` stop k leaves it out.
     `decoded`: (loop entry, target table, path bits, n) -> `decode_loop_path`'s status.
+    `tails`: a session's tail in L -> its target table and path bits.
     """
     loops: Mapping[int, int]
     stops: Mapping[int, tuple[int, Optional[int], str, Optional[int]]]
     decoded: dict = field(default_factory=dict, compare=False, repr=False)
+    tails: dict = field(default_factory=dict, compare=False, repr=False)
 
 
 def build_cfg(program: Program) -> Cfg:
@@ -511,24 +509,26 @@ def build_cfg(program: Program) -> Cfg:
     return program.__dict__.setdefault("_cfg", Cfg(loops, stops))
 
 
-def decode_loop_path(session: LoopSession, pid: PathId, cfg: Cfg, n: int = 4) -> str:
-    """Structurally decode one loop path against the program's static table.
+def decode_loop_path(entry: int, targets: tuple[int, ...], bits: str, cfg: Cfg,
+                     n: int = 4) -> str:
+    """Structurally decode one loop path, its bits, of a session at loop entry `entry` with
+    target table `targets`, against the program's static table.
 
-    The status depends only on the loop entry, the session's target table, the
-    path bits and n, so each distinct one is walked once (`_walk`) and kept in
+    The status depends only on the loop entry, the target table, the path bits
+    and n, so each distinct one is walked once (`_walk`) and kept in
     `cfg.decoded`; a full memo (`_DECODE_MEMO_CAP` a program) is emptied first.
     """
-    key = (session.loop_entry, tuple(session.indirect_targets), pid.bits, n)
+    key = (entry, targets, bits, n)
     status = cfg.decoded.get(key)
     if status is None:
-        status = _walk(session.loop_entry, session.indirect_targets, pid.bits, cfg, n)
+        status = _walk(entry, targets, bits, cfg, n)
         if len(cfg.decoded) >= _DECODE_MEMO_CAP:
             cfg.decoded.clear()
         cfg.decoded[key] = status
     return status
 
 
-def _walk(entry: int, targets: list[int], bits: str, cfg: Cfg, n: int) -> str:
+def _walk(entry: int, targets: tuple[int, ...], bits: str, cfg: Cfg, n: int) -> str:
     """The structural walk of one loop path, from its loop's entry.
 
     Replays the bit-contribution rules as a walk from the session's loop
@@ -611,23 +611,39 @@ def _walk(entry: int, targets: list[int], bits: str, cfg: Cfg, n: int) -> str:
         addr, i, call_stack, started, no_skip_at = todo.pop()
 
 
-def check_loop_paths(sessions: tuple[LoopSession, ...], cfg: Cfg,
+def check_loop_paths(encodings: tuple[bytes, ...], cfg: Cfg,
                      config: MonitorConfig) -> tuple[bool, list[str]]:
-    """Decode every reported path; returns (all structurally valid, notes)."""
-    notes = []
-    ok = True
-    for idx, s in enumerate(sessions):
-        if s.loop_entry == FAULT_MARKER_ENTRY:
+    """Decode every reported path, read from each session's bytes in L; returns (all
+    structurally valid, notes).
+
+    A session's target table and path bits are read from its tail once per
+    program and kept in `cfg.tails`; a full cache (`_DECODE_MEMO_CAP` tails of
+    at most `_TAIL_CACHE_LEN` bytes) is emptied first.
+    """
+    notes, ok, tails, n = [], True, cfg.tails, config.n
+    decode, entry_of, at = decode_loop_path, _U32.unpack_from, SESSION_HEAD.size
+    for idx, encoding in enumerate(encodings):
+        (entry,) = entry_of(encoding)
+        if entry == FAULT_MARKER_ENTRY:
             ok = False
             notes.append(f"session {idx}: fault marker")
             continue
-        for pid, _count in s.paths:
-            status = decode_loop_path(s, pid, cfg, config.n)
+        read = tails.get(tail := encoding[at:])
+        if read is None:
+            paths, targets = _read_tail(tail, 0)
+            read = targets, [bits for bits, _ in paths]
+            if len(tail) <= _TAIL_CACHE_LEN:
+                if len(tails) >= _DECODE_MEMO_CAP:
+                    tails.clear()
+                tails[tail] = read
+        targets, paths = read
+        for bits in paths:
+            status = decode(entry, targets, bits, cfg, n)
             if status == PATH_INVALID:
                 ok = False
-                notes.append(f"session {idx} path {pid.bits!r}: invalid")
+                notes.append(f"session {idx} path {bits!r}: invalid")
             elif status == PATH_UNVERIFIABLE:
-                notes.append(f"session {idx} path {pid.bits!r}: unverifiable")
+                notes.append(f"session {idx} path {bits!r}: unverifiable")
     return ok, notes
 
 
@@ -642,9 +658,9 @@ def verify(
     """Full verifier: static hash, freshness, signature, structure, replay.
 
     The replay runs before the structural decode.  If its encoding equals the
-    signed bytes, the decode reads the replay's sessions, which equal the
-    report's, and the report is never parsed; otherwise the report's sessions
-    are decoded and A and L compared with the replay's.  Signed bytes that do
+    signed bytes, the decode reads the replay's session encodings, which equal
+    the report's, and the report is never parsed; otherwise the report's
+    encodings are decoded and A and L compared with the replay's.  Signed bytes that do
     not parse, which only a Report built around them can hold, are MALFORMED,
     and so are bytes too short for the magic, A and N, before the nonce is read.
     Either way the reported reason is the first failing check in the order
@@ -670,7 +686,7 @@ def verify(
         return VerifyResult(False, BAD_SIGNATURE, (BAD_SIGNATURE,))
 
     expected = measure(run(program, list(challenge.input)), config)
-    # the strict parse makes equal bytes equal A and L, so the replay's sessions stand
+    # the strict parse makes equal bytes equal A and L, so the replay's encodings stand
     # for the report's; only other bytes are parsed, to say what differs
     same = canonical_serialize(expected, challenge.nonce) == report.signed
     try:
@@ -678,12 +694,12 @@ def verify(
     except ProtocolError:  # validly signed bytes that do not parse
         return VerifyResult(False, MALFORMED, (MALFORMED,))
     failures: list[str] = []
-    structural_ok, _notes = check_loop_paths(reported.sessions, cfg, config)
+    structural_ok, _notes = check_loop_paths(reported.encodings, cfg, config)
     if not structural_ok:
         failures.append(INVALID_LOOP_PATH)
     if reported.authenticator != expected.authenticator:
         failures.append(AUTHENTICATOR_MISMATCH)
-    if reported.sessions != expected.sessions:
+    if reported.encodings != expected.encodings:
         failures.append(METADATA_MISMATCH)
 
     if failures:

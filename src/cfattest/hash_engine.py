@@ -1,12 +1,12 @@
 """SHA-3-512 authenticator over (Src, Dest) pairs, plus a
 discrete-event model of the absorb cadence (9 words per 576-bit block,
-3 busy cycles per permutation, FIFO input buffer)."""
+3 busy cycles per permutation, FIFO input buffer).  A pair is one packed
+64-bit word (`pair_bytes`), as the loop monitor emits its stream."""
 from __future__ import annotations
 
 import hashlib
 import struct
 from dataclasses import dataclass
-from itertools import starmap
 
 BLOCK_WORDS = 9       # 9 x 64 bit = 576-bit message block
 BUSY_CYCLES = 3
@@ -16,9 +16,11 @@ BUSY_CYCLES = 3
 pair_bytes = struct.Struct(">II").pack
 
 
-def digest_pairs(pairs: list[tuple[int, int]]) -> bytes:
-    """One-shot authenticator over a complete measurement stream."""
-    return hashlib.sha3_512(b"".join(starmap(pair_bytes, pairs))).digest()
+def digest_pairs(words) -> bytes:
+    """One-shot authenticator over a complete measurement stream: its 64-bit words, packed
+    (`pair_bytes`) into one buffer; `measure` passes a memoryview cast to "Q", whose length
+    is the word count."""
+    return hashlib.sha3_512(words).digest()
 
 
 @dataclass(frozen=True)

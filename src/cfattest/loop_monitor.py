@@ -10,7 +10,7 @@ the first branch that leaves it (returns below its call depth or, at that
 depth, lands outside its body).  A context
 nested deeper than `max_depth` is tracked, but not measured as a loop: its
 branches are hashed like those outside any loop.  Every other context is one
-`LoopSession` in L.
+session in L.
 
 Each traversal of a loop body is encoded into a bitstring: conditional
 branches contribute their taken bit, direct jumps and direct calls contribute
@@ -45,43 +45,45 @@ traversals it has taken that fit the width and hold more than that site, in
 first-seen order.  Each known traversal is in the table, so both hold at most
 2^path_width entries a flat loop, the bound of LO-FAT's path-indexed counters
 (`memory_bits`); a loop stops learning traversals once it knows
-`_SCAN_BUDGET // 2`, which never fit the budget.  One `PathId` stands for
-each distinct path of a `process` call.
+`_SCAN_BUDGET // 2`, which never fit the budget.
 
 Each flat session is measured once per program and path width.  A third
 table, the session memo, maps a session's sites (exit branch included) to
-what it adds: its stream pairs, its paths as (bits, count), its overflow
+what it adds: its stream words, its paths as (bits, count), its overflow
 flag and its tail in L.  A session the program has measured before costs one
-lookup; depth, parent and PathIds are applied per call, the PathIds once per
-distinct tail in the call (an inner loop that runs the same count on each
-pass of an outer one repeats it).  What a flat session adds depends only on
+lookup, and one head packed per call.  What a flat session adds depends only on
 its sites and the path width: its body holds no indirect transfer, so no
 target code, and both ways of counting give the same stream and paths.  So
 A and L do not depend on what the memo holds.  It takes sessions while what
 it holds fits in `_MEMO_BYTES`: keys, value tuples, tails, counts and a dict
 slot each, as `sys.getsizeof` counts them, or more (`_memo_bytes`); past the
-width every pair of a session is stored, eight bytes a site against the
+width every word of a session is stored, eight bytes a site against the
 key's one to four.  A session that does not fit empties it first, so
 sessions that repeat after it filled are memoised again.  The three tables
 of one width are one `Sites.derived` entry.
 
-A session's bytes in L are its head (loop entry, depth, parent) and its tail
-(`session_tail`): overflow flag, paths with counts and target table.  The
-walk writes each session's tail into `tails`, a walked session's when it
-closes and a flat one's from its memo entry, so a flat session is encoded
-once per program; `attestation` packs the heads when it joins them into L.
-`session_head` and `session_tail` are L's one encoder, `serialize_metadata`'s
-too.
+The walk emits the measurement as bytes.  A's stream is packed 8-byte
+(Src, Dest) words (`hash_engine.pair_bytes`), made once per site and program
+(an indirect transfer's once per occurrence) and joined once per call.  L is
+one byte string per session: its head (loop entry, depth, parent;
+`session_head`) and its tail (`session_tail`: overflow flag, paths with
+counts, target table), a walked session's written when it closes and a flat
+one's head joined to the tail of its memo entry, so a flat session is encoded
+once per program.  No `LoopSession` or `PathId` is built here: they come
+only from parsing L (`attestation.parse_metadata`).  `session_head` and
+`session_tail` are L's one encoder, `serialize_metadata`'s too.
 """
 from __future__ import annotations
 
 import struct
 from collections import _count_elements
 from dataclasses import dataclass
+from itertools import starmap
 from math import inf
 from typing import Collection, NamedTuple, Optional
 
 from .branch_filter import INDIRECT, derived, site_bits
+from .hash_engine import pair_bytes
 from .isa import CALL, INDIRECT_CALL, RETURN
 
 FAULT_MARKER_ENTRY = 0xFFFF_FFFF
@@ -93,10 +95,10 @@ _LINKING = CALL + INDIRECT_CALL
 _SCAN_BUDGET = 32
 # the bytes a program's session memo may hold per path width, as `sys.getsizeof` counts
 # them: a session's key, at most 4 bytes a site (1 while all its sites are below 128) and
-# 76 more; its value's four-tuple and two tuples (72 + 40 + 40), its L tail (33 bytes and
-# its length) and its dict slot (a str-keyed dict takes at most 44 bytes a key past eight
-# keys, CPython 3.11); 8 a stored pair; and a path's slot, (bits, count) tuple and count
-# (8 + 56 + 32)
+# 76 more; its value's four-tuple, its stream's bytes and its paths' tuple (72 + 40 + 40),
+# its L tail (33 bytes and its length) and its dict slot (a str-keyed dict takes at most 44
+# bytes a key past eight keys, CPython 3.11); 8 a stored word; and a path's slot, (bits,
+# count) tuple and count (8 + 56 + 32)
 _MEMO_BYTES = 1 << 22
 _MEMO_ENTRY = 76 + 72 + 40 + 40 + 33 + 48
 _MEMO_PATH = 8 + 56 + 32
@@ -145,21 +147,6 @@ class PathId:
     def __len__(self) -> int:
         return len(self.bits)
 
-    def packed(self) -> bytes:
-        """Bits packed MSB-first into whole bytes, zero-padded at the end."""
-        return pack_bits(self.bits)
-
-    @classmethod
-    def unpack(cls, data: bytes, bit_len: int) -> "PathId":
-        """Inverse of packed(); rejects a wrong byte count and set padding bits."""
-        pad = len(data) * 8 - bit_len
-        if not 0 <= pad < 8:
-            raise ValueError(f"{len(data)} bytes cannot hold exactly {bit_len} bits")
-        v = int.from_bytes(data, "big")
-        if v & ((1 << pad) - 1):
-            raise ValueError("padding bits must be zero")
-        return cls(format(v >> pad, f"0{bit_len}b") if bit_len else "")
-
 
 def pack_bits(bits: str) -> bytes:
     """A bit string packed MSB-first into whole bytes, zero-padded at the end."""
@@ -167,6 +154,17 @@ def pack_bits(bits: str) -> bytes:
     if not nbytes:
         return b""
     return int(bits + "0" * (nbytes * 8 - len(bits)), 2).to_bytes(nbytes, "big")
+
+
+def unpack_bits(data: bytes, bit_len: int) -> str:
+    """Inverse of pack_bits; ValueError for a wrong byte count or set padding bits."""
+    pad = len(data) * 8 - bit_len
+    if not 0 <= pad < 8:
+        raise ValueError(f"{len(data)} bytes cannot hold exactly {bit_len} bits")
+    v = int.from_bytes(data, "big")
+    if v & ((1 << pad) - 1):
+        raise ValueError("padding bits must be zero")
+    return format(v >> pad, f"0{bit_len}b") if bit_len else ""
 
 
 @dataclass(slots=True)
@@ -213,10 +211,6 @@ def session_tail(overflow: bool, paths: Collection[tuple[str, int]], targets: Co
     return b"".join(out)
 
 
-def fault_marker_session() -> LoopSession:
-    return LoopSession(FAULT_MARKER_ENTRY, 0, None, [], [])
-
-
 def memory_bits(path_width: int, depth: int) -> int:
     """On-chip bits needed for path-indexed counter memory across nesting levels."""
     if path_width < 1 or depth < 1:
@@ -224,28 +218,20 @@ def memory_bits(path_width: int, depth: int) -> int:
     return 8 * (1 << path_width) * depth
 
 
-class _PathIds(dict):
-    """Bit string -> its PathId, made on first use."""
-
-    def __missing__(self, bits: str) -> PathId:
-        pid = self[bits] = PathId(bits)
-        return pid
-
-
 def _memo_bytes(sites: str, found: tuple) -> int:
     """The bytes a session's memo entry holds; the pairs and bits themselves are shared with
     the site and traversal tables."""
-    return (len(sites) if sites.isascii() else 4 * len(sites)) + 8 * len(found[0]) \
+    return (len(sites) if sites.isascii() else 4 * len(sites)) + len(found[0]) \
         + _MEMO_PATH * len(found[1]) + len(found[3]) + _MEMO_ENTRY
 
 
 class _FlatTables(NamedTuple):
     """A program's tables for flat sessions at one path width (`Sites.derived`)."""
     bits: str                         # `site_bits`
-    paths: dict[str, tuple]           # traversal sites -> (bits, pairs)
+    paths: dict[str, tuple]           # traversal sites -> (bits, packed words)
     known: dict[str, dict[str, str]]  # re-entering site -> {piece: scan pattern}
-    memo: dict[str, tuple]            # session sites -> (pairs, paths as (bits, count), overflow,
-                                      # L tail)
+    memo: dict[str, tuple]            # session sites -> (packed words, paths as (bits, count),
+                                      # overflow, L tail)
     room: list[int]                   # [bytes the memo may still take]
     bound: int                        # bytes the memo may hold
 
@@ -273,7 +259,7 @@ class _Context:
 
 
 class LoopMonitor:
-    """The loop walk turning the branch columns into (A-stream, L).
+    """The loop walk turning the branch columns into A's stream and L's sessions, as bytes.
 
     `_enter`, `_iterate` and `_exit` are a walked context's boundaries: each
     takes the context, the position of the boundary (between branches pos-1
@@ -282,8 +268,8 @@ class LoopMonitor:
 
     def __init__(self, config: MonitorConfig = MonitorConfig()):
         self.config = config
-        self.stream: list[tuple[int, int]] = []   # hash-engine input, in emission order
-        self.sessions: list[Optional[LoopSession]] = []
+        self.stream: list[bytes] = []     # hash-engine input as packed words, in emission order
+        self.sessions: list[Optional[bytes]] = []  # each session's bytes in L, in order
 
     def _indirect_code(self, s: _Context, target: int) -> int:
         code = s.targets.get(target)
@@ -292,12 +278,16 @@ class LoopMonitor:
         return code or 0  # 0 is the overflow code: target not representable
 
     def _hash(self, i: int, j: int) -> None:
-        """Send the (Src, Dest) pairs of branches i..j-1 to the hash engine."""
-        self.stream.extend(self._branches.pairs(i, j))
+        """Send the (Src, Dest) words of branches i..j-1 to the hash engine."""
+        b = self._branches
+        if b.targets and b.table.indirect.search(b.sites, i, j):
+            self.stream.append(b"".join(starmap(pair_bytes, b.pairs(i, j))))
+        else:
+            self.stream.append(b"".join(map(self._word, b.sites[i:j])))
 
     def _end_traversal(self, s: _Context, hashed: bool) -> None:
         for i, j in s.buffer if hashed else ():
-            self.stream.extend(self._branches.pairs(i, j))
+            self._hash(i, j)
         s.partial, s.buffer = "", []
 
     def _encode_run(self, s: _Context, i: int, j: int) -> None:
@@ -341,7 +331,6 @@ class LoopMonitor:
         if not ctx.degraded:
             ctx.index = len(self.sessions)
             self.sessions.append(None)
-            self.tails.append(None)
 
     def _iterate(self, ctx: _Context, pos: int, branch: int) -> None:
         """End a traversal of ctx: the branch re-entered it."""
@@ -353,11 +342,8 @@ class LoopMonitor:
         self._run(pos)
         if ctx.index is not None:
             self.close_path(ctx)
-            self.sessions[ctx.index] = LoopSession(ctx.entry, ctx.depth, ctx.parent, [
-                (self._path_id(k), c) for k, c in ctx.counts.items()], list(ctx.targets),
-                ctx.path_overflow)
-            self.tails[ctx.index] = session_tail(ctx.path_overflow, ctx.counts.items(),
-                                                 ctx.targets, self._entries)
+            self.sessions[ctx.index] = session_head(ctx.entry, ctx.depth, ctx.parent) + \
+                session_tail(ctx.path_overflow, ctx.counts.items(), ctx.targets, self._entries)
 
     def _flat(self, entry: int, site: str, start: int, end: int, branch: int, depth: int,
               within: int, degraded: bool) -> None:
@@ -370,19 +356,11 @@ class LoopMonitor:
             return self._hash(start, end)
         sites = self._sites[start:end]
         found = self._memo.get(sites) or self._measure_flat(site, sites)
-        self.stream.extend(found[0])
-        paths = self._flat_paths.get(found[3])
-        if paths is None:  # first in this call: through the call's PathIds
-            path_id, paths = self._path_id, []
-            for bits, count in found[1]:
-                paths.append((path_id(bits), count))
-            self._flat_paths[found[3]] = paths
-        self.sessions.append(LoopSession(entry, depth, self._stack[-1].index, paths[:], [],
-                                         found[2]))
-        self.tails.append(found[3])
+        self.stream.append(found[0])
+        self.sessions.append(session_head(entry, depth, self._stack[-1].index) + found[3])
 
     def _measure_flat(self, site: str, sites: str) -> tuple:
-        """What a flat session not measured before adds: its stream pairs, its paths as (bits,
+        """What a flat session not measured before adds: its stream words, its paths as (bits,
         count), its overflow flag and its L tail, put in the memo; a memo with no room for it
         is emptied first."""
         k, done = sites.find(site) + 1, sites.rfind(site) + 1  # first and last iteration end
@@ -391,14 +369,14 @@ class LoopMonitor:
         tail = sites[done:]
         if n and max(k, len(tail)) <= width and sites.startswith(first * n):
             # all n complete iterations take the first one's path: (first, n) and the tail
-            path, pairs = table.get(first) or self._traversal(first)
-            last, tail_pairs = table.get(tail) or self._traversal(tail)
+            path, words = table.get(first) or self._traversal(first)
+            last, tail_words = table.get(tail) or self._traversal(tail)
             if last == path:
-                found = pairs, ((path, n + 1),), False
+                found = words, ((path, n + 1),), False
             elif tail:
-                found = pairs + tail_pairs, ((path, n), (last, 1)), False
+                found = words + tail_words, ((path, n), (last, 1)), False
             else:  # the trace ended at a re-entering site
-                found = pairs, ((path, n),), False
+                found = words, ((path, n),), False
         else:  # the complete iterations, each traversal counted, then the tail
             traversals = self._count_known(site, sites)
             if traversals is None:  # split and counted in one C pass, less `site`
@@ -418,14 +396,14 @@ class LoopMonitor:
             for traversal, count in traversals + [(tail, 1)] if tail else traversals:
                 if len(traversal) > width:  # in order, hashed at every occurrence
                     overflow = True
-                    stream.extend(map(self._pair, traversal))
+                    stream.append(b"".join(map(self._word, traversal)))
                     continue
-                path, pairs = table.get(traversal) or self._traversal(traversal)
+                path, words = table.get(traversal) or self._traversal(traversal)
                 seen = counts.get(path, 0)
-                if not seen:  # first execution of this path: its pairs go to the hash engine
-                    stream.extend(pairs)
+                if not seen:  # first execution of this path: its words go to the hash engine
+                    stream.append(words)
                 counts[path] = seen + count
-            found = tuple(stream), tuple(counts.items()), overflow
+            found = b"".join(stream), tuple(counts.items()), overflow
         found = (*found, session_tail(found[2], found[1], (), self._entries))
         room, cost, bound = self._room, _memo_bytes(sites, found), self._bound
         if room[0] < cost <= bound:  # full: start over, so sessions that repeat are kept again
@@ -461,9 +439,10 @@ class LoopMonitor:
                     return [(pattern[1:], count) for _, pattern, count in found]
         return None
 
-    def _traversal(self, sites: str) -> tuple[str, tuple[tuple[int, int], ...]]:
-        """A flat traversal that fits the width: its path bits and pairs, now in the table."""
-        found = self._paths[sites] = (sites.translate(self._bits), tuple(map(self._pair, sites)))
+    def _traversal(self, sites: str) -> tuple[str, bytes]:
+        """A flat traversal that fits the width: its path bits and words, now in the table."""
+        found = self._paths[sites] = (sites.translate(self._bits),
+                                      b"".join(map(self._word, sites)))
         return found
 
     def close_path(self, s: _Context) -> None:
@@ -472,25 +451,22 @@ class LoopMonitor:
         elif s.partial:
             count = s.counts.get(s.partial, 0)
             s.counts[s.partial] = count + 1
-            # first execution of this path: its pairs go to the hash engine
+            # first execution of this path: its words go to the hash engine
             self._end_traversal(s, hashed=count == 0)
 
-    def process(self, found: tuple) -> tuple[list[tuple[int, int]], list[LoopSession]]:
-        """Walk the branches once, given `detect_loops`'s loops, and measure each loop.
-
-        `tails` then holds each session's tail in L (`session_tail`), in the order of the
-        sessions."""
+    def process(self, found: tuple) -> tuple[bytes, list[bytes]]:
+        """Walk the branches once, given `detect_loops`'s loops, and measure each loop: A's
+        stream as packed (Src, Dest) words, and each session's bytes in L (its head and tail)."""
         b, enclosing = found
         self._branches, self._sites, self._target_at = b, b.sites, b.target_at
-        self._pair = b.table.pair.__getitem__
+        self._word = derived(b.table, "words", lambda: {
+            c: pair_bytes(src, dest) for c, (src, dest) in b.table.pair.items()
+            if dest is not None}).__getitem__
         self._bits, self._paths, self._known, self._memo, self._room, self._bound = derived(
             b.table, ("flat", self.config.path_width),
             lambda: _FlatTables(site_bits(b.table), {}, {}, {}, [_MEMO_BYTES], _MEMO_BYTES))
-        self._path_id, self._pos = _PathIds().__getitem__, 0
-        # a flat session's tail in L, which holds its paths -> the paths with PathIds
-        self._flat_paths: dict[bytes, list] = {}
+        self._pos = 0
         self._entries: dict[str, bytes] = {}  # path bits -> their length byte and packed bits
-        self.tails: list[Optional[bytes]] = []
         loops, flat, exits = enclosing.loops, enclosing.flat, enclosing.exit
         max_depth = self.config.max_depth
         sites, site, target_at, n = b.sites, b.table.site, b.target_at, len(b)
@@ -597,5 +573,5 @@ class LoopMonitor:
         while len(stack) > 1:  # implicit exits at end of trace
             close_ctx(n, n - 1)
         self._run(n)
-        assert all(s is not None for s in self.sessions)
-        return self.stream, list(self.sessions)
+        assert None not in self.sessions
+        return b"".join(self.stream), self.sessions

@@ -173,7 +173,8 @@ def test_criterion_7_replay_oracle_symmetry():
         assert prover_view.sessions == verifier_view.sessions
         for s in prover_view.sessions:
             for pid, _count in s.paths:
-                status = decode_loop_path(s, pid, cfg, config.n)
+                status = decode_loop_path(s.loop_entry, tuple(s.indirect_targets), pid.bits, cfg,
+                                          config.n)
                 assert status in (att.PATH_VALID_CYCLE, att.PATH_VALID_EXIT), (
                     i, s.loop_entry, pid.bits, status)
     elapsed = time.monotonic() - start

@@ -31,6 +31,7 @@ from cfattest.loop_monitor import (FAULT_MARKER_ENTRY, PARENT_NONE,
                                    LoopSession, MonitorConfig, PathId)
 from genprog import gen_input, gen_program
 from keccak_ref import sha3_512_ref
+from views import fault_marker_session, path_of
 
 KEY = generate_keypair()
 
@@ -147,7 +148,7 @@ class TestCanonicalSerialization:
             LoopSession(0x108, 2, 0, [(PathId("0011"), 4), (PathId("1"), 1)],
                         [0x200, 0x204], path_overflow=True),
         )
-        path = ProgramPath(bytes(range(64)), sessions)
+        path = path_of(bytes(range(64)), sessions)
         nonce = bytes(range(32))
         path2, nonce2 = canonical_parse(canonical_serialize(path, nonce))
         assert nonce2 == nonce
@@ -183,8 +184,8 @@ class TestCanonicalSerialization:
     @given(st.data())
     @settings(max_examples=60, deadline=None)
     def test_round_trip_property(self, data):
-        path = ProgramPath(data.draw(st.binary(min_size=64, max_size=64)),
-                           tuple(data.draw(st.lists(SESSIONS, max_size=3))))
+        path = path_of(data.draw(st.binary(min_size=64, max_size=64)),
+                       data.draw(st.lists(SESSIONS, max_size=3)))
         nonce = data.draw(st.binary(min_size=32, max_size=32))
         blob = canonical_serialize(path, nonce)
         assert canonical_parse(blob) == (path, nonce)
@@ -274,7 +275,7 @@ class TestMeasure:
         stream, sessions = LoopMonitor().process(detect_loops(filter_trace(t)))
         m = measure(t)
         assert m.authenticator == digest_pairs(stream)
-        assert m.sessions == tuple(sessions)
+        assert m.encodings == tuple(sessions)
 
     def test_fault_appends_marker_session(self):
         t = run(parse_program("main:\n    li r1, 0\n    jr r1\n    halt\n"), [])
@@ -283,7 +284,7 @@ class TestMeasure:
 
     def test_straight_line_hashes_nothing(self):
         m = measure(run(P.prog(P.STRAIGHT_LINE, "s"), []))
-        assert m.authenticator == digest_pairs([])
+        assert m.authenticator == digest_pairs(b"")
         assert m.sessions == ()
 
 
@@ -410,7 +411,7 @@ class TestProtocolRoundTrip:
         a = bytearray(r.path.authenticator)
         a[0] ^= 1
         tampered = dataclasses.replace(r, signed=canonical_serialize(
-            ProgramPath(bytes(a), r.path.sessions), r.nonce))
+            ProgramPath(bytes(a), r.path.encodings), r.nonce))
         assert verify(tampered, ch, pk, p).reason == BAD_SIGNATURE
 
     def test_tampered_count_breaks_signature(self):
@@ -423,7 +424,7 @@ class TestProtocolRoundTrip:
                               [(s.paths[0][0], s.paths[0][1] + 5)] + s.paths[1:],
                               s.indirect_targets, s.path_overflow)
         tampered = dataclasses.replace(r, signed=canonical_serialize(
-            ProgramPath(r.path.authenticator, (boosted,) + r.path.sessions[1:]), r.nonce))
+            path_of(r.path.authenticator, (boosted,) + r.path.sessions[1:]), r.nonce))
         assert verify(tampered, ch, pk, p).reason == BAD_SIGNATURE
 
     def test_wrong_program_id_malformed(self):
@@ -462,7 +463,7 @@ class TestProtocolRoundTrip:
         r = prover_attest(p, ch, KEY[0])
         s = dataclasses.replace(r.path.sessions[0], **change)
         with pytest.raises(ProtocolError):
-            canonical_serialize(ProgramPath(r.path.authenticator, (s,)), r.nonce)
+            serialize_metadata((s,))
 
     @pytest.mark.parametrize("damage", ["trailing-byte", "last-byte-dropped", "overflow-2",
                                         "magic", "too-short"])
@@ -566,22 +567,22 @@ class TestStructuralDecode:
 
     def test_valid_cycles_and_exit(self):
         s = self.session("0011")
-        assert decode_loop_path(s, PathId("0011"), self.cfg) == PATH_VALID_CYCLE
-        assert decode_loop_path(s, PathId("011"), self.cfg) == PATH_VALID_CYCLE
-        assert decode_loop_path(s, PathId("1"), self.cfg) == PATH_VALID_EXIT
+        assert decode_loop_path(s.loop_entry, tuple(s.indirect_targets), "0011", self.cfg) == PATH_VALID_CYCLE
+        assert decode_loop_path(s.loop_entry, tuple(s.indirect_targets), "011", self.cfg) == PATH_VALID_CYCLE
+        assert decode_loop_path(s.loop_entry, tuple(s.indirect_targets), "1", self.cfg) == PATH_VALID_EXIT
 
     def test_invalid_bits(self):
         s = self.session("0011")
         # direct jump must contribute '1'; '0000' claims it fell through
-        assert decode_loop_path(s, PathId("0000"), self.cfg) == PATH_INVALID
+        assert decode_loop_path(s.loop_entry, tuple(s.indirect_targets), "0000", self.cfg) == PATH_INVALID
         # too short: ends in the middle of the body
-        assert decode_loop_path(s, PathId("00"), self.cfg) == PATH_INVALID
+        assert decode_loop_path(s.loop_entry, tuple(s.indirect_targets), "00", self.cfg) == PATH_INVALID
         # too long: bits left over after reaching the entry
-        assert decode_loop_path(s, PathId("00111"), self.cfg) == PATH_INVALID
+        assert decode_loop_path(s.loop_entry, tuple(s.indirect_targets), "00111", self.cfg) == PATH_INVALID
 
     def test_unknown_entry_unverifiable(self):
         s = LoopSession(0x9999, 1, None, [(PathId("1"), 1)], [])
-        assert decode_loop_path(s, PathId("1"), self.cfg) == PATH_UNVERIFIABLE
+        assert decode_loop_path(s.loop_entry, tuple(s.indirect_targets), "1", self.cfg) == PATH_UNVERIFIABLE
 
     def test_indirect_target_resolution(self):
         p = P.prog(P.DISPATCH_LOOP, "d")
@@ -589,13 +590,13 @@ class TestStructuralDecode:
         h0 = P.label_addr(p, P.DISPATCH_LOOP, "h0")
         ret_site = 0x118  # jalr+4
         good = LoopSession(0x108, 1, None, [], [h0, ret_site])
-        assert decode_loop_path(good, PathId("0000100101"), cfg) == PATH_VALID_CYCLE
+        assert decode_loop_path(good.loop_entry, tuple(good.indirect_targets), "0000100101", cfg) == PATH_VALID_CYCLE
         # dispatch through a target outside the program text
         rogue = LoopSession(0x108, 1, None, [], [h0, ret_site, 0x9999_0000])
-        assert decode_loop_path(rogue, PathId("0001100101"), cfg) == PATH_INVALID
+        assert decode_loop_path(rogue.loop_entry, tuple(rogue.indirect_targets), "0001100101", cfg) == PATH_INVALID
         # code references a target the session never reported
         missing = LoopSession(0x108, 1, None, [], [h0, ret_site])
-        assert decode_loop_path(missing, PathId("0001100101"), cfg) == PATH_INVALID
+        assert decode_loop_path(missing.loop_entry, tuple(missing.indirect_targets), "0001100101", cfg) == PATH_INVALID
 
     def test_indirect_backedge_loop_is_unverifiable(self):
         # a loop closed only by a register jump has no static backedge, so its
@@ -603,26 +604,26 @@ class TestStructuralDecode:
         p = P.prog(P.INDIRECT_BACKEDGE, "i")
         cfg = build_cfg(p)
         s = LoopSession(0x110, 1, None, [], [0x110])
-        assert decode_loop_path(s, PathId("000001"), cfg) == PATH_UNVERIFIABLE
+        assert decode_loop_path(s.loop_entry, tuple(s.indirect_targets), "000001", cfg) == PATH_UNVERIFIABLE
 
     def test_overflow_code_unverifiable(self):
         p = P.prog(P.DISPATCH_LOOP, "d")
         cfg = build_cfg(p)
         s = LoopSession(0x108, 1, None, [], [])
-        assert decode_loop_path(s, PathId("00000"), cfg, n=4) == PATH_UNVERIFIABLE
+        assert decode_loop_path(s.loop_entry, tuple(s.indirect_targets), "00000", cfg, n=4) == PATH_UNVERIFIABLE
 
     def test_return_must_match_call_site(self):
         p = P.prog(P.CALL_IN_LOOP, "c")
         cfg = build_cfg(p)
         ok = LoopSession(0x108, 1, None, [], [0x110])
-        assert decode_loop_path(ok, PathId("0100011"), cfg) == PATH_VALID_CYCLE
+        assert decode_loop_path(ok.loop_entry, tuple(ok.indirect_targets), "0100011", cfg) == PATH_VALID_CYCLE
         # return target that is not the call site
         bad = LoopSession(0x108, 1, None, [], [0x100])
-        assert decode_loop_path(bad, PathId("0100011"), cfg) == PATH_INVALID
+        assert decode_loop_path(bad.loop_entry, tuple(bad.indirect_targets), "0100011", cfg) == PATH_INVALID
 
     def test_check_loop_paths_flags_fault_marker(self):
-        from cfattest.loop_monitor import fault_marker_session
-        ok, notes = check_loop_paths((fault_marker_session(),), self.cfg,
+        ok, notes = check_loop_paths(path_of(bytes(64), (fault_marker_session(),)).encodings,
+                                     self.cfg,
                                      MonitorConfig())
         assert not ok and "fault marker" in notes[0]
 
@@ -643,7 +644,7 @@ class TestStructuralDecode:
         ch = fresh(p, [])
         session = LoopSession(P.label_addr(p, source, "outer"), 1, None,
                               [(PathId("0" * 40), 1)] * 10_000, [])
-        path = ProgramPath(measure(run(p, [])).authenticator, (session,))
+        path = path_of(measure(run(p, [])).authenticator, (session,))
         h, blob = program_hash(p), canonical_serialize(path, ch.nonce)
         signed = Report(p.id, h, blob, sign(h + blob, KEY[0]))
         calls, walks = [], []
@@ -665,7 +666,7 @@ class TestStructuralDecode:
         session = LoopSession(min(cfg.loops), 1, None, [], [])
         paths = [PathId(format(k, "04b")) for k in range(5)]
         for pid in paths + [paths[-1]] * 3:
-            decode_loop_path(session, pid, cfg)
+            decode_loop_path(session.loop_entry, (), pid.bits, cfg)
         assert walks == [pid.bits for pid in paths]
         assert len(cfg.decoded) == 2
 
@@ -677,5 +678,5 @@ class TestStructuralDecode:
                          (P.AUTH_THEN_WORK, [42, 4])]:
             p = P.prog(src, "x")
             m = measure(run(p, inp))
-            ok, notes = check_loop_paths(m.sessions, build_cfg(p), MonitorConfig())
+            ok, notes = check_loop_paths(m.encodings, build_cfg(p), MonitorConfig())
             assert ok, (src, notes)

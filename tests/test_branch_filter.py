@@ -4,7 +4,8 @@ from cfattest.branch_filter import _discover_loops, detect_loops, filter_trace
 from cfattest.emulator import run
 from cfattest.isa import Kind, parse_program
 from cfattest.loop_monitor import LoopMonitor
-from views import BranchKind, LoopStatusKind, branch_events, branches_from_columns, is_control
+from views import (BranchKind, LoopStatusKind, as_objects, branch_events, branches_from_columns,
+                   is_control)
 
 E = LoopStatusKind.ENTER
 I = LoopStatusKind.ITERATION_BOUNDARY
@@ -92,7 +93,7 @@ done:
                                       cycle=[0, 1, 2, 3])
         assert _discover_loops(calls) == {}
         # the second call opens a recursion session at f in the monitor's L
-        _, sessions = LoopMonitor().process(detect_loops(calls))
+        _, sessions = as_objects(LoopMonitor().process(detect_loops(calls)))
         assert [(s.loop_entry, s.depth, s.parent) for s in sessions] == [(f, 1, None)]
         # one traversal: the recursive call, then both returns, coded by target
         assert [(p.bits, c) for p, c in sessions[0].paths] == [("1" + "0001" + "0010", 1)]

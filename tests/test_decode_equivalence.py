@@ -76,7 +76,8 @@ def assert_same(session: LoopSession, bits: str, program, n: int) -> str:
     pid = PathId(bits)
     cfg = build_cfg(program)
     want = decode_oracle.decode_loop_path(session, pid, program, cfg, n)
-    assert decode_loop_path(session, pid, cfg, n) == want, (program.id, session, bits, n)
+    assert decode_loop_path(session.loop_entry, tuple(session.indirect_targets), bits, cfg, n) \
+        == want, (program.id, session, bits, n)
     return want
 
 

@@ -5,17 +5,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import programs as P
-from cfattest.attestation import ProgramPath, Report, canonical_serialize
+from cfattest.attestation import Report, canonical_serialize, measure
 from cfattest.branch_filter import detect_loops, filter_trace
 from cfattest.emulator import run
+from cfattest.isa import parse_program
 from cfattest.loop_monitor import (FAULT_MARKER_ENTRY, LoopMonitor, LoopSession,
-                                   MonitorConfig, PathId, _Context,
-                                   fault_marker_session, memory_bits)
+                                   MonitorConfig, PathId, _Context, memory_bits, pack_bits,
+                                   unpack_bits)
+from views import as_objects, fault_marker_session, path_of
 
 
 def sessions_of(src, inp, config=MonitorConfig(), **runkw):
     t = run(P.prog(src, "x"), inp, **runkw)
-    return LoopMonitor(config).process(detect_loops(filter_trace(t)))
+    return as_objects(LoopMonitor(config).process(detect_loops(filter_trace(t))))
 
 
 def path_view(s: LoopSession):
@@ -128,8 +130,8 @@ class TestPathOverflow:
 class TestPathId:
     def test_explicit_length_distinguishes(self):
         assert PathId("011") != PathId("0011")
-        assert PathId("011").packed() == b"\x60"
-        assert PathId("0011").packed() == b"\x30"
+        assert pack_bits("011") == b"\x60"
+        assert pack_bits("0011") == b"\x30"
 
     def test_rejects_non_binary(self):
         with pytest.raises(ValueError):
@@ -137,13 +139,12 @@ class TestPathId:
 
     @given(st.text(alphabet="01", max_size=64))
     def test_pack_unpack_round_trip(self, bits):
-        pid = PathId(bits)
-        assert PathId.unpack(pid.packed(), len(bits)) == pid
+        assert unpack_bits(pack_bits(bits), len(bits)) == bits
 
     @given(st.lists(st.text(alphabet="01", min_size=0, max_size=12),
                     min_size=2, max_size=20, unique=True))
     def test_encoding_injective(self, all_bits):
-        seen = {(p.packed(), len(p)) for p in map(PathId, all_bits)}
+        seen = {(pack_bits(bits), len(bits)) for bits in all_bits}
         assert len(seen) == len(all_bits)
 
 
@@ -177,12 +178,14 @@ class TestSerialization:
         # a session reaches the verifier inside report.json, encoded in signed_hex
         s = LoopSession(0x108, 2, 0, [(PathId("0011"), 4), (PathId("1"), 1)],
                         [0x200, 0x204], path_overflow=True)
-        r = Report("p", bytes(64), canonical_serialize(ProgramPath(bytes(64), (s,)), bytes(32)),
+        r = Report("p", bytes(64), canonical_serialize(path_of(bytes(64), (s,)), bytes(32)),
                    bytes(64))
         wire = json.loads(json.dumps(r.to_json()))
         assert Report.from_json(wire).path.sessions == (s,)
 
     def test_fault_marker(self):
-        m = fault_marker_session()
-        assert m.loop_entry == FAULT_MARKER_ENTRY
+        # the session a faulted run's L ends with
+        faulted = run(parse_program("main:\n    li r1, 0\n    jr r1\n    halt\n"), [])
+        m = measure(faulted).sessions[-1]
+        assert m == fault_marker_session() and m.loop_entry == FAULT_MARKER_ENTRY
         assert m.paths == [] and m.indirect_targets == []

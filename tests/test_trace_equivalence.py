@@ -8,8 +8,8 @@ filters to the same branches,
 the loop monitor's walk marks loops exactly as the all-loops scan in
 `loop_oracle` (through `views.loop_marks`), and
 `measure` gives the (A, L) of the per-item monitor in `monitor_oracle` fed by
-that scan, and the L bytes a measured path carries are `serialize_metadata` of
-its sessions.  Static backedges are found as one `in` scan per backward site
+that scan: the monitor's packed stream and session encodings are the oracle's
+pairs packed and `serialize_metadata` of its sessions.  Static backedges are found as one `in` scan per backward site
 finds them.
 """
 import ast
@@ -26,8 +26,8 @@ from hypothesis import strategies as st
 import emulator_oracle
 import programs as P
 import views
-from cfattest import emulator, loop_monitor
-from cfattest.attestation import (Challenge, ProgramPath, generate_keypair, measure, prover_attest,
+from cfattest import attestation, emulator, loop_monitor
+from cfattest.attestation import (Challenge, generate_keypair, measure, prover_attest,
                                   serialize_metadata, verify)
 from cfattest.branch_filter import _backedges, detect_loops, filter_trace
 from cfattest.emulator import (ATTACK_KINDS, AttackError, AttackSpec, CycleLimitExceeded, run,
@@ -35,13 +35,12 @@ from cfattest.emulator import (ATTACK_KINDS, AttackError, AttackSpec, CycleLimit
 from cfattest.hash_engine import digest_pairs
 from cfattest.isa import (BASE_ADDR, FIELDS, JUMP, MASK32, NOT_TAKEN, NUM_REGS, OPCODES, TAKEN,
                           WORD, Instruction, Kind, Program, parse_program)
-from cfattest.loop_monitor import (DEFAULT_MAX_DEPTH, LoopMonitor, MonitorConfig,
-                                   fault_marker_session)
+from cfattest.loop_monitor import DEFAULT_MAX_DEPTH, LoopMonitor, MonitorConfig
 from genprog import gen_input, gen_program
 from loop_oracle import detect_loops_scan, discover_loops_scan
 from monitor_oracle import LoopMonitor as OracleMonitor
 from views import (FLAT, LoopStatusKind, annotated, branch_events, branches_from_columns,
-                   is_control, loop_marks)
+                   encodings, fault_marker_session, is_control, loop_marks, packed, path_of)
 
 
 # an outer loop around one counted loop, whose bound for pass p is input word p: a
@@ -663,6 +662,33 @@ def test_recursion_cases_open_recursion_contexts():
         assert (exit_at < n) == closed_early, name
 
 
+def test_a_recursion_that_returns_by_jump_stays_open_to_the_end_of_the_run():
+    # today's L, pinned: this ISA cannot save ra, so f, recursing twice at input [3], returns
+    # by `j N3`; its recursion context, past max_depth inside L3, stays open to the end of the
+    # run, and the second passes of L1, L2 and L3 are hashed branch by branch inside it.  The
+    # outer sessions have no paths; L3's has the one pass before the recursion
+    program, inp, _ = CASES["recursion-past-max-depth"]
+    assert inp == [3]
+    b = filter_trace(run(program, inp))
+    marks = loop_marks(b)
+    (opened, closed) = [(p, kind) for p, kind, ctx, _ in marks if ctx.recursive]
+    assert opened[1] is LoopStatusKind.ENTER and closed == (len(b), LoopStatusKind.EXIT)
+    # every context closes only at the end of the trace
+    assert {p for p, kind, _, _ in marks if kind is LoopStatusKind.EXIT} == {len(b)}
+    path = measure(run(program, inp))
+    l1, l2, l3 = (P.label_addr(program, P.RECURSION_PAST_MAX_DEPTH, label)
+                  for label in ("L1", "L2", "L3"))
+    assert [(s.loop_entry, s.depth, s.parent, [(pid.bits, c) for pid, c in s.paths],
+             s.indirect_targets, s.path_overflow) for s in path.sessions] == [
+        (l1, 1, None, [], [], False), (l2, 2, 0, [], [], False), (l3, 3, 1, [("01", 1)], [], False)]
+    # the session count, then each session's entry, depth, parent, overflow byte, path count,
+    # paths (bit length, packed bits, count) and target count
+    assert path.metadata.hex() == "00000003" + \
+        "0000010c" "01" "ffffffff" "00" "00000000" "00" + \
+        "00000110" "02" "00000000" "00" "00000000" "00" + \
+        "00000114" "03" "00000001" "00" "00000001" "02" "40" "0000000000000001" "00"
+
+
 def _backedges_by_scan(b):
     """The static backedges of a run as one `in` scan per backward site finds them."""
     return {(dest, src) for c, (src, dest) in b.table.backward.items() if c in b.sites}
@@ -716,12 +742,18 @@ MONITOR_CONFIGS = {
 }
 
 
+def oracle_process(config, found):
+    """The per-item monitor's stream and sessions, as the bytes the loop monitor emits."""
+    stream, sessions = OracleMonitor(config).process(found)
+    return packed(stream), encodings(sessions)
+
+
 def oracle_measure(trace, config):
     scanned = detect_loops_scan(branch_events(filter_trace(trace)), config.max_depth)
     stream, sessions = OracleMonitor(config).process(scanned)
     if trace.fault is not None:
         sessions.append(fault_marker_session())
-    return ProgramPath(digest_pairs(stream), tuple(sessions))
+    return path_of(digest_pairs(packed(stream)), sessions)
 
 
 @pytest.mark.parametrize("config", sorted(MONITOR_CONFIGS))
@@ -1015,23 +1047,101 @@ def test_each_flat_session_is_one_mark():
     assert len(measure(run(program, inp)).sessions) == 100
 
 
-def test_process_makes_one_path_id_per_distinct_path(monkeypatch):
-    made = []
-
-    class CountingPathId(loop_monitor.PathId):
-        def __post_init__(self):
-            made.append(self.bits)
-            super().__post_init__()
-
-    monkeypatch.setattr(loop_monitor, "PathId", CountingPathId)
-    program, inp, _ = CASES["seq-loops-100"]
-    _, sessions = LoopMonitor().process(detect_loops(filter_trace(run(program, inp))))
-    assert sum(len(s.paths) for s in sessions) == 200
-    assert sorted(made) == sorted({pid.bits for s in sessions for pid, _ in s.paths})
-
-
 _SK, _PK = generate_keypair()
 
+# honest runs with a path that decodes invalid, per config: (session, path bits).  The decoder
+# and the monitor disagree on a traversal that leaves the loop through a backward branch, is
+# entered past the loop entry, is cut by a fault, or runs inside a recursion context
+_ALL_CONFIGS = tuple(sorted(MONITOR_CONFIGS))
+HONEST_INVALID = {
+    "backward-exit": dict.fromkeys(_ALL_CONFIGS, [(0, "0")]),
+    "entered-past-overlap": dict.fromkeys(_ALL_CONFIGS, [(0, "0")]),
+    "exit-out-of-enclosing-loop": dict.fromkeys(_ALL_CONFIGS, [(0, "1")]),
+    "fault-mid-pass": dict.fromkeys(_ALL_CONFIGS, [(0, "0")]),
+    "recursion-around-loop": dict.fromkeys(("default", "n8-w8-depth-2"), [(1, "010111")]),
+    "recursion-in-loop": {**dict.fromkeys(("default", "n1-w4", "n2-w3", "n8-w8-depth-2"),
+                                          [(0, "01"), (1, "0")]), "depth-1": [(0, "01")]},
+    "recursion-past-max-depth": dict.fromkeys(("default", "n1-w4", "n2-w3"), [(2, "01")]),
+}
+
+
+def _unverifiable_cause(entry, targets, bits, cfg, config, recursion, monkeypatch):
+    """Why a path decodes unverifiable: its session is a recursion context, its walk reaches
+    the overflow code 0 (only a full target table gives it), or the step cap; else None."""
+    if entry in recursion:
+        return "recursion session"
+    with monkeypatch.context() as patched:
+        patched.setattr(attestation, "_DECODE_STEP_CAP", 10 ** 6)
+        uncapped = attestation._walk(entry, targets, bits, cfg, config.n)
+    if uncapped != attestation.PATH_UNVERIFIABLE:
+        return "step cap"
+    return "code-0 overflow" if len(targets) == config.max_indirect_targets else None
+
+
+def honest_decode(trace, config, monkeypatch):
+    """Each path of an honest run's L that does not decode valid: (session, bits, status or
+    the cause of an unverifiable one)."""
+    cfg = attestation.build_cfg(trace.program)
+    recursion = _RecursionEntries()
+    recursion.process(detect_loops(filter_trace(trace)))
+    out = []
+    for idx, s in enumerate(measure(trace, config).sessions):
+        if s.loop_entry == loop_monitor.FAULT_MARKER_ENTRY:
+            continue
+        targets = tuple(s.indirect_targets)
+        for pid, _ in s.paths:
+            status = attestation.decode_loop_path(s.loop_entry, targets, pid.bits, cfg, config.n)
+            if status == attestation.PATH_UNVERIFIABLE:
+                status = _unverifiable_cause(s.loop_entry, targets, pid.bits, cfg, config,
+                                             recursion.opened, monkeypatch)
+            if status not in (attestation.PATH_VALID_CYCLE, attestation.PATH_VALID_EXIT):
+                out.append((idx, pid.bits, status))
+    return out
+
+
+@pytest.mark.parametrize("config", sorted(MONITOR_CONFIGS))
+@pytest.mark.parametrize("name", sorted(name for name, case in CASES.items() if case[2] is None))
+def test_honest_paths_decode_valid_or_unverifiable_with_a_cause(name, config, monkeypatch):
+    # no honest path decodes invalid but the pinned ones, and an unverifiable one has a cause
+    program, inp, _ = CASES[name]
+    found = honest_decode(run(program, inp), MONITOR_CONFIGS[config], monkeypatch)
+    assert None not in [cause for _, _, cause in found]
+    invalid = [(idx, bits) for idx, bits, status in found if status == attestation.PATH_INVALID]
+    assert invalid == HONEST_INVALID.get(name, {}).get(config, [])
+
+
+def _counting_objects(monkeypatch):
+    """The `LoopSession`s and `PathId`s made, and the `decode_loop_path` calls, as counts."""
+    made = {"LoopSession": 0, "PathId": 0, "decode_loop_path": 0}
+    init, post_init = loop_monitor.LoopSession.__init__, loop_monitor.PathId.__post_init__
+
+    def counted(name, fn):
+        def spy(*args):
+            made[name] += 1
+            return fn(*args)
+        return spy
+
+    monkeypatch.setattr(loop_monitor.LoopSession, "__init__", counted("LoopSession", init))
+    monkeypatch.setattr(loop_monitor.PathId, "__post_init__", counted("PathId", post_init))
+    monkeypatch.setattr(attestation, "decode_loop_path",
+                        counted("decode_loop_path", attestation.decode_loop_path))
+    return made
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_attest_and_an_accepted_verify_build_no_session(name, monkeypatch):
+    # the measurement is bytes: `LoopSession`s and `PathId`s come only from parsing L
+    program, inp, attack = CASES[name]
+    challenge = Challenge.fresh(program.id, inp)
+    made = _counting_objects(monkeypatch)
+    report = prover_attest(program, challenge, _SK, attack)
+    assert made == {"LoopSession": 0, "PathId": 0, "decode_loop_path": 0}
+    accepted, made_by_verify = verify(report, challenge, _PK, program).accepted, dict(made)
+    # accepted or not, one decode per path in L, and no session object
+    assert made_by_verify == {"LoopSession": 0, "PathId": 0,
+                              "decode_loop_path": sum(len(s.paths) for s in report.path.sessions)}
+    assert accepted or attack is not None or run(program, inp).fault is not None \
+        or name in HONEST_INVALID
 
 def _memo(program, width):
     """A program's flat-session memo at one path width: session sites -> what it adds."""
@@ -1069,9 +1179,9 @@ def _held_bytes(program, width, *roots):
     `sys.getsizeof` counts every object they reach, less what the site and traversal tables
     hold too and the memo's empty dict."""
     tables = program.sites.derived[("flat", width)]
-    shared = {id(x) for x in program.sites.pair.values()}
-    for bits, pairs in tables.paths.values():
-        shared |= {id(bits), id(pairs)} | {id(pair) for pair in pairs}
+    shared = set()
+    for bits, words in tables.paths.values():
+        shared |= {id(bits), id(words)}
     seen, todo, held = set(), list(roots) or [tables.memo], 0 if roots else -sys.getsizeof({})
     while todo:
         x = todo.pop()
@@ -1147,15 +1257,17 @@ def test_verify_does_not_depend_on_the_memo(name):
 
 
 def assert_carries_its_encoding(trace, config):
-    """The walk's stream and sessions are the oracle's, and the L a measured path carries is
-    `serialize_metadata` of its sessions."""
+    """The walk's stream and session encodings are the oracle's pairs, packed, and
+    `serialize_metadata` of the oracle's sessions."""
     b = filter_trace(trace)
-    stream, sessions = LoopMonitor(config).process(detect_loops(b))
-    assert (stream, sessions) == OracleMonitor(config).process(
+    stream, sessions = OracleMonitor(config).process(
         detect_loops_scan(branch_events(b), config.max_depth))
+    assert LoopMonitor(config).process(detect_loops(b)) == (packed(stream), encodings(sessions))
     path = measure(trace, config)
-    assert "_tails" in path.__dict__  # the monitor's bytes, not an encoding of the sessions
-    assert path.metadata == serialize_metadata(path.sessions)
+    if trace.fault is not None:
+        sessions.append(fault_marker_session())
+    assert path.metadata == serialize_metadata(sessions)
+    assert path.sessions == tuple(sessions)
     assert path == oracle_measure(trace, config)
 
 
@@ -1220,8 +1332,8 @@ def test_a_chain_follows_the_record_not_the_table():
     found = detect_loops(b)
     assert [found[1].flat[entry][3][0] for entry in (A, B)] == [B, C]
     config = MonitorConfig()
-    assert LoopMonitor(config).process(found) == OracleMonitor(config).process(
-        detect_loops_scan(branch_events(b), config.max_depth))
+    assert LoopMonitor(config).process(found) == oracle_process(
+        config, detect_loops_scan(branch_events(b), config.max_depth))
 
 
 @st.composite

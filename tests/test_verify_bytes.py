@@ -25,6 +25,7 @@ from cfattest.cli import main
 from cfattest.emulator import run
 from cfattest.loop_monitor import LoopSession, MonitorConfig, PathId
 from test_trace_equivalence import CASES, MONITOR_CONFIGS
+from views import path_of
 
 KEY = generate_keypair()
 
@@ -56,18 +57,17 @@ def verdicts(monkeypatch, report, challenge, program, config):
 def tampered(path: ProgramPath) -> dict[str, ProgramPath]:
     """One change each to A and L: a count's last byte, a path bit, an A byte, the last session."""
     out = {"a-byte": ProgramPath(bytes([path.authenticator[0] ^ 1]) + path.authenticator[1:],
-                                 path.sessions)}
+                                 path.encodings)}
     sessions = path.sessions
     if sessions:
-        out["session-dropped"] = ProgramPath(path.authenticator, sessions[:-1])
+        out["session-dropped"] = path_of(path.authenticator, sessions[:-1])
     at = next((i for i, s in enumerate(sessions) if s.paths and len(s.paths[0][0])), None)
     if at is not None:
         (pid, count), *rest = sessions[at].paths
         flipped = PathId(pid.bits[:-1] + "10"[int(pid.bits[-1])])
         for name, first in (("count-byte", (pid, count ^ 1)), ("path-bit", (flipped, count))):
             session = dataclasses.replace(sessions[at], paths=[first, *rest])
-            out[name] = ProgramPath(path.authenticator,
-                                    sessions[:at] + (session,) + sessions[at + 1:])
+            out[name] = path_of(path.authenticator, sessions[:at] + (session,) + sessions[at + 1:])
     return out
 
 
@@ -159,15 +159,18 @@ def test_cli_verify_parses_no_honest_report(monkeypatch, tmp_path):
         assert code == (0 if accepted else 5), (name, reason)
 
 
-def test_a_rejection_parses_the_report_once(monkeypatch):
-    # a tampered report is parsed to say what differs, with the oracle's verdict
+def test_a_rejection_reads_the_report_once_and_parses_no_session(monkeypatch):
+    # a tampered report is read once into its session encodings, which say what differs,
+    # with the oracle's verdict; none is parsed into a session
     program, inp, attack = CASES["attack-p1-counter"]
     challenge = Challenge.fresh(program.id, inp)
     report = received(prover_attest(program, challenge, KEY[0], attack))
-    parsed, parse = [], att.parse_metadata
-    monkeypatch.setattr(att, "parse_metadata", lambda data: parsed.append(data) or parse(data))
+    read, canonical = [], att.canonical_parse
+    monkeypatch.setattr(att, "canonical_parse", lambda data: read.append(data) or canonical(data))
+    monkeypatch.setattr(att, "parse_metadata", _parsing_forbidden)
     res = verify(report, challenge, KEY[1], program)
-    assert parsed == [report.signed[len(MAGIC) + att.DIGEST_LEN:-att.NONCE_LEN]]
+    assert read == [report.signed] and "path" in report.__dict__
+    monkeypatch.undo()
     oracle = verify_oracle.verify(report, challenge, KEY[1], program)
     assert (res.accepted, res.reason, res.failures) == (False, oracle.reason, oracle.failures)
 

@@ -21,7 +21,7 @@ from cfattest.attestation import (AUTHENTICATOR_MISMATCH, BAD_SIGNATURE, DIGEST_
                                   signature_valid)
 from cfattest.emulator import run
 from cfattest.isa import Program
-from cfattest.loop_monitor import PARENT_NONE, LoopSession, MonitorConfig, PathId
+from cfattest.loop_monitor import PARENT_NONE, LoopSession, MonitorConfig, PathId, unpack_bits
 
 _U32, _U64 = struct.Struct(">I"), struct.Struct(">Q")
 _SESSION_HEAD = struct.Struct(">IBIBI")  # loop_entry, depth, parent, path_overflow, path count
@@ -50,7 +50,7 @@ def verify(report: Report, challenge, pk: bytes, program: Program,
         return VerifyResult(False, MALFORMED, (MALFORMED,))
 
     failures: list[str] = []
-    structural_ok, _notes = check_loop_paths(path.sessions, cfg, config)
+    structural_ok, _notes = check_loop_paths(path.encodings, cfg, config)
     if not structural_ok:
         failures.append(INVALID_LOOP_PATH)
     expected = measure(run(program, list(challenge.input)), config)
@@ -80,7 +80,7 @@ def parse_metadata(data: bytes) -> tuple[LoopSession, ...]:
             for _ in range(npaths):
                 end = off + 1 + (data[off] + 7) // 8
                 try:
-                    pid = PathId.unpack(data[off + 1:end], data[off])
+                    pid = PathId(unpack_bits(data[off + 1:end], data[off]))
                 except ValueError as e:
                     raise ProtocolError(f"path bits: {e}") from None
                 paths.append((pid, _U64.unpack_from(data, end)[0]))

@@ -7,22 +7,30 @@ session expanded into its enter, iteration and exit marks.  `loop_marks`
 records the marks as the monitor's walk reaches each loop boundary.
 `branches_from_columns` builds a hand-written branch stream.  `is_control`,
 `is_linking` and `is_indirect` classify an instruction by its kind.
+`packed`, `encodings` and `path_of` give the bytes the measurement emits for
+an oracle's (Src, Dest) pairs and `LoopSession`s, or for hand-built ones;
+`as_objects` reads the loop monitor's bytes back into them.
 
 `loop_oracle` and `monitor_oracle` are the earlier code verbatim, importing
 these names, and the loop types they use, from here.
 """
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 from enum import Enum
+from itertools import starmap
 from math import inf
 from typing import Union
 
+from cfattest.attestation import DIGEST_LEN, ProgramPath
 from cfattest.branch_filter import detect_loops
 from cfattest.emulator import Branches
+from cfattest.hash_engine import pair_bytes
 from cfattest.isa import (CALL, INDIRECT_CALL, INDIRECT_JUMP, JUMP, NOT_TAKEN, RETURN,
                           STRAIGHT_KINDS, TAKEN, WORD, Instruction, Kind, Sites)
-from cfattest.loop_monitor import DEFAULT_MAX_DEPTH, LoopMonitor, MonitorConfig
+from cfattest.loop_monitor import (DEFAULT_MAX_DEPTH, FAULT_MARKER_ENTRY, LoopMonitor,
+                                   LoopSession, MonitorConfig, session_head, session_tail)
 
 CONTROL_KINDS = frozenset(Kind) - STRAIGHT_KINDS - {Kind.HALT}
 LINKING_KINDS = frozenset({Kind.LINKING_JUMP, Kind.LINKING_INDIRECT_JUMP})
@@ -207,3 +215,34 @@ def branches_from_columns(src: list[int], dest: list[int], kinds: str,
                  Sites(None, list(site_of)))
     b.cycle = list(cycle)  # given, not derived: a hand-written stream need not be a run
     return b
+
+
+def packed(pairs) -> bytes:
+    """(Src, Dest) pairs as the packed words of A's stream."""
+    return b"".join(starmap(pair_bytes, pairs))
+
+
+def encodings(sessions) -> list[bytes]:
+    """Each session's bytes in L, its head and tail (`session_head`, `session_tail`)."""
+    entries: dict[str, bytes] = {}
+    return [session_head(s.loop_entry, s.depth, s.parent)
+            + session_tail(s.path_overflow, [(pid.bits, count) for pid, count in s.paths],
+                           s.indirect_targets, entries) for s in sessions]
+
+
+def path_of(authenticator: bytes, sessions) -> ProgramPath:
+    """The path of A and these sessions, each encoded as the loop monitor writes it."""
+    return ProgramPath(authenticator, tuple(encodings(sessions)))
+
+
+def as_objects(measured) -> tuple[list[tuple[int, int]], list[LoopSession]]:
+    """The loop monitor's stream and session encodings read back as (Src, Dest) pairs and
+    `LoopSession`s."""
+    stream, sessions = measured
+    return (list(struct.iter_unpack(">II", stream)),
+            list(ProgramPath(bytes(DIGEST_LEN), tuple(sessions)).sessions))
+
+
+def fault_marker_session() -> LoopSession:
+    """The session a faulted run's L ends with."""
+    return LoopSession(FAULT_MARKER_ENTRY, 0, None, [], [])
