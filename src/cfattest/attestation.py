@@ -130,7 +130,8 @@ class Report:
 
     @cached_property
     def path(self) -> ProgramPath:
-        """A and L, parsed when first read; ProtocolError if the bytes do not parse."""
+        """A and L's session encodings, read when first needed; ProtocolError if the bytes do
+        not parse."""
         return canonical_parse(self.signed)[0]
 
     def to_json(self) -> dict:
@@ -264,7 +265,7 @@ def _check_metadata(data: bytes) -> list[int]:
     return starts
 
 
-def _read_tail(data: bytes, off: int) -> tuple[list[tuple[str, int]], list[int]]:
+def _read_tail(data: bytes, off: int) -> tuple[list[tuple[str, int]], tuple[int, ...]]:
     """The paths, as (bits, count), and the targets of the checked session tail at data[off:]."""
     (npaths,) = _U32.unpack_from(data, off + 1)
     off += SESSION_TAIL.size
@@ -319,7 +320,7 @@ def canonical_parse(data: bytes) -> tuple[ProgramPath, bytes]:
     metadata = _signed_metadata(data)
     starts = _check_metadata(metadata)
     return (ProgramPath(data[len(MAGIC):_HEAD],
-                        tuple(map(metadata.__getitem__, map(slice, starts, starts[1:])))),
+                        tuple(metadata[i:j] for i, j in zip(starts, starts[1:]))),
             data[-NONCE_LEN:])
 
 

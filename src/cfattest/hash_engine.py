@@ -16,7 +16,7 @@ BUSY_CYCLES = 3
 pair_bytes = struct.Struct(">II").pack
 
 
-def digest_pairs(words) -> bytes:
+def digest_pairs(words: bytes | memoryview) -> bytes:
     """One-shot authenticator over a complete measurement stream: its 64-bit words, packed
     (`pair_bytes`) into one buffer; `measure` passes a memoryview cast to "Q", whose length
     is the word count."""

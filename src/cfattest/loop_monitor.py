@@ -219,8 +219,8 @@ def memory_bits(path_width: int, depth: int) -> int:
 
 
 def _memo_bytes(sites: str, found: tuple) -> int:
-    """The bytes a session's memo entry holds; the pairs and bits themselves are shared with
-    the site and traversal tables."""
+    """The bytes a session's memo entry holds, its stream words included; its path bits are
+    shared with the traversal table."""
     return (len(sites) if sites.isascii() else 4 * len(sites)) + len(found[0]) \
         + _MEMO_PATH * len(found[1]) + len(found[3]) + _MEMO_ENTRY
 

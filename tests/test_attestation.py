@@ -562,64 +562,54 @@ class TestStructuralDecode:
         self.p = P.prog(P.WHILE_IF_ELSE, "w")
         self.cfg = build_cfg(self.p)
 
-    def session(self, bits, targets=()):
-        return LoopSession(0x108, 1, None, [(PathId(bits), 1)], list(targets))
-
     def test_valid_cycles_and_exit(self):
-        s = self.session("0011")
-        assert decode_loop_path(s.loop_entry, tuple(s.indirect_targets), "0011", self.cfg) == PATH_VALID_CYCLE
-        assert decode_loop_path(s.loop_entry, tuple(s.indirect_targets), "011", self.cfg) == PATH_VALID_CYCLE
-        assert decode_loop_path(s.loop_entry, tuple(s.indirect_targets), "1", self.cfg) == PATH_VALID_EXIT
+        assert decode_loop_path(0x108, (), "0011", self.cfg) == PATH_VALID_CYCLE
+        assert decode_loop_path(0x108, (), "011", self.cfg) == PATH_VALID_CYCLE
+        assert decode_loop_path(0x108, (), "1", self.cfg) == PATH_VALID_EXIT
 
     def test_invalid_bits(self):
-        s = self.session("0011")
         # direct jump must contribute '1'; '0000' claims it fell through
-        assert decode_loop_path(s.loop_entry, tuple(s.indirect_targets), "0000", self.cfg) == PATH_INVALID
+        assert decode_loop_path(0x108, (), "0000", self.cfg) == PATH_INVALID
         # too short: ends in the middle of the body
-        assert decode_loop_path(s.loop_entry, tuple(s.indirect_targets), "00", self.cfg) == PATH_INVALID
+        assert decode_loop_path(0x108, (), "00", self.cfg) == PATH_INVALID
         # too long: bits left over after reaching the entry
-        assert decode_loop_path(s.loop_entry, tuple(s.indirect_targets), "00111", self.cfg) == PATH_INVALID
+        assert decode_loop_path(0x108, (), "00111", self.cfg) == PATH_INVALID
 
     def test_unknown_entry_unverifiable(self):
-        s = LoopSession(0x9999, 1, None, [(PathId("1"), 1)], [])
-        assert decode_loop_path(s.loop_entry, tuple(s.indirect_targets), "1", self.cfg) == PATH_UNVERIFIABLE
+        assert decode_loop_path(0x9999, (), "1", self.cfg) == PATH_UNVERIFIABLE
 
     def test_indirect_target_resolution(self):
         p = P.prog(P.DISPATCH_LOOP, "d")
         cfg = build_cfg(p)
         h0 = P.label_addr(p, P.DISPATCH_LOOP, "h0")
         ret_site = 0x118  # jalr+4
-        good = LoopSession(0x108, 1, None, [], [h0, ret_site])
-        assert decode_loop_path(good.loop_entry, tuple(good.indirect_targets), "0000100101", cfg) == PATH_VALID_CYCLE
+        good = (h0, ret_site)
+        assert decode_loop_path(0x108, good, "0000100101", cfg) == PATH_VALID_CYCLE
         # dispatch through a target outside the program text
-        rogue = LoopSession(0x108, 1, None, [], [h0, ret_site, 0x9999_0000])
-        assert decode_loop_path(rogue.loop_entry, tuple(rogue.indirect_targets), "0001100101", cfg) == PATH_INVALID
+        rogue = (h0, ret_site, 0x9999_0000)
+        assert decode_loop_path(0x108, rogue, "0001100101", cfg) == PATH_INVALID
         # code references a target the session never reported
-        missing = LoopSession(0x108, 1, None, [], [h0, ret_site])
-        assert decode_loop_path(missing.loop_entry, tuple(missing.indirect_targets), "0001100101", cfg) == PATH_INVALID
+        missing = (h0, ret_site)
+        assert decode_loop_path(0x108, missing, "0001100101", cfg) == PATH_INVALID
 
     def test_indirect_backedge_loop_is_unverifiable(self):
         # a loop closed only by a register jump has no static backedge, so its
         # session cannot be bounded against the CFG
         p = P.prog(P.INDIRECT_BACKEDGE, "i")
         cfg = build_cfg(p)
-        s = LoopSession(0x110, 1, None, [], [0x110])
-        assert decode_loop_path(s.loop_entry, tuple(s.indirect_targets), "000001", cfg) == PATH_UNVERIFIABLE
+        assert decode_loop_path(0x110, (0x110,), "000001", cfg) == PATH_UNVERIFIABLE
 
     def test_overflow_code_unverifiable(self):
         p = P.prog(P.DISPATCH_LOOP, "d")
         cfg = build_cfg(p)
-        s = LoopSession(0x108, 1, None, [], [])
-        assert decode_loop_path(s.loop_entry, tuple(s.indirect_targets), "00000", cfg, n=4) == PATH_UNVERIFIABLE
+        assert decode_loop_path(0x108, (), "00000", cfg, n=4) == PATH_UNVERIFIABLE
 
     def test_return_must_match_call_site(self):
         p = P.prog(P.CALL_IN_LOOP, "c")
         cfg = build_cfg(p)
-        ok = LoopSession(0x108, 1, None, [], [0x110])
-        assert decode_loop_path(ok.loop_entry, tuple(ok.indirect_targets), "0100011", cfg) == PATH_VALID_CYCLE
+        assert decode_loop_path(0x108, (0x110,), "0100011", cfg) == PATH_VALID_CYCLE
         # return target that is not the call site
-        bad = LoopSession(0x108, 1, None, [], [0x100])
-        assert decode_loop_path(bad.loop_entry, tuple(bad.indirect_targets), "0100011", cfg) == PATH_INVALID
+        assert decode_loop_path(0x108, (0x100,), "0100011", cfg) == PATH_INVALID
 
     def test_check_loop_paths_flags_fault_marker(self):
         ok, notes = check_loop_paths(path_of(bytes(64), (fault_marker_session(),)).encodings,

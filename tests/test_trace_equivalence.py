@@ -9,8 +9,11 @@ the loop monitor's walk marks loops exactly as the all-loops scan in
 `loop_oracle` (through `views.loop_marks`), and
 `measure` gives the (A, L) of the per-item monitor in `monitor_oracle` fed by
 that scan: the monitor's packed stream and session encodings are the oracle's
-pairs packed and `serialize_metadata` of its sessions.  Static backedges are found as one `in` scan per backward site
-finds them.
+pairs packed and `serialize_metadata` of its sessions.  Static backedges are
+found as one `in` scan per backward site finds them.  Every honest path
+decodes valid, or unverifiable for a named cause, but the pinned
+`HONEST_INVALID` ones, and attest and verify build no `LoopSession` or
+`PathId`.
 """
 import ast
 import dataclasses
@@ -742,12 +745,6 @@ MONITOR_CONFIGS = {
 }
 
 
-def oracle_process(config, found):
-    """The per-item monitor's stream and sessions, as the bytes the loop monitor emits."""
-    stream, sessions = OracleMonitor(config).process(found)
-    return packed(stream), encodings(sessions)
-
-
 def oracle_measure(trace, config):
     scanned = detect_loops_scan(branch_events(filter_trace(trace)), config.max_depth)
     stream, sessions = OracleMonitor(config).process(scanned)
@@ -1129,7 +1126,7 @@ def _counting_objects(monkeypatch):
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_attest_and_an_accepted_verify_build_no_session(name, monkeypatch):
+def test_attest_and_verify_build_no_session(name, monkeypatch):
     # the measurement is bytes: `LoopSession`s and `PathId`s come only from parsing L
     program, inp, attack = CASES[name]
     challenge = Challenge.fresh(program.id, inp)
@@ -1332,8 +1329,9 @@ def test_a_chain_follows_the_record_not_the_table():
     found = detect_loops(b)
     assert [found[1].flat[entry][3][0] for entry in (A, B)] == [B, C]
     config = MonitorConfig()
-    assert LoopMonitor(config).process(found) == oracle_process(
-        config, detect_loops_scan(branch_events(b), config.max_depth))
+    stream, sessions = OracleMonitor(config).process(
+        detect_loops_scan(branch_events(b), config.max_depth))
+    assert LoopMonitor(config).process(found) == (packed(stream), encodings(sessions))
 
 
 @st.composite
