@@ -5,6 +5,8 @@ control flow into an authenticator A plus loop metadata L, and signs the
 program hash H followed by the canonical bytes of A, L and the challenge
 nonce N.  A `Report` is those bytes, its only source of A, L and N, and
 their reading is strict: what it accepts re-serialises to the same bytes.
+This module frames them (magic, A, L, N); L's encoder and its strict reader
+are the loop monitor's (`session_head`, `session_tail`, `check_metadata`).
 `Report.from_json` checks them with one offset walk that builds no objects.
 A `ProgramPath` is bytes, A and each session's encoding in L, as the loop
 monitor emits them, so the prover signs without building a session; its
@@ -25,7 +27,6 @@ import hashlib
 import json
 import os
 import re
-import struct
 import tempfile
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
@@ -39,9 +40,9 @@ from .isa import CALL, INDIRECT_CALL, JUMP, NOT_TAKEN, RETURN, WORD, Kind, Progr
 from .emulator import AttackSpec, Trace, run
 from .branch_filter import detect_loops, filter_trace
 from .hash_engine import digest_pairs
-from .loop_monitor import (FAULT_MARKER_ENTRY, PARENT_NONE, PATH_COUNT, SESSION_HEAD,
-                           SESSION_TAIL, TARGETS, LoopMonitor, LoopSession, MonitorConfig,
-                           PathId, session_head, session_tail, unpack_bits)
+from .loop_monitor import (FAULT_MARKER, FAULT_MARKER_ENTRY, SESSION_HEAD, LoopMonitor,
+                           LoopSession, MonitorConfig, ProtocolError, check_metadata,
+                           join_metadata, parse_metadata, read_tail)
 
 MAGIC = b"CFATT2"
 NONCE_LEN = 32
@@ -56,10 +57,6 @@ AUTHENTICATOR_MISMATCH = "AuthenticatorMismatch"
 METADATA_MISMATCH = "MetadataMismatch"
 MALFORMED = "Malformed"
 PROGRAM_HASH_MISMATCH = "ProgramHashMismatch"
-
-
-class ProtocolError(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -104,7 +101,7 @@ class ProgramPath:
     @cached_property
     def metadata(self) -> bytes:
         """Binary L: the session count, then each session's bytes."""
-        return _U32.pack(len(self.encodings)) + b"".join(self.encodings)
+        return join_metadata(self.encodings)
 
     @cached_property
     def sessions(self) -> tuple[LoopSession, ...]:
@@ -154,7 +151,7 @@ class Report:
         if not all(isinstance(v, str) for v in d.values()):
             raise ProtocolError("report fields must be strings")
         signed = bytes.fromhex(d["signed_hex"])
-        _check_metadata(_signed_metadata(signed))
+        check_metadata(_signed_metadata(signed))
         return cls(d["program_id"], bytes.fromhex(d["program_hash_hex"]), signed,
                    bytes.fromhex(d["sig_hex"]))
 
@@ -194,104 +191,6 @@ def program_hash(program: Program) -> bytes:
 
 # --- canonical serialization ---------------------------------------------------
 
-_U32 = struct.Struct(">I")
-# a session's head and the fixed part of its tail (`loop_monitor`): loop_entry, depth, parent,
-# path_overflow, path count
-_SESSION_HEAD = struct.Struct(SESSION_HEAD.format + SESSION_TAIL.format[1:])
-_NPATHS_AT = _SESSION_HEAD.size - _U32.size  # a head ends in its path_overflow byte and path count
-# by a path's bit length n: the bytes of its entry in L (n, the packed bits, the count), and
-# the padding bits of its last packed byte
-_ENTRY_LEN = bytes(1 + (n + 7) // 8 + PATH_COUNT.size for n in range(256))
-_PADDING = bytes((1 << -n % 8) - 1 for n in range(256))
-
-
-def serialize_metadata(sessions: tuple[LoopSession, ...]) -> bytes:
-    """Binary L; raises ProtocolError for a value that does not fit its field.
-
-    Each session is written by the loop monitor's encoder (`session_head`,
-    `session_tail`), which also writes the L of a measured path.
-    """
-    out = [_U32.pack(len(sessions))]
-    append = out.append
-    entries: dict[str, bytes] = {}  # path bits -> their length byte and packed bits
-    for s in sessions:
-        if s.path_overflow not in (0, 1):
-            raise ProtocolError("path_overflow must be 0 or 1")
-        if s.parent == PARENT_NONE:
-            raise ProtocolError("parent index collides with the no-parent marker")
-        try:
-            append(session_head(s.loop_entry, s.depth, s.parent))
-            append(session_tail(s.path_overflow, [(pid.bits, count) for pid, count in s.paths],
-                                s.indirect_targets, entries))
-        except (struct.error, IndexError) as e:  # IndexError: more targets than a byte counts
-            raise ProtocolError(f"metadata value does not fit its field: {e}") from None
-    return b"".join(out)
-
-
-def _check_metadata(data: bytes) -> list[int]:
-    """The one strict reading of binary L: ProtocolError unless serialize_metadata wrote `data`;
-    else the offset of each session, and of the end.
-
-    One offset walk that builds no sessions.  A path entry is its length byte n,
-    then n bits packed into whole bytes, then its count: it is well formed if
-    those bytes are all there and its padding bits are zero.
-    """
-    size, starts = len(data), []
-    try:
-        (count,) = _U32.unpack_from(data, 0)
-        off = _U32.size
-        for _ in range(count):
-            starts.append(off)
-            (npaths,) = _U32.unpack_from(data, off + _NPATHS_AT)  # the whole head is there
-            if data[off + _NPATHS_AT - 1] > 1:
-                raise ProtocolError("path_overflow byte must be 0 or 1")
-            off += _SESSION_HEAD.size
-            for _ in range(npaths):
-                n = data[off]
-                off += _ENTRY_LEN[n]  # a count cut short shows at the next read
-                try:  # the last packed byte; for n = 0, the length byte
-                    last = data[off - PATH_COUNT.size - 1]
-                except IndexError:
-                    raise ProtocolError(f"path bits: {size - off + _ENTRY_LEN[n] - 1} bytes "
-                                        f"cannot hold exactly {n} bits") from None
-                if last & _PADDING[n]:
-                    raise ProtocolError("path bits: padding bits must be zero")
-            off += 1 + data[off] * _U32.size
-    except (struct.error, IndexError):
-        raise ProtocolError("truncated metadata") from None
-    if off != size:
-        raise ProtocolError("truncated metadata" if off > size else "trailing bytes in metadata")
-    starts.append(off)
-    return starts
-
-
-def _read_tail(data: bytes, off: int) -> tuple[list[tuple[str, int]], tuple[int, ...]]:
-    """The paths, as (bits, count), and the targets of the checked session tail at data[off:]."""
-    (npaths,) = _U32.unpack_from(data, off + 1)
-    off += SESSION_TAIL.size
-    paths = []
-    for _ in range(npaths):
-        end = off + 1 + (data[off] + 7) // 8
-        paths.append((unpack_bits(data[off + 1:end], data[off]),
-                      PATH_COUNT.unpack_from(data, end)[0]))
-        off = end + PATH_COUNT.size
-    return paths, TARGETS[data[off]].unpack_from(data, off)[1:]
-
-
-def parse_metadata(data: bytes) -> tuple[LoopSession, ...]:
-    """Strict inverse of serialize_metadata: what it accepts re-serialises to `data`."""
-    sessions = []
-    pids: dict[str, PathId] = {}  # path bits -> their PathId
-    for off in _check_metadata(data)[:-1]:
-        entry, depth, parent, overflow = _SESSION_HEAD.unpack_from(data, off)[:4]
-        paths, targets = _read_tail(data, off + SESSION_HEAD.size)
-        paths = [(pids.get(bits) or pids.setdefault(bits, PathId(bits)), count)
-                 for bits, count in paths]
-        sessions.append(LoopSession(entry, depth, None if parent == PARENT_NONE else parent,
-                                    paths, list(targets), overflow == 1))
-    return tuple(sessions)
-
-
 def canonical_serialize(path: ProgramPath, nonce: bytes) -> bytes:
     """The report's encoding of A, L and N: magic || A || L || N.
 
@@ -318,16 +217,13 @@ def _signed_metadata(data: bytes) -> bytes:
 def canonical_parse(data: bytes) -> tuple[ProgramPath, bytes]:
     """Strict inverse of canonical_serialize: the path holds L's session encodings."""
     metadata = _signed_metadata(data)
-    starts = _check_metadata(metadata)
+    starts = check_metadata(metadata)
     return (ProgramPath(data[len(MAGIC):_HEAD],
                         tuple(metadata[i:j] for i, j in zip(starts, starts[1:]))),
             data[-NONCE_LEN:])
 
 
 # --- measurement ---------------------------------------------------------------
-
-# the session a faulted run's L ends with
-_FAULT_MARKER = session_head(FAULT_MARKER_ENTRY, 0, None) + session_tail(False, (), (), {})
 
 
 def measure(trace: Trace, config: MonitorConfig = MonitorConfig()) -> ProgramPath:
@@ -338,7 +234,7 @@ def measure(trace: Trace, config: MonitorConfig = MonitorConfig()) -> ProgramPat
     """
     stream, sessions = LoopMonitor(config).process(detect_loops(filter_trace(trace)))
     if trace.fault is not None:
-        sessions.append(_FAULT_MARKER)
+        sessions.append(FAULT_MARKER)
     return ProgramPath(digest_pairs(memoryview(stream).cast("Q")), tuple(sessions))
 
 
@@ -622,16 +518,16 @@ def check_loop_paths(encodings: tuple[bytes, ...], cfg: Cfg,
     at most `_TAIL_CACHE_LEN` bytes) is emptied first.
     """
     notes, ok, tails, n = [], True, cfg.tails, config.n
-    decode, entry_of, at = decode_loop_path, _U32.unpack_from, SESSION_HEAD.size
+    decode, head, at = decode_loop_path, SESSION_HEAD.unpack_from, SESSION_HEAD.size
     for idx, encoding in enumerate(encodings):
-        (entry,) = entry_of(encoding)
+        entry = head(encoding)[0]
         if entry == FAULT_MARKER_ENTRY:
             ok = False
             notes.append(f"session {idx}: fault marker")
             continue
         read = tails.get(tail := encoding[at:])
         if read is None:
-            paths, targets = _read_tail(tail, 0)
+            paths, targets = read_tail(tail, 0)
             read = targets, [bits for bits, _ in paths]
             if len(tail) <= _TAIL_CACHE_LEN:
                 if len(tails) >= _DECODE_MEMO_CAP:

@@ -153,7 +153,10 @@ def cmd_keygen(args) -> int:
     seed, pk = att.generate_keypair()
     outdir = Path(args.output)
     outdir.mkdir(parents=True, exist_ok=True)
-    (outdir / "sk.hex").write_text(seed.hex() + "\n")
+    sk = outdir / "sk.hex"
+    sk.touch(0o600)  # the seed is its owner's alone before it is written,
+    sk.chmod(0o600)  # also in a file it replaces
+    sk.write_text(seed.hex() + "\n")
     (outdir / "pk.hex").write_text(pk.hex() + "\n")
     print(f"wrote {outdir}/sk.hex and {outdir}/pk.hex")
     return EXIT_OK

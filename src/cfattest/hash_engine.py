@@ -46,6 +46,8 @@ def simulate_absorb(arrival_cycles: list[int], buffer_depth: int) -> AbsorbResul
         raise ValueError("arrival cycles must be a list of integers")
     if any(b <= a for a, b in zip(arrival_cycles, arrival_cycles[1:])):
         raise ValueError("arrival cycles must be increasing: at most one arrival per cycle")
+    if buffer_depth < 0 or arrival_cycles and arrival_cycles[0] < 0:
+        raise ValueError("arrival cycles and the buffer depth must not be negative")
 
     queue = 0
     in_block = 0

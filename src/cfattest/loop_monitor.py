@@ -49,18 +49,17 @@ first-seen order.  Each known traversal is in the table, so both hold at most
 
 Each flat session is measured once per program and path width.  A third
 table, the session memo, maps a session's sites (exit branch included) to
-what it adds: its stream words, its paths as (bits, count), its overflow
-flag and its tail in L.  A session the program has measured before costs one
-lookup, and one head packed per call.  What a flat session adds depends only on
-its sites and the path width: its body holds no indirect transfer, so no
-target code, and both ways of counting give the same stream and paths.  So
-A and L do not depend on what the memo holds.  It takes sessions while what
-it holds fits in `_MEMO_BYTES`: keys, value tuples, tails, counts and a dict
-slot each, as `sys.getsizeof` counts them, or more (`_memo_bytes`); past the
-width every word of a session is stored, eight bytes a site against the
-key's one to four.  A session that does not fit empties it first, so
-sessions that repeat after it filled are memoised again.  The three tables
-of one width are one `Sites.derived` entry.
+what it adds: its stream words and its tail in L.  A session the program has
+measured before costs one lookup, and one head packed per call.  What a flat
+session adds depends only on its sites and the path width: its body holds no
+indirect transfer, so no target code, and both ways of counting give the
+same stream and paths.  So A and L do not depend on what the memo holds.  It
+takes sessions while what it holds fits in `_MEMO_BYTES`: keys, value pairs,
+words, tails and a dict slot each, as `sys.getsizeof` counts them, or more
+(`_memo_bytes`); past the width every word of a session is stored, eight
+bytes a site against the key's one to four.  A session that does not fit
+empties it first, so sessions that repeat after it filled are memoised
+again.  The three tables of one width are one `Sites.derived` entry.
 
 The walk emits the measurement as bytes.  A's stream is packed 8-byte
 (Src, Dest) words (`hash_engine.pair_bytes`), made once per site and program
@@ -69,9 +68,10 @@ one byte string per session: its head (loop entry, depth, parent;
 `session_head`) and its tail (`session_tail`: overflow flag, paths with
 counts, target table), a walked session's written when it closes and a flat
 one's head joined to the tail of its memo entry, so a flat session is encoded
-once per program.  No `LoopSession` or `PathId` is built here: they come
-only from parsing L (`attestation.parse_metadata`).  `session_head` and
-`session_tail` are L's one encoder, `serialize_metadata`'s too.
+once per program.  `session_head` and `session_tail` are L's one encoder and
+`check_metadata` its strict reader, one walk that builds nothing: what it
+accepts re-serialises to the same bytes.  `LoopSession`s and `PathId`s come
+only from reading L (`parse_metadata`).
 """
 from __future__ import annotations
 
@@ -95,23 +95,31 @@ _LINKING = CALL + INDIRECT_CALL
 _SCAN_BUDGET = 32
 # the bytes a program's session memo may hold per path width, as `sys.getsizeof` counts
 # them: a session's key, at most 4 bytes a site (1 while all its sites are below 128) and
-# 76 more; its value's four-tuple, its stream's bytes and its paths' tuple (72 + 40 + 40),
-# its L tail (33 bytes and its length) and its dict slot (a str-keyed dict takes at most 44
-# bytes a key past eight keys, CPython 3.11); 8 a stored word; and a path's slot, (bits,
-# count) tuple and count (8 + 56 + 32)
+# 76 more; its value's pair and its stream's bytes (56 + 40), its L tail (33 bytes and its
+# length) and its dict slot (a str-keyed dict takes at most 44 bytes a key past eight keys,
+# CPython 3.11); and 8 a stored word
 _MEMO_BYTES = 1 << 22
-_MEMO_ENTRY = 76 + 72 + 40 + 40 + 33 + 48
-_MEMO_PATH = 8 + 56 + 32
+_MEMO_ENTRY = 76 + 56 + 40 + 33 + 48
 
 # Binary L, big-endian: a u32 session count, then each session's head (loop_entry, depth,
 # parent: PARENT_NONE for none) and tail: path_overflow, path count, each path's bit length,
 # bits packed MSB-first into whole bytes and count, then the target count and targets.
-# `session_head` and `session_tail` are its one encoder; `attestation` reads it.
+# `session_head` and `session_tail` are its one encoder, `check_metadata` its strict reader.
 SESSION_HEAD = struct.Struct(">IBI")
 SESSION_TAIL = struct.Struct(">BI")  # the tail up to its first path
 PATH_COUNT = struct.Struct(">Q")
 TARGETS = [struct.Struct(f">B{k}I") for k in range(256)]  # a session's target count and table
 _BIT_LENGTH = struct.Struct(">B")
+_COUNT = struct.Struct(">I")  # L's session count
+_NPATHS_AT = SESSION_HEAD.size + 1  # a session's path count, after its path_overflow byte
+# by a path's bit length n: the bytes of its entry in L (n, the packed bits, the count), and
+# the padding bits of its last packed byte
+_ENTRY_LEN = bytes(1 + (n + 7) // 8 + PATH_COUNT.size for n in range(256))
+_PADDING = bytes((1 << -n % 8) - 1 for n in range(256))
+
+
+class ProtocolError(ValueError):
+    pass
 
 
 @dataclass(frozen=True)
@@ -190,7 +198,9 @@ class LoopSession:
 
 
 def session_head(entry: int, depth: int, parent: Optional[int]) -> bytes:
-    """A session's head in L; struct.error for a value that does not fit its field."""
+    """A session's head in L; struct.error for a value its field cannot hold or reserves."""
+    if parent == PARENT_NONE:
+        raise struct.error("parent index collides with the no-parent marker")
     return SESSION_HEAD.pack(entry, depth, PARENT_NONE if parent is None else parent)
 
 
@@ -199,6 +209,8 @@ def session_tail(overflow: bool, paths: Collection[tuple[str, int]], targets: Co
     """A session's tail in L, its paths given as (bits, count); struct.error or IndexError for
     a value that does not fit its field.  `entries` keeps each path's length byte and packed
     bits, for the next session that takes the path."""
+    if overflow not in (0, 1):
+        raise struct.error("path_overflow must be 0 or 1")
     out = [SESSION_TAIL.pack(overflow, len(paths))]
     append, count_bytes = out.append, PATH_COUNT.pack
     for bits, count in paths:
@@ -211,6 +223,80 @@ def session_tail(overflow: bool, paths: Collection[tuple[str, int]], targets: Co
     return b"".join(out)
 
 
+# the session a faulted run's L ends with
+FAULT_MARKER = session_head(FAULT_MARKER_ENTRY, 0, None) + session_tail(False, (), (), {})
+
+
+def join_metadata(encodings: Collection[bytes]) -> bytes:
+    """Binary L of these session encodings: the session count, then each session's bytes."""
+    return _COUNT.pack(len(encodings)) + b"".join(encodings)
+
+
+def check_metadata(data: bytes) -> list[int]:
+    """The one strict reading of binary L: ProtocolError unless `session_head` and
+    `session_tail` could have written `data`; else the offset of each session, and of the end.
+
+    One offset walk that builds no sessions.  A path entry is its length byte n,
+    then n bits packed into whole bytes, then its count: it is well formed if
+    those bytes are all there and its padding bits are zero.
+    """
+    size, starts = len(data), []
+    try:
+        (count,) = _COUNT.unpack_from(data, 0)
+        off = _COUNT.size
+        for _ in range(count):
+            starts.append(off)
+            (npaths,) = _COUNT.unpack_from(data, off + _NPATHS_AT)  # the whole head is there
+            if data[off + _NPATHS_AT - 1] > 1:
+                raise ProtocolError("path_overflow byte must be 0 or 1")
+            off += SESSION_HEAD.size + SESSION_TAIL.size
+            for _ in range(npaths):
+                n = data[off]
+                off += _ENTRY_LEN[n]  # a count cut short shows at the next read
+                try:  # the last packed byte; for n = 0, the length byte
+                    last = data[off - PATH_COUNT.size - 1]
+                except IndexError:
+                    raise ProtocolError(f"path bits: {size - off + _ENTRY_LEN[n] - 1} bytes "
+                                        f"cannot hold exactly {n} bits") from None
+                if last & _PADDING[n]:
+                    raise ProtocolError("path bits: padding bits must be zero")
+            off += 1 + data[off] * _COUNT.size
+    except (struct.error, IndexError):
+        raise ProtocolError("truncated metadata") from None
+    if off != size:
+        raise ProtocolError("truncated metadata" if off > size else "trailing bytes in metadata")
+    starts.append(off)
+    return starts
+
+
+def read_tail(data: bytes, off: int) -> tuple[list[tuple[str, int]], tuple[int, ...]]:
+    """The paths, as (bits, count), and the targets of the checked session tail at data[off:]."""
+    npaths = SESSION_TAIL.unpack_from(data, off)[1]
+    off += SESSION_TAIL.size
+    paths = []
+    for _ in range(npaths):
+        end = off + 1 + (data[off] + 7) // 8
+        paths.append((unpack_bits(data[off + 1:end], data[off]),
+                      PATH_COUNT.unpack_from(data, end)[0]))
+        off = end + PATH_COUNT.size
+    return paths, TARGETS[data[off]].unpack_from(data, off)[1:]
+
+
+def parse_metadata(data: bytes) -> tuple[LoopSession, ...]:
+    """Binary L read into sessions, strictly (`check_metadata`): what it accepts
+    re-serialises to `data`."""
+    sessions = []
+    pids: dict[str, PathId] = {}  # path bits -> their PathId
+    for off in check_metadata(data)[:-1]:
+        entry, depth, parent = SESSION_HEAD.unpack_from(data, off)
+        paths, targets = read_tail(data, off + SESSION_HEAD.size)
+        paths = [(pids.get(bits) or pids.setdefault(bits, PathId(bits)), count)
+                 for bits, count in paths]
+        sessions.append(LoopSession(entry, depth, None if parent == PARENT_NONE else parent,
+                                    paths, list(targets), data[off + SESSION_HEAD.size] == 1))
+    return tuple(sessions)
+
+
 def memory_bits(path_width: int, depth: int) -> int:
     """On-chip bits needed for path-indexed counter memory across nesting levels."""
     if path_width < 1 or depth < 1:
@@ -218,11 +304,9 @@ def memory_bits(path_width: int, depth: int) -> int:
     return 8 * (1 << path_width) * depth
 
 
-def _memo_bytes(sites: str, found: tuple) -> int:
-    """The bytes a session's memo entry holds, its stream words included; its path bits are
-    shared with the traversal table."""
-    return (len(sites) if sites.isascii() else 4 * len(sites)) + len(found[0]) \
-        + _MEMO_PATH * len(found[1]) + len(found[3]) + _MEMO_ENTRY
+def _memo_bytes(sites: str, found: tuple[bytes, bytes]) -> int:
+    """The bytes a session's memo entry holds, its stream words and L tail included."""
+    return (len(sites) if sites.isascii() else 4 * len(sites)) + sum(map(len, found)) + _MEMO_ENTRY
 
 
 class _FlatTables(NamedTuple):
@@ -230,8 +314,7 @@ class _FlatTables(NamedTuple):
     bits: str                         # `site_bits`
     paths: dict[str, tuple]           # traversal sites -> (bits, packed words)
     known: dict[str, dict[str, str]]  # re-entering site -> {piece: scan pattern}
-    memo: dict[str, tuple]            # session sites -> (packed words, paths as (bits, count),
-                                      # overflow, L tail)
+    memo: dict[str, tuple]            # session sites -> (packed words, L tail)
     room: list[int]                   # [bytes the memo may still take]
     bound: int                        # bytes the memo may hold
 
@@ -357,26 +440,25 @@ class LoopMonitor:
         sites = self._sites[start:end]
         found = self._memo.get(sites) or self._measure_flat(site, sites)
         self.stream.append(found[0])
-        self.sessions.append(session_head(entry, depth, self._stack[-1].index) + found[3])
+        self.sessions.append(session_head(entry, depth, self._stack[-1].index) + found[1])
 
     def _measure_flat(self, site: str, sites: str) -> tuple:
-        """What a flat session not measured before adds: its stream words, its paths as (bits,
-        count), its overflow flag and its L tail, put in the memo; a memo with no room for it
-        is emptied first."""
+        """What a flat session not measured before adds: its stream words and its L tail, put
+        in the memo; a memo with no room for it is emptied first."""
         k, done = sites.find(site) + 1, sites.rfind(site) + 1  # first and last iteration end
         first, width, table = sites[:k], self.config.path_width, self._paths
         n = done // k if k and not done % k and (done == k or sites.startswith(first, k)) else 0
-        tail = sites[done:]
+        tail, overflow = sites[done:], False
         if n and max(k, len(tail)) <= width and sites.startswith(first * n):
             # all n complete iterations take the first one's path: (first, n) and the tail
             path, words = table.get(first) or self._traversal(first)
             last, tail_words = table.get(tail) or self._traversal(tail)
             if last == path:
-                found = words, ((path, n + 1),), False
+                paths = ((path, n + 1),)
             elif tail:
-                found = words + tail_words, ((path, n), (last, 1)), False
+                words, paths = words + tail_words, ((path, n), (last, 1))
             else:  # the trace ended at a re-entering site
-                found = words, ((path, n),), False
+                paths = ((path, n),)
         else:  # the complete iterations, each traversal counted, then the tail
             traversals = self._count_known(site, sites)
             if traversals is None:  # split and counted in one C pass, less `site`
@@ -392,7 +474,7 @@ class LoopMonitor:
                 wide = max(map(len, runs), default=0) >= width  # a piece and `site` exceed it
                 traversals = [(piece + site, 1) for piece in pieces] if wide else [
                     (piece + site, count) for piece, count in runs.items()]
-            stream, counts, overflow = [], {}, False
+            stream, counts = [], {}
             for traversal, count in traversals + [(tail, 1)] if tail else traversals:
                 if len(traversal) > width:  # in order, hashed at every occurrence
                     overflow = True
@@ -403,8 +485,8 @@ class LoopMonitor:
                 if not seen:  # first execution of this path: its words go to the hash engine
                     stream.append(words)
                 counts[path] = seen + count
-            found = b"".join(stream), tuple(counts.items()), overflow
-        found = (*found, session_tail(found[2], found[1], (), self._entries))
+            words, paths = b"".join(stream), counts.items()
+        found = words, session_tail(overflow, paths, (), self._entries)
         room, cost, bound = self._room, _memo_bytes(sites, found), self._bound
         if room[0] < cost <= bound:  # full: start over, so sessions that repeat are kept again
             self._memo.clear()

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import multiprocessing
 import random
+import struct
 
 import pytest
 from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
@@ -20,18 +21,17 @@ from cfattest.attestation import (AUTHENTICATOR_MISMATCH, BAD_SIGNATURE,
                                   ProgramPath, ProtocolError, Report,
                                   build_cfg, canonical_parse, canonical_serialize,
                                   check_loop_paths, decode_loop_path,
-                                  generate_keypair, measure, parse_metadata,
-                                  program_hash, prover_attest,
-                                  serialize_metadata, sign, signature_valid,
-                                  verify)
+                                  generate_keypair, measure, program_hash,
+                                  prover_attest, sign, signature_valid, verify)
 from cfattest.emulator import run
 from cfattest.hash_engine import digest_pairs, pair_bytes
 from cfattest.isa import parse_program
-from cfattest.loop_monitor import (FAULT_MARKER_ENTRY, PARENT_NONE,
+from cfattest import loop_monitor
+from cfattest.loop_monitor import (FAULT_MARKER_ENTRY, PARENT_NONE, parse_metadata,
                                    LoopSession, MonitorConfig, PathId)
 from genprog import gen_input, gen_program
 from keccak_ref import sha3_512_ref
-from views import fault_marker_session, path_of
+from views import encodings, fault_marker_session, metadata_of, path_of
 
 KEY = generate_keypair()
 
@@ -167,9 +167,9 @@ class TestCanonicalSerialization:
                     [rng.getrandbits(32) for _ in range(rng.randint(0, 5))],
                 )
                 for _ in range(rng.randint(0, 4)))
-            blob = serialize_metadata(sessions)
+            blob = metadata_of(sessions)
             assert parse_metadata(blob) == sessions
-            assert serialize_metadata(parse_metadata(blob)) == blob
+            assert metadata_of(parse_metadata(blob)) == blob
 
     def test_parse_errors(self):
         with pytest.raises(ProtocolError, match="bad magic"):
@@ -177,9 +177,9 @@ class TestCanonicalSerialization:
         with pytest.raises(ProtocolError):
             canonical_parse(b"CFATT1" + b"\0" * 20)  # truncated
         with pytest.raises(ProtocolError, match="trailing"):
-            parse_metadata(serialize_metadata(()) + b"\0")
+            parse_metadata(metadata_of(()) + b"\0")
         with pytest.raises(ProtocolError, match="truncated"):
-            parse_metadata(b"\x00\x00\x00\x02" + serialize_metadata(())[4:])
+            parse_metadata(b"\x00\x00\x00\x02" + metadata_of(())[4:])
 
     @given(st.data())
     @settings(max_examples=60, deadline=None)
@@ -208,7 +208,7 @@ class TestCanonicalSerialization:
         assert canonical_serialize(*canonical_parse(blob)) == blob
 
     def test_strict_parse_rejects_non_canonical_bytes(self):
-        one = serialize_metadata((LoopSession(0x108, 1, None, [(PathId("011"), 1)], []),))
+        one = metadata_of((LoopSession(0x108, 1, None, [(PathId("011"), 1)], []),))
         head = 4 + 4 + 1 + 4            # session count, entry, depth, parent
         assert one[head] == 0           # path_overflow byte
         with pytest.raises(ProtocolError, match="path_overflow"):
@@ -222,7 +222,7 @@ class TestCanonicalSerialization:
         # the parser decodes each distinct path once per L; a later occurrence that differs
         # in a padding bit, or that L cuts short, raises as it would on its own
         session = LoopSession(0x108, 1, None, [(PathId("011"), 1)], [])
-        one, two = serialize_metadata((session,)), serialize_metadata((session, session))
+        one, two = metadata_of((session,)), metadata_of((session, session))
         bits = len(one) - 1 - 8 - 1     # packed bits, count, target count at the end
         for data, at in ((one, bits), (two, len(one) - 4 + bits)):
             assert data[at] == 0b0110_0000
@@ -457,13 +457,15 @@ class TestProtocolRoundTrip:
         {"indirect_targets": list(range(0x100, 0x500, 4))},     # 256 targets
         {"paths": [(PathId("1"), 2**64)]}, {"paths": [(PathId("1" * 256), 1)]},
     ])
-    def test_unencodable_metadata_is_malformed(self, change):
+    def test_the_encoder_refuses_unencodable_metadata(self, change):
+        # `session_head` and `session_tail` raise rather than write bytes for a value their
+        # field cannot hold, or that it reserves (the no-parent marker)
         p = P.prog(P.WHILE_IF_ELSE, "w")
         ch = fresh(p, [3, 0, 0, 0])
         r = prover_attest(p, ch, KEY[0])
         s = dataclasses.replace(r.path.sessions[0], **change)
-        with pytest.raises(ProtocolError):
-            serialize_metadata((s,))
+        with pytest.raises((struct.error, IndexError)):
+            encodings((s,))
 
     @pytest.mark.parametrize("damage", ["trailing-byte", "last-byte-dropped", "overflow-2",
                                         "magic", "too-short"])
@@ -475,7 +477,8 @@ class TestProtocolRoundTrip:
         ch = fresh(p, [3, 0, 0, 0])
         r = prover_attest(p, ch, sk)
         head, tail = r.signed[:-att.NONCE_LEN], r.signed[-att.NONCE_LEN:]
-        overflow_at = att._HEAD + 4 + att._NPATHS_AT - 1  # the first session's path_overflow
+        # the first session's path_overflow
+        overflow_at = att._HEAD + 4 + loop_monitor._NPATHS_AT - 1
         bad = {"trailing-byte": head + b"\0" + tail, "last-byte-dropped": head[:-1] + tail,
                "overflow-2": head[:overflow_at] + b"\2" + head[overflow_at + 1:] + tail,
                "magic": b"X" + head[1:] + tail, "too-short": tail}[damage]

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import cfattest as package
 import programs as P
 from cfattest.attestation import (Challenge, ProgramPath, Report, canonical_serialize,
                                   program_hash, sign)
@@ -43,16 +47,25 @@ def attest_and_verify(ws, attack_file=None, store=None):
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
-@pytest.mark.parametrize("golden, attack, flags", [
-    ("measure.json", False, []),
-    ("measure_n1_w4.json", False, ["-n", "1", "--path-width", "4"]),
-    ("measure_attack.json", True, []),
+DISPATCH_INPUT = "6,292,300,308,292,316,300"  # six passes through the jump table
+
+
+@pytest.mark.parametrize("golden, source, inp, attack, flags", [
+    ("measure.json", "WHILE_IF_ELSE", "3,0,1,0", False, []),
+    ("measure_n1_w4.json", "WHILE_IF_ELSE", "3,0,1,0", False, ["-n", "1", "--path-width", "4"]),
+    ("measure_attack.json", "WHILE_IF_ELSE", "3,0,1,0", True, []),
+    # five indirect targets, each path holding codes; at n=1 all but the first are code 0
+    ("measure_dispatch.json", "DISPATCH_LOOP", DISPATCH_INPUT, False, []),
+    ("measure_dispatch_n1_w4.json", "DISPATCH_LOOP", DISPATCH_INPUT, False,
+     ["-n", "1", "--path-width", "4"]),
 ])
-def test_measure_matches_golden(tmp_path, golden, attack, flags):
-    # the README walkthrough's program and input; the goldens are CI's too
-    (tmp_path / "guest.s").write_text(P.WHILE_IF_ELSE)
-    assert cfattest("asm", tmp_path / "guest.s", "--id", "demo", "-o", tmp_path / "prog.json") == 0
-    run = ["run", tmp_path / "prog.json", "--input", "3,0,1,0", "-o", tmp_path / "trace.jsonl"]
+def test_measure_matches_golden(tmp_path, golden, source, inp, attack, flags):
+    # the README walkthrough's program and input, and the jump-table dispatch loop's; the
+    # goldens are CI's too
+    (tmp_path / "guest.s").write_text(getattr(P, source))
+    prog_id = "dispatch" if source == "DISPATCH_LOOP" else "demo"
+    assert cfattest("asm", tmp_path / "guest.s", "--id", prog_id, "-o", tmp_path / "prog.json") == 0
+    run = ["run", tmp_path / "prog.json", "--input", inp, "-o", tmp_path / "trace.jsonl"]
     if attack:
         assert cfattest("inject", "--kind", "corrupt-loop-counter", "--trigger-pc", "0x108",
                         "--reg", "2", "--value", "2", "-o", tmp_path / "atk.json") == 0
@@ -155,6 +168,15 @@ class TestPipeline:
         assert cfattest("timing", ws / "arr.json", "--buffer", "3") == 0
         out = json.loads(capsys.readouterr().out)
         assert out == {"completion_cycle": 14, "max_occupancy": 3, "overflow": False}
+
+    def test_keygen_writes_the_secret_seed_for_its_owner_only(self, tmp_path):
+        sk = tmp_path / "keys" / "sk.hex"
+        assert cfattest("keygen", "-o", tmp_path / "keys") == 0
+        assert sk.stat().st_mode & 0o077 == 0
+        seed = sk.read_text()
+        sk.chmod(0o644)  # a readable seed is replaced by an owner-only one
+        assert cfattest("keygen", "-o", tmp_path / "keys") == 0
+        assert sk.stat().st_mode & 0o077 == 0 and sk.read_text() != seed
 
 
 class TestAttackExitCodes:
@@ -384,6 +406,19 @@ class TestUsageErrors:
         assert cfattest(*argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("arrivals, buffer", [([-5], 3), ([0, 1], -1)])
+def test_timing_refuses_a_negative_arrival_or_buffer_exit_1(tmp_path, arrivals, buffer):
+    # a negative arrival cycle once kept the model running forever: in a subprocess with a
+    # timeout, such a hang fails this test instead of stalling the suite
+    (tmp_path / "arr.json").write_text(json.dumps(arrivals))
+    env = {**os.environ, "PYTHONPATH": str(Path(package.__file__).resolve().parents[1])}
+    done = subprocess.run([sys.executable, "-m", "cfattest.cli", "timing", tmp_path / "arr.json",
+                           "--buffer", str(buffer)], capture_output=True, text=True, timeout=60,
+                          env=env)
+    assert done.returncode == 1 and done.stdout == ""
+    assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
 
 
 @pytest.mark.parametrize("inner", [1200, 3000])

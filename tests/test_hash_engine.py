@@ -78,6 +78,8 @@ class TestAbsorbModel:
             simulate_absorb([3, 1], 0)
         with pytest.raises(ValueError):
             simulate_absorb([1, 1], 0)  # more than one arrival per cycle
+        with pytest.raises(ValueError, match="must not be negative"):
+            simulate_absorb([0, 1], -1)
 
     @pytest.mark.parametrize("arrivals", [[0, "1"], [0, 1.5], [True], {"0": 1}, "012", None])
     def test_arrivals_must_be_a_list_of_integers(self, arrivals):

@@ -9,7 +9,7 @@ the loop monitor's walk marks loops exactly as the all-loops scan in
 `loop_oracle` (through `views.loop_marks`), and
 `measure` gives the (A, L) of the per-item monitor in `monitor_oracle` fed by
 that scan: the monitor's packed stream and session encodings are the oracle's
-pairs packed and `serialize_metadata` of its sessions.  Static backedges are
+pairs packed and `views.metadata_of` of its sessions.  Static backedges are
 found as one `in` scan per backward site finds them.  Every honest path
 decodes valid, or unverifiable for a named cause, but the pinned
 `HONEST_INVALID` ones, and attest and verify build no `LoopSession` or
@@ -30,8 +30,7 @@ import emulator_oracle
 import programs as P
 import views
 from cfattest import attestation, emulator, loop_monitor
-from cfattest.attestation import (Challenge, generate_keypair, measure, prover_attest,
-                                  serialize_metadata, verify)
+from cfattest.attestation import Challenge, generate_keypair, measure, prover_attest, verify
 from cfattest.branch_filter import _backedges, detect_loops, filter_trace
 from cfattest.emulator import (ATTACK_KINDS, AttackError, AttackSpec, CycleLimitExceeded, run,
                                trace_from_jsonl)
@@ -43,7 +42,8 @@ from genprog import gen_input, gen_program
 from loop_oracle import detect_loops_scan, discover_loops_scan
 from monitor_oracle import LoopMonitor as OracleMonitor
 from views import (FLAT, LoopStatusKind, annotated, branch_events, branches_from_columns,
-                   encodings, fault_marker_session, is_control, loop_marks, packed, path_of)
+                   encodings, fault_marker_session, is_control, loop_marks, metadata_of, packed,
+                   path_of)
 
 
 # an outer loop around one counted loop, whose bound for pass p is input word p: a
@@ -1220,7 +1220,7 @@ def test_each_memo_entry_is_charged_what_it_holds():
     for n in range(1, 40):
         measure(run(program, [n] + [rng.randint(0, 1) for _ in range(3 * n)]))
     memo = program.sites.derived[("flat", 16)].memo
-    assert len(memo) == 39 and max(len(found[3]) for found in memo.values()) > 80
+    assert len(memo) == 39 and max(len(found[1]) for found in memo.values()) > 80
     for sites, found in memo.items():
         assert _held_bytes(program, 16, sites, found) <= loop_monitor._memo_bytes(sites, found)
 
@@ -1255,7 +1255,7 @@ def test_verify_does_not_depend_on_the_memo(name):
 
 def assert_carries_its_encoding(trace, config):
     """The walk's stream and session encodings are the oracle's pairs, packed, and
-    `serialize_metadata` of the oracle's sessions."""
+    `metadata_of` of the oracle's sessions."""
     b = filter_trace(trace)
     stream, sessions = OracleMonitor(config).process(
         detect_loops_scan(branch_events(b), config.max_depth))
@@ -1263,7 +1263,7 @@ def assert_carries_its_encoding(trace, config):
     path = measure(trace, config)
     if trace.fault is not None:
         sessions.append(fault_marker_session())
-    assert path.metadata == serialize_metadata(sessions)
+    assert path.metadata == metadata_of(sessions)
     assert path.sessions == tuple(sessions)
     assert path == oracle_measure(trace, config)
 

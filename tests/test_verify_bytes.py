@@ -20,12 +20,12 @@ import verify_oracle
 from cfattest import attestation as att
 from cfattest.attestation import (MAGIC, Challenge, ProgramPath, ProtocolError, Report,
                                   canonical_parse, canonical_serialize, generate_keypair, measure,
-                                  parse_metadata, prover_attest, serialize_metadata, sign, verify)
+                                  prover_attest, sign, verify)
 from cfattest.cli import main
 from cfattest.emulator import run
-from cfattest.loop_monitor import LoopSession, MonitorConfig, PathId
+from cfattest.loop_monitor import LoopSession, MonitorConfig, PathId, parse_metadata
 from test_trace_equivalence import CASES, MONITOR_CONFIGS
-from views import path_of
+from views import metadata_of, path_of
 
 KEY = generate_keypair()
 
@@ -103,10 +103,10 @@ def test_tampered_reports_cover_every_change():
     program, inp, _ = CASES["nested-4"]
     path = measure(run(program, inp))
     assert sorted(tampered(path)) == ["a-byte", "count-byte", "path-bit", "session-dropped"]
-    blob = serialize_metadata(path.sessions)
+    blob = metadata_of(path.sessions)
 
     def changed_bytes(change):
-        other = serialize_metadata(tampered(path)[change].sessions)
+        other = metadata_of(tampered(path)[change].sessions)
         assert len(other) == len(blob)
         return [(i, x ^ y) for i, (x, y) in enumerate(zip(blob, other)) if x != y]
 
@@ -195,7 +195,7 @@ def assert_walk_agrees(metadata: bytes):
         return
     report = Report.from_json(_report_json(metadata))
     assert parse_metadata(metadata) == want == report.path.sessions
-    assert serialize_metadata(want) == metadata
+    assert metadata_of(want) == metadata
     assert canonical_serialize(*canonical_parse(report.signed)) == report.signed
 
 
@@ -214,7 +214,7 @@ MEASURED = _measured_metadata()
 
 @pytest.mark.parametrize("index", range(len(MEASURED)))
 def test_walk_agrees_at_every_truncation(index):
-    blob = serialize_metadata(MEASURED[index])
+    blob = metadata_of(MEASURED[index])
     for end in range(len(blob) + 1):
         assert_walk_agrees(blob[:end])
     assert_walk_agrees(blob + b"\0")
@@ -223,7 +223,7 @@ def test_walk_agrees_at_every_truncation(index):
 @st.composite
 def _mutated(draw):
     sessions = draw(st.sampled_from(MEASURED))
-    blob = bytearray(serialize_metadata(sessions))
+    blob = bytearray(metadata_of(sessions))
     fields = verify_oracle.layout(sessions)
     kind = draw(st.sampled_from(["flip", "trailing"] + [
         field for field in ("overflow", "last_packed", "path_length") if fields[field]]))
@@ -254,7 +254,7 @@ def test_layout_names_each_field():
 
     seen = set()
     for sessions in MEASURED:
-        blob, fields = serialize_metadata(sessions), verify_oracle.layout(sessions)
+        blob, fields = metadata_of(sessions), verify_oracle.layout(sessions)
         seen.update(field for field, offsets in fields.items() if offsets)
         for at in fields["overflow"]:
             with pytest.raises(ProtocolError, match="path_overflow"):

@@ -98,7 +98,7 @@ def parse_metadata(data: bytes) -> tuple[LoopSession, ...]:
 
 
 def layout(sessions: tuple[LoopSession, ...]) -> dict[str, list[int]]:
-    """Where each field of `serialize_metadata(sessions)` starts, by field.
+    """Where each field of `views.metadata_of(sessions)` starts, by field.
 
     `overflow` and `path_length` are one byte each; `last_packed` is the last
     packed byte of a path of at least one bit whose bit count is not a whole

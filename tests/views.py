@@ -7,8 +7,9 @@ session expanded into its enter, iteration and exit marks.  `loop_marks`
 records the marks as the monitor's walk reaches each loop boundary.
 `branches_from_columns` builds a hand-written branch stream.  `is_control`,
 `is_linking` and `is_indirect` classify an instruction by its kind.
-`packed`, `encodings` and `path_of` give the bytes the measurement emits for
-an oracle's (Src, Dest) pairs and `LoopSession`s, or for hand-built ones;
+`packed`, `encodings`, `metadata_of` and `path_of` give the bytes the
+measurement emits for an oracle's (Src, Dest) pairs and `LoopSession`s, or
+for hand-built ones;
 `as_objects` reads the loop monitor's bytes back into them.
 
 `loop_oracle` and `monitor_oracle` are the earlier code verbatim, importing
@@ -30,7 +31,8 @@ from cfattest.hash_engine import pair_bytes
 from cfattest.isa import (CALL, INDIRECT_CALL, INDIRECT_JUMP, JUMP, NOT_TAKEN, RETURN,
                           STRAIGHT_KINDS, TAKEN, WORD, Instruction, Kind, Sites)
 from cfattest.loop_monitor import (DEFAULT_MAX_DEPTH, FAULT_MARKER_ENTRY, LoopMonitor,
-                                   LoopSession, MonitorConfig, session_head, session_tail)
+                                   LoopSession, MonitorConfig, join_metadata, session_head,
+                                   session_tail)
 
 CONTROL_KINDS = frozenset(Kind) - STRAIGHT_KINDS - {Kind.HALT}
 LINKING_KINDS = frozenset({Kind.LINKING_JUMP, Kind.LINKING_INDIRECT_JUMP})
@@ -228,6 +230,11 @@ def encodings(sessions) -> list[bytes]:
     return [session_head(s.loop_entry, s.depth, s.parent)
             + session_tail(s.path_overflow, [(pid.bits, count) for pid, count in s.paths],
                            s.indirect_targets, entries) for s in sessions]
+
+
+def metadata_of(sessions) -> bytes:
+    """Binary L of these sessions: the session count, then `encodings(sessions)`."""
+    return join_metadata(encodings(sessions))
 
 
 def path_of(authenticator: bytes, sessions) -> ProgramPath:
