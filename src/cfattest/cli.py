@@ -192,7 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output")
     p.set_defaults(fn=cmd_cfg)
 
-    p = sub.add_parser("run", help="execute a program, write the trace")
+    p = sub.add_parser("run", help="execute a program, write its branches (JSONL trace)")
     p.add_argument("program")
     p.add_argument("--input", default="")
     p.add_argument("--attack")

@@ -3,9 +3,9 @@
 One instruction retires per cycle.  A run records only its branches, in the
 layout of Intel PT's TNT/TIP packets: one **site character** per branch,
 naming its (instruction, taken) pair in the program's site table
-(`Program.sites`), plus the target of each indirect transfer.  The branch
-columns (source, destination, kind character, cycle) and the per-cycle
-stream (`Trace.events`) are derived from that record on demand.
+(`Program.sites`), plus the target of each indirect transfer.  The trace
+file (`Trace.to_jsonl`) is that record, one line per branch; the per-cycle
+stream (`Trace.events`) is derived from it on demand.
 
 The program runs as Python functions, *units*, compiled from `SEMANTICS`
 when control first reaches them and kept with the `Program`.  An innermost
@@ -32,12 +32,10 @@ from __future__ import annotations
 import json
 import re
 from array import array
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import accumulate
-from operator import sub
 from types import CodeType, FunctionType, MappingProxyType
 from typing import Callable, Mapping, Optional
 
@@ -71,15 +69,6 @@ class TraceEvent:
     taken: Optional[bool]     # conditional branches only
     next_pc: int
 
-    def to_json(self) -> dict:
-        return {
-            "cycle": self.cycle,
-            "pc": f"0x{self.pc:x}",
-            "mnemonic": self.instr.mnemonic,
-            "taken": self.taken,
-            "next_pc": f"0x{self.next_pc:x}",
-        }
-
 
 @dataclass(frozen=True)
 class AttackSpec:
@@ -94,11 +83,12 @@ class AttackSpec:
             raise AttackError("trigger and payload must be objects")
         if set(self.trigger) not in ({"cycle"}, {"pc"}) or type(*self.trigger.values()) is not int:
             raise AttackError("trigger must be exactly one integer cycle or pc")
-        if type(self.payload.get("value")) is not int or (
-                ("reg" in self.payload) == ("mem" in self.payload)):
-            raise AttackError("payload must name one reg or mem target plus an integer value")
-        if "code" in self.payload:
-            raise AttackError("code memory is not writable")
+        reg, mem = self.payload.get("reg"), self.payload.get("mem")
+        if (set(self.payload) not in ({"reg", "value"}, {"mem", "value"})
+                or type(self.payload["value"]) is not int or not (reg == "ra" or type(reg) is int
+                and 0 <= reg < NUM_REGS or type(mem) is int and mem >= 0)):
+            raise AttackError('payload must be one reg (0..15 or "ra") or mem (>= 0) target '
+                              "plus an integer value")
 
     def to_json(self) -> dict:
         return {"kind": self.kind, "trigger": self.trigger, "payload": self.payload}
@@ -137,20 +127,17 @@ class Trace:
         return TraceEvents(self)
 
     def to_jsonl(self) -> str:
-        lines = [json.dumps({"program_id": self.program_id, "input": self.input},
-                            sort_keys=True)]
-        lines += [json.dumps(ev.to_json(), sort_keys=True) for ev in self.events]
-        lines.append(json.dumps({"fault": self.fault}, sort_keys=True))
-        return "\n".join(lines) + "\n"
+        """The record as `trace_from_jsonl` reads it: header, one line per branch, fault."""
+        kinds = self.program.sites.kinds
+        lines = [{"cycles": self.cycles, "input": self.input, "program_id": self.program_id}]
+        lines += [{"next_pc": f"0x{d:x}", "pc": f"0x{s:x}", "taken": _TAKEN.get(kinds[ord(c)])}
+                  for c, (s, d) in zip(self.sites, self.branches.pairs(0, len(self.sites)))]
+        lines.append({"fault": self.fault})
+        return "".join(json.dumps(d, sort_keys=True) + "\n" for d in lines)
 
 
 class Branches:
-    """A run's branches: its site string and indirect targets, read through a `Sites`.
-
-    The columns src, dest, kinds and cycle are derived on first use, by table
-    lookups, the targets in order and a prefix sum: between one branch's
-    destination and the next branch, the pc advances one word per cycle.
-    """
+    """A run's branches: its site string and indirect targets, read through a `Sites`."""
 
     def __init__(self, sites: str, targets: list[int], table: Sites):
         self.sites, self.targets, self.table = sites, targets, table
@@ -174,30 +161,13 @@ class Branches:
         at = self.target_at
         return [(s, at[k] if d is None else d) for k, (s, d) in enumerate(pairs, i)]
 
-    @cached_property
-    def src(self) -> list[int]:
-        return [s for s, _ in map(self.table.pair.__getitem__, self.sites)]
-
-    @cached_property
-    def dest(self) -> list[int]:
-        return [d for _, d in self.pairs(0, len(self))]
-
-    @cached_property
-    def kinds(self) -> str:
-        return self.sites.translate(self.table.kinds)
-
-    @cached_property
-    def cycle(self) -> list[int]:
-        words = accumulate(map(sub, self.src, [self.table.entry] + self.dest))
-        return [i + w // WORD for i, w in enumerate(words)]
-
 
 class TraceEvents(Sequence):
     """Per-cycle view of a Trace, equal to the list of its TraceEvents.
 
     Its length is the trace's cycle count.  The TraceEvent objects are built
-    from the branch columns at the first item access: between two branches
-    the pc advances one word per cycle (a halt repeats its own pc).
+    from the branch record at the first item access: the pc advances one word
+    per cycle (a halt repeats its own pc) until it reaches the next branch's Src.
     """
 
     def __init__(self, trace: Trace):
@@ -206,10 +176,12 @@ class TraceEvents(Sequence):
     @cached_property
     def _built(self) -> list[TraceEvent]:
         t, out, pc = self._trace, [], self._trace.program.entry_point
-        b = t.branches
-        branch_at = dict(zip(b.cycle, zip(t.sites, b.dest)))  # cycle -> (site, dest)
+        branches = zip(t.sites, t.branches.pairs(0, len(t.sites)))
+        site, (src, dest) = next(branches, (None, (None, None)))
         for cycle in range(t.cycles):
-            out.append(_event(t.program, cycle, pc, *branch_at.get(cycle, (None, None))))
+            out.append(_event(t.program, cycle, pc, site if pc == src else None, dest))
+            if pc == src:
+                site, (src, dest) = next(branches, (None, (None, None)))
             pc = out[-1].next_pc
         return out
 
@@ -238,43 +210,38 @@ def _event(program: Program, cycle: int, pc: int, site: Optional[str], dest) -> 
 
 
 def trace_from_jsonl(text: str, program: Program) -> Trace:
-    """Rebuild a Trace from its JSONL form, resolving instructions via program.
-
-    The lines are a header, one event per cycle and the fault record; the
-    events must be one contiguous run from the program's entry point.  Any
-    other text raises EmulatorError.
-    """
-    table = program.sites
-    sites, targets = [], []  # the Trace record; sites joined at the end
-    pc = program.entry_point
+    """Rebuild a Trace from its JSONL form (`Trace.to_jsonl`); EmulatorError for other text, a
+    per-cycle trace too.  Each branch must be the first transfer or halt that straight-line code
+    reaches from the entry point or the branch before, with its site's taken flag and Dest."""
+    table, sites, targets, pc, cycle = program.sites, [], [], program.entry_point, 0
+    stops = [i.addr for i in program.instructions if i.kind not in STRAIGHT_KINDS]
     try:
-        lines = [json.loads(l) for l in text.splitlines() if l.strip()]
-        if len(lines) < 2:
-            raise EmulatorError("a trace needs a header line and a fault line")
-        head, tail = lines[0], lines[-1]
-        for cycle, d in enumerate(lines[1:-1]):
-            if int(d["pc"], 16) != pc or d["cycle"] != cycle:
-                raise EmulatorError(f"trace is not a contiguous run at cycle {cycle}")
-            ins = program.instr_at(pc)
-            if ins is None or ins.mnemonic != d["mnemonic"]:
-                raise EmulatorError(f"trace does not match program at pc 0x{pc:x}")
-            site = table.at.get(pc)
-            taken, next_pc = d["taken"], int(d["next_pc"], 16)
-            if site is not None:
-                if isinstance(taken, bool) != (ins.kind is Kind.COND_BRANCH):
-                    raise EmulatorError(f"taken flag does not fit {ins.mnemonic} at cycle {cycle}")
-                site = site[taken] if taken is not None else site
-                if table.pair[site][1] is None:
-                    targets.append(next_pc)
-                elif table.pair[site][1] != next_pc:
-                    raise EmulatorError(f"trace does not match program at pc 0x{pc:x}")
-                sites.append(site)
-            elif (taken, next_pc) != (None, pc if ins.kind is Kind.HALT else pc + WORD):
-                raise EmulatorError(f"trace is not a contiguous run at cycle {cycle}")
-            pc = next_pc
-        return Trace(head["program_id"], head["input"], program, "".join(sites), targets,
-                     len(lines) - 2, tail["fault"])
-    except (ValueError, KeyError, TypeError) as e:  # bad JSON, missing key, wrong type
+        head, *branches, tail = [json.loads(l) for l in text.splitlines() if l.strip()]
+        if head.keys() != {"cycles", "input", "program_id"} or tail.keys() != {"fault"} or any(
+                d.keys() != {"next_pc", "pc", "taken"} for d in branches):
+            raise EmulatorError("a trace's lines must have exactly the keys cycles, input and "
+                                "program_id, then next_pc, pc and taken, then fault")
+        for d in branches:
+            at, taken, next_pc = int(d["pc"], 16), d["taken"], int(d["next_pc"], 16)
+            k = bisect_left(stops, pc)
+            if program.instr_at(pc) is None or stops[k:k + 1] != [at] or at not in table.at:
+                raise EmulatorError(f"trace does not match program at pc 0x{at:x}")
+            if isinstance(taken, bool) != (program.instr_at(at).kind is Kind.COND_BRANCH):
+                raise EmulatorError(f"taken flag does not fit the branch at pc 0x{at:x}")
+            site = table.at[at][taken is True]  # a conditional's sites: not taken, then taken
+            if table.pair[site][1] is None and 0 <= next_pc <= MASK32:
+                targets.append(next_pc)
+            elif table.pair[site][1] != next_pc:
+                raise EmulatorError(f"trace does not match program at pc 0x{at:x}")
+            sites.append(site)
+            pc, cycle = next_pc, cycle + (at - pc) // WORD + 1
+        cycles, inp, fault = head["cycles"], head["input"], tail["fault"]
+        if (type(cycles) is not int or cycles < cycle or not isinstance(head["program_id"], str)
+                or not isinstance(inp, list) or any(type(w) is not int for w in inp)
+                or fault is not None and not isinstance(fault, str)):
+            raise EmulatorError("bad cycles, input, program_id or fault; cycles cover the branches")
+        return Trace(head["program_id"], inp, program, "".join(sites), targets, cycles, fault)
+    except (ValueError, KeyError, TypeError, AttributeError) as e:  # bad JSON or hex, a list
         raise EmulatorError(f"malformed trace: {e!r}") from None
 
 
@@ -498,6 +465,8 @@ def run(
     one never alters the produced trace.  CycleLimitExceeded if the run
     would retire more than cycle_cap cycles.
     """
+    if attack is not None and attack.payload.get("mem", -1) >= data_mem_words:
+        raise AttackError(f"memory target {attack.payload['mem']} outside data memory")
     return _execute(program, input_words, attack, [0] * (NUM_REGS + 1),
                     _memory(input_words, data_mem_words), cycle_cap, observer)
 

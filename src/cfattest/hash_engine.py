@@ -59,6 +59,8 @@ def simulate_absorb(arrival_cycles: list[int], buffer_depth: int) -> AbsorbResul
     nxt = next(arrivals, None)
     t = 0
     while nxt is not None or queue > 0:
+        if queue == 0:  # nothing changes while the queue is empty: skip to the next arrival
+            t = nxt
         if nxt == t:
             queue += 1
             nxt = next(arrivals, None)

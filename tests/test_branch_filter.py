@@ -174,8 +174,7 @@ class TestDetectLoops:
     def test_implicit_exit_at_end_of_trace(self):
         events = filter_trace(run(P.prog(P.WHILE_IF_ELSE, "w"), [2, 0, 0]))
         n = len(events) - 2  # the branches up to and including events[-3]
-        truncated = branches_from_columns(events.src[:n], events.dest[:n], events.kinds[:n],
-                                          events.cycle[:n])
+        truncated = branches_from_columns(*(column[:n] for column in views.columns(events)))
         annotated = views.annotated(truncated)
         assert loop_kinds(annotated)[-1][0] is X
 

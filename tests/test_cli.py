@@ -11,6 +11,7 @@ import programs as P
 from cfattest.attestation import (Challenge, ProgramPath, Report, canonical_serialize,
                                   program_hash, sign)
 from cfattest.cli import _REASON_EXIT, main
+from cfattest.emulator import run
 from cfattest.isa import Program
 
 
@@ -305,21 +306,47 @@ class TestUsageErrors:
                         tmp_path / "keys" / "pk.hex", tmp_path / "p.json") == 6
         assert capsys.readouterr().err.startswith("error: cycle cap")
 
-    @pytest.mark.parametrize("malform", ["bne-taken-null", "empty", "record-without-pc"])
+    @pytest.mark.parametrize("malform", ["bne-taken-null", "empty", "record-without-pc",
+                                         "per-cycle-file"])
     def test_malformed_trace_exit_1(self, ws, capsys, malform):
         assert cfattest("run", ws / "prog.json", "--input", "3,0,1,0",
                         "-o", ws / "trace.jsonl") == 0
         lines = [json.loads(line) for line in (ws / "trace.jsonl").read_text().splitlines()]
         if malform == "bne-taken-null":
-            next(d for d in lines if d.get("mnemonic") == "bne")["taken"] = None
+            bne = next(i.addr for i in P.prog(P.WHILE_IF_ELSE, "w").instructions
+                       if i.mnemonic == "bne")
+            next(d for d in lines if d.get("pc") == f"0x{bne:x}")["taken"] = None
         elif malform == "empty":
             lines = []
-        else:
+        elif malform == "record-without-pc":
             del lines[3]["pc"]
+        else:  # the per-cycle form an older `cfattest run` wrote, which is not read
+            t = run(P.prog(P.WHILE_IF_ELSE, "w"), [3, 0, 1, 0])
+            lines = [{"input": t.input, "program_id": "w"}] + [
+                {"cycle": e.cycle, "mnemonic": e.instr.mnemonic, "next_pc": f"0x{e.next_pc:x}",
+                 "pc": f"0x{e.pc:x}", "taken": e.taken} for e in t.events] + [{"fault": None}]
         (ws / "trace.jsonl").write_text("".join(json.dumps(d) + "\n" for d in lines))
         capsys.readouterr()
         assert cfattest("measure", ws / "trace.jsonl", "--program", ws / "prog.json") == 1
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("target", [{"reg": 99}, {"reg": True}, {"reg": -1}, {"mem": -1},
+                                        {"mem": 4096}, {"reg": 2, "extra": 1}, {"code": 0}],
+                             ids=["reg-99", "reg-true", "reg-negative", "mem-negative",
+                                  "mem-past-data-memory", "extra-key", "code"])
+    def test_attack_with_a_bad_target_exit_1(self, ws, capsys, target):
+        # the trigger pc lies outside the program, so it never fires
+        attack = {"kind": "corrupt-loop-counter", "trigger": {"pc": 0x1000},
+                  "payload": {**target, "value": 2}}
+        (ws / "atk.json").write_text(json.dumps(attack))
+        capsys.readouterr()
+        assert cfattest("run", ws / "prog.json", "--input", "3,0,1,0",
+                        "--attack", ws / "atk.json") == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        attack["payload"] = {"reg": 2, "value": 2}
+        (ws / "atk.json").write_text(json.dumps(attack))
+        assert cfattest("run", ws / "prog.json", "--input", "3,0,1,0",
+                        "--attack", ws / "atk.json", "-o", ws / "t.jsonl") == 0
 
     @pytest.mark.parametrize("malform", ["program-without-key", "program-not-object",
                                          "program-mul", "program-kind-mismatch",

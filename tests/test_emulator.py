@@ -215,10 +215,36 @@ class TestAttacks:
         ("corrupt-decision-var", {"pc": "0x108"}, {"reg": 1, "value": 0}),
         ("corrupt-decision-var", {"cycle": 0}, ["reg", "value"]),
         ("corrupt-decision-var", {"cycle": 0}, {"reg": 1, "value": "0"}),
+        ("corrupt-decision-var", {"cycle": 0}, {"reg": 16, "value": 0}),
+        ("corrupt-decision-var", {"cycle": 0}, {"reg": 99, "value": 0}),
+        ("corrupt-decision-var", {"cycle": 0}, {"reg": -1, "value": 0}),
+        ("corrupt-decision-var", {"cycle": 0}, {"reg": True, "value": 0}),
+        ("corrupt-decision-var", {"cycle": 0}, {"reg": "r1", "value": 0}),
+        ("corrupt-decision-var", {"cycle": 0}, {"mem": -1, "value": 0}),
+        ("corrupt-decision-var", {"cycle": 0}, {"mem": False, "value": 0}),
+        ("corrupt-decision-var", {"cycle": 0}, {"mem": "0", "value": 0}),
+        ("corrupt-decision-var", {"cycle": 0}, {"reg": 1, "value": 0, "extra": 1}),
+        ("corrupt-decision-var", {"cycle": 0}, {"value": 0}),
     ])
     def test_invalid_attack_specs(self, kind, trigger, payload):
         with pytest.raises(AttackError):
             AttackSpec(kind, trigger, payload)
+
+    @pytest.mark.parametrize("payload", [{"reg": 0, "value": 1}, {"reg": 15, "value": 1},
+                                         {"reg": "ra", "value": 1}, {"mem": 0, "value": 1}])
+    def test_valid_attack_targets(self, payload):
+        assert AttackSpec("corrupt-decision-var", {"cycle": 0}, payload).payload == payload
+
+    @pytest.mark.parametrize("words", [DEFAULT_DATA_WORDS, 8])
+    def test_memory_target_past_data_memory_is_refused_before_the_run(self, words):
+        # the trigger never fires: the target is checked before the first cycle all the same
+        p = P.prog(P.STRAIGHT_LINE, "s")
+        never = {"pc": p.end}
+        assert run(p, [], AttackSpec("corrupt-decision-var", never, {"mem": words - 1, "value": 1}),
+                   data_mem_words=words).fault is None
+        with pytest.raises(AttackError, match="outside data memory"):
+            run(p, [], AttackSpec("corrupt-decision-var", never, {"mem": words, "value": 1}),
+                data_mem_words=words)
 
     @pytest.mark.parametrize("d", [
         {"kind": "corrupt-loop-counter", "payload": {"reg": 2, "value": 3}},
@@ -242,14 +268,26 @@ class TestTraceSerialization:
         t2 = trace_from_jsonl(t.to_jsonl(), p)
         assert t2.program_id == t.program_id
         assert t2.input == t.input
+        assert (t2.sites, t2.targets, t2.cycles) == (t.sites, t.targets, t.cycles)
         assert t2.events == t.events
         assert t2.fault == t.fault
+
+    def test_jsonl_is_one_line_per_branch(self):
+        p = P.prog(P.WHILE_IF_ELSE, "w")
+        t = run(p, [1, 0])
+        lines = [json.loads(line) for line in t.to_jsonl().splitlines()]
+        assert lines[0] == {"cycles": t.cycles, "input": [1, 0], "program_id": "w"}
+        assert lines[-1] == {"fault": None}
+        control = [e for e in t.events if is_control(e.instr)]
+        assert lines[1:-1] == [{"pc": f"0x{e.pc:x}", "taken": e.taken,
+                                "next_pc": f"0x{e.next_pc:x}"} for e in control]
 
     @pytest.mark.parametrize("mnemonic, taken", [("bne", None), ("j", True)])
     def test_jsonl_rejects_taken_flag_that_does_not_fit(self, mnemonic, taken):
         p = P.prog(P.WHILE_IF_ELSE, "w")
+        pc = next(f"0x{i.addr:x}" for i in p.instructions if i.mnemonic == mnemonic)
         lines = [json.loads(line) for line in run(p, [1, 0]).to_jsonl().splitlines()]
-        next(d for d in lines if d.get("mnemonic") == mnemonic)["taken"] = taken
+        next(d for d in lines if d.get("pc") == pc)["taken"] = taken
         with pytest.raises(EmulatorError, match="taken flag"):
             trace_from_jsonl("\n".join(map(json.dumps, lines)), p)
 
@@ -279,6 +317,77 @@ class TestTraceSerialization:
             lines[2]["pc"] = 0x104
         with pytest.raises(EmulatorError):
             trace_from_jsonl("\n".join(map(json.dumps, lines)), p)
+
+    @pytest.mark.parametrize("malform", [
+        "dropped-branch", "straight-line-as-branch", "halt-as-branch",
+        "direct-next-pc-off-target", "extra-key-in-branch", "extra-key-in-header",
+        "extra-key-in-fault-line", "cycles-not-an-int", "cycles-a-bool",
+        "cycles-below-branch-count", "cycles-below-the-last-branch", "input-not-ints",
+        "program-id-not-a-string", "fault-not-a-string", "indirect-target-past-32-bits",
+        "indirect-target-negative", "old-per-cycle-file"])
+    def test_jsonl_rejects_a_file_that_is_not_a_run(self, malform):
+        # WHILE_IF_ELSE on [2, 0, 1]: 0x108 beq, 0x114 bne, 0x11c j, 0x128 j, ..., 0x12c jal,
+        # 0x138 ret (indirect), halt at 0x134
+        p = P.prog(P.WHILE_IF_ELSE, "w")
+        t = run(p, [2, 0, 1])
+        lines = [json.loads(line) for line in t.to_jsonl().splitlines()]
+        ret = next(d for d in lines if d.get("pc") == f"0x{P.WHILE_RET_ADDR:x}")
+        if malform == "dropped-branch":
+            del lines[3]
+        elif malform == "straight-line-as-branch":
+            lines.insert(1, {"next_pc": "0x104", "pc": "0x100", "taken": None})
+        elif malform == "halt-as-branch":
+            lines.insert(-1, {"next_pc": f"0x{P.WHILE_HALT_ADDR:x}",
+                              "pc": f"0x{P.WHILE_HALT_ADDR:x}", "taken": None})
+        elif malform == "direct-next-pc-off-target":
+            next(d for d in lines if d.get("pc") == "0x11c")["next_pc"] = "0x128"
+        elif malform == "extra-key-in-branch":
+            lines[2]["cycle"] = 5
+        elif malform == "extra-key-in-header":
+            lines[0]["mnemonic"] = "li"
+        elif malform == "extra-key-in-fault-line":
+            lines[-1]["cycles"] = t.cycles
+        elif malform == "cycles-not-an-int":
+            lines[0]["cycles"] = str(t.cycles)
+        elif malform == "cycles-a-bool":
+            lines[0]["cycles"] = True
+        elif malform == "cycles-below-branch-count":
+            lines[0]["cycles"] = len(t.sites) - 1
+        elif malform == "cycles-below-the-last-branch":
+            lines[0]["cycles"] = t.cycles - 3  # the ret retires at cycle t.cycles - 3
+        elif malform == "input-not-ints":
+            lines[0]["input"] = ["2", 0, 1]
+        elif malform == "program-id-not-a-string":
+            lines[0]["program_id"] = 7
+        elif malform == "fault-not-a-string":
+            lines[-1]["fault"] = 1
+        elif malform == "indirect-target-past-32-bits":
+            ret["next_pc"] = "0x100000130"
+        elif malform == "indirect-target-negative":
+            ret["next_pc"] = "-0x10"
+        else:  # the per-cycle form: a header without cycles, one line per retired cycle
+            lines = [{"input": t.input, "program_id": t.program_id}] + [
+                {"cycle": e.cycle, "mnemonic": e.instr.mnemonic, "next_pc": f"0x{e.next_pc:x}",
+                 "pc": f"0x{e.pc:x}", "taken": e.taken} for e in t.events] + [{"fault": None}]
+        text = "\n".join(map(json.dumps, lines))
+        assert text != t.to_jsonl().rstrip("\n")
+        reason = ("exactly the keys" if "key" in malform or malform.startswith("old")
+                  else "cover the branches" if malform.startswith(("cycles", "input", "program",
+                                                                   "fault"))
+                  else "does not match program")
+        with pytest.raises(EmulatorError, match=reason):
+            trace_from_jsonl(text, p)
+
+    def test_jsonl_keeps_an_indirect_target_outside_the_program(self):
+        # a pc fault: the last branch's target is recorded, and no branch follows it
+        p = parse_program("main:\n li r1, 0x200\n jr r1\n halt\n", "p")
+        t = run(p, [])
+        again = trace_from_jsonl(t.to_jsonl(), p)
+        assert (again.targets, again.cycles, again.fault) == ([0x200], 2, "pc-out-of-range:0x200")
+        lines = t.to_jsonl().splitlines()
+        lines.insert(-1, json.dumps({"next_pc": "0x104", "pc": "0x200", "taken": None}))
+        with pytest.raises(EmulatorError, match="does not match program"):
+            trace_from_jsonl("\n".join(lines), p)
 
     def test_jsonl_detects_program_mismatch(self):
         t = run(P.prog(P.WHILE_IF_ELSE, "w"), [1, 0])

@@ -1,10 +1,14 @@
 import random
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import absorb_oracle
 from cfattest.hash_engine import (BLOCK_WORDS, BUSY_CYCLES, digest_pairs,
                                   pair_bytes, simulate_absorb)
 from keccak_ref import sha3_512_ref
@@ -106,3 +110,19 @@ class TestAbsorbModel:
         res = simulate_absorb(cycles, buffer_depth=BUSY_CYCLES)
         assert not res.overflow
         assert res.max_occupancy <= BUSY_CYCLES
+
+    def test_a_late_arrival_costs_no_idle_steps(self):
+        # in a child process, so that a model that steps through every idle cycle fails
+        # at the timeout instead of hanging the suite
+        src = Path(__file__).resolve().parent.parent / "src"
+        code = "from cfattest.hash_engine import simulate_absorb as s; print(s([10**12], 3))"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env={"PYTHONPATH": str(src)}, timeout=20, check=True).stdout
+        assert out == ("AbsorbResult(max_occupancy=0, overflow=False, "
+                       "completion_cycle=1000000000000)\n")
+
+    @given(st.lists(st.integers(1, 40), max_size=60), st.integers(0, 200), st.integers(0, 12))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_the_step_by_step_model(self, gaps, first, depth):
+        arrivals = [first + sum(gaps[:k]) for k in range(len(gaps))]
+        assert simulate_absorb(arrivals, depth) == absorb_oracle.simulate_absorb(arrivals, depth)

@@ -3,8 +3,9 @@
 For each run: the compiled `run` records the same sites, targets, cycles,
 fault and observer stream as the interpreter in `emulator_oracle`, and leaves
 the same registers, link register and data memory, at every cycle cap; the
-per-cycle view of the trace equals what the observer saw as each cycle retired, so do the recorded branch columns, a JSONL round trip
-filters to the same branches,
+per-cycle view of the trace equals what the observer saw as each cycle
+retired, so do the branch columns `views.columns` derives from the record, a
+JSONL round trip gives back the same record, per-cycle view and (A, L),
 the loop monitor's walk marks loops exactly as the all-loops scan in
 `loop_oracle` (through `views.loop_marks`), and
 `measure` gives the (A, L) of the per-item monitor in `monitor_oracle` fed by
@@ -42,8 +43,8 @@ from genprog import gen_input, gen_program
 from loop_oracle import detect_loops_scan, discover_loops_scan
 from monitor_oracle import LoopMonitor as OracleMonitor
 from views import (FLAT, LoopStatusKind, annotated, branch_events, branches_from_columns,
-                   encodings, fault_marker_session, is_control, loop_marks, metadata_of, packed,
-                   path_of)
+                   columns, encodings, fault_marker_session, is_control, loop_marks, metadata_of,
+                   packed, path_of)
 
 
 # an outer loop around one counted loop, whose bound for pass p is input word p: a
@@ -587,10 +588,11 @@ def test_branch_columns_equal_observer_stream(name):
     seen = []
     trace = run(program, inp, attack, observer=seen.append)
     control = [ev for ev in seen if is_control(ev.instr)]
-    assert trace.branches.src == [ev.pc for ev in control]
-    assert trace.branches.dest == [ev.next_pc for ev in control]
-    assert trace.branches.cycle == [ev.cycle for ev in control]
-    assert trace.branches.kinds == "".join(
+    derived = columns(trace.branches)
+    assert derived.src == [ev.pc for ev in control]
+    assert derived.dest == [ev.next_pc for ev in control]
+    assert derived.cycle == [ev.cycle for ev in control]
+    assert derived.kinds == "".join(
         str(int(ev.taken)) if ev.instr.kind is Kind.COND_BRANCH else KIND_CHARACTERS[ev.instr.kind]
         for ev in control)
 
@@ -601,7 +603,9 @@ def test_filter_survives_jsonl_round_trip(name):
     trace = run(program, inp, attack)
     again = trace_from_jsonl(trace.to_jsonl(), program)
     assert branch_events(filter_trace(again)) == branch_events(filter_trace(trace))
-    assert (again.cycles, again.fault) == (trace.cycles, trace.fault)
+    assert (again.sites, again.targets, again.cycles, again.fault) == (
+        trace.sites, trace.targets, trace.cycles, trace.fault)
+    assert again.events == trace.events
 
 
 @pytest.mark.parametrize("max_depth", [1, 3])
@@ -727,13 +731,14 @@ def test_backedges_are_found_in_descending_order():
 def test_detect_loops_leaves_its_input_alone():
     program, inp, _ = CASES["nested-4"]
     branches = filter_trace(run(program, inp))
-    columns = (list(branches.src), list(branches.dest), branches.kinds, list(branches.cycle))
-    by_hand = branches_from_columns(*columns)
+    src, dest, kinds, cycle = columns(branches)
+    given = (list(src), list(dest), kinds, list(cycle))
+    by_hand = branches_from_columns(*given)
     first = annotated(branches)
     assert annotated(branches) == first == annotated(by_hand)
     assert any(ev.loop_depth for tag, ev in first if tag == "branch")
     assert all(ev.loop_depth == 0 for ev in branch_events(branches) + branch_events(by_hand))
-    assert (branches.src, branches.dest, branches.kinds, branches.cycle) == columns
+    assert tuple(columns(branches)) == given
 
 
 MONITOR_CONFIGS = {
@@ -1358,3 +1363,18 @@ def test_drawn_programs_carry_their_encoding(case):
         return
     for config in MONITOR_CONFIGS.values():
         assert_carries_its_encoding(trace, config)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_attacked_genprog_runs())
+def test_drawn_runs_survive_jsonl_round_trip(case):
+    program, inp, attack = case
+    try:
+        trace = run(program, inp, attack, cycle_cap=100_000)
+    except CycleLimitExceeded:
+        return
+    again = trace_from_jsonl(trace.to_jsonl(), program)
+    assert (again.program_id, again.input, again.sites, again.targets, again.cycles,
+            again.fault) == (trace.program_id, trace.input, trace.sites, trace.targets,
+                             trace.cycles, trace.fault)
+    assert measure(again) == measure(trace)

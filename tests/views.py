@@ -5,8 +5,10 @@ the per-item streams the oracles consume and produce: one `BranchEvent` per
 branch and, interleaved, one `LoopStatusEvent` per loop mark, with each flat
 session expanded into its enter, iteration and exit marks.  `loop_marks`
 records the marks as the monitor's walk reaches each loop boundary.
-`branches_from_columns` builds a hand-written branch stream.  `is_control`,
-`is_linking` and `is_indirect` classify an instruction by its kind.
+`columns` derives the branch columns (source, destination, kind character,
+cycle) from the record, and `branches_from_columns` builds a hand-written
+branch stream from them.  `is_control`, `is_linking` and `is_indirect`
+classify an instruction by its kind.
 `packed`, `encodings`, `metadata_of` and `path_of` give the bytes the
 measurement emits for an oracle's (Src, Dest) pairs and `LoopSession`s, or
 for hand-built ones;
@@ -20,9 +22,10 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from enum import Enum
-from itertools import starmap
+from itertools import accumulate, starmap
 from math import inf
-from typing import Union
+from operator import sub
+from typing import NamedTuple, Union
 
 from cfattest.attestation import DIGEST_LEN, ProgramPath
 from cfattest.branch_filter import detect_loops
@@ -119,10 +122,32 @@ _LINKING = CALL + INDIRECT_CALL
 _INDIRECT_SITES = INDIRECT_CALL + INDIRECT_JUMP + RETURN
 
 
+class Columns(NamedTuple):
+    """The branch columns: each branch's source, destination, kind character and cycle."""
+    src: list[int]
+    dest: list[int]
+    kinds: str
+    cycle: list[int]
+
+
+def columns(b: Branches) -> Columns:
+    """b's columns, derived on first use and kept with b: table lookups, the targets in
+    order and a prefix sum (between one branch's destination and the next branch, the pc
+    advances one word per cycle)."""
+    if "_columns" not in vars(b):
+        pairs = b.pairs(0, len(b))
+        src, dest = [s for s, _ in pairs], [d for _, d in pairs]
+        words = accumulate(map(sub, src, [b.table.entry] + dest))
+        b._columns = Columns(src, dest, b.sites.translate(b.table.kinds),
+                             [i + w // WORD for i, w in enumerate(words)])
+    return b._columns
+
+
 def branch_event(b: Branches, i: int, loop_depth: int = 0) -> BranchEvent:
-    k = b.kinds[i]
-    return BranchEvent(b.src[i], b.dest[i], _BRANCH_KIND[k], k in _LINKING,
-                       k in _INDIRECT_SITES, b.cycle[i], loop_depth)
+    c = columns(b)
+    k = c.kinds[i]
+    return BranchEvent(c.src[i], c.dest[i], _BRANCH_KIND[k], k in _LINKING,
+                       k in _INDIRECT_SITES, c.cycle[i], loop_depth)
 
 
 def branch_events(b: Branches) -> list[BranchEvent]:
@@ -203,7 +228,7 @@ def annotated(b: Branches, max_depth: int = DEFAULT_MAX_DEPTH) -> list[StreamIte
         elif kind is LoopStatusKind.EXIT:
             open_.pop()
         if ctx is not None and not ctx.degraded:
-            out.append(("loop", LoopStatusEvent(kind, ctx, b.cycle[branch])))
+            out.append(("loop", LoopStatusEvent(kind, ctx, columns(b).cycle[branch])))
     return out
 
 
@@ -215,7 +240,8 @@ def branches_from_columns(src: list[int], dest: list[int], kinds: str,
     b = Branches("".join(map(site_of.__getitem__, ends)),
                  [d for d, k in zip(dest, kinds) if k in _INDIRECT_SITES],
                  Sites(None, list(site_of)))
-    b.cycle = list(cycle)  # given, not derived: a hand-written stream need not be a run
+    # given, not derived: a hand-written stream need not be a run
+    b._columns = Columns(list(src), list(dest), kinds, list(cycle))
     return b
 
 
