@@ -15,7 +15,8 @@ binary hash, freshness and signature, then replays the execution and
 compares the encoding of its own (A, L) with the signed bytes.  Equal bytes
 are equal A and L, so it structurally decodes the paths of the replay's
 session encodings against the program's static table (`Cfg`: its loop
-bodies, its stop table, the session tails it read) and builds no session.
+bodies and its stop table) and builds no session; the program's state keeps
+that table and its hash, and memos of the tails read and the decode statuses.
 Only other bytes are split into the report's encodings, to be decoded and
 compared with the replay's.  Prover and verifier share one measurement
 implementation, so any asymmetry is structurally impossible.
@@ -36,7 +37,7 @@ from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives.asymmetric.ed25519 import (
     Ed25519PrivateKey, Ed25519PublicKey)
 
-from .isa import CALL, INDIRECT_CALL, JUMP, NOT_TAKEN, RETURN, WORD, Kind, Program
+from .isa import CALL, INDIRECT_CALL, JUMP, NOT_TAKEN, RETURN, WORD, Kind, Program, State
 from .emulator import AttackSpec, Trace, run
 from .branch_filter import detect_loops, filter_trace
 from .hash_engine import digest_pairs
@@ -184,9 +185,7 @@ def signature_valid(message: bytes, signature: bytes, pk: bytes) -> bool:
 
 def program_hash(program: Program) -> bytes:
     """Static measurement of the program text (boot-time binary attestation)."""
-    if "_hash" not in program.__dict__:  # kept on the frozen object, as its CFG and units are
-        program.__dict__["_hash"] = hashlib.sha3_512(program.canonical_bytes()).digest()
-    return program.__dict__["_hash"]
+    return program.state.table("hash", lambda: hashlib.sha3_512(program.canonical_bytes()).digest())
 
 
 # --- canonical serialization ---------------------------------------------------
@@ -360,8 +359,6 @@ PATH_UNVERIFIABLE = "unverifiable"
 PATH_INVALID = "invalid"
 
 _DECODE_STEP_CAP = 4096
-_DECODE_MEMO_CAP = 4096  # decode statuses, and session tails, a program's Cfg keeps
-_TAIL_CACHE_LEN = 256  # the longest session tail it keeps: at most 28 paths
 _DECODE_RANK = {PATH_INVALID: 0, PATH_UNVERIFIABLE: 1,
                 PATH_VALID_EXIT: 2, PATH_VALID_CYCLE: 2}
 _ENTRY, _HALT = "e", "h"  # stop kinds besides the site kinds: a static loop entry, the halt
@@ -377,19 +374,17 @@ class Cfg:
     stop: a control transfer (the kind of its first site, '0' for a conditional, and
     the Dest of its last), the halt, a static loop entry or program.end.  A transfer
     or the halt is its own stop; before an `_ENTRY` stop k leaves it out.
-    `decoded`: (loop entry, target table, path bits, n) -> `decode_loop_path`'s status.
-    `tails`: a session's tail in L -> its target table and path bits.
+    `state`: the program's state, whose memos keep decode statuses and session tails.
     """
     loops: Mapping[int, int]
     stops: Mapping[int, tuple[int, Optional[int], str, Optional[int]]]
-    decoded: dict = field(default_factory=dict, compare=False, repr=False)
-    tails: dict = field(default_factory=dict, compare=False, repr=False)
+    state: State = field(compare=False, repr=False)
 
 
 def build_cfg(program: Program) -> Cfg:
-    """The program's static table, from its sites; built once per Program object."""
-    if "_cfg" in program.__dict__:  # kept on the frozen object, as its hash and units are
-        return program.__dict__["_cfg"]
+    """The program's static table, from its sites; built once per program, in its state."""
+    if (cfg := program.state.tables.get("cfg")) is not None:
+        return cfg
     sites, loops, stops = program.sites, {}, {}
     for src, dest in sites.backward.values():
         loops[dest] = max(loops.get(dest, 0), src)
@@ -403,7 +398,7 @@ def build_cfg(program: Program) -> Cfg:
             stops[a] = ((ahead[0] - a) // WORD - (ahead[1] == _ENTRY), *ahead)
         if a in loops:
             ahead = (a, _ENTRY, None)
-    return program.__dict__.setdefault("_cfg", Cfg(loops, stops))
+    return program.state.tables.setdefault("cfg", Cfg(loops, stops, program.state))
 
 
 def decode_loop_path(entry: int, targets: tuple[int, ...], bits: str, cfg: Cfg,
@@ -412,17 +407,11 @@ def decode_loop_path(entry: int, targets: tuple[int, ...], bits: str, cfg: Cfg,
     target table `targets`, against the program's static table.
 
     The status depends only on the loop entry, the target table, the path bits
-    and n, so each distinct one is walked once (`_walk`) and kept in
-    `cfg.decoded`; a full memo (`_DECODE_MEMO_CAP` a program) is emptied first.
+    and n, so each distinct one is walked once (`_walk`) and kept in a memo of
+    the program's state (`State.keep`).
     """
-    key = (entry, targets, bits, n)
-    status = cfg.decoded.get(key)
-    if status is None:
-        status = _walk(entry, targets, bits, cfg, n)
-        if len(cfg.decoded) >= _DECODE_MEMO_CAP:
-            cfg.decoded.clear()
-        cfg.decoded[key] = status
-    return status
+    key, memo = (entry, targets, bits, n), cfg.state.memos["decoded"]
+    return memo.get(key) or cfg.state.keep(memo, key, _walk(entry, targets, bits, cfg, n))
 
 
 def _walk(entry: int, targets: tuple[int, ...], bits: str, cfg: Cfg, n: int) -> str:
@@ -514,10 +503,9 @@ def check_loop_paths(encodings: tuple[bytes, ...], cfg: Cfg,
     structurally valid, notes).
 
     A session's target table and path bits are read from its tail once per
-    program and kept in `cfg.tails`; a full cache (`_DECODE_MEMO_CAP` tails of
-    at most `_TAIL_CACHE_LEN` bytes) is emptied first.
+    program and kept in a memo of the program's state (`State.keep`).
     """
-    notes, ok, tails, n = [], True, cfg.tails, config.n
+    notes, ok, n, tails = [], True, config.n, cfg.state.memos["tails"]
     decode, head, at = decode_loop_path, SESSION_HEAD.unpack_from, SESSION_HEAD.size
     for idx, encoding in enumerate(encodings):
         entry = head(encoding)[0]
@@ -528,11 +516,7 @@ def check_loop_paths(encodings: tuple[bytes, ...], cfg: Cfg,
         read = tails.get(tail := encoding[at:])
         if read is None:
             paths, targets = read_tail(tail, 0)
-            read = targets, [bits for bits, _ in paths]
-            if len(tail) <= _TAIL_CACHE_LEN:
-                if len(tails) >= _DECODE_MEMO_CAP:
-                    tails.clear()
-                tails[tail] = read
+            read = cfg.state.keep(tails, tail, (targets, tuple(bits for bits, _ in paths)))
         targets, paths = read
         for bits in paths:
             status = decode(entry, targets, bits, cfg, n)

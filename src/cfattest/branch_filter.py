@@ -5,16 +5,16 @@ branch plus the targets of indirect transfers (`isa.Sites`).  A branch's
 loop-path bit is '0' for a not-taken conditional, '1' for a taken
 conditional or direct transfer and `INDIRECT` for an indirect transfer,
 coded by target (`site_bits`).  `detect_loops` discovers the run's loops,
-taking non-linking backward branches as backedges (link-register
-heuristic), so the first traversal of a loop is attributed like later ones
-and A does not depend on the iteration count.  It finds backedges only:
-recursion needs the call stack, which the loop monitor's walk keeps
-(`LoopMonitor.process`).  Its table of loop bodies (`_Loops`) gives the
-loops enclosing an address, so the walk costs no more per branch as the
+taking non-linking backward branches as backedges (link-register heuristic),
+so the first traversal of a loop is attributed like later ones and A does
+not depend on the iteration count.  It finds backedges only: recursion needs
+the call stack, which the loop monitor's walk keeps (`LoopMonitor.process`).
+Its table of loop bodies (`_Loops`, the last kept in `Program.state`) gives
+the loops enclosing an address, so the walk costs no more per branch as the
 number of loops grows.  Discovery finds the static backedges with one
 `str.find` per backward site, from where the site before it was found
-(`_backedges`), a fast C search where a regex character class is matched
-one character at a time, and the backward indirect jumps among the run's
+(`_backedges`), a fast C search where a regex character class is matched one
+character at a time, and the backward indirect jumps among the run's
 indirect targets.  Prover and verifier share this code.
 
 A loop context is **flat** when no other discovered loop entry lies in its
@@ -46,17 +46,9 @@ _TRANSFERS = CALL + INDIRECT_CALL + INDIRECT_JUMP + RETURN  # none lies in a fla
 _BITS = str.maketrans(JUMP + _TRANSFERS, TAKEN * 2 + INDIRECT * 3)
 
 
-def derived(table: Sites, key, make):
-    """table.derived[key], made on first use: it lives as long as the program."""
-    value = table.derived.get(key)
-    if value is None:
-        value = table.derived[key] = make()
-    return value
-
-
 def site_bits(table: Sites) -> str:
     """Each site's loop-path bit, by site number: a `str.translate` table for site strings."""
-    return derived(table, "bits", lambda: table.kinds.translate(_BITS))
+    return table.kinds.translate(_BITS)
 
 
 def filter_trace(trace: Trace) -> Branches:
@@ -99,7 +91,7 @@ class _Loops(dict):
     later ones are a dict hit.  `flat` maps each flat loop's entry to its
     re-entering site, the other loops enclosing that entry, its exit site if it
     has only one, and then the flat loop that exit leads into (`_then`).  A
-    program's table keeps the last one, for the next run that discovers the
+    program's state keeps the last one, for the next run that discovers the
     same loops.
     """
 
@@ -165,8 +157,8 @@ class _Loops(dict):
 
 def detect_loops(b: Branches) -> tuple[Branches, _Loops]:
     """The run's loops: the branches and the table of loop bodies."""
-    loops = _discover_loops(b)
-    enclosing = b.table.derived.get("loops")
+    loops, tables = _discover_loops(b), b.state.tables
+    enclosing = tables.get("loops")
     if enclosing is None or enclosing.loops != loops:
-        enclosing = b.table.derived["loops"] = _Loops(loops, b.table)
+        enclosing = tables["loops"] = _Loops(loops, b.table)
     return b, enclosing

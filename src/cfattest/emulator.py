@@ -8,7 +8,7 @@ file (`Trace.to_jsonl`) is that record, one line per branch; the per-cycle
 stream (`Trace.events`) is derived from it on demand.
 
 The program runs as Python functions, *units*, compiled from `SEMANTICS`
-when control first reaches them and kept with the `Program`.  An innermost
+when control first reaches them and kept in `Program.state`.  An innermost
 static loop is one unit entered at its header, with the registers in locals.
 Each pass tests the cycle cap once and runs as straight-line code, a *path
 tree* (`_Tree`): a conditional is an if/else over the paths from its target
@@ -40,7 +40,7 @@ from types import CodeType, FunctionType, MappingProxyType
 from typing import Callable, Mapping, Optional
 
 from .isa import (MASK32, NOT_TAKEN, NUM_REGS, OPCODES, STRAIGHT_KINDS, TAKEN, WORD, Instruction,
-                  Kind, Program, Sites)
+                  Kind, Program)
 
 DEFAULT_CYCLE_CAP = 1_000_000
 DEFAULT_DATA_WORDS = 4096
@@ -119,7 +119,7 @@ class Trace:
 
     @cached_property
     def branches(self) -> "Branches":
-        return Branches(self.sites, self.targets, self.program.sites)
+        return Branches(self.sites, self.targets, self.program)
 
     @cached_property
     def events(self) -> "TraceEvents":
@@ -137,10 +137,12 @@ class Trace:
 
 
 class Branches:
-    """A run's branches: its site string and indirect targets, read through a `Sites`."""
+    """A run's branches: its site string and indirect targets, read through its program's
+    site table (`table`), with the program's state."""
 
-    def __init__(self, sites: str, targets: list[int], table: Sites):
-        self.sites, self.targets, self.table = sites, targets, table
+    def __init__(self, sites: str, targets: list[int], program: Program):
+        self.sites, self.targets = sites, targets
+        self.table, self.state = program.sites, program.state
 
     def __len__(self) -> int:
         return len(self.sites)
@@ -212,7 +214,8 @@ def _event(program: Program, cycle: int, pc: int, site: Optional[str], dest) -> 
 def trace_from_jsonl(text: str, program: Program) -> Trace:
     """Rebuild a Trace from its JSONL form (`Trace.to_jsonl`); EmulatorError for other text, a
     per-cycle trace too.  Each branch must be the first transfer or halt that straight-line code
-    reaches from the entry point or the branch before, with its site's taken flag and Dest."""
+    reaches from the entry point or the branch before, with its site's taken flag and Dest, and
+    the run must end after the last one as `cycles` and `fault` say."""
     table, sites, targets, pc, cycle = program.sites, [], [], program.entry_point, 0
     stops = [i.addr for i in program.instructions if i.kind not in STRAIGHT_KINDS]
     try:
@@ -240,6 +243,18 @@ def trace_from_jsonl(text: str, program: Program) -> Trace:
                 or not isinstance(inp, list) or any(type(w) is not int for w in inp)
                 or fault is not None and not isinstance(fault, str)):
             raise EmulatorError("bad cycles, input, program_id or fault; cycles cover the branches")
+        # from pc, straight-line code runs to `stop`: the next transfer or halt, or the first
+        # address past the program (pc if outside).  The run ends at that halt or address, or
+        # on a load or store before it whose access faults; `at` retires last
+        k = bisect_left(stops, pc)
+        stop = pc if program.instr_at(pc) is None else stops[k] if k < len(stops) else program.end
+        at, last, m = pc + (cycles - cycle - 1) * WORD, program.instr_at(stop), \
+            re.fullmatch("data-access-out-of-range:(0|[1-9][0-9]*)", fault or "")
+        if not (fault is None and at == stop and last is not None and last.kind is Kind.HALT
+                or last is None and at + WORD == stop and fault == f"pc-out-of-range:0x{stop:x}"
+                or m and int(m[1]) <= MASK32 and pc <= at < stop
+                and program.instr_at(at).kind in (Kind.LOAD, Kind.STORE)):
+            raise EmulatorError(f"trace does not end as a run does after pc 0x{pc:x}")
         return Trace(head["program_id"], inp, program, "".join(sites), targets, cycles, fault)
     except (ValueError, KeyError, TypeError, AttributeError) as e:  # bad JSON or hex, a list
         raise EmulatorError(f"malformed trace: {e!r}") from None
@@ -491,7 +506,7 @@ def _execute(program: Program, input_words: list[int], attack: Optional[AttackSp
     raises."""
     sites, targets = [], []  # the Trace record; sites joined at the end
     sa, ta = sites.append, targets.append
-    code = program.__dict__.get("_units") or program.__dict__.setdefault("_units", _Units(program))
+    code = program.state.table("units", _Units, program)
     units, pc, cycle = code.units, program.entry_point, 0
     # single step while a trigger is armed or an observer watches, and from the
     # first block that does not fit under the cap

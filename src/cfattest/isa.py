@@ -1,5 +1,5 @@
 """Toy RISC-like ISA: opcode table, assembler, program model with its branch
-sites, and the static control-flow graph printed from them.
+sites and derived state, and the static control-flow graph printed from them.
 
 The instruction set is deliberately tiny: one link register (`ra`), 16
 general registers, word-addressed data memory.  Branch semantics and the
@@ -8,10 +8,12 @@ link-register calling convention are the only parts that matter downstream.
 from __future__ import annotations
 
 import re
+from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from itertools import groupby
+from sys import getsizeof
 from types import MappingProxyType
 from typing import Mapping, Optional
 
@@ -19,6 +21,8 @@ BASE_ADDR = 0x0000_0100
 WORD = 4
 MASK32 = 0xFFFF_FFFF  # addresses, registers and hashed words are 32 bits
 NUM_REGS = 16
+_MEMO_BYTES = 1 << 22  # what a program's memos may hold, as `sys.getsizeof` counts it
+_SLOT = 64  # a memo entry's dict slot: at most 60 bytes a key past eight keys, CPython 3.11
 
 
 class Kind(Enum):
@@ -138,6 +142,10 @@ class Program:
     def sites(self) -> "Sites":
         """The program's branch sites, built on first use."""
         return Sites.of(self)
+
+    @cached_property
+    def state(self) -> "State":
+        return State()
 
     @cached_property
     def leaders(self) -> tuple[int, ...]:
@@ -302,7 +310,6 @@ class Sites:
         self.indirect = char_class(c for c, (_, dest) in self.pair.items() if dest is None)
         self.backward = {c: (src, dest) for c, (src, dest, kind) in self.site.items()
                          if kind in (TAKEN, JUMP) and dest < src}
-        self.derived: dict = {}  # values loop detection and the loop monitor derive from it
 
     @classmethod
     def of(cls, program: Program) -> "Sites":
@@ -314,6 +321,45 @@ class Sites:
             elif ins.kind in _SITE_KIND:  # an indirect transfer has no target
                 ends.append((ins.addr, ins.target, _SITE_KIND[ins.kind]))
         return cls(program.entry_point, ends)
+
+
+# --- derived state ------------------------------------------------------------
+
+class State:
+    """A program's derived state.  `tables` holds what the program bounds, made on first use
+    (`table`): its units, static table, hash, site bits and words, last loop table and, per
+    path width, flat traversals.  `memos` holds, by name, the dicts only traffic bounds, empty
+    on first use: per path width the flat-session memo, the decode statuses and the session
+    tails.  A lookup is a plain dict get; an insert (`keep`) charges its bytes (`_held`, and a
+    dict slot) to one budget, `_MEMO_BYTES`.  An entry that does not fit empties every memo
+    and resets the budget, so what repeats after it is kept again; one larger is not kept."""
+
+    def __init__(self):
+        self.tables, self.memos = {}, defaultdict(dict)
+        self.room = _MEMO_BYTES  # bytes the memos may still take
+
+    def table(self, key, make, *args):
+        value = self.tables.get(key)
+        if value is None:
+            value = self.tables[key] = make(*args)
+        return value
+
+    def keep(self, memo: dict, key, value):
+        """memo[key] = value, charged its bytes; returns value."""
+        cost = _held(key) + _held(value) + _SLOT
+        if self.room < cost <= _MEMO_BYTES:
+            for held in self.memos.values():
+                held.clear()
+            self.room = _MEMO_BYTES
+        if cost <= self.room:
+            memo[key] = value
+            self.room -= cost
+        return value
+
+
+def _held(x) -> int:
+    """What `sys.getsizeof` counts for x and, if it is a tuple, for what it holds."""
+    return getsizeof(x) + (sum(map(_held, x)) if type(x) is tuple else 0)
 
 
 # --- static CFG -------------------------------------------------------------

@@ -39,27 +39,18 @@ become known.  The rule reads only the session and the table, and both ways
 give the same stream and paths, so A and L do not depend on what the tables
 hold.  A traversal past the path width is hashed at every occurrence.
 
-Per path width, a program keeps a table from a flat traversal's sites to its
-bits and pairs, and, per flat loop (keyed by its re-entering site), the
-traversals it has taken that fit the width and hold more than that site, in
-first-seen order.  Each known traversal is in the table, so both hold at most
-2^path_width entries a flat loop, the bound of LO-FAT's path-indexed counters
-(`memory_bits`); a loop stops learning traversals once it knows
-`_SCAN_BUDGET // 2`, which never fit the budget.
-
-Each flat session is measured once per program and path width.  A third
-table, the session memo, maps a session's sites (exit branch included) to
-what it adds: its stream words and its tail in L.  A session the program has
-measured before costs one lookup, and one head packed per call.  What a flat
-session adds depends only on its sites and the path width: its body holds no
-indirect transfer, so no target code, and both ways of counting give the
-same stream and paths.  So A and L do not depend on what the memo holds.  It
-takes sessions while what it holds fits in `_MEMO_BYTES`: keys, value pairs,
-words, tails and a dict slot each, as `sys.getsizeof` counts them, or more
-(`_memo_bytes`); past the width every word of a session is stored, eight
-bytes a site against the key's one to four.  A session that does not fit
-empties it first, so sessions that repeat after it filled are memoised
-again.  The three tables of one width are one `Sites.derived` entry.
+The program's state (`Program.state`) keeps, per path width, a table from a
+flat traversal's sites to its bits and pairs and, per flat loop (keyed by its
+re-entering site), the traversals it has taken that fit the width and hold
+more than that site, in first-seen order: at most 2^path_width a loop, the
+bound of LO-FAT's path-indexed counters (`memory_bits`); a loop stops
+learning at `_SCAN_BUDGET // 2`, which never fit the budget.  Its session
+memo maps a flat session's sites (exit branch included) to its stream words
+and L tail, so a session measured before costs one lookup and one packed
+head; the memo is charged to the state's one budget (`State.keep`).  What a
+flat session adds depends only on its sites and the path width (its body
+holds no indirect transfer, and both ways of counting agree), so A and L do
+not depend on what the state holds.
 
 The walk emits the measurement as bytes.  A's stream is packed 8-byte
 (Src, Dest) words (`hash_engine.pair_bytes`), made once per site and program
@@ -80,9 +71,9 @@ from collections import _count_elements
 from dataclasses import dataclass
 from itertools import starmap
 from math import inf
-from typing import Collection, NamedTuple, Optional
+from typing import Collection, Optional
 
-from .branch_filter import INDIRECT, derived, site_bits
+from .branch_filter import INDIRECT, site_bits
 from .hash_engine import pair_bytes
 from .isa import CALL, INDIRECT_CALL, RETURN
 
@@ -93,13 +84,6 @@ _LINKING = CALL + INDIRECT_CALL
 # characters per iteration the scans for known traversals may read: splitting a session
 # and counting its pieces costs about as much
 _SCAN_BUDGET = 32
-# the bytes a program's session memo may hold per path width, as `sys.getsizeof` counts
-# them: a session's key, at most 4 bytes a site (1 while all its sites are below 128) and
-# 76 more; its value's pair and its stream's bytes (56 + 40), its L tail (33 bytes and its
-# length) and its dict slot (a str-keyed dict takes at most 44 bytes a key past eight keys,
-# CPython 3.11); and 8 a stored word
-_MEMO_BYTES = 1 << 22
-_MEMO_ENTRY = 76 + 56 + 40 + 33 + 48
 
 # Binary L, big-endian: a u32 session count, then each session's head (loop_entry, depth,
 # parent: PARENT_NONE for none) and tail: path_overflow, path count, each path's bit length,
@@ -304,21 +288,6 @@ def memory_bits(path_width: int, depth: int) -> int:
     return 8 * (1 << path_width) * depth
 
 
-def _memo_bytes(sites: str, found: tuple[bytes, bytes]) -> int:
-    """The bytes a session's memo entry holds, its stream words and L tail included."""
-    return (len(sites) if sites.isascii() else 4 * len(sites)) + sum(map(len, found)) + _MEMO_ENTRY
-
-
-class _FlatTables(NamedTuple):
-    """A program's tables for flat sessions at one path width (`Sites.derived`)."""
-    bits: str                         # `site_bits`
-    paths: dict[str, tuple]           # traversal sites -> (bits, packed words)
-    known: dict[str, dict[str, str]]  # re-entering site -> {piece: scan pattern}
-    memo: dict[str, tuple]            # session sites -> (packed words, L tail)
-    room: list[int]                   # [bytes the memo may still take]
-    bound: int                        # bytes the memo may hold
-
-
 class _Context:
     """An open loop context: where control stays in it, and its session's state.
 
@@ -443,8 +412,8 @@ class LoopMonitor:
         self.sessions.append(session_head(entry, depth, self._stack[-1].index) + found[1])
 
     def _measure_flat(self, site: str, sites: str) -> tuple:
-        """What a flat session not measured before adds: its stream words and its L tail, put
-        in the memo; a memo with no room for it is emptied first."""
+        """What a flat session not measured before adds: its stream words and its L tail, kept
+        in the memo (`State.keep`)."""
         k, done = sites.find(site) + 1, sites.rfind(site) + 1  # first and last iteration end
         first, width, table = sites[:k], self.config.path_width, self._paths
         n = done // k if k and not done % k and (done == k or sites.startswith(first, k)) else 0
@@ -487,14 +456,7 @@ class LoopMonitor:
                 counts[path] = seen + count
             words, paths = b"".join(stream), counts.items()
         found = words, session_tail(overflow, paths, (), self._entries)
-        room, cost, bound = self._room, _memo_bytes(sites, found), self._bound
-        if room[0] < cost <= bound:  # full: start over, so sessions that repeat are kept again
-            self._memo.clear()
-            room[0] = bound
-        if cost <= room[0]:
-            self._memo[sites] = found
-            room[0] -= cost
-        return found
+        return self._state.keep(self._memo, sites, found)
 
     def _count_known(self, site: str, sites: str) -> Optional[list[tuple[str, int]]]:
         """A flat session's complete iterations as (traversal, count), in first-position order,
@@ -541,12 +503,12 @@ class LoopMonitor:
         stream as packed (Src, Dest) words, and each session's bytes in L (its head and tail)."""
         b, enclosing = found
         self._branches, self._sites, self._target_at = b, b.sites, b.target_at
-        self._word = derived(b.table, "words", lambda: {
-            c: pair_bytes(src, dest) for c, (src, dest) in b.table.pair.items()
-            if dest is not None}).__getitem__
-        self._bits, self._paths, self._known, self._memo, self._room, self._bound = derived(
-            b.table, ("flat", self.config.path_width),
-            lambda: _FlatTables(site_bits(b.table), {}, {}, {}, [_MEMO_BYTES], _MEMO_BYTES))
+        state, width, pairs = b.state, self.config.path_width, b.table.pair
+        self._state, self._bits = state, state.table("bits", site_bits, b.table)
+        self._word = state.table("words", lambda: {
+            c: pair_bytes(*pair) for c, pair in pairs.items() if pair[1] is not None}).__getitem__
+        self._paths, self._known = state.table(("traversals", width), lambda: ({}, {}))
+        self._memo = state.memos[("flat", width)]
         self._pos = 0
         self._entries: dict[str, bytes] = {}  # path bits -> their length byte and packed bits
         loops, flat, exits = enclosing.loops, enclosing.flat, enclosing.exit

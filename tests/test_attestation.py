@@ -26,7 +26,7 @@ from cfattest.attestation import (AUTHENTICATOR_MISMATCH, BAD_SIGNATURE,
 from cfattest.emulator import run
 from cfattest.hash_engine import digest_pairs, pair_bytes
 from cfattest.isa import parse_program
-from cfattest import loop_monitor
+from cfattest import isa, loop_monitor
 from cfattest.loop_monitor import (FAULT_MARKER_ENTRY, PARENT_NONE, parse_metadata,
                                    LoopSession, MonitorConfig, PathId)
 from genprog import gen_input, gen_program
@@ -651,17 +651,24 @@ class TestStructuralDecode:
         assert att._walk(session.loop_entry, [], "0" * 40, build_cfg(p), 4) == PATH_UNVERIFIABLE
 
     def test_a_full_decode_memo_starts_over(self, monkeypatch):
-        # past the cap the memo is emptied, so a path that repeats afterwards is walked once
-        monkeypatch.setattr(att, "_DECODE_MEMO_CAP", 3)
+        # a budget of the first three statuses: the fourth empties the memo, so a path that
+        # repeats afterwards is walked once
+        source = P.loops_in_one_loop(2)
+        probe = build_cfg(P.prog(source, "ll-memo"))
+        paths = [PathId(format(k, "04b")) for k in range(5)]
+        keys = [(min(probe.loops), (), pid.bits, 4) for pid in paths]
+        costs = [isa._held(key) + isa._held(att._walk(*key[:3], probe, 4)) + isa._SLOT
+                 for key in keys]
+        monkeypatch.setattr(isa, "_MEMO_BYTES", sum(costs[:3]))
         walks, walk = [], att._walk
         monkeypatch.setattr(att, "_walk", lambda *a: walks.append(a[2]) or walk(*a))
-        cfg = build_cfg(P.prog(P.loops_in_one_loop(2), "ll-memo"))
+        cfg = build_cfg(P.prog(source, "ll-memo"))
         session = LoopSession(min(cfg.loops), 1, None, [], [])
-        paths = [PathId(format(k, "04b")) for k in range(5)]
         for pid in paths + [paths[-1]] * 3:
             decode_loop_path(session.loop_entry, (), pid.bits, cfg)
         assert walks == [pid.bits for pid in paths]
-        assert len(cfg.decoded) == 2
+        assert list(cfg.state.memos["decoded"]) == keys[3:]
+        assert cfg.state.room == sum(costs[:3]) - sum(costs[3:])
 
     def test_honest_measurements_decode(self):
         for src, inp in [(P.WHILE_IF_ELSE, [4, 0, 1, 1, 0]),

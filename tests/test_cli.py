@@ -307,6 +307,7 @@ class TestUsageErrors:
         assert capsys.readouterr().err.startswith("error: cycle cap")
 
     @pytest.mark.parametrize("malform", ["bne-taken-null", "empty", "record-without-pc",
+                                         "last-two-branch-lines-dropped", "cycles-raised",
                                          "per-cycle-file"])
     def test_malformed_trace_exit_1(self, ws, capsys, malform):
         assert cfattest("run", ws / "prog.json", "--input", "3,0,1,0",
@@ -320,6 +321,10 @@ class TestUsageErrors:
             lines = []
         elif malform == "record-without-pc":
             del lines[3]["pc"]
+        elif malform == "last-two-branch-lines-dropped":
+            del lines[-3:-1]
+        elif malform == "cycles-raised":
+            lines[0]["cycles"] += 1
         else:  # the per-cycle form an older `cfattest run` wrote, which is not read
             t = run(P.prog(P.WHILE_IF_ELSE, "w"), [3, 0, 1, 0])
             lines = [{"input": t.input, "program_id": "w"}] + [

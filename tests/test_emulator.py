@@ -9,7 +9,7 @@ import pytest
 import programs as P
 from cfattest.emulator import (DEFAULT_DATA_WORDS, SEMANTICS, AttackError, AttackSpec,
                                CycleLimitExceeded, EmulatorError, run, trace_from_jsonl)
-from cfattest.isa import FIELDS, OPCODES, Kind, parse_program
+from cfattest.isa import FIELDS, MASK32, OPCODES, Kind, parse_program
 from views import is_control
 
 
@@ -261,6 +261,11 @@ class TestAttacks:
         assert AttackSpec.from_json(atk.to_json()) == atk
 
 
+# runs that end in a pc fault, at 0x200, and in a data fault, at word 5000
+PC_FAULT = "main:\n li r1, 0x200\n jr r1\n halt\n"
+DATA_FAULT = "main:\n li r1, 5000\n ld r2, [r1+0]\n halt\n"
+
+
 class TestTraceSerialization:
     def test_jsonl_round_trip(self):
         p = P.prog(P.WHILE_IF_ELSE, "w")
@@ -324,14 +329,24 @@ class TestTraceSerialization:
         "extra-key-in-fault-line", "cycles-not-an-int", "cycles-a-bool",
         "cycles-below-branch-count", "cycles-below-the-last-branch", "input-not-ints",
         "program-id-not-a-string", "fault-not-a-string", "indirect-target-past-32-bits",
-        "indirect-target-negative", "old-per-cycle-file"])
+        "indirect-target-negative", "old-per-cycle-file", "tail-last-branch-dropped",
+        "tail-last-two-branches-dropped", "tail-cycles-past-the-halt",
+        "tail-cycles-short-of-the-halt", "tail-pc-fault-on-a-halted-run",
+        "tail-data-fault-on-a-halted-run", "pc-fault-tail-cycles-raised",
+        "pc-fault-tail-as-a-halt", "pc-fault-tail-at-another-pc",
+        "pc-fault-tail-as-a-data-fault", "data-fault-tail-cycles-raised",
+        "data-fault-tail-cycles-lowered", "data-fault-tail-as-a-halt",
+        "data-fault-tail-address-not-decimal", "data-fault-tail-address-past-32-bits"])
     def test_jsonl_rejects_a_file_that_is_not_a_run(self, malform):
         # WHILE_IF_ELSE on [2, 0, 1]: 0x108 beq, 0x114 bne, 0x11c j, 0x128 j, ..., 0x12c jal,
-        # 0x138 ret (indirect), halt at 0x134
-        p = P.prog(P.WHILE_IF_ELSE, "w")
-        t = run(p, [2, 0, 1])
+        # 0x138 ret (indirect), halt at 0x134; PC_FAULT's jr at 0x104 leaves the program for
+        # 0x200 at cycle 2, and DATA_FAULT's ld at 0x104 faults at cycle 2
+        source, inp = {"pc": (PC_FAULT, []), "data": (DATA_FAULT, [])}.get(
+            malform.split("-")[0], (P.WHILE_IF_ELSE, [2, 0, 1]))
+        p = P.prog(source, "w")
+        t = run(p, inp)
         lines = [json.loads(line) for line in t.to_jsonl().splitlines()]
-        ret = next(d for d in lines if d.get("pc") == f"0x{P.WHILE_RET_ADDR:x}")
+        ret = next((d for d in lines if d.get("pc") == f"0x{P.WHILE_RET_ADDR:x}"), None)
         if malform == "dropped-branch":
             del lines[3]
         elif malform == "straight-line-as-branch":
@@ -365,6 +380,26 @@ class TestTraceSerialization:
             ret["next_pc"] = "0x100000130"
         elif malform == "indirect-target-negative":
             ret["next_pc"] = "-0x10"
+        elif malform == "tail-last-branch-dropped":
+            del lines[-2]
+        elif malform == "tail-last-two-branches-dropped":
+            del lines[-3:-1]
+        elif malform.endswith(("cycles-past-the-halt", "cycles-raised")):
+            lines[0]["cycles"] += 1
+        elif malform.endswith(("cycles-short-of-the-halt", "cycles-lowered")):
+            lines[0]["cycles"] -= 1
+        elif malform == "tail-pc-fault-on-a-halted-run":
+            lines[-1]["fault"] = f"pc-out-of-range:0x{P.WHILE_HALT_ADDR + 4:x}"
+        elif malform in ("tail-data-fault-on-a-halted-run", "pc-fault-tail-as-a-data-fault"):
+            lines[-1]["fault"] = "data-access-out-of-range:5000"
+        elif malform.endswith("as-a-halt"):
+            lines[-1]["fault"] = None
+        elif malform == "pc-fault-tail-at-another-pc":
+            lines[-1]["fault"] = "pc-out-of-range:0x204"
+        elif malform == "data-fault-tail-address-not-decimal":
+            lines[-1]["fault"] = "data-access-out-of-range:0x1388"
+        elif malform == "data-fault-tail-address-past-32-bits":
+            lines[-1]["fault"] = f"data-access-out-of-range:{MASK32 + 1}"
         else:  # the per-cycle form: a header without cycles, one line per retired cycle
             lines = [{"input": t.input, "program_id": t.program_id}] + [
                 {"cycle": e.cycle, "mnemonic": e.instr.mnemonic, "next_pc": f"0x{e.next_pc:x}",
@@ -372,15 +407,33 @@ class TestTraceSerialization:
         text = "\n".join(map(json.dumps, lines))
         assert text != t.to_jsonl().rstrip("\n")
         reason = ("exactly the keys" if "key" in malform or malform.startswith("old")
+                  else "does not end as a run does" if "tail" in malform
                   else "cover the branches" if malform.startswith(("cycles", "input", "program",
                                                                    "fault"))
                   else "does not match program")
         with pytest.raises(EmulatorError, match=reason):
             trace_from_jsonl(text, p)
 
+    @pytest.mark.parametrize("source, inp, fault", [
+        (P.STRAIGHT_LINE, [], None),
+        (PC_FAULT, [], "pc-out-of-range:0x200"),
+        ("main:\n li r1, 0x102\n jr r1\n halt\n", [], "pc-out-of-range:0x102"),
+        ("main:\n j t\n halt\nt:\n li r1, 1\n li r1, 2\n", [], "pc-out-of-range:0x110"),
+        (DATA_FAULT, [], "data-access-out-of-range:5000"),
+        ("main:\n li r1, 5000\n st r1, [r1-1]\n halt\n", [], "data-access-out-of-range:4999"),
+        (P.WHILE_IF_ELSE, [5000], "data-access-out-of-range:4096")])
+    def test_jsonl_reads_back_every_way_a_run_ends(self, source, inp, fault):
+        # at the halt, past the program by a jump or by falling through, or on a data access
+        p = parse_program(source, "p")
+        t = run(p, inp)
+        again = trace_from_jsonl(t.to_jsonl(), p)
+        assert (again.sites, again.targets, again.cycles, again.fault) \
+            == (t.sites, t.targets, t.cycles, fault)
+        assert again.events == t.events
+
     def test_jsonl_keeps_an_indirect_target_outside_the_program(self):
         # a pc fault: the last branch's target is recorded, and no branch follows it
-        p = parse_program("main:\n li r1, 0x200\n jr r1\n halt\n", "p")
+        p = parse_program(PC_FAULT, "p")
         t = run(p, [])
         again = trace_from_jsonl(t.to_jsonl(), p)
         assert (again.targets, again.cycles, again.fault) == ([0x200], 2, "pc-out-of-range:0x200")

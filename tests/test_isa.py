@@ -7,9 +7,10 @@ from pathlib import Path
 import pytest
 
 import programs as P
+from cfattest import isa
 from cfattest.attestation import build_cfg
 from cfattest.isa import (BASE_ADDR, WORD, AsmError, Instruction, InvalidProgramError, Kind,
-                          Program, cfg_json, parse_program)
+                          Program, State, cfg_json, parse_program)
 from genprog import gen_program
 from views import is_indirect, is_linking
 
@@ -294,3 +295,32 @@ go:
         cfg = cfg_json(P.prog(getattr(P, name), "demo"))
         text = json.dumps(cfg, indent=2, sort_keys=True) + "\n"
         assert text == (GOLDEN / f"cfg_{name.lower()}.json").read_text()
+
+
+class TestState:
+    def test_tables_are_made_once_and_kept_per_program(self):
+        p = P.prog(P.WHILE_IF_ELSE, "w")
+        made = []
+        assert p.state.table("t", lambda k: made.append(k) or [k], 1) == [1]
+        assert p.state.table("t", lambda k: made.append(k) or [k], 2) == [1] and made == [1]
+        assert p.state is p.state and replace(p).state.tables == {}
+
+    def test_the_budget_starts_over_for_an_entry_that_does_not_fit(self, monkeypatch):
+        monkeypatch.setattr(isa, "_MEMO_BYTES", 1000)
+        state = State()
+        first, second = state.memos.setdefault("a", {}), state.memos.setdefault("b", {})
+        cost = isa._held("k0") + isa._held("v") + isa._SLOT
+        for k in range(1000 // cost):
+            assert state.keep(first, f"k{k}", "v") == "v"
+        assert state.room == 1000 - len(first) * cost < cost
+        state.keep(second, "k0", "v")  # no room: every memo starts over
+        assert first == {} and second == {"k0": "v"} and state.room == 1000 - cost
+
+    def test_an_entry_past_the_whole_budget_is_not_kept(self, monkeypatch):
+        monkeypatch.setattr(isa, "_MEMO_BYTES", 1000)
+        state = State()
+        first, second = state.memos.setdefault("a", {}), state.memos.setdefault("b", {})
+        state.keep(first, "k", ("v", (1, 2)))
+        room = state.room
+        assert state.keep(second, "x" * 1000, "y") == "y"
+        assert second == {} and first == {"k": ("v", (1, 2))} and state.room == room

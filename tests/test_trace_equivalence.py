@@ -30,7 +30,7 @@ from hypothesis import strategies as st
 import emulator_oracle
 import programs as P
 import views
-from cfattest import attestation, emulator, loop_monitor
+from cfattest import attestation, emulator, isa, loop_monitor
 from cfattest.attestation import Challenge, generate_keypair, measure, prover_attest, verify
 from cfattest.branch_filter import _backedges, detect_loops, filter_trace
 from cfattest.emulator import (ATTACK_KINDS, AttackError, AttackSpec, CycleLimitExceeded, run,
@@ -397,7 +397,8 @@ def test_run_matches_the_interpreter_on_hand_cases(name):
 def test_a_loop_with_long_blocks_runs_as_one_unit():
     program = parse_program(LONG_BLOCK_LOOP)
     run(program, [])
-    assert sorted(program.__dict__["_units"].units) == [BASE_ADDR, BASE_ADDR + WORD, program.end - WORD]
+    assert sorted(program.state.tables["units"].units) == [BASE_ADDR, BASE_ADDR + WORD,
+                                                            program.end - WORD]
     assert emulator._BLOCK_LIMIT < 132
 
 
@@ -473,7 +474,7 @@ def test_units_of_one_shape_share_a_code_object(monkeypatch):
     for source, inp in [(P.loops_in_one_loop(400), []), (many_loops_source(), [3] * 400)]:
         program = parse_program(source)
         run(program, inp)
-        units = program.__dict__["_units"].units
+        units = program.state.tables["units"].units
         assert len(units) > 800
         assert len({unit.__code__ for unit in units.values()}) <= 6
 
@@ -533,7 +534,7 @@ def test_a_loop_pass_is_a_path_tree():
 
 def _unit_sources(program):
     """The function source of each unit that runs of the program compiled."""
-    units = program.__dict__["_units"]
+    units = program.state.tables["units"]
     return [emulator._source(units.layout(pc, limit)[0])[0] for limit, table in
             ((emulator._BLOCK_LIMIT, units.units), (1, units.steps)) for pc in table]
 
@@ -931,7 +932,7 @@ def test_flat_sessions_on_a_warm_table(name, width, monkeypatch):
             == oracle_measure(trace, config)
     if width == 16:
         assert took == [expected for _, expected in inputs]
-    known = warm.sites.derived[("flat", width)].known
+    _, known = warm.state.tables[("traversals", width)]
     # only traversals that fit the width and hold more than the re-entering site
     assert all(pattern == site + piece + site and piece and len(piece) < width
                and site not in piece for site, pieces in known.items()
@@ -1147,7 +1148,7 @@ def test_attest_and_verify_build_no_session(name, monkeypatch):
 
 def _memo(program, width):
     """A program's flat-session memo at one path width: session sites -> what it adds."""
-    return program.sites.derived[("flat", width)].memo
+    return program.state.memos[("flat", width)]
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -1176,15 +1177,26 @@ def test_sessions_that_differ_only_in_their_last_branch():
         assert len(_memo(program, 16)) == 2
 
 
-def _held_bytes(program, width, *roots):
-    """The bytes a program's memo at one width holds, or the objects `roots`, as
-    `sys.getsizeof` counts every object they reach, less what the site and traversal tables
-    hold too and the memo's empty dict."""
-    tables = program.sites.derived[("flat", width)]
-    shared = set()
-    for bits, words in tables.paths.values():
-        shared |= {id(bits), id(words)}
-    seen, todo, held = set(), list(roots) or [tables.memo], 0 if roots else -sys.getsizeof({})
+def _charge(key, value):
+    """What `State.keep` charges a memo entry."""
+    return isa._held(key) + isa._held(value) + isa._SLOT
+
+
+_STATUSES = (attestation.PATH_VALID_CYCLE, attestation.PATH_VALID_EXIT,
+             attestation.PATH_UNVERIFIABLE, attestation.PATH_INVALID)
+
+
+def _held_bytes(program, *roots):
+    """The bytes a program's memos hold, or the objects `roots`, as `sys.getsizeof` counts
+    every object they reach, less what its traversal tables hold too, the decode statuses
+    (module constants) and each memo's empty dict."""
+    state, shared = program.state, set(map(id, _STATUSES))
+    for key, table in state.tables.items():
+        if key[0] == "traversals":  # (traversal sites -> (bits, words), known traversals)
+            shared.update(id(x) for found in table[0].values() for x in found)
+    memos = list(state.memos.values())
+    seen, todo = set(), list(roots) or memos
+    held = 0 if roots else -len(memos) * sys.getsizeof({})
     while todo:
         x = todo.pop()
         if id(x) in seen or id(x) in shared:
@@ -1200,39 +1212,55 @@ def _held_bytes(program, width, *roots):
 def test_a_memo_past_its_bound_still_measures_every_session(width, monkeypatch):
     # at width 1 every traversal overflows, so a session's stored pairs outweigh its key;
     # 140 loops have 420 sites, so keys take one byte a site, then two
-    monkeypatch.setattr(loop_monitor, "_MEMO_BYTES", 100_000)
+    monkeypatch.setattr(isa, "_MEMO_BYTES", 100_000)
     config, rng = MonitorConfig(n=1, path_width=width), random.Random(11)
     program = parse_program(P.sequential_loops(140), "seq140")
     sizes, held = [], []
     for _ in range(12):
         trace = run(program, [rng.randint(0, 40) for _ in range(140)])
         assert measure(trace, config) == oracle_measure(trace, config)
-        tables = program.sites.derived[("flat", width)]
-        assert sum(loop_monitor._memo_bytes(*item) for item in tables.memo.items()) \
-            + tables.room[0] == tables.bound == 100_000 and tables.room[0] >= 0
-        sizes.append(len(tables.memo))
-        held.append(_held_bytes(program, width))
+        memo, room = _memo(program, width), program.state.room
+        assert sum(_charge(*item) for item in memo.items()) + room \
+            == isa._MEMO_BYTES == 100_000 and room >= 0
+        sizes.append(len(memo))
+        held.append(_held_bytes(program))
     # full, it started over, and kept taking sessions
     assert any(later < size for size, later in zip(sizes, sizes[1:])) and max(sizes) > 8
     assert min(sizes) > 0
-    assert not all(sites.isascii() for sites in tables.memo)
+    assert not all(sites.isascii() for sites in memo)
     assert max(held) <= 100_000
 
 
 def test_each_memo_entry_is_charged_what_it_holds():
-    # sessions of up to eight paths, whose L tails outgrow their keys
+    # sessions of up to eight paths, whose L tails outgrow their keys, and a dispatch loop's,
+    # whose tails hold targets; the verifier's decode reads their tails and paths
     program, rng = parse_program(EIGHT_PATH_LOOP, "e8"), random.Random(8)
+    dispatch = P.prog(P.DISPATCH_LOOP, "d")
+    handlers = [P.label_addr(dispatch, P.DISPATCH_LOOP, f"h{k}") for k in range(4)]
     for n in range(1, 40):
-        measure(run(program, [n] + [rng.randint(0, 1) for _ in range(3 * n)]))
-    memo = program.sites.derived[("flat", 16)].memo
+        for p, inp in ((program, [n] + [rng.randint(0, 1) for _ in range(3 * n)]),
+                       (dispatch, [n % 9] + rng.choices(handlers, k=n % 9))):
+            attestation.check_loop_paths(measure(run(p, inp)).encodings,
+                                         attestation.build_cfg(p), MonitorConfig())
+    memo = _memo(program, 16)
     assert len(memo) == 39 and max(len(found[1]) for found in memo.values()) > 80
     for sites, found in memo.items():
-        assert _held_bytes(program, 16, sites, found) <= loop_monitor._memo_bytes(sites, found)
+        assert _held_bytes(program, sites, found) <= _charge(sites, found)
+    tails = [(p, item) for p in (program, dispatch) for item in p.state.memos["tails"].items()]
+    decoded = [(p, key) for p in (program, dispatch) for key in p.state.memos["decoded"]]
+    assert len(tails) > 40 and len(decoded) > 40
+    assert max(len(paths) for _, (_, (_, paths)) in tails) >= 6
+    assert max(len(targets) for _, (_, (targets, _)) in tails) >= 4
+    for p, (tail, read) in tails:
+        assert _held_bytes(p, tail, read) <= _charge(tail, read)
+    for p, key in decoded:
+        status = p.state.memos["decoded"][key]
+        assert _held_bytes(p, key, status) <= _charge(key, status)
 
 
 def test_a_full_memo_takes_later_repeats(monkeypatch):
     # fresh selector vectors fill the memo; a vector that then comes twice hits the second time
-    monkeypatch.setattr(loop_monitor, "_MEMO_BYTES", 50_000)
+    monkeypatch.setattr(isa, "_MEMO_BYTES", 50_000)
     misses, measure_flat = [], LoopMonitor._measure_flat
     monkeypatch.setattr(LoopMonitor, "_measure_flat",
                         lambda self, *a: misses.append(a) or measure_flat(self, *a))
@@ -1240,12 +1268,92 @@ def test_a_full_memo_takes_later_repeats(monkeypatch):
     vectors = [[100] + [rng.randint(0, 1) for _ in range(100)] for _ in range(80)]
     for inp in vectors[:-1]:
         measure(run(program, inp))
-    tables = program.sites.derived[("flat", 16)]
-    assert len(misses) == len(vectors) - 1 > len(tables.memo)  # it started over at least once
+    assert len(misses) == len(vectors) - 1 > len(_memo(program, 16))  # it started over
     for _ in range(2):
         trace = run(program, vectors[-1])
         assert measure(trace) == oracle_measure(trace, MonitorConfig())
     assert len(misses) == len(vectors)
+
+
+def _charged(state):
+    """The bytes a state's memos are charged: each entry's."""
+    return sum(_charge(*item) for memo in state.memos.values() for item in memo.items())
+
+
+def _watch_start_overs(monkeypatch):
+    """The start-overs of every `State.keep` from now on: the memo and key of the entry that
+    did not fit and the keys of the memos that held entries then.  Each keep is checked to
+    leave the budget's room at 0 or more, and each start-over to have emptied every memo but
+    for that entry."""
+    starts, keep = [], isa.State.keep
+
+    def watched(state, memo, key, value):
+        cost = _charge(key, value)
+        over = state.room < cost <= isa._MEMO_BYTES
+        held = {k for k, m in state.memos.items() if m}
+        keep(state, memo, key, value)
+        assert state.room >= 0
+        if over:
+            starts.append((memo, key, held))
+            assert [list(m) for m in state.memos.values() if m] == [[key]]
+            assert state.room == isa._MEMO_BYTES - cost
+        return value
+    monkeypatch.setattr(isa.State, "keep", watched)
+    return starts
+
+
+def test_one_budget_holds_the_memos_of_prover_and_verifier(monkeypatch):
+    # attest and verify on one program under a small budget: the flat-session memo, the
+    # decode statuses and the session tails are charged to it together, a start-over empties
+    # them all, and A, L and the verdicts are a fresh copy's (the oracle's, for dispatch)
+    monkeypatch.setattr(isa, "_MEMO_BYTES", 60_000)
+    starts, rng = _watch_start_overs(monkeypatch), random.Random(26)
+    seq = parse_program(P.sequential_loops(140), "seq140")
+    dispatch = dataclasses.replace(CASES["dispatch"][0])
+    handlers = [P.label_addr(dispatch, P.DISPATCH_LOOP, f"h{k}") for k in range(4)]
+
+    def dispatches():
+        k = rng.randint(1, 12)
+        return [k] + rng.choices(handlers, k=k)
+    for program, draw in ((seq, lambda: [rng.randint(0, 40) for _ in range(140)]),
+                          (dispatch, dispatches)):
+        for inp in [draw() for _ in range(12)] + [draw() for _ in range(40)] * 2:
+            challenge, fresh = Challenge.fresh(program.id, inp), dataclasses.replace(program)
+            report = prover_attest(program, challenge, _SK)
+            expected = measure(run(fresh, inp))
+            assert report.path == expected
+            if program is dispatch:
+                assert expected == oracle_measure(run(fresh, inp), MonitorConfig())
+            result = verify(report, challenge, _PK, program)
+            assert result.accepted and result == verify(report, challenge, _PK, fresh)
+            state = program.state
+            assert _charged(state) + state.room == isa._MEMO_BYTES and state.room >= 0
+            assert _held_bytes(program) <= isa._MEMO_BYTES
+        # a dispatch loop's body holds calls, so it has no flat session
+        memos = {"decoded", "tails"} | ({("flat", 16)} if program is seq else set())
+        ours = [held for memo, _, held in starts
+                if any(memo is m for m in program.state.memos.values())]
+        assert memos in ours and set().union(*ours) == memos
+    # an entry of each memo once found it full
+    assert {type(key) for _, key, _ in starts} == {str, bytes, tuple}
+
+
+def test_benchmark_shaped_traffic_never_starts_over(monkeypatch):
+    # the benchmark's pools, attested and verified on one program each, fit the budget
+    starts, rng = _watch_start_overs(monkeypatch), random.Random(1)
+    pools = [(P.WHILE_IF_ELSE, [[4000] + [rng.randint(0, 1) for _ in range(4000)]
+                                for _ in range(128)]),
+             (P.sequential_loops(400), [[rng.randint(15, 25) for _ in range(400)]
+                                        for _ in range(32)])]
+    for source, pool in pools:
+        program = parse_program(source)
+        for inp in pool:
+            challenge = Challenge.fresh(program.id, inp)
+            assert verify(prover_attest(program, challenge, _SK), challenge, _PK,
+                          program).accepted
+        # with a third of the budget to spare
+        assert not starts and program.state.room > isa._MEMO_BYTES // 3
+    assert len(program.state.memos["decoded"]) == 800  # two paths of each of the 400 loops
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

@@ -25,6 +25,7 @@ from enum import Enum
 from itertools import accumulate, starmap
 from math import inf
 from operator import sub
+from types import SimpleNamespace
 from typing import NamedTuple, Union
 
 from cfattest.attestation import DIGEST_LEN, ProgramPath
@@ -32,7 +33,7 @@ from cfattest.branch_filter import detect_loops
 from cfattest.emulator import Branches
 from cfattest.hash_engine import pair_bytes
 from cfattest.isa import (CALL, INDIRECT_CALL, INDIRECT_JUMP, JUMP, NOT_TAKEN, RETURN,
-                          STRAIGHT_KINDS, TAKEN, WORD, Instruction, Kind, Sites)
+                          STRAIGHT_KINDS, TAKEN, WORD, Instruction, Kind, Sites, State)
 from cfattest.loop_monitor import (DEFAULT_MAX_DEPTH, FAULT_MARKER_ENTRY, LoopMonitor,
                                    LoopSession, MonitorConfig, join_metadata, session_head,
                                    session_tail)
@@ -234,12 +235,13 @@ def annotated(b: Branches, max_depth: int = DEFAULT_MAX_DEPTH) -> list[StreamIte
 
 def branches_from_columns(src: list[int], dest: list[int], kinds: str,
                           cycle: list[int]) -> Branches:
-    """Branches with exactly these columns, read through a site table of their own."""
+    """Branches with exactly these columns, read through a site table and a state of their
+    own, as a program's (`Program.sites`, `Program.state`)."""
     ends = [(s, None if k in _INDIRECT_SITES else d, k) for s, d, k in zip(src, dest, kinds)]
     site_of = {end: chr(n) for n, end in enumerate(sorted(dict.fromkeys(ends), key=lambda e: e[0]))}
     b = Branches("".join(map(site_of.__getitem__, ends)),
                  [d for d, k in zip(dest, kinds) if k in _INDIRECT_SITES],
-                 Sites(None, list(site_of)))
+                 SimpleNamespace(sites=Sites(None, list(site_of)), state=State()))
     # given, not derived: a hand-written stream need not be a run
     b._columns = Columns(list(src), list(dest), kinds, list(cycle))
     return b
