@@ -10,16 +10,17 @@ are the loop monitor's (`session_head`, `session_tail`, `check_metadata`).
 `Report.from_json` checks them with one offset walk that builds no objects.
 A `ProgramPath` is bytes, A and each session's encoding in L, as the loop
 monitor emits them, so the prover signs without building a session; its
-`sessions` are parsed from L only when read.  The verifier checks the
-binary hash, freshness and signature, then replays the execution and
-compares the encoding of its own (A, L) with the signed bytes.  Equal bytes
-are equal A and L, so it structurally decodes the paths of the replay's
-session encodings against the program's static table (`Cfg`: its loop
-bodies and its stop table) and builds no session; the program's state keeps
-that table and its hash, and memos of the tails read and the decode statuses.
-Only other bytes are split into the report's encodings, to be decoded and
-compared with the replay's.  Prover and verifier share one measurement
-implementation, so any asymmetry is structurally impossible.
+`sessions` are parsed from L only when read, by tests and the benchmark
+alone.  The verifier checks the binary hash, freshness and signature, then
+replays the execution and compares the encoding of its own (A, L) with the
+signed bytes.  Equal bytes are equal A and L, so it structurally decodes
+the paths of the replay's session encodings against the program's static
+table (`Cfg`: its loop bodies and its stop table) and builds no session; the
+program's state keeps that table and its hash, and memos of the tails read
+and the decode statuses.  Only other bytes are split into the report's
+encodings, to be decoded and compared with the replay's.  Prover and
+verifier share one measurement implementation, so any asymmetry is
+structurally impossible.
 """
 from __future__ import annotations
 
@@ -383,8 +384,10 @@ class Cfg:
 
 def build_cfg(program: Program) -> Cfg:
     """The program's static table, from its sites; built once per program, in its state."""
-    if (cfg := program.state.tables.get("cfg")) is not None:
-        return cfg
+    return program.state.table("cfg", _static_table, program)
+
+
+def _static_table(program: Program) -> Cfg:
     sites, loops, stops = program.sites, {}, {}
     for src, dest in sites.backward.values():
         loops[dest] = max(loops.get(dest, 0), src)
@@ -398,7 +401,7 @@ def build_cfg(program: Program) -> Cfg:
             stops[a] = ((ahead[0] - a) // WORD - (ahead[1] == _ENTRY), *ahead)
         if a in loops:
             ahead = (a, _ENTRY, None)
-    return program.state.tables.setdefault("cfg", Cfg(loops, stops, program.state))
+    return Cfg(loops, stops, program.state)
 
 
 def decode_loop_path(entry: int, targets: tuple[int, ...], bits: str, cfg: Cfg,

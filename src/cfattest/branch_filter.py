@@ -1,14 +1,15 @@
 """Branch filtering and loop discovery over the branch record.
 
-`filter_trace` hands on the trace's `Branches`: one site character per
-branch plus the targets of indirect transfers (`isa.Sites`).  A branch's
-loop-path bit is '0' for a not-taken conditional, '1' for a taken
-conditional or direct transfer and `INDIRECT` for an indirect transfer,
-coded by target (`site_bits`).  `detect_loops` discovers the run's loops,
-taking non-linking backward branches as backedges (link-register heuristic),
-so the first traversal of a loop is attributed like later ones and A does
-not depend on the iteration count.  It finds backedges only: recursion needs
-the call stack, which the loop monitor's walk keeps (`LoopMonitor.process`).
+`filter_trace` hands on the trace itself, the run's branch record: one site
+character per branch plus the targets of indirect transfers, read through
+its program's site table (`isa.Sites`) and state.  A branch's loop-path bit
+is '0' for a not-taken conditional, '1' for a taken conditional or direct
+transfer and `INDIRECT` for an indirect transfer, coded by target
+(`site_bits`).  `detect_loops` discovers the run's loops, taking non-linking
+backward branches as backedges (link-register heuristic), so the first
+traversal of a loop is attributed like later ones and A does not depend on
+the iteration count.  It finds backedges only: recursion needs the call
+stack, which the loop monitor's walk keeps (`LoopMonitor.process`).
 Its table of loop bodies (`_Loops`, the last kept in `Program.state`) gives
 the loops enclosing an address, so the walk costs no more per branch as the
 number of loops grows.  Discovery finds the static backedges with one
@@ -39,7 +40,7 @@ from bisect import bisect_left, bisect_right
 from typing import Optional
 
 from .isa import CALL, INDIRECT_CALL, INDIRECT_JUMP, JUMP, RETURN, TAKEN, Sites, char_class
-from .emulator import Branches, Trace
+from .emulator import Trace
 
 INDIRECT = "x"
 _TRANSFERS = CALL + INDIRECT_CALL + INDIRECT_JUMP + RETURN  # none lies in a flat body
@@ -51,17 +52,17 @@ def site_bits(table: Sites) -> str:
     return table.kinds.translate(_BITS)
 
 
-def filter_trace(trace: Trace) -> Branches:
-    """The trace's control-flow events, in order."""
-    return trace.branches
+def filter_trace(trace: Trace) -> Trace:
+    """The trace's control-flow events, in order: its branch record."""
+    return trace
 
 
-def _backedges(table: Sites, sites: str) -> set[tuple[int, int]]:
+def _backedges(trace: Trace) -> set[tuple[int, int]]:
     """(dest, src) of each static backedge in the run's sites.  Each backward site is looked
     for from where the one before it was found, then before that: loops that run in address
     order take one pass over the sites in all, and no site more than one."""
-    found, at = set(), 0
-    for c, (src, dest) in table.backward.items():
+    sites, found, at = trace.sites, set(), 0
+    for c, (src, dest) in trace.program.sites.backward.items():
         k = sites.find(c, at)
         if k < 0:
             k = sites.find(c, 0, at)
@@ -72,11 +73,11 @@ def _backedges(table: Sites, sites: str) -> set[tuple[int, int]]:
     return found
 
 
-def _discover_loops(b: Branches) -> dict[int, int]:
+def _discover_loops(trace: Trace) -> dict[int, int]:
     """Entry -> largest backedge src: the static backedges, found by site, and the backward
     indirect jumps, by target."""
-    backward, site, sites = _backedges(b.table, b.sites), b.table.site, b.sites
-    for i, dest in b.target_at.items():
+    backward, site, sites = _backedges(trace), trace.program.sites.site, trace.sites
+    for i, dest in trace.target_at.items():
         src, _, kind = site[sites[i]]
         if kind == INDIRECT_JUMP and dest < src:
             backward.add((dest, src))
@@ -155,10 +156,10 @@ class _Loops(dict):
         return found
 
 
-def detect_loops(b: Branches) -> tuple[Branches, _Loops]:
-    """The run's loops: the branches and the table of loop bodies."""
-    loops, tables = _discover_loops(b), b.state.tables
+def detect_loops(trace: Trace) -> tuple[Trace, _Loops]:
+    """The run's loops: the trace and the table of loop bodies."""
+    loops, tables = _discover_loops(trace), trace.program.state.tables
     enclosing = tables.get("loops")
     if enclosing is None or enclosing.loops != loops:
-        enclosing = tables["loops"] = _Loops(loops, b.table)
-    return b, enclosing
+        enclosing = tables["loops"] = _Loops(loops, trace.program.sites)
+    return trace, enclosing

@@ -16,7 +16,7 @@ from .emulator import (ATTACK_KINDS, DEFAULT_CYCLE_CAP, AttackSpec, CycleLimitEx
                        EmulatorError, run, trace_from_jsonl)
 from .hash_engine import simulate_absorb
 from .isa import Program, cfg_json, parse_program
-from .loop_monitor import MonitorConfig
+from .loop_monitor import PARENT_NONE, SESSION_HEAD, MonitorConfig, read_tail
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -89,13 +89,21 @@ def cmd_measure(args) -> int:
     prog = _program(args.program)
     trace = trace_from_jsonl(Path(args.trace).read_text(), prog)
     path = att.measure(trace, _config(args))
-    out = {
-        "program_id": trace.program_id,
-        "A_hex": path.authenticator.hex(),
-        "L": [s.to_json() for s in path.sessions],
-    }
+    out = {"program_id": prog.id, "A_hex": path.authenticator.hex(),
+           "L": [_session_json(encoding) for encoding in path.encodings]}
     _write(args.output, json.dumps(out, indent=2, sort_keys=True) + "\n")
     return EXIT_OK
+
+
+def _session_json(encoding: bytes) -> dict:
+    """A session of L, read from its bytes, as `cfattest measure` prints it."""
+    entry, depth, parent = SESSION_HEAD.unpack_from(encoding)
+    paths, targets = read_tail(encoding, SESSION_HEAD.size)
+    return {"loop_entry": f"0x{entry:x}", "depth": depth,
+            "parent": None if parent == PARENT_NONE else parent,
+            "paths": [{"bits": bits, "count": count} for bits, count in paths],
+            "indirect_targets": [f"0x{t:x}" for t in targets],
+            "path_overflow": encoding[SESSION_HEAD.size] == 1}
 
 
 def cmd_attest(args) -> int:

@@ -3,9 +3,11 @@
 One instruction retires per cycle.  A run records only its branches, in the
 layout of Intel PT's TNT/TIP packets: one **site character** per branch,
 naming its (instruction, taken) pair in the program's site table
-(`Program.sites`), plus the target of each indirect transfer.  The trace
-file (`Trace.to_jsonl`) is that record, one line per branch; the per-cycle
-stream (`Trace.events`) is derived from it on demand.
+(`Program.sites`), plus the target of each indirect transfer.  A `Trace` is
+that record, the one the pipeline reads.  Its file (`Trace.to_jsonl`) has
+one line per branch under a header naming the program and the data memory
+size, and is read back only against that program; the per-cycle stream
+(`Trace.events`) is derived from the record on demand.
 
 The program runs as Python functions, *units*, compiled from `SEMANTICS`
 when control first reaches them and kept in `Program.state`.  An innermost
@@ -103,46 +105,19 @@ class AttackSpec:
 
 @dataclass
 class Trace:
-    """One run: its branch record and the number of retired cycles.
+    """One run of `program`: its branch record, retired cycles and data memory size.
 
     The record is one site character per branch (`Sites`) plus the target of
-    each indirect transfer, in order.  `branches` reads it through the
-    program's site table.
+    each indirect transfer, in order; the pipeline reads it through the
+    program's site table.  Its length is its branch count.
     """
-    program_id: str
     input: list[int]
     program: Program
     sites: str
     targets: list[int]
     cycles: int
+    data_mem_words: int
     fault: Optional[str] = None
-
-    @cached_property
-    def branches(self) -> "Branches":
-        return Branches(self.sites, self.targets, self.program)
-
-    @cached_property
-    def events(self) -> "TraceEvents":
-        """Every retired cycle, as a read-only sequence of TraceEvent."""
-        return TraceEvents(self)
-
-    def to_jsonl(self) -> str:
-        """The record as `trace_from_jsonl` reads it: header, one line per branch, fault."""
-        kinds = self.program.sites.kinds
-        lines = [{"cycles": self.cycles, "input": self.input, "program_id": self.program_id}]
-        lines += [{"next_pc": f"0x{d:x}", "pc": f"0x{s:x}", "taken": _TAKEN.get(kinds[ord(c)])}
-                  for c, (s, d) in zip(self.sites, self.branches.pairs(0, len(self.sites)))]
-        lines.append({"fault": self.fault})
-        return "".join(json.dumps(d, sort_keys=True) + "\n" for d in lines)
-
-
-class Branches:
-    """A run's branches: its site string and indirect targets, read through its program's
-    site table (`table`), with the program's state."""
-
-    def __init__(self, sites: str, targets: list[int], program: Program):
-        self.sites, self.targets = sites, targets
-        self.table, self.state = program.sites, program.state
 
     def __len__(self) -> int:
         return len(self.sites)
@@ -152,16 +127,32 @@ class Branches:
         """Position -> target of each indirect transfer."""
         if not self.targets:
             return {}
-        at = (m.start() for m in self.table.indirect.finditer(self.sites))
+        at = (m.start() for m in self.program.sites.indirect.finditer(self.sites))
         return dict(zip(at, self.targets))
 
     def pairs(self, i: int, j: int) -> list[tuple[int, int]]:
         """(Src, Dest) of branches i..j-1."""
-        pairs = list(map(self.table.pair.__getitem__, self.sites[i:j]))
-        if not self.targets or self.table.indirect.search(self.sites, i, j) is None:
+        table = self.program.sites
+        pairs = list(map(table.pair.__getitem__, self.sites[i:j]))
+        if not self.targets or table.indirect.search(self.sites, i, j) is None:
             return pairs
         at = self.target_at
         return [(s, at[k] if d is None else d) for k, (s, d) in enumerate(pairs, i)]
+
+    @cached_property
+    def events(self) -> "TraceEvents":
+        """Every retired cycle, as a read-only sequence of TraceEvent."""
+        return TraceEvents(self)
+
+    def to_jsonl(self) -> str:
+        """The record as `trace_from_jsonl` reads it: header, one line per branch, fault."""
+        kinds = self.program.sites.kinds
+        lines = [{"cycles": self.cycles, "data_mem_words": self.data_mem_words,
+                  "input": self.input, "program_id": self.program.id}]
+        lines += [{"next_pc": f"0x{d:x}", "pc": f"0x{s:x}", "taken": _TAKEN.get(kinds[ord(c)])}
+                  for c, (s, d) in zip(self.sites, self.pairs(0, len(self)))]
+        lines.append({"fault": self.fault})
+        return "".join(json.dumps(d, sort_keys=True) + "\n" for d in lines)
 
 
 class TraceEvents(Sequence):
@@ -178,7 +169,7 @@ class TraceEvents(Sequence):
     @cached_property
     def _built(self) -> list[TraceEvent]:
         t, out, pc = self._trace, [], self._trace.program.entry_point
-        branches = zip(t.sites, t.branches.pairs(0, len(t.sites)))
+        branches = zip(t.sites, t.pairs(0, len(t)))
         site, (src, dest) = next(branches, (None, (None, None)))
         for cycle in range(t.cycles):
             out.append(_event(t.program, cycle, pc, site if pc == src else None, dest))
@@ -212,18 +203,21 @@ def _event(program: Program, cycle: int, pc: int, site: Optional[str], dest) -> 
 
 
 def trace_from_jsonl(text: str, program: Program) -> Trace:
-    """Rebuild a Trace from its JSONL form (`Trace.to_jsonl`); EmulatorError for other text, a
-    per-cycle trace too.  Each branch must be the first transfer or halt that straight-line code
-    reaches from the entry point or the branch before, with its site's taken flag and Dest, and
-    the run must end after the last one as `cycles` and `fault` say."""
+    """Rebuild a Trace of `program` from its JSONL form (`Trace.to_jsonl`); EmulatorError for
+    other text, a per-cycle trace or one naming another program too.  Each branch must be the
+    first transfer or halt that straight-line code reaches from the entry point or the branch
+    before, with its site's taken flag and Dest, and the run must end after the last one as
+    `cycles` and `fault` say, a data fault at an address past its data memory."""
     table, sites, targets, pc, cycle = program.sites, [], [], program.entry_point, 0
     stops = [i.addr for i in program.instructions if i.kind not in STRAIGHT_KINDS]
     try:
         head, *branches, tail = [json.loads(l) for l in text.splitlines() if l.strip()]
-        if head.keys() != {"cycles", "input", "program_id"} or tail.keys() != {"fault"} or any(
-                d.keys() != {"next_pc", "pc", "taken"} for d in branches):
-            raise EmulatorError("a trace's lines must have exactly the keys cycles, input and "
-                                "program_id, then next_pc, pc and taken, then fault")
+        if head.keys() != {"cycles", "data_mem_words", "input", "program_id"} or tail.keys() \
+                != {"fault"} or any(d.keys() != {"next_pc", "pc", "taken"} for d in branches):
+            raise EmulatorError("a trace's lines must have exactly the keys cycles, data_mem_words,"
+                                " input and program_id, then next_pc, pc and taken, then fault")
+        if head["program_id"] != program.id:
+            raise EmulatorError(f"trace names program {head['program_id']!r}, not {program.id!r}")
         for d in branches:
             at, taken, next_pc = int(d["pc"], 16), d["taken"], int(d["next_pc"], 16)
             k = bisect_left(stops, pc)
@@ -238,11 +232,13 @@ def trace_from_jsonl(text: str, program: Program) -> Trace:
                 raise EmulatorError(f"trace does not match program at pc 0x{at:x}")
             sites.append(site)
             pc, cycle = next_pc, cycle + (at - pc) // WORD + 1
-        cycles, inp, fault = head["cycles"], head["input"], tail["fault"]
-        if (type(cycles) is not int or cycles < cycle or not isinstance(head["program_id"], str)
-                or not isinstance(inp, list) or any(type(w) is not int for w in inp)
-                or fault is not None and not isinstance(fault, str)):
-            raise EmulatorError("bad cycles, input, program_id or fault; cycles cover the branches")
+        cycles, words, inp, fault = head["cycles"], head["data_mem_words"], head["input"], \
+            tail["fault"]
+        if (type(cycles) is not int or cycles < cycle or not isinstance(inp, list)
+                or any(type(w) is not int for w in inp) or type(words) is not int
+                or words < max(len(inp), 1) or fault is not None and not isinstance(fault, str)):
+            raise EmulatorError("bad cycles, data_mem_words, input or fault; cycles cover the "
+                                "branches and data memory the input")
         # from pc, straight-line code runs to `stop`: the next transfer or halt, or the first
         # address past the program (pc if outside).  The run ends at that halt or address, or
         # on a load or store before it whose access faults; `at` retires last
@@ -252,10 +248,10 @@ def trace_from_jsonl(text: str, program: Program) -> Trace:
             re.fullmatch("data-access-out-of-range:(0|[1-9][0-9]*)", fault or "")
         if not (fault is None and at == stop and last is not None and last.kind is Kind.HALT
                 or last is None and at + WORD == stop and fault == f"pc-out-of-range:0x{stop:x}"
-                or m and int(m[1]) <= MASK32 and pc <= at < stop
+                or m and words <= int(m[1]) <= MASK32 and pc <= at < stop
                 and program.instr_at(at).kind in (Kind.LOAD, Kind.STORE)):
             raise EmulatorError(f"trace does not end as a run does after pc 0x{pc:x}")
-        return Trace(head["program_id"], inp, program, "".join(sites), targets, cycles, fault)
+        return Trace(inp, program, "".join(sites), targets, cycles, words, fault)
     except (ValueError, KeyError, TypeError, AttributeError) as e:  # bad JSON or hex, a list
         raise EmulatorError(f"malformed trace: {e!r}") from None
 
@@ -536,4 +532,4 @@ def _execute(program: Program, input_words: list[int], attack: Optional[AttackSp
         stepping = capped or attack is not None or observer is not None
 
     fault = None if pc is None else pc if isinstance(pc, str) else f"pc-out-of-range:0x{pc:x}"
-    return Trace(program.id, list(input_words), program, "".join(sites), targets, cycle, fault)
+    return Trace(list(input_words), program, "".join(sites), targets, cycle, len(mem), fault)

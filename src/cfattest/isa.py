@@ -300,8 +300,7 @@ class Sites:
     holds the static loop backedges: the taken or jump sites with Dest < Src.
     """
 
-    def __init__(self, entry: int, ends: list[tuple[int, Optional[int], str]]):
-        self.entry = entry
+    def __init__(self, ends: list[tuple[int, Optional[int], str]]):
         self.site = {chr(n): end for n, end in enumerate(ends)}
         self.srcs = [src for src, _, _ in ends]
         self.pair = {c: (src, dest) for c, (src, dest, _) in self.site.items()}
@@ -320,7 +319,7 @@ class Sites:
                 ends += [(ins.addr, ins.addr + WORD, NOT_TAKEN), (ins.addr, ins.target, TAKEN)]
             elif ins.kind in _SITE_KIND:  # an indirect transfer has no target
                 ends.append((ins.addr, ins.target, _SITE_KIND[ins.kind]))
-        return cls(program.entry_point, ends)
+        return cls(ends)
 
 
 # --- derived state ------------------------------------------------------------

@@ -1,13 +1,13 @@
 """The loop walk, loop path encoding, per-path iteration counters and metadata.
 
-`LoopMonitor.process` walks the branch record once, with the loops that
-`detect_loops` discovered, keeping the call stack as calls and returns
-retire.  It opens a loop context at each loop entry (a fallthrough into a
-loop body, an arrival branch onto its entry, or a directly recursive call:
-one into a callee on the call stack, mutual recursion included), ends a
-traversal at each branch re-entering the entry, and closes the context at
-the first branch that leaves it (returns below its call depth or, at that
-depth, lands outside its body).  A context
+`LoopMonitor.process` walks the run's `Trace` once, through its program's
+site table and state, with the loops that `detect_loops` discovered, keeping
+the call stack as calls and returns retire.  It opens a loop context at each
+loop entry (a fallthrough into a loop body, an arrival branch onto its
+entry, or a directly recursive call: one into a callee on the call stack,
+mutual recursion included), ends a traversal at each branch re-entering the
+entry, and closes the context at the first branch that leaves it (returns
+below its call depth or, at that depth, lands outside its body).  A context
 nested deeper than `max_depth` is tracked, but not measured as a loop: its
 branches are hashed like those outside any loop.  Every other context is one
 session in L.
@@ -62,7 +62,9 @@ one's head joined to the tail of its memo entry, so a flat session is encoded
 once per program.  `session_head` and `session_tail` are L's one encoder and
 `check_metadata` its strict reader, one walk that builds nothing: what it
 accepts re-serialises to the same bytes.  `LoopSession`s and `PathId`s come
-only from reading L (`parse_metadata`).
+only from reading L (`parse_metadata`), and nothing in this package reads
+them: `cfattest measure` prints L from its bytes; only tests and the
+benchmark use this object view.
 """
 from __future__ import annotations
 
@@ -129,7 +131,7 @@ class MonitorConfig:
 
 @dataclass(frozen=True)
 class PathId:
-    """Loop path encoding with explicit length ('011' != '0011')."""
+    """Loop path encoding with explicit length ('011' != '0011'); L's object view only."""
     bits: str
 
     def __post_init__(self):
@@ -161,24 +163,14 @@ def unpack_bits(data: bytes, bit_len: int) -> str:
 
 @dataclass(slots=True)
 class LoopSession:
-    """Per-loop-execution record in the metadata L."""
+    """Per-loop-execution record in the metadata L, as `parse_metadata` reads it: an object
+    view that only tests and the benchmark read."""
     loop_entry: int
     depth: int
     parent: Optional[int]                 # index of enclosing session in L
     paths: list[tuple[PathId, int]]       # first-occurrence order
     indirect_targets: list[int]           # first-seen order; code = index + 1
     path_overflow: bool = False
-
-    def to_json(self) -> dict:
-        """Human-readable view (`cfattest measure`); reports carry L in binary."""
-        return {
-            "loop_entry": f"0x{self.loop_entry:x}",
-            "depth": self.depth,
-            "parent": self.parent,
-            "paths": [{"bits": p.bits, "count": c} for p, c in self.paths],
-            "indirect_targets": [f"0x{t:x}" for t in self.indirect_targets],
-            "path_overflow": self.path_overflow,
-        }
 
 
 def session_head(entry: int, depth: int, parent: Optional[int]) -> bytes:
@@ -268,7 +260,7 @@ def read_tail(data: bytes, off: int) -> tuple[list[tuple[str, int]], tuple[int, 
 
 def parse_metadata(data: bytes) -> tuple[LoopSession, ...]:
     """Binary L read into sessions, strictly (`check_metadata`): what it accepts
-    re-serialises to `data`."""
+    re-serialises to `data`.  Only tests and the benchmark call it."""
     sessions = []
     pids: dict[str, PathId] = {}  # path bits -> their PathId
     for off in check_metadata(data)[:-1]:
@@ -331,11 +323,10 @@ class LoopMonitor:
 
     def _hash(self, i: int, j: int) -> None:
         """Send the (Src, Dest) words of branches i..j-1 to the hash engine."""
-        b = self._branches
-        if b.targets and b.table.indirect.search(b.sites, i, j):
-            self.stream.append(b"".join(starmap(pair_bytes, b.pairs(i, j))))
+        if self._target_at and self._indirect.search(self._sites, i, j):
+            self.stream.append(b"".join(starmap(pair_bytes, self._trace.pairs(i, j))))
         else:
-            self.stream.append(b"".join(map(self._word, b.sites[i:j])))
+            self.stream.append(b"".join(map(self._word, self._sites[i:j])))
 
     def _end_traversal(self, s: _Context, hashed: bool) -> None:
         for i, j in s.buffer if hashed else ():
@@ -501,10 +492,11 @@ class LoopMonitor:
     def process(self, found: tuple) -> tuple[bytes, list[bytes]]:
         """Walk the branches once, given `detect_loops`'s loops, and measure each loop: A's
         stream as packed (Src, Dest) words, and each session's bytes in L (its head and tail)."""
-        b, enclosing = found
-        self._branches, self._sites, self._target_at = b, b.sites, b.target_at
-        state, width, pairs = b.state, self.config.path_width, b.table.pair
-        self._state, self._bits = state, state.table("bits", site_bits, b.table)
+        trace, enclosing = found
+        table, state, width = trace.program.sites, trace.program.state, self.config.path_width
+        self._trace, self._sites, self._target_at = trace, trace.sites, trace.target_at
+        self._indirect, self._state = table.indirect, state
+        self._bits, pairs = state.table("bits", site_bits, table), table.pair
         self._word = state.table("words", lambda: {
             c: pair_bytes(*pair) for c, pair in pairs.items() if pair[1] is not None}).__getitem__
         self._paths, self._known = state.table(("traversals", width), lambda: ({}, {}))
@@ -513,7 +505,7 @@ class LoopMonitor:
         self._entries: dict[str, bytes] = {}  # path bits -> their length byte and packed bits
         loops, flat, exits = enclosing.loops, enclosing.flat, enclosing.exit
         max_depth = self.config.max_depth
-        sites, site, target_at, n = b.sites, b.table.site, b.target_at, len(b)
+        sites, site, target_at, n = trace.sites, table.site, trace.target_at, len(trace)
         stack = self._stack = [_Context(-1, -1, -1, -1, 0)]  # the bottom one is never left
         open_at: dict[int, _Context] = {}  # entry -> its context; no entry is open twice
         call_depth = 0

@@ -193,4 +193,4 @@ def execute(program: Program, input_words: list[int], attack: Optional[AttackSpe
         pc = next_pc
         cycle += 1
 
-    return Trace(program.id, list(input_words), program, "".join(sites), targets, cycle, fault)
+    return Trace(list(input_words), program, "".join(sites), targets, cycle, len(mem), fault)

@@ -4,8 +4,8 @@ from cfattest.branch_filter import _discover_loops, detect_loops, filter_trace
 from cfattest.emulator import run
 from cfattest.isa import Kind, parse_program
 from cfattest.loop_monitor import LoopMonitor
-from views import (BranchKind, LoopStatusKind, as_objects, branch_events, branches_from_columns,
-                   is_control)
+from views import (BranchKind, LoopStatusKind, as_objects, branch_events, is_control,
+                   trace_from_columns)
 
 E = LoopStatusKind.ENTER
 I = LoopStatusKind.ITERATION_BOUNDARY
@@ -87,10 +87,10 @@ done:
 
     def test_direct_recursion_detected(self):
         f = 0x200
-        calls = branches_from_columns(src=[0x100, f + 8, f + 12, f + 12],
-                                      dest=[f, f, f + 12, 0x104],
-                                      kinds="ccrr",  # direct calls, returns
-                                      cycle=[0, 1, 2, 3])
+        calls = trace_from_columns(src=[0x100, f + 8, f + 12, f + 12],
+                                   dest=[f, f, f + 12, 0x104],
+                                   kinds="ccrr",  # direct calls, returns
+                                   cycle=[0, 1, 2, 3])
         assert _discover_loops(calls) == {}
         # the second call opens a recursion session at f in the monitor's L
         _, sessions = as_objects(LoopMonitor().process(detect_loops(calls)))
@@ -161,10 +161,10 @@ class TestDetectLoops:
     def test_recursion_enter_iterate_exit(self):
         f = 0x200
         # call, recursive call (enter), recursive call (iterate), three returns
-        stream = branches_from_columns(src=[0x100, f + 8, f + 8, f + 12, f + 12, f + 12],
-                                       dest=[f, f, f, f + 12, f + 12, 0x104],
-                                       kinds="cccrrr",
-                                       cycle=[0, 1, 2, 3, 4, 5])
+        stream = trace_from_columns(src=[0x100, f + 8, f + 8, f + 12, f + 12, f + 12],
+                                    dest=[f, f, f, f + 12, f + 12, 0x104],
+                                    kinds="cccrrr",
+                                    cycle=[0, 1, 2, 3, 4, 5])
         annotated = views.annotated(stream)
         kinds = loop_kinds(annotated)
         assert kinds == [(E, f), (I, f), (X, f)]
@@ -174,9 +174,9 @@ class TestDetectLoops:
     def test_implicit_exit_at_end_of_trace(self):
         events = filter_trace(run(P.prog(P.WHILE_IF_ELSE, "w"), [2, 0, 0]))
         n = len(events) - 2  # the branches up to and including events[-3]
-        truncated = branches_from_columns(*(column[:n] for column in views.columns(events)))
+        truncated = trace_from_columns(*(column[:n] for column in views.columns(events)))
         annotated = views.annotated(truncated)
         assert loop_kinds(annotated)[-1][0] is X
 
     def test_empty_stream(self):
-        assert views.annotated(branches_from_columns([], [], "", [])) == []
+        assert views.annotated(trace_from_columns([], [], "", [])) == []

@@ -12,7 +12,7 @@ from cfattest.attestation import (Challenge, ProgramPath, Report, canonical_seri
                                   program_hash, sign)
 from cfattest.cli import _REASON_EXIT, main
 from cfattest.emulator import run
-from cfattest.isa import Program
+from cfattest.isa import Program, parse_program
 
 
 def cfattest(*argv):
@@ -308,7 +308,8 @@ class TestUsageErrors:
 
     @pytest.mark.parametrize("malform", ["bne-taken-null", "empty", "record-without-pc",
                                          "last-two-branch-lines-dropped", "cycles-raised",
-                                         "per-cycle-file"])
+                                         "per-cycle-file", "names-another-program",
+                                         "data-fault-inside-memory"])
     def test_malformed_trace_exit_1(self, ws, capsys, malform):
         assert cfattest("run", ws / "prog.json", "--input", "3,0,1,0",
                         "-o", ws / "trace.jsonl") == 0
@@ -325,6 +326,16 @@ class TestUsageErrors:
             del lines[-3:-1]
         elif malform == "cycles-raised":
             lines[0]["cycles"] += 1
+        elif malform == "names-another-program":
+            lines[0]["program_id"] = "someone-else"
+        elif malform == "data-fault-inside-memory":  # the halted run cut at the ld of word 5
+            source = "main:\n li r1, 3\nL:\n beq r1, r0, E\n addi r1, r1, -1\n j L\n" \
+                "E:\n ld r2, [r0+5]\n halt\n"
+            prog = parse_program(source, "w")
+            (ws / "prog.json").write_text(json.dumps(prog.to_json()))
+            lines = [json.loads(line) for line in run(prog, []).to_jsonl().splitlines()]
+            lines[0]["cycles"] -= 1
+            lines[-1]["fault"] = "data-access-out-of-range:5"
         else:  # the per-cycle form an older `cfattest run` wrote, which is not read
             t = run(P.prog(P.WHILE_IF_ELSE, "w"), [3, 0, 1, 0])
             lines = [{"input": t.input, "program_id": "w"}] + [

@@ -264,24 +264,30 @@ class TestAttacks:
 # runs that end in a pc fault, at 0x200, and in a data fault, at word 5000
 PC_FAULT = "main:\n li r1, 0x200\n jr r1\n halt\n"
 DATA_FAULT = "main:\n li r1, 5000\n ld r2, [r1+0]\n halt\n"
+# a loop, then a load of word 5 and the halt
+LOADS_WORD_5 = "main:\n li r1, 3\nL:\n beq r1, r0, E\n addi r1, r1, -1\n j L\n" \
+    "E:\n ld r2, [r0+5]\n halt\n"
 
 
 class TestTraceSerialization:
     def test_jsonl_round_trip(self):
         p = P.prog(P.WHILE_IF_ELSE, "w")
-        t = run(p, [2, 1, 0])
-        t2 = trace_from_jsonl(t.to_jsonl(), p)
-        assert t2.program_id == t.program_id
-        assert t2.input == t.input
-        assert (t2.sites, t2.targets, t2.cycles) == (t.sites, t.targets, t.cycles)
-        assert t2.events == t.events
-        assert t2.fault == t.fault
+        for words in (3, 16, DEFAULT_DATA_WORDS):
+            t = run(p, [2, 1, 0], data_mem_words=words)
+            t2 = trace_from_jsonl(t.to_jsonl(), p)
+            assert t2.program is t.program is p
+            assert t2.input == t.input
+            assert t2.data_mem_words == t.data_mem_words == words
+            assert (t2.sites, t2.targets, t2.cycles) == (t.sites, t.targets, t.cycles)
+            assert t2.events == t.events
+            assert t2.fault == t.fault
 
     def test_jsonl_is_one_line_per_branch(self):
         p = P.prog(P.WHILE_IF_ELSE, "w")
         t = run(p, [1, 0])
         lines = [json.loads(line) for line in t.to_jsonl().splitlines()]
-        assert lines[0] == {"cycles": t.cycles, "input": [1, 0], "program_id": "w"}
+        assert lines[0] == {"cycles": t.cycles, "data_mem_words": DEFAULT_DATA_WORDS,
+                            "input": [1, 0], "program_id": "w"}
         assert lines[-1] == {"fault": None}
         control = [e for e in t.events if is_control(e.instr)]
         assert lines[1:-1] == [{"pc": f"0x{e.pc:x}", "taken": e.taken,
@@ -328,7 +334,9 @@ class TestTraceSerialization:
         "direct-next-pc-off-target", "extra-key-in-branch", "extra-key-in-header",
         "extra-key-in-fault-line", "cycles-not-an-int", "cycles-a-bool",
         "cycles-below-branch-count", "cycles-below-the-last-branch", "input-not-ints",
-        "program-id-not-a-string", "fault-not-a-string", "indirect-target-past-32-bits",
+        "program-id-not-a-string", "program-id-of-another-program", "memory-words-not-an-int",
+        "memory-words-a-bool", "memory-words-below-the-input", "data-memory-words-zero",
+        "fault-not-a-string", "indirect-target-past-32-bits",
         "indirect-target-negative", "old-per-cycle-file", "tail-last-branch-dropped",
         "tail-last-two-branches-dropped", "tail-cycles-past-the-halt",
         "tail-cycles-short-of-the-halt", "tail-pc-fault-on-a-halted-run",
@@ -336,7 +344,8 @@ class TestTraceSerialization:
         "pc-fault-tail-as-a-halt", "pc-fault-tail-at-another-pc",
         "pc-fault-tail-as-a-data-fault", "data-fault-tail-cycles-raised",
         "data-fault-tail-cycles-lowered", "data-fault-tail-as-a-halt",
-        "data-fault-tail-address-not-decimal", "data-fault-tail-address-past-32-bits"])
+        "data-fault-tail-address-not-decimal", "data-fault-tail-address-past-32-bits",
+        "data-fault-tail-address-inside-memory", "data-fault-tail-memory-words-raised"])
     def test_jsonl_rejects_a_file_that_is_not_a_run(self, malform):
         # WHILE_IF_ELSE on [2, 0, 1]: 0x108 beq, 0x114 bne, 0x11c j, 0x128 j, ..., 0x12c jal,
         # 0x138 ret (indirect), halt at 0x134; PC_FAULT's jr at 0x104 leaves the program for
@@ -374,6 +383,16 @@ class TestTraceSerialization:
             lines[0]["input"] = ["2", 0, 1]
         elif malform == "program-id-not-a-string":
             lines[0]["program_id"] = 7
+        elif malform == "program-id-of-another-program":
+            lines[0]["program_id"] = "someone-else"
+        elif malform == "memory-words-not-an-int":
+            lines[0]["data_mem_words"] = str(DEFAULT_DATA_WORDS)
+        elif malform == "memory-words-a-bool":
+            lines[0]["data_mem_words"] = True
+        elif malform == "memory-words-below-the-input":
+            lines[0]["data_mem_words"] = len(inp) - 1
+        elif malform == "data-memory-words-zero":  # no input to hold
+            lines[0]["data_mem_words"] = 0
         elif malform == "fault-not-a-string":
             lines[-1]["fault"] = 1
         elif malform == "indirect-target-past-32-bits":
@@ -400,16 +419,21 @@ class TestTraceSerialization:
             lines[-1]["fault"] = "data-access-out-of-range:0x1388"
         elif malform == "data-fault-tail-address-past-32-bits":
             lines[-1]["fault"] = f"data-access-out-of-range:{MASK32 + 1}"
+        elif malform == "data-fault-tail-address-inside-memory":
+            lines[-1]["fault"] = "data-access-out-of-range:5"
+        elif malform == "data-fault-tail-memory-words-raised":  # word 5000 now inside memory
+            lines[0]["data_mem_words"] = 5001
         else:  # the per-cycle form: a header without cycles, one line per retired cycle
-            lines = [{"input": t.input, "program_id": t.program_id}] + [
+            lines = [{"input": t.input, "program_id": t.program.id}] + [
                 {"cycle": e.cycle, "mnemonic": e.instr.mnemonic, "next_pc": f"0x{e.next_pc:x}",
                  "pc": f"0x{e.pc:x}", "taken": e.taken} for e in t.events] + [{"fault": None}]
         text = "\n".join(map(json.dumps, lines))
         assert text != t.to_jsonl().rstrip("\n")
         reason = ("exactly the keys" if "key" in malform or malform.startswith("old")
                   else "does not end as a run does" if "tail" in malform
-                  else "cover the branches" if malform.startswith(("cycles", "input", "program",
-                                                                   "fault"))
+                  else "names program" if malform.startswith("program")
+                  else "cover the branches" if "memory-words" in malform
+                  or malform.startswith(("cycles", "input", "fault"))
                   else "does not match program")
         with pytest.raises(EmulatorError, match=reason):
             trace_from_jsonl(text, p)
@@ -431,6 +455,21 @@ class TestTraceSerialization:
             == (t.sites, t.targets, t.cycles, fault)
         assert again.events == t.events
 
+    def test_jsonl_data_fault_lies_past_the_data_memory(self):
+        # the halted run cut at its load of word 5 is read only if word 5 lies past the data
+        # memory the header records: it is then the run with 5 words
+        p = parse_program(LOADS_WORD_5, "p")
+        lines = [json.loads(line) for line in run(p, []).to_jsonl().splitlines()]
+        lines[0]["cycles"] -= 1
+        lines[-1]["fault"] = "data-access-out-of-range:5"
+        for words in (6, DEFAULT_DATA_WORDS):
+            lines[0]["data_mem_words"] = words
+            with pytest.raises(EmulatorError, match="does not end as a run does"):
+                trace_from_jsonl("\n".join(map(json.dumps, lines)), p)
+        lines[0]["data_mem_words"] = 5
+        assert trace_from_jsonl("\n".join(map(json.dumps, lines)), p) \
+            == run(p, [], data_mem_words=5)
+
     def test_jsonl_keeps_an_indirect_target_outside_the_program(self):
         # a pc fault: the last branch's target is recorded, and no branch follows it
         p = parse_program(PC_FAULT, "p")
@@ -444,5 +483,7 @@ class TestTraceSerialization:
 
     def test_jsonl_detects_program_mismatch(self):
         t = run(P.prog(P.WHILE_IF_ELSE, "w"), [1, 0])
-        with pytest.raises(EmulatorError):
+        with pytest.raises(EmulatorError, match="does not match program"):
+            trace_from_jsonl(t.to_jsonl(), P.prog(P.STRAIGHT_LINE, "w"))
+        with pytest.raises(EmulatorError, match="names program 'w', not 's'"):
             trace_from_jsonl(t.to_jsonl(), P.prog(P.STRAIGHT_LINE, "s"))

@@ -18,6 +18,7 @@ decodes valid, or unverifiable for a named cause, but the pinned
 """
 import ast
 import dataclasses
+import json
 import random
 import sys
 from math import inf
@@ -30,7 +31,7 @@ from hypothesis import strategies as st
 import emulator_oracle
 import programs as P
 import views
-from cfattest import attestation, emulator, isa, loop_monitor
+from cfattest import attestation, cli, emulator, isa, loop_monitor
 from cfattest.attestation import Challenge, generate_keypair, measure, prover_attest, verify
 from cfattest.branch_filter import _backedges, detect_loops, filter_trace
 from cfattest.emulator import (ATTACK_KINDS, AttackError, AttackSpec, CycleLimitExceeded, run,
@@ -42,9 +43,9 @@ from cfattest.loop_monitor import DEFAULT_MAX_DEPTH, LoopMonitor, MonitorConfig
 from genprog import gen_input, gen_program
 from loop_oracle import detect_loops_scan, discover_loops_scan
 from monitor_oracle import LoopMonitor as OracleMonitor
-from views import (FLAT, LoopStatusKind, annotated, branch_events, branches_from_columns,
-                   columns, encodings, fault_marker_session, is_control, loop_marks, metadata_of,
-                   packed, path_of)
+from views import (FLAT, LoopStatusKind, annotated, branch_events, columns, encodings,
+                   fault_marker_session, is_control, loop_marks, metadata_of, packed, path_of,
+                   session_json, trace_from_columns)
 
 
 # an outer loop around one counted loop, whose bound for pass p is input word p: a
@@ -589,7 +590,7 @@ def test_branch_columns_equal_observer_stream(name):
     seen = []
     trace = run(program, inp, attack, observer=seen.append)
     control = [ev for ev in seen if is_control(ev.instr)]
-    derived = columns(trace.branches)
+    derived = columns(trace)
     assert derived.src == [ev.pc for ev in control]
     assert derived.dest == [ev.next_pc for ev in control]
     assert derived.cycle == [ev.cycle for ev in control]
@@ -699,13 +700,13 @@ def test_a_recursion_that_returns_by_jump_stays_open_to_the_end_of_the_run():
 
 def _backedges_by_scan(b):
     """The static backedges of a run as one `in` scan per backward site finds them."""
-    return {(dest, src) for c, (src, dest) in b.table.backward.items() if c in b.sites}
+    return {(dest, src) for c, (src, dest) in b.program.sites.backward.items() if c in b.sites}
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_backedges_match_a_scan_per_site(name):
     b = filter_trace(run(*CASES[name]))
-    assert _backedges(b.table, b.sites) == _backedges_by_scan(b)
+    assert _backedges(b) == _backedges_by_scan(b)
 
 
 @settings(max_examples=100, deadline=None)
@@ -716,16 +717,16 @@ def test_backedges_match_a_scan_per_site_on_drawn_programs(seed, k):
     for program, inp in [_genprog_case(seed)[:2], (parse_program(descending_loops(k), "dl"), bounds),
                          (parse_program(P.sequential_loops(k), "sq"), bounds)]:
         b = filter_trace(run(program, inp))
-        assert _backedges(b.table, b.sites) == _backedges_by_scan(b)
+        assert _backedges(b) == _backedges_by_scan(b)
 
 
 def test_backedges_are_found_in_descending_order():
     # the loops run from the highest address down, so each site is found before the last one
     program = parse_program(descending_loops(6), "dl")
     b = filter_trace(run(program, [2] * 6))
-    found = _backedges(b.table, b.sites)
+    found = _backedges(b)
     assert len(found) == 6 and found == _backedges_by_scan(b)
-    at = [b.sites.find(c) for c in b.table.backward]
+    at = [b.sites.find(c) for c in b.program.sites.backward]
     assert at == sorted(at, reverse=True)
 
 
@@ -734,7 +735,7 @@ def test_detect_loops_leaves_its_input_alone():
     branches = filter_trace(run(program, inp))
     src, dest, kinds, cycle = columns(branches)
     given = (list(src), list(dest), kinds, list(cycle))
-    by_hand = branches_from_columns(*given)
+    by_hand = trace_from_columns(*given)
     first = annotated(branches)
     assert annotated(branches) == first == annotated(by_hand)
     assert any(ev.loop_depth for tag, ev in first if tag == "branch")
@@ -749,6 +750,26 @@ MONITOR_CONFIGS = {
     "n2-w3": MonitorConfig(n=2, path_width=3),
     "n8-w8-depth-2": MonitorConfig(n=8, path_width=8, max_depth=2),
 }
+
+
+@pytest.mark.parametrize("config", sorted(MONITOR_CONFIGS))
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_cli_measure_prints_the_sessions_l_reads_into(name, config, tmp_path):
+    # `cfattest measure` prints each session straight from its bytes in L; the reference is
+    # the object view, the `LoopSession`s that `ProgramPath.sessions` reads from those bytes
+    program, inp, attack = CASES[name]
+    c = MONITOR_CONFIGS[config]
+    trace = run(program, inp, attack)
+    (tmp_path / "p.json").write_text(json.dumps(program.to_json()))
+    (tmp_path / "t.jsonl").write_text(trace.to_jsonl())
+    assert cli.main(["measure", str(tmp_path / "t.jsonl"), "--program", str(tmp_path / "p.json"),
+                     "-n", str(c.n), "--path-width", str(c.path_width), "--max-depth",
+                     str(c.max_depth), "-o", str(tmp_path / "m.json")]) == 0
+    path = measure(trace, c)
+    expected = {"program_id": program.id, "A_hex": path.authenticator.hex(),
+                "L": [session_json(s) for s in path.sessions]}
+    assert (tmp_path / "m.json").read_text() == \
+        json.dumps(expected, indent=2, sort_keys=True) + "\n"
 
 
 def oracle_measure(trace, config):
@@ -1438,7 +1459,7 @@ def test_a_chain_follows_the_record_not_the_table():
               (A, A + 4, NOT_TAKEN), (A + 8, A, JUMP), (A, A + 0x10, TAKEN),
               (C, C + 4, NOT_TAKEN), (C + 4, C, JUMP), (C, C + 8, TAKEN)]
     src, dest, kinds = map(list, zip(*record))
-    b = branches_from_columns(src, dest, "".join(kinds), list(range(0, 2 * len(record), 2)))
+    b = trace_from_columns(src, dest, "".join(kinds), list(range(0, 2 * len(record), 2)))
     found = detect_loops(b)
     assert [found[1].flat[entry][3][0] for entry in (A, B)] == [B, C]
     config = MonitorConfig()
@@ -1474,15 +1495,18 @@ def test_drawn_programs_carry_their_encoding(case):
 
 
 @settings(max_examples=150, deadline=None)
-@given(_attacked_genprog_runs())
-def test_drawn_runs_survive_jsonl_round_trip(case):
+@given(_attacked_genprog_runs(), st.integers(1, 8) | st.just(emulator.DEFAULT_DATA_WORDS))
+def test_drawn_runs_survive_jsonl_round_trip(case, words):
+    # at fewer data words than input slots, the input is cut to fit, and a load past it faults
     program, inp, attack = case
     try:
-        trace = run(program, inp, attack, cycle_cap=100_000)
+        trace = run(program, inp[:words], attack, data_mem_words=words, cycle_cap=100_000)
     except CycleLimitExceeded:
         return
-    again = trace_from_jsonl(trace.to_jsonl(), program)
-    assert (again.program_id, again.input, again.sites, again.targets, again.cycles,
-            again.fault) == (trace.program_id, trace.input, trace.sites, trace.targets,
-                             trace.cycles, trace.fault)
+    text = trace.to_jsonl()
+    assert json.loads(text.partition("\n")[0])["program_id"] == program.id
+    again = trace_from_jsonl(text, program)
+    assert (again.program, again.input, again.sites, again.targets, again.cycles,
+            again.data_mem_words, again.fault) == (trace.program, inp[:words], trace.sites,
+                                                   trace.targets, trace.cycles, words, trace.fault)
     assert measure(again) == measure(trace)

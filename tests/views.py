@@ -6,13 +6,14 @@ branch and, interleaved, one `LoopStatusEvent` per loop mark, with each flat
 session expanded into its enter, iteration and exit marks.  `loop_marks`
 records the marks as the monitor's walk reaches each loop boundary.
 `columns` derives the branch columns (source, destination, kind character,
-cycle) from the record, and `branches_from_columns` builds a hand-written
-branch stream from them.  `is_control`, `is_linking` and `is_indirect`
-classify an instruction by its kind.
+cycle) from a run's record, its `Trace`, and `trace_from_columns` builds a
+hand-written record from them.  `is_control`, `is_linking` and
+`is_indirect` classify an instruction by its kind.
 `packed`, `encodings`, `metadata_of` and `path_of` give the bytes the
 measurement emits for an oracle's (Src, Dest) pairs and `LoopSession`s, or
 for hand-built ones;
-`as_objects` reads the loop monitor's bytes back into them.
+`as_objects` reads the loop monitor's bytes back into them, and
+`session_json` renders a `LoopSession` as `cfattest measure` prints it.
 
 `loop_oracle` and `monitor_oracle` are the earlier code verbatim, importing
 these names, and the loop types they use, from here.
@@ -30,7 +31,7 @@ from typing import NamedTuple, Union
 
 from cfattest.attestation import DIGEST_LEN, ProgramPath
 from cfattest.branch_filter import detect_loops
-from cfattest.emulator import Branches
+from cfattest.emulator import DEFAULT_DATA_WORDS, Trace
 from cfattest.hash_engine import pair_bytes
 from cfattest.isa import (CALL, INDIRECT_CALL, INDIRECT_JUMP, JUMP, NOT_TAKEN, RETURN,
                           STRAIGHT_KINDS, TAKEN, WORD, Instruction, Kind, Sites, State)
@@ -131,27 +132,27 @@ class Columns(NamedTuple):
     cycle: list[int]
 
 
-def columns(b: Branches) -> Columns:
-    """b's columns, derived on first use and kept with b: table lookups, the targets in
+def columns(t: Trace) -> Columns:
+    """t's columns, derived on first use and kept with t: table lookups, the targets in
     order and a prefix sum (between one branch's destination and the next branch, the pc
     advances one word per cycle)."""
-    if "_columns" not in vars(b):
-        pairs = b.pairs(0, len(b))
+    if "_columns" not in vars(t):
+        pairs = t.pairs(0, len(t))
         src, dest = [s for s, _ in pairs], [d for _, d in pairs]
-        words = accumulate(map(sub, src, [b.table.entry] + dest))
-        b._columns = Columns(src, dest, b.sites.translate(b.table.kinds),
+        words = accumulate(map(sub, src, [t.program.entry_point] + dest))
+        t._columns = Columns(src, dest, t.sites.translate(t.program.sites.kinds),
                              [i + w // WORD for i, w in enumerate(words)])
-    return b._columns
+    return t._columns
 
 
-def branch_event(b: Branches, i: int, loop_depth: int = 0) -> BranchEvent:
+def branch_event(b: Trace, i: int, loop_depth: int = 0) -> BranchEvent:
     c = columns(b)
     k = c.kinds[i]
     return BranchEvent(c.src[i], c.dest[i], _BRANCH_KIND[k], k in _LINKING,
                        k in _INDIRECT_SITES, c.cycle[i], loop_depth)
 
 
-def branch_events(b: Branches) -> list[BranchEvent]:
+def branch_events(b: Trace) -> list[BranchEvent]:
     """The branches, in order, as fresh BranchEvent objects."""
     return [branch_event(b, i) for i in range(len(b))]
 
@@ -175,7 +176,7 @@ class _Recorder(LoopMonitor):
         recursive = ctx.hi == inf
         if recursive and self.recursive is None:
             from loop_oracle import discover_loops_scan  # which imports this module
-            self.recursive = discover_loops_scan(branch_events(self._branches))[1]
+            self.recursive = discover_loops_scan(branch_events(self._trace))[1]
         backedge = self.recursive[ctx.entry] if recursive else ctx.hi
         loop = self.contexts[ctx] = LoopContext(ctx.entry, backedge, backedge + WORD, ctx.depth,
                                                 ctx.within, recursive, ctx.degraded)
@@ -196,14 +197,14 @@ class _Recorder(LoopMonitor):
         self.marks.append((start, FLAT, loop, (site, end, branch)))
 
 
-def loop_marks(b: Branches, max_depth: int = DEFAULT_MAX_DEPTH) -> list[Mark]:
+def loop_marks(b: Trace, max_depth: int = DEFAULT_MAX_DEPTH) -> list[Mark]:
     """The loop marks of the monitor's walk over b, degraded contexts included."""
     recorder = _Recorder(MonitorConfig(max_depth=max_depth))
     recorder.process(detect_loops(b))
     return recorder.marks
 
 
-def _marks(b: Branches, marks: list[Mark]):
+def _marks(b: Trace, marks: list[Mark]):
     """The loop marks, each flat session expanded into its enter, iteration and exit marks."""
     for p, kind, ctx, arg in marks:
         if kind == FLAT:
@@ -217,7 +218,7 @@ def _marks(b: Branches, marks: list[Mark]):
             yield (p, kind, ctx, arg)
 
 
-def annotated(b: Branches, max_depth: int = DEFAULT_MAX_DEPTH) -> list[StreamItem]:
+def annotated(b: Trace, max_depth: int = DEFAULT_MAX_DEPTH) -> list[StreamItem]:
     """The annotated stream: non-degraded status events, BranchEvent copies with depths."""
     out, pos, open_ = [], 0, []
     for p, kind, ctx, branch in [*_marks(b, loop_marks(b, max_depth)), (len(b), None, None, 0)]:
@@ -233,18 +234,19 @@ def annotated(b: Branches, max_depth: int = DEFAULT_MAX_DEPTH) -> list[StreamIte
     return out
 
 
-def branches_from_columns(src: list[int], dest: list[int], kinds: str,
-                          cycle: list[int]) -> Branches:
-    """Branches with exactly these columns, read through a site table and a state of their
-    own, as a program's (`Program.sites`, `Program.state`)."""
+def trace_from_columns(src: list[int], dest: list[int], kinds: str,
+                       cycle: list[int]) -> Trace:
+    """A trace whose branches have exactly these columns, of a stand-in program with a site
+    table and a state of its own (`Program.sites`, `Program.state`)."""
     ends = [(s, None if k in _INDIRECT_SITES else d, k) for s, d, k in zip(src, dest, kinds)]
     site_of = {end: chr(n) for n, end in enumerate(sorted(dict.fromkeys(ends), key=lambda e: e[0]))}
-    b = Branches("".join(map(site_of.__getitem__, ends)),
-                 [d for d, k in zip(dest, kinds) if k in _INDIRECT_SITES],
-                 SimpleNamespace(sites=Sites(None, list(site_of)), state=State()))
+    t = Trace([], SimpleNamespace(sites=Sites(list(site_of)), state=State()),
+              "".join(map(site_of.__getitem__, ends)),
+              [d for d, k in zip(dest, kinds) if k in _INDIRECT_SITES],
+              cycle[-1] + 1 if cycle else 0, DEFAULT_DATA_WORDS)
     # given, not derived: a hand-written stream need not be a run
-    b._columns = Columns(list(src), list(dest), kinds, list(cycle))
-    return b
+    t._columns = Columns(list(src), list(dest), kinds, list(cycle))
+    return t
 
 
 def packed(pairs) -> bytes:
@@ -276,6 +278,18 @@ def as_objects(measured) -> tuple[list[tuple[int, int]], list[LoopSession]]:
     stream, sessions = measured
     return (list(struct.iter_unpack(">II", stream)),
             list(ProgramPath(bytes(DIGEST_LEN), tuple(sessions)).sessions))
+
+
+def session_json(s: LoopSession) -> dict:
+    """A session as `cfattest measure` prints it, from the object."""
+    return {
+        "loop_entry": f"0x{s.loop_entry:x}",
+        "depth": s.depth,
+        "parent": s.parent,
+        "paths": [{"bits": p.bits, "count": c} for p, c in s.paths],
+        "indirect_targets": [f"0x{t:x}" for t in s.indirect_targets],
+        "path_overflow": s.path_overflow,
+    }
 
 
 def fault_marker_session() -> LoopSession:
