@@ -10,7 +10,7 @@ non-control-data attacks that change a branch.
 from .isa import parse_program, cfg_json, Program
 from .emulator import run, AttackSpec, Trace
 from .branch_filter import filter_trace, detect_loops
-from .loop_monitor import LoopMonitor, MonitorConfig, PathId, LoopSession, memory_bits
+from .loop_monitor import LoopMonitor, MonitorConfig, memory_bits
 from .hash_engine import digest_pairs, simulate_absorb
 from .attestation import (Challenge, Report, ProgramPath, measure,
                           prover_attest, verify, generate_keypair,

@@ -232,7 +232,8 @@ def measure(trace: Trace, config: MonitorConfig = MonitorConfig()) -> ProgramPat
     The path holds the session encodings the monitor wrote; the hash engine takes its
     stream one 8-byte word an item.
     """
-    stream, sessions = LoopMonitor(config).process(detect_loops(filter_trace(trace)))
+    trace = filter_trace(trace)
+    stream, sessions = LoopMonitor(config).process(trace, detect_loops(trace))
     if trace.fault is not None:
         sessions.append(FAULT_MARKER)
     return ProgramPath(digest_pairs(memoryview(stream).cast("Q")), tuple(sessions))

@@ -1,6 +1,6 @@
 """Branch filtering and loop discovery over the branch record.
 
-`filter_trace` hands on the trace itself, the run's branch record: one site
+`filter_trace` hands on the trace itself, the run's one record: one site
 character per branch plus the targets of indirect transfers, read through
 its program's site table (`isa.Sites`) and state.  A branch's loop-path bit
 is '0' for a not-taken conditional, '1' for a taken conditional or direct
@@ -10,7 +10,8 @@ backward branches as backedges (link-register heuristic), so the first
 traversal of a loop is attributed like later ones and A does not depend on
 the iteration count.  It finds backedges only: recursion needs the call
 stack, which the loop monitor's walk keeps (`LoopMonitor.process`).
-Its table of loop bodies (`_Loops`, the last kept in `Program.state`) gives
+It returns the table of loop bodies alone (`_Loops`, the last kept in
+`Program.state`), which the walk takes beside the trace; the table gives
 the loops enclosing an address, so the walk costs no more per branch as the
 number of loops grows.  Discovery finds the static backedges with one
 `str.find` per backward site, from where the site before it was found
@@ -156,10 +157,10 @@ class _Loops(dict):
         return found
 
 
-def detect_loops(trace: Trace) -> tuple[Trace, _Loops]:
-    """The run's loops: the trace and the table of loop bodies."""
+def detect_loops(trace: Trace) -> _Loops:
+    """The run's loops: the table of their bodies."""
     loops, tables = _discover_loops(trace), trace.program.state.tables
     enclosing = tables.get("loops")
     if enclosing is None or enclosing.loops != loops:
         enclosing = tables["loops"] = _Loops(loops, trace.program.sites)
-    return trace, enclosing
+    return enclosing

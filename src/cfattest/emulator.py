@@ -23,9 +23,10 @@ would pass its bound runs as units of one block, as does any other entry pc
 (a loop's block entered past its header too).  Units of one *shape*, equal
 but for addresses, immediates and site characters, share a code object and
 take those as parameter defaults.
-Units of one instruction single-step a run while an attack's trigger is
-armed or an `observer` watches, and through the last pass before the cycle
-cap, so every cycle is exactly the interpreter's.
+Units of one instruction single-step a run only while an attack's trigger
+is armed, so that it fires at its exact cycle or pc, and from the first unit
+whose pass does not fit under the cycle cap, so that a run past the cap
+stops at the interpreter's cycle with its registers and memory.
 Attack injection mutates writable state only (registers, link register, data
 memory); program text is immutable.
 """
@@ -169,12 +170,16 @@ class TraceEvents(Sequence):
     @cached_property
     def _built(self) -> list[TraceEvent]:
         t, out, pc = self._trace, [], self._trace.program.entry_point
-        branches = zip(t.sites, t.pairs(0, len(t)))
+        kinds, branches = t.program.sites.kinds, zip(t.sites, t.pairs(0, len(t)))
         site, (src, dest) = next(branches, (None, (None, None)))
         for cycle in range(t.cycles):
-            out.append(_event(t.program, cycle, pc, site if pc == src else None, dest))
+            ins = t.program.instr_at(pc)
             if pc == src:
+                out.append(TraceEvent(cycle, pc, ins, _TAKEN.get(kinds[ord(site)]), dest))
                 site, (src, dest) = next(branches, (None, (None, None)))
+            else:  # on to the next word, or a halt
+                out.append(TraceEvent(cycle, pc, ins, None,
+                                      pc if ins.kind is Kind.HALT else pc + WORD))
             pc = out[-1].next_pc
         return out
 
@@ -191,15 +196,6 @@ class TraceEvents(Sequence):
         if isinstance(other, (list, tuple, TraceEvents)):
             return list(self) == list(other)
         return NotImplemented
-
-
-def _event(program: Program, cycle: int, pc: int, site: Optional[str], dest) -> TraceEvent:
-    """The event of the instruction at pc: a branch with its site character and
-    destination, or (site None) one that goes on to the next word or halts."""
-    ins = program.instr_at(pc)
-    if site is None:
-        return TraceEvent(cycle, pc, ins, None, pc if ins.kind is Kind.HALT else pc + WORD)
-    return TraceEvent(cycle, pc, ins, _TAKEN.get(program.sites.kinds[ord(site)]), dest)
 
 
 def trace_from_jsonl(text: str, program: Program) -> Trace:
@@ -468,18 +464,15 @@ def run(
     *,
     data_mem_words: int = DEFAULT_DATA_WORDS,
     cycle_cap: int = DEFAULT_CYCLE_CAP,
-    observer: Optional[Callable[[TraceEvent], None]] = None,
 ) -> Trace:
     """Execute the program on the given input, optionally under attack.
 
-    The optional observer receives each TraceEvent as it retires; attaching
-    one never alters the produced trace.  CycleLimitExceeded if the run
-    would retire more than cycle_cap cycles.
+    CycleLimitExceeded if the run would retire more than cycle_cap cycles.
     """
     if attack is not None and attack.payload.get("mem", -1) >= data_mem_words:
         raise AttackError(f"memory target {attack.payload['mem']} outside data memory")
     return _execute(program, input_words, attack, [0] * (NUM_REGS + 1),
-                    _memory(input_words, data_mem_words), cycle_cap, observer)
+                    _memory(input_words, data_mem_words), cycle_cap)
 
 
 def _memory(input_words: list[int], data_mem_words: int) -> list[int]:
@@ -495,8 +488,7 @@ def _memory(input_words: list[int], data_mem_words: int) -> list[int]:
 
 
 def _execute(program: Program, input_words: list[int], attack: Optional[AttackSpec],
-             regs: list[int], mem: list[int], cycle_cap: int,
-             observer: Optional[Callable[[TraceEvent], None]]) -> Trace:
+             regs: list[int], mem: list[int], cycle_cap: int) -> Trace:
     """`run` on the given registers (the general ones, then the link register) and
     data memory, which it leaves as the last retired cycle left them, also when it
     raises."""
@@ -504,9 +496,9 @@ def _execute(program: Program, input_words: list[int], attack: Optional[AttackSp
     sa, ta = sites.append, targets.append
     code = program.state.table("units", _Units, program)
     units, pc, cycle = code.units, program.entry_point, 0
-    # single step while a trigger is armed or an observer watches, and from the
-    # first block that does not fit under the cap
-    capped, stepping = False, attack is not None or observer is not None
+    # single step while a trigger is armed, and from the first block that does not
+    # fit under the cap
+    capped, stepping = False, attack is not None
 
     while True:
         if not stepping:
@@ -525,11 +517,8 @@ def _execute(program: Program, input_words: list[int], attack: Optional[AttackSp
         if attack is not None and (cycle == attack.trigger.get("cycle") or pc == attack.trigger.get("pc")):
             inject(attack, regs, mem)
             attack = None
-        last, branches = pc, len(sites)
         pc, cycle = unit(regs, mem, sa, ta, pc, cycle, cycle_cap)
-        if observer is not None:
-            observer(_event(program, cycle - 1, last, "".join(sites[branches:]) or None, pc))
-        stepping = capped or attack is not None or observer is not None
+        stepping = capped or attack is not None
 
     fault = None if pc is None else pc if isinstance(pc, str) else f"pc-out-of-range:0x{pc:x}"
     return Trace(list(input_words), program, "".join(sites), targets, cycle, len(mem), fault)

@@ -1,16 +1,16 @@
 """The loop walk, loop path encoding, per-path iteration counters and metadata.
 
-`LoopMonitor.process` walks the run's `Trace` once, through its program's
-site table and state, with the loops that `detect_loops` discovered, keeping
-the call stack as calls and returns retire.  It opens a loop context at each
-loop entry (a fallthrough into a loop body, an arrival branch onto its
-entry, or a directly recursive call: one into a callee on the call stack,
-mutual recursion included), ends a traversal at each branch re-entering the
-entry, and closes the context at the first branch that leaves it (returns
-below its call depth or, at that depth, lands outside its body).  A context
-nested deeper than `max_depth` is tracked, but not measured as a loop: its
-branches are hashed like those outside any loop.  Every other context is one
-session in L.
+`LoopMonitor.process(trace, loops)` walks the run's `Trace` once, through
+its program's site table and state, with the table of loop bodies that
+`detect_loops` returns, keeping the call stack as calls and returns retire.
+It opens a loop context at each loop entry (a fallthrough into a loop body,
+an arrival branch onto its entry, or a directly recursive call: one into a
+callee on the call stack, mutual recursion included), ends a traversal at
+each branch re-entering the entry, and closes the context at the first
+branch that leaves it (returns below its call depth or, at that depth, lands
+outside its body).  A context nested deeper than `max_depth` is tracked, but
+not measured as a loop: its branches are hashed like those outside any
+loop.  Every other context is one session in L.
 
 Each traversal of a loop body is encoded into a bitstring: conditional
 branches contribute their taken bit, direct jumps and direct calls contribute
@@ -64,7 +64,7 @@ once per program.  `session_head` and `session_tail` are L's one encoder and
 accepts re-serialises to the same bytes.  `LoopSession`s and `PathId`s come
 only from reading L (`parse_metadata`), and nothing in this package reads
 them: `cfattest measure` prints L from its bytes; only tests and the
-benchmark use this object view.
+benchmark use this object view, and the package root does not export it.
 """
 from __future__ import annotations
 
@@ -75,7 +75,8 @@ from itertools import starmap
 from math import inf
 from typing import Collection, Optional
 
-from .branch_filter import INDIRECT, site_bits
+from .branch_filter import INDIRECT, _Loops, site_bits
+from .emulator import Trace
 from .hash_engine import pair_bytes
 from .isa import CALL, INDIRECT_CALL, RETURN
 
@@ -489,10 +490,10 @@ class LoopMonitor:
             # first execution of this path: its words go to the hash engine
             self._end_traversal(s, hashed=count == 0)
 
-    def process(self, found: tuple) -> tuple[bytes, list[bytes]]:
-        """Walk the branches once, given `detect_loops`'s loops, and measure each loop: A's
-        stream as packed (Src, Dest) words, and each session's bytes in L (its head and tail)."""
-        trace, enclosing = found
+    def process(self, trace: Trace, enclosing: _Loops) -> tuple[bytes, list[bytes]]:
+        """Walk the trace's branches once, given `detect_loops`'s table of its loops, and
+        measure each loop: A's stream as packed (Src, Dest) words, and each session's bytes in
+        L (its head and tail)."""
         table, state, width = trace.program.sites, trace.program.state, self.config.path_width
         self._trace, self._sites, self._target_at = trace, trace.sites, trace.target_at
         self._indirect, self._state = table.indirect, state

@@ -2,9 +2,12 @@
 
 It decodes each instruction into a handler tuple once per program and
 dispatches on the handler number every cycle.  Tests compare `emulator.run`
-against it: the same sites, targets, cycles, fault and observer stream, and
-the same registers, link register and data memory when the run ends or
-stops at the cycle cap (`execute` leaves them in the lists it is given).
+against it: the same sites, targets, cycles and fault, and the same
+registers, link register and data memory when the run ends or stops at the
+cycle cap (`execute` leaves them in the lists it is given).  Its optional
+observer is the per-cycle tap, which `emulator.run` does not have: it
+receives each TraceEvent as it retires, and tests check that stream against
+the per-cycle view (`Trace.events`) of the compiled run's record.
 """
 from __future__ import annotations
 
@@ -103,7 +106,7 @@ def memory(input_words: list[int], data_mem_words: int) -> list[int]:
 
 def execute(program: Program, input_words: list[int], attack: Optional[AttackSpec],
             regs: list[int], mem: list[int], cycle_cap: int,
-            observer: Optional[Callable[[TraceEvent], None]]) -> Trace:
+            observer: Optional[Callable[[TraceEvent], None]] = None) -> Trace:
     """`run` on the given registers (the link register last) and data memory,
     which it leaves as the last retired cycle left them, also when it raises."""
     code = _decoded(program)

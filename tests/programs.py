@@ -568,6 +568,11 @@ def nth_cycle_of(program: Program, input_words: list[int], mnemonic: str, n: int
     raise ValueError(f"{mnemonic} executed fewer than {n} times")
 
 
+# an attack whose trigger never fires, as no instruction sits at pc -1: a run under it
+# single-steps every cycle, and must record and leave what a run under no attack does
+NEVER_FIRES = AttackSpec("corrupt-decision-var", {"pc": -1}, {"reg": 0, "value": 0})
+
+
 def attack_matrix() -> list[tuple[str, Program, list[int], AttackSpec, str, set[str]]]:
     """(name, program, input, attack, expected reason, expected failures subset)."""
     p1 = prog(WHILE_IF_ELSE, "while-if-else")

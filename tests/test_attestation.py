@@ -272,7 +272,7 @@ class TestMeasure:
         from cfattest.branch_filter import detect_loops, filter_trace
         from cfattest.loop_monitor import LoopMonitor
         t = run(P.prog(P.WHILE_IF_ELSE, "w"), [2, 1, 0])
-        stream, sessions = LoopMonitor().process(detect_loops(filter_trace(t)))
+        stream, sessions = LoopMonitor().process(t, detect_loops(filter_trace(t)))
         m = measure(t)
         assert m.authenticator == digest_pairs(stream)
         assert m.encodings == tuple(sessions)

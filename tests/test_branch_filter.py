@@ -93,7 +93,7 @@ done:
                                    cycle=[0, 1, 2, 3])
         assert _discover_loops(calls) == {}
         # the second call opens a recursion session at f in the monitor's L
-        _, sessions = as_objects(LoopMonitor().process(detect_loops(calls)))
+        _, sessions = as_objects(LoopMonitor().process(calls, detect_loops(calls)))
         assert [(s.loop_entry, s.depth, s.parent) for s in sessions] == [(f, 1, None)]
         # one traversal: the recursive call, then both returns, coded by target
         assert [(p.bits, c) for p, c in sessions[0].paths] == [("1" + "0001" + "0010", 1)]

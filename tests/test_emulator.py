@@ -6,6 +6,7 @@ from string import Formatter
 
 import pytest
 
+import emulator_oracle
 import programs as P
 from cfattest.emulator import (DEFAULT_DATA_WORDS, SEMANTICS, AttackError, AttackSpec,
                                CycleLimitExceeded, EmulatorError, run, trace_from_jsonl)
@@ -91,13 +92,15 @@ end:
                 elif not is_control(e.instr):
                     assert e.next_pc == e.pc + 4
 
-    def test_observer_receives_all_events_without_altering_trace(self):
+    def test_events_are_the_interpreters_tap_and_record(self):
+        # the per-cycle tap is the reference interpreter's: its stream is the events of
+        # run's record, and its record is run's byte for byte
         p = P.prog(P.WHILE_IF_ELSE, "w")
         seen = []
-        t1 = run(p, [2, 1, 0], observer=seen.append)
-        t2 = run(p, [2, 1, 0])
-        assert seen == t1.events
-        assert t1.to_jsonl() == t2.to_jsonl()
+        tapped = emulator_oracle.run(p, [2, 1, 0], observer=seen.append)
+        t = run(p, [2, 1, 0])
+        assert seen == t.events
+        assert tapped.to_jsonl() == t.to_jsonl()
 
 
 class TestFaults:
@@ -148,8 +151,8 @@ def reads_five(index, input_words, **kw):
     return next(e.taken for e in t.events if e.instr.mnemonic == "beq")
 
 
-# single stepping (an observer) and compiled units share the data memory
-@pytest.mark.parametrize("kw", [{}, {"observer": lambda e: None}], ids=["units", "stepping"])
+# single stepping (under an attack that never fires) and compiled units share the data memory
+@pytest.mark.parametrize("kw", [{}, {"attack": P.NEVER_FIRES}], ids=["units", "stepping"])
 class TestDataMemory:
     @pytest.mark.parametrize("words", [DEFAULT_DATA_WORDS, 8])
     def test_input_may_fill_the_memory(self, kw, words):

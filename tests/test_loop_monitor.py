@@ -16,8 +16,8 @@ from views import as_objects, fault_marker_session, path_of
 
 
 def sessions_of(src, inp, config=MonitorConfig(), **runkw):
-    t = run(P.prog(src, "x"), inp, **runkw)
-    return as_objects(LoopMonitor(config).process(detect_loops(filter_trace(t))))
+    t = filter_trace(run(P.prog(src, "x"), inp, **runkw))
+    return as_objects(LoopMonitor(config).process(t, detect_loops(t)))
 
 
 def path_view(s: LoopSession):

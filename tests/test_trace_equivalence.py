@@ -1,11 +1,12 @@
 """The compiled emulator, the control-event trace and the loop lookup against their references.
 
-For each run: the compiled `run` records the same sites, targets, cycles,
-fault and observer stream as the interpreter in `emulator_oracle`, and leaves
-the same registers, link register and data memory, at every cycle cap; the
-per-cycle view of the trace equals what the observer saw as each cycle
-retired, so do the branch columns `views.columns` derives from the record, a
-JSONL round trip gives back the same record, per-cycle view and (A, L),
+For each run: the compiled `run` records the same sites, targets, cycles
+and fault as the interpreter in `emulator_oracle`, and leaves the same
+registers, link register and data memory, at every cycle cap, by units and
+single-stepped; the per-cycle view of the trace equals what the
+interpreter's observer saw as each cycle retired, so do the branch columns
+`views.columns` derives from the record, a JSONL round trip gives back the
+same record, per-cycle view and (A, L),
 the loop monitor's walk marks loops exactly as the all-loops scan in
 `loop_oracle` (through `views.loop_marks`), and
 `measure` gives the (A, L) of the per-item monitor in `monitor_oracle` fed by
@@ -292,24 +293,26 @@ def _cases():
 CASES = _cases()
 
 
-def _outcome(emulator_module, program, inp, attack=None, observe=False,
+def _outcome(emulator_module, program, inp, attack=None,
              data_mem_words=emulator.DEFAULT_DATA_WORDS, cycle_cap=emulator.DEFAULT_CYCLE_CAP):
-    """What a run shows: its record, or the error it raised; the registers, link
-    register and data memory it left; and the observed events."""
+    """What a run shows: its record, or the error it raised; and the registers, link
+    register and data memory it left."""
     execute, memory = (emulator._execute, emulator._memory) if emulator_module is emulator else (
         emulator_oracle.execute, emulator_oracle.memory)
-    seen, regs, mem = [], [0] * (NUM_REGS + 1), memory(inp, data_mem_words)
+    regs, mem = [0] * (NUM_REGS + 1), memory(inp, data_mem_words)
     try:
-        t = execute(program, inp, attack, regs, mem, cycle_cap, seen.append if observe else None)
+        t = execute(program, inp, attack, regs, mem, cycle_cap)
     except (CycleLimitExceeded, AttackError) as e:
-        return type(e).__name__, regs, mem, seen
-    return (t.sites, t.targets, t.cycles, t.fault), regs, mem, seen
+        return type(e).__name__, regs, mem
+    return (t.sites, t.targets, t.cycles, t.fault), regs, mem
 
 
 def assert_same_as_oracle(program, inp, attack=None, **kw):
-    for observe in (False, True):
-        got = _outcome(emulator, program, inp, attack, observe, **kw)
-        assert got == _outcome(emulator_oracle, program, inp, attack, observe, **kw)
+    """The run shows what the interpreter's does; with no attack, also single-stepped
+    throughout, under one whose trigger never fires."""
+    for a in (attack,) if attack is not None else (None, P.NEVER_FIRES):
+        assert _outcome(emulator, program, inp, a, **kw) == \
+            _outcome(emulator_oracle, program, inp, a, **kw)
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -570,11 +573,19 @@ def test_cases_cover_both_attack_triggers():
     assert triggers == {"pc", "cycle"}
 
 
+def tapped(program, inp, attack):
+    """The compiled run's trace, and the per-cycle stream the interpreter's tap saw on the
+    same run, whose record is the compiled run's byte for byte."""
+    seen = []
+    by_interpreter = emulator_oracle.run(program, inp, attack, observer=seen.append)
+    trace = run(program, inp, attack)
+    assert by_interpreter.to_jsonl() == trace.to_jsonl()
+    return trace, seen
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_events_equal_observer_stream(name):
-    program, inp, attack = CASES[name]
-    seen = []
-    trace = run(program, inp, attack, observer=seen.append)
+    trace, seen = tapped(*CASES[name])
     assert len(trace.events) == len(seen) == trace.cycles
     assert list(trace.events) == seen
 
@@ -586,9 +597,7 @@ KIND_CHARACTERS = {Kind.DIRECT_JUMP: "j", Kind.LINKING_JUMP: "c", Kind.LINKING_I
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_branch_columns_equal_observer_stream(name):
-    program, inp, attack = CASES[name]
-    seen = []
-    trace = run(program, inp, attack, observer=seen.append)
+    trace, seen = tapped(*CASES[name])
     control = [ev for ev in seen if is_control(ev.instr)]
     derived = columns(trace)
     assert derived.src == [ev.pc for ev in control]
@@ -622,9 +631,9 @@ def test_detect_loops_matches_all_loops_scan(name, max_depth):
 class _RecursionEntries(LoopMonitor):
     """The loop monitor, keeping the entry of each recursion context its walk opens."""
 
-    def process(self, found):
+    def process(self, trace, loops):
         self.opened = set()
-        return super().process(found)
+        return super().process(trace, loops)
 
     def _enter(self, ctx, pos, branch):
         super()._enter(ctx, pos, branch)
@@ -646,7 +655,7 @@ def test_the_walk_opens_recursion_contexts_where_the_scan_finds_recursion(name):
     # a loop entry whose loop context is open at each such call (`jal-back-to-header`)
     b = filter_trace(run(*_case(name)))
     monitor = _RecursionEntries()
-    monitor.process(detect_loops(b))
+    monitor.process(b, detect_loops(b))
     loops, recursive = discover_loops_scan(branch_events(b))
     assert monitor.opened <= recursive.keys()
     assert recursive.keys() - monitor.opened <= loops.keys()
@@ -992,10 +1001,18 @@ def test_cycle_cap_is_exact():
     program, inp, _ = CASES["seq-loops-10"]
     full = run(program, inp)
     assert run(program, inp, cycle_cap=full.cycles).to_jsonl() == full.to_jsonl()
+    # the interpreter's tap sees the full run's events up to the cap; the run stops there
+    # with the interpreter's registers and memory, by units and single-stepped (under an
+    # attack that never fires)
     seen = []
     with pytest.raises(CycleLimitExceeded):
-        run(program, inp, cycle_cap=full.cycles - 1, observer=seen.append)
+        emulator_oracle.run(program, inp, cycle_cap=full.cycles - 1, observer=seen.append)
     assert seen == list(full.events)[:full.cycles - 1]
+    for attack in (None, P.NEVER_FIRES):
+        stopped = _outcome(emulator, program, inp, attack, cycle_cap=full.cycles - 1)
+        assert stopped == _outcome(emulator_oracle, program, inp, attack,
+                                   cycle_cap=full.cycles - 1)
+        assert stopped[0] == "CycleLimitExceeded"
 
 
 def test_measurement_builds_no_per_cycle_events(monkeypatch):
@@ -1107,7 +1124,7 @@ def honest_decode(trace, config, monkeypatch):
     the cause of an unverifiable one)."""
     cfg = attestation.build_cfg(trace.program)
     recursion = _RecursionEntries()
-    recursion.process(detect_loops(filter_trace(trace)))
+    recursion.process(trace, detect_loops(filter_trace(trace)))
     out = []
     for idx, s in enumerate(measure(trace, config).sessions):
         if s.loop_entry == loop_monitor.FAULT_MARKER_ENTRY:
@@ -1393,7 +1410,8 @@ def assert_carries_its_encoding(trace, config):
     b = filter_trace(trace)
     stream, sessions = OracleMonitor(config).process(
         detect_loops_scan(branch_events(b), config.max_depth))
-    assert LoopMonitor(config).process(detect_loops(b)) == (packed(stream), encodings(sessions))
+    assert LoopMonitor(config).process(b, detect_loops(b)) == \
+        (packed(stream), encodings(sessions))
     path = measure(trace, config)
     if trace.fault is not None:
         sessions.append(fault_marker_session())
@@ -1445,7 +1463,7 @@ def test_chained_sessions_are_covered():
     then = {}
     for name in ("seq-loops-10", "exit-onto-next-loop", "flat-loops-apart", "descending-loops"):
         program, inp, attack = CASES[name]
-        for entry, flat_loop in detect_loops(filter_trace(run(program, inp, attack)))[1].flat.items():
+        for entry, flat_loop in detect_loops(filter_trace(run(program, inp, attack))).flat.items():
             then.setdefault(name, []).append(flat_loop[3] and bool(flat_loop[3][1]))
     assert True in then["seq-loops-10"] and False in then["exit-onto-next-loop"]
     assert set(then["flat-loops-apart"]) == set(then["descending-loops"]) == {None}
@@ -1461,11 +1479,11 @@ def test_a_chain_follows_the_record_not_the_table():
     src, dest, kinds = map(list, zip(*record))
     b = trace_from_columns(src, dest, "".join(kinds), list(range(0, 2 * len(record), 2)))
     found = detect_loops(b)
-    assert [found[1].flat[entry][3][0] for entry in (A, B)] == [B, C]
+    assert [found.flat[entry][3][0] for entry in (A, B)] == [B, C]
     config = MonitorConfig()
     stream, sessions = OracleMonitor(config).process(
         detect_loops_scan(branch_events(b), config.max_depth))
-    assert LoopMonitor(config).process(found) == (packed(stream), encodings(sessions))
+    assert LoopMonitor(config).process(b, found) == (packed(stream), encodings(sessions))
 
 
 @st.composite

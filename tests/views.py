@@ -165,11 +165,11 @@ class _Recorder(LoopMonitor):
     when the first recursion context opens.
     """
 
-    def process(self, found):
+    def process(self, trace, loops):
         self.marks: list[Mark] = []
-        self.loops, self.recursive = found[1].loops, None
+        self.loops, self.recursive = loops.loops, None
         self.contexts = {}  # open context -> its LoopContext
-        return super().process(found)
+        return super().process(trace, loops)
 
     def _enter(self, ctx, pos, branch):
         super()._enter(ctx, pos, branch)
@@ -200,7 +200,7 @@ class _Recorder(LoopMonitor):
 def loop_marks(b: Trace, max_depth: int = DEFAULT_MAX_DEPTH) -> list[Mark]:
     """The loop marks of the monitor's walk over b, degraded contexts included."""
     recorder = _Recorder(MonitorConfig(max_depth=max_depth))
-    recorder.process(detect_loops(b))
+    recorder.process(b, detect_loops(b))
     return recorder.marks
 
 
