@@ -39,7 +39,7 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import (
     Ed25519PrivateKey, Ed25519PublicKey)
 
 from .isa import CALL, INDIRECT_CALL, JUMP, NOT_TAKEN, RETURN, WORD, Kind, Program, State
-from .emulator import AttackSpec, Trace, run
+from .emulator import DEFAULT_DATA_WORDS, AttackSpec, Trace, run
 from .branch_filter import detect_loops, filter_trace
 from .hash_engine import digest_pairs
 from .loop_monitor import (FAULT_MARKER, FAULT_MARKER_ENTRY, SESSION_HEAD, LoopMonitor,
@@ -70,6 +70,9 @@ class Challenge:
     def __post_init__(self):
         if len(self.nonce) != NONCE_LEN:
             raise ProtocolError(f"nonce must be {NONCE_LEN} bytes")
+        if len(self.input) > DEFAULT_DATA_WORDS:  # the replay could not load it
+            raise ProtocolError(f"input of {len(self.input)} words exceeds the "
+                                f"{DEFAULT_DATA_WORDS}-word data memory")
 
     def to_json(self) -> dict:
         return {"program_id": self.program_id, "input": list(self.input),
@@ -295,7 +298,7 @@ class NonceStore:
         except FileNotFoundError:
             self._size = None
             return
-        except ValueError:  # not JSON text
+        except (ValueError, RecursionError):  # not JSON text, or nested too deep to decode
             used = None
         if not (isinstance(used, list) and all(
                 isinstance(h, str) and _NONCE_HEX.fullmatch(h) for h in used)):
@@ -406,7 +409,7 @@ def _static_table(program: Program) -> Cfg:
 
 
 def decode_loop_path(entry: int, targets: tuple[int, ...], bits: str, cfg: Cfg,
-                     n: int = 4) -> str:
+                     n: int = MonitorConfig.n) -> str:
     """Structurally decode one loop path, its bits, of a session at loop entry `entry` with
     target table `targets`, against the program's static table.
 

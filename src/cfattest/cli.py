@@ -39,7 +39,10 @@ _REASON_EXIT = {
 
 def _load_json(path: str) -> dict:
     with open(path) as f:
-        return json.load(f)
+        try:
+            return json.load(f)
+        except RecursionError:  # nested too deep for the decoder: not JSON it can read
+            raise ValueError(f"{path}: JSON nested too deeply") from None
 
 
 def _write(path: str | None, text: str) -> None:

@@ -248,7 +248,8 @@ def trace_from_jsonl(text: str, program: Program) -> Trace:
                 and program.instr_at(at).kind in (Kind.LOAD, Kind.STORE)):
             raise EmulatorError(f"trace does not end as a run does after pc 0x{pc:x}")
         return Trace(inp, program, "".join(sites), targets, cycles, words, fault)
-    except (ValueError, KeyError, TypeError, AttributeError) as e:  # bad JSON or hex, a list
+    except (ValueError, KeyError, TypeError, AttributeError, RecursionError) as e:
+        # bad JSON, or JSON nested too deep to decode, bad hex, a list
         raise EmulatorError(f"malformed trace: {e!r}") from None
 
 

@@ -23,7 +23,7 @@ from cfattest.attestation import (AUTHENTICATOR_MISMATCH, BAD_SIGNATURE,
                                   check_loop_paths, decode_loop_path,
                                   generate_keypair, measure, program_hash,
                                   prover_attest, sign, signature_valid, verify)
-from cfattest.emulator import run
+from cfattest.emulator import DEFAULT_DATA_WORDS, run
 from cfattest.hash_engine import digest_pairs, pair_bytes
 from cfattest.isa import parse_program
 from cfattest import isa, loop_monitor
@@ -237,6 +237,20 @@ class TestCanonicalSerialization:
             canonical_serialize(ProgramPath(b"\0" * 64, ()), b"short")
         with pytest.raises(ProtocolError):
             Challenge("x", (), b"short")
+
+    def test_input_longer_than_data_memory_refused(self):
+        # the replay loads the input into data memory: a longer one is refused when the
+        # challenge is built, before verify runs any check
+        p = P.prog(P.WHILE_IF_ELSE, "w")
+        words = [3, 0, 1, 0] + [0] * (DEFAULT_DATA_WORDS - 4)
+        fits = Challenge.fresh(p.id, words)
+        report = prover_attest(p, fits, KEY[0])
+        assert verify(report, fits, KEY[1], p).accepted
+        for build in (lambda w: Challenge.fresh(p.id, w),
+                      lambda w: Challenge(p.id, tuple(w), bytes(32)),
+                      lambda w: Challenge.from_json({**fits.to_json(), "input": w})):
+            with pytest.raises(ProtocolError, match="exceeds the 4096-word data memory"):
+                build(words + [0])
 
     @pytest.mark.parametrize("change", [
         {"nonce_hex": None},                 # missing key

@@ -11,7 +11,7 @@ import programs as P
 from cfattest.attestation import (Challenge, ProgramPath, Report, canonical_serialize,
                                   program_hash, sign)
 from cfattest.cli import _REASON_EXIT, main
-from cfattest.emulator import run
+from cfattest.emulator import DEFAULT_DATA_WORDS, run
 from cfattest.isa import Program, parse_program
 
 
@@ -433,6 +433,56 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: nonce store ") and "Traceback" not in err
         assert store.read_text() == content
+
+    @pytest.mark.parametrize("kind", ["report", "challenge", "program", "attack", "arrivals",
+                                      "trace", "nonce-store"])
+    def test_deeply_nested_json_exits_without_a_traceback(self, ws, capsys, kind):
+        # JSON nested past the decoder's recursion limit: a report does not decode, so it
+        # is Malformed (exit 2); any other file is a usage error (exit 1)
+        nested = ws / "nested.json"
+        nested.write_text("[" * 200_000)
+        assert cfattest("attest", ws / "prog.json", ws / "challenge.json",
+                        ws / "keys" / "sk.hex", "-o", ws / "report.json") == 0
+        verify = ["verify", ws / "report.json", ws / "challenge.json", ws / "keys" / "pk.hex",
+                  ws / "prog.json"]
+        argv = {"report": ["verify", nested, *verify[2:]],
+                "challenge": ["attest", ws / "prog.json", nested, ws / "keys" / "sk.hex"],
+                "program": ["run", nested],
+                "attack": ["run", ws / "prog.json", "--attack", nested],
+                "arrivals": ["timing", nested, "--buffer", "3"],
+                "trace": ["measure", nested, "--program", ws / "prog.json"],
+                "nonce-store": [*verify, "--nonce-store", nested]}[kind]
+        capsys.readouterr()
+        code = cfattest(*argv)
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        if kind == "report":
+            assert code == 2 and err.startswith("reject: Malformed")
+        else:
+            assert code == 1 and err.startswith("error: ")
+        assert nested.read_text() == "[" * 200_000
+
+    @pytest.mark.parametrize("command", ["challenge", "attest", "verify"])
+    def test_challenge_longer_than_data_memory_exit_1(self, ws, capsys, command):
+        # refused when the challenge is loaded, before the run or any check of the report
+        words = ["3", "0", "1", "0"] + ["0"] * (DEFAULT_DATA_WORDS - 3)
+        assert cfattest("attest", ws / "prog.json", ws / "challenge.json",
+                        ws / "keys" / "sk.hex", "-o", ws / "report.json") == 0
+        challenge = json.loads((ws / "challenge.json").read_text())
+        challenge["input"] = [int(w) for w in words]
+        (ws / "long.json").write_text(json.dumps(challenge))
+        argv = {"challenge": ["challenge", "--id", "w", "--input", ",".join(words),
+                              "-o", ws / "long.json"],
+                "attest": ["attest", ws / "prog.json", ws / "long.json", ws / "keys" / "sk.hex",
+                           "-o", ws / "long_report.json"],
+                "verify": ["verify", ws / "report.json", ws / "long.json",
+                           ws / "keys" / "pk.hex", ws / "prog.json"]}[command]
+        capsys.readouterr()
+        assert cfattest(*argv) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: input of {DEFAULT_DATA_WORDS + 1} words exceeds the " \
+            f"{DEFAULT_DATA_WORDS}-word data memory\n"
+        assert not (ws / "long_report.json").exists()
 
     @pytest.mark.parametrize("command", ["verify", "cfg", "asm"])
     def test_directory_as_path_exit_1(self, ws, capsys, command):

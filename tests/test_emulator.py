@@ -1,5 +1,6 @@
 import ast
 import functools
+import inspect
 import json
 from collections import defaultdict
 from string import Formatter
@@ -101,6 +102,11 @@ end:
         t = run(p, [2, 1, 0])
         assert seen == t.events
         assert tapped.to_jsonl() == t.to_jsonl()
+
+    def test_run_takes_no_tap(self):
+        # a run hands on its record alone
+        assert list(inspect.signature(run).parameters) == [
+            "program", "input_words", "attack", "data_mem_words", "cycle_cap"]
 
 
 class TestFaults:

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cfattest
 import programs as P
 from cfattest.attestation import Report, canonical_serialize, measure
 from cfattest.branch_filter import detect_loops, filter_trace
@@ -128,6 +129,10 @@ class TestPathOverflow:
 
 
 class TestPathId:
+    def test_not_exported_from_the_package_root(self):
+        # the object view of L is read only from L's bytes, by tests and the benchmark
+        assert not hasattr(cfattest, "PathId") and not hasattr(cfattest, "LoopSession")
+
     def test_explicit_length_distinguishes(self):
         assert PathId("011") != PathId("0011")
         assert pack_bits("011") == b"\x60"

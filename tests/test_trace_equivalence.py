@@ -1501,6 +1501,31 @@ def _attacked_genprog_runs(draw):
 
 
 @settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2 ** 32), st.data())
+def test_stepping_under_a_trigger_that_never_fires_matches_units(seed, data):
+    # an armed trigger single-steps the whole run: it records, and leaves in the registers,
+    # link register and data memory, what the run by units does
+    rng = random.Random(seed)
+    program, inp = gen_program(rng, "g"), gen_input(rng)
+    pc = data.draw(st.integers(program.base - 2 * WORD, program.end + 2 * WORD).filter(
+        lambda a: program.instr_at(a) is None), label="trigger pc")
+    attack = AttackSpec(data.draw(st.sampled_from(ATTACK_KINDS)), {"pc": pc},
+                        data.draw(st.sampled_from([{"reg": 1}, {"reg": "ra"}, {"mem": 0}]))
+                        | {"value": 7})
+
+    def outcome(attack):
+        regs, mem = [0] * (NUM_REGS + 1), emulator._memory(inp, emulator.DEFAULT_DATA_WORDS)
+        trace = emulator._execute(program, inp, attack, regs, mem, emulator.DEFAULT_CYCLE_CAP)
+        return trace, regs, mem
+
+    stepped, regs, mem = outcome(attack)
+    assert set(program.state.tables["units"].steps) >= {e.pc for e in stepped.events}
+    by_units, units_regs, units_mem = outcome(None)
+    assert stepped.to_jsonl() == by_units.to_jsonl()
+    assert (regs, mem) == (units_regs, units_mem)
+
+
+@settings(max_examples=150, deadline=None)
 @given(_attacked_genprog_runs())
 def test_drawn_programs_carry_their_encoding(case):
     program, inp, attack = case
