@@ -465,13 +465,13 @@ class TestUsageErrors:
     @pytest.mark.parametrize("command", ["challenge", "attest", "verify"])
     def test_challenge_longer_than_data_memory_exit_1(self, ws, capsys, command):
         # refused when the challenge is loaded, before the run or any check of the report
-        words = ["3", "0", "1", "0"] + ["0"] * (DEFAULT_DATA_WORDS - 3)
+        words = [3, 0, 1, 0] + [0] * (DEFAULT_DATA_WORDS - 3)
         assert cfattest("attest", ws / "prog.json", ws / "challenge.json",
                         ws / "keys" / "sk.hex", "-o", ws / "report.json") == 0
         challenge = json.loads((ws / "challenge.json").read_text())
-        challenge["input"] = [int(w) for w in words]
+        challenge["input"] = words
         (ws / "long.json").write_text(json.dumps(challenge))
-        argv = {"challenge": ["challenge", "--id", "w", "--input", ",".join(words),
+        argv = {"challenge": ["challenge", "--id", "w", "--input", ",".join(map(str, words)),
                               "-o", ws / "long.json"],
                 "attest": ["attest", ws / "prog.json", ws / "long.json", ws / "keys" / "sk.hex",
                            "-o", ws / "long_report.json"],
