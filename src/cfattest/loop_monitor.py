@@ -490,7 +490,7 @@ class LoopMonitor:
             # first execution of this path: its words go to the hash engine
             self._end_traversal(s, hashed=count == 0)
 
-    def process(self, trace: Trace, enclosing: _Loops) -> tuple[bytes, list[bytes]]:
+    def process(self, trace: Trace, loops: _Loops) -> tuple[bytes, list[bytes]]:
         """Walk the trace's branches once, given `detect_loops`'s table of its loops, and
         measure each loop: A's stream as packed (Src, Dest) words, and each session's bytes in
         L (its head and tail)."""
@@ -504,7 +504,7 @@ class LoopMonitor:
         self._memo = state.memos[("flat", width)]
         self._pos = 0
         self._entries: dict[str, bytes] = {}  # path bits -> their length byte and packed bits
-        loops, flat, exits = enclosing.loops, enclosing.flat, enclosing.exit
+        backedge, flat, exits = loops.loops, loops.flat, loops.exit
         max_depth = self.config.max_depth
         sites, site, target_at, n = trace.sites, table.site, trace.target_at, len(trace)
         stack = self._stack = [_Context(-1, -1, -1, -1, 0)]  # the bottom one is never left
@@ -562,9 +562,9 @@ class LoopMonitor:
                     within, lo, hi = close_ctx(i, i)
 
                 # fallthrough arrival: control is inside known loop bodies with no context open
-                for entry in enclosing[src]:
+                for entry in loops[src]:
                     if entry not in open_at:
-                        within, lo, hi, resume = open_ctx(entry, entry, loops[entry], i, i)
+                        within, lo, hi, resume = open_ctx(entry, entry, backedge[entry], i, i)
                 if resume >= i:  # a flat session (the innermost loop) took branches i..resume
                     i = resume
                     continue
@@ -599,9 +599,9 @@ class LoopMonitor:
                     # backedge (or continue) re-entering the entry node
                     if not stack[-1].degraded:
                         self._iterate(stack[-1], i + 1, i)
-                elif dest in loops and dest not in open_at:
+                elif dest in backedge and dest not in open_at:
                     # arrival branch from outside; the branch itself is not part of the loop
-                    within, lo, hi, resume = open_ctx(dest, dest, loops[dest], i + 1, i)
+                    within, lo, hi, resume = open_ctx(dest, dest, backedge[dest], i + 1, i)
                     if resume > i:  # a flat session took branches i+1..resume
                         i = resume
                         continue
