@@ -327,7 +327,7 @@ class Sites:
 class State:
     """A program's derived state.  `tables` holds what the program bounds, made on first use
     (`table`): its units, static table, hash, site bits and words, last loop table and, per
-    path width, flat traversals.  `memos` holds, by name, the dicts only traffic bounds, empty
+    path width and flat loop, up to 16 known traversals.  `memos` holds, by name, the dicts only traffic bounds, empty
     on first use: per path width the flat-session memo, the decode statuses and the session
     tails.  A lookup is a plain dict get; an insert (`keep`) charges its bytes (`_held`, and a
     dict slot) to one budget, `_MEMO_BYTES`.  An entry that does not fit empties every memo

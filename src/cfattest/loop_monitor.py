@@ -24,33 +24,34 @@ an index range until they are hashed.  A flat session (see `branch_filter`)
 is one step of the walk, with no context; with no context open, the step
 goes on with each flat session its exit leads into (`_Loops.flat`), so
 back-to-back flat loops take one step in all.  If a session's iterations (up
-to the last re-entering site) are the first one repeated, it is that path,
-counted, plus its tail.  Else its iterations are counted against the
-traversals its loop has taken before, as LO-FAT bumps the counter of an
-iteration's path: with the re-entering site doubled, each iteration lies
-between two copies of it, so one `str.count` and one `str.find` per known
-traversal give its count and first position, until the counts cover every
-iteration.  The session is instead split at the re-entering site, and its
-pieces counted in first-occurrence order in one C pass, when the known
-traversals do not cover its iterations (a new path, a traversal that is only
-the re-entering site, or one past the width), outnumber them, or would take
-more scanning than a split costs (`_SCAN_BUDGET`); its new traversals then
-become known.  The rule reads only the session and the table, and both ways
-give the same stream and paths, so A and L do not depend on what the tables
-hold.  A traversal past the path width is hashed at every occurrence.
+to the last re-entering site) are the first one repeated, they are that
+traversal, counted.  Else they are counted against the traversals its loop
+has taken before, as LO-FAT bumps the counter of an iteration's path: with
+the re-entering site doubled, each iteration lies between two copies of it,
+so one `str.count` and one `str.find` per known traversal give its count and
+first position, until the counts cover every iteration.  The session is
+instead split at the re-entering site, and its pieces counted in
+first-occurrence order in one C pass, when the known traversals do not cover
+its iterations (a new path, a traversal that is only the re-entering site,
+or one past the width), outnumber them, or would take more scanning than a
+split costs (`_SCAN_BUDGET`); its new traversals then become known.  Each way
+ends in one loop over the counted traversals and the tail: paths in
+first-occurrence order, a path's words hashed at its first occurrence, a
+traversal past the path width hashed at every occurrence.  The rule reads
+only the session and the table, and the ways give the same stream and paths,
+so A and L do not depend on what the table holds.
 
-The program's state (`Program.state`) keeps, per path width, a table from a
-flat traversal's sites to its bits and pairs and, per flat loop (keyed by its
-re-entering site), the traversals it has taken that fit the width and hold
-more than that site, in first-seen order: at most 2^path_width a loop, the
-bound of LO-FAT's path-indexed counters (`memory_bits`); a loop stops
-learning at `_SCAN_BUDGET // 2`, which never fit the budget.  Its session
-memo maps a flat session's sites (exit branch included) to its stream words
-and L tail, so a session measured before costs one lookup and one packed
-head; the memo is charged to the state's one budget (`State.keep`).  What a
-flat session adds depends only on its sites and the path width (its body
-holds no indirect transfer, and both ways of counting agree), so A and L do
-not depend on what the state holds.
+The program's state (`Program.state`) keeps, per path width and flat loop
+(keyed by its re-entering site), the traversals the loop has taken that fit
+the width and hold more than that site, in first-seen order, up to
+`_SCAN_BUDGET // 2`, which never fit the budget: a table the program bounds.
+A traversal's bits and words are made once per `process` call, in a table
+that ends with the call.  The state's session memo maps a flat session's
+sites (exit branch included) to its stream words and L tail, so a session
+measured before costs one lookup and one packed head; the memo is charged to
+the state's one budget (`State.keep`).  What a flat session adds depends only
+on its sites and the path width (its body holds no indirect transfer, and the
+ways of counting agree), so A and L do not depend on what the state holds.
 
 The walk emits the measurement as bytes.  A's stream is packed 8-byte
 (Src, Dest) words (`hash_engine.pair_bytes`), made once per site and program
@@ -313,8 +314,6 @@ class LoopMonitor:
 
     def __init__(self, config: MonitorConfig = MonitorConfig()):
         self.config = config
-        self.stream: list[bytes] = []     # hash-engine input as packed words, in emission order
-        self.sessions: list[Optional[bytes]] = []  # each session's bytes in L, in order
 
     def _indirect_code(self, s: _Context, target: int) -> int:
         code = s.targets.get(target)
@@ -407,20 +406,11 @@ class LoopMonitor:
         """What a flat session not measured before adds: its stream words and its L tail, kept
         in the memo (`State.keep`)."""
         k, done = sites.find(site) + 1, sites.rfind(site) + 1  # first and last iteration end
-        first, width, table = sites[:k], self.config.path_width, self._paths
+        first, tail, width = sites[:k], sites[done:], self.config.path_width
         n = done // k if k and not done % k and (done == k or sites.startswith(first, k)) else 0
-        tail, overflow = sites[done:], False
         if n and max(k, len(tail)) <= width and sites.startswith(first * n):
-            # all n complete iterations take the first one's path: (first, n) and the tail
-            path, words = table.get(first) or self._traversal(first)
-            last, tail_words = table.get(tail) or self._traversal(tail)
-            if last == path:
-                paths = ((path, n + 1),)
-            elif tail:
-                words, paths = words + tail_words, ((path, n), (last, 1))
-            else:  # the trace ended at a re-entering site
-                paths = ((path, n),)
-        else:  # the complete iterations, each traversal counted, then the tail
+            traversals = [(first, n)]  # all n complete iterations take the first one's path
+        else:  # each traversal of the complete iterations, counted
             traversals = self._count_known(site, sites)
             if traversals is None:  # split and counted in one C pass, less `site`
                 pieces = sites.split(site)
@@ -428,26 +418,29 @@ class LoopMonitor:
                 runs: dict[str, int] = {}
                 _count_elements(runs, pieces)  # Counter's C loop, without its set-up per call
                 known = self._known.setdefault(site, {})
-                if 2 * len(known) < _SCAN_BUDGET:  # past that, `_count_known` never scans
-                    for piece in runs:
-                        if piece not in known and piece and len(piece) < width:
-                            known[piece] = site + piece + site
+                for piece in runs:
+                    if 2 * len(known) >= _SCAN_BUDGET:  # past that, `_count_known` never scans
+                        break
+                    if piece not in known and piece and len(piece) < width:
+                        known[piece] = site + piece + site
                 wide = max(map(len, runs), default=0) >= width  # a piece and `site` exceed it
                 traversals = [(piece + site, 1) for piece in pieces] if wide else [
                     (piece + site, count) for piece, count in runs.items()]
-            stream, counts = [], {}
-            for traversal, count in traversals + [(tail, 1)] if tail else traversals:
-                if len(traversal) > width:  # in order, hashed at every occurrence
-                    overflow = True
-                    stream.append(b"".join(map(self._word, traversal)))
-                    continue
-                path, words = table.get(traversal) or self._traversal(traversal)
-                seen = counts.get(path, 0)
-                if not seen:  # first execution of this path: its words go to the hash engine
-                    stream.append(words)
-                counts[path] = seen + count
-            words, paths = b"".join(stream), counts.items()
-        found = words, session_tail(overflow, paths, (), self._entries)
+        stream, counts, overflow = [], {}, False
+        for traversal, count in traversals + [(tail, 1)] if tail else traversals:
+            if len(traversal) > width:  # in order, hashed at every occurrence
+                overflow = True
+                stream.append(b"".join(map(self._word, traversal)))
+                continue
+            if traversal not in self._paths:  # new to this call: its bits and words
+                self._paths[traversal] = (traversal.translate(self._bits),
+                                          b"".join(map(self._word, traversal)))
+            path, words = self._paths[traversal]
+            seen = counts.get(path, 0)
+            if not seen:  # first execution of this path: its words go to the hash engine
+                stream.append(words)
+            counts[path] = seen + count
+        found = b"".join(stream), session_tail(overflow, counts.items(), (), self._entries)
         return self._state.keep(self._memo, sites, found)
 
     def _count_known(self, site: str, sites: str) -> Optional[list[tuple[str, int]]]:
@@ -475,12 +468,6 @@ class LoopMonitor:
                     return [(pattern[1:], count) for _, pattern, count in found]
         return None
 
-    def _traversal(self, sites: str) -> tuple[str, bytes]:
-        """A flat traversal that fits the width: its path bits and words, now in the table."""
-        found = self._paths[sites] = (sites.translate(self._bits),
-                                      b"".join(map(self._word, sites)))
-        return found
-
     def close_path(self, s: _Context) -> None:
         if s.iter_overflowed:
             s.iter_overflowed = False
@@ -500,10 +487,13 @@ class LoopMonitor:
         self._bits, pairs = state.table("bits", site_bits, table), table.pair
         self._word = state.table("words", lambda: {
             c: pair_bytes(*pair) for c, pair in pairs.items() if pair[1] is not None}).__getitem__
-        self._paths, self._known = state.table(("traversals", width), lambda: ({}, {}))
+        self._known = state.table(("known", width), dict)
         self._memo = state.memos[("flat", width)]
         self._pos = 0
+        self.stream: list[bytes] = []     # hash-engine input as packed words, in emission order
+        self.sessions: list[Optional[bytes]] = []  # each session's bytes in L, in order
         self._entries: dict[str, bytes] = {}  # path bits -> their length byte and packed bits
+        self._paths: dict[str, tuple[str, bytes]] = {}  # flat traversal -> its bits and words
         backedge, flat, exits = loops.loops, loops.flat, loops.exit
         max_depth = self.config.max_depth
         sites, site, target_at, n = trace.sites, table.site, trace.target_at, len(trace)

@@ -112,6 +112,18 @@ class TestCountersAndCompression:
         assert stream1 == stream3  # iterations 2 and 3 only bump the counter
 
 
+    def test_one_monitor_measures_a_trace_twice(self):
+        # each call starts its own stream and L: the second repeats the first, a fresh
+        # monitor's too, and leaves the first call's L as it was
+        t = filter_trace(run(P.prog(P.WHILE_IF_ELSE, "x"), [3, 0, 1, 0]))
+        monitor = cfattest.LoopMonitor()
+        stream, sessions = monitor.process(t, detect_loops(t))
+        kept = list(sessions)
+        assert monitor.process(t, detect_loops(t)) == (stream, sessions) \
+            == LoopMonitor().process(t, detect_loops(t))
+        assert sessions == kept and len(sessions) == 1 and len(stream) == 80
+
+
 class TestPathOverflow:
     def test_wide_iteration_degrades_to_direct_hashing(self):
         cfg = MonitorConfig(n=1, path_width=2, max_depth=3)

@@ -962,12 +962,48 @@ def test_flat_sessions_on_a_warm_table(name, width, monkeypatch):
             == oracle_measure(trace, config)
     if width == 16:
         assert took == [expected for _, expected in inputs]
-    _, known = warm.state.tables[("traversals", width)]
+    known = warm.state.tables[("known", width)]
     # only traversals that fit the width and hold more than the re-entering site
     assert all(pattern == site + piece + site and piece and len(piece) < width
                and site not in piece for site, pieces in known.items()
                for piece, pattern in pieces.items())
     assert any(known.values()) or width < 16
+
+
+def _if_chain_loop(k):
+    """A flat loop of k if-thens: pass i reads input words k*i-k+1 to k*i, one if-then each."""
+    lines = ["main:", "    ld r2, [r0+0]", "L:", "    beq r1, r2, E", "    addi r1, r1, 1",
+             f"    addi r9, r9, {k}"]
+    for j in range(k):
+        lines += [f"    ld r3, [r9{j + 1 - k:+d}]", f"    beq r3, r0, F{j}", "    addi r4, r4, 1",
+                  f"F{j}:"]
+    return "\n".join(lines + ["    j L", "E:", "    halt"]) + "\n"
+
+
+def _table_entries(x):
+    """The entries a table holds, in each dict, list or tuple it reaches."""
+    if isinstance(x, dict):
+        return len(x) + sum(map(_table_entries, x.values()))
+    return len(x) + sum(map(_table_entries, x)) if isinstance(x, (list, tuple)) else 0
+
+
+def test_a_programs_tables_stay_bounded_under_fresh_traffic():
+    # 20 if-thens in a flat loop give 2^20 paths at width 32, so fresh inputs keep bringing new
+    # traversals: the program keeps no table of them, and each flat loop at most
+    # `_SCAN_BUDGET // 2` known ones
+    config, rng = MonitorConfig(n=1, path_width=32), random.Random(29)
+    program = parse_program(_if_chain_loop(20), "if20")
+    sizes = []
+    for _ in range(100):
+        passes = rng.randint(150, 200)
+        measure(run(program, [passes] + rng.choices((0, 1), k=20 * passes)), config)
+        sizes.append({key: _table_entries(t) for key, t in program.state.tables.items()})
+    assert sizes[5:] == [sizes[4]] * 95
+    known = program.state.tables[("known", 32)]
+    assert known and all(len(pieces) <= loop_monitor._SCAN_BUDGET // 2 == 16
+                         for pieces in known.values())
+    trace = run(program, [3] + rng.choices((0, 1), k=60))
+    assert measure(trace, config) == oracle_measure(trace, config)
 
 
 def test_a_tail_past_the_width_is_hashed_once(monkeypatch):
@@ -1226,12 +1262,9 @@ _STATUSES = (attestation.PATH_VALID_CYCLE, attestation.PATH_VALID_EXIT,
 
 def _held_bytes(program, *roots):
     """The bytes a program's memos hold, or the objects `roots`, as `sys.getsizeof` counts
-    every object they reach, less what its traversal tables hold too, the decode statuses
-    (module constants) and each memo's empty dict."""
+    every object they reach, less the decode statuses (module constants) and each memo's
+    empty dict."""
     state, shared = program.state, set(map(id, _STATUSES))
-    for key, table in state.tables.items():
-        if key[0] == "traversals":  # (traversal sites -> (bits, words), known traversals)
-            shared.update(id(x) for found in table[0].values() for x in found)
     memos = list(state.memos.values())
     seen, todo = set(), list(roots) or memos
     held = 0 if roots else -len(memos) * sys.getsizeof({})
