@@ -468,8 +468,13 @@ def run(
 ) -> Trace:
     """Execute the program on the given input, optionally under attack.
 
+    ValueError, before the first cycle, for a negative cycle_cap or no data memory;
     CycleLimitExceeded if the run would retire more than cycle_cap cycles.
     """
+    if cycle_cap < 0:
+        raise ValueError(f"cycle cap {cycle_cap} is negative")
+    if data_mem_words < 1:
+        raise ValueError(f"data memory of {data_mem_words} words holds no word")
     if attack is not None and attack.payload.get("mem", -1) >= data_mem_words:
         raise AttackError(f"memory target {attack.payload['mem']} outside data memory")
     return _execute(program, input_words, attack, [0] * (NUM_REGS + 1),

@@ -286,6 +286,17 @@ class TestUsageErrors:
         assert cfattest("run", tmp_path / "p.json", "--cycle-cap", "50",
                         "-o", tmp_path / "t.jsonl") == 6
 
+    def test_negative_cycle_cap_exit_1(self, tmp_path, capsys):
+        # the cap is the caller's input, refused before the run: not a cap the run exceeded
+        src = tmp_path / "spin.s"
+        src.write_text("main:\nloop:\n    j loop\n    halt\n")
+        assert cfattest("asm", src, "-o", tmp_path / "p.json") == 0
+        capsys.readouterr()
+        assert cfattest("run", tmp_path / "p.json", "--cycle-cap", "-5",
+                        "-o", tmp_path / "t.jsonl") == 1
+        assert capsys.readouterr().err == "error: cycle cap -5 is negative\n"
+        assert not (tmp_path / "t.jsonl").exists()
+
     def test_replay_past_the_cycle_cap_exit_6(self, tmp_path, capsys):
         # a signed report for a program that never halts: the replay raises
         # CycleLimitExceeded, which verify lets through and the CLI maps to 6

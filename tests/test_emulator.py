@@ -127,6 +127,20 @@ class TestFaults:
         with pytest.raises(CycleLimitExceeded):
             run(parse_program(src), [], cycle_cap=100)
 
+    @pytest.mark.parametrize("bounds, error", [
+        ({"cycle_cap": -5}, "cycle cap -5 is negative"),
+        ({"data_mem_words": 0}, "data memory of 0 words holds no word"),
+        ({"data_mem_words": -1}, "data memory of -1 words holds no word")])
+    def test_bounds_refused_before_the_first_cycle(self, bounds, error):
+        # with no data memory a run used to give a trace whose own lines trace_from_jsonl
+        # refuses; a negative cap raised CycleLimitExceeded, which is not the input's fault
+        program = P.prog(P.STRAIGHT_LINE, "s")
+        with pytest.raises(ValueError, match=f"^{error}$"):
+            run(program, [], **bounds)
+        assert "units" not in program.state.tables  # no code was compiled to run
+        trace = run(program, [], data_mem_words=1, cycle_cap=100)
+        assert trace_from_jsonl(trace.to_jsonl(), program).to_jsonl() == trace.to_jsonl()
+
     def test_input_exceeding_memory(self):
         with pytest.raises(EmulatorError):
             run(P.prog(P.STRAIGHT_LINE, "s"), [0] * 10, data_mem_words=4)
