@@ -17,7 +17,8 @@
 # data memory and an attack on register 99 whose trigger never fires among them), a negative
 # cycle cap, malformed nonce stores, a trace and a nonce store nested 200,000 lists deep and a
 # directory as a path exit 1 without a traceback, and the absorb model answers at once for an
-# arrival at cycle 10^12.
+# arrival at cycle 10^12. A run capped at its own cycle count writes the uncapped trace byte for
+# byte, and one capped a cycle short exits 6.
 set -o pipefail
 root=$PWD
 work=$(mktemp -d)
@@ -61,6 +62,15 @@ python -c "import json, sys; stored = json.load(open('race.json')); \
 cfattest inject --kind corrupt-loop-counter --trigger-pc 0x108 \
   --reg 2 --value 2 -o atk.json
 cfattest run prog.json --input 3,0,1,0 -o trace.jsonl
+cycles=$(python -c "import json; print(json.loads(open('trace.jsonl').readline())['cycles'])")
+cfattest run prog.json --input 3,0,1,0 --cycle-cap "$cycles" -o capped.jsonl
+cmp capped.jsonl trace.jsonl
+code=0
+cfattest run prog.json --input 3,0,1,0 --cycle-cap "$((cycles - 1))" -o short.jsonl 2> err.txt \
+  || code=$?
+cat err.txt
+test "$code" -eq 6
+if grep -q Traceback err.txt; then exit 1; fi
 cfattest measure trace.jsonl --program prog.json | diff - "$root/tests/golden/measure.json"
 cfattest measure trace.jsonl --program prog.json -n 1 --path-width 4 \
   | diff - "$root/tests/golden/measure_n1_w4.json"

@@ -12,20 +12,21 @@ size, and is read back only against that program; the per-cycle stream
 The program runs as Python functions, *units*, compiled from `SEMANTICS`
 when control first reaches them and kept in `Program.state`.  An innermost
 static loop is one unit entered at its header, with the registers in locals.
-Each pass tests the cycle cap once and runs as straight-line code, a *path
+It runs two passes per test of the cycle cap, as straight-line code, a *path
 tree* (`_Tree`): a conditional is an if/else over the paths from its target
 and from the next instruction, and a direct jump inside the loop is followed.
-Each path ends once, back at the header or leaving the unit (a successor
-outside, an indirect transfer, a halt, a data fault), and there appends its
-site characters with one call and adds its cycle count, fixed at compile
-time, once; pc is written only where the unit leaves.  A loop whose tree
-would pass its bound runs as units of one block, as does any other entry pc
-(a loop's block entered past its header too).  Units of one *shape*, equal
-but for addresses, immediates and site characters, share a code object and
-take those as parameter defaults.
+Each path ends once, back at the header after its second pass or leaving the
+unit in either (a successor outside, an indirect transfer, a halt, a data
+fault), and there appends its site characters with one call and adds its
+cycle count, fixed at compile time, once; pc is written only where the unit
+leaves.  A loop whose two-pass tree would pass its bound runs one pass per
+test, and one whose one-pass tree would too runs as units of one block, as
+does any other entry pc (a loop's block entered past its header too).  Units
+of one *shape*, equal but for addresses, immediates and site characters,
+share a code object and take those as parameter defaults.
 Units of one instruction single-step a run only while an attack's trigger
 is armed, so that it fires at its exact cycle or pc, and from the first unit
-whose pass does not fit under the cycle cap, so that a run past the cap
+whose passes do not fit under the cycle cap, so that a run past the cap
 stops at the interpreter's cycle with its registers and memory.
 Attack injection mutates writable state only (registers, link register, data
 memory); program text is immutable.
@@ -301,7 +302,7 @@ SEMANTICS: Mapping[str, str] = MappingProxyType({
 })
 _GO_ON = ("{next}", "{target}", "{leave}")
 _BLOCK_LIMIT = 64  # instructions per block of a unit, so that a long block compiles in pieces,
-# and how far a path tree may outgrow its unit
+# and how far a path tree may outgrow its unit per pass
 # a parameter's value, by its kind, from its instruction
 _VALUES = {"imm": lambda i: (i.imm or 0) & MASK32, "next": lambda i: i.addr + WORD,
            "target": lambda i: i.target}
@@ -312,24 +313,26 @@ class _TooLarge(Exception):
 
 
 class _Tree:
-    """The body of a unit's `while`, one pass: the path tree from its entry.
+    """The body of a unit's `while`, `passes` passes: the path tree from its entry.
 
     A path runs its instructions in the order they retire.  A conditional is
     `if cond:` over the path from its target and `else:` over the path from the
-    next instruction, and a direct jump inside the unit is followed.  A path ends
-    at a *leaf*: out of the unit (a halt, a data fault, an indirect transfer, a
-    successor outside: `pc` set, `break`) or back at the entry, a loop's header,
-    where `pc` already is (the pass ends).  Each leaf makes one `sa` of its
-    path's site characters and one `cycle +=` of its path's length.  The tree
-    holds at most `_BLOCK_LIMIT` instructions more than the unit, nested at most
-    `_BLOCK_LIMIT` deep, or `_TooLarge` is raised.  `params` maps each parameter
-    to its (kind, instruction index), or ("s", the (instruction, taken) pairs of
-    a leaf's site characters).
+    next instruction, and a direct jump inside the unit is followed.  Back at the
+    entry, a loop's header, a path walks on into the next pass.  A path ends at a
+    *leaf*: out of the unit in any pass (a halt, a data fault, an indirect
+    transfer, a successor outside: `pc` set, `break`) or back at the header after
+    the last, where `pc` already is.  Each leaf makes one `sa` of its path's site
+    characters and one `cycle +=` of its path's length; `longest` is the longest.
+    The tree holds at most `_BLOCK_LIMIT` instructions more than the unit per
+    pass, nested at most `_BLOCK_LIMIT` deep, or `_TooLarge` is raised.  `params`
+    maps each parameter to its (kind, instruction index), or ("s", the
+    (instruction, taken) pairs of a leaf's site characters).
     """
 
-    def __init__(self, ops: tuple):
-        self.ops, self.params, self.lines, self.left = ops, {}, [], len(ops) + _BLOCK_LIMIT
-        self.path(0, 0, (), " " * 8)
+    def __init__(self, ops: tuple, passes: int):
+        self.ops, self.params, self.lines = ops, {}, []
+        self.passes, self.longest, self.left = passes, 0, passes * (len(ops) + _BLOCK_LIMIT)
+        self.path(0, 0, (), " " * 8, 1)
 
     def param(self, kind: str, arg) -> str:
         name = f"s{len(self.params)}" if kind == "s" else f"{kind}{arg}"
@@ -337,13 +340,14 @@ class _Tree:
         return name
 
     def leaf(self, n: int, sites: tuple, pad: str, *end: str) -> None:
+        self.longest = max(self.longest, n)
         if sites:
             self.lines.append(f"{pad}sa({self.param('s', sites)})")
         self.lines.append(f"{pad}cycle += {n}")
         self.lines.extend(pad + line for line in end)
 
-    def path(self, i: Optional[int], n: int, sites: tuple, pad: str) -> None:
-        """Emit the path from instruction i, after n instructions of the pass
+    def path(self, i: Optional[int], n: int, sites: tuple, pad: str, lap: int) -> None:
+        """Emit the path from instruction i of pass `lap`, after n instructions
         whose site characters are `sites`."""
         while i is not None:
             self.left -= 1
@@ -370,27 +374,32 @@ class _Tree:
                     self.leaf(n, step, indent, "break")
                     continue
                 to = target if text == "{target}" else at + 1 if at + 1 < len(self.ops) else None
+                to_lap = lap + (to == 0)
                 if to is None:
                     self.leaf(n, step, indent, f"pc = {self.param(text[1:-1], at)}", "break")
-                elif to == 0:  # back at the header, which pc holds still
+                elif to_lap > self.passes:  # back at the header, which pc holds still
                     self.leaf(n, step, indent)
                 elif k == len(lines) - 1 and indent == pad:  # in tail position: walk on
-                    i, sites = to, step
+                    i, sites, lap = to, step, to_lap
                 else:
-                    self.path(to, n, step, indent)
+                    self.path(to, n, step, indent, to_lap)
 
 
 def _source(ops: tuple) -> tuple[str, tuple]:
     """A unit shape's function source and its parameters, (kind, arg) each: the path
-    tree (`_Tree`) from its entry; `_TooLarge` if that would pass its bound."""
-    tree = _Tree(ops)
+    tree (`_Tree`) from its entry, over two passes per `while` test, or one if two
+    would pass its bound; `_TooLarge` if one would too."""
+    try:
+        tree = _Tree(ops, 2)
+    except _TooLarge:
+        tree = _Tree(ops, 1)
     body = "\n".join(tree.lines)
     regs = sorted(set(re.findall(r"\br(?:\d+|a)\b", body)))
     names, slots = "".join(f"{r}, " for r in regs), "".join(
         f"regs[{NUM_REGS if r == 'ra' else r[1:]}], " for r in regs)
     params = "".join(f", {p}" for p in tree.params)
     return "\n".join([f"def unit(regs, mem, sa, ta, pc, cycle, cap{params}):",
-                      f"    {names}= {slots}" if regs else "", f"    cap -= {len(ops)}",
+                      f"    {names}= {slots}" if regs else "", f"    cap -= {tree.longest}",
                       "    while cycle <= cap:", body,
                       f"    {slots}= {names}" if regs else "", "    return pc, cycle"]), \
         tuple(tree.params.values())
@@ -502,8 +511,8 @@ def _execute(program: Program, input_words: list[int], attack: Optional[AttackSp
     sa, ta = sites.append, targets.append
     code = program.state.table("units", _Units, program)
     units, pc, cycle = code.units, program.entry_point, 0
-    # single step while a trigger is armed, and from the first block that does not
-    # fit under the cap
+    # single step while a trigger is armed, and from the first unit whose passes do
+    # not fit under the cap
     capped, stepping = False, attack is not None
 
     while True:

@@ -225,6 +225,11 @@ def descending_loops(k: int) -> str:
     return "\n".join(lines) + "\n"
 
 
+# FAULT_MID_PASS at a stride whose second pass faults: the second half of a unit's first
+# two-pass iteration
+FAULT_MID_SECOND_PASS = P.FAULT_MID_PASS.replace("2000", "3000")
+
+
 def _genprog_case(seed):
     rng = random.Random(seed)
     return gen_program(rng, f"g{seed}"), gen_input(rng), None
@@ -271,6 +276,7 @@ def _cases():
         "halt-in-loop": (P.prog(P.HALT_IN_LOOP, "hl"), [3], None),
         "fault-in-loop": (P.prog(P.FAULT_IN_LOOP, "fl"), [], None),
         "fault-mid-pass": (P.prog(P.FAULT_MID_PASS, "fm"), [5], None),
+        "fault-mid-second-pass": (P.prog(FAULT_MID_SECOND_PASS, "fm2"), [5], None),
         "long-and-short-paths": (P.prog(P.LONG_AND_SHORT_PATHS, "ls"), [6, 0, 1, 0, 1, 1, 0], None),
         "entered-past-overlap": (P.prog(P.ENTERED_PAST_OVERLAP, "po"), [], None),
         "jump-into-loop": (P.prog(JUMP_INTO_LOOP, "ji"), [1], None),
@@ -339,6 +345,12 @@ TWO_IF_ELSE = ("main:\n li r2, 6\n li r8, 1\n li r9, 3\nL:\n beq r1, r2, E\n add
                " sub r3, r8, r3\n beq r3, r0, A\n addi r4, r4, 1\n j B0\nA:\n addi r5, r5, 1\nB0:\n"
                " blt r1, r9, B\n addi r6, r6, 2\n j N\nB:\n addi r7, r7, 3\nN:\n j L\nE:\n halt\n")
 
+# four if-thens in sequence: one pass's path tree fits its bound, two passes' would not
+FOUR_IF_THENS = ("main:\n li r2, 4\n li r8, 1\nL:\n beq r1, r2, E\n addi r1, r1, 1\n"
+                 " sub r3, r8, r3\n" + "".join(f" beq r3, r0, F{k}\n addi r{4 + k}, r{4 + k}, "
+                                                f"{k + 1}\nF{k}:\n" for k in range(4))
+                 + " j L\nE:\n halt\n")
+
 HAND_CASES = {
     # jr into the middle of a straight-line block, and into the middle of a loop's block
     "jr-mid-block": ("main:\n li r1, 0x110\n jr r1\n addi r2, r2, 1\n addi r2, r2, 1\n"
@@ -380,6 +392,8 @@ HAND_CASES = {
                           " addi r4, r4, 1\n j L\nX:\n st r4, [r0+0]\n halt\n"),
     # two if/else in sequence: four paths through a pass, each taken on one of six passes
     "two-if-else": TWO_IF_ELSE,
+    # four if-thens in sequence: one pass per `while` test
+    "four-if-thens": FOUR_IF_THENS,
     # eight if-thens in sequence: the path tree would pass its bound
     "past-tree-bound": P.PAST_TREE_BOUND,
     # immediates outside 32 bits wrap: the jr targets show the values
@@ -507,13 +521,10 @@ def _loop_unit(source, limit=emulator._BLOCK_LIMIT):
     return emulator._source(units.layout(header, limit)[0])[0]
 
 
-def test_a_loop_pass_is_a_path_tree():
-    # WHILE_IF_ELSE's pass tests no pc; each way through it (the exit, a data fault, the
-    # else and the then iteration) appends its sites once and adds its cycles once
-    tree = ast.parse(_loop_unit(P.WHILE_IF_ELSE))
-    assert not [node for node in ast.walk(tree) if isinstance(node, ast.Compare)
-                and isinstance(node.left, ast.Name) and node.left.id == "pc"]
-    (loop,) = [node for node in ast.walk(tree) if isinstance(node, ast.While)]
+def _cycle_adds(source):
+    """The cycle adds of the ways through a unit's `while`, each of which appends its
+    sites once and adds its cycles once."""
+    (loop,) = [node for node in ast.walk(ast.parse(source)) if isinstance(node, ast.While)]
     adds = set()
     for run, _ in _runs(loop.body):
         appends = [node for node in run if isinstance(node, ast.Expr)
@@ -522,11 +533,44 @@ def test_a_loop_pass_is_a_path_tree():
                   and node.target.id == "cycle"]
         assert len(appends) == len(cycles) == 1
         adds.update(cycles)
-    assert sorted(adds) == [1, 3, 7, 8]
+    return adds
+
+
+def _passes(program, header, unit):
+    """The most passes one `sa` of a loop unit covers: the most returns to its header
+    among the site strings it appends."""
+    pair = program.sites.pair
+    return max(sum(pair[c][1] == header for c in s) for s in unit.__defaults__
+               if isinstance(s, str))
+
+
+def test_a_loop_pass_is_a_path_tree():
+    # WHILE_IF_ELSE's unit runs two passes per `while` test and tests no pc; each way
+    # through them (the exit or a data fault in either pass, or two iterations, each the
+    # then or the else) appends its sites once and adds its cycles once; the test leaves
+    # room for the longest way
+    source = _loop_unit(P.WHILE_IF_ELSE)
+    assert not [node for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Compare)
+                and isinstance(node.left, ast.Name) and node.left.id == "pc"]
+    assert _cycle_adds(source) == {1, 3, 8, 9, 10, 11, 14, 15, 16}
+    assert "    cap -= 16\n" in source
     assert "if pc ==" not in _loop_unit(TWO_IF_ELSE) + _loop_unit(LONG_BLOCK_LOOP)
+    limit = emulator._BLOCK_LIMIT
+    # two passes of four if-thens would pass the bound: the loop is still one unit, of one
+    # pass per test, not units of one block
+    program = parse_program(FOUR_IF_THENS)
+    units = emulator._Units(program)
+    (header,) = units.loops
+    ops, _ = units.layout(header, limit)
+    with pytest.raises(emulator._TooLarge):
+        emulator._Tree(ops, 2)
+    unit = units.unit(header, limit)
+    assert sorted(units.loops) == [header] and unit.__code__ is emulator._shape(ops)[0]
+    assert _passes(program, header, unit) == 1
+    assert _cycle_adds(emulator._source(ops)[0]) == {1, 8, 9, 10, 11, 12}
     # past the bound, the header gets a unit of one block: its beq
     program = parse_program(P.PAST_TREE_BOUND)
-    units, limit = emulator._Units(program), emulator._BLOCK_LIMIT
+    units = emulator._Units(program)
     (header,) = units.loops
     with pytest.raises(emulator._TooLarge):
         emulator._source(units.layout(header, limit)[0])
@@ -553,7 +597,9 @@ def test_no_unit_tests_pc():
 
 
 def test_every_innermost_workload_loop_is_one_unit(monkeypatch):
-    # the benchmark's loops run as path trees, not as units of one block
+    # the benchmark's loops run as path trees of two passes per `while` test, not as
+    # trees of one pass or units of one block; a loop that calls leaves its unit before
+    # the header on every way, so no way covers a pass (0)
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
     from workloads import GEN_SEED, HELD_OUT_GEN_SEED, WORKLOADS
     for gen_seed in (GEN_SEED, HELD_OUT_GEN_SEED):
@@ -563,9 +609,11 @@ def test_every_innermost_workload_loop_is_one_unit(monkeypatch):
                 units = emulator._Units(program)
                 headers = sorted(units.loops)
                 assert headers or name == "genprog_mix"
-                for header in headers:
-                    units.unit(header, emulator._BLOCK_LIMIT)
+                passes = [_passes(program, header, units.unit(header, emulator._BLOCK_LIMIT))
+                          for header in headers]
                 assert sorted(units.loops) == headers, (name, gen_seed, program.id)
+                assert set(passes) <= {0, 2}, (name, gen_seed, program.id)
+                assert 2 in passes or name == "genprog_mix"
 
 
 def test_cases_cover_both_attack_triggers():
@@ -1031,6 +1079,12 @@ def test_faults_are_covered():
     faults = {name: run(*CASES[name]).fault for name in ("data-fault", "pc-fault-in-loop")}
     assert faults == {"data-fault": "data-access-out-of-range:100000",
                       "pc-fault-in-loop": "pc-out-of-range:0x99990000"}
+    # the loop's load faults on its third pass, the first of the unit's second `while`
+    # iteration (1 + 2 * 5 + 3 cycles), and at the wider stride on its second (1 + 5 + 3)
+    mid_pass = {name: (run(*CASES[name]).fault, run(*CASES[name]).cycles)
+                for name in ("fault-mid-pass", "fault-mid-second-pass")}
+    assert mid_pass == {"fault-mid-pass": ("data-access-out-of-range:6000", 14),
+                        "fault-mid-second-pass": ("data-access-out-of-range:6000", 9)}
 
 
 def test_cycle_cap_is_exact():
@@ -1135,6 +1189,7 @@ HONEST_INVALID = {
     "entered-past-overlap": dict.fromkeys(_ALL_CONFIGS, [(0, "0")]),
     "exit-out-of-enclosing-loop": dict.fromkeys(_ALL_CONFIGS, [(0, "1")]),
     "fault-mid-pass": dict.fromkeys(_ALL_CONFIGS, [(0, "0")]),
+    "fault-mid-second-pass": dict.fromkeys(_ALL_CONFIGS, [(0, "0")]),
     "recursion-around-loop": dict.fromkeys(("default", "n8-w8-depth-2"), [(1, "010111")]),
     "recursion-in-loop": {**dict.fromkeys(("default", "n1-w4", "n2-w3", "n8-w8-depth-2"),
                                           [(0, "01"), (1, "0")]), "depth-1": [(0, "01")]},
