@@ -15,7 +15,8 @@ pairs packed and `views.metadata_of` of its sessions.  Static backedges are
 found as one `in` scan per backward site finds them.  Every honest path
 decodes valid, or unverifiable for a named cause, but the pinned
 `HONEST_INVALID` ones, and attest and verify build no `LoopSession` or
-`PathId`.
+`PathId`.  Every case's report, verdict and `measure` text under every
+monitor config is the one `tests/golden/outcomes.json` holds.
 """
 import ast
 import dataclasses
@@ -30,6 +31,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import emulator_oracle
+import outcome_golden
 import programs as P
 import views
 from cfattest import attestation, cli, emulator, isa, loop_monitor
@@ -1229,6 +1231,13 @@ def honest_decode(trace, config, monkeypatch):
             if status not in (attestation.PATH_VALID_CYCLE, attestation.PATH_VALID_EXIT):
                 out.append((idx, pid.bits, status))
     return out
+
+
+def test_every_outcome_matches_its_golden():
+    # per case and config: the signed bytes and signature, the verdict, its reason and
+    # failures, and the `cfattest measure` text, as `tests/outcome_golden.py` wrote them
+    assert outcome_golden.outcome_lines(CASES, MONITOR_CONFIGS) == \
+        outcome_golden.GOLDEN.read_text().splitlines()
 
 
 @pytest.mark.parametrize("config", sorted(MONITOR_CONFIGS))
