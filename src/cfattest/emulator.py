@@ -12,16 +12,19 @@ size, and is read back only against that program; the per-cycle stream
 The program runs as Python functions, *units*, compiled from `SEMANTICS`
 when control first reaches them and kept in `Program.state`.  An innermost
 static loop is one unit entered at its header, with the registers in locals.
-It runs two passes per test of the cycle cap, as straight-line code, a *path
+It runs four passes per test of the cycle cap, as straight-line code, a *path
 tree* (`_Tree`): a conditional is an if/else over the paths from its target
 and from the next instruction, and a direct jump inside the loop is followed.
-Each path ends once, back at the header after its second pass or leaving the
-unit in either (a successor outside, an indirect transfer, a halt, a data
+Each path ends once, back at the header after its last pass or leaving the
+unit in any (a successor outside, an indirect transfer, a halt, a data
 fault), and there appends its site characters with one call and adds its
 cycle count, fixed at compile time, once; pc is written only where the unit
-leaves.  A loop whose two-pass tree would pass its bound runs one pass per
-test, and one whose one-pass tree would too runs as units of one block, as
-does any other entry pc (a loop's block entered past its header too).  Units
+leaves.  A loop whose four-pass tree would pass its bound runs two passes per
+test, or else one, and one whose one-pass tree would too runs as units of one
+block, as does any other entry pc (a loop's block entered past its header
+too).  Inside a unit a sum stays unwrapped until a value is read from it or
+the unit leaves, and an address is wrapped only if its access fails, so the
+registers hold 0..2^32-1 wherever a unit starts or ends.  Units
 of one *shape*, equal but for addresses, immediates and site characters,
 share a code object and take those as parameter defaults.
 Units of one instruction single-step a run only while an attack's trigger
@@ -275,17 +278,20 @@ def inject(attack: AttackSpec, regs: list[int], data_mem: list[int]) -> None:
 # parameters `imm` and `link` (its immediate and the address after it), with each
 # place where control goes on alone on its line: `{next}` (the next instruction),
 # `{target}` (its direct target) and `{leave}` (out of the unit, `pc` already set:
-# the next pc, None after a halt, or the fault string after a data fault).  Values
-# stay in 0..2^32-1, so a sum or an address wraps by one comparison and at most
-# one correction, and blt compares signed without `^`: 0xFFFFFFFF is a two-digit
-# int, and a mask with it allocates a new int on every instruction.
+# the next pc, None after a halt, or the fault string after a data fault).  A sum
+# (add, addi, an mv of one) is left unwrapped: it is 0 or more, and `_Tree` wraps it
+# by one comparison only where its value is read (`_READS`) or the unit leaves.  A
+# load or store wraps its address only once the access raises IndexError, and sub and
+# blt take wrapped operands, so blt compares signed without `^`: 0xFFFFFFFF is a
+# two-digit int, and a mask with it allocates a new int on every instruction.
 _BRANCH = ":\n    {target}\nelse:\n    {next}"  # a conditional's two outcomes
-_ADDRESS = "a = {rs1} + {imm}\nif a > 0xFFFFFFFF:\n    a -= 0x100000000\ntry:\n    {access}\n" \
-    "except IndexError:\n    pc = 'data-access-out-of-range:%d' % a\n    {leave}\n{next}"
+_ADDRESS = "a = {rs1} + {imm}\ntry:\n    {access}\nexcept IndexError:\n    a %= 0x100000000\n" \
+    "    try:\n        {access}\n    except IndexError:\n" \
+    "        pc = 'data-access-out-of-range:%d' % a\n        {leave}\n{next}"
 SEMANTICS: Mapping[str, str] = MappingProxyType({
-    "add": "{rd} = {rs1} + {rs2}\nif {rd} > 0xFFFFFFFF:\n    {rd} -= 0x100000000\n{next}",
+    "add": "{rd} = {rs1} + {rs2}\n{next}",
     "sub": "{rd} = {rs1} - {rs2}\nif {rd} < 0:\n    {rd} += 0x100000000\n{next}",
-    "addi": "{rd} = {rs1} + {imm}\nif {rd} > 0xFFFFFFFF:\n    {rd} -= 0x100000000\n{next}",
+    "addi": "{rd} = {rs1} + {imm}\n{next}",
     "li": "{rd} = {imm}\n{next}",
     "mv": "{rd} = {rs1}\n{next}",
     "ld": _ADDRESS.replace("{access}", "{rd} = mem[a]"),
@@ -300,6 +306,10 @@ SEMANTICS: Mapping[str, str] = MappingProxyType({
     "ret": "pc = {ra}\nta(pc)\n{leave}",
     "halt": "pc = None\n{leave}",
 })
+# the operands each instruction reads as a value, which `_Tree` wraps first if unwrapped
+_READS = {"sub": ("rs1", "rs2"), "st": ("rd",), "beq": ("rs1", "rs2"), "bne": ("rs1", "rs2"),
+          "blt": ("rs1", "rs2"), "jr": ("rs1",), "jalr": ("rs1",)}
+_WRAP = "{0}if {1} > 0xFFFFFFFF:\n{0}    {1} %= 0x100000000"  # at pad {0}, of a register {1}
 _GO_ON = ("{next}", "{target}", "{leave}")
 _BLOCK_LIMIT = 64  # instructions per block of a unit, so that a long block compiles in pieces,
 # and how far a path tree may outgrow its unit per pass
@@ -327,12 +337,17 @@ class _Tree:
     pass, nested at most `_BLOCK_LIMIT` deep, or `_TooLarge` is raised.  `params`
     maps each parameter to its (kind, instruction index), or ("s", the
     (instruction, taken) pairs of a leaf's site characters).
+
+    Each path tracks the registers a sum (add, addi, an mv of one) left unwrapped,
+    at the `while` test all those write (`loose`), and wraps one before its value is
+    read (`_READS`) or it is added to another, so k adds leave it below (k+1)*2^32.
     """
 
     def __init__(self, ops: tuple, passes: int):
         self.ops, self.params, self.lines = ops, {}, []
         self.passes, self.longest, self.left = passes, 0, passes * (len(ops) + _BLOCK_LIMIT)
-        self.path(0, 0, (), " " * 8, 1)
+        self.loose = frozenset(f"r{rd}" for m, rd, *_ in ops if m in ("add", "addi", "mv"))
+        self.path(0, 0, (), " " * 8, 1, self.loose)
 
     def param(self, kind: str, arg) -> str:
         name = f"s{len(self.params)}" if kind == "s" else f"{kind}{arg}"
@@ -346,9 +361,10 @@ class _Tree:
         self.lines.append(f"{pad}cycle += {n}")
         self.lines.extend(pad + line for line in end)
 
-    def path(self, i: Optional[int], n: int, sites: tuple, pad: str, lap: int) -> None:
+    def path(self, i: Optional[int], n: int, sites: tuple, pad: str, lap: int,
+             loose: frozenset) -> None:
         """Emit the path from instruction i of pass `lap`, after n instructions
-        whose site characters are `sites`."""
+        whose site characters are `sites`, with the registers `loose` unwrapped."""
         while i is not None:
             self.left -= 1
             if self.left < 0 or len(pad) > 4 * _BLOCK_LIMIT:
@@ -358,6 +374,14 @@ class _Tree:
             fields = {"rd": f"r{rd}", "rs1": f"r{rs1}", "rs2": f"r{rs2}", "ra": "ra"}
             fields.update({f: self.param(p, i) for f, p in (("imm", "imm"), ("link", "next"))
                            if f"{{{f}}}" in template})
+            read = {fields[f] for f in _READS.get(mnemonic, ())} & loose
+            if mnemonic == "add" and {fields["rs1"], fields["rs2"]} <= loose:
+                read = {fields["rs1"]}  # so that each add adds less than 2^32 to the bound
+            self.lines += [_WRAP.format(pad, r) for r in sorted(read)]
+            loose -= read
+            if kind in (Kind.ALU, Kind.LOAD):  # it writes rd: a sum, an mv of one, or wrapped
+                sum_ = mnemonic in ("add", "addi") or mnemonic == "mv" and fields["rs1"] in loose
+                loose = loose | {fields["rd"]} if sum_ else loose - {fields["rd"]}
             lines, at, i = template.split("\n"), i, None
             for k, line in enumerate(lines):
                 text = line.lstrip()
@@ -382,16 +406,21 @@ class _Tree:
                 elif k == len(lines) - 1 and indent == pad:  # in tail position: walk on
                     i, sites, lap = to, step, to_lap
                 else:
-                    self.path(to, n, step, indent, to_lap)
+                    self.path(to, n, step, indent, to_lap, loose)
 
 
 def _source(ops: tuple) -> tuple[str, tuple]:
     """A unit shape's function source and its parameters, (kind, arg) each: the path
-    tree (`_Tree`) from its entry, over two passes per `while` test, or one if two
-    would pass its bound; `_TooLarge` if one would too."""
-    try:
-        tree = _Tree(ops, 2)
-    except _TooLarge:
+    tree (`_Tree`) from its entry, over four passes per `while` test, else two, else
+    one, the most whose tree keeps within its bound; `_TooLarge` if one would not.
+    The registers a sum may have left unwrapped are wrapped before they are stored."""
+    for passes in (4, 2):
+        try:
+            tree = _Tree(ops, passes)
+            break
+        except _TooLarge:
+            pass
+    else:
         tree = _Tree(ops, 1)
     body = "\n".join(tree.lines)
     regs = sorted(set(re.findall(r"\br(?:\d+|a)\b", body)))
@@ -401,6 +430,7 @@ def _source(ops: tuple) -> tuple[str, tuple]:
     return "\n".join([f"def unit(regs, mem, sa, ta, pc, cycle, cap{params}):",
                       f"    {names}= {slots}" if regs else "", f"    cap -= {tree.longest}",
                       "    while cycle <= cap:", body,
+                      *(_WRAP.format("    ", r) for r in regs if r in tree.loose),
                       f"    {slots}= {names}" if regs else "", "    return pc, cycle"]), \
         tuple(tree.params.values())
 

@@ -62,19 +62,13 @@ end:
 
     def test_semantics_cover_exactly_the_opcodes(self):
         assert SEMANTICS.keys() == OPCODES.keys()
-        # each template reads exactly the operand fields its mnemonic sets, and wraps
-        # by comparison: it applies no bitwise operator or % to a multi-digit int
+        # each template reads exactly the operand fields its mnemonic sets and parses as
+        # Python; that units wrap only off the common path is checked on the compiled
+        # units (test_trace_equivalence.test_units_wrap_only_off_the_common_path)
         for m, template in SEMANTICS.items():
             used = {f for _, f, _, _ in Formatter().parse(template) if f}
             assert used & {"rd", "rs1", "rs2", "imm", "target"} == set(FIELDS[m]), m
-            code = ast.parse(template.format_map(defaultdict(lambda: "x")))
-            for node in ast.walk(code):
-                if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(
-                        node.op, (ast.BitAnd, ast.BitOr, ast.BitXor, ast.Mod)):
-                    operands = (node.left, node.right) if isinstance(node, ast.BinOp) else (
-                        node.target, node.value)
-                    assert not any(isinstance(o, ast.Constant) and type(o.value) is int
-                                   and o.value >= 2 ** 30 for o in operands), m
+            ast.parse(template.format_map(defaultdict(lambda: "x")))
 
     def test_follows_static_edges(self):
         # attack-free runs only traverse CFG-sanctioned successors
