@@ -34,7 +34,7 @@ def _digest(data: bytes) -> str:
 
 def outcome_lines(cases: dict, configs: dict) -> list[str]:
     """The golden's lines: a JSON list with one entry per line, by case, then config."""
-    entries, parser = [], cli.build_parser()  # `cfattest` but for building its parser per call
+    entries, parser = [], cli.build_parser()  # `cfattest measure`, run in this process
     with tempfile.TemporaryDirectory() as tmp:
         program_file, trace_file, out = (Path(tmp) / name for name in ("p.json", "t.jsonl", "m"))
         for name, (program, inp, attack) in sorted(cases.items()):

@@ -404,7 +404,8 @@ HAND_CASES = {
                          " addi r1, r1, 1\n bne r1, r2, L\n st r3, [r0+0]\n beq r3, r7, E\n"
                          " addi r9, r9, 1\nE:\n halt\n"),
     # an unwrapped base address (5 + 0xFFFFFFFF, ...) that wraps back into data memory, for a
-    # load and a store, and one that wraps to 4096, past it: the fault names 4096
+    # load and a store; then one that grows by 2^32 + 1 a pass, wrapping to 4096 on the third,
+    # past data memory: the fault names 4096
     "loose-base-in-memory": ("main:\n li r5, 5\n li r2, 4\nL:\n addi r5, r5, -1\n st r2, [r5+0]\n"
                              " ld r3, [r5+1]\n add r6, r6, r3\n addi r1, r1, 1\n bne r1, r2, L\n"
                              " halt\n"),
@@ -417,8 +418,8 @@ HAND_CASES = {
     # sub and blt, each with an unwrapped operand; blt's flips sign from pass to pass
     "sub-blt-loose": ("main:\n li r2, 6\n li r7, 0x7FFFFFFF\n li r8, 0x30000000\nL:\n"
                       " addi r3, r3, 0xC0000000\n sub r4, r3, r7\n addi r5, r5, 0x90000000\n"
-                      " blt r5, r8, S\n"
-                      " addi r9, r9, 1\nS:\n addi r1, r1, 1\n bne r1, r2, L\n halt\n"),
+                      " blt r5, r8, S\n addi r9, r9, 1\nS:\n addi r1, r1, 1\n bne r1, r2, L\n"
+                      " halt\n"),
     # a store of an unwrapped value
     "st-loose": ("main:\n li r2, 3\nL:\n addi r3, r3, 0xFFFFFFF0\n st r3, [r1+0]\n"
                  " addi r1, r1, 1\n bne r1, r2, L\n halt\n"),
@@ -427,8 +428,8 @@ HAND_CASES = {
                  " addi r5, r4, -4\n jr r5\nC:\n j L\n halt\n"),
     # an mv of an unwrapped register, compared in the loop and after it
     "mv-loose": ("main:\n li r2, 4\n li r7, 0xE0000000\n li r8, 0xEC000000\nL:\n"
-                 " addi r3, r3, 0xF8000000\n mv r6, r3\n blt r6, r8, S\n addi r9, r9, 1\nS:\n addi r1, r1, 1\n"
-                 " bne r1, r2, L\n beq r6, r7, E\n addi r9, r9, 1\nE:\n halt\n"),
+                 " addi r3, r3, 0xF8000000\n mv r6, r3\n blt r6, r8, S\n addi r9, r9, 1\nS:\n"
+                 " addi r1, r1, 1\n bne r1, r2, L\n beq r6, r7, E\n addi r9, r9, 1\nE:\n halt\n"),
     # immediates outside 32 bits wrap: the jr targets show the values
     "wide-immediates": ("main:\n li r1, 0x100000108\n jr r1\n li r2, -0xFFFFFEF0\n jr r2\n"
                         " addi r3, r2, 0x300000008\n jr r3\n addi r4, r3, -0x1FFFFFFF8\n"
@@ -466,26 +467,32 @@ def test_a_loop_with_long_blocks_runs_as_one_unit():
 
 
 # instructions per drawn wrap, by the mnemonic that wraps, or "accumulate"
-_WRAPS = {"add": 3, "addi": 2, "sub": 3, "ld": 2, "st": 2, "blt": 3, "accumulate": 7}
+_WRAPS = {"add": 3, "addi": 2, "sub": 3, "ld": 2, "st": 2, "blt": 3, "accumulate": 8}
 
 
 def _wrap(draw, mnemonic, targets, at):
     """The (mnemonic, operands) of one wrap at address `at`, from registers it sets first:
     an add or addi past 2^32, a sub below 0, a load or store at an address that wraps into
     the first 16 words of data memory, a blt with one operand on each side of 2^31, or a
-    loop that adds a high immediate to one register up to 8 times and, in its last pass,
-    stores it, compares it or jumps through it, all inside the loop's unit."""
-    a, b, c = draw(st.permutations(range(4)))[:3]
+    loop that adds a high immediate to one register up to 8 times, all inside the loop's
+    unit: each pass first reads the sum the last one left (a store, a compare, a sub or an
+    mv), and the last pass stores, compares, subtracts from or jumps through it or the mv."""
+    a, b, c, d = draw(st.permutations(range(4)))
     low, high = st.integers(0, 2 ** 31 - 1), st.integers(2 ** 31, MASK32)
     if mnemonic == "accumulate":
-        read = draw(st.sampled_from([("st", {"rd": a, "rs1": b, "imm": draw(st.integers(0, 7))}),
-                                     ("beq", {"rs1": a, "rs2": draw(st.integers(0, 3)),
-                                              "target": draw(st.sampled_from(targets))}),
-                                     ("jr", {"rs1": a})]))
+        def read(r, target, *more):
+            return draw(st.sampled_from([
+                ("st", {"rd": r, "rs1": b, "imm": draw(st.integers(0, 7))}),
+                ("beq", {"rs1": r, "rs2": draw(st.integers(0, 3)), "target": target}),
+                ("blt", {"rs1": draw(st.integers(0, 3)), "rs2": r, "target": target}),
+                ("sub", {"rd": d, "rs1": r, "rs2": draw(st.integers(0, 3))}), *more]))
+        last = draw(st.sampled_from([a, d]))
         return [("li", {"rd": c, "imm": draw(st.integers(1, 8))}), ("li", {"rd": b, "imm": 0}),
+                read(a, at + 3 * WORD, ("mv", {"rd": d, "rs1": a})),
                 ("addi", {"rd": a, "rs1": a, "imm": draw(high)}),
                 ("addi", {"rd": b, "rs1": b, "imm": 1}),
-                ("bne", {"rs1": b, "rs2": c, "target": at + 6 * WORD}), read,
+                ("bne", {"rs1": b, "rs2": c, "target": at + 7 * WORD}),
+                read(last, draw(st.sampled_from(targets)), ("jr", {"rs1": last})),
                 ("bne", {"rs1": b, "rs2": c, "target": at + 2 * WORD})]
     if mnemonic in ("ld", "st"):
         k = draw(st.integers(1, 16))
@@ -655,9 +662,18 @@ def test_no_unit_tests_pc():
         assert sources and not [s for s in sources if "if pc ==" in s], program.id
 
 
+def _guards(node, field):
+    """Whether the statements in a node's field run only past a wrap test
+    (`if … > 0xFFFFFFFF:`) or in an `except IndexError:`."""
+    if isinstance(node, ast.ExceptHandler):
+        return node.type is not None and ast.unparse(node.type) == "IndexError"
+    return isinstance(node, ast.If) and field == "body" and ast.unparse(node.test).endswith(
+        " > 4294967295")
+
+
 def _unguarded_masks(node, guarded=False):
-    """The `%`, `&`, `|` and `^` by an int of two or more digits (2^30 and up) in node,
-    but those under an `if … > 0xFFFFFFFF:` or in an `except IndexError:`."""
+    """The `%`, `&`, `|` and `^` by an int of two or more digits (2^30 and up) in node
+    that no wrap test or IndexError guards."""
     found = []
     if not guarded and isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(
             node.op, (ast.BitAnd, ast.BitOr, ast.BitXor, ast.Mod)):
@@ -666,13 +682,9 @@ def _unguarded_masks(node, guarded=False):
         found += [node for o in operands if isinstance(o, ast.Constant)
                   and type(o.value) is int and o.value >= 2 ** 30]
     for field, value in ast.iter_fields(node):
-        under = guarded or isinstance(node, ast.ExceptHandler) and isinstance(
-            node.type, ast.Name) and node.type.id == "IndexError" or isinstance(
-            node, ast.If) and field == "body" and ast.unparse(node.test).endswith(
-            " > 4294967295")
         for child in value if isinstance(value, list) else [value]:
             if isinstance(child, ast.AST):
-                found += _unguarded_masks(child, under)
+                found += _unguarded_masks(child, guarded or _guards(node, field))
     return found
 
 
@@ -691,7 +703,8 @@ def test_units_wrap_only_off_the_common_path(monkeypatch):
         run(program, inp, attack)
         for source in _unit_sources(program):
             assert not _unguarded_masks(ast.parse(source)), (program.id, source)
-    assert _unguarded_masks(ast.parse("a = b % 0x100000000\nif a > 0xFFFFFFFF:\n    a &= MASK"))
+    assert len(_unguarded_masks(ast.parse(
+        "a = b % 0x100000000\nif a > 0xFFFFFFFF:\n    a %= 0x100000000\n"))) == 1
 
 
 def test_every_innermost_workload_loop_is_one_unit(monkeypatch):
