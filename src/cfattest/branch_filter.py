@@ -10,14 +10,15 @@ backward branches as backedges (link-register heuristic), so the first
 traversal of a loop is attributed like later ones and A does not depend on
 the iteration count.  It finds backedges only: recursion needs the call
 stack, which the loop monitor's walk keeps (`LoopMonitor.process`).
-It returns the table of loop bodies alone (`_Loops`, the last kept in
-`Program.state`), which the walk takes beside the trace; the table gives
-the loops enclosing an address, so the walk costs no more per branch as the
-number of loops grows.  Discovery finds the static backedges with one
-`str.find` per backward site, from where the site before it was found
-(`_backedges`), a fast C search where a regex character class is matched one
-character at a time, and the backward indirect jumps among the run's
-indirect targets.  Prover and verifier share this code.
+It returns the table of loop bodies alone (`_Loops`), which the walk takes
+beside the trace; `Program.state` keeps the last, and a run that finds the
+same backedges gets it back.  The table gives the loops enclosing an
+address, so the walk costs no more per branch as the number of loops grows.
+Discovery finds the static backedges with one `str.find` per backward site,
+from where the site before it was found (`_backedges`), a fast C search
+where a regex character class is matched one character at a time, and the
+backward indirect jumps among the run's indirect targets.  Prover and
+verifier share this code.
 
 A loop context is **flat** when no other discovered loop entry lies in its
 body [entry, backedge], the body holds no call, return or indirect transfer,
@@ -74,15 +75,15 @@ def _backedges(trace: Trace) -> set[tuple[int, int]]:
     return found
 
 
-def _discover_loops(trace: Trace) -> dict[int, int]:
-    """Entry -> largest backedge src: the static backedges, found by site, and the backward
+def _discover_loops(trace: Trace) -> set[tuple[int, int]]:
+    """(Entry, src) of each backedge: the static backedges, found by site, and the backward
     indirect jumps, by target."""
     backward, site, sites = _backedges(trace), trace.program.sites.site, trace.sites
     for i, dest in trace.target_at.items():
         src, _, kind = site[sites[i]]
         if kind == INDIRECT_JUMP and dest < src:
             backward.add((dest, src))
-    return dict(sorted(backward))  # sorted: an entry's largest backedge comes last
+    return backward
 
 
 class _Loops(dict):
@@ -93,13 +94,14 @@ class _Loops(dict):
     later ones are a dict hit.  `flat` maps each flat loop's entry to its
     re-entering site, the other loops enclosing that entry, its exit site if it
     has only one, and then the flat loop that exit leads into (`_then`).  A
-    program's state keeps the last one, for the next run that discovers the
-    same loops.
+    program's state keeps the last one, with the backedges it was built from
+    (`backward`), for the next run that finds the same backedges.
     """
 
-    def __init__(self, loops: dict[int, int], table: Sites):
+    def __init__(self, backward: set[tuple[int, int]], table: Sites):
         super().__init__()
-        self.loops, self.entries = loops, sorted(loops)
+        loops = dict(sorted(backward))  # entry -> largest src: sorted, it comes last
+        self.backward, self.loops, self.entries = backward, loops, sorted(loops)
         ends: dict[int, list[int]] = {}
         for entry, backedge in loops.items():
             ends.setdefault(backedge + 1, []).append(entry)
@@ -158,9 +160,10 @@ class _Loops(dict):
 
 
 def detect_loops(trace: Trace) -> _Loops:
-    """The run's loops: the table of their bodies."""
-    loops, tables = _discover_loops(trace), trace.program.state.tables
-    enclosing = tables.get("loops")
-    if enclosing is None or enclosing.loops != loops:
-        enclosing = tables["loops"] = _Loops(loops, trace.program.sites)
-    return enclosing
+    """The run's loops: the table of their bodies, the one kept if the run found the same
+    backedges."""
+    backward, tables = _discover_loops(trace), trace.program.state.tables
+    kept = tables.get("loops")
+    if kept is None or kept.backward != backward:
+        kept = tables["loops"] = _Loops(backward, trace.program.sites)
+    return kept

@@ -11,10 +11,12 @@ size, and is read back only against that program; the per-cycle stream
 
 The program runs as Python functions, *units*, compiled from `SEMANTICS`
 when control first reaches them and kept in `Program.state`.  An innermost
-static loop is one unit entered at its header, with the registers in locals.
-It runs four passes per test of the cycle cap, as straight-line code, a *path
-tree* (`_Tree`): a conditional is an if/else over the paths from its target
-and from the next instruction, and a direct jump inside the loop is followed.
+static loop is one unit, with the registers in locals, entered at its header
+or, so that a loop costs a run one unit call, at its preheader, a block
+falling through into the header, whose code it runs once first.  It runs
+four passes per test of the cycle cap, as straight-line code, a *path tree*
+(`_Tree`): a conditional is an if/else over the paths from its target and
+from the next instruction, and a direct jump inside the loop is followed.
 Each path ends once, back at the header after its last pass or leaving the
 unit in any (a successor outside, an indirect transfer, a halt, a data
 fault), and there appends its site characters with one call and adds its
@@ -325,14 +327,16 @@ class _TooLarge(Exception):
 class _Tree:
     """The body of a unit's `while`, `passes` passes: the path tree from its entry.
 
-    A path runs its instructions in the order they retire.  A conditional is
+    A path runs its instructions in the order they retire, a preheader's once,
+    before a `while` of the loop's own (`head`: the header's index).  A conditional is
     `if cond:` over the path from its target and `else:` over the path from the
-    next instruction, and a direct jump inside the unit is followed.  Back at the
-    entry, a loop's header, a path walks on into the next pass.  A path ends at a
+    next instruction, and a direct jump inside the unit is followed.  Back at a
+    loop's header, a path walks on into the next pass.  A path ends at a
     *leaf*: out of the unit in any pass (a halt, a data fault, an indirect
     transfer, a successor outside: `pc` set, `break`) or back at the header after
     the last, where `pc` already is.  Each leaf makes one `sa` of its path's site
-    characters and one `cycle +=` of its path's length; `longest` is the longest.
+    characters and one `cycle +=` of its path's length; `longest` is the longest
+    in the `while`.
     The tree holds at most `_BLOCK_LIMIT` instructions more than the unit per
     pass, nested at most `_BLOCK_LIMIT` deep, or `_TooLarge` is raised.  `params`
     maps each parameter to its (kind, instruction index), or ("s", the
@@ -345,9 +349,10 @@ class _Tree:
 
     def __init__(self, ops: tuple, passes: int):
         self.ops, self.params, self.lines = ops, {}, []
-        self.passes, self.longest, self.left = passes, 0, passes * (len(ops) + _BLOCK_LIMIT)
+        self.head, self.passes, self.longest = ops[-1][4] or 0, passes, 0  # the backedge's target
+        self.left = self.head + passes * (len(ops) - self.head + _BLOCK_LIMIT)
         self.loose = frozenset(f"r{rd}" for m, rd, *_ in ops if m in ("add", "addi", "mv"))
-        self.path(0, 0, (), " " * 8, 1, self.loose)
+        self.path(0, 0, (), " " * 8, int(not self.head), frozenset() if self.head else self.loose)
 
     def param(self, kind: str, arg) -> str:
         name = f"s{len(self.params)}" if kind == "s" else f"{kind}{arg}"
@@ -398,11 +403,17 @@ class _Tree:
                     self.leaf(n, step, indent, "break")
                     continue
                 to = target if text == "{target}" else at + 1 if at + 1 < len(self.ops) else None
-                to_lap = lap + (to == 0)
+                to_lap = lap + (to == self.head)
                 if to is None:
                     self.leaf(n, step, indent, f"pc = {self.param(text[1:-1], at)}", "break")
                 elif to_lap > self.passes:  # back at the header, which pc holds still
                     self.leaf(n, step, indent)
+                elif not lap and to_lap:  # off the preheader, once: the loop's `while`
+                    self.lines += [indent + line for line in (
+                        f"cycle += {n}", f"pc = {self.param('next', at)}", "while cycle <= cap:")]
+                    self.longest = 0  # the `while` leaves room for the loop's ways alone
+                    self.path(to, 0, (), indent + "    ", 1, self.loose)
+                    self.lines.append(f"{indent}break")
                 elif k == len(lines) - 1 and indent == pad:  # in tail position: walk on
                     i, sites, lap = to, step, to_lap
                 else:
@@ -413,6 +424,7 @@ def _source(ops: tuple) -> tuple[str, tuple]:
     """A unit shape's function source and its parameters, (kind, arg) each: the path
     tree (`_Tree`) from its entry, over four passes per `while` test, else two, else
     one, the most whose tree keeps within its bound; `_TooLarge` if one would not.
+    The `while` of a unit entered at a preheader runs once, if the preheader fits under the cap.
     The registers a sum may have left unwrapped are wrapped before they are stored."""
     for passes in (4, 2):
         try:
@@ -429,7 +441,8 @@ def _source(ops: tuple) -> tuple[str, tuple]:
     params = "".join(f", {p}" for p in tree.params)
     return "\n".join([f"def unit(regs, mem, sa, ta, pc, cycle, cap{params}):",
                       f"    {names}= {slots}" if regs else "", f"    cap -= {tree.longest}",
-                      "    while cycle <= cap:", body,
+                      f"    while cycle <= cap{tree.longest - tree.head:+}:" if tree.head
+                      else "    while cycle <= cap:", body,
                       *(_WRAP.format("    ", r) for r in regs if r in tree.loose),
                       f"    {slots}= {names}" if regs else "", "    return pc, cycle"]), \
         tuple(tree.params.values())
@@ -448,11 +461,11 @@ class _Units:
     """A program's units, each built the first time control reaches it.
 
     An innermost static loop, a backward site span [Dest, Src] that holds no
-    other, is one unit entered at Dest, unless its path tree would pass its
-    bound; any other pc control reaches (a block start, the entry point, an
-    indirect target, a loop's block past Dest) starts a unit of one block.  At a
-    block limit of 1 each instruction is a unit.  Each unit's code is the path
-    tree from its entry (`_Tree`).
+    other, is one unit, entered at Dest or at the start of a block falling into
+    Dest, unless its path tree would pass its bound; any other pc control reaches
+    (a block start, the entry point, an indirect target, a loop's block past
+    Dest) starts a unit of one block.  At a block limit of 1 each instruction
+    is a unit.  Each unit's code is the path tree from its entry (`_Tree`).
     """
 
     def __init__(self, program: Program):
@@ -475,7 +488,7 @@ class _Units:
         try:
             code, params = _shape(ops)
         except _TooLarge:  # the loop runs as units of one block
-            del self.loops[pc]
+            del self.loops[instrs[-1].target]
             return self.unit(pc, limit)
         at = program.sites.at
         fn = table[pc] = FunctionType(code, globals(), "unit", tuple(
@@ -485,15 +498,19 @@ class _Units:
 
     def layout(self, pc: int, limit: int) -> tuple[tuple, list[Instruction]]:
         """The shape of the unit entered at pc, and its instructions: a loop's
-        header to its backedge, else one block.  The shape is, per instruction,
-        its (mnemonic, rd, rs1, rs2) and the index of its direct target if the
-        unit goes on there (forward, or back to a loop's header: 0), else None."""
-        loop = limit > 1 and pc in self.loops
-        stop = self.loops[pc] + WORD if loop else min(
-            self.ends[bisect_right(self.ends, pc)], pc + limit * WORD)
+        header to its backedge, from the header or from a block falling through into
+        it (its preheader), else one block.  The shape is, per instruction, its
+        (mnemonic, rd, rs1, rs2) and the index of its direct target if the unit goes
+        on there (forward, or back to the header: the backedge's), else None."""
+        stop = min(self.ends[bisect_right(self.ends, pc)], pc + limit * WORD)
+        head = pc if pc in self.loops or self.program.instr_at(
+            stop - WORD).kind not in STRAIGHT_KINDS else stop  # past a preheader
+        loop = limit > 1 and head in self.loops
+        if loop:
+            stop = self.loops[head] + WORD
         instrs = [self.program.instr_at(a) for a in range(pc, stop, WORD)]
         ops = tuple((i.mnemonic, i.rd, i.rs1, i.rs2, (i.target - pc) // WORD if loop and (
-            i.target == pc or i.addr < (i.target or 0) < stop) else None) for i in instrs)
+            i.target == head or i.addr < (i.target or 0) < stop) else None) for i in instrs)
         return ops, instrs
 
 

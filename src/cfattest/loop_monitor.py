@@ -23,7 +23,8 @@ sites, translated to bits (`site_bits`), extend the path, and its pairs stay
 an index range until they are hashed.  A flat session (see `branch_filter`)
 is one step of the walk, with no context; with no context open, the step
 goes on with each flat session its exit leads into (`_Loops.flat`), so
-back-to-back flat loops take one step in all.  If a session's iterations (up
+back-to-back flat loops take one step in all, one lean step per session: the
+parent and depth they share are found once.  If a session's iterations (up
 to the last re-entering site) are the first one repeated, they are that
 traversal, counted.  Else they are counted against the traversals its loop
 has taken before, as LO-FAT bumps the counter of an iteration's path: with
@@ -175,11 +176,16 @@ class LoopSession:
     path_overflow: bool = False
 
 
-def session_head(entry: int, depth: int, parent: Optional[int]) -> bytes:
-    """A session's head in L; struct.error for a value its field cannot hold or reserves."""
+def _parent(parent: Optional[int]) -> int:
+    """A parent index as a session's head holds it; struct.error for the reserved one."""
     if parent == PARENT_NONE:
         raise struct.error("parent index collides with the no-parent marker")
-    return SESSION_HEAD.pack(entry, depth, PARENT_NONE if parent is None else parent)
+    return PARENT_NONE if parent is None else parent
+
+
+def session_head(entry: int, depth: int, parent: Optional[int]) -> bytes:
+    """A session's head in L; struct.error for a value its field cannot hold or reserves."""
+    return SESSION_HEAD.pack(entry, depth, _parent(parent))
 
 
 def session_tail(overflow: bool, paths: Collection[tuple[str, int]], targets: Collection[int],
@@ -309,7 +315,9 @@ class LoopMonitor:
 
     `_enter`, `_iterate` and `_exit` are a walked context's boundaries: each
     takes the context, the position of the boundary (between branches pos-1
-    and pos) and the branch it happens at.  `_flat` takes a flat session.
+    and pos) and the branch it happens at.  `_flat` takes a flat session.  The
+    hooks' `branch` and `within` arguments serve only the test recorder that
+    subclasses them (`tests/views.py`).
     """
 
     def __init__(self, config: MonitorConfig = MonitorConfig()):
@@ -389,18 +397,15 @@ class LoopMonitor:
                 session_tail(ctx.path_overflow, ctx.counts.items(), ctx.targets, self._entries)
 
     def _flat(self, entry: int, site: str, start: int, end: int, branch: int, depth: int,
-              within: int, degraded: bool) -> None:
+              within: int, head: Optional[bytes]) -> None:
         """Add entry's flat session, branches start..end-1 opened at `branch` at call depth
-        `within`, to L at `depth`: its iterations end with `site`; a degraded one is hashed."""
-        if start != self._pos:
-            self._run(start)
-        self._pos = end
-        if degraded:
+        `within` and iterating at `site`, to L under its `head` at `depth`; hash it if headless."""
+        if head is None:
             return self._hash(start, end)
         sites = self._sites[start:end]
         found = self._memo.get(sites) or self._measure_flat(site, sites)
         self.stream.append(found[0])
-        self.sessions.append(session_head(entry, depth, self._stack[-1].index) + found[1])
+        self.sessions.append(head + found[1])
 
     def _measure_flat(self, site: str, sites: str) -> tuple:
         """What a flat session not measured before adds: its stream words and its L tail, kept
@@ -495,6 +500,7 @@ class LoopMonitor:
         self._entries: dict[str, bytes] = {}  # path bits -> their length byte and packed bits
         self._paths: dict[str, tuple[str, bytes]] = {}  # flat traversal -> its bits and words
         backedge, flat, exits = loops.loops, loops.flat, loops.exit
+        flat_session, pack_head = self._flat, SESSION_HEAD.pack
         max_depth = self.config.max_depth
         sites, site, target_at, n = trace.sites, table.site, trace.target_at, len(trace)
         stack = self._stack = [_Context(-1, -1, -1, -1, 0)]  # the bottom one is never left
@@ -516,20 +522,23 @@ class LoopMonitor:
                 self._enter(ctx, pos, branch)
                 stack.append(ctx)
                 return call_depth, lo, hi, -1
-            alone = top is stack[0]
+            # what the chain's sessions share: one step each
+            alone, parent = top is stack[0], _parent(top.index)
+            self._run(pos)
             while True:
                 if flat_loop[2]:  # the loop's one exit site
                     at = sites.find(flat_loop[2], pos)
                 else:
                     m = exits and exits.search(sites, pos)
                     at = m.start() if m else -1
-                if at < 0:  # the trace ended in the session
-                    at = n
                 end = at + 1
-                self._flat(entry, flat_loop[0], pos, min(end, n), branch, depth, call_depth,
-                           degraded)
+                if not end:  # the trace ended in the session
+                    at = end = n
+                flat_session(entry, flat_loop[0], pos, end, branch, depth, call_depth,
+                             None if degraded else pack_head(entry, depth, parent))
                 then = flat_loop[3]
                 if not alone or then is None or end >= n or then[1] and sites[end] not in then[1]:
+                    self._pos = end
                     return top.within, top.lo, top.hi, at
                 entry, pos, branch = then[0], end, end if then[1] else at
                 flat_loop = flat[entry]

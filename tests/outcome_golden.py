@@ -10,16 +10,21 @@ code.  `test_trace_equivalence` recomputes them against
 Rewrite the golden with
 
     PYTHONPATH=src python tests/outcome_golden.py
+
+Run as `attest NAME...`, it prints the named cases' reports under every
+config as JSON; run as `verify`, it reads those from stdin and prints their
+golden lines but the `measure` hash.  The two may run in two processes.
 """
 import hashlib
 import json
+import sys
 import tempfile
 from pathlib import Path
 
 from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
 
 from cfattest import cli
-from cfattest.attestation import NONCE_LEN, Challenge, prover_attest, verify
+from cfattest.attestation import NONCE_LEN, Challenge, Report, prover_attest, verify
 from cfattest.emulator import run
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "outcomes.json"
@@ -56,7 +61,37 @@ def outcome_lines(cases: dict, configs: dict) -> list[str]:
     return ["["] + [e + "," for e in entries[:-1]] + entries[-1:] + ["]"]
 
 
+def attest_reports(cases: dict, configs: dict, names: list[str]) -> list[dict]:
+    """Each named case's report under each config, by case, then config, as JSON."""
+    out = []
+    for name in names:
+        program, inp, attack = cases[name]
+        challenge = Challenge(program.id, tuple(inp), NONCE)
+        out += [{"case": name, "config": config_name,
+                 "report": prover_attest(program, challenge, SEED, attack, c).to_json()}
+                for config_name, c in sorted(configs.items())]
+    return out
+
+
+def verify_reports(cases: dict, configs: dict, reports: list[dict]) -> list[dict]:
+    """The golden entry, less its `measure` hash, of each report `attest_reports` made."""
+    out = []
+    for entry in reports:
+        program, inp, _ = cases[entry["case"]]
+        report = Report.from_json(entry["report"])
+        result = verify(report, Challenge(program.id, tuple(inp), NONCE), PK, program,
+                        configs[entry["config"]])
+        out.append({"case": entry["case"], "config": entry["config"],
+                    "report": _digest(report.signed + report.signature), **result.to_json()})
+    return out
+
+
 if __name__ == "__main__":
     from test_trace_equivalence import CASES, MONITOR_CONFIGS
-    GOLDEN.write_text("\n".join(outcome_lines(CASES, MONITOR_CONFIGS)) + "\n")
-    print(f"wrote {GOLDEN}")
+    if sys.argv[1:2] == ["attest"]:
+        print(json.dumps(attest_reports(CASES, MONITOR_CONFIGS, sys.argv[2:])))
+    elif sys.argv[1:] == ["verify"]:
+        print(json.dumps(verify_reports(CASES, MONITOR_CONFIGS, json.load(sys.stdin))))
+    else:
+        GOLDEN.write_text("\n".join(outcome_lines(CASES, MONITOR_CONFIGS)) + "\n")
+        print(f"wrote {GOLDEN}")

@@ -1,6 +1,6 @@
 import programs as P
 import views
-from cfattest.branch_filter import _discover_loops, detect_loops, filter_trace
+from cfattest.branch_filter import detect_loops, filter_trace
 from cfattest.emulator import run
 from cfattest.isa import Kind, parse_program
 from cfattest.loop_monitor import LoopMonitor
@@ -52,12 +52,24 @@ class TestFilter:
 class TestLoopDiscovery:
     def test_direct_backedge(self):
         events = filter_trace(run(P.prog(P.WHILE_IF_ELSE, "w"), [2, 0, 0]))
-        assert _discover_loops(events) == {0x108: 0x128}
+        assert detect_loops(events).loops == {0x108: 0x128}
 
     def test_indirect_backedge(self):
         events = filter_trace(run(P.prog(P.INDIRECT_BACKEDGE, "i"),
                                   [2, P.INDIRECT_LOOP_ENTRY, 0]))
-        assert _discover_loops(events) == {P.INDIRECT_LOOP_ENTRY: P.INDIRECT_JR_ADDR}
+        assert detect_loops(events).loops == {P.INDIRECT_LOOP_ENTRY: P.INDIRECT_JR_ADDR}
+
+    def test_a_run_with_the_same_backedges_gets_the_kept_table(self):
+        program = P.prog(P.WHILE_IF_ELSE, "w")
+        first = detect_loops(filter_trace(run(program, [3, 1, 0, 1])))
+        assert first.backward == {(0x108, 0x128)} and first.loops == {0x108: 0x128}
+        # other selectors and iterations, the same backedge: the very table kept
+        assert detect_loops(filter_trace(run(program, [5, 0, 0, 1, 1, 0]))) is first
+        # no iteration, no backedge: a new table, then a new one for the backedge again
+        assert detect_loops(filter_trace(run(program, [0]))).loops == {}
+        again = detect_loops(filter_trace(run(program, [2, 1, 1])))
+        assert again is not first and again.loops == first.loops
+        assert program.state.tables["loops"] is again
 
     def test_backward_call_and_return_excluded(self):
         # f sits before the loop: every jal is a backward linking branch,
@@ -80,10 +92,10 @@ done:
     halt
 """
         events = filter_trace(run(parse_program(src), [3]))
-        assert set(_discover_loops(events)) == {0x114}  # only the real loop entry
+        assert set(detect_loops(events).loops) == {0x114}  # only the real loop entry
         assert not any(ctx.recursive for _, _, ctx, _ in views.loop_marks(events))
         events2 = filter_trace(run(P.prog(P.CALL_IN_LOOP, "c"), [3]))
-        assert set(_discover_loops(events2)) == {0x108}
+        assert set(detect_loops(events2).loops) == {0x108}
 
     def test_direct_recursion_detected(self):
         f = 0x200
@@ -91,7 +103,7 @@ done:
                                    dest=[f, f, f + 12, 0x104],
                                    kinds="ccrr",  # direct calls, returns
                                    cycle=[0, 1, 2, 3])
-        assert _discover_loops(calls) == {}
+        assert detect_loops(calls).loops == {}
         # the second call opens a recursion session at f in the monitor's L
         _, sessions = as_objects(LoopMonitor().process(calls, detect_loops(calls)))
         assert [(s.loop_entry, s.depth, s.parent) for s in sessions] == [(f, 1, None)]

@@ -21,7 +21,9 @@ monitor config is the one `tests/golden/outcomes.json` holds.
 import ast
 import dataclasses
 import json
+import os
 import random
+import subprocess
 import sys
 from math import inf
 from pathlib import Path
@@ -430,6 +432,22 @@ HAND_CASES = {
     "mv-loose": ("main:\n li r2, 4\n li r7, 0xE0000000\n li r8, 0xEC000000\nL:\n"
                  " addi r3, r3, 0xF8000000\n mv r6, r3\n blt r6, r8, S\n addi r9, r9, 1\nS:\n"
                  " addi r1, r1, 1\n bne r1, r2, L\n beq r6, r7, E\n addi r9, r9, 1\nE:\n halt\n"),
+    # a loop's unit entered at its preheader, the block falling through into its header:
+    # a sum the preheader leaves unwrapped (0xFFFFFFFF + 3 + 2), read by the header's test
+    "preheader-loose-sum": ("main:\n li r2, 0xFFFFFFFF\n addi r2, r2, 3\n addi r2, r2, 2\nL:\n"
+                            " beq r1, r2, E\n addi r1, r1, 1\n j L\nE:\n halt\n"),
+    # a preheader load past data memory, after an unwrapped sum that is written back wrapped
+    "preheader-ld-fault": ("main:\n li r5, 4000\n li r6, 0xFFFFFFFF\n addi r6, r6, 2\n"
+                           " ld r3, [r5+96]\n li r2, 3\nL:\n addi r1, r1, 1\n bne r1, r2, L\n"
+                           " halt\n"),
+    # a preheader store of an unwrapped sum at an unwrapped base that wraps back into memory
+    "preheader-st": ("main:\n li r3, 0xFFFFFFF0\n li r5, 0xFFFFFFFF\n addi r3, r3, 0x20\n"
+                     " addi r5, r5, 3\n st r3, [r5+1]\n li r2, 3\nL:\n ld r4, [r0+3]\n"
+                     " add r6, r6, r4\n addi r1, r1, 1\n bne r1, r2, L\n halt\n"),
+    # a header reached by fallthrough from its preheader, then by a jump from elsewhere
+    "header-fallthrough-and-jump": ("main:\n li r2, 2\n li r8, 2\nL:\n addi r1, r1, 1\n"
+                                    " bne r1, r2, L\n li r1, 0\n addi r7, r7, 1\n"
+                                    " bne r7, r8, J\n halt\nJ:\n li r2, 3\n j L\n"),
     # immediates outside 32 bits wrap: the jr targets show the values
     "wide-immediates": ("main:\n li r1, 0x100000108\n jr r1\n li r2, -0xFFFFFEF0\n jr r2\n"
                         " addi r3, r2, 0x300000008\n jr r3\n addi r4, r3, -0x1FFFFFFF8\n"
@@ -458,11 +476,25 @@ def test_a_pc_trigger_inside_a_loop_of_unwrapped_sums():
         assert_same_as_oracle(program, [], attack, cycle_cap=cap)
 
 
+def test_a_pc_trigger_on_a_preheader_instruction():
+    # the trigger, at the preheader's first add, fires before it retires; the rest of the
+    # preheader and the loop run as the unit entered past the trigger's pc
+    program = parse_program(HAND_CASES["preheader-loose-sum"])
+    attack = AttackSpec("corrupt-loop-counter", {"pc": BASE_ADDR + WORD},
+                        {"reg": 2, "value": 0xFFFFFFFE})
+    full = emulator_oracle.run(program, [], attack)
+    assert full.sites != emulator_oracle.run(program, []).sites
+    for cap in (emulator.DEFAULT_CYCLE_CAP, *range(full.cycles + 1)):
+        assert_same_as_oracle(program, [], attack, cycle_cap=cap)
+    units = program.state.tables["units"]
+    assert BASE_ADDR + 2 * WORD in units.units and units.layout(BASE_ADDR + 2 * WORD, 64)[0][-1][4]
+
+
 def test_a_loop_with_long_blocks_runs_as_one_unit():
     program = parse_program(LONG_BLOCK_LOOP)
     run(program, [])
-    assert sorted(program.state.tables["units"].units) == [BASE_ADDR, BASE_ADDR + WORD,
-                                                            program.end - WORD]
+    # entered at its preheader, `li r2, 2`
+    assert sorted(program.state.tables["units"].units) == [BASE_ADDR, program.end - WORD]
     assert emulator._BLOCK_LIMIT < 132
 
 
@@ -553,12 +585,28 @@ def test_run_matches_the_interpreter_on_drawn_programs(case):
 def test_units_of_one_shape_share_a_code_object(monkeypatch):
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
     from workloads import many_loops_source
-    for source, inp in [(P.loops_in_one_loop(400), []), (many_loops_source(), [3] * 400)]:
+    # one unit per loop, entered at its preheader, and the blocks around the loops
+    for source, inp, count in [(P.loops_in_one_loop(400), [], 403),
+                               (many_loops_source(), [3] * 400, 401)]:
         program = parse_program(source)
         run(program, inp)
         units = program.state.tables["units"].units
-        assert len(units) > 800
+        assert len(units) == count
         assert len({unit.__code__ for unit in units.values()}) <= 6
+
+
+def test_a_many_loops_run_enters_one_unit_per_loop(monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    from workloads import many_loops_source
+    program = parse_program(many_loops_source())
+    first = run(program, [3] * 400)
+    code, entered = program.state.tables["units"], []
+    for pc, unit in code.units.items():
+        code.units[pc] = lambda *args, pc=pc, unit=unit: entered.append(pc) or unit(*args)
+    assert run(program, [3] * 400) == first
+    # each loop's unit is entered at its preheader: no header is entered, and the halt's
+    # block is the one unit more
+    assert len(entered) == len(set(entered)) == 401 and not set(entered) & code.loops.keys()
 
 
 def _runs(stmts):
@@ -1018,7 +1066,7 @@ def _flat_runs(draw):
     return source, draw(inputs), draw(inputs)
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=3 * settings.default.max_examples, deadline=None)  # 300; deep: 3000
 @given(_flat_runs())
 # the last iteration, shorter, leaves the one path
 @example((P.WHILE_IF_ELSE, [3, 0, 1, 0], [5, 0, 0, 0, 0, 1]))
@@ -1349,6 +1397,33 @@ def test_every_outcome_matches_its_golden():
     # failures, and the `cfattest measure` text, as `tests/outcome_golden.py` wrote them
     assert outcome_golden.outcome_lines(CASES, MONITOR_CONFIGS) == \
         outcome_golden.GOLDEN.read_text().splitlines()
+
+
+# a chain of 100 back-to-back flat loops, each entered at its preheader; a flat exit onto the
+# next loop; nested loops; recursion; a data fault mid-pass; a pc fault under attack
+CROSS_PROCESS = ("seq-loops-100", "exit-onto-next-loop", "nested-2", "recursive",
+                 "fault-mid-pass", "pc-fault-in-loop")
+
+
+def test_outcomes_do_not_depend_on_the_process():
+    # attested in one process and verified in another, each with its own hash seed and cold
+    # program state, the sample's reports and verdicts are their golden lines: A and L do
+    # not depend on the process or on what the memos and the kept loop table hold
+    tests = Path(outcome_golden.__file__).resolve().parent
+
+    def child(hash_seed, *args, stdin=None):
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed,
+               "PYTHONPATH": os.pathsep.join([str(tests.parent / "src"), str(tests)])}
+        return subprocess.run([sys.executable, str(tests / "outcome_golden.py"), *args],
+                              input=stdin, env=env, capture_output=True, text=True, check=True,
+                              timeout=60).stdout
+    lines = json.loads(child("2", "verify", stdin=child("1", "attest", *CROSS_PROCESS)))
+    golden = {(e["case"], e["config"]): e for e in
+              json.loads(outcome_golden.GOLDEN.read_text())}
+    assert len(lines) == len(CROSS_PROCESS) * len(MONITOR_CONFIGS)
+    for line in lines:
+        expected = golden[line["case"], line["config"]]
+        assert line == {k: v for k, v in expected.items() if k != "measure"}
 
 
 @pytest.mark.parametrize("config", sorted(MONITOR_CONFIGS))
@@ -1733,7 +1808,7 @@ def test_stepping_under_a_trigger_that_never_fires_matches_units(seed, data):
     assert (regs, mem) == (units_regs, units_mem)
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=3 * settings.default.max_examples // 2, deadline=None)  # 150; deep: 1500
 @given(_attacked_genprog_runs())
 def test_drawn_programs_carry_their_encoding(case):
     program, inp, attack = case

@@ -190,10 +190,10 @@ class _Recorder(LoopMonitor):
         super()._exit(ctx, pos, branch)
         self.marks.append((pos, LoopStatusKind.EXIT, self.contexts.pop(ctx), branch))
 
-    def _flat(self, entry, site, start, end, branch, depth, within, degraded):
-        super()._flat(entry, site, start, end, branch, depth, within, degraded)
+    def _flat(self, entry, site, start, end, branch, depth, within, head):
+        super()._flat(entry, site, start, end, branch, depth, within, head)
         backedge = self.loops[entry]
-        loop = LoopContext(entry, backedge, backedge + WORD, depth, within, False, degraded)
+        loop = LoopContext(entry, backedge, backedge + WORD, depth, within, False, head is None)
         self.marks.append((start, FLAT, loop, (site, end, branch)))
 
 
