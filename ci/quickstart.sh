@@ -9,7 +9,8 @@
 # loop past the path-tree bound and of direct recursion exit 0 and one of them re-signed with a
 # count changed exits 3, in-loop code-pointer attack exits 5, cfg of all five golden programs
 # and measure reproduce the goldens, direct recursion, flat loops (at the default path width and
-# at width 1), degraded loop contexts, a data fault mid-pass and a jump-table dispatch loop's
+# at width 1), degraded loop contexts, loops with no exit site and with two (a halt in the body,
+# a backward exit), a data fault mid-pass and a jump-table dispatch loop's
 # target table (at the default config and at -n 1 --path-width 4) included, two verifiers racing
 # on one nonce accept once, malformed inputs (an old per-cycle trace, a trace whose last branch
 # line is dropped, a pc-faulted trace with its cycles raised by one, a trace naming another
@@ -124,6 +125,15 @@ cfattest asm n4.s --id n4 -o n4.json
 cfattest run n4.json --input 2,1,2,2 -o n4.jsonl
 cfattest measure n4.jsonl --program n4.json --max-depth 2 \
   | diff - "$root/tests/golden/measure_nested4_depth2.json"
+for case in "HALT_IN_LOOP 3" "BACKWARD_EXIT 4,0,0,1,0,0,0,1,0"; do
+  set -- $case
+  PYTHONPATH="$root/src:$root/tests" python -c \
+    "import programs; print(programs.$1, end='')" > shape.s
+  cfattest asm shape.s --id demo -o shape.json
+  cfattest run shape.json --input "$2" -o shape.jsonl
+  cfattest measure shape.jsonl --program shape.json \
+    | diff - "$root/tests/golden/measure_${1,,}.json"
+done
 PYTHONPATH="$root/src:$root/tests" python -c \
   "import programs; print(programs.FAULT_MID_PASS, end='')" > fmp.s
 cfattest asm fmp.s --id fmp -o fmp.json

@@ -1,4 +1,4 @@
-"""What the system computes, one line per `CASES` entry and `MONITOR_CONFIGS` entry.
+"""What the system computes, one line per `GOLDEN_CASES` entry and `MONITOR_CONFIGS` entry.
 
 Each line is one attest and one verify under a fixed Ed25519 seed and nonce:
 a hash of the signed bytes and the signature, the verdict, its reason and
@@ -87,11 +87,11 @@ def verify_reports(cases: dict, configs: dict, reports: list[dict]) -> list[dict
 
 
 if __name__ == "__main__":
-    from test_trace_equivalence import CASES, MONITOR_CONFIGS
+    from test_trace_equivalence import GOLDEN_CASES, MONITOR_CONFIGS
     if sys.argv[1:2] == ["attest"]:
-        print(json.dumps(attest_reports(CASES, MONITOR_CONFIGS, sys.argv[2:])))
+        print(json.dumps(attest_reports(GOLDEN_CASES, MONITOR_CONFIGS, sys.argv[2:])))
     elif sys.argv[1:] == ["verify"]:
-        print(json.dumps(verify_reports(CASES, MONITOR_CONFIGS, json.load(sys.stdin))))
+        print(json.dumps(verify_reports(GOLDEN_CASES, MONITOR_CONFIGS, json.load(sys.stdin))))
     else:
-        GOLDEN.write_text("\n".join(outcome_lines(CASES, MONITOR_CONFIGS)) + "\n")
+        GOLDEN.write_text("\n".join(outcome_lines(GOLDEN_CASES, MONITOR_CONFIGS)) + "\n")
         print(f"wrote {GOLDEN}")

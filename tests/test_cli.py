@@ -49,6 +49,7 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 DISPATCH_INPUT = "6,292,300,308,292,316,300"  # six passes through the jump table
+BACKWARD_EXIT_INPUT = "4,0,0,1,0,0,0,1,0"  # three of four passes leave the inner loop backwards
 
 
 @pytest.mark.parametrize("golden, source, inp, attack, flags", [
@@ -59,10 +60,14 @@ DISPATCH_INPUT = "6,292,300,308,292,316,300"  # six passes through the jump tabl
     ("measure_dispatch.json", "DISPATCH_LOOP", DISPATCH_INPUT, False, []),
     ("measure_dispatch_n1_w4.json", "DISPATCH_LOOP", DISPATCH_INPUT, False,
      ["-n", "1", "--path-width", "4"]),
+    # a loop whose one re-entering site has no exit site (the run halts in its body), and an
+    # inner loop left by a backward branch as well as by its fallthrough
+    ("measure_halt_in_loop.json", "HALT_IN_LOOP", "3", False, []),
+    ("measure_backward_exit.json", "BACKWARD_EXIT", BACKWARD_EXIT_INPUT, False, []),
 ])
 def test_measure_matches_golden(tmp_path, golden, source, inp, attack, flags):
-    # the README walkthrough's program and input, and the jump-table dispatch loop's; the
-    # goldens are CI's too
+    # the README walkthrough's program and input, the jump-table dispatch loop's and two loops
+    # with other than one exit site; the goldens are CI's too
     (tmp_path / "guest.s").write_text(getattr(P, source))
     prog_id = "dispatch" if source == "DISPATCH_LOOP" else "demo"
     assert cfattest("asm", tmp_path / "guest.s", "--id", prog_id, "-o", tmp_path / "prog.json") == 0

@@ -302,6 +302,13 @@ def _cases():
 
 CASES = _cases()
 
+# a run three times as long as any in `CASES`: 150 flat loops at bounds 6-8, 2250 branches,
+# the last sessions past branch 2000.  The outcome golden holds it; the every-cycle-cap
+# oracle tests do not run it
+LONG_RUNS = {"long-seq-loops-150": (P.prog(P.sequential_loops(150), "seq150"),
+                                    [6 + i % 3 for i in range(150)], None)}
+GOLDEN_CASES = {**CASES, **LONG_RUNS}
+
 
 def _outcome(emulator_module, program, inp, attack=None,
              data_mem_words=emulator.DEFAULT_DATA_WORDS, cycle_cap=emulator.DEFAULT_CYCLE_CAP):
@@ -1395,14 +1402,15 @@ def honest_decode(trace, config, monkeypatch):
 def test_every_outcome_matches_its_golden():
     # per case and config: the signed bytes and signature, the verdict, its reason and
     # failures, and the `cfattest measure` text, as `tests/outcome_golden.py` wrote them
-    assert outcome_golden.outcome_lines(CASES, MONITOR_CONFIGS) == \
+    assert outcome_golden.outcome_lines(GOLDEN_CASES, MONITOR_CONFIGS) == \
         outcome_golden.GOLDEN.read_text().splitlines()
 
 
-# a chain of 100 back-to-back flat loops, each entered at its preheader; a flat exit onto the
-# next loop; nested loops; recursion; a data fault mid-pass; a pc fault under attack
-CROSS_PROCESS = ("seq-loops-100", "exit-onto-next-loop", "nested-2", "recursive",
-                 "fault-mid-pass", "pc-fault-in-loop")
+# a chain of 100 back-to-back flat loops, each entered at its preheader, and one of 150 past
+# branch 2000; a flat exit onto the next loop; nested loops; recursion; a data fault
+# mid-pass; a pc fault under attack
+CROSS_PROCESS = ("seq-loops-100", "long-seq-loops-150", "exit-onto-next-loop", "nested-2",
+                 "recursive", "fault-mid-pass", "pc-fault-in-loop")
 
 
 def test_outcomes_do_not_depend_on_the_process():
