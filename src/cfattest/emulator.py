@@ -260,20 +260,16 @@ def trace_from_jsonl(text: str, program: Program) -> Trace:
 
 
 def inject(attack: AttackSpec, regs: list[int], data_mem: list[int]) -> None:
-    """Apply the attack mutation to writable state; regs[NUM_REGS] is the link register."""
-    value = attack.payload["value"] & MASK32
-    if "reg" in attack.payload:
-        r = attack.payload["reg"]
-        if r == "ra":
-            r = NUM_REGS
-        elif not isinstance(r, int) or not 0 <= r < NUM_REGS:
-            raise AttackError(f"bad register target {r!r}")
-        regs[r] = value
+    """Apply the attack mutation to writable state; regs[NUM_REGS] is the link register.
+    `AttackSpec` checked a register target.  A memory target past data memory raises here,
+    at the trigger, as in the reference interpreter; `run` refuses one before the first cycle."""
+    value, mem = attack.payload["value"] & MASK32, attack.payload.get("mem")
+    if mem is None:
+        regs[NUM_REGS if attack.payload["reg"] == "ra" else attack.payload["reg"]] = value
+    elif mem < len(data_mem):
+        data_mem[mem] = value
     else:
-        idx = attack.payload["mem"]
-        if not isinstance(idx, int) or not 0 <= idx < len(data_mem):
-            raise AttackError(f"memory target {idx!r} outside data memory")
-        data_mem[idx] = value
+        raise AttackError(f"memory target {mem!r} outside data memory")
 
 
 # What each instruction does: Python over its operand fields, `ra` and the
