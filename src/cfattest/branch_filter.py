@@ -22,12 +22,12 @@ verifier share this code.
 
 A loop context is **flat** when no other discovered loop entry lies in its
 body [entry, backedge], the body holds no call, return or indirect transfer,
-and exactly one of its sites re-enters the entry.  Opened with every other
-loop enclosing its entry open, it is a flat session: control stays in it up
-to the first branch whose static destination leaves the body, and that exit
-branch closes it.  Flat bodies never overlap, so one character class per loop
-set (`_Loops.exit`) finds the exit in the site string; for a flat loop with
-one exit site, the usual case, a one-character `str.find` does.  The loop
+exactly one of its sites re-enters the entry and exactly one leaves the body.
+Opened with every other loop enclosing its entry open, in a context that is
+not degraded (none is nested past `max_depth`), it is a flat session: control
+stays in it up to its one exit site, which a one-character `str.find` finds in
+the site string, and that exit branch closes it.  Every other loop, one with no
+exit site or with several included, is walked branch by branch.  The loop
 monitor takes the session, exit branch included, in one step with no loop
 context, and then resumes its walk at the exit branch, in the enclosing
 context.  With no context open, such an exit leads straight into the next
@@ -41,7 +41,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from typing import Optional
 
-from .isa import CALL, INDIRECT_CALL, INDIRECT_JUMP, JUMP, RETURN, TAKEN, Sites, char_class
+from .isa import CALL, INDIRECT_CALL, INDIRECT_JUMP, JUMP, RETURN, TAKEN, Sites
 from .emulator import Trace
 
 INDIRECT = "x"
@@ -92,10 +92,10 @@ class _Loops(dict):
     The body boundaries cut the address space into segments that each have
     one set of enclosing loops; the first lookup of an address bisects them,
     later ones are a dict hit.  `flat` maps each flat loop's entry to its
-    re-entering site, the other loops enclosing that entry, its exit site if it
-    has only one, and then the flat loop that exit leads into (`_then`).  A
-    program's state keeps the last one, with the backedges it was built from
-    (`backward`), for the next run that finds the same backedges.
+    re-entering site, the other loops enclosing that entry, its one exit site,
+    and then the flat loop that exit leads into (`_then`).  A program's state
+    keeps the last one, with the backedges it was built from (`backward`), for
+    the next run that finds the same backedges.
     """
 
     def __init__(self, backward: set[tuple[int, int]], table: Sites):
@@ -113,12 +113,8 @@ class _Loops(dict):
             if lo in loops:
                 inside.add(lo)
             self._segments.append(tuple(sorted(inside)))
-        # The flat bodies are disjoint (one holding another's entry is not flat), so a site
-        # lies in at most one, and one class of the sites that leave their flat body finds
-        # the exit of whichever is innermost.  A body's sites are a range of site numbers.
-        self.flat: dict[int, tuple[str, tuple[int, ...], Optional[str],
-                                   Optional[tuple[int, str]]]] = {}
-        exits = []
+        # A body's sites are a range of site numbers; `_then` reads the whole flat table
+        self.flat: dict[int, tuple[str, tuple[int, ...], str, Optional[tuple[int, str]]]] = {}
         for k, (lo, hi) in enumerate(loops.items(), 1):
             if k < len(self.entries) and self.entries[k] <= hi:
                 continue
@@ -127,14 +123,11 @@ class _Loops(dict):
             if any(kind in _TRANSFERS for _, _, kind in body):
                 continue
             re_enter = [c for c, dest, _ in body if dest == lo]
-            if len(re_enter) == 1:
-                leave = [c for c, dest, _ in body if not lo <= dest <= hi]
-                self.flat[lo] = (re_enter[0], tuple(e for e in self[lo] if e != lo),
-                                 leave[0] if len(leave) == 1 else None, None)
-                exits += leave
-        self.exit = char_class(exits)  # None if no flat body can be left
-        for lo, (re_enter, others, leave, _) in self.flat.items():
-            self.flat[lo] = (re_enter, others, leave, leave and self._then(table, leave))
+            leave = [c for c, dest, _ in body if not lo <= dest <= hi]
+            if len(re_enter) == 1 and len(leave) == 1:
+                self.flat[lo] = (re_enter[0], tuple(e for e in self[lo] if e != lo), leave[0])
+        for lo, flat in self.flat.items():
+            self.flat[lo] = (*flat, self._then(table, flat[2]))
 
     def _then(self, table: Sites, leave: str) -> Optional[tuple[int, str]]:
         """The flat loop the walk opens next, with no loop context open, after the exit

@@ -20,8 +20,9 @@ the first time it completes; afterwards only its counter moves.
 
 Each run of branches between two loop boundaries is encoded in one step: its
 sites, translated to bits (`site_bits`), extend the path, and its pairs stay
-an index range until they are hashed.  A flat session (see `branch_filter`)
-is one step of the walk, with no context; with no context open, the step
+an index range until they are hashed.  A flat session (see `branch_filter`:
+one exit site, never degraded) is one step of the walk, with no context, that
+ends at the first `str.find` of its exit site; with no context open, the step
 goes on with each flat session its exit leads into (`_Loops.flat`), so
 back-to-back flat loops take one step in all, one lean step per session: the
 parent and depth they share are found once.  If a session's iterations (up
@@ -396,12 +397,10 @@ class LoopMonitor:
             self.sessions[ctx.index] = session_head(ctx.entry, ctx.depth, ctx.parent) + \
                 session_tail(ctx.path_overflow, ctx.counts.items(), ctx.targets, self._entries)
 
-    def _flat(self, entry: int, site: str, start: int, end: int, branch: int, depth: int,
-              within: int, head: Optional[bytes]) -> None:
-        """Add entry's flat session, branches start..end-1 opened at `branch` at call depth
-        `within` and iterating at `site`, to L under its `head` at `depth`; hash it if headless."""
-        if head is None:
-            return self._hash(start, end)
+    def _flat(self, site: str, start: int, end: int, branch: int, within: int,
+              head: bytes) -> None:
+        """Add a flat session, branches start..end-1 opened at `branch` at call depth `within`
+        and iterating at `site`, to L under its `head` (`session_head`: entry, depth, parent)."""
         sites = self._sites[start:end]
         found = self._memo.get(sites) or self._measure_flat(site, sites)
         self.stream.append(found[0])
@@ -499,7 +498,7 @@ class LoopMonitor:
         self.sessions: list[Optional[bytes]] = []  # each session's bytes in L, in order
         self._entries: dict[str, bytes] = {}  # path bits -> their length byte and packed bits
         self._paths: dict[str, tuple[str, bytes]] = {}  # flat traversal -> its bits and words
-        backedge, flat, exits = loops.loops, loops.flat, loops.exit
+        backedge, flat = loops.loops, loops.flat
         flat_session, pack_head = self._flat, SESSION_HEAD.pack
         max_depth = self.config.max_depth
         sites, site, target_at, n = trace.sites, table.site, trace.target_at, len(trace)
@@ -510,13 +509,14 @@ class LoopMonitor:
         open_calls: dict[int, int] = {}  # call_targets as counts
 
         def open_ctx(entry: int, lo: float, hi: float, pos: int, branch: int):
-            # the new innermost context's scope, and -1.  A flat session instead is measured up
-            # to its first exit and, with no loop context open, so is each next one its loop
-            # gives (`_Loops.flat`), whose exit branch and the branch after it do nothing else;
-            # the scope stays, with the last exit's position (n: the trace ended in the session)
+            # the new innermost context's scope, and -1.  A flat session, never degraded, instead
+            # is measured up to its exit site and, with no loop context open, so is each next
+            # one its loop gives (`_Loops.flat`), whose exit branch and the branch after it do
+            # nothing else; the scope stays, with the last exit's position (n: the trace ended
+            # in the session)
             depth, top = len(stack), stack[-1]
             degraded, flat_loop = depth > max_depth or top.degraded, flat.get(entry)
-            if not (flat_loop and hi != inf and (not flat_loop[1] or all(
+            if degraded or not (flat_loop and hi != inf and (not flat_loop[1] or all(
                     map(open_at.__contains__, flat_loop[1])))):
                 ctx = open_at[entry] = _Context(call_depth, lo, hi, entry, depth, degraded)
                 self._enter(ctx, pos, branch)
@@ -526,16 +526,12 @@ class LoopMonitor:
             alone, parent = top is stack[0], _parent(top.index)
             self._run(pos)
             while True:
-                if flat_loop[2]:  # the loop's one exit site
-                    at = sites.find(flat_loop[2], pos)
-                else:
-                    m = exits and exits.search(sites, pos)
-                    at = m.start() if m else -1
+                at = sites.find(flat_loop[2], pos)  # the loop's one exit site
                 end = at + 1
                 if not end:  # the trace ended in the session
                     at = end = n
-                flat_session(entry, flat_loop[0], pos, end, branch, depth, call_depth,
-                             None if degraded else pack_head(entry, depth, parent))
+                flat_session(flat_loop[0], pos, end, branch, call_depth,
+                             pack_head(entry, depth, parent))
                 then = flat_loop[3]
                 if not alone or then is None or end >= n or then[1] and sites[end] not in then[1]:
                     self._pos = end

@@ -1312,17 +1312,44 @@ def test_flat_contexts_are_taken():
 
 
 def test_new_loop_cases_cover_the_flat_edge_cases():
-    # an exit onto another entry or backwards, a run ending in a body; two re-entering
-    # sites: not flat
-    flats = {name: [m for m in loop_marks(filter_trace(run(*CASES[name])))
-                    if m[1] == FLAT] for name in ("continue", "exit-onto-entry",
-                                                  "backward-exit", "halt-in-loop",
-                                                  "fault-in-loop")}
-    assert not flats.pop("continue") and all(flats.values())
+    # an exit onto another entry: flat.  Two re-entering sites, two exit sites (one of them
+    # backwards) or none (a run ending in the body): walked, entered and left, never flat
+    def kinds(name):
+        return {kind for _, kind, _, _ in loop_marks(filter_trace(run(*CASES[name])))}
+    assert FLAT in kinds("exit-onto-entry")
+    for name in ("continue", "backward-exit", "halt-in-loop", "fault-in-loop"):
+        assert FLAT not in kinds(name)
+        assert {LoopStatusKind.ENTER, LoopStatusKind.EXIT} <= kinds(name)
     assert {run(*CASES[name]).fault for name in ("halt-in-loop", "fault-in-loop")} == \
         {None, "data-access-out-of-range:6000"}
+    # a run ending in a flat body: its session ends with the trace
+    b = filter_trace(run(*CASES["fault-mid-pass"]))
+    assert b.fault and [arg[1] for _, kind, _, arg in loop_marks(b) if kind == FLAT] == [len(b)]
     sessions = measure(run(*CASES["long-and-short-paths"])).sessions
     assert sessions[0].path_overflow and sessions[0].paths
+
+
+def test_a_flat_loop_has_exactly_one_exit_site():
+    # a body that no site leaves (a run halting or faulting in it) or that two sites leave is
+    # walked: `flat` holds only loops with one exit site, which it names
+    table_of = {}
+    for name, (program, inp, attack) in CASES.items():
+        loops, table = detect_loops(filter_trace(run(program, inp, attack))), program.sites
+        for entry, flat_loop in loops.flat.items():
+            hi = loops.loops[entry]
+            leave = [c for c, (src, dest, _) in table.site.items()
+                     if entry <= src <= hi and not entry <= dest <= hi]
+            assert leave == [flat_loop[2]], name
+        table_of[name] = loops.flat
+    for name in ("backward-exit", "halt-in-loop", "fault-in-loop", "entered-past-overlap"):
+        assert not table_of[name]
+
+
+def test_a_degraded_context_is_never_flat():
+    # NESTED_4's two inner levels lie past max_depth 2: their flat innermost loop is walked
+    marks = loop_marks(filter_trace(run(P.prog(P.NESTED_4, "n4"), [2, 1, 2, 2])), max_depth=2)
+    assert FLAT not in {kind for _, kind, _, _ in marks}
+    assert any(ctx.degraded for _, _, ctx, _ in marks)
 
 
 def _flat_slices(name):

@@ -35,9 +35,9 @@ from cfattest.emulator import DEFAULT_DATA_WORDS, Trace
 from cfattest.hash_engine import pair_bytes
 from cfattest.isa import (CALL, INDIRECT_CALL, INDIRECT_JUMP, JUMP, NOT_TAKEN, RETURN,
                           STRAIGHT_KINDS, TAKEN, WORD, Instruction, Kind, Sites, State)
-from cfattest.loop_monitor import (DEFAULT_MAX_DEPTH, FAULT_MARKER_ENTRY, LoopMonitor,
-                                   LoopSession, MonitorConfig, join_metadata, session_head,
-                                   session_tail)
+from cfattest.loop_monitor import (DEFAULT_MAX_DEPTH, FAULT_MARKER_ENTRY, SESSION_HEAD,
+                                   LoopMonitor, LoopSession, MonitorConfig, join_metadata,
+                                   session_head, session_tail)
 
 CONTROL_KINDS = frozenset(Kind) - STRAIGHT_KINDS - {Kind.HALT}
 LINKING_KINDS = frozenset({Kind.LINKING_JUMP, Kind.LINKING_INDIRECT_JUMP})
@@ -190,10 +190,11 @@ class _Recorder(LoopMonitor):
         super()._exit(ctx, pos, branch)
         self.marks.append((pos, LoopStatusKind.EXIT, self.contexts.pop(ctx), branch))
 
-    def _flat(self, entry, site, start, end, branch, depth, within, head):
-        super()._flat(entry, site, start, end, branch, depth, within, head)
+    def _flat(self, site, start, end, branch, within, head):
+        super()._flat(site, start, end, branch, within, head)
+        entry, depth, _ = SESSION_HEAD.unpack(head)
         backedge = self.loops[entry]
-        loop = LoopContext(entry, backedge, backedge + WORD, depth, within, False, head is None)
+        loop = LoopContext(entry, backedge, backedge + WORD, depth, within)
         self.marks.append((start, FLAT, loop, (site, end, branch)))
 
 
