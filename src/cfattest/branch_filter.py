@@ -25,8 +25,9 @@ body [entry, backedge], the body holds no call, return or indirect transfer,
 exactly one of its sites re-enters the entry and exactly one leaves the body.
 Opened with every other loop enclosing its entry open, in a context that is
 not degraded (none is nested past `max_depth`), it is a flat session: control
-stays in it up to its one exit site, which a one-character `str.find` finds in
-the site string, and that exit branch closes it.  Every other loop, one with no
+stays in it up to its one exit site (or the end of the run), which a
+one-character `str.find` finds in the site string, and that exit branch
+closes it.  Every other loop, one with no
 exit site or with several included, is walked branch by branch.  The loop
 monitor takes the session, exit branch included, in one step with no loop
 context, and then resumes its walk at the exit branch, in the enclosing
